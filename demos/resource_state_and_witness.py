@@ -26,7 +26,7 @@ print("resource vs explicit expansion:    ", overlap(resource, resource_state_ex
 
 print("\nstabilizer generators of the resource graph:")
 for k in stabilizer_generators(RESOURCE):
-    print(f"  <{k}> =", round(expectation(resource, k.to_observable(resource.labels)), 9))
+    print(f"  <{k}> =", round(expectation(resource, k.to_observable()), 9))
 
 # --- witnessing genuine multipartite entanglement -------------------------
 witness = builtin_witnesses()["resource5"]

@@ -142,7 +142,7 @@ def _cmd_build_resource(args) -> int:
         report = {
             "graph": g.to_dict(),
             "stabilizer_expectations": {
-                str(k): kernel.expectation(state, k.to_observable(state.labels))
+                str(k): kernel.expectation(state, k.to_observable())
                 for k in stabilizer_generators(g)},
         }
     else:
@@ -151,7 +151,7 @@ def _cmd_build_resource(args) -> int:
             "overlap_graph_state": kernel.overlap(built, graph_state(RESOURCE)),
             "overlap_explicit_expansion": kernel.overlap(built, resource_state_expansion()),
             "stabilizer_expectations": {
-                str(k): kernel.expectation(built, k.to_observable(built.labels))
+                str(k): kernel.expectation(built, k.to_observable())
                 for k in stabilizer_generators(RESOURCE)},
         }
     print(json.dumps(_sanitize(report), sort_keys=True, indent=2))

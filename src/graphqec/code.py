@@ -149,14 +149,6 @@ def encode(a: AncillaState, forced_s3: int | None = None,
     return s3, post
 
 
-def byproduct_correct(state, s3: int):
-    """Remove the X_L^{s3} byproduct by feedforward."""
-    if s3 == 0:
-        return state
-    xbar = logical_ops().xbar
-    return kernel.apply_unitary(state, xbar.dense(xbar.support), xbar.support)
-
-
 def parse_error_spec(spec: str) -> PauliString:
     """Parse config-style error strings: ``"Z@1"``, ``"X@4"`` or ``"none"``."""
     spec = spec.strip()
@@ -202,8 +194,7 @@ class SyndromeRecord:
 
 def measure_syndromes(state) -> SyndromeRecord:
     """Exact syndrome expectations; the state is left untouched."""
-    vals = tuple(kernel.expectation(state, s.to_observable(state.labels))
-                 for s in syndrome_operators())
+    vals = tuple(kernel.expectation(state, s.to_observable()) for s in syndrome_operators())
     return SyndromeRecord(vals)
 
 
@@ -290,9 +281,8 @@ class RecoveryRecipe:
 def _project_out(amps: np.ndarray, labels: list[int], qubit: int, basis: str,
                  outcome: int) -> tuple[np.ndarray, list[int]]:
     """Unnormalized projection <v_s|_qubit psi, qubit removed."""
-    i = labels.index(qubit)
-    v = kernel.BASIS_VECTORS[basis][outcome]
-    t = np.tensordot(v.conj(), amps.reshape([2] * len(labels)), axes=([0], [i]))
+    t = kernel._bra(amps.reshape([2] * len(labels)), kernel.BASIS_VECTORS[basis][outcome],
+                    labels.index(qubit))
     return t.reshape(-1), [l for l in labels if l != qubit]
 
 
@@ -459,9 +449,8 @@ def recover(rho, recipe: RecoveryRecipe, forced_outcomes=None,
         s, _, rho = kernel.projective_measure(rho, q, basis, forced, rng)
         outcomes.append(s)
     s_a, s_b = outcomes
-    out = kernel.apply_unitary(rho, recipe.correction(s_a, s_b), (recipe.output,))
-    out = kernel.apply_unitary(out, recipe.frame, (recipe.output,))
-    return (s_a, s_b), out
+    fix = recipe.frame @ recipe.correction(s_a, s_b)
+    return (s_a, s_b), kernel.apply_unitary(rho, fix, (recipe.output,))
 
 
 def recover_average(rho, recipe: RecoveryRecipe) -> DensityOperator:
@@ -477,11 +466,10 @@ def recover_average(rho, recipe: RecoveryRecipe) -> DensityOperator:
             for (q, basis), s in zip(recipe.helpers, (s_a, s_b)):
                 s, p, work = kernel.projective_measure(work, q, basis, s)
                 prob *= p
-        except ValueError:
-            continue  # zero-probability branch
-        work = kernel.apply_unitary(work, recipe.correction(s_a, s_b), (recipe.output,))
-        work = kernel.apply_unitary(work, recipe.frame, (recipe.output,))
-        total += prob * work.matrix
+        except kernel.ZeroProbabilityError:
+            continue
+        fix = recipe.frame @ recipe.correction(s_a, s_b)
+        total += prob * kernel.apply_unitary(work, fix, (recipe.output,)).matrix
     return DensityOperator((recipe.output,), total)
 
 

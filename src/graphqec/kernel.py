@@ -6,6 +6,13 @@ label in a register is the most significant (leftmost) tensor factor, with
 |0> mapped to horizontal polarization and |1> to vertical. All values are
 immutable after construction and every operation is a pure function, so
 states can be shared freely between threads.
+
+Every local operator is applied by one contraction helper, ``_apply_local``:
+it contracts a k-qubit matrix into chosen axes of the ``[2]*n`` amplitude
+tensor (or of the ``[2]*2n`` density tensor) with ``tensordot`` and moves
+the result back into place, so no operator is ever widened to the full
+register. Internal steps work on raw arrays; each public call validates its
+result once, through the checked constructors below.
 """
 from __future__ import annotations
 
@@ -18,9 +25,6 @@ MAX_QUBITS = 6
 NORM_ATOL = 1e-10
 HERM_ATOL = 1e-10
 EIG_ATOL = 1e-9
-
-# Metadata only: physical role of each qubit in the five-photon register.
-QUBIT_ROLES = {1: "polarization", 2: "path", 3: "ancilla", 4: "path", 5: "polarization"}
 
 # Single-qubit gate matrices.
 I = np.eye(2, dtype=complex)
@@ -162,24 +166,43 @@ def maximally_mixed(labels) -> DensityOperator:
     return DensityOperator(tuple(labels), np.eye(dim, dtype=complex) / dim)
 
 
-def embed_operator(matrix: np.ndarray, op_labels, register_labels) -> np.ndarray:
-    """Embed an operator acting on ``op_labels`` into the full register,
-    identity on the remaining qubits, respecting the register label order."""
-    op_labels = tuple(op_labels)
-    register_labels = tuple(register_labels)
-    missing = set(op_labels) - set(register_labels)
+def _axes(labels, targets) -> list[int]:
+    """Tensor axis of each target qubit in a register."""
+    missing = set(targets) - set(labels)
     if missing:
         raise ValueError(f"operator acts on qubits outside the register: {sorted(missing)}")
-    n = len(register_labels)
-    k = len(op_labels)
-    rest = [q for q in register_labels if q not in op_labels]
-    full = np.kron(np.asarray(matrix, dtype=complex), np.eye(2 ** (n - k), dtype=complex))
-    # full currently acts on the order op_labels + rest; permute to register order
-    cur = list(op_labels) + rest
-    perm = [cur.index(q) for q in register_labels]
-    t = full.reshape([2] * (2 * n))
-    t = np.transpose(t, perm + [n + p for p in perm])
-    return np.ascontiguousarray(t.reshape(2 ** n, 2 ** n))
+    return [labels.index(q) for q in targets]
+
+
+def _apply_local(tensor: np.ndarray, matrix: np.ndarray, axes) -> np.ndarray:
+    """Contract a k-qubit matrix into ``axes`` of a ``[2]*m`` tensor.
+
+    The first tensor factor of ``matrix`` acts on ``axes[0]``, the second on
+    ``axes[1]`` and so on; every other axis is untouched and the result
+    keeps the tensor's axis order.
+    """
+    k = len(axes)
+    m = np.asarray(matrix).reshape([2] * (2 * k))
+    out = np.tensordot(m, tensor, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, list(range(k)), list(axes))
+
+
+def _conjugate(tensor: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
+    """U rho U^dagger on a ``[2]*2n`` density tensor; ``axes`` index the rows."""
+    n = tensor.ndim // 2
+    return _apply_local(_apply_local(tensor, u, axes), u.conj(), [n + a for a in axes])
+
+
+def _bra(tensor: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:
+    """Contract <v| into one axis of a tensor, removing that axis."""
+    return np.tensordot(v.conj(), tensor, axes=([0], [axis]))
+
+
+def _density_matrix(state: PureState | DensityOperator) -> np.ndarray:
+    """Raw density matrix of a pure or mixed state."""
+    if isinstance(state, PureState):
+        return np.outer(state.amplitudes, state.amplitudes.conj())
+    return state.matrix
 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:
@@ -220,10 +243,13 @@ def apply_unitary(state: PureState | DensityOperator, u, targets) -> PureState |
     if u.shape != (2 ** len(targets), 2 ** len(targets)):
         raise ValueError(f"unitary shape {u.shape} does not match {len(targets)} targets")
     _check_unitary(u)
-    full = embed_operator(u, targets, state.labels)
+    axes = _axes(state.labels, targets)
+    n = state.num_qubits
     if isinstance(state, PureState):
-        return PureState(state.labels, full @ state.amplitudes)
-    return DensityOperator(state.labels, full @ state.matrix @ full.conj().T)
+        t = _apply_local(state.amplitudes.reshape([2] * n), u, axes)
+        return PureState(state.labels, t.reshape(-1))
+    t = _conjugate(state.matrix.reshape([2] * (2 * n)), u, axes)
+    return DensityOperator(state.labels, t.reshape(2 ** n, 2 ** n))
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -231,30 +257,34 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     keep = tuple(keep)
     if not keep:
         raise ValueError("keep must be non-empty")
-    if not set(keep) <= set(rho.labels):
-        raise ValueError(f"keep {keep} not a subset of register {rho.labels}")
-    cur = list(rho.labels)
-    mat = rho.matrix
-    for q in [l for l in rho.labels if l not in keep]:
-        n = len(cur)
-        i = cur.index(q)
-        t = mat.reshape([2] * (2 * n))
-        mat = np.trace(t, axis1=i, axis2=n + i).reshape(2 ** (n - 1), 2 ** (n - 1))
-        cur.remove(q)
-    out = DensityOperator(tuple(cur), mat)
-    return reorder(out, keep) if tuple(cur) != keep else out
+    if not set(keep) <= set(rho.labels) or len(set(keep)) != len(keep):
+        raise ValueError(f"keep {keep} must list distinct qubits of register {rho.labels}")
+    n = rho.num_qubits
+    kept = [rho.labels.index(q) for q in keep]
+    dropped = [i for i, q in enumerate(rho.labels) if q not in keep]
+    rows = kept + dropped
+    t = rho.matrix.reshape([2] * (2 * n)).transpose(rows + [n + i for i in rows])
+    dk, dd = 2 ** len(kept), 2 ** len(dropped)
+    return DensityOperator(keep, np.einsum("ajbj->ab", t.reshape(dk, dd, dk, dd)))
 
 
 def expectation(state: PureState | DensityOperator, obs: Observable) -> float:
-    """Tr(rho O) with O embedded by identity outside its qubit subset."""
-    full = embed_operator(obs.matrix, obs.labels, state.labels)
+    """Tr(rho O), contracting O into its own qubits only."""
+    axes = _axes(state.labels, obs.labels)
+    n = state.num_qubits
     if isinstance(state, PureState):
-        val = np.vdot(state.amplitudes, full @ state.amplitudes)
+        psi = state.amplitudes.reshape([2] * n)
+        val = np.vdot(psi, _apply_local(psi, obs.matrix, axes))
     else:
-        val = np.trace(full @ state.matrix)
+        t = _apply_local(state.matrix.reshape([2] * (2 * n)), obs.matrix, axes)
+        val = np.trace(t.reshape(2 ** n, 2 ** n))
     if abs(val.imag) > EIG_ATOL:
         raise ValueError(f"expectation has imaginary part {val.imag}")
     return float(val.real)
+
+
+class ZeroProbabilityError(ValueError):
+    """A forced measurement branch has probability below 1e-12."""
 
 
 def projective_measure(state, qubit: int, basis: str, forced_outcome: int | None = None,
@@ -263,8 +293,8 @@ def projective_measure(state, qubit: int, basis: str, forced_outcome: int | None
 
     Returns ``(outcome, probability, post_state)`` where outcome bit 0 means
     the +1 eigenvalue. With ``forced_outcome`` the requested branch is taken
-    (error if its probability is below 1e-12); otherwise the branch is
-    sampled with ``rng`` (a fresh default generator if omitted).
+    (``ZeroProbabilityError`` if its probability is below 1e-12); otherwise
+    the branch is sampled with ``rng`` (a fresh default generator if omitted).
     """
     if basis not in BASIS_VECTORS:
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
@@ -276,18 +306,15 @@ def projective_measure(state, qubit: int, basis: str, forced_outcome: int | None
     n = state.num_qubits
     i = state.labels.index(qubit)
     post_labels = tuple(q for q in state.labels if q != qubit)
+    pure = isinstance(state, PureState)
 
     def branch(outcome: int):
         v = BASIS_VECTORS[basis][outcome]
-        if isinstance(state, PureState):
-            t = np.tensordot(v.conj(), state.amplitudes.reshape([2] * n), axes=([0], [i]))
-            vec = t.reshape(-1)
-            p = float(np.vdot(vec, vec).real)
-            return p, vec
-        t = state.matrix.reshape([2] * (2 * n))
-        t = np.tensordot(v.conj(), t, axes=([0], [i]))
-        t = np.tensordot(t, v, axes=([n - 1 + i], [0]))
-        mat = t.reshape(2 ** (n - 1), 2 ** (n - 1))
+        if pure:
+            vec = _bra(state.amplitudes.reshape([2] * n), v, i).reshape(-1)
+            return float(np.vdot(vec, vec).real), vec
+        t = _bra(state.matrix.reshape([2] * (2 * n)), v, i)
+        mat = _bra(t, v.conj(), n - 1 + i).reshape(2 ** (n - 1), 2 ** (n - 1))
         return float(np.trace(mat).real), mat
 
     p0, b0 = branch(0)
@@ -301,12 +328,10 @@ def projective_measure(state, qubit: int, basis: str, forced_outcome: int | None
             raise ValueError(f"forced_outcome must be 0 or 1, got {forced_outcome}")
     p, raw = (p0, b0) if outcome == 0 else (p1, b1)
     if p < 1e-12:
-        raise ValueError(f"cannot take zero-probability branch {outcome} (p = {p})")
-    if isinstance(state, PureState):
-        post = PureState(post_labels, raw / math.sqrt(p))
-    else:
-        post = DensityOperator(post_labels, raw / p)
-    return outcome, p, post
+        raise ZeroProbabilityError(f"cannot take zero-probability branch {outcome} (p = {p})")
+    if pure:
+        return outcome, p, PureState(post_labels, raw / math.sqrt(p))
+    return outcome, p, DensityOperator(post_labels, raw / p)
 
 
 def overlap(a: PureState, b: PureState) -> float:

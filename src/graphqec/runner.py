@@ -142,20 +142,8 @@ class ExperimentConfig:
         }
 
     def digest(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, default=_jsonable)
+        blob = json.dumps(_sanitize(self.to_dict()), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {str(k): v for k, v in obj.items()}
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _sanitize(obj):
@@ -223,38 +211,25 @@ def encoded_state(probe: str, noise: NoiseModel, byproduct: str = "condition0") 
 
     ``byproduct`` selects how the ancilla outcome s3 is handled: keep only
     the s3 = 0 branch (the published convention), average both branches
-    after feed-forward correction, or average them uncorrected.
+    after feed-forward correction, or average them uncorrected. Noise acts
+    before the ancilla measurement at stage ``post-resource`` and after the
+    byproduct correction at stage ``post-encoding``.
     """
-    a = PROBES[probe]
-    xbar = logical_ops().xbar
-    xbar_mat = xbar.dense(xbar.support)
-
-    def corrected(rho: DensityOperator, s3: int) -> DensityOperator:
-        if s3 == 0 or byproduct == "raw":
-            return rho
-        return kernel.apply_unitary(rho, xbar_mat, xbar.support)
-
+    state = encoding_input_state(PROBES[probe])
     if noise.stage == "post-resource":
-        rho5 = apply_noise(encoding_input_state(a), noise)
-        branches = []
-        for s3 in (0, 1):
-            _, p, post = kernel.projective_measure(rho5, ANCILLA, "X", forced_outcome=s3)
-            branches.append((p, corrected(post, s3)))
-        if byproduct == "condition0":
-            return branches[0][1]
-        total = sum(p * b.matrix for p, b in branches)
-        return DensityOperator(CODE_QUBITS, total)
-
-    # post-encoding: ideal measurement first, then noise on the code qubits
-    outs = []
-    for s3 in (0, 1):
-        _, p, post = kernel.projective_measure(encoding_input_state(a), ANCILLA, "X",
-                                               forced_outcome=s3)
-        outs.append((p, apply_noise(corrected(post.density(), s3), noise)))
-    if byproduct == "condition0":
-        return outs[0][1]
-    total = sum(p * b.matrix for p, b in outs)
-    return DensityOperator(CODE_QUBITS, total)
+        state = apply_noise(state, noise)
+    xbar = logical_ops().xbar
+    branches = []
+    for s3 in (0,) if byproduct == "condition0" else (0, 1):
+        _, p, post = kernel.projective_measure(state, ANCILLA, "X", forced_outcome=s3)
+        if s3 and byproduct == "correct":
+            post = kernel.apply_unitary(post, xbar.dense(xbar.support), xbar.support)
+        if noise.stage == "post-encoding":
+            post = apply_noise(post, noise)
+        branches.append((p, post))
+    if len(branches) == 1:
+        return branches[0][1]
+    return DensityOperator(CODE_QUBITS, sum(p * b.matrix for p, b in branches))
 
 
 LOGICAL_SETTINGS = (
@@ -392,7 +367,7 @@ def _run_resource_witness(cfg: ExperimentConfig):
         "resource5": block,
         "state_fidelity": state_fidelity(rho, ideal),
         "stabilizer_expectations": {
-            str(k): kernel.expectation(rho, k.to_observable(rho.labels))
+            str(k): kernel.expectation(rho, k.to_observable())
             for k in stabilizer_generators(RESOURCE)},
     }
     # persistency check: remove the ancilla with a Z measurement, then the

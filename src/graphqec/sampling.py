@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .kernel import DensityOperator, PureState
+from .kernel import DensityOperator
 from .witnesses import WitnessSpec
 
 # Basis-change unitaries mapping basis eigenvectors onto |0>, |1>.
@@ -59,8 +59,16 @@ class NoiseModel:
 
     Depolarizing p sends rho to (1 - 3p/4) rho + (p/4)(X rho X + Y rho Y +
     Z rho Z), so a |0> qubit keeps <Z> = 1 - p. Dephasing q sends rho to
-    (1 - q) rho + q Z rho Z. ``stage`` says where the runner applies the
-    model: to the five-qubit resource or to the encoded four-qubit state.
+    (1 - q) rho + q Z rho Z. Both are applied in closed form on the qubit's
+    2x2 block structure (rho_ab is the block with row bit a, column bit b):
+
+    - depolarizing: rho -> (1 - p) rho + p Tr_q(rho) (x) I/2, i.e. the
+      off-diagonal blocks scale by 1 - p and each diagonal block becomes
+      (1 - p) rho_aa + (p/2)(rho_00 + rho_11);
+    - dephasing: the off-diagonal blocks rho_01, rho_10 scale by 1 - 2q.
+
+    ``stage`` says where the runner applies the model: to the five-qubit
+    resource or to the encoded four-qubit state.
     """
 
     depolarizing: float | dict[int, float] = 0.0
@@ -100,34 +108,28 @@ class NoiseModel:
         return NoiseModel(visibility=visibility, stage=stage)
 
 
-def _apply_kraus(rho: DensityOperator, kraus: list[np.ndarray], qubit: int) -> DensityOperator:
-    out = np.zeros_like(rho.matrix)
-    for k in kraus:
-        full = kernel.embed_operator(k, (qubit,), rho.labels)
-        out += full @ rho.matrix @ full.conj().T
-    return DensityOperator(rho.labels, out)
-
-
 def apply_noise(state, model: NoiseModel) -> DensityOperator:
     """Depolarize/dephase each qubit, then mix with the maximally mixed
     state: rho -> v rho' + (1 - v) I / 2^n. Trace is preserved exactly."""
-    rho = state.density() if isinstance(state, PureState) else state
-    for q in rho.labels:
-        p = model.depolarizing_for(q)
+    n = state.num_qubits
+    t = np.array(kernel._density_matrix(state)).reshape([2] * (2 * n))
+    for i, q in enumerate(state.labels):
+        p, dq = model.depolarizing_for(q), model.dephasing_for(q)
+        blocks = np.moveaxis(t, (i, n + i), (0, 1))  # view: blocks[a, b] = rho_ab
         if p > 0:
-            kraus = [math.sqrt(1 - 3 * p / 4) * kernel.I] + \
-                    [math.sqrt(p / 4) * m for m in (kernel.X, kernel.Y, kernel.Z)]
-            rho = _apply_kraus(rho, kraus, q)
-        dq = model.dephasing_for(q)
+            mixed = p / 2 * (blocks[0, 0] + blocks[1, 1])
+            blocks *= 1 - p
+            blocks[0, 0] += mixed
+            blocks[1, 1] += mixed
         if dq > 0:
-            rho = _apply_kraus(rho, [math.sqrt(1 - dq) * kernel.I,
-                                     math.sqrt(dq) * kernel.Z], q)
+            blocks[0, 1] *= 1 - 2 * dq
+            blocks[1, 0] *= 1 - 2 * dq
+    dim = 2 ** n
+    rho = t.reshape(dim, dim)
     v = model.visibility
     if v < 1:
-        dim = 2 ** rho.num_qubits
-        rho = DensityOperator(rho.labels,
-                              v * rho.matrix + (1 - v) * np.eye(dim) / dim)
-    return rho
+        rho = v * rho + (1 - v) * np.eye(dim) / dim
+    return DensityOperator(state.labels, rho)
 
 
 @dataclass
@@ -169,14 +171,14 @@ class CountRecord:
 
 def outcome_probabilities(state, bases: dict[int, str]) -> dict[str, float]:
     """Joint outcome probabilities for measuring every qubit in its basis."""
-    rho = state.density() if isinstance(state, PureState) else state
-    for q in rho.labels:
+    n = state.num_qubits
+    t = kernel._density_matrix(state).reshape([2] * (2 * n))
+    for i, q in enumerate(state.labels):
         if q not in bases:
             raise ValueError(f"no basis given for qubit {q}")
-        rho = kernel.apply_unitary(rho, _TO_Z[bases[q]], (q,))
-    probs = np.clip(np.diag(rho.matrix).real, 0.0, None)
+        t = kernel._conjugate(t, _TO_Z[bases[q]], (i,))
+    probs = np.clip(np.diagonal(t.reshape(2 ** n, 2 ** n)).real, 0.0, None)
     probs = probs / probs.sum()
-    n = rho.num_qubits
     return {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs)}
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .code import PROBES, PROBE_NAMES, logical_ops
+from .code import PROBE_NAMES, logical_ops
 from .kernel import DensityOperator, PureState
 
 PAULI_BASIS = ("I", "X", "Y", "Z")
@@ -50,24 +50,20 @@ def logical_tomography(state) -> LogicalDensityMatrix:
     """rho_L = (I + <X_L> X + <Y_L> Y + <Z_L> Z) / 2 from the collective
     logical bases of a four-qubit code state."""
     ops = logical_ops()
-    ex, ey, ez = (kernel.expectation(state, o.to_observable(state.labels))
+    ex, ey, ez = (kernel.expectation(state, o.to_observable())
                   for o in (ops.xbar, ops.ybar, ops.zbar))
     return logical_density_from_expectations(ex, ey, ez)
 
 
 def state_fidelity(rho, target: PureState) -> float:
     """<psi| rho |psi> for a mixed state against a pure target."""
-    if isinstance(rho, PureState):
-        rho = rho.density()
-    if isinstance(target, PureState):
-        tgt = target
-    else:
+    if not isinstance(target, PureState):
         raise TypeError("target must be a PureState")
-    if set(rho.labels) != set(tgt.labels):
-        raise ValueError(f"registers differ: {rho.labels} vs {tgt.labels}")
-    if rho.labels != tgt.labels:
-        tgt = kernel.reorder(tgt, rho.labels)
-    val = np.vdot(tgt.amplitudes, rho.matrix @ tgt.amplitudes).real
+    if set(rho.labels) != set(target.labels):
+        raise ValueError(f"registers differ: {rho.labels} vs {target.labels}")
+    if rho.labels != target.labels:
+        target = kernel.reorder(target, rho.labels)
+    val = np.vdot(target.amplitudes, kernel._density_matrix(rho) @ target.amplitudes).real
     return float(val)
 
 
@@ -195,10 +191,6 @@ def average_probe_fidelity(fidelities) -> float:
 def sphere_average_fidelity(chi_exp: ChiMatrix, chi_ideal: ChiMatrix) -> float:
     """Haar average over the Bloch sphere: (2 F_p + 1) / 3 for qubits."""
     return (2 * process_fidelity(chi_exp, chi_ideal) + 1) / 3
-
-
-def probe_bloch_vectors() -> dict[str, tuple[float, float, float]]:
-    return {name: PROBES[name].bloch for name in PROBE_NAMES}
 
 
 def bloch_affine(chi: ChiMatrix) -> tuple[np.ndarray, np.ndarray]:

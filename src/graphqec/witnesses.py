@@ -163,7 +163,7 @@ def evaluate_witness(state, spec: WitnessSpec) -> WitnessResult:
     total = Fraction(0)
     acc = 0.0
     for t in spec.terms:
-        raw = kernel.expectation(state, t.word.to_observable(state.labels))
+        raw = kernel.expectation(state, t.word.to_observable())
         signed = t.sign * raw
         acc += float(t.coefficient) * signed
         rows.append((t.label(), float(t.coefficient), signed, raw))

@@ -6,9 +6,10 @@ import pytest
 
 from graphqec import kernel
 from graphqec.code import (AncillaState, CODE_QUBITS, PROBES, PROBE_TARGETS,
-                           decode_no_loss, diagnose, encode, encoding_input_state,
-                           inject_pauli_error, logical_basis_states, logical_ops,
-                           lose_qubit, measure_syndromes, parse_error_spec,
+                           RecoveryRecipe, decode_no_loss, diagnose, encode,
+                           encoding_input_state, inject_pauli_error,
+                           logical_basis_states, logical_ops, lose_qubit,
+                           measure_syndromes, parse_error_spec,
                            predicted_syndrome_signs, recover, recover_average,
                            recovery_recipe, single_error_table, syndrome_operators)
 from graphqec.code import _derive_recipe
@@ -324,6 +325,16 @@ class TestRecovery:
         recipe = recovery_recipe(4)
         out = recover_average(lose_qubit(encoded((a.alpha, a.beta)), 4), recipe)
         assert abs(state_fidelity(out, PureState.single(1, a.vector)) - 1) < 1e-9
+
+    def test_recover_average_propagates_basis_error(self):
+        # only zero-probability branches may be skipped; a bad helper basis
+        # must surface instead of leaving an empty (trace 0) average
+        good = recovery_recipe(4)
+        bad = RecoveryRecipe(good.lost, ((2, "W"), good.helpers[1]), good.output,
+                             good.corrections, good.correction_labels, good.frame,
+                             good.frame_label)
+        with pytest.raises(ValueError, match="basis must be X, Y or Z"):
+            recover_average(lose_qubit(encoded((1, 0)), 4), bad)
 
     def test_white_noise_degrades_monotonically(self):
         a = PROBES["+y"]

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracle
 from graphqec import kernel
 from graphqec.graphs import build_resource
 from graphqec.pauli import (CliffordGate, PauliString, conjugate_pauli,
@@ -103,7 +104,7 @@ class TestConjugation:
     def test_homomorphism_exhaustive(self, gate):
         # every 1- and 2-letter string on qubits {1,2}: dense conjugation oracle
         labels = (1, 2)
-        u = kernel.embed_operator(gate.matrix, gate.targets, labels)
+        u = oracle.embed_operator(gate.matrix, gate.targets, labels)
         singles = [PauliString.single(q, l) for q in labels for l in "XYZ"]
         doubles = [PauliString.from_map({1: a, 2: b})
                    for a in "XYZ" for b in "XYZ"]

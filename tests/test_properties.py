@@ -1,0 +1,135 @@
+"""Property tests: the kernel's tensor contractions against the dense
+kron/Kraus oracle in ``oracle.py``.
+
+States are random pure vectors or random mixed matrices of rank 1, 2 or
+full, on registers drawn as unordered subsets of the labels 1..6, so
+targets such as (5, 2) are non-adjacent and out of register order.
+"""
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+import oracle
+from graphqec import kernel
+from graphqec.kernel import DensityOperator, Observable, PureState
+from graphqec.sampling import NoiseModel, apply_noise, outcome_probabilities
+
+ATOL = 1e-12
+PROPERTY = settings(deadline=None, max_examples=60)
+
+seeds = st.integers(0, 2 ** 32 - 1)
+probabilities = st.floats(0.0, 1.0)
+
+
+@st.composite
+def states(draw, min_qubits=1):
+    labels = tuple(draw(st.lists(st.integers(1, 6), min_size=min_qubits, max_size=5,
+                                 unique=True)))
+    rng = np.random.default_rng(draw(seeds))
+    dim = 2 ** len(labels)
+    rank = draw(st.sampled_from((None, 1, 2, dim)))  # None: a pure state
+    g = rng.normal(size=(dim, rank or 1)) + 1j * rng.normal(size=(dim, rank or 1))
+    if rank is None:
+        return PureState(labels, g[:, 0] / np.linalg.norm(g))
+    rho = g @ g.conj().T
+    return DensityOperator(labels, rho / np.trace(rho).real)
+
+
+def subset(data, labels, max_size=5):
+    """An ordered subset of ``labels`` in random order."""
+    perm = data.draw(st.permutations(labels))
+    return tuple(perm[:data.draw(st.integers(1, min(max_size, len(labels))))])
+
+
+def random_unitary(dim, rng) -> np.ndarray:
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(m)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def dense(state) -> np.ndarray:
+    if isinstance(state, PureState):
+        return np.outer(state.amplitudes, state.amplitudes.conj())
+    return state.matrix
+
+
+@PROPERTY
+@given(states(), st.data(), seeds)
+def test_apply_unitary_matches_oracle(state, data, seed):
+    targets = subset(data, state.labels, 3)
+    u = random_unitary(2 ** len(targets), np.random.default_rng(seed))
+    out = kernel.apply_unitary(state, u, targets)
+    assert out.labels == state.labels
+    if isinstance(state, PureState):
+        want = oracle.embed_operator(u, targets, state.labels) @ state.amplitudes
+        np.testing.assert_allclose(out.amplitudes, want, rtol=0, atol=ATOL)
+    else:
+        want = oracle.conjugate(state.matrix, state.labels, u, targets)
+        np.testing.assert_allclose(out.matrix, want, rtol=0, atol=ATOL)
+
+
+@PROPERTY
+@given(states(), st.data(), seeds)
+def test_expectation_matches_oracle(state, data, seed):
+    targets = subset(data, state.labels, 3)
+    rng = np.random.default_rng(seed)
+    d = 2 ** len(targets)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    obs = Observable(targets, (m + m.conj().T) / 2)
+    want = oracle.expectation(dense(state), state.labels, obs.matrix, targets)
+    assert abs(kernel.expectation(state, obs) - want.real) < ATOL
+
+
+@PROPERTY
+@given(states(), st.data())
+def test_partial_trace_matches_oracle(state, data):
+    keep = subset(data, state.labels)
+    rho = state.density() if isinstance(state, PureState) else state
+    out = kernel.partial_trace(rho, keep)
+    assert out.labels == keep
+    np.testing.assert_allclose(out.matrix, oracle.partial_trace(rho.matrix, rho.labels, keep),
+                               rtol=0, atol=ATOL)
+
+
+@PROPERTY
+@given(states(min_qubits=2), st.data())
+def test_projective_measure_matches_oracle(state, data):
+    qubit = data.draw(st.sampled_from(state.labels))
+    basis = data.draw(st.sampled_from("XYZ"))
+    outcome = data.draw(st.sampled_from((0, 1)))
+    p_want, post_want = oracle.projective_measure(dense(state), state.labels, qubit, basis,
+                                                  outcome)
+    assume(p_want > 1e-3)  # the post state is divided by p
+    s, p, post = kernel.projective_measure(state, qubit, basis, forced_outcome=outcome)
+    assert s == outcome and abs(p - p_want) < ATOL
+    assert post.labels == tuple(q for q in state.labels if q != qubit)
+    np.testing.assert_allclose(dense(post), post_want, rtol=0, atol=ATOL)
+
+
+@PROPERTY
+@given(states(), st.data())
+def test_outcome_probabilities_match_oracle(state, data):
+    bases = {q: data.draw(st.sampled_from("XYZ")) for q in state.labels}
+    got = outcome_probabilities(state, bases)
+    want = oracle.outcome_probabilities(dense(state), state.labels, bases)
+    assert sorted(got) == sorted(want)
+    for bits, p in want.items():
+        assert abs(got[bits] - p) < ATOL
+
+
+@st.composite
+def noise_maps(draw, labels):
+    """A uniform rate, or a per-qubit map over some of the register."""
+    def rates():
+        return st.one_of(probabilities, st.dictionaries(st.sampled_from(labels), probabilities))
+    return NoiseModel(depolarizing=draw(rates()), dephasing=draw(rates()),
+                      visibility=draw(probabilities))
+
+
+@PROPERTY
+@given(states(), st.data())
+def test_apply_noise_matches_kraus_oracle(state, data):
+    model = data.draw(noise_maps(state.labels))
+    out = apply_noise(state, model)
+    assert out.labels == state.labels
+    np.testing.assert_allclose(out.matrix, oracle.apply_noise(dense(state), state.labels, model),
+                               rtol=0, atol=ATOL)

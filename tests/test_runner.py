@@ -47,6 +47,13 @@ class TestConfigValidation:
         a = cfg("syndrome-table", seed=3)
         b = ExperimentConfig.from_dict(a.to_dict())
         assert a.digest() == b.digest()
+        pinned = ExperimentConfig.from_dict({
+            "kind": "loss-recovery",
+            "noise": {"depolarizing": {"1": 0.03, "5": 0.04}, "dephasing": 0.02,
+                      "visibility": 0.9},
+            "lost": 5, "seed": 2718})
+        assert pinned.digest() == \
+            "866347311a6a4bd3222f53b91328986241b2d0c72117230fadbb6b6b0cdb3473"
 
 
 class TestEncodedState:
