@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -119,12 +119,10 @@ class PauliString:
         return pauli_multiply(self, other)
 
     def dense(self, labels) -> np.ndarray:
-        """Matrix realization over an ordered register including the support."""
-        labels = tuple(labels)
-        if not set(self.support) <= set(labels):
-            raise ValueError(f"support {self.support} not within register {labels}")
-        mats = [kernel.PAULI[self.letter(q)] for q in labels]
-        return self.phase * reduce(np.kron, mats, np.eye(1, dtype=complex))
+        """Matrix realization over an ordered register including the support.
+
+        Memoized per (word, labels); the array is shared and read-only."""
+        return _dense(self, tuple(labels))
 
     def to_observable(self, labels=None) -> kernel.Observable:
         if not self.is_hermitian:
@@ -133,6 +131,16 @@ class PauliString:
         if not labels:
             labels = (1,)
         return kernel.Observable(labels, self.dense(labels))
+
+
+@lru_cache(maxsize=128)
+def _dense(p: PauliString, labels: tuple[int, ...]) -> np.ndarray:
+    if not set(p.support) <= set(labels):
+        raise ValueError(f"support {p.support} not within register {labels}")
+    mats = [kernel.PAULI[p.letter(q)] for q in labels]
+    out = p.phase * reduce(np.kron, mats, np.eye(1, dtype=complex))
+    out.setflags(write=False)
+    return out
 
 
 def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:

@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
@@ -73,8 +74,19 @@ class ExperimentConfig:
         bad_probes = [p for p in self.probes if p not in PROBE_NAMES]
         if bad_probes or not self.probes:
             problems["probes"] = f"must be a non-empty subset of {PROBE_NAMES}, got {self.probes}"
-        if self.lost not in CODE_QUBITS:
-            problems["lost"] = f"must be a code qubit {CODE_QUBITS}, got {self.lost}"
+        if not isinstance(self.noise, NoiseModel):
+            problems["noise"] = f"must be an object of noise fields, got {self.noise!r}"
+        else:
+            keyed = {q for rates in (self.noise.depolarizing, self.noise.dephasing)
+                     if isinstance(rates, dict) for q in rates}
+            if keyed - RESOURCE.vertices:
+                problems["noise"] = (f"qubits {sorted(keyed - RESOURCE.vertices)} are not in "
+                                     f"the register {sorted(RESOURCE.vertices)}")
+        if isinstance(self.lost, bool) or self.lost not in CODE_QUBITS:
+            problems["lost"] = f"must be a code qubit {CODE_QUBITS}, got {self.lost!r}"
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+                or self.seed < 0:
+            problems["seed"] = f"must be a non-negative integer, got {self.seed!r}"
         if self.counts_per_setting <= 0:
             problems["counts_per_setting"] = f"must be positive, got {self.counts_per_setting}"
         if self.trials < 100:
@@ -107,13 +119,10 @@ class ExperimentConfig:
         kwargs = dict(data)
         if "noise" in kwargs and isinstance(kwargs["noise"], dict):
             noise_args = dict(kwargs["noise"])
-            dep = noise_args.get("depolarizing", 0.0)
-            if isinstance(dep, dict):
-                noise_args["depolarizing"] = {int(k): v for k, v in dep.items()}
-            deph = noise_args.get("dephasing", 0.0)
-            if isinstance(deph, dict):
-                noise_args["dephasing"] = {int(k): v for k, v in deph.items()}
             try:
+                for key in ("depolarizing", "dephasing"):
+                    if isinstance(noise_args.get(key), dict):
+                        noise_args[key] = {int(k): v for k, v in noise_args[key].items()}
                 kwargs["noise"] = NoiseModel(**noise_args)
             except (TypeError, ValueError) as exc:
                 raise ConfigError({"noise": str(exc)}) from exc

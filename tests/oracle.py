@@ -1,15 +1,17 @@
-"""Dense reference implementations for the kernel's tensor contractions.
+"""Reference implementations the property tests compare the package against.
 
 Every local operator is widened to the whole register with ``np.kron`` and
 applied by full matrix products, and single-qubit noise runs through its
-Kraus operators. These are slow but transparent; the property tests compare
-the kernel against them. Functions take raw matrices plus a label tuple.
+Kraus operators; these functions take raw matrices plus a label tuple. Count
+statistics are evaluated per outcome and per Monte Carlo trial, with one
+scalar Poisson draw per histogram cell. These are slow but transparent.
 """
 from functools import reduce
 
 import numpy as np
 
 from graphqec import kernel
+from graphqec.sampling import _MC_STREAM, CountRecord
 
 
 def embed_operator(matrix, op_labels, register_labels) -> np.ndarray:
@@ -84,3 +86,33 @@ def apply_noise(rho, labels, model) -> np.ndarray:
     dim = 2 ** len(labels)
     v = model.visibility
     return v * rho + (1 - v) * np.eye(dim) / dim
+
+
+def estimate_expectation(record, support) -> float:
+    """Parity estimator over a CountRecord's histogram, one outcome at a time."""
+    if record.total == 0:
+        raise ValueError("empty histogram")
+    positions = [record.qubits.index(q) for q in support]
+    acc = 0
+    for bits, c in record.counts.items():
+        parity = sum(int(bits[i]) for i in positions) % 2
+        acc += -c if parity else c
+    return acc / record.total
+
+
+def resample_counts(records, rng) -> list:
+    """Poisson-resample every histogram cell, one scalar draw per sorted cell."""
+    out = []
+    for r in records:
+        counts = {bits: int(rng.poisson(c)) for bits, c in sorted(r.counts.items())}
+        out.append(CountRecord(r.setting, {b: c for b, c in counts.items() if c > 0},
+                               r.expected_total))
+    return out
+
+
+def monte_carlo_uncertainty(statistic, records, trials, seed) -> tuple[float, float]:
+    """Re-run a per-record statistic on every trial's resampled records."""
+    vals = np.array([
+        statistic(resample_counts(records, np.random.default_rng((int(seed), _MC_STREAM, t))))
+        for t in range(trials)])
+    return float(vals.mean()), float(vals.std())

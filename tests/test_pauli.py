@@ -59,6 +59,12 @@ class TestMultiply:
             assert sq.letters == ()
             assert sq.phase == 1
 
+    def test_dense_is_shared_and_read_only(self):
+        m = S1.dense((1, 2, 4, 5))
+        assert S1.dense([1, 2, 4, 5]) is m
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 2
+
 
 class TestCommutes:
     def test_x2_anticommutes_with_s1(self):

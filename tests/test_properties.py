@@ -1,5 +1,6 @@
 """Property tests: the kernel's tensor contractions against the dense
-kron/Kraus oracle in ``oracle.py``.
+kron/Kraus oracle in ``oracle.py``, and batched Monte Carlo resampling
+against its per-trial, per-cell oracle.
 
 States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
@@ -11,7 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 import oracle
 from graphqec import kernel
 from graphqec.kernel import DensityOperator, Observable, PureState
-from graphqec.sampling import NoiseModel, apply_noise, outcome_probabilities
+from graphqec.sampling import (CountRecord, NoiseModel, apply_noise, estimate_expectation,
+                               monte_carlo_uncertainty, outcome_probabilities)
 
 ATOL = 1e-12
 PROPERTY = settings(deadline=None, max_examples=60)
@@ -133,3 +135,55 @@ def test_apply_noise_matches_kraus_oracle(state, data):
     assert out.labels == state.labels
     np.testing.assert_allclose(out.matrix, oracle.apply_noise(dense(state), state.labels, model),
                                rtol=0, atol=ATOL)
+
+
+@st.composite
+def histograms(draw):
+    """One to three records of widths 1..5 over random qubits and bases.
+    Each lists some or all of its cells, with counts 0..600, so histograms
+    range from sparse (absent and zero cells) to dense, and resampling rates
+    fall on both sides of numpy's Poisson method switch at 10. Counts of 0..3
+    are drawn often, so some trials resample a histogram to empty."""
+    records = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 5))
+        qubits = draw(st.permutations(range(1, 7)))[:k]
+        setting = tuple((q, draw(st.sampled_from("XYZ"))) for q in qubits)
+        cells = draw(st.lists(st.integers(0, 2 ** k - 1), min_size=1, max_size=2 ** k,
+                              unique=True))
+        rates = st.one_of(st.integers(0, 3), st.integers(0, 600))
+        counts = {format(i, f"0{k}b"): draw(rates) for i in cells}
+        records.append(CountRecord(setting, counts, float(sum(counts.values()))))
+    return records
+
+
+def linear_statistic(constant, terms, estimate):
+    """A witness-shaped statistic: constant - sum of coef * sign * <parity>,
+    evaluated in the order witness_value_from_counts uses."""
+    def statistic(records):
+        value = constant
+        for i, support, coef, sign in terms:
+            value -= coef * sign * estimate(records[i], support)
+        return value
+    return statistic
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:  # an empty resampled histogram
+        return str(exc)
+
+
+@PROPERTY
+@given(histograms(), st.data(), seeds, st.integers(100, 300))
+def test_monte_carlo_matches_per_trial_oracle(records, data, seed, trials):
+    coefs = st.floats(-2.0, 2.0, allow_nan=False)
+    terms = [(i, subset(data, records[i].qubits) if data.draw(st.booleans()) else (),
+              data.draw(coefs), data.draw(st.sampled_from((1, -1))))
+             for i in data.draw(st.lists(st.integers(0, len(records) - 1), max_size=6))]
+    constant = data.draw(coefs)
+    batched = linear_statistic(constant, terms, estimate_expectation)
+    scalar = linear_statistic(constant, terms, oracle.estimate_expectation)
+    assert outcome(lambda: monte_carlo_uncertainty(batched, records, trials, seed)) \
+        == outcome(lambda: oracle.monte_carlo_uncertainty(scalar, records, trials, seed))

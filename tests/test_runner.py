@@ -193,6 +193,22 @@ class TestCli:
         assert cli_main(["loss", "--config", str(path)]) == 1
         assert "lost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, data, field", [
+        ("witness", {"noise": [1]}, "noise"),
+        ("witness", {"noise": {"depolarizing": {"9": 0.3}}}, "noise"),
+        ("witness", {"noise": {"dephasing": {"q1": 0.1}}}, "noise"),
+        ("witness", {"seed": -3}, "seed"),
+        ("loss", {"lost": True}, "lost"),
+    ])
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, command, data, field):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({"kind": "loss-recovery", **data})
+        assert set(err.value.fields) == {field}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert cli_main([command, "--config", str(path), "--trials", "100"]) == 1
+        assert f"{field}: " in capsys.readouterr().err
+
     def test_build_resource_selfcheck(self, capsys):
         assert cli_main(["build-resource"]) == 0
         report = json.loads(capsys.readouterr().out)

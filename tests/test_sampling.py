@@ -8,9 +8,8 @@ from graphqec.kernel import PureState
 from graphqec.sampling import (CountRecord, NoiseModel, RngSeed, apply_noise,
                                counts_from_csv_rows, counts_to_csv_rows,
                                estimate_expectation, monte_carlo_uncertainty,
-                               outcome_probabilities, resample_counts,
-                               sample_setting_counts, witness_settings,
-                               witness_value_from_counts)
+                               outcome_probabilities, sample_setting_counts,
+                               witness_settings, witness_value_from_counts)
 from graphqec.tomography import state_fidelity
 from graphqec.witnesses import (box_witness, evaluate_witness, fidelity_lower_bound,
                                 ghz_witness, pair_witness, resource_witness)
@@ -175,9 +174,13 @@ class TestMonteCarlo:
         assert abs(mean_ratio - 2.0) < 0.5  # 1/sqrt(N): ratio 2 within 25%
 
     def test_resample_preserves_settings(self):
-        rec = CountRecord(((1, "Z"), (2, "X")), {"00": 10, "11": 5}, 15)
-        out = resample_counts([rec], np.random.default_rng(0))
-        assert out[0].setting == rec.setting
+        recs = [CountRecord(((1, "Z"), (2, "X")), {"00": 10, "11": 5}, 15),
+                CountRecord(((3, "Y"),), {"0": 4, "1": 9}, 13)]
+        seen = []
+        monte_carlo_uncertainty(lambda rs: seen.append(rs) or 0.0, recs, 100, seed=0)
+        assert len(seen) == 1  # the statistic runs once, on all trials
+        assert [b.setting for b in seen[0]] == [r.setting for r in recs]
+        assert [b.dense.shape for b in seen[0]] == [(100, 4), (100, 2)]
 
 
 class TestConvergence:
