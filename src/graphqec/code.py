@@ -259,11 +259,13 @@ def lose_qubit(state, q: int) -> DensityOperator:
 class RecoveryRecipe:
     """Helper measurements plus feedforward that undo the loss of one qubit.
 
-    ``corrections[2*s_a + s_b]`` is the Pauli product applied to the output
-    qubit for helper outcomes (s_a, s_b); ``frame`` is the fixed unitary
-    applied afterwards (it absorbs the Hadamard-like basis swap left by the
-    representative choice). Applying the recipe to any ideally encoded
-    input returns that input exactly, on every outcome branch.
+    ``corrections[2*s_a + s_b]`` is the Pauli applied to the output qubit
+    for helper outcomes (s_a, s_b), named by ``correction_labels``;
+    ``frame`` is the fixed unitary applied afterwards, named by
+    ``frame_label``. The recipes of :func:`recovery_recipe` hold the exact
+    matrices ``kernel.PAULI[letter]`` and the frame ``kernel.Z``. Applying
+    a recipe to any ideally encoded input returns that input exactly, on
+    every outcome branch.
     """
 
     lost: int
@@ -278,157 +280,33 @@ class RecoveryRecipe:
         return self.corrections[2 * s_a + s_b]
 
 
-def _project_out(amps: np.ndarray, labels: list[int], qubit: int, basis: str,
-                 outcome: int) -> tuple[np.ndarray, list[int]]:
-    """Unnormalized projection <v_s|_qubit psi, qubit removed."""
-    t = kernel._bra(amps.reshape([2] * len(labels)), kernel.BASIS_VECTORS[basis][outcome],
-                    labels.index(qubit))
-    return t.reshape(-1), [l for l in labels if l != qubit]
-
-
-def _branch_map(lost: int, helpers, output: int, outcomes) -> np.ndarray | None:
-    """The 2x2 unitary mapping ancilla coordinates to the output qubit on one
-    helper-outcome branch, or None if the branch does not factor cleanly."""
-    basis = logical_basis_states()
-    T = np.zeros((2, 2, 2), dtype=complex)  # (output, lost, input)
-    for k, key in enumerate(("+", "-")):  # encode images of |0>, |1>
-        amps, labels = basis[key].amplitudes, list(CODE_QUBITS)
-        for (q, b), s in zip(helpers, outcomes):
-            amps, labels = _project_out(amps, labels, q, b, s)
-        block = amps.reshape(2, 2)
-        if labels != [output, lost]:
-            block = block.T
-        T[:, :, k] = block
-    l_star = int(np.argmax([np.linalg.norm(T[:, l, :]) for l in range(2)]))
-    M = T[:, l_star, :]
-    for l in range(2):
-        sl = T[:, l, :]
-        c = np.vdot(M, sl) / np.vdot(M, M)
-        if np.abs(sl - c * M).max() > 1e-10:
-            return None  # residual entanglement with the lost qubit
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals[0] < 1e-12 or abs(svals[0] - svals[1]) > 1e-10:
-        return None  # branch map not proportional to a unitary
-    return M / svals[0]
-
-
-def _nearest_pauli(mat: np.ndarray) -> str | None:
-    for name, p in kernel.PAULI.items():
-        if abs(np.trace(p.conj().T @ mat)) / 2 > 1 - 1e-9:
-            return name
-    return None
-
-
-_FRAME_NAMES = {
-    "I": kernel.I, "X": kernel.X, "Y": kernel.Y, "Z": kernel.Z, "H": kernel.H,
-    "HZ": kernel.H @ kernel.Z, "ZH": kernel.Z @ kernel.H,
-    "HX": kernel.H @ kernel.X, "XH": kernel.X @ kernel.H,
+# lost qubit -> (helper measurements, output qubit, corrections indexed by
+# 2*s_a + s_b). Lost 4 and 1 are the published assignments; lost 4's
+# X^{s2} (ZX)^{s5} equals I, Y, X, Z up to global phase.
+_RECOVERY_TABLE = {
+    1: (((2, "X"), (4, "Z")), 5, "IXYZ"),
+    2: (((1, "X"), (5, "Z")), 4, "IXYZ"),
+    4: (((2, "Z"), (5, "X")), 1, "IYXZ"),
+    5: (((2, "Z"), (4, "X")), 1, "IYXZ"),
 }
-
-
-def _frame_label(mat: np.ndarray) -> str:
-    for name, m in _FRAME_NAMES.items():
-        if abs(np.trace(m.conj().T @ mat)) / 2 > 1 - 1e-9:
-            return name
-    return "U"
-
-
-def _derive_recipe(lost: int, helpers, output: int) -> RecoveryRecipe | None:
-    branch_maps = {}
-    for outcomes in itertools.product((0, 1), repeat=2):
-        m = _branch_map(lost, helpers, output, outcomes)
-        if m is None:
-            return None
-        branch_maps[outcomes] = m
-    frame = np.linalg.inv(branch_maps[(0, 0)])
-    corrections, labels = [], []
-    for s_a, s_b in itertools.product((0, 1), repeat=2):
-        c = branch_maps[(0, 0)] @ branch_maps[(s_a, s_b)].conj().T
-        name = _nearest_pauli(c)
-        if name is None:
-            return None
-        corrections.append(kernel.PAULI[name])
-        labels.append(name)
-    return RecoveryRecipe(lost, tuple(helpers), output, tuple(corrections),
-                          tuple(labels), frame, _frame_label(frame))
-
-
-def _stabilizer_group() -> list[PauliString]:
-    gens = syndrome_operators()
-    group = []
-    for bits in itertools.product((0, 1), repeat=3):
-        g = PauliString.identity()
-        for b, s in zip(bits, gens):
-            if b:
-                g = g * s
-        group.append(g)
-    return group
-
-
-def _candidate_assignments(lost: int):
-    """Helper/output assignments allowed by logical representatives with no
-    support on the lost qubit, most regular bases first."""
-    ops = logical_ops()
-    group = _stabilizer_group()
-    x_reps = [r for g in group if lost not in (r := ops.xbar * g).support]
-    z_reps = [r for g in group if lost not in (r := ops.zbar * g).support]
-    survivors = [q for q in CODE_QUBITS if q != lost]
-    seen = set()
-    order = {"Z": 0, "X": 1, "Y": 2}
-    candidates = []
-    for xr, zr in itertools.product(x_reps, z_reps):
-        for output in survivors:
-            lx, lz = xr.letter(output), zr.letter(output)
-            if "I" in (lx, lz) or lx == lz:
-                continue  # output must carry anticommuting images
-            bases = []
-            for h in (q for q in survivors if q != output):
-                letters = {xr.letter(h), zr.letter(h)} - {"I"}
-                if len(letters) > 1:
-                    break
-                bases.append((h, letters.pop() if letters else "Z"))
-            else:
-                key = (output, tuple(bases))
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append((output, tuple(bases)))
-    candidates.sort(key=lambda c: (c[0], tuple((h, order[b]) for h, b in c[1])))
-    return candidates
 
 
 @cache
 def recovery_recipe(lost: int) -> RecoveryRecipe:
-    """Recovery recipe for one lost code qubit.
+    """Recovery recipe for one lost code qubit, read from a literal table.
 
-    Qubit 4 uses the published procedure (measure 2 in Z and 5 in X, output
-    on qubit 1, corrections X^{s2} (ZX)^{s5} then a fixed Z). Qubit 1 uses
-    the published helper pair (2, 4) with output 5. Recipes for qubits 2
-    and 5 are found by searching logical representatives without support on
-    the lost qubit; every derived table is validated exactly.
+    Each entry names two helper measurements, the output qubit and four
+    exact Pauli corrections; every recipe ends with the fixed frame Z. The
+    table is the result of searching logical representatives without
+    support on the lost qubit, and the tests check it against that search.
     """
     if lost == ANCILLA:
         raise ValueError("qubit 3 is the ancilla; it is consumed at encoding")
     if lost not in CODE_QUBITS:
         raise ValueError(f"{lost} is not a code qubit")
-    if lost == 4:
-        zx = kernel.Z @ kernel.X
-        corrections, labels = [], []
-        for s2, s5 in itertools.product((0, 1), repeat=2):
-            c = np.linalg.matrix_power(kernel.X, s2) @ np.linalg.matrix_power(zx, s5)
-            corrections.append(c)
-            labels.append(_nearest_pauli(c) or "U")
-        return RecoveryRecipe(4, ((2, "Z"), (5, "X")), 1, tuple(corrections),
-                              tuple(labels), kernel.Z, "Z")
-    if lost == 1:
-        recipe = _derive_recipe(1, ((2, "X"), (4, "Z")), 5)
-        if recipe is None:
-            raise AssertionError("published helper assignment for lost qubit 1 failed")
-        return recipe
-    for output, helpers in _candidate_assignments(lost):
-        recipe = _derive_recipe(lost, helpers, output)
-        if recipe is not None:
-            return recipe
-    raise AssertionError(f"no valid recovery recipe found for lost qubit {lost}")
+    helpers, output, letters = _RECOVERY_TABLE[lost]
+    return RecoveryRecipe(lost, helpers, output, tuple(kernel.PAULI[c] for c in letters),
+                          tuple(letters), kernel.Z, "Z")
 
 
 def recover(rho, recipe: RecoveryRecipe, forced_outcomes=None,

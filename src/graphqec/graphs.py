@@ -56,14 +56,6 @@ PATH5 = Graph.from_edges(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5)])
 BOX = Graph.from_edges((1, 2, 4, 5), [(1, 4), (1, 5), (2, 4), (2, 5)])
 RESOURCE = Graph.from_edges(range(1, 6), BOX.edge_list() + [(1, 3), (2, 3), (4, 3), (5, 3)])
 
-# The three syndrome operators factorize over box-graph generators as
-# S1 = K1 K5, S2 = K1 K4, S3 = K4 K2 with phase +1.
-SYNDROME_FACTORIZATIONS = {
-    "Y1 Z2 Z4 Y5": (1, 5),
-    "Y1 Z2 Y4 Z5": (1, 4),
-    "Z1 Y2 Y4 Z5": (4, 2),
-}
-
 
 def graph_state(g: Graph) -> PureState:
     """Prepare |+> on every vertex and apply one CZ per edge."""
@@ -107,27 +99,6 @@ def local_complement(g: Graph, v: int) -> tuple[Graph, list[CliffordGate]]:
             edges.add(e)
     gates = [pauli.sqrt_mx(v)] + [pauli.sqrt_pz(w) for w in nbhd]
     return Graph(g.vertices, frozenset(edges)), gates
-
-
-def find_lc_sequence(start: Graph, target: Graph, max_steps: int = 3) -> list[int] | None:
-    """Breadth-first search for a vertex sequence of local complementations
-    taking ``start`` to ``target``; None if not reachable in max_steps."""
-    if start.vertices != target.vertices:
-        return None
-    frontier = [(start, [])]
-    seen = {start.edges}
-    for _ in range(max_steps):
-        nxt = []
-        for g, seq in frontier:
-            for v in sorted(g.vertices):
-                h, _ = local_complement(g, v)
-                if h.edges == target.edges:
-                    return seq + [v]
-                if h.edges not in seen:
-                    seen.add(h.edges)
-                    nxt.append((h, seq + [v]))
-        frontier = nxt
-    return None
 
 
 def build_linear_cluster5() -> PureState:
@@ -191,27 +162,3 @@ def resource_state_expansion() -> PureState:
     amps = (_kron3(pair_p, kernel.MINUS_Y, pair_p)
             + 1j * _kron3(pair_m, kernel.PLUS_Y, pair_m)) / (2 * math.sqrt(2))
     return PureState((1, 2, 3, 4, 5), amps)
-
-
-def box_from_syndrome_factorizations() -> Graph:
-    """Re-derive the box edge set as the unique graph on {1,2,4,5} whose
-    generator products reproduce the printed syndrome factorizations."""
-    verts = (1, 2, 4, 5)
-    pairs = list(itertools.combinations(verts, 2))
-    matches = []
-    for mask in range(2 ** len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        g = Graph.from_edges(verts, edges)
-        gens = {v: k for v, k in zip(sorted(verts), stabilizer_generators(g))}
-        ok = all(str(gens[a] * gens[b]) == word
-                 for word, (a, b) in SYNDROME_FACTORIZATIONS.items())
-        if ok:
-            matches.append(g)
-    if len(matches) != 1:
-        raise AssertionError(f"expected a unique box graph, found {len(matches)}")
-    return matches[0]
-
-
-# The published factorizations pin the box uniquely; fail loudly at import
-# if the catalog constant ever drifts from the derivation.
-assert BOX.edges == box_from_syndrome_factorizations().edges

@@ -99,11 +99,8 @@ class PureState:
         return DensityOperator(self.labels, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     @staticmethod
-    def from_amplitudes(labels, amplitudes, normalize: bool = False) -> "PureState":
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if normalize:
-            amps = amps / np.linalg.norm(amps)
-        return PureState(tuple(labels), amps)
+    def from_amplitudes(labels, amplitudes) -> "PureState":
+        return PureState(tuple(labels), np.asarray(amplitudes, dtype=complex).reshape(-1))
 
     @staticmethod
     def single(label: int, vector) -> "PureState":

@@ -281,9 +281,3 @@ def expand_logical(p: PauliString) -> PauliString:
     if not set(p.support) <= {3}:
         raise ValueError(f"operator must be supported on qubit 3 only, got {p.support}")
     return conjugate_sequence(ENCODING_CZ_LAYER, p)
-
-
-def reshape_by_stabilizer(p: PauliString, s: PauliString) -> PauliString:
-    """Multiply by a stabilizer of the target state; on stabilized states the
-    reshaped operator acts identically to ``p``."""
-    return pauli_multiply(p, s)

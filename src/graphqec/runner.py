@@ -84,19 +84,22 @@ class ExperimentConfig:
                                      f"the register {sorted(RESOURCE.vertices)}")
         if isinstance(self.lost, bool) or self.lost not in CODE_QUBITS:
             problems["lost"] = f"must be a code qubit {CODE_QUBITS}, got {self.lost!r}"
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
-                or self.seed < 0:
+        if not _is_number(self.seed, numbers.Integral) or self.seed < 0:
             problems["seed"] = f"must be a non-negative integer, got {self.seed!r}"
-        if self.counts_per_setting <= 0:
-            problems["counts_per_setting"] = f"must be positive, got {self.counts_per_setting}"
-        if self.trials < 100:
-            problems["trials"] = f"must be >= 100, got {self.trials}"
+        if not _is_number(self.counts_per_setting, numbers.Real) \
+                or not self.counts_per_setting > 0:
+            problems["counts_per_setting"] = (f"must be a positive number, "
+                                              f"got {self.counts_per_setting!r}")
+        if not _is_number(self.trials, numbers.Integral) or self.trials < 100:
+            problems["trials"] = f"must be an integer >= 100, got {self.trials!r}"
         if self.byproduct not in BYPRODUCT_MODES:
             problems["byproduct"] = f"must be one of {BYPRODUCT_MODES}, got {self.byproduct!r}"
-        if self.sweep_points < 3:
-            problems["sweep_points"] = f"must be >= 3, got {self.sweep_points}"
-        if not 0 < self.target_fidelity < 1:
-            problems["target_fidelity"] = f"must be in (0,1), got {self.target_fidelity}"
+        if not _is_number(self.sweep_points, numbers.Integral) or self.sweep_points < 3:
+            problems["sweep_points"] = f"must be an integer >= 3, got {self.sweep_points!r}"
+        if not _is_number(self.target_fidelity, numbers.Real) \
+                or not 0 < self.target_fidelity < 1:
+            problems["target_fidelity"] = (f"must be a number in (0,1), "
+                                           f"got {self.target_fidelity!r}")
         bad_fmt = [f for f in self.formats if f not in FORMATS]
         if bad_fmt:
             problems["formats"] = f"unknown formats {bad_fmt}, allowed {FORMATS}"
@@ -153,6 +156,11 @@ class ExperimentConfig:
     def digest(self) -> str:
         blob = json.dumps(_sanitize(self.to_dict()), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _is_number(value, kind) -> bool:
+    """``value`` is an instance of the numbers ABC ``kind`` and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _sanitize(obj):
@@ -548,7 +556,31 @@ def _encoded_zero_fidelity(v: float, noise: NoiseModel) -> float:
     return state_fidelity(rho, logical_basis_states()["+"])
 
 
+def _calibrated_visibility(noise: NoiseModel, target: float) -> float:
+    """Visibility v* at which the encoded |0> fidelity F(v) hits ``target``.
+
+    F is affine in v at both noise stages: white noise mixes the state with
+    I/2^n, and at post-resource the |0> probe's ancilla X outcome has
+    probability 1/2 at every v, so conditioning on it does not bend the
+    line. v* is therefore read off F(0) and F(1), clamped to [0, 1] for
+    unreachable targets.
+    """
+    f0, f1 = _encoded_zero_fidelity(0.0, noise), _encoded_zero_fidelity(1.0, noise)
+    if target >= f1:
+        return 1.0
+    if target <= f0:
+        return 0.0
+    return (target - f0) / (f1 - f0)
+
+
 def _run_noise_sweep(cfg: ExperimentConfig):
+    """White-noise sweep of the resource and encoded |0>, then every witness
+    at the visibility v* that calibrates the encoded |0> fidelity.
+
+    v* comes in closed form from F(0) and F(1) (see
+    :func:`_calibrated_visibility`), so one sweep evaluates the encoded |0>
+    fidelity ``sweep_points + 3`` times.
+    """
     ideal5 = build_resource()
     spec = resource_witness()
     rows = [("visibility", "encoded0_fidelity", "resource_witness",
@@ -564,15 +596,7 @@ def _run_noise_sweep(cfg: ExperimentConfig):
                      round(wit, 12), round(bound, 12), round(fid5, 12),
                      fid5 >= bound - 1e-12))
 
-    # calibrate the visibility so the encoded |0> fidelity hits the target
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if _encoded_zero_fidelity(mid, cfg.noise) < cfg.target_fidelity:
-            lo = mid
-        else:
-            hi = mid
-    v_star = (lo + hi) / 2
+    v_star = _calibrated_visibility(cfg.noise, cfg.target_fidelity)
     model = NoiseModel(cfg.noise.depolarizing, cfg.noise.dephasing, v_star, cfg.noise.stage)
     rho5 = apply_noise(ideal5, model)
     wit_star = evaluate_witness(rho5, spec).value

@@ -41,15 +41,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(stream)))
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    seed: int
-    stream: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return make_rng(self.seed, self.stream)
-
-
 def _per_qubit(value, name: str) -> dict[int, float] | float:
     if isinstance(value, dict):
         items = {int(q): float(p) for q, p in value.items()}
@@ -100,21 +91,6 @@ class NoiseModel:
     def dephasing_for(self, q: int) -> float:
         return self.dephasing.get(q, 0.0) if isinstance(self.dephasing, dict) \
             else self.dephasing
-
-    @property
-    def is_ideal(self) -> bool:
-        qs = range(1, 6)
-        return (self.visibility == 1.0
-                and all(self.depolarizing_for(q) == 0 for q in qs)
-                and all(self.dephasing_for(q) == 0 for q in qs))
-
-    @staticmethod
-    def ideal() -> "NoiseModel":
-        return NoiseModel()
-
-    @staticmethod
-    def white(visibility: float, stage: str = "post-encoding") -> "NoiseModel":
-        return NoiseModel(visibility=visibility, stage=stage)
 
 
 def apply_noise(state, model: NoiseModel) -> DensityOperator:

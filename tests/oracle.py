@@ -1,16 +1,25 @@
-"""Reference implementations the property tests compare the package against.
+"""Reference implementations the tests compare the package against.
 
 Every local operator is widened to the whole register with ``np.kron`` and
 applied by full matrix products, and single-qubit noise runs through its
 Kraus operators; these functions take raw matrices plus a label tuple. Count
 statistics are evaluated per outcome and per Monte Carlo trial, with one
-scalar Poisson draw per histogram cell. These are slow but transparent.
+scalar Poisson draw per histogram cell. The package's closed forms are
+checked against the searches they replace: loss-recovery recipes derived
+branch by branch from the logical basis, the visibility calibration by
+bisection, and the box graph as the unique graph on {1,2,4,5} that gives
+the printed syndrome factorizations. These are slow but transparent.
 """
+import itertools
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from graphqec import kernel
+from graphqec.code import CODE_QUBITS, logical_basis_states, logical_ops, syndrome_operators
+from graphqec.graphs import Graph, stabilizer_generators
+from graphqec.pauli import PauliString
 from graphqec.sampling import _MC_STREAM, CountRecord
 
 
@@ -116,3 +125,170 @@ def monte_carlo_uncertainty(statistic, records, trials, seed) -> tuple[float, fl
         statistic(resample_counts(records, np.random.default_rng((int(seed), _MC_STREAM, t))))
         for t in range(trials)])
     return float(vals.mean()), float(vals.std())
+
+
+# ---------------------------------------------------------------------------
+# Loss recovery by search
+# ---------------------------------------------------------------------------
+
+class SearchedRecipe(NamedTuple):
+    helpers: tuple
+    output: int
+    corrections: tuple  # indexed by 2*s_a + s_b
+    frame: np.ndarray
+
+
+# The published helper assignments for lost qubits 4 and 1; 2 and 5 are searched.
+PUBLISHED_ASSIGNMENTS = {
+    4: (((2, "Z"), (5, "X")), 1),
+    1: (((2, "X"), (4, "Z")), 5),
+}
+
+
+def _project_out(amps, labels, qubit, basis, outcome):
+    """Unnormalized projection <v_s|_qubit psi, qubit removed."""
+    t = kernel._bra(amps.reshape([2] * len(labels)), kernel.BASIS_VECTORS[basis][outcome],
+                    labels.index(qubit))
+    return t.reshape(-1), [q for q in labels if q != qubit]
+
+
+def branch_map(lost, helpers, output, outcomes):
+    """The 2x2 unitary mapping ancilla coordinates to the output qubit on one
+    helper-outcome branch, or None if the branch does not factor cleanly."""
+    basis = logical_basis_states()
+    T = np.zeros((2, 2, 2), dtype=complex)  # (output, lost, input)
+    for k, key in enumerate(("+", "-")):  # encode images of |0>, |1>
+        amps, labels = basis[key].amplitudes, list(CODE_QUBITS)
+        for (q, b), s in zip(helpers, outcomes):
+            amps, labels = _project_out(amps, labels, q, b, s)
+        block = amps.reshape(2, 2)
+        if labels != [output, lost]:
+            block = block.T
+        T[:, :, k] = block
+    l_star = int(np.argmax([np.linalg.norm(T[:, l, :]) for l in range(2)]))
+    M = T[:, l_star, :]
+    for l in range(2):
+        sl = T[:, l, :]
+        c = np.vdot(M, sl) / np.vdot(M, M)
+        if np.abs(sl - c * M).max() > 1e-10:
+            return None  # residual entanglement with the lost qubit
+    svals = np.linalg.svd(M, compute_uv=False)
+    if svals[0] < 1e-12 or abs(svals[0] - svals[1]) > 1e-10:
+        return None  # branch map not proportional to a unitary
+    return M / svals[0]
+
+
+def equal_up_to_phase(a, b, atol=1e-9) -> bool:
+    return abs(np.trace(np.conj(a).T @ b)) / 2 > 1 - atol
+
+
+def derive_recipe(lost, helpers, output):
+    """Frame and corrections from the four branch maps; None unless every
+    branch is unitary and every correction is a Pauli up to phase."""
+    maps = {}
+    for outcomes in itertools.product((0, 1), repeat=2):
+        m = branch_map(lost, helpers, output, outcomes)
+        if m is None:
+            return None
+        maps[outcomes] = m
+    corrections = []
+    for outcomes in itertools.product((0, 1), repeat=2):
+        c = maps[(0, 0)] @ maps[outcomes].conj().T
+        if not any(equal_up_to_phase(p, c) for p in kernel.PAULI.values()):
+            return None
+        corrections.append(c)
+    return SearchedRecipe(tuple(helpers), output, tuple(corrections),
+                          np.linalg.inv(maps[(0, 0)]))
+
+
+def _stabilizer_group():
+    group = []
+    for bits in itertools.product((0, 1), repeat=3):
+        g = PauliString.identity()
+        for b, s in zip(bits, syndrome_operators()):
+            if b:
+                g = g * s
+        group.append(g)
+    return group
+
+
+def candidate_assignments(lost):
+    """Helper/output assignments allowed by logical representatives with no
+    support on the lost qubit, most regular bases first."""
+    ops = logical_ops()
+    group = _stabilizer_group()
+    x_reps = [r for g in group if lost not in (r := ops.xbar * g).support]
+    z_reps = [r for g in group if lost not in (r := ops.zbar * g).support]
+    survivors = [q for q in CODE_QUBITS if q != lost]
+    order = {"Z": 0, "X": 1, "Y": 2}
+    candidates = set()
+    for xr, zr in itertools.product(x_reps, z_reps):
+        for output in survivors:
+            lx, lz = xr.letter(output), zr.letter(output)
+            if "I" in (lx, lz) or lx == lz:
+                continue  # output must carry anticommuting images
+            bases = []
+            for h in (q for q in survivors if q != output):
+                letters = {xr.letter(h), zr.letter(h)} - {"I"}
+                if len(letters) > 1:
+                    break
+                bases.append((h, letters.pop() if letters else "Z"))
+            else:
+                candidates.add((output, tuple(bases)))
+    return sorted(candidates, key=lambda c: (c[0], tuple((h, order[b]) for h, b in c[1])))
+
+
+def search_recipe(lost):
+    """The published assignment for lost 4 and 1, else the first candidate
+    assignment whose derived recipe recovers every branch."""
+    if lost in PUBLISHED_ASSIGNMENTS:
+        return derive_recipe(lost, *PUBLISHED_ASSIGNMENTS[lost])
+    for output, helpers in candidate_assignments(lost):
+        recipe = derive_recipe(lost, helpers, output)
+        if recipe is not None:
+            return recipe
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Visibility calibration by bisection
+# ---------------------------------------------------------------------------
+
+def bisect_visibility(fidelity, target) -> float:
+    """80 halvings of [0, 1] for the v with fidelity(v) = target."""
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        if fidelity(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+# ---------------------------------------------------------------------------
+# Box graph by exhaustive search
+# ---------------------------------------------------------------------------
+
+# The three syndrome operators factorize over box-graph generators as
+# S1 = K1 K5, S2 = K1 K4, S3 = K4 K2 with phase +1.
+SYNDROME_FACTORIZATIONS = {
+    "Y1 Z2 Z4 Y5": (1, 5),
+    "Y1 Z2 Y4 Z5": (1, 4),
+    "Z1 Y2 Y4 Z5": (4, 2),
+}
+
+
+def graphs_matching_syndrome_factorizations() -> list:
+    """Every graph on {1,2,4,5} (all 64 edge sets) whose generator products
+    reproduce the printed syndrome factorizations."""
+    verts = (1, 2, 4, 5)
+    pairs = list(itertools.combinations(verts, 2))
+    matches = []
+    for mask in range(2 ** len(pairs)):
+        g = Graph.from_edges(verts, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        gens = dict(zip(sorted(verts), stabilizer_generators(g)))
+        if all(str(gens[a] * gens[b]) == word
+               for word, (a, b) in SYNDROME_FACTORIZATIONS.items()):
+            matches.append(g)
+    return matches

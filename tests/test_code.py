@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from graphqec import kernel
 from graphqec.code import (AncillaState, CODE_QUBITS, PROBES, PROBE_TARGETS,
                            RecoveryRecipe, decode_no_loss, diagnose, encode,
@@ -12,7 +13,6 @@ from graphqec.code import (AncillaState, CODE_QUBITS, PROBES, PROBE_TARGETS,
                            measure_syndromes, parse_error_spec,
                            predicted_syndrome_signs, recover, recover_average,
                            recovery_recipe, single_error_table, syndrome_operators)
-from graphqec.code import _derive_recipe
 from graphqec.graphs import build_resource
 from graphqec.kernel import PureState, overlap, partial_trace, reorder, states_equal
 from graphqec.pauli import PauliString, pauli_commutes
@@ -278,6 +278,18 @@ class TestRecovery:
         with pytest.raises(ValueError, match="ancilla"):
             recovery_recipe(3)
 
+    @pytest.mark.parametrize("lost", [1, 2, 4, 5])
+    def test_table_matches_search(self, lost):
+        # the literal table equals the branch-map search it replaced
+        table, searched = recovery_recipe(lost), oracle.search_recipe(lost)
+        assert table.helpers == searched.helpers and table.output == searched.output
+        for c, letter, found in zip(table.corrections, table.correction_labels,
+                                    searched.corrections):
+            assert c is kernel.PAULI[letter]
+            assert oracle.equal_up_to_phase(c, found)
+        assert table.frame is kernel.Z and table.frame_label == "Z"
+        assert oracle.equal_up_to_phase(table.frame, searched.frame)
+
     def test_code_symmetry_mirrors_every_recipe(self):
         # swapping 1 <-> 2 and 4 <-> 5 maps the code onto itself, so the
         # mirror image of each recipe assignment must also recover exactly
@@ -285,19 +297,19 @@ class TestRecovery:
         swap = {1: 2, 2: 1, 4: 5, 5: 4}
         for lost in (1, 2, 4, 5):
             r = recovery_recipe(lost)
-            mirrored = _derive_recipe(swap[lost],
-                                      tuple((swap[q], b) for q, b in r.helpers),
-                                      swap[r.output])
+            mirrored = oracle.derive_recipe(swap[lost],
+                                            tuple((swap[q], b) for q, b in r.helpers),
+                                            swap[r.output])
             assert mirrored is not None
 
     def test_lost4_corrections_match_published_formula(self):
-        # derived route agrees with X^{s2} (ZX)^{s5} then Z, branch by branch
+        # the table agrees with X^{s2} (ZX)^{s5} then Z, branch by branch
         printed = recovery_recipe(4)
-        derived = _derive_recipe(4, ((2, "Z"), (5, "X")), 1)
         for s2, s5 in itertools.product((0, 1), repeat=2):
-            a = printed.frame @ printed.correction(s2, s5)
-            b = derived.frame @ derived.correction(s2, s5)
-            assert abs(abs(np.trace(a.conj().T @ b)) / 2 - 1) < 1e-9
+            formula = (np.linalg.matrix_power(kernel.X, s2)
+                       @ np.linalg.matrix_power(kernel.Z @ kernel.X, s5))
+            assert oracle.equal_up_to_phase(printed.correction(s2, s5), formula)
+        assert oracle.equal_up_to_phase(printed.frame, kernel.Z)
 
     @pytest.mark.parametrize("lost", [1, 2, 4, 5])
     def test_recovery_exact_on_all_branches(self, lost):

@@ -8,8 +8,8 @@ from graphqec import kernel
 from graphqec.graphs import build_resource
 from graphqec.pauli import (CliffordGate, PauliString, conjugate_pauli,
                             conjugate_sequence, cz, expand_logical, hadamard,
-                            pauli_commutes, pauli_multiply, phase_s,
-                            reshape_by_stabilizer, sqrt_mx, sqrt_mz, sqrt_pz)
+                            pauli_commutes, pauli_multiply, phase_s, sqrt_mx,
+                            sqrt_mz, sqrt_pz)
 
 S1 = PauliString.parse("Y1 Z2 Z4 Y5")
 S2 = PauliString.parse("Y1 Z2 Y4 Z5")
@@ -160,18 +160,18 @@ class TestExpandAndReshape:
         # X letters on qubits 1, 3, 5 only
         x_e = expand_logical(PauliString.single(3, "X"))
         s1_tilde = conjugate_sequence([cz(1, 3), cz(2, 3), cz(4, 3), cz(5, 3)], S1)
-        reshaped = reshape_by_stabilizer(x_e, s1_tilde)
+        reshaped = x_e * s1_tilde
         assert dict(reshaped.letters) == {1: "X", 3: "X", 5: "X"}
 
     def test_reshaped_z_uses_k5(self):
         z_e = expand_logical(PauliString.single(3, "Z"))
         k5_box = PauliString.parse("Z1 Z2 X5")
         k5_tilde = conjugate_sequence([cz(1, 3), cz(2, 3), cz(4, 3), cz(5, 3)], k5_box)
-        reshaped = reshape_by_stabilizer(z_e, k5_tilde)
+        reshaped = z_e * k5_tilde
         assert dict(reshaped.letters) == {1: "Z", 2: "Z", 5: "X"}
 
     def test_multiply_by_identity(self):
-        assert reshape_by_stabilizer(S1, PauliString.identity()) == S1
+        assert S1 * PauliString.identity() == S1
 
     def test_reshaped_operators_act_identically_on_resource(self):
         cz_layer = [cz(1, 3), cz(2, 3), cz(4, 3), cz(5, 3)]
@@ -180,7 +180,7 @@ class TestExpandAndReshape:
         s1_tilde = conjugate_sequence(cz_layer, S1)
         k5_tilde = conjugate_sequence(cz_layer, PauliString.parse("Z1 Z2 X5"))
         for original, stab in ((x_e, s1_tilde), (z_e, k5_tilde)):
-            reshaped = reshape_by_stabilizer(original, stab)
+            reshaped = original * stab
             assert abs(resource_expectation(original) - resource_expectation(reshaped)) < 1e-10
 
 

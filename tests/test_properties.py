@@ -1,6 +1,7 @@
 """Property tests: the kernel's tensor contractions against the dense
-kron/Kraus oracle in ``oracle.py``, and batched Monte Carlo resampling
-against its per-trial, per-cell oracle.
+kron/Kraus oracle in ``oracle.py``, batched Monte Carlo resampling against
+its per-trial, per-cell oracle, and the closed-form visibility calibration
+against bisection.
 
 States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oracle
 from graphqec import kernel
 from graphqec.kernel import DensityOperator, Observable, PureState
+from graphqec.runner import _calibrated_visibility, _encoded_zero_fidelity
 from graphqec.sampling import (CountRecord, NoiseModel, apply_noise, estimate_expectation,
                                monte_carlo_uncertainty, outcome_probabilities)
 
@@ -187,3 +189,15 @@ def test_monte_carlo_matches_per_trial_oracle(records, data, seed, trials):
     scalar = linear_statistic(constant, terms, oracle.estimate_expectation)
     assert outcome(lambda: monte_carlo_uncertainty(batched, records, trials, seed)) \
         == outcome(lambda: oracle.monte_carlo_uncertainty(scalar, records, trials, seed))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data(), st.sampled_from(("post-resource", "post-encoding")),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_calibrated_visibility_matches_bisection(data, stage, target):
+    # rates up to 0.3 keep F(1) - F(0) >= 0.06, so v* is well conditioned;
+    # F(0) = 1/16 and F(1) < 1, so targets on both sides are unreachable
+    rates = st.dictionaries(st.integers(1, 5), st.floats(0.0, 0.3))
+    noise = NoiseModel(depolarizing=data.draw(rates), dephasing=data.draw(rates), stage=stage)
+    want = oracle.bisect_visibility(lambda v: _encoded_zero_fidelity(v, noise), target)
+    assert abs(_calibrated_visibility(noise, target) - want) < ATOL

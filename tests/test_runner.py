@@ -199,6 +199,11 @@ class TestCli:
         ("witness", {"noise": {"dephasing": {"q1": 0.1}}}, "noise"),
         ("witness", {"seed": -3}, "seed"),
         ("loss", {"lost": True}, "lost"),
+        ("witness", {"trials": 150.5}, "trials"),
+        ("witness", {"counts_per_setting": "500"}, "counts_per_setting"),
+        ("witness", {"counts_per_setting": True}, "counts_per_setting"),
+        ("sweep", {"sweep_points": 5.5}, "sweep_points"),
+        ("sweep", {"target_fidelity": "0.78"}, "target_fidelity"),
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, command, data, field):
         with pytest.raises(ConfigError) as err:
@@ -206,7 +211,7 @@ class TestCli:
         assert set(err.value.fields) == {field}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        assert cli_main([command, "--config", str(path), "--trials", "100"]) == 1
+        assert cli_main([command, "--config", str(path)]) == 1
         assert f"{field}: " in capsys.readouterr().err
 
     def test_build_resource_selfcheck(self, capsys):

@@ -5,7 +5,7 @@ from graphqec import kernel
 from graphqec.code import PROBES, encode, logical_basis_states
 from graphqec.graphs import build_resource
 from graphqec.kernel import PureState
-from graphqec.sampling import (CountRecord, NoiseModel, RngSeed, apply_noise,
+from graphqec.sampling import (CountRecord, NoiseModel, apply_noise,
                                counts_from_csv_rows, counts_to_csv_rows,
                                estimate_expectation, monte_carlo_uncertainty,
                                outcome_probabilities, sample_setting_counts,
@@ -28,7 +28,7 @@ class TestNoiseModel:
 
     def test_ideal_model_is_identity(self):
         state = logical_basis_states()["+"]
-        rho = apply_noise(state, NoiseModel.ideal())
+        rho = apply_noise(state, NoiseModel())
         np.testing.assert_allclose(rho.matrix, state.density().matrix, atol=1e-12)
 
     def test_zero_visibility_is_maximally_mixed(self):
@@ -87,10 +87,6 @@ class TestSampling:
         with pytest.raises(ValueError, match="positive"):
             sample_setting_counts(logical_basis_states()["+"],
                                   {1: "Z", 2: "Z", 4: "Z", 5: "Z"}, 0, seed=1)
-
-    def test_rng_seed_helper(self):
-        assert RngSeed(5, 2).generator().integers(1 << 30) \
-            == RngSeed(5, 2).generator().integers(1 << 30)
 
 
 class TestEstimator:
