@@ -87,8 +87,9 @@ class ExperimentConfig:
         if not _is_number(self.seed, numbers.Integral) or self.seed < 0:
             problems["seed"] = f"must be a non-negative integer, got {self.seed!r}"
         if not _is_number(self.counts_per_setting, numbers.Real) \
-                or not self.counts_per_setting > 0:
-            problems["counts_per_setting"] = (f"must be a positive number, "
+                or not 0 < self.counts_per_setting <= sampling.MAX_EXPECTED_COUNTS:
+            problems["counts_per_setting"] = (f"must be a number in (0, "
+                                              f"{sampling.MAX_EXPECTED_COUNTS:g}], "
                                               f"got {self.counts_per_setting!r}")
         if not _is_number(self.trials, numbers.Integral) or self.trials < 100:
             problems["trials"] = f"must be an integer >= 100, got {self.trials!r}"
@@ -556,8 +557,9 @@ def _encoded_zero_fidelity(v: float, noise: NoiseModel) -> float:
     return state_fidelity(rho, logical_basis_states()["+"])
 
 
-def _calibrated_visibility(noise: NoiseModel, target: float) -> float:
-    """Visibility v* at which the encoded |0> fidelity F(v) hits ``target``.
+def _calibrated_visibility(f0: float, f1: float, target: float) -> float:
+    """Visibility v* at which the encoded |0> fidelity F(v) hits ``target``,
+    given F(0) = ``f0`` and F(1) = ``f1``.
 
     F is affine in v at both noise stages: white noise mixes the state with
     I/2^n, and at post-resource the |0> probe's ancilla X outcome has
@@ -565,7 +567,6 @@ def _calibrated_visibility(noise: NoiseModel, target: float) -> float:
     line. v* is therefore read off F(0) and F(1), clamped to [0, 1] for
     unreachable targets.
     """
-    f0, f1 = _encoded_zero_fidelity(0.0, noise), _encoded_zero_fidelity(1.0, noise)
     if target >= f1:
         return 1.0
     if target <= f0:
@@ -577,26 +578,29 @@ def _run_noise_sweep(cfg: ExperimentConfig):
     """White-noise sweep of the resource and encoded |0>, then every witness
     at the visibility v* that calibrates the encoded |0> fidelity.
 
-    v* comes in closed form from F(0) and F(1) (see
-    :func:`_calibrated_visibility`), so one sweep evaluates the encoded |0>
-    fidelity ``sweep_points + 3`` times.
+    v* comes in closed form from the sweep's first and last rows, F(0) and
+    F(1) (see :func:`_calibrated_visibility`), and the fidelity at v* is read
+    from the encoded |0> built for the witnesses, so one sweep builds the
+    encoded |0> ``sweep_points + 1`` times.
     """
     ideal5 = build_resource()
     spec = resource_witness()
     rows = [("visibility", "encoded0_fidelity", "resource_witness",
              "fidelity_lower_bound", "resource_fidelity", "bound_holds")]
-    for v in np.linspace(0.0, 1.0, cfg.sweep_points):
+    fidelities = []
+    for v in np.linspace(0.0, 1.0, cfg.sweep_points):  # endpoints exactly 0.0 and 1.0
         v = float(v)
         model = NoiseModel(cfg.noise.depolarizing, cfg.noise.dephasing, v, cfg.noise.stage)
         rho5 = apply_noise(ideal5, model)
         wit = evaluate_witness(rho5, spec).value
         bound = fidelity_lower_bound(wit)
         fid5 = state_fidelity(rho5, ideal5)
-        rows.append((round(v, 12), round(_encoded_zero_fidelity(v, cfg.noise), 12),
+        fidelities.append(_encoded_zero_fidelity(v, cfg.noise))
+        rows.append((round(v, 12), round(fidelities[-1], 12),
                      round(wit, 12), round(bound, 12), round(fid5, 12),
                      fid5 >= bound - 1e-12))
 
-    v_star = _calibrated_visibility(cfg.noise, cfg.target_fidelity)
+    v_star = _calibrated_visibility(fidelities[0], fidelities[-1], cfg.target_fidelity)
     model = NoiseModel(cfg.noise.depolarizing, cfg.noise.dephasing, v_star, cfg.noise.stage)
     rho5 = apply_noise(ideal5, model)
     wit_star = evaluate_witness(rho5, spec).value
@@ -611,7 +615,7 @@ def _run_noise_sweep(cfg: ExperimentConfig):
     summary = {
         "calibrated_visibility": v_star,
         "target_fidelity": cfg.target_fidelity,
-        "fidelity_at_calibration": _encoded_zero_fidelity(v_star, cfg.noise),
+        "fidelity_at_calibration": state_fidelity(encoded["0"], logical_basis_states()["+"]),
         "witness_values_at_calibration": witness_values,
         "all_witnesses_negative": all(w < 0 for w in witness_values.values()),
         "fidelity_lower_bound": fidelity_lower_bound(wit_star),

@@ -14,6 +14,10 @@ parity mask, so the same estimator serves one histogram and a
 (trials x 2^k) matrix of Monte Carlo resamples. Monte Carlo resampling draws
 one Poisson vector per trial over all histograms and calls the statistic
 once on the trial-batched records; see :func:`monte_carlo_uncertainty`.
+Trial generators are seeded once per (seed, trials) pair, and the initial
+states of the most recent pair are kept for the next call, since one
+experiment's Monte Carlo calls all share it; results do not depend on call
+order.
 """
 from __future__ import annotations
 
@@ -35,6 +39,13 @@ _TO_Z = {
 }
 
 _MC_STREAM = 0x4D43  # reserved stream id for Monte Carlo resampling
+
+# Largest expected count per setting. Every Poisson draw in sampling and
+# resampling must accept it: numpy refuses Poisson rates above about 9.2e18,
+# and a sampled total, like any cell resampled from it, stays within a few
+# sqrt(1e12) = 1e6 of the cap. Totals also stay far below 2^53, so the
+# parity estimator converts counts to float64 exactly.
+MAX_EXPECTED_COUNTS = 1e12
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -273,6 +284,15 @@ def witness_value_from_counts(records, spec: WitnessSpec):
     return value
 
 
+@functools.lru_cache(maxsize=1)
+def _trial_states(seed: int, trials: int) -> tuple[dict, ...]:
+    """Initial state of each trial's ``default_rng((seed, _MC_STREAM, t))``
+    bit generator, t < ``trials``. Seeding a generator costs more than its
+    Poisson draws, and one experiment's Monte Carlo calls share (seed,
+    trials), so the most recent pair is kept. Callers only read the states."""
+    return tuple(np.random.PCG64((seed, _MC_STREAM, t)).state for t in range(trials))
+
+
 def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple[float, float]:
     """Poisson-resample every histogram cell ``trials`` times, evaluate the
     statistic on the resamples and return (mean, std) over the trials.
@@ -287,9 +307,12 @@ def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple
     Trial t draws one Poisson vector over all records' cells from its own
     (seed, stream, t) generator; a zero cell consumes no draw. The result is
     therefore independent of how trials are batched, and equals drawing the
-    nonzero cells one by one in sorted order. Memory grows linearly in
-    ``trials``: 8 bytes x sum of 2^k per trial, about 150 KB at 200 trials
-    of three five-qubit settings.
+    nonzero cells one by one in sorted order. The trial generators' initial
+    states are seeded once per (seed, trials) and the most recent pair is
+    kept, so repeated calls with one seed reuse them; results do not depend
+    on call order. Memory grows linearly in ``trials``: 8 bytes x sum of 2^k
+    per trial for the draws, about 150 KB at 200 trials of three five-qubit
+    settings, plus about 90 KB of kept generator states at 200 trials.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -297,8 +320,11 @@ def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple
     rates = [r.dense for r in records]
     lam = np.concatenate([np.zeros(0, dtype=np.int64), *rates])
     draws = np.empty((trials, lam.size), dtype=np.int64)
-    for t in range(trials):
-        draws[t] = np.random.default_rng((int(seed), _MC_STREAM, t)).poisson(lam)
+    bits = np.random.PCG64()
+    rng = np.random.Generator(bits)
+    for t, state in enumerate(_trial_states(int(seed), trials)):
+        bits.state = state
+        draws[t] = rng.poisson(lam)
     blocks = np.split(draws, np.cumsum([d.size for d in rates])[:-1], axis=1)
     batched = [TrialCounts(r.setting, b) for r, b in zip(records, blocks)]
     vals = np.empty(trials)

@@ -1,17 +1,19 @@
 """Property tests: the kernel's tensor contractions against the dense
 kron/Kraus oracle in ``oracle.py``, batched Monte Carlo resampling against
-its per-trial, per-cell oracle, and the closed-form visibility calibration
-against bisection.
+its per-trial, per-cell oracle (also along call sequences that reuse or
+replace the cached trial generator states), and the closed-form visibility
+calibration against bisection.
 
 States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
 targets such as (5, 2) are non-adjacent and out of register order.
 """
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle
-from graphqec import kernel
+from graphqec import kernel, sampling
 from graphqec.kernel import DensityOperator, Observable, PureState
 from graphqec.runner import _calibrated_visibility, _encoded_zero_fidelity
 from graphqec.sampling import (CountRecord, NoiseModel, apply_noise, estimate_expectation,
@@ -191,6 +193,32 @@ def test_monte_carlo_matches_per_trial_oracle(records, data, seed, trials):
         == outcome(lambda: oracle.monte_carlo_uncertainty(scalar, records, trials, seed))
 
 
+SPARSE = [CountRecord(((1, "X"), (2, "Z")), {"00": 3, "11": 40}, 43.0)]
+DENSE = [CountRecord(((1, "Z"), (3, "Y"), (5, "X")),
+                     {format(i, "03b"): 7 + 11 * i for i in range(8)}, 364.0),
+         CountRecord(((2, "X"),), {"0": 250, "1": 1}, 251.0)]
+EMPTY = [CountRecord(((4, "Z"),), {"0": 0}, 0.0)]  # every trial resamples to empty
+
+
+@pytest.mark.parametrize("calls, hits", [
+    ([(SPARSE, 200, 11), (DENSE, 200, 11)], 1),                   # same seed, new records
+    ([(DENSE, 200, 11), (DENSE, 200, 12), (DENSE, 200, 11)], 0),  # seeds a, b, a
+    ([(DENSE, 100, 11), (DENSE, 150, 11)], 0),                    # same seed, more trials
+    ([(EMPTY, 200, 11), (SPARSE, 200, 11)], 1),                   # a failed call, then valid
+])
+def test_monte_carlo_call_sequences_match_oracle(calls, hits):
+    """Every call equals the per-trial oracle, whatever the calls before it
+    left in the trial-state cache."""
+    sampling._trial_states.cache_clear()
+    for records, trials, seed in calls:
+        terms = [(i, r.qubits, 1.0, 1) for i, r in enumerate(records)]
+        batched = linear_statistic(0.5, terms, estimate_expectation)
+        scalar = linear_statistic(0.5, terms, oracle.estimate_expectation)
+        assert outcome(lambda: monte_carlo_uncertainty(batched, records, trials, seed)) \
+            == outcome(lambda: oracle.monte_carlo_uncertainty(scalar, records, trials, seed))
+    assert sampling._trial_states.cache_info().hits == hits
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.data(), st.sampled_from(("post-resource", "post-encoding")),
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
@@ -200,4 +228,5 @@ def test_calibrated_visibility_matches_bisection(data, stage, target):
     rates = st.dictionaries(st.integers(1, 5), st.floats(0.0, 0.3))
     noise = NoiseModel(depolarizing=data.draw(rates), dephasing=data.draw(rates), stage=stage)
     want = oracle.bisect_visibility(lambda v: _encoded_zero_fidelity(v, noise), target)
-    assert abs(_calibrated_visibility(noise, target) - want) < ATOL
+    f0, f1 = _encoded_zero_fidelity(0.0, noise), _encoded_zero_fidelity(1.0, noise)
+    assert abs(_calibrated_visibility(f0, f1, target) - want) < ATOL

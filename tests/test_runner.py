@@ -204,6 +204,8 @@ class TestCli:
         ("witness", {"counts_per_setting": True}, "counts_per_setting"),
         ("sweep", {"sweep_points": 5.5}, "sweep_points"),
         ("sweep", {"target_fidelity": "0.78"}, "target_fidelity"),
+        ("witness", {"counts_per_setting": 1e30}, "counts_per_setting"),
+        ("witness", {"counts_per_setting": float("inf")}, "counts_per_setting"),
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, command, data, field):
         with pytest.raises(ConfigError) as err:
