@@ -123,18 +123,26 @@ def logical_basis_states() -> dict[str, PureState]:
     }
 
 
+@cache
+def _encoding_branches() -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes of |0>_3 |+_L> and |1>_3 |-_L> on qubits (1,2,3,4,5)."""
+    basis = logical_basis_states()
+    return tuple(
+        kernel.reorder(kernel.tensor_product(PureState.single(ANCILLA, ket), basis[key]),
+                       (1, 2, 3, 4, 5)).amplitudes
+        for ket, key in ((kernel.KET0, "+"), (kernel.KET1, "-")))
+
+
+def _encoding_input(a: AncillaState) -> np.ndarray:
+    """Raw amplitudes of :func:`encoding_input_state`."""
+    z3_plus, o3_minus = _encoding_branches()
+    return a.alpha * z3_plus + a.beta * o3_minus
+
+
 def encoding_input_state(a: AncillaState) -> PureState:
     """alpha |0>_3 |+_L> + beta |1>_3 |-_L> on qubits (1,2,3,4,5): the
     resource state with the ancilla marginal replaced by the input."""
-    basis = logical_basis_states()
-    z3_plus = kernel.reorder(
-        kernel.tensor_product(PureState.single(ANCILLA, kernel.KET0), basis["+"]),
-        (1, 2, 3, 4, 5))
-    o3_minus = kernel.reorder(
-        kernel.tensor_product(PureState.single(ANCILLA, kernel.KET1), basis["-"]),
-        (1, 2, 3, 4, 5))
-    amps = a.alpha * z3_plus.amplitudes + a.beta * o3_minus.amplitudes
-    return PureState((1, 2, 3, 4, 5), amps)
+    return PureState((1, 2, 3, 4, 5), _encoding_input(a))
 
 
 def encode(a: AncillaState, forced_s3: int | None = None,
@@ -246,9 +254,9 @@ def lose_qubit(state, q: int) -> DensityOperator:
     """Erase a code qubit at a known location: trace it out."""
     if q not in state.labels:
         raise ValueError(f"qubit {q} not present")
-    rho = state.density() if isinstance(state, PureState) else state
-    keep = tuple(l for l in rho.labels if l != q)
-    return kernel.partial_trace(rho, keep)
+    keep = tuple(l for l in state.labels if l != q)
+    rho = kernel._density_matrix(kernel._raw(state))
+    return DensityOperator(keep, kernel._partial_trace(rho, state.labels, keep))
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +283,12 @@ class RecoveryRecipe:
     correction_labels: tuple[str, str, str, str]
     frame: np.ndarray
     frame_label: str
+
+    def __post_init__(self):
+        for m in (*self.corrections, self.frame):
+            if np.shape(m) != (2, 2):
+                raise ValueError(f"recipe matrices must be 2x2, got shape {np.shape(m)}")
+            kernel._check_unitary(np.asarray(m, dtype=complex))
 
     def correction(self, s_a: int, s_b: int) -> np.ndarray:
         return self.corrections[2 * s_a + s_b]
@@ -309,6 +323,20 @@ def recovery_recipe(lost: int) -> RecoveryRecipe:
                           tuple(letters), kernel.Z, "Z")
 
 
+def _check_recipe(rho, recipe: RecoveryRecipe):
+    expected = {q for q, _ in recipe.helpers} | {recipe.output}
+    if set(rho.labels) != expected:
+        raise ValueError(f"state on {rho.labels} does not match recipe qubits {sorted(expected)}")
+    for _, basis in recipe.helpers:
+        kernel._check_basis(basis)
+
+
+def _correct(matrix: np.ndarray, labels, recipe: RecoveryRecipe, s_a: int, s_b: int):
+    """Raw output qubit after the (s_a, s_b) correction and the frame."""
+    fix = recipe.frame @ recipe.correction(s_a, s_b)
+    return kernel._unitary(matrix, labels, fix, (recipe.output,))
+
+
 def recover(rho, recipe: RecoveryRecipe, forced_outcomes=None,
             rng: np.random.Generator | None = None) -> tuple[tuple[int, int], DensityOperator]:
     """Measure the helpers, then apply the outcome correction and frame.
@@ -316,38 +344,40 @@ def recover(rho, recipe: RecoveryRecipe, forced_outcomes=None,
     For an ideally encoded input the recovered qubit is pure with fidelity
     1 to the original input on every outcome branch.
     """
-    if isinstance(rho, PureState):
-        rho = rho.density()
-    expected = {q for q, _ in recipe.helpers} | {recipe.output}
-    if set(rho.labels) != expected:
-        raise ValueError(f"state on {rho.labels} does not match recipe qubits {sorted(expected)}")
+    _check_recipe(rho, recipe)
+    if forced_outcomes is not None:
+        forced_outcomes = tuple(kernel._check_outcome(s) for s in forced_outcomes)
+    matrix, labels = kernel._density_matrix(kernel._raw(rho)), rho.labels
     outcomes = []
     for i, (q, basis) in enumerate(recipe.helpers):
         forced = None if forced_outcomes is None else forced_outcomes[i]
-        s, _, rho = kernel.projective_measure(rho, q, basis, forced, rng)
+        s, _, matrix, labels = kernel._measure(matrix, labels, q, basis, forced, rng)
         outcomes.append(s)
     s_a, s_b = outcomes
-    fix = recipe.frame @ recipe.correction(s_a, s_b)
-    return (s_a, s_b), kernel.apply_unitary(rho, fix, (recipe.output,))
+    return (s_a, s_b), DensityOperator(labels, _correct(matrix, labels, recipe, s_a, s_b))
 
 
 def recover_average(rho, recipe: RecoveryRecipe) -> DensityOperator:
     """Feedforward channel output: branch-probability average of the
-    recovered state over all four helper-outcome pairs."""
-    if isinstance(rho, PureState):
-        rho = rho.density()
+    recovered state over all four helper-outcome pairs.
+
+    Every branch is projected, corrected and weighted on raw matrices, and
+    branches below probability 1e-12 are skipped; the sum is validated once,
+    as the returned single-qubit ``DensityOperator``.
+    """
+    _check_recipe(rho, recipe)
+    matrix = kernel._density_matrix(kernel._raw(rho))
     total = np.zeros((2, 2), dtype=complex)
     for s_a, s_b in itertools.product((0, 1), repeat=2):
-        work = rho
+        work, labels = matrix, rho.labels
         prob = 1.0
         try:
             for (q, basis), s in zip(recipe.helpers, (s_a, s_b)):
-                s, p, work = kernel.projective_measure(work, q, basis, s)
+                p, work, labels = kernel._project(work, labels, q, basis, s)
                 prob *= p
         except kernel.ZeroProbabilityError:
             continue
-        fix = recipe.frame @ recipe.correction(s_a, s_b)
-        total += prob * kernel.apply_unitary(work, fix, (recipe.output,)).matrix
+        total += prob * _correct(work, labels, recipe, s_a, s_b)
     return DensityOperator((recipe.output,), total)
 
 

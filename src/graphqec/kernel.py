@@ -11,8 +11,14 @@ Every local operator is applied by one contraction helper, ``_apply_local``:
 it contracts a k-qubit matrix into chosen axes of the ``[2]*n`` amplitude
 tensor (or of the ``[2]*2n`` density tensor) with ``tensordot`` and moves
 the result back into place, so no operator is ever widened to the full
-register. Internal steps work on raw arrays; each public call validates its
-result once, through the checked constructors below.
+register.
+
+Validation happens at the boundary. The public constructors
+(``PureState``, ``DensityOperator``, ``Observable``) check their values, and
+every public function checks its inputs and builds one checked result.
+Helpers whose names start with ``_`` take raw arrays (a state vector is
+1-D, a density matrix 2-D) plus a label tuple, trust their callers and
+never build a checked object, so internal steps chain them directly.
 """
 from __future__ import annotations
 
@@ -195,11 +201,23 @@ def _bra(tensor: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:
     return np.tensordot(v.conj(), tensor, axes=([0], [axis]))
 
 
-def _density_matrix(state: PureState | DensityOperator) -> np.ndarray:
-    """Raw density matrix of a pure or mixed state."""
-    if isinstance(state, PureState):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
-    return state.matrix
+def _raw(state: PureState | DensityOperator) -> np.ndarray:
+    """State vector of a pure state, density matrix of a mixed one."""
+    return state.amplitudes if isinstance(state, PureState) else state.matrix
+
+
+def _density_matrix(raw: np.ndarray) -> np.ndarray:
+    """Density matrix of a raw state vector or density matrix."""
+    return np.outer(raw, raw.conj()) if raw.ndim == 1 else raw
+
+
+def _unitary(raw: np.ndarray, labels, u: np.ndarray, targets) -> np.ndarray:
+    """U psi for a raw state vector, U rho U^dagger for a density matrix."""
+    n = len(labels)
+    axes = _axes(labels, targets)
+    if raw.ndim == 1:
+        return _apply_local(raw.reshape([2] * n), u, axes).reshape(-1)
+    return _conjugate(raw.reshape([2] * (2 * n)), u, axes).reshape(2 ** n, 2 ** n)
 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:
@@ -240,13 +258,18 @@ def apply_unitary(state: PureState | DensityOperator, u, targets) -> PureState |
     if u.shape != (2 ** len(targets), 2 ** len(targets)):
         raise ValueError(f"unitary shape {u.shape} does not match {len(targets)} targets")
     _check_unitary(u)
-    axes = _axes(state.labels, targets)
-    n = state.num_qubits
-    if isinstance(state, PureState):
-        t = _apply_local(state.amplitudes.reshape([2] * n), u, axes)
-        return PureState(state.labels, t.reshape(-1))
-    t = _conjugate(state.matrix.reshape([2] * (2 * n)), u, axes)
-    return DensityOperator(state.labels, t.reshape(2 ** n, 2 ** n))
+    return type(state)(state.labels, _unitary(_raw(state), state.labels, u, targets))
+
+
+def _partial_trace(matrix: np.ndarray, labels, keep) -> np.ndarray:
+    """Raw density matrix of ``keep``, in ``keep`` order."""
+    n = len(labels)
+    kept = [labels.index(q) for q in keep]
+    dropped = [i for i, q in enumerate(labels) if q not in keep]
+    rows = kept + dropped
+    t = matrix.reshape([2] * (2 * n)).transpose(rows + [n + i for i in rows])
+    dk, dd = 2 ** len(kept), 2 ** len(dropped)
+    return np.einsum("ajbj->ab", t.reshape(dk, dd, dk, dd))
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -256,13 +279,7 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
         raise ValueError("keep must be non-empty")
     if not set(keep) <= set(rho.labels) or len(set(keep)) != len(keep):
         raise ValueError(f"keep {keep} must list distinct qubits of register {rho.labels}")
-    n = rho.num_qubits
-    kept = [rho.labels.index(q) for q in keep]
-    dropped = [i for i, q in enumerate(rho.labels) if q not in keep]
-    rows = kept + dropped
-    t = rho.matrix.reshape([2] * (2 * n)).transpose(rows + [n + i for i in rows])
-    dk, dd = 2 ** len(kept), 2 ** len(dropped)
-    return DensityOperator(keep, np.einsum("ajbj->ab", t.reshape(dk, dd, dk, dd)))
+    return DensityOperator(keep, _partial_trace(rho.matrix, rho.labels, keep))
 
 
 def expectation(state: PureState | DensityOperator, obs: Observable) -> float:
@@ -284,6 +301,55 @@ class ZeroProbabilityError(ValueError):
     """A forced measurement branch has probability below 1e-12."""
 
 
+def _branch(raw: np.ndarray, labels, qubit: int, basis: str, outcome: int):
+    """(p, unnormalized branch) of one outcome on ``qubit``, which is
+    removed: <v_s|psi> for a raw state vector, <v_s|rho|v_s> for a density
+    matrix."""
+    n, i = len(labels), labels.index(qubit)
+    v = BASIS_VECTORS[basis][outcome]
+    if raw.ndim == 1:
+        vec = _bra(raw.reshape([2] * n), v, i).reshape(-1)
+        return float(np.vdot(vec, vec).real), vec
+    t = _bra(raw.reshape([2] * (2 * n)), v, i)
+    mat = _bra(t, v.conj(), n - 1 + i).reshape(2 ** (n - 1), 2 ** (n - 1))
+    return float(np.trace(mat).real), mat
+
+
+def _project(raw: np.ndarray, labels, qubit: int, basis: str, outcome: int):
+    """Forced branch ``(p, post, post_labels)`` of a raw density matrix or
+    state vector, with ``qubit`` removed and ``post`` normalized; a state
+    vector stays a vector. ``ZeroProbabilityError`` below p = 1e-12."""
+    p, branch = _branch(raw, labels, qubit, basis, outcome)
+    if p < 1e-12:
+        raise ZeroProbabilityError(f"cannot take zero-probability branch {outcome} (p = {p})")
+    norm = math.sqrt(p) if raw.ndim == 1 else p
+    return p, branch / norm, tuple(q for q in labels if q != qubit)
+
+
+def _measure(raw: np.ndarray, labels, qubit: int, basis: str, forced_outcome: int | None,
+             rng: np.random.Generator | None):
+    """Raw :func:`projective_measure`: ``(outcome, p, post, post_labels)``."""
+    if forced_outcome is None:
+        p0, _ = _branch(raw, labels, qubit, basis, 0)
+        p1, _ = _branch(raw, labels, qubit, basis, 1)
+        rng = rng if rng is not None else np.random.default_rng()
+        outcome = 0 if rng.random() < p0 / (p0 + p1) else 1
+    else:
+        outcome = forced_outcome
+    return (outcome, *_project(raw, labels, qubit, basis, outcome))
+
+
+def _check_basis(basis: str):
+    if basis not in BASIS_VECTORS:
+        raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
+
+
+def _check_outcome(outcome) -> int:
+    if int(outcome) not in (0, 1):
+        raise ValueError(f"forced_outcome must be 0 or 1, got {outcome}")
+    return int(outcome)
+
+
 def projective_measure(state, qubit: int, basis: str, forced_outcome: int | None = None,
                        rng: np.random.Generator | None = None):
     """Measure one qubit in the X, Y or Z basis and drop it from the register.
@@ -293,42 +359,16 @@ def projective_measure(state, qubit: int, basis: str, forced_outcome: int | None
     (``ZeroProbabilityError`` if its probability is below 1e-12); otherwise
     the branch is sampled with ``rng`` (a fresh default generator if omitted).
     """
-    if basis not in BASIS_VECTORS:
-        raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
+    _check_basis(basis)
     if qubit not in state.labels:
         raise ValueError(f"qubit {qubit} not in register {state.labels}")
     if state.num_qubits == 1:
         raise ValueError("cannot remove the last qubit of a register")
-
-    n = state.num_qubits
-    i = state.labels.index(qubit)
-    post_labels = tuple(q for q in state.labels if q != qubit)
-    pure = isinstance(state, PureState)
-
-    def branch(outcome: int):
-        v = BASIS_VECTORS[basis][outcome]
-        if pure:
-            vec = _bra(state.amplitudes.reshape([2] * n), v, i).reshape(-1)
-            return float(np.vdot(vec, vec).real), vec
-        t = _bra(state.matrix.reshape([2] * (2 * n)), v, i)
-        mat = _bra(t, v.conj(), n - 1 + i).reshape(2 ** (n - 1), 2 ** (n - 1))
-        return float(np.trace(mat).real), mat
-
-    p0, b0 = branch(0)
-    p1, b1 = branch(1)
-    if forced_outcome is None:
-        rng = rng if rng is not None else np.random.default_rng()
-        outcome = 0 if rng.random() < p0 / (p0 + p1) else 1
-    else:
-        outcome = int(forced_outcome)
-        if outcome not in (0, 1):
-            raise ValueError(f"forced_outcome must be 0 or 1, got {forced_outcome}")
-    p, raw = (p0, b0) if outcome == 0 else (p1, b1)
-    if p < 1e-12:
-        raise ZeroProbabilityError(f"cannot take zero-probability branch {outcome} (p = {p})")
-    if pure:
-        return outcome, p, PureState(post_labels, raw / math.sqrt(p))
-    return outcome, p, DensityOperator(post_labels, raw / p)
+    if forced_outcome is not None:
+        forced_outcome = _check_outcome(forced_outcome)
+    outcome, p, post, post_labels = _measure(_raw(state), state.labels, qubit, basis,
+                                             forced_outcome, rng)
+    return outcome, p, type(state)(post_labels, post)
 
 
 def overlap(a: PureState, b: PureState) -> float:

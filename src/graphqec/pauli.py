@@ -125,12 +125,16 @@ class PauliString:
         return _dense(self, tuple(labels))
 
     def to_observable(self, labels=None) -> kernel.Observable:
+        """The word as an observable over ``labels`` (default: its support).
+
+        Memoized per (word, labels) like :meth:`dense`; the observable is
+        shared and immutable."""
         if not self.is_hermitian:
             raise ValueError(f"{self} has imaginary phase and is not an observable")
         labels = tuple(labels) if labels is not None else self.support
         if not labels:
             labels = (1,)
-        return kernel.Observable(labels, self.dense(labels))
+        return _observable(self, labels)
 
 
 @lru_cache(maxsize=128)
@@ -141,6 +145,11 @@ def _dense(p: PauliString, labels: tuple[int, ...]) -> np.ndarray:
     out = p.phase * reduce(np.kron, mats, np.eye(1, dtype=complex))
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=128)
+def _observable(p: PauliString, labels: tuple[int, ...]) -> kernel.Observable:
+    return kernel.Observable(labels, p.dense(labels))
 
 
 def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, kernel, sampling
 from .code import (ANCILLA, CODE_QUBITS, PROBE_NAMES, PROBE_TARGETS, PROBES,
-                   encoding_input_state, inject_pauli_error, logical_basis_states,
+                   _encoding_input, inject_pauli_error, logical_basis_states,
                    logical_ops, measure_syndromes, parse_error_spec,
                    predicted_syndrome_signs, recover_average, recovery_recipe)
 from .graphs import RESOURCE, build_resource, stabilizer_generators
@@ -232,22 +232,26 @@ def encoded_state(probe: str, noise: NoiseModel, byproduct: str = "condition0") 
     after feed-forward correction, or average them uncorrected. Noise acts
     before the ancilla measurement at stage ``post-resource`` and after the
     byproduct correction at stage ``post-encoding``.
+
+    The state stays a raw vector until the noise turns it into a density
+    matrix, every step works on raw arrays, and the result is validated
+    once, as the returned ``DensityOperator``.
     """
-    state = encoding_input_state(PROBES[probe])
+    labels = (1, 2, 3, 4, 5)
+    state = _encoding_input(PROBES[probe])
     if noise.stage == "post-resource":
-        state = apply_noise(state, noise)
+        state = sampling._noise(state, labels, noise)
     xbar = logical_ops().xbar
     branches = []
     for s3 in (0,) if byproduct == "condition0" else (0, 1):
-        _, p, post = kernel.projective_measure(state, ANCILLA, "X", forced_outcome=s3)
+        p, post, post_labels = kernel._project(state, labels, ANCILLA, "X", s3)
         if s3 and byproduct == "correct":
-            post = kernel.apply_unitary(post, xbar.dense(xbar.support), xbar.support)
+            post = kernel._unitary(post, post_labels, xbar.dense(xbar.support), xbar.support)
         if noise.stage == "post-encoding":
-            post = apply_noise(post, noise)
+            post = sampling._noise(post, post_labels, noise)
         branches.append((p, post))
-    if len(branches) == 1:
-        return branches[0][1]
-    return DensityOperator(CODE_QUBITS, sum(p * b.matrix for p, b in branches))
+    rho = branches[0][1] if len(branches) == 1 else sum(p * b for p, b in branches)
+    return DensityOperator(CODE_QUBITS, rho)
 
 
 LOGICAL_SETTINGS = (
@@ -308,9 +312,7 @@ def _bloch_grid() -> np.ndarray:
     return np.array(pts, dtype=float)
 
 
-def _bloch_table(chi) -> list:
-    grid = _bloch_grid()
-    mapped = bloch_image(chi, grid)
+def _bloch_table(grid, mapped) -> list:
     rows = [("x_in", "y_in", "z_in", "x_out", "y_out", "z_out")]
     for pin, pout in zip(grid, mapped):
         rows.append(tuple(round(v, 12) for v in (*pin, *pout)))
@@ -482,9 +484,10 @@ def _run_encode_channel(cfg: ExperimentConfig):
         outputs[probe] = DensityOperator((1,), ldm.matrix)
     chi = reconstruct_chi(ChannelSample(outputs))
     summary = {"chi": _chi_block(chi, chi_hadamard()), "reference": "hadamard"}
-    tables = {"bloch_points": _bloch_table(chi), "chi": _chi_table(chi)}
     grid = _bloch_grid()
-    figures = {"bloch": _svg_bloch(grid, bloch_image(chi, grid), "encoding channel")}
+    mapped = bloch_image(chi, grid)
+    tables = {"bloch_points": _bloch_table(grid, mapped), "chi": _chi_table(chi)}
+    figures = {"bloch": _svg_bloch(grid, mapped, "encoding channel")}
     return summary, tables, figures
 
 
@@ -513,10 +516,10 @@ def _run_loss_recovery(cfg: ExperimentConfig):
         "chi": _chi_block(chi, chi_identity()),
         "reference": "identity",
     }
-    tables = {"bloch_points": _bloch_table(chi), "chi": _chi_table(chi)}
     grid = _bloch_grid()
-    figures = {"bloch": _svg_bloch(grid, bloch_image(chi, grid),
-                                   f"recovery after losing qubit {cfg.lost}")}
+    mapped = bloch_image(chi, grid)
+    tables = {"bloch_points": _bloch_table(grid, mapped), "chi": _chi_table(chi)}
+    figures = {"bloch": _svg_bloch(grid, mapped, f"recovery after losing qubit {cfg.lost}")}
     return summary, tables, figures
 
 

@@ -107,9 +107,15 @@ class NoiseModel:
 def apply_noise(state, model: NoiseModel) -> DensityOperator:
     """Depolarize/dephase each qubit, then mix with the maximally mixed
     state: rho -> v rho' + (1 - v) I / 2^n. Trace is preserved exactly."""
-    n = state.num_qubits
-    t = np.array(kernel._density_matrix(state)).reshape([2] * (2 * n))
-    for i, q in enumerate(state.labels):
+    return DensityOperator(state.labels, _noise(kernel._raw(state), state.labels, model))
+
+
+def _noise(raw: np.ndarray, labels, model: NoiseModel) -> np.ndarray:
+    """Raw :func:`apply_noise` of a state vector or density matrix; the
+    input is not modified."""
+    n = len(labels)
+    t = np.array(kernel._density_matrix(raw)).reshape([2] * (2 * n))
+    for i, q in enumerate(labels):
         p, dq = model.depolarizing_for(q), model.dephasing_for(q)
         blocks = np.moveaxis(t, (i, n + i), (0, 1))  # view: blocks[a, b] = rho_ab
         if p > 0:
@@ -125,7 +131,7 @@ def apply_noise(state, model: NoiseModel) -> DensityOperator:
     v = model.visibility
     if v < 1:
         rho = v * rho + (1 - v) * np.eye(dim) / dim
-    return DensityOperator(state.labels, rho)
+    return rho
 
 
 class _Setting:
@@ -192,7 +198,7 @@ class TrialCounts(_Setting):
 def outcome_probabilities(state, bases: dict[int, str]) -> dict[str, float]:
     """Joint outcome probabilities for measuring every qubit in its basis."""
     n = state.num_qubits
-    t = kernel._density_matrix(state).reshape([2] * (2 * n))
+    t = kernel._density_matrix(kernel._raw(state)).reshape([2] * (2 * n))
     for i, q in enumerate(state.labels):
         if q not in bases:
             raise ValueError(f"no basis given for qubit {q}")
@@ -205,8 +211,9 @@ def outcome_probabilities(state, bases: dict[int, str]) -> dict[str, float]:
 def sample_setting_counts(state, bases: dict[int, str], expected_n: float,
                           seed: int, stream: int = 0) -> CountRecord:
     """Poisson total then multinomial split over exact outcome probabilities."""
-    if expected_n <= 0:
-        raise ValueError(f"expected_n must be positive, got {expected_n}")
+    if not 0 < expected_n <= MAX_EXPECTED_COUNTS:  # also refuses NaN
+        raise ValueError(f"expected_n must be positive and at most "
+                         f"{MAX_EXPECTED_COUNTS:g}, got {expected_n}")
     labels = state.labels
     probs = outcome_probabilities(state, bases)
     keys = sorted(probs)

@@ -63,7 +63,8 @@ def state_fidelity(rho, target: PureState) -> float:
         raise ValueError(f"registers differ: {rho.labels} vs {target.labels}")
     if rho.labels != target.labels:
         target = kernel.reorder(target, rho.labels)
-    val = np.vdot(target.amplitudes, kernel._density_matrix(rho) @ target.amplitudes).real
+    rho_matrix = kernel._density_matrix(kernel._raw(rho))
+    val = np.vdot(target.amplitudes, rho_matrix @ target.amplitudes).real
     return float(val)
 
 
@@ -135,6 +136,12 @@ def chi_hadamard() -> ChiMatrix:
     return chi_of_unitary(kernel.H)
 
 
+# Column 4i + j holds vec(M_i (x) conj(M_j)), the superoperator of chi_ij.
+_CHI_BASIS = np.stack([np.kron(mi, mj.conj()).reshape(-1)
+                       for mi in PAULI_MATS for mj in PAULI_MATS], axis=1)
+_CHI_BASIS.setflags(write=False)
+
+
 def reconstruct_chi(samples: ChannelSample) -> ChiMatrix:
     """Linear inversion from the four probe outputs.
 
@@ -156,11 +163,7 @@ def reconstruct_chi(samples: ChannelSample) -> ChiMatrix:
     for (m, n), img in images.items():
         smat[:, 2 * m + n] = img.reshape(-1)
     # S = sum_ij chi_ij (M_i (x) conj(M_j)); solve the 16x16 linear system.
-    basis = np.zeros((16, 16), dtype=complex)
-    for i, mi in enumerate(PAULI_MATS):
-        for j, mj in enumerate(PAULI_MATS):
-            basis[:, 4 * i + j] = np.kron(mi, mj.conj()).reshape(-1)
-    chi_vec = np.linalg.solve(basis, smat.reshape(-1))
+    chi_vec = np.linalg.solve(_CHI_BASIS, smat.reshape(-1))
     chi = chi_vec.reshape(4, 4)
     chi = (chi + chi.conj().T) / 2  # remove numerical skew
     return ChiMatrix(chi)

@@ -8,7 +8,10 @@ scalar Poisson draw per histogram cell. The package's closed forms are
 checked against the searches they replace: loss-recovery recipes derived
 branch by branch from the logical basis, the visibility calibration by
 bisection, and the box graph as the unique graph on {1,2,4,5} that gives
-the printed syndrome factorizations. These are slow but transparent.
+the printed syndrome factorizations. The encoding and loss-recovery
+pipeline is also kept step by step through the checked public kernel
+functions, so every intermediate state is validated; the package runs the
+same arithmetic on raw arrays. These are slow but transparent.
 """
 import itertools
 from functools import reduce
@@ -16,9 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from graphqec import kernel
-from graphqec.code import CODE_QUBITS, logical_basis_states, logical_ops, syndrome_operators
+from graphqec import kernel, sampling
+from graphqec.code import (ANCILLA, CODE_QUBITS, PROBES, logical_basis_states, logical_ops,
+                           syndrome_operators)
 from graphqec.graphs import Graph, stabilizer_generators
+from graphqec.kernel import DensityOperator, PureState
 from graphqec.pauli import PauliString
 from graphqec.sampling import _MC_STREAM, CountRecord
 
@@ -292,3 +297,77 @@ def graphs_matching_syndrome_factorizations() -> list:
                for word, (a, b) in SYNDROME_FACTORIZATIONS.items()):
             matches.append(g)
     return matches
+
+
+# ---------------------------------------------------------------------------
+# Encoding, loss and recovery through checked states
+# ---------------------------------------------------------------------------
+
+def encoding_input_state(a) -> PureState:
+    """alpha |0>_3 |+_L> + beta |1>_3 |-_L>, rebuilt from the logical basis."""
+    basis = logical_basis_states()
+    z3_plus = kernel.reorder(
+        kernel.tensor_product(PureState.single(ANCILLA, kernel.KET0), basis["+"]),
+        (1, 2, 3, 4, 5))
+    o3_minus = kernel.reorder(
+        kernel.tensor_product(PureState.single(ANCILLA, kernel.KET1), basis["-"]),
+        (1, 2, 3, 4, 5))
+    amps = a.alpha * z3_plus.amplitudes + a.beta * o3_minus.amplitudes
+    return PureState((1, 2, 3, 4, 5), amps)
+
+
+def encoded_state(probe, noise, byproduct="condition0") -> DensityOperator:
+    """``runner.encoded_state`` with a checked state after every step."""
+    state = encoding_input_state(PROBES[probe])
+    if noise.stage == "post-resource":
+        state = sampling.apply_noise(state, noise)
+    xbar = logical_ops().xbar
+    branches = []
+    for s3 in (0,) if byproduct == "condition0" else (0, 1):
+        _, p, post = kernel.projective_measure(state, ANCILLA, "X", forced_outcome=s3)
+        if s3 and byproduct == "correct":
+            post = kernel.apply_unitary(post, xbar.dense(xbar.support), xbar.support)
+        if noise.stage == "post-encoding":
+            post = sampling.apply_noise(post, noise)
+        branches.append((p, post))
+    if len(branches) == 1:
+        return branches[0][1]
+    return DensityOperator(CODE_QUBITS, sum(p * b.matrix for p, b in branches))
+
+
+def lose_qubit(state, q) -> DensityOperator:
+    rho = state.density() if isinstance(state, PureState) else state
+    return kernel.partial_trace(rho, tuple(l for l in rho.labels if l != q))
+
+
+def recover(rho, recipe, forced_outcomes=None, rng=None):
+    """``code.recover`` through checked measurements and unitaries."""
+    if isinstance(rho, PureState):
+        rho = rho.density()
+    outcomes = []
+    for i, (q, basis) in enumerate(recipe.helpers):
+        forced = None if forced_outcomes is None else forced_outcomes[i]
+        s, _, rho = kernel.projective_measure(rho, q, basis, forced, rng)
+        outcomes.append(s)
+    s_a, s_b = outcomes
+    fix = recipe.frame @ recipe.correction(s_a, s_b)
+    return (s_a, s_b), kernel.apply_unitary(rho, fix, (recipe.output,))
+
+
+def recover_average(rho, recipe) -> DensityOperator:
+    """``code.recover_average`` with a checked state after every branch step."""
+    if isinstance(rho, PureState):
+        rho = rho.density()
+    total = np.zeros((2, 2), dtype=complex)
+    for s_a, s_b in itertools.product((0, 1), repeat=2):
+        work = rho
+        prob = 1.0
+        try:
+            for (q, basis), s in zip(recipe.helpers, (s_a, s_b)):
+                s, p, work = kernel.projective_measure(work, q, basis, s)
+                prob *= p
+        except kernel.ZeroProbabilityError:
+            continue
+        fix = recipe.frame @ recipe.correction(s_a, s_b)
+        total += prob * kernel.apply_unitary(work, fix, (recipe.output,)).matrix
+    return DensityOperator((recipe.output,), total)

@@ -14,7 +14,9 @@ from graphqec.code import (AncillaState, CODE_QUBITS, PROBES, PROBE_TARGETS,
                            predicted_syndrome_signs, recover, recover_average,
                            recovery_recipe, single_error_table, syndrome_operators)
 from graphqec.graphs import build_resource
-from graphqec.kernel import PureState, overlap, partial_trace, reorder, states_equal
+from graphqec.kernel import (DensityOperator, PureState, overlap, partial_trace, reorder,
+                             states_equal)
+from graphqec.runner import BYPRODUCT_MODES, encoded_state
 from graphqec.pauli import PauliString, pauli_commutes
 from graphqec.sampling import NoiseModel, apply_noise
 from graphqec.tomography import state_fidelity
@@ -348,6 +350,13 @@ class TestRecovery:
         with pytest.raises(ValueError, match="basis must be X, Y or Z"):
             recover_average(lose_qubit(encoded((1, 0)), 4), bad)
 
+    def test_recipe_matrices_must_be_unitary(self):
+        good = recovery_recipe(4)
+        with pytest.raises(ValueError, match="not unitary"):
+            RecoveryRecipe(good.lost, good.helpers, good.output,
+                           good.corrections[:3] + (np.diag([1, 0]),), good.correction_labels,
+                           good.frame, good.frame_label)
+
     def test_white_noise_degrades_monotonically(self):
         a = PROBES["+y"]
         recipe = recovery_recipe(4)
@@ -388,3 +397,50 @@ class TestDecodeNoLoss:
         for outcomes in itertools.product((0, 1), repeat=2):
             _, out = decode_no_loss(corrupted, forced_outcomes=outcomes)
             assert abs(state_fidelity(out, PureState.single(1, a.vector)) - 1) < 1e-9
+
+
+class TestCheckedOnce:
+    """Each pipeline call validates one result: internal steps run on raw
+    arrays and build no checked DensityOperator."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        count = []
+        checked = DensityOperator.__post_init__
+
+        def counted(self):
+            count.append(self.labels)
+            checked(self)
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", counted)
+        return count
+
+    @pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))
+    @pytest.mark.parametrize("byproduct", BYPRODUCT_MODES)
+    def test_encoded_state(self, constructions, stage, byproduct):
+        noise = NoiseModel(depolarizing={1: 0.03, 3: 0.02}, dephasing=0.01, visibility=0.9,
+                           stage=stage)
+        encoded_state("+y", noise, byproduct)
+        assert len(constructions) == 1
+
+    @pytest.mark.parametrize("mixed", (False, True))
+    def test_lose_qubit(self, constructions, mixed):
+        state = encoded((0.6, 0.8))
+        if mixed:
+            state = apply_noise(state, NoiseModel(depolarizing=0.1))
+        constructions.clear()
+        lose_qubit(state, 2)
+        assert len(constructions) == 1
+
+    @pytest.mark.parametrize("forced", (None, (1, 0)))
+    def test_recover(self, constructions, forced):
+        rho = lose_qubit(apply_noise(encoded((0.6, 0.8)), NoiseModel(dephasing=0.1)), 5)
+        constructions.clear()
+        recover(rho, recovery_recipe(5), forced, np.random.default_rng(3))
+        assert len(constructions) == 1
+
+    def test_recover_average(self, constructions):
+        rho = lose_qubit(apply_noise(encoded((0.6, 0.8)), NoiseModel(dephasing=0.1)), 1)
+        constructions.clear()
+        recover_average(rho, recovery_recipe(1))
+        assert len(constructions) == 1

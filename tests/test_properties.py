@@ -1,8 +1,9 @@
 """Property tests: the kernel's tensor contractions against the dense
 kron/Kraus oracle in ``oracle.py``, batched Monte Carlo resampling against
 its per-trial, per-cell oracle (also along call sequences that reuse or
-replace the cached trial generator states), and the closed-form visibility
-calibration against bisection.
+replace the cached trial generator states), the closed-form visibility
+calibration against bisection, and the raw-array encoding, loss and
+recovery pipeline against its step-by-step checked oracle, bit for bit.
 
 States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
@@ -14,8 +15,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracle
 from graphqec import kernel, sampling
+from graphqec.code import (CODE_QUBITS, PROBE_NAMES, lose_qubit, recover, recover_average,
+                           recovery_recipe)
 from graphqec.kernel import DensityOperator, Observable, PureState
-from graphqec.runner import _calibrated_visibility, _encoded_zero_fidelity
+from graphqec.runner import (BYPRODUCT_MODES, _calibrated_visibility, _encoded_zero_fidelity,
+                             encoded_state)
 from graphqec.sampling import (CountRecord, NoiseModel, apply_noise, estimate_expectation,
                                monte_carlo_uncertainty, outcome_probabilities)
 
@@ -27,9 +31,11 @@ probabilities = st.floats(0.0, 1.0)
 
 
 @st.composite
-def states(draw, min_qubits=1):
-    labels = tuple(draw(st.lists(st.integers(1, 6), min_size=min_qubits, max_size=5,
-                                 unique=True)))
+def states(draw, min_qubits=1, labels=None):
+    """A random state on ``labels``, or on a random register if omitted."""
+    if labels is None:
+        labels = tuple(draw(st.lists(st.integers(1, 6), min_size=min_qubits, max_size=5,
+                                     unique=True)))
     rng = np.random.default_rng(draw(seeds))
     dim = 2 ** len(labels)
     rank = draw(st.sampled_from((None, 1, 2, dim)))  # None: a pure state
@@ -123,12 +129,12 @@ def test_outcome_probabilities_match_oracle(state, data):
 
 
 @st.composite
-def noise_maps(draw, labels):
+def noise_maps(draw, labels, stage="post-encoding"):
     """A uniform rate, or a per-qubit map over some of the register."""
     def rates():
         return st.one_of(probabilities, st.dictionaries(st.sampled_from(labels), probabilities))
     return NoiseModel(depolarizing=draw(rates()), dephasing=draw(rates()),
-                      visibility=draw(probabilities))
+                      visibility=draw(probabilities), stage=stage)
 
 
 @PROPERTY
@@ -230,3 +236,51 @@ def test_calibrated_visibility_matches_bisection(data, stage, target):
     want = oracle.bisect_visibility(lambda v: _encoded_zero_fidelity(v, noise), target)
     f0, f1 = _encoded_zero_fidelity(0.0, noise), _encoded_zero_fidelity(1.0, noise)
     assert abs(_calibrated_visibility(f0, f1, target) - want) < ATOL
+
+
+PIPELINE = settings(deadline=None, max_examples=20)
+
+
+@pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))
+@pytest.mark.parametrize("byproduct", BYPRODUCT_MODES)
+@PIPELINE
+@given(st.data())
+def test_encoded_state_matches_checked_oracle(stage, byproduct, data):
+    probe = data.draw(st.sampled_from(PROBE_NAMES))
+    noise = data.draw(noise_maps((1, 2, 3, 4, 5), stage))
+    got = encoded_state(probe, noise, byproduct)
+    want = oracle.encoded_state(probe, noise, byproduct)
+    assert got.labels == want.labels == CODE_QUBITS
+    assert np.array_equal(got.matrix, want.matrix)
+
+
+def survivors(lost):
+    return tuple(q for q in CODE_QUBITS if q != lost)
+
+
+@pytest.mark.parametrize("lost", CODE_QUBITS)
+@PIPELINE
+@given(st.data())
+def test_recover_average_matches_checked_oracle(lost, data):
+    rho = data.draw(states(labels=tuple(data.draw(st.permutations(survivors(lost))))))
+    recipe = recovery_recipe(lost)
+    got, want = recover_average(rho, recipe), oracle.recover_average(rho, recipe)
+    assert got.labels == want.labels == (recipe.output,)
+    assert np.array_equal(got.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("lost", CODE_QUBITS)
+@PIPELINE
+@given(st.data(), seeds)
+def test_lose_and_recover_match_checked_oracle(lost, data, seed):
+    state = data.draw(states(labels=tuple(data.draw(st.permutations(CODE_QUBITS)))))
+    reduced = lose_qubit(state, lost)
+    want = oracle.lose_qubit(state, lost)
+    assert reduced.labels == want.labels and np.array_equal(reduced.matrix, want.matrix)
+    forced = data.draw(st.one_of(st.none(), st.tuples(st.sampled_from((0, 1)),
+                                                      st.sampled_from((0, 1)))))
+    recipe = recovery_recipe(lost)
+    got_s, got = recover(reduced, recipe, forced, np.random.default_rng(seed))
+    want_s, want = oracle.recover(reduced, recipe, forced, np.random.default_rng(seed))
+    assert got_s == want_s and got.labels == want.labels
+    assert np.array_equal(got.matrix, want.matrix)

@@ -88,6 +88,12 @@ class TestSampling:
             sample_setting_counts(logical_basis_states()["+"],
                                   {1: "Z", 2: "Z", 4: "Z", 5: "Z"}, 0, seed=1)
 
+    @pytest.mark.parametrize("expected_n", [float("nan"), float("inf"), 1e30])
+    def test_rejects_non_finite_or_huge_n(self, expected_n):
+        with pytest.raises(ValueError, match="expected_n"):
+            sample_setting_counts(logical_basis_states()["+"],
+                                  {1: "Z", 2: "Z", 4: "Z", 5: "Z"}, expected_n, seed=1)
+
 
 class TestEstimator:
     def test_even_parity_gives_plus_one(self):
