@@ -29,8 +29,8 @@ from .pauli import PauliString
 from .sampling import (NoiseModel, apply_noise, counts_to_csv_rows,
                        monte_carlo_uncertainty, sample_setting_counts,
                        witness_settings, witness_value_from_counts)
-from .tomography import (ChannelSample, chi_hadamard, chi_identity, bloch_image,
-                         logical_density_from_expectations, logical_tomography,
+from .tomography import (ChannelSample, average_probe_fidelity, bloch_image, chi_hadamard,
+                         chi_identity, logical_density_from_expectations, logical_tomography,
                          process_fidelity, reconstruct_chi, sphere_average_fidelity,
                          state_fidelity)
 from .witnesses import (box_witness, evaluate_witness, fidelity_lower_bound,
@@ -476,19 +476,24 @@ def _ideal_logical_vector(probe: str) -> np.ndarray:
     return kernel.H @ PROBES[probe].vector  # encoding stores the input in the Hadamard basis
 
 
+def _channel_report(outputs: dict, chi_ref, title: str):
+    """Chi of the channel with these probe outputs, as its summary block, its
+    Bloch-grid and chi tables and its Bloch figure."""
+    chi = reconstruct_chi(ChannelSample(outputs))
+    grid = _bloch_grid()
+    mapped = bloch_image(chi, grid)
+    tables = {"bloch_points": _bloch_table(grid, mapped), "chi": _chi_table(chi)}
+    figures = {"bloch": _svg_bloch(grid, mapped, title)}
+    return _chi_block(chi, chi_ref), tables, figures
+
+
 def _run_encode_channel(cfg: ExperimentConfig):
     outputs = {}
     for probe in PROBE_NAMES:
         rho = encoded_state(probe, cfg.noise, cfg.byproduct)
-        ldm = logical_tomography(rho)
-        outputs[probe] = DensityOperator((1,), ldm.matrix)
-    chi = reconstruct_chi(ChannelSample(outputs))
-    summary = {"chi": _chi_block(chi, chi_hadamard()), "reference": "hadamard"}
-    grid = _bloch_grid()
-    mapped = bloch_image(chi, grid)
-    tables = {"bloch_points": _bloch_table(grid, mapped), "chi": _chi_table(chi)}
-    figures = {"bloch": _svg_bloch(grid, mapped, "encoding channel")}
-    return summary, tables, figures
+        outputs[probe] = DensityOperator((1,), logical_tomography(rho).matrix)
+    chi_block, tables, figures = _channel_report(outputs, chi_hadamard(), "encoding channel")
+    return {"chi": chi_block, "reference": "hadamard"}, tables, figures
 
 
 def _run_loss_recovery(cfg: ExperimentConfig):
@@ -498,11 +503,11 @@ def _run_loss_recovery(cfg: ExperimentConfig):
     for probe in PROBE_NAMES:
         rho = encoded_state(probe, cfg.noise, cfg.byproduct)
         reduced = kernel.partial_trace(rho, tuple(q for q in CODE_QUBITS if q != cfg.lost))
-        recovered = recover_average(reduced, recipe)
+        outputs[probe] = recover_average(reduced, recipe)
         target = PureState.single(recipe.output, PROBES[probe].vector)
-        fidelities[probe] = state_fidelity(recovered, target)
-        outputs[probe] = DensityOperator((1,), recovered.matrix)
-    chi = reconstruct_chi(ChannelSample(outputs))
+        fidelities[probe] = state_fidelity(outputs[probe], target)
+    chi_block, tables, figures = _channel_report(
+        outputs, chi_identity(), f"recovery after losing qubit {cfg.lost}")
     summary = {
         "lost": cfg.lost,
         "recipe": {
@@ -512,14 +517,10 @@ def _run_loss_recovery(cfg: ExperimentConfig):
             "frame": recipe.frame_label,
         },
         "probe_fidelities": fidelities,
-        "average_fidelity": float(np.mean([fidelities[p] for p in PROBE_NAMES])),
-        "chi": _chi_block(chi, chi_identity()),
+        "average_fidelity": average_probe_fidelity(fidelities),
+        "chi": chi_block,
         "reference": "identity",
     }
-    grid = _bloch_grid()
-    mapped = bloch_image(chi, grid)
-    tables = {"bloch_points": _bloch_table(grid, mapped), "chi": _chi_table(chi)}
-    figures = {"bloch": _svg_bloch(grid, mapped, f"recovery after losing qubit {cfg.lost}")}
     return summary, tables, figures
 
 

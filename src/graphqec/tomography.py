@@ -1,9 +1,12 @@
 """Logical-state tomography, single-qubit process tomography and metrics.
 
 The encoding channel maps an input qubit to the logical qubit of the code;
-measuring the collective logical operators gives a 2x2 density matrix, and
-the four probe outputs determine the chi matrix of the channel by linear
-inversion in the Pauli basis (I, X, Y, Z).
+measuring the collective logical operators gives a 2x2 density matrix. The
+four probe outputs give the channel's images of the Paulis (I, X, Y, Z), and
+so its Pauli transfer matrix R_ab = tr(P_a eps(P_b)) / 2. The PTM is the
+working form of a single-qubit channel: its Bloch-sphere action and its
+trace-preservation defect are read from it, and the chi matrix follows from
+it by one constant change of basis.
 """
 from __future__ import annotations
 
@@ -18,6 +21,13 @@ from .kernel import DensityOperator, PureState
 
 PAULI_BASIS = ("I", "X", "Y", "Z")
 PAULI_MATS = tuple(kernel.PAULI[p] for p in PAULI_BASIS)
+_PAULI_STACK = np.stack(PAULI_MATS)
+
+# vec(R) = _CHI_TO_PTM @ vec(chi) (row-major): entry [4a + b, 4i + j] is
+# tr(P_a P_i P_b P_j) / 2. Its columns are orthogonal with squared norm 4, so
+# vec(chi) = _CHI_TO_PTM+ vec(R) / 4.
+_CHI_TO_PTM = np.einsum("axy,iyz,bzw,jwx->abij", *[_PAULI_STACK] * 4).reshape(16, 16) / 2
+_CHI_TO_PTM.setflags(write=False)
 
 # Sampled logical expectations may produce slightly negative eigenvalues;
 # tolerate down to this bound and flag, reject anything worse.
@@ -92,19 +102,14 @@ class ChiMatrix:
         """Positive semidefinite and trace-preserving (both within 1e-8)."""
         return self.min_eigenvalue > -1e-8 and self.trace_preservation_defect() < 1e-8
 
-    def trace_preservation_defect(self) -> float:
-        acc = np.zeros((2, 2), dtype=complex)
-        for i, mi in enumerate(PAULI_MATS):
-            for j, mj in enumerate(PAULI_MATS):
-                acc += self.matrix[i, j] * (mj.conj().T @ mi)
-        return float(np.abs(acc - kernel.I).max())
+    @property
+    def ptm(self) -> np.ndarray:
+        """Pauli transfer matrix R_ab = tr(P_a eps(P_b)) / 2, real 4x4."""
+        return (_CHI_TO_PTM @ self.matrix.reshape(-1)).real.reshape(4, 4)
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((2, 2), dtype=complex)
-        for i, mi in enumerate(PAULI_MATS):
-            for j, mj in enumerate(PAULI_MATS):
-                out += self.matrix[i, j] * (mi @ rho @ mj.conj().T)
-        return out
+    def trace_preservation_defect(self) -> float:
+        """max |sum_ij chi_ij M_j+ M_i - I|, which is sum_b R_0b P_b - I."""
+        return float(np.abs(np.tensordot(self.ptm[0], _PAULI_STACK, 1) - kernel.I).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,35 +141,18 @@ def chi_hadamard() -> ChiMatrix:
     return chi_of_unitary(kernel.H)
 
 
-# Column 4i + j holds vec(M_i (x) conj(M_j)), the superoperator of chi_ij.
-_CHI_BASIS = np.stack([np.kron(mi, mj.conj()).reshape(-1)
-                       for mi in PAULI_MATS for mj in PAULI_MATS], axis=1)
-_CHI_BASIS.setflags(write=False)
-
-
 def reconstruct_chi(samples: ChannelSample) -> ChiMatrix:
-    """Linear inversion from the four probe outputs.
+    """Linear inversion from the four probe outputs, through the PTM.
 
-    The |0><0| and |1><1| images are read off directly; the coherence image
-    is eps(|0><1|) = eps(|+><+|) + i eps(|+y><+y|) - (1+i)/2 (eps(|0><0|) +
-    eps(|1><1|)), and eps(|1><0|) follows by Hermitian conjugation. The
-    resulting superoperator is then rotated into the Pauli basis.
+    The Pauli images are eps(I) = rho_0 + rho_1, eps(Z) = rho_0 - rho_1,
+    eps(X) = 2 rho_+ - eps(I) and eps(Y) = 2 rho_+y - eps(I); they give
+    R_ab = tr(P_a eps(P_b)) / 2, and chi = _CHI_TO_PTM+ vec(R) / 4.
     """
-    r0 = samples.outputs["0"].matrix
-    r1 = samples.outputs["1"].matrix
-    rp = samples.outputs["+"].matrix
-    ry = samples.outputs["+y"].matrix
-    e01 = rp + 1j * ry - (1 + 1j) / 2 * (r0 + r1)
-    e10 = e01.conj().T
-    images = {(0, 0): r0, (0, 1): e01, (1, 0): e10, (1, 1): r1}
-
-    # Row-major superoperator: vec(eps(rho)) = S vec(rho).
-    smat = np.zeros((4, 4), dtype=complex)
-    for (m, n), img in images.items():
-        smat[:, 2 * m + n] = img.reshape(-1)
-    # S = sum_ij chi_ij (M_i (x) conj(M_j)); solve the 16x16 linear system.
-    chi_vec = np.linalg.solve(_CHI_BASIS, smat.reshape(-1))
-    chi = chi_vec.reshape(4, 4)
+    r0, r1, rp, ry = (samples.outputs[p].matrix for p in ("0", "1", "+", "+y"))
+    e_id = r0 + r1
+    images = np.stack([e_id, 2 * rp - e_id, 2 * ry - e_id, r0 - r1])
+    ptm = np.einsum("axy,byx->ab", _PAULI_STACK, images).real / 2
+    chi = (_CHI_TO_PTM.conj().T @ ptm.reshape(-1)).reshape(4, 4) / 4
     chi = (chi + chi.conj().T) / 2  # remove numerical skew
     return ChiMatrix(chi)
 
@@ -197,15 +185,10 @@ def sphere_average_fidelity(chi_exp: ChiMatrix, chi_ideal: ChiMatrix) -> float:
 
 
 def bloch_affine(chi: ChiMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Affine Bloch-sphere action (R, t): r -> R r + t."""
-    r = np.zeros((3, 3))
-    t = np.zeros(3)
-    sigma = PAULI_MATS[1:]
-    for a, sa in enumerate(sigma):
-        t[a] = np.trace(sa @ chi.apply(kernel.I)).real / 2
-        for b, sb in enumerate(sigma):
-            r[a, b] = np.trace(sa @ chi.apply(sb)).real / 2
-    return r, t
+    """Affine Bloch-sphere action (R, t): r -> R r + t, the lower 3x4 block
+    of the PTM (t is its first column)."""
+    ptm = chi.ptm
+    return ptm[1:, 1:], ptm[1:, 0]
 
 
 def bloch_image(chi: ChiMatrix, points) -> np.ndarray:

@@ -160,14 +160,12 @@ def evaluate_witness(state, spec: WitnessSpec) -> WitnessResult:
     bar-chart style reporting.
     """
     rows = []
-    total = Fraction(0)
     acc = 0.0
     for t in spec.terms:
         raw = kernel.expectation(state, t.word.to_observable())
         signed = t.sign * raw
         acc += float(t.coefficient) * signed
         rows.append((t.label(), float(t.coefficient), signed, raw))
-        total += t.coefficient
     value = float(spec.constant) - acc
     return WitnessResult(value, tuple(rows))
 

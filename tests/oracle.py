@@ -11,7 +11,10 @@ bisection, and the box graph as the unique graph on {1,2,4,5} that gives
 the printed syndrome factorizations. The encoding and loss-recovery
 pipeline is also kept step by step through the checked public kernel
 functions, so every intermediate state is validated; the package runs the
-same arithmetic on raw arrays. These are slow but transparent.
+same arithmetic on raw arrays. Single-qubit process tomography is kept as
+the chi-matrix sums it was first written as: the channel applied term by
+term, the Bloch action read from its images, and chi solved from the
+superoperator. These are slow but transparent.
 """
 import itertools
 from functools import reduce
@@ -371,3 +374,63 @@ def recover_average(rho, recipe) -> DensityOperator:
         fix = recipe.frame @ recipe.correction(s_a, s_b)
         total += prob * kernel.apply_unitary(work, fix, (recipe.output,)).matrix
     return DensityOperator((recipe.output,), total)
+
+
+# ---------------------------------------------------------------------------
+# Single-qubit process tomography term by term
+# ---------------------------------------------------------------------------
+
+PAULI_MATS = tuple(kernel.PAULI[p] for p in ("I", "X", "Y", "Z"))
+
+# Column 4i + j holds vec(M_i (x) conj(M_j)), the superoperator of chi_ij.
+CHI_BASIS = np.stack([np.kron(mi, mj.conj()).reshape(-1)
+                      for mi in PAULI_MATS for mj in PAULI_MATS], axis=1)
+
+
+def chi_apply(chi, rho) -> np.ndarray:
+    """sum_ij chi_ij M_i rho M_j+, one term at a time."""
+    out = np.zeros((2, 2), dtype=complex)
+    for i, mi in enumerate(PAULI_MATS):
+        for j, mj in enumerate(PAULI_MATS):
+            out += chi[i, j] * (mi @ rho @ mj.conj().T)
+    return out
+
+
+def trace_preservation_defect(chi) -> float:
+    """max |sum_ij chi_ij M_j+ M_i - I|."""
+    acc = np.zeros((2, 2), dtype=complex)
+    for i, mi in enumerate(PAULI_MATS):
+        for j, mj in enumerate(PAULI_MATS):
+            acc += chi[i, j] * (mj.conj().T @ mi)
+    return float(np.abs(acc - kernel.I).max())
+
+
+def bloch_affine(chi) -> tuple[np.ndarray, np.ndarray]:
+    """(R, t) with R_ab = tr(s_a eps(s_b)) / 2 and t_a = tr(s_a eps(I)) / 2."""
+    r = np.zeros((3, 3))
+    t = np.zeros(3)
+    sigma = PAULI_MATS[1:]
+    for a, sa in enumerate(sigma):
+        t[a] = np.trace(sa @ chi_apply(chi, kernel.I)).real / 2
+        for b, sb in enumerate(sigma):
+            r[a, b] = np.trace(sa @ chi_apply(chi, sb)).real / 2
+    return r, t
+
+
+def reconstruct_chi(outputs) -> np.ndarray:
+    """Chi from the probe output matrices ``{"0", "1", "+", "+y"}`` by a
+    16x16 solve against the superoperator basis.
+
+    The |0><0| and |1><1| images are read off directly; the coherence image
+    is eps(|0><1|) = eps(|+><+|) + i eps(|+y><+y|) - (1+i)/2 (eps(|0><0|) +
+    eps(|1><1|)), and eps(|1><0|) follows by Hermitian conjugation.
+    """
+    r0, r1, rp, ry = (outputs[p] for p in ("0", "1", "+", "+y"))
+    e01 = rp + 1j * ry - (1 + 1j) / 2 * (r0 + r1)
+    images = {(0, 0): r0, (0, 1): e01, (1, 0): e01.conj().T, (1, 1): r1}
+    # Row-major superoperator: vec(eps(rho)) = S vec(rho).
+    smat = np.zeros((4, 4), dtype=complex)
+    for (m, n), img in images.items():
+        smat[:, 2 * m + n] = img.reshape(-1)
+    chi = np.linalg.solve(CHI_BASIS, smat.reshape(-1)).reshape(4, 4)
+    return (chi + chi.conj().T) / 2

@@ -16,7 +16,7 @@ from graphqec.code import (AncillaState, CODE_QUBITS, PROBES, PROBE_TARGETS,
 from graphqec.graphs import build_resource
 from graphqec.kernel import (DensityOperator, PureState, overlap, partial_trace, reorder,
                              states_equal)
-from graphqec.runner import BYPRODUCT_MODES, encoded_state
+from graphqec.runner import BYPRODUCT_MODES, ExperimentConfig, encoded_state, run_experiment
 from graphqec.pauli import PauliString, pauli_commutes
 from graphqec.sampling import NoiseModel, apply_noise
 from graphqec.tomography import state_fidelity
@@ -444,3 +444,11 @@ class TestCheckedOnce:
         constructions.clear()
         recover_average(rho, recovery_recipe(1))
         assert len(constructions) == 1
+
+    @pytest.mark.parametrize("kind, checked", [("encode-channel", 8), ("loss-recovery", 12)])
+    def test_channel_runs(self, constructions, kind, checked):
+        """Per probe: the encoded state and the single-qubit output, plus for
+        loss recovery the reduced state; the output is not wrapped again."""
+        noise = NoiseModel(depolarizing={1: 0.03, 4: 0.02}, dephasing=0.01, visibility=0.9)
+        run_experiment(ExperimentConfig(kind, noise, lost=2))
+        assert len(constructions) == checked

@@ -2,26 +2,33 @@
 kron/Kraus oracle in ``oracle.py``, batched Monte Carlo resampling against
 its per-trial, per-cell oracle (also along call sequences that reuse or
 replace the cached trial generator states), the closed-form visibility
-calibration against bisection, and the raw-array encoding, loss and
-recovery pipeline against its step-by-step checked oracle, bit for bit.
+calibration against bisection, the raw-array encoding, loss and recovery
+pipeline against its step-by-step checked oracle, bit for bit, and process
+tomography through the Pauli transfer matrix against the chi-matrix sums and
+16x16 solve it replaced. The encode and loss-recovery channels under random
+per-qubit noise must come out CPTP.
 
 States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
 targets such as (5, 2) are non-adjacent and out of register order.
 """
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle
 from graphqec import kernel, sampling
-from graphqec.code import (CODE_QUBITS, PROBE_NAMES, lose_qubit, recover, recover_average,
-                           recovery_recipe)
+from graphqec.code import (CODE_QUBITS, PROBE_NAMES, PROBES, lose_qubit, recover,
+                           recover_average, recovery_recipe)
 from graphqec.kernel import DensityOperator, Observable, PureState
-from graphqec.runner import (BYPRODUCT_MODES, _calibrated_visibility, _encoded_zero_fidelity,
-                             encoded_state)
+from graphqec.runner import (BYPRODUCT_MODES, ExperimentConfig, _calibrated_visibility,
+                             _encoded_zero_fidelity, encoded_state, run_experiment)
 from graphqec.sampling import (CountRecord, NoiseModel, apply_noise, estimate_expectation,
                                monte_carlo_uncertainty, outcome_probabilities)
+from graphqec.tomography import ChannelSample, ChiMatrix, bloch_affine, reconstruct_chi
 
 ATOL = 1e-12
 PROPERTY = settings(deadline=None, max_examples=60)
@@ -284,3 +291,58 @@ def test_lose_and_recover_match_checked_oracle(lost, data, seed):
     want_s, want = oracle.recover(reduced, recipe, forced, np.random.default_rng(seed))
     assert got_s == want_s and got.labels == want.labels
     assert np.array_equal(got.matrix, want.matrix)
+
+
+@st.composite
+def channel_samples(draw):
+    """Probe outputs of a random CPTP map (1-4 Kraus operators cut from a
+    random isometry), or random Hermitian unit-trace matrices that need not
+    be positive, as sampled tomography can give."""
+    rng = np.random.default_rng(draw(seeds))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 4))
+        isometry = random_unitary(2 * k, rng)[:, :2]
+        kraus = [isometry[2 * m:2 * m + 2] for m in range(k)]
+        outputs = {}
+        for probe in PROBE_NAMES:
+            v = PROBES[probe].vector
+            rho = sum(a @ np.outer(v, v.conj()) @ a.conj().T for a in kraus)
+            outputs[probe] = DensityOperator((1,), rho)
+        return ChannelSample(outputs)
+    # reconstruct_chi reads only the matrices, so these skip the PSD check
+    return ChannelSample({
+        probe: SimpleNamespace(num_qubits=1, matrix=0.5 * (kernel.I + np.tensordot(
+            rng.normal(scale=0.8, size=3), np.stack((kernel.X, kernel.Y, kernel.Z)), 1)))
+        for probe in PROBE_NAMES})
+
+
+@PROPERTY
+@given(channel_samples())
+def test_process_tomography_matches_chi_oracle(sample):
+    chi = reconstruct_chi(sample)
+    want = oracle.reconstruct_chi({p: rho.matrix for p, rho in sample.outputs.items()})
+    np.testing.assert_allclose(chi.matrix, want, rtol=0, atol=ATOL)
+    for got, ref in zip(bloch_affine(chi), oracle.bloch_affine(want)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=ATOL)
+    assert abs(chi.trace_preservation_defect() - oracle.trace_preservation_defect(want)) < ATOL
+
+
+@pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))
+@pytest.mark.parametrize("byproduct", BYPRODUCT_MODES)
+@settings(deadline=None, max_examples=8)
+@given(st.data())
+def test_noisy_channels_are_cptp(stage, byproduct, data):
+    """Encode-channel and every loss-recovery chi under random per-qubit
+    noise are physical, and their Bloch images on the runner's grid do not
+    expand the sphere (bloch_image would warn)."""
+    noise = data.draw(noise_maps((1, 2, 3, 4, 5), stage))
+    configs = [ExperimentConfig("encode-channel", noise, byproduct=byproduct)]
+    configs += [ExperimentConfig("loss-recovery", noise, lost=lost, byproduct=byproduct)
+                for lost in CODE_QUBITS]
+    for config in configs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = run_experiment(config).summary["chi"]
+        chi = ChiMatrix(np.array(block["matrix_re"]) + 1j * np.array(block["matrix_im"]))
+        assert chi.is_physical, (config.kind, config.lost, chi.min_eigenvalue,
+                                 chi.trace_preservation_defect())
