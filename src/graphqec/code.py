@@ -152,9 +152,10 @@ def encode(a: AncillaState, forced_s3: int | None = None,
     Returns ``(s3, state)`` where the four-qubit state equals
     X_L^{s3} (alpha |+_L> + beta |-_L>).
     """
-    s3, _, post = kernel.projective_measure(encoding_input_state(a), ANCILLA, "X",
-                                            forced_outcome=forced_s3, rng=rng)
-    return s3, post
+    forced = None if forced_s3 is None else kernel._check_outcome(forced_s3)
+    s3, _, post, labels = kernel._measure(_encoding_input(a), (1, 2, 3, 4, 5), ANCILLA, "X",
+                                          forced, rng)
+    return s3, PureState(labels, post)
 
 
 def parse_error_spec(spec: str) -> PauliString:

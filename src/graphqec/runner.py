@@ -14,7 +14,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
 
 import numpy as np
 
@@ -139,20 +139,7 @@ class ExperimentConfig:
             raise ConfigError({"<config>": str(exc)}) from exc
 
     def to_dict(self) -> dict:
-        noise = {
-            "depolarizing": self.noise.depolarizing,
-            "dephasing": self.noise.dephasing,
-            "visibility": self.noise.visibility,
-            "stage": self.noise.stage,
-        }
-        return {
-            "kind": self.kind, "noise": noise, "probes": list(self.probes),
-            "error": self.error, "lost": self.lost,
-            "counts_per_setting": self.counts_per_setting, "trials": self.trials,
-            "seed": self.seed, "byproduct": self.byproduct,
-            "sweep_points": self.sweep_points, "target_fidelity": self.target_fidelity,
-            "out_dir": self.out_dir, "formats": list(self.formats),
-        }
+        return asdict(self)
 
     def digest(self) -> str:
         blob = json.dumps(_sanitize(self.to_dict()), sort_keys=True)
@@ -254,22 +241,16 @@ def encoded_state(probe: str, noise: NoiseModel, byproduct: str = "condition0") 
     return DensityOperator(CODE_QUBITS, rho)
 
 
-LOGICAL_SETTINGS = (
-    ("xbar", {1: "Z", 2: "Z", 4: "X", 5: "Z"}),
-    ("ybar", {1: "Z", 2: "Z", 4: "Y", 5: "Z"}),
-    ("zbar", {1: "Z", 2: "Z", 4: "Z", 5: "Z"}),
-)
-
-
-def _sampled_logical_expectations(rho, counts_per_setting, seed, stream_base):
-    ops = logical_ops()
-    supports = {"xbar": ops.xbar.support, "ybar": ops.ybar.support, "zbar": ops.zbar.support}
-    records, est = [], {}
-    for i, (name, bases) in enumerate(LOGICAL_SETTINGS):
+def _sampled_logical_expectations(rho, counts_per_setting, seed, stream_base) -> dict:
+    """Sampled estimate of each logical operator, measured with its own
+    letters on its support and Z on the other code qubits."""
+    est = {}
+    for i, name in enumerate(("xbar", "ybar", "zbar")):
+        op = getattr(logical_ops(), name)
+        bases = {q: "Z" for q in CODE_QUBITS} | dict(op.letters)
         rec = sample_setting_counts(rho, bases, counts_per_setting, seed, stream_base + i)
-        records.append(rec)
-        est[name] = sampling.estimate_expectation(rec, supports[name])
-    return est, records
+        est[name] = sampling.estimate_expectation(rec, op.support)
+    return est
 
 
 def _witness_block(rho, spec, counts_per_setting, trials, seed, stream_base):
@@ -451,8 +432,8 @@ def _run_encode_tomography(cfg: ExperimentConfig):
             "fidelity_state": state_fidelity(rho, target_state),
             "witnesses": _probe_witness_blocks(probe, rho, cfg, 300 + 100 * idx),
         }
-        est, _ = _sampled_logical_expectations(rho, cfg.counts_per_setting,
-                                               cfg.seed, 700 + 10 * idx)
+        est = _sampled_logical_expectations(rho, cfg.counts_per_setting,
+                                            cfg.seed, 700 + 10 * idx)
         try:
             ldm_s = logical_density_from_expectations(est["xbar"], est["ybar"], est["zbar"])
             entry["sampled"] = {
@@ -556,8 +537,7 @@ def _run_syndrome_table(cfg: ExperimentConfig):
 
 
 def _encoded_zero_fidelity(v: float, noise: NoiseModel) -> float:
-    model = NoiseModel(noise.depolarizing, noise.dephasing, v, noise.stage)
-    rho = encoded_state("0", model, "condition0")
+    rho = encoded_state("0", replace(noise, visibility=v), "condition0")
     return state_fidelity(rho, logical_basis_states()["+"])
 
 
@@ -594,8 +574,7 @@ def _run_noise_sweep(cfg: ExperimentConfig):
     fidelities = []
     for v in np.linspace(0.0, 1.0, cfg.sweep_points):  # endpoints exactly 0.0 and 1.0
         v = float(v)
-        model = NoiseModel(cfg.noise.depolarizing, cfg.noise.dephasing, v, cfg.noise.stage)
-        rho5 = apply_noise(ideal5, model)
+        rho5 = apply_noise(ideal5, replace(cfg.noise, visibility=v))
         wit = evaluate_witness(rho5, spec).value
         bound = fidelity_lower_bound(wit)
         fid5 = state_fidelity(rho5, ideal5)
@@ -605,7 +584,7 @@ def _run_noise_sweep(cfg: ExperimentConfig):
                      fid5 >= bound - 1e-12))
 
     v_star = _calibrated_visibility(fidelities[0], fidelities[-1], cfg.target_fidelity)
-    model = NoiseModel(cfg.noise.depolarizing, cfg.noise.dephasing, v_star, cfg.noise.stage)
+    model = replace(cfg.noise, visibility=v_star)
     rho5 = apply_noise(ideal5, model)
     wit_star = evaluate_witness(rho5, spec).value
     witness_values = {"resource5": wit_star}

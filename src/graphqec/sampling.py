@@ -7,13 +7,17 @@ multinomial counts over outcomes. All sampling is reproducible: the same
 (seed, stream) pair always yields the same histogram, and distinct streams
 are independent, so trials can run in parallel without changing results.
 
-A histogram over k measured qubits is read as a dense int64 count vector of
-length 2^k indexed by ``int(bits, 2)``, which is also the sorted-key order.
-Parity estimates are ``(counts @ mask) / counts.sum(-1)`` with a cached +/-1
-parity mask, so the same estimator serves one histogram and a
-(trials x 2^k) matrix of Monte Carlo resamples. Monte Carlo resampling draws
-one Poisson vector per trial over all histograms and calls the statistic
-once on the trial-batched records; see :func:`monte_carlo_uncertainty`.
+A histogram over k measured qubits is a :class:`CountRecord` holding a dense
+int64 count vector of length 2^k indexed by ``int(bits, 2)``, which is also
+the sorted-key order, or a (trials x 2^k) matrix of Monte Carlo resamples.
+Outcome bitstrings appear only at the edges: :meth:`CountRecord.from_counts`
+parses them, :attr:`CountRecord.counts` lists the nonzero cells by them, and
+the CSV interchange reads and writes them. Parity estimates are
+``(counts @ mask) / counts.sum(-1)`` with a cached +/-1 parity mask, so the
+same estimator serves one histogram and a batch. Monte Carlo resampling
+draws one Poisson vector per trial over all histograms and calls the
+statistic once on the trial-batched records; see
+:func:`monte_carlo_uncertainty`.
 Trial generators are seeded once per (seed, trials) pair, and the initial
 states of the most recent pair are kept for the next call, since one
 experiment's Monte Carlo calls all share it; results do not depend on call
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,10 +138,42 @@ def _noise(raw: np.ndarray, labels, model: NoiseModel) -> np.ndarray:
     return rho
 
 
-class _Setting:
-    """Views of a ``setting``: (qubit, basis) pairs in register order."""
+@dataclass(eq=False)
+class CountRecord:
+    """Outcome counts for one measurement setting.
+
+    ``setting`` lists (qubit, basis) pairs in register order. ``dense`` is
+    an int64 count vector over the 2^k outcomes, indexed by ``int(bits, 2)``
+    where ``bits`` lists the outcomes in setting order with bit 0 meaning the
+    +1 eigenvalue; a Monte Carlo batch is a (trials x 2^k) matrix with one
+    such row per trial.
+    """
 
     setting: tuple[tuple[int, str], ...]
+    dense: np.ndarray
+
+    def __post_init__(self):
+        self.setting = tuple((int(q), str(b)) for q, b in self.setting)
+        for b in self.setting:
+            if b[1] not in "XYZ":
+                raise ValueError(f"bad basis in setting: {b}")
+        self.dense = np.asarray(self.dense, dtype=np.int64)
+        if self.dense.shape[-1:] != (2 ** len(self.setting),):
+            raise ValueError(f"expected {2 ** len(self.setting)} cells for setting "
+                             f"{self.setting_label!r}, got shape {self.dense.shape}")
+        if np.any(self.dense < 0):
+            raise ValueError(f"negative count in setting {self.setting_label!r}")
+
+    @staticmethod
+    def from_counts(setting, counts: dict[str, int]) -> "CountRecord":
+        """Record from a ``{bits: count}`` histogram; absent outcomes count 0."""
+        k = len(setting)
+        dense = np.zeros(2 ** k, dtype=np.int64)
+        for bits, c in counts.items():
+            if len(bits) != k or set(bits) - {"0", "1"}:
+                raise ValueError(f"bad outcome key {bits!r}")
+            dense[int("0" + bits, 2)] = c  # "0" + : a zero-qubit setting's key is ""
+        return CountRecord(setting, dense)
 
     @property
     def setting_label(self) -> str:
@@ -147,56 +183,23 @@ class _Setting:
     def qubits(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.setting)
 
-
-@dataclass
-class CountRecord(_Setting):
-    """Outcome histogram for one measurement setting.
-
-    ``setting`` lists (qubit, basis) pairs in register order; histogram keys
-    are outcome bitstrings in the same order with bit 0 meaning the +1
-    eigenvalue.
-    """
-
-    setting: tuple[tuple[int, str], ...]
-    counts: dict[str, int] = field(default_factory=dict)
-    expected_total: float = 0.0
-
-    def __post_init__(self):
-        self.setting = tuple((int(q), str(b)) for q, b in self.setting)
-        for b in self.setting:
-            if b[1] not in "XYZ":
-                raise ValueError(f"bad basis in setting: {b}")
-        for bits, c in self.counts.items():
-            if len(bits) != len(self.setting) or set(bits) - {"0", "1"}:
-                raise ValueError(f"bad outcome key {bits!r}")
-            if c < 0:
-                raise ValueError(f"negative count for {bits!r}")
-
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        """Number of counts in one histogram."""
+        return int(self.dense.sum())
 
     @property
-    def dense(self) -> np.ndarray:
-        """Counts as an int64 vector over the 2^k outcomes, indexed by
-        ``int(bits, 2)``."""
-        out = np.zeros(2 ** len(self.setting), dtype=np.int64)
-        for bits, c in self.counts.items():
-            out[int("0" + bits, 2)] = c  # "0" + : a zero-qubit setting's key is ""
-        return out
+    def counts(self) -> dict[str, int]:
+        """Nonzero cells of one histogram keyed by bitstring, in index order."""
+        k = len(self.setting)
+        # the leading 1 keeps k digits, and gives "" for a zero-qubit setting
+        return {format(i | 1 << k, "b")[1:]: int(self.dense[i])
+                for i in np.flatnonzero(self.dense)}
 
 
-@dataclass(eq=False)
-class TrialCounts(_Setting):
-    """One setting's Monte Carlo resamples: row t of ``dense`` is trial t's
-    count vector, laid out as :attr:`CountRecord.dense`."""
-
-    setting: tuple[tuple[int, str], ...]
-    dense: np.ndarray
-
-
-def outcome_probabilities(state, bases: dict[int, str]) -> dict[str, float]:
-    """Joint outcome probabilities for measuring every qubit in its basis."""
+def outcome_probabilities(state, bases: dict[int, str]) -> np.ndarray:
+    """Joint outcome probabilities for measuring every qubit in its basis,
+    as a float vector laid out as :attr:`CountRecord.dense`."""
     n = state.num_qubits
     t = kernel._density_matrix(kernel._raw(state)).reshape([2] * (2 * n))
     for i, q in enumerate(state.labels):
@@ -204,8 +207,7 @@ def outcome_probabilities(state, bases: dict[int, str]) -> dict[str, float]:
             raise ValueError(f"no basis given for qubit {q}")
         t = kernel._conjugate(t, _TO_Z[bases[q]], (i,))
     probs = np.clip(np.diagonal(t.reshape(2 ** n, 2 ** n)).real, 0.0, None)
-    probs = probs / probs.sum()
-    return {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs)}
+    return probs / probs.sum()
 
 
 def sample_setting_counts(state, bases: dict[int, str], expected_n: float,
@@ -214,14 +216,10 @@ def sample_setting_counts(state, bases: dict[int, str], expected_n: float,
     if not 0 < expected_n <= MAX_EXPECTED_COUNTS:  # also refuses NaN
         raise ValueError(f"expected_n must be positive and at most "
                          f"{MAX_EXPECTED_COUNTS:g}, got {expected_n}")
-    labels = state.labels
     probs = outcome_probabilities(state, bases)
-    keys = sorted(probs)
     rng = make_rng(seed, stream)
-    total = int(rng.poisson(expected_n))
-    draws = rng.multinomial(total, [probs[k] for k in keys]) if total > 0 else []
-    counts = {k: int(c) for k, c in zip(keys, draws) if c > 0}
-    return CountRecord(tuple((q, bases[q]) for q in labels), counts, float(expected_n))
+    draws = rng.multinomial(int(rng.poisson(expected_n)), probs)
+    return CountRecord(tuple((q, bases[q]) for q in state.labels), draws)
 
 
 @functools.lru_cache(maxsize=128)
@@ -241,11 +239,10 @@ def estimate_expectation(record, support):
     """Parity estimator: counts weighted by +/-1 per outcome parity on the
     support, over the total.
 
-    ``record.dense`` is one count vector (a :class:`CountRecord`; returns a
-    float) or a (trials x 2^k) matrix (a :class:`TrialCounts`; returns one
-    estimate per trial). Integer dot products are exact and the final
-    int/int division rounds as Python's does, so both agree bit for bit with
-    a per-outcome loop.
+    ``record.dense`` is one count vector (returns a float) or a Monte Carlo
+    batch of them (returns one estimate per trial). Integer dot products are
+    exact and the final int/int division rounds as Python's does, so both
+    agree bit for bit with a per-outcome loop.
     """
     counts = record.dense
     totals = counts.sum(-1)
@@ -305,7 +302,7 @@ def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple
     statistic on the resamples and return (mean, std) over the trials.
 
     Batch contract: ``statistic`` is called once, on a list of
-    :class:`TrialCounts` (one per record, same order and settings) whose
+    :class:`CountRecord` (one per record, same order and settings) whose
     ``dense`` matrices carry a leading trial axis. It must broadcast over
     that axis and return one value per trial, such as
     :func:`witness_value_from_counts` does; a scalar is taken for every
@@ -333,7 +330,7 @@ def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple
         bits.state = state
         draws[t] = rng.poisson(lam)
     blocks = np.split(draws, np.cumsum([d.size for d in rates])[:-1], axis=1)
-    batched = [TrialCounts(r.setting, b) for r, b in zip(records, blocks)]
+    batched = [CountRecord(r.setting, b) for r, b in zip(records, blocks)]
     vals = np.empty(trials)
     vals[:] = statistic(batched)
     return float(vals.mean()), float(vals.std())
@@ -347,8 +344,7 @@ COUNTS_CSV_HEADER = ("setting", "outcome", "count")
 def counts_to_csv_rows(records) -> list[tuple[str, str, int]]:
     rows = [COUNTS_CSV_HEADER]
     for r in records:
-        for bits in sorted(r.counts):
-            rows.append((r.setting_label, bits, r.counts[bits]))
+        rows.extend((r.setting_label, bits, c) for bits, c in r.counts.items())
     return rows
 
 
@@ -364,5 +360,5 @@ def counts_from_csv_rows(rows) -> list[CountRecord]:
     records = []
     for label, counts in by_setting.items():
         setting = tuple((int(tok[1:]), tok[0]) for tok in label.split())
-        records.append(CountRecord(setting, counts, float(sum(counts.values()))))
+        records.append(CountRecord.from_counts(setting, counts))
     return records

@@ -122,8 +122,7 @@ def resample_counts(records, rng) -> list:
     out = []
     for r in records:
         counts = {bits: int(rng.poisson(c)) for bits, c in sorted(r.counts.items())}
-        out.append(CountRecord(r.setting, {b: c for b, c in counts.items() if c > 0},
-                               r.expected_total))
+        out.append(CountRecord.from_counts(r.setting, counts))
     return out
 
 
