@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 
 from .kernel import (DensityOperator, Observable, PureState, apply_unitary,
                      expectation, maximally_mixed, overlap, partial_trace,
-                     projective_measure, reorder, states_equal, tensor_product)
+                     projective_measure, reorder, tensor_product)
 from .pauli import (CliffordGate, PauliString, conjugate_pauli, conjugate_sequence,
                     expand_logical, pauli_commutes, pauli_multiply)
 from .graphs import (BOX, PATH5, RESOURCE, Graph, build_linear_cluster5,
-                     build_resource, graph_state, local_complement,
-                     resource_state_expansion, stabilizer_generators)
+                     build_resource, graph_state, resource_state_expansion,
+                     stabilizer_generators)
 from .code import (AncillaState, Diagnosis, LogicalOperators, PROBES,
                    RecoveryRecipe, SyndromeRecord, decode_no_loss, diagnose,
                    encode, encoding_input_state, inject_pauli_error,

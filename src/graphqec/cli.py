@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import kernel
-from .code import PROBE_NAMES, inject_pauli_error, measure_syndromes, parse_error_spec
+from .code import PROBE_NAMES, parse_error_spec
 from .graphs import (Graph, RESOURCE, build_resource, graph_state,
                      resource_state_expansion, stabilizer_generators)
 from .runner import (ConfigError, ExperimentConfig, ReportBundle, run_experiment,
@@ -115,6 +115,8 @@ def _config_from_args(args) -> ExperimentConfig:
         data["noise"] = noise
     if getattr(args, "probe", None):
         data["probes"] = [args.probe]
+    if _single_error(args):
+        data["probes"] = [args.probe or "+"]
     if getattr(args, "lost", None):
         data["lost"] = args.lost
     if getattr(args, "error", None):
@@ -122,10 +124,24 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _emit(bundle: ReportBundle, args) -> None:
+def _single_error(args) -> bool:
+    """``syndrome --error E`` with E a Pauli error rather than the identity:
+    the command runs E on one probe and prints its sign pattern."""
+    try:
+        return args.command == "syndrome" and parse_error_spec(args.error or "").weight > 0
+    except ValueError:
+        return False  # the config check reports the bad spec
+
+
+def _emit(bundle: ReportBundle, args, report: str | None = None) -> None:
+    """Write the bundle if an output directory is set, then print ``report``
+    if given, else the written paths or, with no directory, the summary."""
     out = args.out or bundle.provenance["config"].get("out_dir")
-    if out:
-        for path in bundle.write(out):
+    written = bundle.write(out) if out else []
+    if report is not None:
+        print(report)
+    elif out:
+        for path in written:
             print(f"wrote {path}")
     else:
         print(bundle.summary_json(), end="")
@@ -155,18 +171,6 @@ def _cmd_build_resource(args) -> int:
                 for k in stabilizer_generators(RESOURCE)},
         }
     print(json.dumps(_sanitize(report), sort_keys=True, indent=2))
-    return 0
-
-
-def _cmd_syndrome_single(args) -> int:
-    cfg = _config_from_args(args)  # validates the error spec
-    from .runner import encoded_state
-
-    probe = args.probe or "+"
-    state = encoded_state(probe, cfg.noise, cfg.byproduct)
-    record = measure_syndromes(inject_pauli_error(state, parse_error_spec(cfg.error)))
-    s1, s2, s3 = record.signs
-    print(f"({s1:+d}, {s2:+d}, {s3:+d})")
     return 0
 
 
@@ -200,16 +204,17 @@ def cli_main(argv=None) -> int:
             return _cmd_build_resource(args)
         if args.command == "analyze-counts":
             return _cmd_analyze_counts(args)
-        if args.command == "syndrome" and getattr(args, "error", None) \
-                and args.error.lower() != "none":
-            return _cmd_syndrome_single(args)
         config = _config_from_args(args)
         bundle = run_experiment(config)
         if args.command == "encode":
             for probe in config.probes:
                 fid = bundle.summary["probes"][probe]["fidelity_logical"]
                 print(f"probe {probe}: logical fidelity = {fid:.6f}")
-        _emit(bundle, args)
+        report = None
+        if _single_error(args):
+            (row,) = bundle.tables["syndrome_table"][1:]
+            report = "({:+d}, {:+d}, {:+d})".format(*row[6:9])
+        _emit(bundle, args, report)
         return 0
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Graphs, graph states, local complementation and the resource build.
+"""Graphs, graph states, stabilizer generators and the resource build.
 
 The experiment prepares a five-qubit linear cluster, then converts it by
 two layers of local Clifford rotations into the resource graph: the
@@ -7,15 +7,14 @@ attached to every code qubit.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel, pauli
+from . import kernel
 from .kernel import PureState
-from .pauli import CliffordGate, PauliString
+from .pauli import PauliString
 
 
 @dataclass(frozen=True)
@@ -78,27 +77,6 @@ def stabilizer_generators(g: Graph) -> list[PauliString]:
         letters.update({w: "Z" for w in g.neighbors(v)})
         gens.append(PauliString.from_map(letters))
     return gens
-
-
-def local_complement(g: Graph, v: int) -> tuple[Graph, list[CliffordGate]]:
-    """Complement the neighborhood of v.
-
-    Also returns the local unitary (sqrt(-iX) on v, sqrt(+iZ) on each
-    neighbor) that maps graph_state(g) onto graph_state(result) up to a
-    global phase.
-    """
-    if v not in g.vertices:
-        raise ValueError(f"vertex {v} not in graph")
-    nbhd = sorted(g.neighbors(v))
-    toggled = {frozenset(p) for p in itertools.combinations(nbhd, 2)}
-    edges = set(g.edges)
-    for e in toggled:
-        if e in edges:
-            edges.remove(e)
-        else:
-            edges.add(e)
-    gates = [pauli.sqrt_mx(v)] + [pauli.sqrt_pz(w) for w in nbhd]
-    return Graph(g.vertices, frozenset(edges)), gates
 
 
 def build_linear_cluster5() -> PureState:

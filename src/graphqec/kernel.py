@@ -41,7 +41,8 @@ H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 S = np.array([[1, 0], [0, 1j]], dtype=complex)
 PAULI = {"I": I, "X": X, "Y": Y, "Z": Z}
 
-# Principal square roots of -iZ, +iZ and -iX used by local complementation.
+# Principal square roots of -iZ, +iZ and -iX: the experiment's rotations
+# and the inverse of sqrt(-iZ).
 SQRT_MINUS_IZ = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
 SQRT_PLUS_IZ = np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)])
 SQRT_MINUS_IX = (I - 1j * X) / math.sqrt(2)
@@ -378,8 +379,3 @@ def overlap(a: PureState, b: PureState) -> float:
     if a.labels != b.labels:
         b = reorder(b, a.labels)
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
-
-
-def states_equal(a: PureState, b: PureState, atol: float = 1e-9) -> bool:
-    """Equality up to a global phase: |<a|b>| >= 1 - atol."""
-    return overlap(a, b) >= 1.0 - atol

@@ -213,29 +213,6 @@ def cz(i: int, j: int) -> CliffordGate:
     return CliffordGate("CZ", (i, j))
 
 
-def hadamard(i: int) -> CliffordGate:
-    return CliffordGate("H", (i,))
-
-
-def phase_s(i: int) -> CliffordGate:
-    return CliffordGate("S", (i,))
-
-
-def sqrt_mz(i: int) -> CliffordGate:
-    """sqrt(-iZ), the experiment's A rotation."""
-    return CliffordGate("SQRT_MZ", (i,))
-
-
-def sqrt_pz(i: int) -> CliffordGate:
-    """sqrt(+iZ), inverse of sqrt(-iZ); appears in local complementation."""
-    return CliffordGate("SQRT_PZ", (i,))
-
-
-def sqrt_mx(i: int) -> CliffordGate:
-    """sqrt(-iX), the experiment's B rotation."""
-    return CliffordGate("SQRT_MX", (i,))
-
-
 # Conjugation U P U+ of single letters by one-qubit gates:
 # letter -> (letter', sign). Derived from the matrices; verified densely.
 _CONJ_1Q = {

@@ -104,11 +104,11 @@ class ExperimentConfig:
         bad_fmt = [f for f in self.formats if f not in FORMATS]
         if bad_fmt:
             problems["formats"] = f"unknown formats {bad_fmt}, allowed {FORMATS}"
-        if self.error != "none":
-            try:
-                parse_error_spec(self.error)
-            except ValueError as exc:
-                problems["error"] = str(exc)
+        try:
+            if not set(parse_error_spec(self.error).support) <= set(CODE_QUBITS):
+                raise ValueError(f"must act on a code qubit {CODE_QUBITS}, got {self.error!r}")
+        except ValueError as exc:
+            problems["error"] = str(exc)
         if problems:
             raise ConfigError(problems)
         object.__setattr__(self, "probes", tuple(self.probes))
@@ -388,30 +388,20 @@ def _run_resource_witness(cfg: ExperimentConfig):
     return summary, tables, figures
 
 
-def _probe_witness_blocks(probe, rho, cfg, stream_base):
-    """Witness appropriate to each encoded probe state."""
+def _probe_witnesses(probe, rho) -> list:
+    """The witnesses certifying one encoded probe, as ``(name, stream offset,
+    state, spec)``: the box witness on |0> (on |1> in the Zbar frame), the
+    rotated GHZ witness on |+> and a pair witness on each pair of |+y>."""
     if probe == "0":
-        block, _, _ = _witness_block(rho, box_witness(), cfg.counts_per_setting,
-                                     cfg.trials, cfg.seed, stream_base)
-        return {"box4": block}
+        return [("box4", 0, rho, box_witness())]
     if probe == "1":
         zbar = logical_ops().zbar
         rotated = kernel.apply_unitary(rho, zbar.dense(zbar.support), zbar.support)
-        block, _, _ = _witness_block(rotated, box_witness(), cfg.counts_per_setting,
-                                     cfg.trials, cfg.seed, stream_base)
-        return {"box4_zbar_frame": block}
+        return [("box4_zbar_frame", 0, rotated, box_witness())]
     if probe == "+":
-        block, _, _ = _witness_block(rho, ghz_witness(), cfg.counts_per_setting,
-                                     cfg.trials, cfg.seed, stream_base)
-        return {"ghz4": block}
-    out = {}
-    for i, pair in enumerate(((1, 2), (4, 5))):
-        reduced = kernel.partial_trace(rho, pair)
-        spec = pair_witness((1, 2)).relabeled({1: pair[0], 2: pair[1]})
-        block, _, _ = _witness_block(reduced, spec, cfg.counts_per_setting,
-                                     cfg.trials, cfg.seed, stream_base + 10 * (i + 1))
-        out[f"pair2_{pair[0]}{pair[1]}"] = block
-    return out
+        return [("ghz4", 0, rho, ghz_witness())]
+    return [(f"pair2_{a}{b}", 10 * (i + 1), kernel.partial_trace(rho, (a, b)),
+             pair_witness((a, b))) for i, (a, b) in enumerate(((1, 2), (4, 5)))]
 
 
 def _run_encode_tomography(cfg: ExperimentConfig):
@@ -430,7 +420,10 @@ def _run_encode_tomography(cfg: ExperimentConfig):
             "logical_bloch": list(ldm.bloch),
             "fidelity_logical": fid_logical,
             "fidelity_state": state_fidelity(rho, target_state),
-            "witnesses": _probe_witness_blocks(probe, rho, cfg, 300 + 100 * idx),
+            "witnesses": {
+                name: _witness_block(state, spec, cfg.counts_per_setting, cfg.trials,
+                                     cfg.seed, 300 + 100 * idx + offset)[0]
+                for name, offset, state, spec in _probe_witnesses(probe, rho)},
         }
         est = _sampled_logical_expectations(rho, cfg.counts_per_setting,
                                             cfg.seed, 700 + 10 * idx)
@@ -510,11 +503,9 @@ def _run_syndrome_table(cfg: ExperimentConfig):
              "sign1", "sign2", "sign3", "pred1", "pred2", "pred3", "match")]
     mismatches = 0
     encoded = {p: encoded_state(p, cfg.noise, cfg.byproduct) for p in cfg.probes}
-    if cfg.error != "none":  # restrict the table to one injected error
-        err = parse_error_spec(cfg.error)
-        cases = [(err.letter(err.support[0]), err.support[0])]
-    else:
-        cases = [(letter, loc) for letter in "XYZ" for loc in CODE_QUBITS]
+    err = parse_error_spec(cfg.error)  # one injected error, or the identity: all 12
+    cases = [(err.letter(q), q) for q in err.support] \
+        or [(letter, loc) for letter in "XYZ" for loc in CODE_QUBITS]
     for letter, loc in cases:
         predicted = predicted_syndrome_signs(PauliString.single(loc, letter))
         for probe in cfg.probes:
@@ -588,13 +579,10 @@ def _run_noise_sweep(cfg: ExperimentConfig):
     rho5 = apply_noise(ideal5, model)
     wit_star = evaluate_witness(rho5, spec).value
     witness_values = {"resource5": wit_star}
-    encoded = {p: encoded_state(p, model, "condition0") for p in PROBE_NAMES}
-    witness_values["box4"] = evaluate_witness(encoded["0"], box_witness()).value
-    witness_values["ghz4"] = evaluate_witness(encoded["+"], ghz_witness()).value
-    for pair in ((1, 2), (4, 5)):
-        reduced = kernel.partial_trace(encoded["+y"], pair)
-        spec_pair = pair_witness((1, 2)).relabeled({1: pair[0], 2: pair[1]})
-        witness_values[f"pair2_{pair[0]}{pair[1]}"] = evaluate_witness(reduced, spec_pair).value
+    encoded = {p: encoded_state(p, model, "condition0") for p in ("0", "+", "+y")}
+    for probe, rho in encoded.items():
+        for name, _, state, witness in _probe_witnesses(probe, rho):
+            witness_values[name] = evaluate_witness(state, witness).value
     summary = {
         "calibrated_visibility": v_star,
         "target_fidelity": cfg.target_fidelity,

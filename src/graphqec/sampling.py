@@ -26,7 +26,6 @@ order.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +34,9 @@ from . import kernel
 from .kernel import DensityOperator
 from .witnesses import WitnessSpec
 
-# Basis-change unitaries mapping basis eigenvectors onto |0>, |1>.
-_TO_Z = {
-    "X": kernel.H,
-    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2),
-    "Z": kernel.I,
-}
+# Basis-change unitaries mapping basis eigenvectors onto |0>, |1>: row s is
+# the conjugate of the eigenvector for outcome s.
+_TO_Z = {b: np.array(vs).conj() for b, vs in kernel.BASIS_VECTORS.items()}
 
 _MC_STREAM = 0x4D43  # reserved stream id for Monte Carlo resampling
 
@@ -50,6 +46,11 @@ _MC_STREAM = 0x4D43  # reserved stream id for Monte Carlo resampling
 # sqrt(1e12) = 1e6 of the cap. Totals also stay far below 2^53, so the
 # parity estimator converts counts to float64 exactly.
 MAX_EXPECTED_COUNTS = 1e12
+
+# Largest count, and largest histogram total, a CountRecord accepts: every
+# integer up to 2^53 is exact in float64. Recorded counts read from CSV are
+# held to it when they enter.
+MAX_COUNT = 2 ** 53
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -163,6 +164,13 @@ class CountRecord:
                              f"{self.setting_label!r}, got shape {self.dense.shape}")
         if np.any(self.dense < 0):
             raise ValueError(f"negative count in setting {self.setting_label!r}")
+        # The int64 sum wraps past 2^63. The float64 sum of non-negative
+        # cells is off by a relative 2^-53 per cell at most, so a float
+        # total of at most 2^54 puts the true total far below 2^63, where
+        # the int64 sum is exact.
+        if np.any(self.dense.sum(-1, dtype=float) > 2.0 * MAX_COUNT) \
+                or np.any(self.dense.sum(-1) > MAX_COUNT):
+            raise ValueError(f"histogram total above 2^53 in setting {self.setting_label!r}")
 
     @staticmethod
     def from_counts(setting, counts: dict[str, int]) -> "CountRecord":
@@ -172,12 +180,15 @@ class CountRecord:
         for bits, c in counts.items():
             if len(bits) != k or set(bits) - {"0", "1"}:
                 raise ValueError(f"bad outcome key {bits!r}")
+            if not 0 <= c <= MAX_COUNT:
+                raise ValueError(f"count {c} of outcome {bits!r} in setting "
+                                 f"{_setting_label(setting)!r} is negative or above 2^53")
             dense[int("0" + bits, 2)] = c  # "0" + : a zero-qubit setting's key is ""
         return CountRecord(setting, dense)
 
     @property
     def setting_label(self) -> str:
-        return " ".join(f"{b}{q}" for q, b in self.setting)
+        return _setting_label(self.setting)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -195,6 +206,10 @@ class CountRecord:
         # the leading 1 keeps k digits, and gives "" for a zero-qubit setting
         return {format(i | 1 << k, "b")[1:]: int(self.dense[i])
                 for i in np.flatnonzero(self.dense)}
+
+
+def _setting_label(setting) -> str:
+    return " ".join(f"{b}{q}" for q, b in setting)
 
 
 def outcome_probabilities(state, bases: dict[int, str]) -> np.ndarray:
@@ -342,9 +357,12 @@ COUNTS_CSV_HEADER = ("setting", "outcome", "count")
 
 
 def counts_to_csv_rows(records) -> list[tuple[str, str, int]]:
+    """One row per nonzero cell; an empty histogram writes one zero row, so
+    that it survives the round trip."""
     rows = [COUNTS_CSV_HEADER]
     for r in records:
-        rows.extend((r.setting_label, bits, c) for bits, c in r.counts.items())
+        cells = r.counts or {"0" * len(r.setting): 0}
+        rows.extend((r.setting_label, bits, c) for bits, c in cells.items())
     return rows
 
 

@@ -49,14 +49,6 @@ class WitnessSpec:
     def qubits(self) -> tuple[int, ...]:
         return tuple(sorted({q for t in self.terms for q in t.word.support}))
 
-    def relabeled(self, mapping: dict[int, int], name: str | None = None) -> "WitnessSpec":
-        terms = tuple(
-            WitnessTerm(t.coefficient,
-                        PauliString.from_map({mapping[q]: l for q, l in t.word.letters}),
-                        frozenset(mapping[q] for q in t.tilde))
-            for t in self.terms)
-        return WitnessSpec(name or self.name, self.constant, terms)
-
 
 @dataclass(frozen=True)
 class WitnessResult:

@@ -8,7 +8,9 @@ scalar Poisson draw per histogram cell. The package's closed forms are
 checked against the searches they replace: loss-recovery recipes derived
 branch by branch from the logical basis, the visibility calibration by
 bisection, and the box graph as the unique graph on {1,2,4,5} that gives
-the printed syndrome factorizations. The encoding and loss-recovery
+the printed syndrome factorizations. Local complementation, which the
+package does not need, is kept here with its local Clifford unitary, and
+pure states are compared up to a global phase. The encoding and loss-recovery
 pipeline is also kept step by step through the checked public kernel
 functions, so every intermediate state is validated; the package runs the
 same arithmetic on raw arrays. Single-qubit process tomography is kept as
@@ -27,7 +29,7 @@ from graphqec.code import (ANCILLA, CODE_QUBITS, PROBES, logical_basis_states, l
                            syndrome_operators)
 from graphqec.graphs import Graph, stabilizer_generators
 from graphqec.kernel import DensityOperator, PureState
-from graphqec.pauli import PauliString
+from graphqec.pauli import CliffordGate, PauliString
 from graphqec.sampling import _MC_STREAM, CountRecord
 
 
@@ -189,6 +191,11 @@ def equal_up_to_phase(a, b, atol=1e-9) -> bool:
     return abs(np.trace(np.conj(a).T @ b)) / 2 > 1 - atol
 
 
+def states_equal(a: PureState, b: PureState, atol: float = 1e-9) -> bool:
+    """Equality of pure states up to a global phase: |<a|b>| >= 1 - atol."""
+    return kernel.overlap(a, b) >= 1.0 - atol
+
+
 def derive_recipe(lost, helpers, output):
     """Frame and corrections from the four branch maps; None unless every
     branch is unitary and every correction is a Pauli up to phase."""
@@ -284,6 +291,21 @@ SYNDROME_FACTORIZATIONS = {
     "Y1 Z2 Y4 Z5": (1, 4),
     "Z1 Y2 Y4 Z5": (4, 2),
 }
+
+
+def local_complement(g: Graph, v: int) -> tuple[Graph, list[CliffordGate]]:
+    """Complement the neighborhood of v.
+
+    Also returns the local unitary (sqrt(-iX) on v, sqrt(+iZ) on each
+    neighbor) that maps graph_state(g) onto graph_state(result) up to a
+    global phase.
+    """
+    if v not in g.vertices:
+        raise ValueError(f"vertex {v} not in graph")
+    nbhd = sorted(g.neighbors(v))
+    edges = set(g.edges) ^ {frozenset(p) for p in itertools.combinations(nbhd, 2)}
+    gates = [CliffordGate("SQRT_MX", (v,))] + [CliffordGate("SQRT_PZ", (w,)) for w in nbhd]
+    return Graph(g.vertices, frozenset(edges)), gates
 
 
 def graphs_matching_syndrome_factorizations() -> list:

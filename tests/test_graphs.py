@@ -6,9 +6,10 @@ import pytest
 import oracle
 from graphqec import kernel
 from graphqec.graphs import (BOX, PATH5, RESOURCE, Graph, build_linear_cluster5,
-                             build_resource, graph_state, local_complement,
-                             resource_state_expansion, stabilizer_generators)
-from graphqec.kernel import PureState, apply_unitary, overlap, states_equal
+                             build_resource, graph_state, resource_state_expansion,
+                             stabilizer_generators)
+from graphqec.kernel import PureState, apply_unitary, overlap
+from oracle import local_complement, states_equal
 
 
 class TestGraphType:

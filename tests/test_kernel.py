@@ -6,7 +6,8 @@ import pytest
 from graphqec import kernel
 from graphqec.kernel import (DensityOperator, Observable, PureState, apply_unitary,
                              expectation, maximally_mixed, overlap, partial_trace,
-                             projective_measure, reorder, states_equal, tensor_product)
+                             projective_measure, reorder, tensor_product)
+from oracle import states_equal
 
 RT2 = math.sqrt(2)
 

@@ -7,9 +7,8 @@ import oracle
 from graphqec import kernel
 from graphqec.graphs import build_resource
 from graphqec.pauli import (CliffordGate, PauliString, conjugate_pauli,
-                            conjugate_sequence, cz, expand_logical, hadamard,
-                            pauli_commutes, pauli_multiply, phase_s, sqrt_mx,
-                            sqrt_mz, sqrt_pz)
+                            conjugate_sequence, cz, expand_logical, pauli_commutes,
+                            pauli_multiply)
 
 S1 = PauliString.parse("Y1 Z2 Z4 Y5")
 S2 = PauliString.parse("Y1 Z2 Y4 Z5")
@@ -89,8 +88,9 @@ class TestCommutes:
             assert pauli_commutes(p, q) == dense_commutes, (str(p), str(q))
 
 
-ALL_GATES = [cz(1, 2), hadamard(1), phase_s(1), sqrt_mz(1), sqrt_pz(1), sqrt_mx(1),
-             hadamard(2), sqrt_mx(2)]
+ALL_GATES = [cz(1, 2)] + [CliffordGate(kind, (1,)) for kind in
+                          ("H", "S", "SQRT_MZ", "SQRT_PZ", "SQRT_MX")] \
+    + [CliffordGate("H", (2,)), CliffordGate("SQRT_MX", (2,))]
 
 
 class TestConjugation:
@@ -99,11 +99,12 @@ class TestConjugation:
         assert str(out) == "Z1 X2"
 
     def test_hadamard_swaps_x_z(self):
-        assert str(conjugate_pauli(hadamard(1), PauliString.single(1, "X"))) == "Z1"
-        assert str(conjugate_pauli(hadamard(1), PauliString.single(1, "Z"))) == "X1"
+        h = CliffordGate("H", (1,))
+        assert str(conjugate_pauli(h, PauliString.single(1, "X"))) == "Z1"
+        assert str(conjugate_pauli(h, PauliString.single(1, "Z"))) == "X1"
 
     def test_sqrt_mz_sends_x_to_y(self):
-        out = conjugate_pauli(sqrt_mz(3), PauliString.single(3, "X"))
+        out = conjugate_pauli(CliffordGate("SQRT_MZ", (3,)), PauliString.single(3, "X"))
         assert str(out) == "Y3"
 
     @pytest.mark.parametrize("gate", ALL_GATES, ids=str)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from graphqec import runner
 from graphqec.cli import cli_main
 from graphqec.runner import (ConfigError, ExperimentConfig, encoded_state,
                              run_experiment)
@@ -109,6 +110,24 @@ class TestExperiments:
         assert len(rows) == 4  # one probe each
         assert all(r[0] == "Z@1" and r[6:9] == (-1, -1, 1) for r in rows)
 
+    def test_identity_error_spec_gives_full_table(self):
+        bundle = run_experiment(cfg("syndrome-table", error="I", probes=["+"]))
+        assert bundle.summary["patterns_checked"] == 12
+        assert bundle.summary["all_match"] is True
+
+    def test_noise_sweep_encodes_only_witnessed_probes(self, monkeypatch):
+        # sweep_points encodings of |0>, then |0>, |+> and |+y> at v*
+        calls = []
+
+        def counted(probe, *args):
+            calls.append(probe)
+            return encoded_state(probe, *args)
+
+        monkeypatch.setattr(runner, "encoded_state", counted)
+        run_experiment(ExperimentConfig.from_dict({"kind": "noise-sweep"}))
+        assert len(calls) == 14
+        assert calls[-3:] == ["0", "+", "+y"]
+
     def test_loss_recovery_ideal_is_identity_channel(self):
         for lost in (1, 4):
             bundle = run_experiment(cfg("loss-recovery", lost=lost))
@@ -178,6 +197,22 @@ class TestCli:
     def test_unknown_subcommand_exits_1(self, capsys):
         assert cli_main(["frobnicate"]) == 1
 
+    def test_syndrome_single_case_writes_bundle(self, tmp_path, capsys):
+        code = cli_main(["syndrome", "--error", "Z@1", "--probe", "+", "--ideal",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out == "(-1, -1, +1)\n"
+        rows = (tmp_path / "syndrome_table.csv").read_text().splitlines()
+        assert len(rows) == 2
+        assert rows[1].startswith("Z@1,1,+,")
+
+    def test_analyze_counts_names_oversized_count(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"setting,outcome,count\nZ1 Z2,00,5\nZ1 Z2,11,{2 ** 63}\n")
+        assert cli_main(["analyze-counts", "--in", str(path), "--witness", "pair2"]) == 2
+        err = capsys.readouterr().err
+        assert "'Z1 Z2'" in err and "too large to convert" not in err
+
     def test_bad_error_spec_exits_1(self, capsys):
         assert cli_main(["syndrome", "--error", "W@9", "--probe", "+"]) == 1
 
@@ -206,6 +241,7 @@ class TestCli:
         ("sweep", {"target_fidelity": "0.78"}, "target_fidelity"),
         ("witness", {"counts_per_setting": 1e30}, "counts_per_setting"),
         ("witness", {"counts_per_setting": float("inf")}, "counts_per_setting"),
+        ("syndrome", {"error": "Z@3"}, "error"),
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, command, data, field):
         with pytest.raises(ConfigError) as err:

@@ -239,7 +239,7 @@ class TestCalibration:
         rho_y = apply_noise(state_y, model)
         for pair in ((1, 2), (4, 5)):
             reduced = kernel.partial_trace(rho_y, pair)
-            spec = pair_witness((1, 2)).relabeled({1: pair[0], 2: pair[1]})
+            spec = pair_witness(pair)
             assert evaluate_witness(reduced, spec).value < 0
 
 
@@ -267,6 +267,20 @@ class TestCsvInterchange:
             CountRecord.from_counts(((1, "Z"),), {"0": -1})
         with pytest.raises(ValueError, match="bad basis"):
             CountRecord.from_counts(((1, "Q"),), {"0": 1})
+
+    def test_total_above_2_53_rejected(self):
+        # two cells of 2^62 would wrap the int64 total, and the estimate
+        # would read -0.0
+        setting = ((1, "Z"),)
+        with pytest.raises(ValueError, match="setting 'Z1'"):
+            CountRecord(setting, np.array([2 ** 62, 2 ** 62]))
+        with pytest.raises(ValueError, match="setting 'Z1'"):
+            CountRecord.from_counts(setting, {"0": 2 ** 62, "1": 2 ** 62})
+        with pytest.raises(ValueError, match="setting 'Z1'"):
+            CountRecord.from_counts(setting, {"0": 2 ** 53, "1": 1})
+        with pytest.raises(ValueError, match="setting 'X2'"):
+            CountRecord(((2, "X"),), np.array([[3, 4], [2 ** 53, 1]]))  # one bad trial row
+        assert CountRecord.from_counts(setting, {"0": 2 ** 53}).total == 2 ** 53
 
     def test_estimator_rejects_unmeasured_qubit(self):
         rec = CountRecord.from_counts(((1, "Z"), (2, "Z")), {"00": 4})

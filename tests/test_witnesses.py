@@ -81,7 +81,7 @@ class TestIdealValues:
         rho = logical_basis_states()["-y"].density()
         for pair in ((1, 2), (4, 5)):
             reduced = partial_trace(rho, pair)
-            spec = pair_witness((1, 2)).relabeled({1: pair[0], 2: pair[1]})
+            spec = pair_witness(pair)
             assert evaluate_witness(reduced, spec).value == pytest.approx(-1.0, abs=1e-9)
 
     def test_as_printed_cannot_go_negative(self):
@@ -152,6 +152,7 @@ class TestSpecValidation:
             WitnessTerm(Fraction(1), PauliString.identity(), frozenset())
 
     def test_relabel(self):
-        w = pair_witness((1, 2)).relabeled({1: 4, 2: 5}, name="pair45")
+        w = pair_witness((4, 5))
         assert w.qubits == (4, 5)
-        assert w.name == "pair45"
+        assert w.name == "pair2_45"
+        assert [t.label() for t in w.terms] == ["Y~4 Z5", "X4 X5"]
