@@ -49,7 +49,8 @@ def _add_common(p: _Parser):
     p.add_argument("--counts", type=float, help="expected counts per setting")
     p.add_argument("--trials", type=int, help="Monte Carlo trials")
     p.add_argument("--visibility", type=float, help="white-noise visibility v")
-    p.add_argument("--ideal", action="store_true", help="no noise (v = 1, no Kraus maps)")
+    p.add_argument("--ideal", action="store_true",
+                   help="no noise (v = 1, no depolarizing, dephasing or white noise)")
     p.add_argument("--byproduct", choices=["condition0", "correct", "raw"])
 
 
@@ -86,7 +87,7 @@ def _build_parser() -> _Parser:
                    choices=["resource5", "box4", "ghz4", "pair2"])
     p.add_argument("--as-printed", action="store_true",
                    help="use the literally printed resource witness coefficients")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=200, help="Monte Carlo trials (>= 100)")
     p.add_argument("--seed", type=int, default=12345)
     return parser
 
@@ -175,6 +176,8 @@ def _cmd_build_resource(args) -> int:
 
 
 def _cmd_analyze_counts(args) -> int:
+    if args.trials < 100:
+        raise ConfigError({"--trials": f"must be an integer >= 100, got {args.trials}"})
     with open(args.infile, newline="") as fh:
         rows = list(csv.reader(fh))
     records = counts_from_csv_rows(rows)

@@ -253,11 +253,16 @@ def diagnose(signs, known_location: int | None = None) -> Diagnosis:
 
 def lose_qubit(state, q: int) -> DensityOperator:
     """Erase a code qubit at a known location: trace it out."""
+    return DensityOperator(*_lose(state, q))
+
+
+def _lose(state, q: int):
+    """Raw :func:`lose_qubit`: the remaining labels and density matrix."""
     if q not in state.labels:
         raise ValueError(f"qubit {q} not present")
     keep = tuple(l for l in state.labels if l != q)
-    rho = kernel._density_matrix(kernel._raw(state))
-    return DensityOperator(keep, kernel._partial_trace(rho, state.labels, keep))
+    return keep, kernel._partial_trace(kernel._density_matrix(kernel._raw(state)),
+                                       state.labels, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +329,10 @@ def recovery_recipe(lost: int) -> RecoveryRecipe:
                           tuple(letters), kernel.Z, "Z")
 
 
-def _check_recipe(rho, recipe: RecoveryRecipe):
+def _check_recipe(labels, recipe: RecoveryRecipe):
     expected = {q for q, _ in recipe.helpers} | {recipe.output}
-    if set(rho.labels) != expected:
-        raise ValueError(f"state on {rho.labels} does not match recipe qubits {sorted(expected)}")
+    if set(labels) != expected:
+        raise ValueError(f"state on {labels} does not match recipe qubits {sorted(expected)}")
     for _, basis in recipe.helpers:
         kernel._check_basis(basis)
 
@@ -345,10 +350,15 @@ def recover(rho, recipe: RecoveryRecipe, forced_outcomes=None,
     For an ideally encoded input the recovered qubit is pure with fidelity
     1 to the original input on every outcome branch.
     """
-    _check_recipe(rho, recipe)
+    return _recover(rho.labels, kernel._density_matrix(kernel._raw(rho)), recipe,
+                    forced_outcomes, rng)
+
+
+def _recover(labels, matrix: np.ndarray, recipe: RecoveryRecipe, forced_outcomes, rng):
+    """:func:`recover` of a raw density matrix on ``labels``."""
+    _check_recipe(labels, recipe)
     if forced_outcomes is not None:
         forced_outcomes = tuple(kernel._check_outcome(s) for s in forced_outcomes)
-    matrix, labels = kernel._density_matrix(kernel._raw(rho)), rho.labels
     outcomes = []
     for i, (q, basis) in enumerate(recipe.helpers):
         forced = None if forced_outcomes is None else forced_outcomes[i]
@@ -366,7 +376,7 @@ def recover_average(rho, recipe: RecoveryRecipe) -> DensityOperator:
     branches below probability 1e-12 are skipped; the sum is validated once,
     as the returned single-qubit ``DensityOperator``.
     """
-    _check_recipe(rho, recipe)
+    _check_recipe(rho.labels, recipe)
     matrix = kernel._density_matrix(kernel._raw(rho))
     total = np.zeros((2, 2), dtype=complex)
     for s_a, s_b in itertools.product((0, 1), repeat=2):
@@ -386,5 +396,4 @@ def decode_no_loss(state, forced_outcomes=None,
                    rng: np.random.Generator | None = None) -> tuple[tuple[int, int], DensityOperator]:
     """Decode by discarding qubit 4 and running the lost-4 recovery; works
     because the chosen logical representatives never touch qubit 4."""
-    recipe = recovery_recipe(4)
-    return recover(lose_qubit(state, 4), recipe, forced_outcomes, rng)
+    return _recover(*_lose(state, 4), recovery_recipe(4), forced_outcomes, rng)

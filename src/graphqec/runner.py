@@ -14,6 +14,7 @@ import io
 import json
 import math
 import numbers
+import pathlib
 from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
 
 import numpy as np
@@ -184,27 +185,19 @@ class ReportBundle:
         return buf.getvalue()
 
     def write(self, out_dir, formats=None) -> list[str]:
-        import pathlib
-
         formats = tuple(formats) if formats else tuple(self.provenance.get("formats", FORMATS))
+        files = {}
+        if "json" in formats:
+            files["summary.json"] = self.summary_json()
+        if "csv" in formats:
+            files.update((f"{name}.csv", self.table_csv(name)) for name in sorted(self.tables))
+        if "svg" in formats:
+            files.update((f"{name}.svg", self.figures[name]) for name in sorted(self.figures))
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        written = []
-        if "json" in formats:
-            path = out / "summary.json"
-            path.write_text(self.summary_json())
-            written.append(str(path))
-        if "csv" in formats:
-            for name in sorted(self.tables):
-                path = out / f"{name}.csv"
-                path.write_text(self.table_csv(name))
-                written.append(str(path))
-        if "svg" in formats:
-            for name in sorted(self.figures):
-                path = out / f"{name}.svg"
-                path.write_text(self.figures[name])
-                written.append(str(path))
-        return written
+        for name, text in files.items():
+            (out / name).write_text(text)
+        return [str(out / name) for name in files]
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +455,8 @@ def _channel_report(outputs: dict, chi_ref, title: str):
 
 
 def _run_encode_channel(cfg: ExperimentConfig):
-    outputs = {}
-    for probe in PROBE_NAMES:
-        rho = encoded_state(probe, cfg.noise, cfg.byproduct)
-        outputs[probe] = DensityOperator((1,), logical_tomography(rho).matrix)
+    outputs = {p: logical_tomography(encoded_state(p, cfg.noise, cfg.byproduct))
+               for p in PROBE_NAMES}
     chi_block, tables, figures = _channel_report(outputs, chi_hadamard(), "encoding channel")
     return {"chi": chi_block, "reference": "hadamard"}, tables, figures
 

@@ -5,7 +5,7 @@ dephasing maps plus a global white-noise admixture; finite statistics are
 emulated by drawing a Poisson-distributed total per measurement setting and
 multinomial counts over outcomes. All sampling is reproducible: the same
 (seed, stream) pair always yields the same histogram, and distinct streams
-are independent, so trials can run in parallel without changing results.
+are independent.
 
 A histogram over k measured qubits is a :class:`CountRecord` holding a dense
 int64 count vector of length 2^k indexed by ``int(bits, 2)``, which is also
@@ -15,17 +15,14 @@ parses them, :attr:`CountRecord.counts` lists the nonzero cells by them, and
 the CSV interchange reads and writes them. Parity estimates are
 ``(counts @ mask) / counts.sum(-1)`` with a cached +/-1 parity mask, so the
 same estimator serves one histogram and a batch. Monte Carlo resampling
-draws one Poisson vector per trial over all histograms and calls the
-statistic once on the trial-batched records; see
+draws every trial's Poisson vector over all histograms from one generator
+per call and calls the statistic once on the trial-batched records; see
 :func:`monte_carlo_uncertainty`.
-Trial generators are seeded once per (seed, trials) pair, and the initial
-states of the most recent pair are kept for the next call, since one
-experiment's Monte Carlo calls all share it; results do not depend on call
-order.
 """
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,15 +300,6 @@ def witness_value_from_counts(records, spec: WitnessSpec):
     return value
 
 
-@functools.lru_cache(maxsize=1)
-def _trial_states(seed: int, trials: int) -> tuple[dict, ...]:
-    """Initial state of each trial's ``default_rng((seed, _MC_STREAM, t))``
-    bit generator, t < ``trials``. Seeding a generator costs more than its
-    Poisson draws, and one experiment's Monte Carlo calls share (seed,
-    trials), so the most recent pair is kept. Callers only read the states."""
-    return tuple(np.random.PCG64((seed, _MC_STREAM, t)).state for t in range(trials))
-
-
 def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple[float, float]:
     """Poisson-resample every histogram cell ``trials`` times, evaluate the
     statistic on the resamples and return (mean, std) over the trials.
@@ -323,27 +311,20 @@ def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple
     :func:`witness_value_from_counts` does; a scalar is taken for every
     trial.
 
-    Trial t draws one Poisson vector over all records' cells from its own
-    (seed, stream, t) generator; a zero cell consumes no draw. The result is
-    therefore independent of how trials are batched, and equals drawing the
-    nonzero cells one by one in sorted order. The trial generators' initial
-    states are seeded once per (seed, trials) and the most recent pair is
-    kept, so repeated calls with one seed reuse them; results do not depend
-    on call order. Memory grows linearly in ``trials``: 8 bytes x sum of 2^k
-    per trial for the draws, about 150 KB at 200 trials of three five-qubit
-    settings, plus about 90 KB of kept generator states at 200 trials.
+    All trials come from one (seed, stream) generator in a single
+    (trials x cells) Poisson draw: row t is trial t, its cells follow the
+    records in order, and a zero cell consumes no draw. Row t therefore
+    does not depend on ``trials``, and equals drawing the nonzero cells one
+    by one, trial after trial, in sorted order. Memory grows linearly in
+    ``trials``: 8 bytes x sum of 2^k per trial, about 150 KB at 200 trials
+    of three five-qubit settings.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     records = list(records)
     rates = [r.dense for r in records]
     lam = np.concatenate([np.zeros(0, dtype=np.int64), *rates])
-    draws = np.empty((trials, lam.size), dtype=np.int64)
-    bits = np.random.PCG64()
-    rng = np.random.Generator(bits)
-    for t, state in enumerate(_trial_states(int(seed), trials)):
-        bits.state = state
-        draws[t] = rng.poisson(lam)
+    draws = make_rng(seed, _MC_STREAM).poisson(lam, size=(trials, lam.size))
     blocks = np.split(draws, np.cumsum([d.size for d in rates])[:-1], axis=1)
     batched = [CountRecord(r.setting, b) for r, b in zip(records, blocks)]
     vals = np.empty(trials)
@@ -367,16 +348,25 @@ def counts_to_csv_rows(records) -> list[tuple[str, str, int]]:
 
 
 def counts_from_csv_rows(rows) -> list[CountRecord]:
-    """Inverse of counts_to_csv_rows; accepts externally recorded tables."""
-    rows = [tuple(r) for r in rows]
-    if rows and tuple(rows[0]) == COUNTS_CSV_HEADER:
-        rows = rows[1:]
+    """Inverse of counts_to_csv_rows; accepts externally recorded tables. A
+    malformed row raises ``ValueError`` naming its line (the header is line 1)."""
     by_setting: dict[str, dict[str, int]] = {}
-    for label, bits, count in rows:
-        cell = by_setting.setdefault(label, {})
-        cell[bits] = cell.get(bits, 0) + int(count)
-    records = []
-    for label, counts in by_setting.items():
-        setting = tuple((int(tok[1:]), tok[0]) for tok in label.split())
-        records.append(CountRecord.from_counts(setting, counts))
-    return records
+    for line, row in enumerate(map(tuple, rows), start=1):
+        if line == 1 and row == COUNTS_CSV_HEADER:
+            continue
+        if len(row) != 3:
+            raise ValueError(f"line {line}: expected 3 fields (setting, outcome, count), "
+                             f"got {len(row)}")
+        label, bits, count = row
+        bad = [tok for tok in label.split() if not re.fullmatch("[XYZ][0-9]+", tok)]
+        if bad:
+            raise ValueError(f"line {line}: bad setting token {bad[0]!r}; expected a basis "
+                             f"letter X, Y or Z and a qubit number")
+        try:
+            count = int(count)
+        except ValueError:
+            raise ValueError(f"line {line}: count {count!r} is not an integer") from None
+        cells = by_setting.setdefault(label, {})
+        cells[bits] = cells.get(bits, 0) + count
+    return [CountRecord.from_counts(tuple((int(tok[1:]), tok[0]) for tok in label.split()),
+                                    cells) for label, cells in by_setting.items()]

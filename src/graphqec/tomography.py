@@ -114,16 +114,18 @@ class ChiMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSample:
-    """Single-qubit channel outputs for the canonical probe set."""
+    """Single-qubit channel outputs for the canonical probe set: any value
+    whose ``matrix`` is 2x2, such as a one-qubit ``DensityOperator`` or a
+    ``LogicalDensityMatrix``, which were checked when they were built."""
 
-    outputs: dict[str, DensityOperator]
+    outputs: dict[str, DensityOperator | LogicalDensityMatrix]
 
     def __post_init__(self):
         missing = [p for p in PROBE_NAMES if p not in self.outputs]
         if missing:
             raise ValueError(f"missing probes: {missing}; need all of {PROBE_NAMES}")
         for name, rho in self.outputs.items():
-            if rho.num_qubits != 1:
+            if np.shape(rho.matrix) != (2, 2):
                 raise ValueError(f"output for probe {name!r} is not a single qubit")
 
 

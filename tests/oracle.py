@@ -129,10 +129,10 @@ def resample_counts(records, rng) -> list:
 
 
 def monte_carlo_uncertainty(statistic, records, trials, seed) -> tuple[float, float]:
-    """Re-run a per-record statistic on every trial's resampled records."""
-    vals = np.array([
-        statistic(resample_counts(records, np.random.default_rng((int(seed), _MC_STREAM, t))))
-        for t in range(trials)])
+    """Re-run a per-record statistic on every trial's resampled records; the
+    trials draw one after another from a single generator."""
+    rng = np.random.default_rng((int(seed), _MC_STREAM))
+    vals = np.array([statistic(resample_counts(records, rng)) for _ in range(trials)])
     return float(vals.mean()), float(vals.std())
 
 

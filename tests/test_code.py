@@ -397,6 +397,13 @@ class TestDecodeNoLoss:
             _, out = decode_no_loss(corrupted, forced_outcomes=outcomes)
             assert abs(state_fidelity(out, PureState.single(1, a.vector)) - 1) < 1e-9
 
+    def test_bad_input_rejected(self):
+        state = encoded((0.6, 0.8))
+        with pytest.raises(ValueError, match="forced_outcome must be 0 or 1"):
+            decode_no_loss(state, forced_outcomes=(0, 2))
+        with pytest.raises(ValueError, match="qubit 4 not present"):
+            decode_no_loss(lose_qubit(state, 4))
+
 
 class TestCheckedOnce:
     """Each pipeline call validates one result: internal steps run on raw
@@ -444,10 +451,18 @@ class TestCheckedOnce:
         recover_average(rho, recovery_recipe(1))
         assert len(constructions) == 1
 
-    @pytest.mark.parametrize("kind, checked", [("encode-channel", 8), ("loss-recovery", 12)])
+    @pytest.mark.parametrize("forced", (None, (0, 1)))
+    def test_decode_no_loss(self, constructions, forced):
+        state = encoded((0.6, 0.8))
+        constructions.clear()
+        decode_no_loss(state, forced, np.random.default_rng(3))
+        assert len(constructions) == 1
+
+    @pytest.mark.parametrize("kind, checked", [("encode-channel", 4), ("loss-recovery", 12)])
     def test_channel_runs(self, constructions, kind, checked):
-        """Per probe: the encoded state and the single-qubit output, plus for
-        loss recovery the reduced state; the output is not wrapped again."""
+        """Per probe: the encoded state, plus for loss recovery the reduced
+        state and the single-qubit output; the encoding channel's logical
+        matrices are checked by tomography and not wrapped again."""
         noise = NoiseModel(depolarizing={1: 0.03, 4: 0.02}, dephasing=0.01, visibility=0.9)
         run_experiment(ExperimentConfig(kind, noise, lost=2))
         assert len(constructions) == checked

@@ -213,6 +213,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "'Z1 Z2'" in err and "too large to convert" not in err
 
+    def test_analyze_counts_trials_below_100_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("setting,outcome,count\nZ1 Z2,00,5\nZ1 Z2,11,7\n")
+        assert cli_main(["analyze-counts", "--in", str(path), "--witness", "pair2",
+                         "--trials", "50"]) == 1
+        assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", [
+        ("Z1,0", "line 3: expected 3 fields"),
+        ("Z1 Z2,00,abc", "line 3: count 'abc' is not an integer"),
+        ("Zx,0,3", "line 3: bad setting token 'Zx'"),
+    ])
+    def test_analyze_counts_names_malformed_line(self, tmp_path, capsys, row, message):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"setting,outcome,count\nZ1 Z2,00,5\n{row}\n")
+        assert cli_main(["analyze-counts", "--in", str(path), "--witness", "pair2"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_error_spec_exits_1(self, capsys):
         assert cli_main(["syndrome", "--error", "W@9", "--probe", "+"]) == 1
 

@@ -5,8 +5,8 @@ from graphqec import kernel
 from graphqec.code import PROBES, encode, logical_basis_states
 from graphqec.graphs import build_resource
 from graphqec.kernel import PureState
-from graphqec.sampling import (CountRecord, NoiseModel, apply_noise,
-                               counts_from_csv_rows, counts_to_csv_rows,
+from graphqec.sampling import (COUNTS_CSV_HEADER, CountRecord, NoiseModel,
+                               apply_noise, counts_from_csv_rows, counts_to_csv_rows,
                                estimate_expectation, monte_carlo_uncertainty,
                                outcome_probabilities, sample_setting_counts,
                                witness_settings, witness_value_from_counts)
@@ -259,6 +259,16 @@ class TestCsvInterchange:
         (rec,) = counts_from_csv_rows(rows)
         assert rec.counts == {"00": 5, "11": 7}
         assert rec.setting == ((1, "Z"), (2, "Z"))
+
+    @pytest.mark.parametrize("row, message", [
+        (("Z1", "0"), "line 3: expected 3 fields"),
+        (("Z1 Z2", "00", "abc"), "line 3: count 'abc' is not an integer"),
+        (("Zx", "0", "3"), "line 3: bad setting token 'Zx'"),
+    ])
+    def test_malformed_row_names_line(self, row, message):
+        rows = [COUNTS_CSV_HEADER, ("Z1 Z2", "00", "5"), row]
+        with pytest.raises(ValueError, match=message):
+            counts_from_csv_rows(rows)
 
     def test_record_validation(self):
         with pytest.raises(ValueError, match="bad outcome"):

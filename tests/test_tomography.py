@@ -18,7 +18,7 @@ def ideal_logical_outputs() -> ChannelSample:
     outputs = {}
     for probe in PROBE_NAMES:
         _, state = encode(PROBES[probe], forced_s3=0)
-        outputs[probe] = DensityOperator((1,), logical_tomography(state).matrix)
+        outputs[probe] = logical_tomography(state)
     return ChannelSample(outputs)
 
 
@@ -127,6 +127,12 @@ class TestReconstructChi:
         outputs = dict(sample.outputs)
         del outputs["+y"]
         with pytest.raises(ValueError, match="missing probes"):
+            ChannelSample(outputs)
+
+    def test_two_qubit_output_rejected(self):
+        outputs = dict(channel_sample_from_map(lambda r: r).outputs)
+        outputs["+"] = maximally_mixed((1, 2))
+        with pytest.raises(ValueError, match="'\\+' is not a single qubit"):
             ChannelSample(outputs)
 
 
