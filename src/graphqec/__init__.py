@@ -13,7 +13,7 @@ from .kernel import (DensityOperator, Observable, PureState, apply_unitary,
                      expectation, maximally_mixed, overlap, partial_trace,
                      projective_measure, reorder, tensor_product)
 from .pauli import (CliffordGate, PauliString, conjugate_pauli, conjugate_sequence,
-                    expand_logical, pauli_commutes, pauli_multiply)
+                    expand_logical, pauli_commutes, pauli_expectations, pauli_multiply)
 from .graphs import (BOX, PATH5, RESOURCE, Graph, build_linear_cluster5,
                      build_resource, graph_state, resource_state_expansion,
                      stabilizer_generators)

@@ -12,10 +12,9 @@ import sys
 
 from . import kernel
 from .code import PROBE_NAMES, parse_error_spec
-from .graphs import (Graph, RESOURCE, build_resource, graph_state,
-                     resource_state_expansion, stabilizer_generators)
+from .graphs import Graph, RESOURCE, build_resource, graph_state, resource_state_expansion
 from .runner import (ConfigError, ExperimentConfig, ReportBundle, run_experiment,
-                     _sanitize)
+                     _sanitize, _stabilizer_expectations)
 from .sampling import (counts_from_csv_rows, monte_carlo_uncertainty,
                        witness_value_from_counts)
 from .witnesses import builtin_witnesses, fidelity_lower_bound
@@ -155,29 +154,29 @@ def _cmd_build_resource(args) -> int:
                 g = Graph.from_dict(json.load(fh))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError({"graph": f"bad graph literal: {exc}"}) from exc
-        state = graph_state(g)
         report = {
             "graph": g.to_dict(),
-            "stabilizer_expectations": {
-                str(k): kernel.expectation(state, k.to_observable())
-                for k in stabilizer_generators(g)},
+            "stabilizer_expectations": _stabilizer_expectations(graph_state(g), g),
         }
     else:
         built = build_resource()
         report = {
             "overlap_graph_state": kernel.overlap(built, graph_state(RESOURCE)),
             "overlap_explicit_expansion": kernel.overlap(built, resource_state_expansion()),
-            "stabilizer_expectations": {
-                str(k): kernel.expectation(built, k.to_observable())
-                for k in stabilizer_generators(RESOURCE)},
+            "stabilizer_expectations": _stabilizer_expectations(built, RESOURCE),
         }
     print(json.dumps(_sanitize(report), sort_keys=True, indent=2))
     return 0
 
 
 def _cmd_analyze_counts(args) -> int:
+    problems = {}
     if args.trials < 100:
-        raise ConfigError({"--trials": f"must be an integer >= 100, got {args.trials}"})
+        problems["--trials"] = f"must be an integer >= 100, got {args.trials}"
+    if args.seed < 0:
+        problems["--seed"] = f"must be a non-negative integer, got {args.seed}"
+    if problems:
+        raise ConfigError(problems)
     with open(args.infile, newline="") as fh:
         rows = list(csv.reader(fh))
     records = counts_from_csv_rows(rows)

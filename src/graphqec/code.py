@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernel
 from .kernel import DensityOperator, PureState
-from .pauli import PauliString, pauli_commutes, pauli_multiply
+from .pauli import PauliString, _expectations, pauli_commutes, pauli_multiply
 
 CODE_QUBITS = (1, 2, 4, 5)
 ANCILLA = 3
@@ -202,9 +202,16 @@ class SyndromeRecord:
 
 
 def measure_syndromes(state) -> SyndromeRecord:
-    """Exact syndrome expectations; the state is left untouched."""
-    vals = tuple(kernel.expectation(state, s.to_observable()) for s in syndrome_operators())
-    return SyndromeRecord(vals)
+    """Exact syndrome expectations, all three read from one Pauli vector of
+    the state; the state is left untouched."""
+    kernel._axes(state.labels, CODE_QUBITS)
+    return SyndromeRecord(_syndrome_values(kernel._raw(state), state.labels))
+
+
+def _syndrome_values(raw: np.ndarray, labels) -> tuple[float, float, float]:
+    """Raw :func:`measure_syndromes`: <S1>, <S2>, <S3> of a raw state vector
+    or density matrix on ``labels``."""
+    return _expectations(raw, labels, syndrome_operators())
 
 
 def predicted_syndrome_signs(error: PauliString) -> tuple[int, int, int]:

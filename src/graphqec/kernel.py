@@ -11,7 +11,11 @@ Every local operator is applied by one contraction helper, ``_apply_local``:
 it contracts a k-qubit matrix into chosen axes of the ``[2]*n`` amplitude
 tensor (or of the ``[2]*2n`` density tensor) with ``tensordot`` and moves
 the result back into place, so no operator is ever widened to the full
-register.
+register. The second primitive, ``_pauli_vector``, serves every Pauli
+expectation: it interleaves each qubit's (row, col) axes of the density
+tensor into one axis of size 4 and applies one constant 4x4 matrix to each
+axis in turn, so n small contractions give tr(rho P) for all 4^n Pauli words
+P at once, and a caller reads as many words as it needs from that vector.
 
 Validation happens at the boundary. The public constructors
 (``PureState``, ``DensityOperator``, ``Observable``) check their values, and
@@ -195,6 +199,31 @@ def _conjugate(tensor: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
     """U rho U^dagger on a ``[2]*2n`` density tensor; ``axes`` index the rows."""
     n = tensor.ndim // 2
     return _apply_local(_apply_local(tensor, u, axes), u.conj(), [n + a for a in axes])
+
+
+# Row P sends one qubit's density entries rho[a, b], flattened as 2a + b, to
+# sum_ab rho[a, b] P[b, a] = tr(rho P); rows in I, X, Y, Z order.
+_PAULI_TRANSFORM = np.stack([m.T.reshape(-1) for m in (I, X, Y, Z)])
+
+
+def _pauli_vector(raw: np.ndarray, n: int) -> np.ndarray:
+    """Real ``[4]*n`` array of tr(rho P) for every Pauli word P of a raw n-qubit
+    state vector or density matrix: axis k is the k-th qubit of the register,
+    with I=0, X=1, Y=2, Z=3.
+
+    Each pass contracts the transform into the leading axis and rotates that
+    axis to the back, so after n passes the axes are back in register order.
+    Raises ``ValueError`` if an entry has an imaginary part above 1e-9, as
+    :func:`expectation` does.
+    """
+    t = _density_matrix(raw).reshape([2] * (2 * n))
+    t = t.transpose([k for q in range(n) for k in (q, n + q)]).reshape(4, -1)
+    for _ in range(n):
+        t = (_PAULI_TRANSFORM @ t).T.reshape(4, -1)
+    imag = np.abs(t.imag).max()
+    if imag > EIG_ATOL:
+        raise ValueError(f"expectation has imaginary part {imag}")
+    return t.real.reshape([4] * n)
 
 
 def _bra(tensor: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:

@@ -125,16 +125,12 @@ class PauliString:
         return _dense(self, tuple(labels))
 
     def to_observable(self, labels=None) -> kernel.Observable:
-        """The word as an observable over ``labels`` (default: its support).
-
-        Memoized per (word, labels) like :meth:`dense`; the observable is
-        shared and immutable."""
-        if not self.is_hermitian:
-            raise ValueError(f"{self} has imaginary phase and is not an observable")
+        """The word as an observable over ``labels`` (default: its support)."""
+        _check_hermitian(self)
         labels = tuple(labels) if labels is not None else self.support
         if not labels:
             labels = (1,)
-        return _observable(self, labels)
+        return kernel.Observable(labels, self.dense(labels))
 
 
 @lru_cache(maxsize=128)
@@ -147,9 +143,40 @@ def _dense(p: PauliString, labels: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=128)
-def _observable(p: PauliString, labels: tuple[int, ...]) -> kernel.Observable:
-    return kernel.Observable(labels, p.dense(labels))
+def _check_hermitian(p: PauliString):
+    if not p.is_hermitian:
+        raise ValueError(f"{p} has imaginary phase and is not an observable")
+
+
+_LETTER_INDEX = {"X": 1, "Y": 2, "Z": 3}
+
+
+def _expectations(raw: np.ndarray, labels, words) -> tuple[float, ...]:
+    """Raw :func:`pauli_expectations`: one Pauli vector of a raw state vector
+    or density matrix on ``labels``, read at each word's index."""
+    vec = kernel._pauli_vector(raw, len(labels))
+    out = []
+    for p in words:
+        index = [0] * len(labels)
+        for q, letter in p.letters:
+            index[labels.index(q)] = _LETTER_INDEX[letter]
+        out.append(float(p.phase.real * vec[tuple(index)]))
+    return tuple(out)
+
+
+def pauli_expectations(state, words) -> tuple[float, ...]:
+    """Exact tr(rho P) of each Hermitian word P, in order.
+
+    All words are read from one Pauli vector of the state (see
+    ``kernel._pauli_vector``), so k words cost one contraction pass, not k.
+    Words with an imaginary phase or support outside the register are
+    refused with ``ValueError``.
+    """
+    words = tuple(words)
+    for p in words:
+        _check_hermitian(p)
+        kernel._axes(state.labels, p.support)
+    return _expectations(kernel._raw(state), state.labels, words)
 
 
 def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:

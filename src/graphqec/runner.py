@@ -21,12 +21,12 @@ import numpy as np
 
 from . import __version__, kernel, sampling
 from .code import (ANCILLA, CODE_QUBITS, PROBE_NAMES, PROBE_TARGETS, PROBES,
-                   _encoding_input, inject_pauli_error, logical_basis_states,
-                   logical_ops, measure_syndromes, parse_error_spec,
+                   SyndromeRecord, _encoding_input, _syndrome_values,
+                   logical_basis_states, logical_ops, parse_error_spec,
                    predicted_syndrome_signs, recover_average, recovery_recipe)
 from .graphs import RESOURCE, build_resource, stabilizer_generators
 from .kernel import DensityOperator, PureState
-from .pauli import PauliString
+from .pauli import PauliString, pauli_expectations
 from .sampling import (NoiseModel, apply_noise, counts_to_csv_rows,
                        monte_carlo_uncertainty, sample_setting_counts,
                        witness_settings, witness_value_from_counts)
@@ -133,7 +133,10 @@ class ExperimentConfig:
                 raise ConfigError({"noise": str(exc)}) from exc
         for key in ("probes", "formats"):
             if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+                try:
+                    kwargs[key] = tuple(kwargs[key])
+                except TypeError:
+                    raise ConfigError({key: f"must be a list, got {kwargs[key]!r}"}) from None
         try:
             return ExperimentConfig(**kwargs)
         except TypeError as exc:
@@ -360,9 +363,7 @@ def _run_resource_witness(cfg: ExperimentConfig):
     summary = {
         "resource5": block,
         "state_fidelity": state_fidelity(rho, ideal),
-        "stabilizer_expectations": {
-            str(k): kernel.expectation(rho, k.to_observable())
-            for k in stabilizer_generators(RESOURCE)},
+        "stabilizer_expectations": _stabilizer_expectations(rho, RESOURCE),
     }
     # persistency check: remove the ancilla with a Z measurement, then the
     # box witness on the remaining code qubits
@@ -379,6 +380,12 @@ def _run_resource_witness(cfg: ExperimentConfig):
                                           [r[2] for r in exact.terms],
                                           "resource witness terms")}
     return summary, tables, figures
+
+
+def _stabilizer_expectations(state, graph) -> dict:
+    """<K_v> of each stabilizer generator of ``graph``, keyed by its word."""
+    gens = stabilizer_generators(graph)
+    return dict(zip(map(str, gens), pauli_expectations(state, gens)))
 
 
 def _probe_witnesses(probe, rho) -> list:
@@ -493,21 +500,24 @@ def _run_syndrome_table(cfg: ExperimentConfig):
     rows = [("error", "location", "probe", "s1", "s2", "s3",
              "sign1", "sign2", "sign3", "pred1", "pred2", "pred3", "match")]
     mismatches = 0
-    encoded = {p: encoded_state(p, cfg.noise, cfg.byproduct) for p in cfg.probes}
+    encoded = {p: encoded_state(p, cfg.noise, cfg.byproduct).matrix for p in cfg.probes}
     err = parse_error_spec(cfg.error)  # one injected error, or the identity: all 12
     cases = [(err.letter(q), q) for q in err.support] \
         or [(letter, loc) for letter in "XYZ" for loc in CODE_QUBITS]
     for letter, loc in cases:
-        predicted = predicted_syndrome_signs(PauliString.single(loc, letter))
+        error = PauliString.single(loc, letter)
+        predicted = predicted_syndrome_signs(error)
         for probe in cfg.probes:
-            state = inject_pauli_error(encoded[probe], f"{letter}@{loc}")
-            rec = measure_syndromes(state)
+            # measured on the injected state, not derived from commutation, so
+            # the match column compares two independent computations
+            state = kernel._unitary(encoded[probe], CODE_QUBITS, error.dense((loc,)), (loc,))
+            rec = SyndromeRecord(_syndrome_values(state, CODE_QUBITS))
             match = rec.signs == predicted
             mismatches += 0 if match else 1
             rows.append((f"{letter}@{loc}", loc, probe,
                          *(round(v, 12) for v in rec.values),
                          *rec.signs, *predicted, match))
-    baseline = {p: measure_syndromes(encoded[p]).values for p in cfg.probes}
+    baseline = {p: _syndrome_values(encoded[p], CODE_QUBITS) for p in cfg.probes}
     summary = {
         "patterns_checked": (len(rows) - 1),
         "mismatches": mismatches,

@@ -18,6 +18,7 @@ import numpy as np
 from . import kernel
 from .code import PROBE_NAMES, logical_ops
 from .kernel import DensityOperator, PureState
+from .pauli import pauli_expectations
 
 PAULI_BASIS = ("I", "X", "Y", "Z")
 PAULI_MATS = tuple(kernel.PAULI[p] for p in PAULI_BASIS)
@@ -58,10 +59,10 @@ def logical_density_from_expectations(ex: float, ey: float, ez: float) -> Logica
 
 def logical_tomography(state) -> LogicalDensityMatrix:
     """rho_L = (I + <X_L> X + <Y_L> Y + <Z_L> Z) / 2 from the collective
-    logical bases of a four-qubit code state."""
+    logical bases of a four-qubit code state; the three logical expectations
+    are read from one Pauli vector of the state."""
     ops = logical_ops()
-    ex, ey, ez = (kernel.expectation(state, o.to_observable())
-                  for o in (ops.xbar, ops.ybar, ops.zbar))
+    ex, ey, ez = pauli_expectations(state, (ops.xbar, ops.ybar, ops.zbar))
     return logical_density_from_expectations(ex, ey, ez)
 
 

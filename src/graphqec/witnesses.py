@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import kernel
-from .pauli import PauliString
+from .pauli import PauliString, pauli_expectations
 
 
 @dataclass(frozen=True)
@@ -148,13 +147,14 @@ def builtin_witnesses(resource_as_printed: bool = False) -> dict[str, WitnessSpe
 def evaluate_witness(state, spec: WitnessSpec) -> WitnessResult:
     """constant - sum_k coeff_k <term_k>, tilde flags flipping term signs.
 
-    Also returns the per-term breakdown (signed and raw expectations) for
-    bar-chart style reporting.
+    Every term is read from one Pauli vector of the state
+    (:func:`.pauli.pauli_expectations`). Also returns the per-term breakdown
+    (signed and raw expectations) for bar-chart style reporting.
     """
     rows = []
     acc = 0.0
-    for t in spec.terms:
-        raw = kernel.expectation(state, t.word.to_observable())
+    values = pauli_expectations(state, (t.word for t in spec.terms))
+    for t, raw in zip(spec.terms, values):
         signed = t.sign * raw
         acc += float(t.coefficient) * signed
         rows.append((t.label(), float(t.coefficient), signed, raw))

@@ -466,3 +466,9 @@ class TestCheckedOnce:
         noise = NoiseModel(depolarizing={1: 0.03, 4: 0.02}, dephasing=0.01, visibility=0.9)
         run_experiment(ExperimentConfig(kind, noise, lost=2))
         assert len(constructions) == checked
+
+    def test_syndrome_table(self, constructions):
+        """One encoded state per probe; the 48 injected errors and their
+        syndromes run on raw matrices."""
+        run_experiment(ExperimentConfig("syndrome-table", NoiseModel(depolarizing=0.02)))
+        assert len(constructions) == 4

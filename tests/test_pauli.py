@@ -8,7 +8,7 @@ from graphqec import kernel
 from graphqec.graphs import build_resource
 from graphqec.pauli import (CliffordGate, PauliString, conjugate_pauli,
                             conjugate_sequence, cz, expand_logical, pauli_commutes,
-                            pauli_multiply)
+                            pauli_expectations, pauli_multiply)
 
 S1 = PauliString.parse("Y1 Z2 Z4 Y5")
 S2 = PauliString.parse("Y1 Z2 Y4 Z5")
@@ -198,3 +198,24 @@ class TestTextFormat:
     def test_parse_rejects_junk(self):
         with pytest.raises(ValueError, match="parse"):
             PauliString.parse("Q7")
+
+
+class TestPauliExpectations:
+    def test_resource_stabilizers_and_phases(self):
+        k3 = PauliString.parse("Z1 Z2 X3 Z4 Z5")
+        got = pauli_expectations(RESOURCE_STATE, (k3, PauliString(k3.letters, 2),
+                                                  PauliString.identity()))
+        np.testing.assert_allclose(got, (1.0, -1.0, 1.0), rtol=0, atol=1e-12)
+
+    def test_imaginary_phase_rejected(self):
+        with pytest.raises(ValueError, match="imaginary phase"):
+            pauli_expectations(RESOURCE_STATE, (PauliString.parse("+i X1"),))
+
+    def test_support_outside_register_rejected(self):
+        with pytest.raises(ValueError, match="outside the register"):
+            pauli_expectations(RESOURCE_STATE, (PauliString.parse("Z6"),))
+
+    def test_non_hermitian_state_rejected(self):
+        raw = np.diag([1, 0]).astype(complex) + np.array([[0, 1e-6], [0, 0]])
+        with pytest.raises(ValueError, match="imaginary part"):
+            kernel._pauli_vector(raw, 1)

@@ -6,7 +6,10 @@ encoding, loss and recovery pipeline against its step-by-step checked
 oracle, bit for bit, and process tomography through the Pauli transfer
 matrix against the chi-matrix sums and 16x16 solve it replaced. The encode
 and loss-recovery channels under random per-qubit noise must come out CPTP,
-and count records must survive the CSV round trip.
+and count records must survive the CSV round trip. Pauli expectations read
+from one Pauli vector must equal ``kernel.expectation`` term by term and
+rebuild the density matrix, and every witness's fidelity bound must hold on
+arbitrary states, not only on white noise.
 
 States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
@@ -21,15 +24,20 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracle
 from graphqec import kernel
-from graphqec.code import (CODE_QUBITS, PROBE_NAMES, PROBES, lose_qubit, recover,
-                           recover_average, recovery_recipe)
+from graphqec.code import (CODE_QUBITS, PROBE_NAMES, PROBES, logical_basis_states,
+                           lose_qubit, recover, recover_average, recovery_recipe)
+from graphqec.graphs import build_resource
 from graphqec.kernel import DensityOperator, Observable, PureState
+from graphqec.pauli import PauliString, pauli_expectations
 from graphqec.runner import (BYPRODUCT_MODES, ExperimentConfig, _calibrated_visibility,
                              _encoded_zero_fidelity, encoded_state, run_experiment)
 from graphqec.sampling import (CountRecord, NoiseModel, apply_noise, counts_from_csv_rows,
                                counts_to_csv_rows, estimate_expectation,
                                monte_carlo_uncertainty, outcome_probabilities)
-from graphqec.tomography import ChannelSample, ChiMatrix, bloch_affine, reconstruct_chi
+from graphqec.tomography import (ChannelSample, ChiMatrix, bloch_affine, reconstruct_chi,
+                                 state_fidelity)
+from graphqec.witnesses import (box_witness, evaluate_witness, fidelity_lower_bound,
+                                ghz_witness, resource_witness)
 
 ATOL = 1e-12
 PROPERTY = settings(deadline=None, max_examples=60)
@@ -97,6 +105,58 @@ def test_expectation_matches_oracle(state, data, seed):
     obs = Observable(targets, (m + m.conj().T) / 2)
     want = oracle.expectation(dense(state), state.labels, obs.matrix, targets)
     assert abs(kernel.expectation(state, obs) - want.real) < ATOL
+
+
+@st.composite
+def hermitian_words(draw, labels):
+    """A +1 or -1 phased Pauli word on a random subset of ``labels``."""
+    support = draw(st.lists(st.sampled_from(labels), max_size=len(labels), unique=True))
+    letters = {q: draw(st.sampled_from("IXYZ")) for q in support}
+    return PauliString.from_map(letters, draw(st.sampled_from((0, 2))))
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True), st.data())
+def test_pauli_expectations_match_expectation(labels, data):
+    state = data.draw(states(labels=tuple(labels)))
+    words = data.draw(st.lists(hermitian_words(state.labels), min_size=1, max_size=4))
+    got = pauli_expectations(state, words)
+    for word, value in zip(words, got):
+        assert abs(value - kernel.expectation(state, word.to_observable(state.labels))) < ATOL
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True), st.data())
+def test_pauli_vector_rebuilds_density(labels, data):
+    """rho = 2^-n sum_P v_P P, summed with the Pauli matrices themselves."""
+    state = data.draw(states(labels=tuple(labels)))
+    n = state.num_qubits
+    vec = kernel._pauli_vector(kernel._raw(state), n)
+    paulis = np.stack([kernel.I, kernel.X, kernel.Y, kernel.Z])
+    operands = [x for k in range(n) for x in (paulis, [k, n + k, 2 * n + k])]
+    rho = np.einsum(vec, list(range(n)), *operands, list(range(n, 3 * n)), optimize=True)
+    np.testing.assert_allclose(rho.reshape(2 ** n, 2 ** n) / 2 ** n, dense(state),
+                               rtol=0, atol=ATOL)
+
+
+def _witness_targets():
+    basis = logical_basis_states()
+    return {"resource5": (resource_witness(), build_resource()),
+            "box4": (box_witness(), basis["+"]),
+            "ghz4": (ghz_witness(), basis["0"])}
+
+
+@pytest.mark.parametrize("name", ("resource5", "box4", "ghz4"))
+@PROPERTY
+@given(st.data(), probabilities)
+def test_witness_bound_holds_on_every_state(name, data, weight):
+    """(1 - <W>) / 2 <= F on a random state mixed with the witness target at a
+    random weight, so that the bound is not only ever clamped to 0."""
+    spec, target = _witness_targets()[name]
+    other = dense(data.draw(states(labels=target.labels)))
+    rho = DensityOperator(target.labels, weight * dense(target) + (1 - weight) * other)
+    bound = fidelity_lower_bound(evaluate_witness(rho, spec).value)
+    assert bound <= state_fidelity(rho, target) + ATOL
 
 
 @PROPERTY

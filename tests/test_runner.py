@@ -220,6 +220,13 @@ class TestCli:
                          "--trials", "50"]) == 1
         assert "--trials" in capsys.readouterr().err
 
+    def test_analyze_counts_negative_seed_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("setting,outcome,count\nZ1 Z2,00,5\nZ1 Z2,11,7\n")
+        assert cli_main(["analyze-counts", "--in", str(path), "--witness", "pair2",
+                         "--seed", "-1"]) == 1
+        assert "--seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row, message", [
         ("Z1,0", "line 3: expected 3 fields"),
         ("Z1 Z2,00,abc", "line 3: count 'abc' is not an integer"),
@@ -269,6 +276,20 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert cli_main([command, "--config", str(path)]) == 1
         assert f"{field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, field", [
+        ({"probes": 5}, "probes"),
+        ({"formats": 5}, "formats"),
+        ({"formats": None}, "formats"),
+    ])
+    def test_non_list_config_field_exits_1(self, tmp_path, capsys, data, field):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({"kind": "encode-tomography", **data})
+        assert set(err.value.fields) == {field}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["encode", "--config", str(path)]) == 1
+        assert f"{field}: must be a list" in capsys.readouterr().err
 
     def test_build_resource_selfcheck(self, capsys):
         assert cli_main(["build-resource"]) == 0
