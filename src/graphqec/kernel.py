@@ -16,6 +16,9 @@ expectation: it interleaves each qubit's (row, col) axes of the density
 tensor into one axis of size 4 and applies one constant 4x4 matrix to each
 axis in turn, so n small contractions give tr(rho P) for all 4^n Pauli words
 P at once, and a caller reads as many words as it needs from that vector.
+Its readers are the witnesses, syndromes and logical tomography, and the
+count sampler, which Walsh-Hadamard transforms one ``[2]*n`` sub-cube of it
+into a product setting's outcome probabilities.
 
 Validation happens at the boundary. The public constructors
 (``PureState``, ``DensityOperator``, ``Observable``) check their values, and

@@ -26,14 +26,14 @@ from .code import (ANCILLA, CODE_QUBITS, PROBE_NAMES, PROBE_TARGETS, PROBES,
                    predicted_syndrome_signs, recover_average, recovery_recipe)
 from .graphs import RESOURCE, build_resource, stabilizer_generators
 from .kernel import DensityOperator, PureState
-from .pauli import PauliString, pauli_expectations
+from .pauli import PauliString, _expectations, pauli_expectations
 from .sampling import (NoiseModel, apply_noise, counts_to_csv_rows,
                        monte_carlo_uncertainty, sample_setting_counts,
                        witness_settings, witness_value_from_counts)
-from .tomography import (ChannelSample, average_probe_fidelity, bloch_image, chi_hadamard,
-                         chi_identity, logical_density_from_expectations, logical_tomography,
-                         process_fidelity, reconstruct_chi, sphere_average_fidelity,
-                         state_fidelity)
+from .tomography import (ChannelSample, _fidelity, average_probe_fidelity, bloch_image,
+                         chi_hadamard, chi_identity, logical_density_from_expectations,
+                         logical_tomography, process_fidelity, reconstruct_chi,
+                         sphere_average_fidelity, state_fidelity)
 from .witnesses import (box_witness, evaluate_witness, fidelity_lower_bound,
                         ghz_witness, pair_witness, resource_witness)
 
@@ -106,10 +106,16 @@ class ExperimentConfig:
         if bad_fmt:
             problems["formats"] = f"unknown formats {bad_fmt}, allowed {FORMATS}"
         try:
+            if not isinstance(self.error, str):
+                raise ValueError(f"must be an error spec like 'Z@1' or 'none', "
+                                 f"got {self.error!r}")
             if not set(parse_error_spec(self.error).support) <= set(CODE_QUBITS):
                 raise ValueError(f"must act on a code qubit {CODE_QUBITS}, got {self.error!r}")
         except ValueError as exc:
             problems["error"] = str(exc)
+        if self.out_dir is not None and (not isinstance(self.out_dir, str)
+                                         or "\0" in self.out_dir):
+            problems["out_dir"] = f"must be a directory path or null, got {self.out_dir!r}"
         if problems:
             raise ConfigError(problems)
         object.__setattr__(self, "probes", tuple(self.probes))
@@ -123,12 +129,8 @@ class ExperimentConfig:
             raise ConfigError({k: "unknown field" for k in unknown})
         kwargs = dict(data)
         if "noise" in kwargs and isinstance(kwargs["noise"], dict):
-            noise_args = dict(kwargs["noise"])
             try:
-                for key in ("depolarizing", "dephasing"):
-                    if isinstance(noise_args.get(key), dict):
-                        noise_args[key] = {int(k): v for k, v in noise_args[key].items()}
-                kwargs["noise"] = NoiseModel(**noise_args)
+                kwargs["noise"] = NoiseModel(**kwargs["noise"])
             except (TypeError, ValueError) as exc:
                 raise ConfigError({"noise": str(exc)}) from exc
         for key in ("probes", "formats"):
@@ -217,9 +219,14 @@ def encoded_state(probe: str, noise: NoiseModel, byproduct: str = "condition0") 
     byproduct correction at stage ``post-encoding``.
 
     The state stays a raw vector until the noise turns it into a density
-    matrix, every step works on raw arrays, and the result is validated
-    once, as the returned ``DensityOperator``.
+    matrix, every step works on raw arrays (see :func:`_encoded`), and the
+    result is validated once, as the returned ``DensityOperator``.
     """
+    return DensityOperator(CODE_QUBITS, _encoded(probe, noise, byproduct))
+
+
+def _encoded(probe: str, noise: NoiseModel, byproduct: str) -> np.ndarray:
+    """Raw density matrix of :func:`encoded_state`."""
     labels = (1, 2, 3, 4, 5)
     state = _encoding_input(PROBES[probe])
     if noise.stage == "post-resource":
@@ -233,8 +240,7 @@ def encoded_state(probe: str, noise: NoiseModel, byproduct: str = "condition0") 
         if noise.stage == "post-encoding":
             post = sampling._noise(post, post_labels, noise)
         branches.append((p, post))
-    rho = branches[0][1] if len(branches) == 1 else sum(p * b for p, b in branches)
-    return DensityOperator(CODE_QUBITS, rho)
+    return branches[0][1] if len(branches) == 1 else sum(p * b for p, b in branches)
 
 
 def _sampled_logical_expectations(rho, counts_per_setting, seed, stream_base) -> dict:
@@ -529,8 +535,8 @@ def _run_syndrome_table(cfg: ExperimentConfig):
 
 
 def _encoded_zero_fidelity(v: float, noise: NoiseModel) -> float:
-    rho = encoded_state("0", replace(noise, visibility=v), "condition0")
-    return state_fidelity(rho, logical_basis_states()["+"])
+    return _fidelity(_encoded("0", replace(noise, visibility=v), "condition0"),
+                     logical_basis_states()["+"].amplitudes)
 
 
 def _calibrated_visibility(f0: float, f1: float, target: float) -> float:
@@ -557,19 +563,23 @@ def _run_noise_sweep(cfg: ExperimentConfig):
     v* comes in closed form from the sweep's first and last rows, F(0) and
     F(1) (see :func:`_calibrated_visibility`), and the fidelity at v* is read
     from the encoded |0> built for the witnesses, so one sweep builds the
-    encoded |0> ``sweep_points + 1`` times.
+    encoded |0> ``sweep_points + 1`` times. The sweep rows only read one
+    value each from their states, so they stay raw arrays; the states at v*
+    are reported, and checked.
     """
     ideal5 = build_resource()
     spec = resource_witness()
+    words = [t.word for t in spec.terms]
     rows = [("visibility", "encoded0_fidelity", "resource_witness",
              "fidelity_lower_bound", "resource_fidelity", "bound_holds")]
     fidelities = []
     for v in np.linspace(0.0, 1.0, cfg.sweep_points):  # endpoints exactly 0.0 and 1.0
         v = float(v)
-        rho5 = apply_noise(ideal5, replace(cfg.noise, visibility=v))
-        wit = evaluate_witness(rho5, spec).value
+        rho5 = sampling._noise(ideal5.amplitudes, ideal5.labels,
+                               replace(cfg.noise, visibility=v))
+        wit = spec.value(_expectations(rho5, ideal5.labels, words))
         bound = fidelity_lower_bound(wit)
-        fid5 = state_fidelity(rho5, ideal5)
+        fid5 = _fidelity(rho5, ideal5.amplitudes)
         fidelities.append(_encoded_zero_fidelity(v, cfg.noise))
         rows.append((round(v, 12), round(fidelities[-1], 12),
                      round(wit, 12), round(bound, 12), round(fid5, 12),

@@ -3,9 +3,12 @@
 Experimental imperfection is emulated with per-qubit depolarizing and
 dephasing maps plus a global white-noise admixture; finite statistics are
 emulated by drawing a Poisson-distributed total per measurement setting and
-multinomial counts over outcomes. All sampling is reproducible: the same
-(seed, stream) pair always yields the same histogram, and distinct streams
-are independent.
+multinomial counts over outcomes. The outcome probabilities of a product
+setting are read from the state's Pauli vector: the expectations of the
+setting's letters on every subset of the qubits, Walsh-Hadamard transformed
+once per qubit (see :func:`outcome_probabilities`). All sampling is
+reproducible: the same (seed, stream) pair always yields the same
+histogram, and distinct streams are independent.
 
 A histogram over k measured qubits is a :class:`CountRecord` holding a dense
 int64 count vector of length 2^k indexed by ``int(bits, 2)``, which is also
@@ -22,18 +25,19 @@ per call and calls the statistic once on the trial-batched records; see
 from __future__ import annotations
 
 import functools
+import numbers
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
+from . import kernel, pauli
 from .kernel import DensityOperator
 from .witnesses import WitnessSpec
 
-# Basis-change unitaries mapping basis eigenvectors onto |0>, |1>: row s is
-# the conjugate of the eigenvector for outcome s.
-_TO_Z = {b: np.array(vs).conj() for b, vs in kernel.BASIS_VECTORS.items()}
+# The 2x2 Walsh-Hadamard matrix: it sends (<I>, <P>) of one qubit to the
+# unnormalized probabilities of the +1 and -1 outcomes of measuring P.
+_WALSH = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 _MC_STREAM = 0x4D43  # reserved stream id for Monte Carlo resampling
 
@@ -54,15 +58,25 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(stream)))
 
 
+def _probability(p, name: str) -> float:
+    """``p`` as a float, if it is a real number (not a bool) in [0, 1]."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
+        raise ValueError(f"{name} must be a probability in [0,1], got {p!r}")
+    return float(p)
+
+
 def _per_qubit(value, name: str) -> dict[int, float] | float:
-    if isinstance(value, dict):
-        items = {int(q): float(p) for q, p in value.items()}
-        bad = {q: p for q, p in items.items() if not 0 <= p <= 1}
-    else:
-        items = float(value)
-        bad = {} if 0 <= items <= 1 else {"*": items}
-    if bad:
-        raise ValueError(f"{name} probabilities out of [0,1]: {bad}")
+    """One probability for every qubit, or a map from qubit (an int or its
+    decimal string, as JSON keys are) to probability."""
+    if not isinstance(value, dict):
+        return _probability(value, name)
+    items = {}
+    for q, p in value.items():
+        try:
+            q = int(q)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} qubit {q!r} is not an integer") from None
+        items[q] = _probability(p, f"{name} of qubit {q}")
     return items
 
 
@@ -92,8 +106,7 @@ class NoiseModel:
     def __post_init__(self):
         object.__setattr__(self, "depolarizing", _per_qubit(self.depolarizing, "depolarizing"))
         object.__setattr__(self, "dephasing", _per_qubit(self.dephasing, "dephasing"))
-        if not 0 <= self.visibility <= 1:
-            raise ValueError(f"visibility {self.visibility} out of [0,1]")
+        _probability(self.visibility, "visibility")
         if self.stage not in ("post-resource", "post-encoding"):
             raise ValueError(f"unknown noise stage {self.stage!r}")
 
@@ -211,14 +224,24 @@ def _setting_label(setting) -> str:
 
 def outcome_probabilities(state, bases: dict[int, str]) -> np.ndarray:
     """Joint outcome probabilities for measuring every qubit in its basis,
-    as a float vector laid out as :attr:`CountRecord.dense`."""
+    as a float vector laid out as :attr:`CountRecord.dense`.
+
+    Read from the state's Pauli vector: the ``[2]*n`` sub-cube of
+    ``kernel._pauli_vector`` whose axis q holds <I> and <P_q>, P_q the
+    qubit's basis, is Walsh-Hadamard transformed on every axis, so that
+    p(b) = 2^-n sum_S (-1)^(b.S) <prod_{q in S} P_q> with bit 0 meaning the
+    +1 eigenvalue. Negative rounding residue is clipped and the vector
+    renormalized.
+    """
     n = state.num_qubits
-    t = kernel._density_matrix(kernel._raw(state)).reshape([2] * (2 * n))
-    for i, q in enumerate(state.labels):
+    for q in state.labels:
         if q not in bases:
             raise ValueError(f"no basis given for qubit {q}")
-        t = kernel._conjugate(t, _TO_Z[bases[q]], (i,))
-    probs = np.clip(np.diagonal(t.reshape(2 ** n, 2 ** n)).real, 0.0, None)
+    v = kernel._pauli_vector(kernel._raw(state), n)
+    t = v[np.ix_(*[(0, pauli._LETTER_INDEX[bases[q]]) for q in state.labels])].reshape(2, -1)
+    for _ in range(n):
+        t = (_WALSH @ t).T.reshape(2, -1)
+    probs = np.clip(t.reshape(-1) / 2 ** n, 0.0, None)
     return probs / probs.sum()
 
 

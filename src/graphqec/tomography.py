@@ -74,9 +74,13 @@ def state_fidelity(rho, target: PureState) -> float:
         raise ValueError(f"registers differ: {rho.labels} vs {target.labels}")
     if rho.labels != target.labels:
         target = kernel.reorder(target, rho.labels)
-    rho_matrix = kernel._density_matrix(kernel._raw(rho))
-    val = np.vdot(target.amplitudes, rho_matrix @ target.amplitudes).real
-    return float(val)
+    return _fidelity(kernel._density_matrix(kernel._raw(rho)), target.amplitudes)
+
+
+def _fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
+    """Raw :func:`state_fidelity`: <psi| rho |psi> of a density matrix and a
+    state vector on the same register."""
+    return float(np.vdot(psi, rho @ psi).real)
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,6 +48,12 @@ class WitnessSpec:
     def qubits(self) -> tuple[int, ...]:
         return tuple(sorted({q for t in self.terms for q in t.word.support}))
 
+    def value(self, expectations) -> float:
+        """constant - sum_k coeff_k sign_k <word_k>, from the exact
+        expectations of the terms' words in term order."""
+        return float(self.constant) - sum(float(t.coefficient) * (t.sign * e)
+                                          for t, e in zip(self.terms, expectations))
+
 
 @dataclass(frozen=True)
 class WitnessResult:
@@ -151,15 +157,10 @@ def evaluate_witness(state, spec: WitnessSpec) -> WitnessResult:
     (:func:`.pauli.pauli_expectations`). Also returns the per-term breakdown
     (signed and raw expectations) for bar-chart style reporting.
     """
-    rows = []
-    acc = 0.0
     values = pauli_expectations(state, (t.word for t in spec.terms))
-    for t, raw in zip(spec.terms, values):
-        signed = t.sign * raw
-        acc += float(t.coefficient) * signed
-        rows.append((t.label(), float(t.coefficient), signed, raw))
-    value = float(spec.constant) - acc
-    return WitnessResult(value, tuple(rows))
+    rows = tuple((t.label(), float(t.coefficient), t.sign * raw, raw)
+                 for t, raw in zip(spec.terms, values))
+    return WitnessResult(spec.value(values), rows)
 
 
 def fidelity_lower_bound(value: float) -> float:

@@ -472,3 +472,11 @@ class TestCheckedOnce:
         syndromes run on raw matrices."""
         run_experiment(ExperimentConfig("syndrome-table", NoiseModel(depolarizing=0.02)))
         assert len(constructions) == 4
+
+    def test_noise_sweep(self, constructions):
+        """Only the states at v* are checked: the resource, the three encoded
+        probes and the two pair reductions of |+y>; the 11 sweep rows read
+        their witness and fidelities from raw matrices."""
+        run_experiment(ExperimentConfig("noise-sweep", NoiseModel(depolarizing=0.05,
+                                                                   visibility=0.8)))
+        assert len(constructions) == 6

@@ -8,13 +8,16 @@ matrix against the chi-matrix sums and 16x16 solve it replaced. The encode
 and loss-recovery channels under random per-qubit noise must come out CPTP,
 and count records must survive the CSV round trip. Pauli expectations read
 from one Pauli vector must equal ``kernel.expectation`` term by term and
-rebuild the density matrix, and every witness's fidelity bound must hold on
-arbitrary states, not only on white noise.
+rebuild the density matrix, and outcome probabilities must transform back
+into them; every witness's fidelity bound must hold on arbitrary states, not
+only on white noise, and loss recovery must return Haar-random inputs on
+every branch.
 
 States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
 targets such as (5, 2) are non-adjacent and out of register order.
 """
+import itertools
 import warnings
 from types import SimpleNamespace
 
@@ -24,8 +27,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracle
 from graphqec import kernel
-from graphqec.code import (CODE_QUBITS, PROBE_NAMES, PROBES, logical_basis_states,
-                           lose_qubit, recover, recover_average, recovery_recipe)
+from graphqec.code import (CODE_QUBITS, PROBE_NAMES, PROBES, AncillaState, encode,
+                           logical_basis_states, logical_ops, lose_qubit, recover,
+                           recover_average, recovery_recipe)
 from graphqec.graphs import build_resource
 from graphqec.kernel import DensityOperator, Observable, PureState
 from graphqec.pauli import PauliString, pauli_expectations
@@ -196,6 +200,24 @@ def test_outcome_probabilities_match_oracle(state, data):
         assert abs(got[int(bits, 2)] - p) < ATOL
 
 
+@PROPERTY
+@given(states(), st.data())
+def test_outcome_probabilities_invert_to_pauli_expectations(state, data):
+    """The Walsh-Hadamard read run backwards: the parity of the outcome bits
+    on any subset S of the setting, averaged over p, is the expectation of
+    the setting's word restricted to S."""
+    bases = {q: data.draw(st.sampled_from("XYZ")) for q in state.labels}
+    probs = outcome_probabilities(state, bases)
+    k = state.num_qubits
+    bits = (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1  # row b, column i
+    for mask in itertools.product((0, 1), repeat=k):
+        support = [q for q, m in zip(state.labels, mask) if m]
+        parity = probs @ (1 - 2 * ((bits @ np.array(mask)) & 1))
+        (want,) = pauli_expectations(state, [PauliString.from_map(
+            {q: bases[q] for q in support})])
+        assert abs(parity - want) < ATOL, (support, parity, want)
+
+
 @st.composite
 def noise_maps(draw, labels, stage="post-encoding"):
     """A uniform rate, or a per-qubit map over some of the register."""
@@ -363,6 +385,34 @@ def test_lose_and_recover_match_checked_oracle(lost, data, seed):
     want_s, want = oracle.recover(reduced, recipe, forced, np.random.default_rng(seed))
     assert got_s == want_s and got.labels == want.labels
     assert np.array_equal(got.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("lost", CODE_QUBITS)
+@PIPELINE
+@given(seeds, st.sampled_from((0, 1)))
+def test_recovery_restores_haar_random_input(lost, seed, s3):
+    """Encode a Haar-random input on either ancilla outcome (the byproduct
+    X_L removed), lose a code qubit, and every helper-outcome branch that
+    can occur returns the input on the recipe's output qubit."""
+    g = np.random.default_rng(seed).normal(size=(2, 2))
+    alpha, beta = (g[0] + 1j * g[1]) / np.linalg.norm(g)
+    _, state = encode(AncillaState(alpha, beta), forced_s3=s3)
+    if s3:
+        xbar = logical_ops().xbar
+        state = kernel.apply_unitary(state, xbar.dense(xbar.support), xbar.support)
+    recipe = recovery_recipe(lost)
+    reduced = lose_qubit(state, lost)
+    target = PureState.single(recipe.output, [alpha, beta])
+    branches = 0
+    for outcomes in itertools.product((0, 1), repeat=2):
+        try:
+            _, out = recover(reduced, recipe, outcomes)
+        except kernel.ZeroProbabilityError:
+            continue
+        branches += 1
+        fidelity = state_fidelity(out, target)
+        assert fidelity >= 1 - 1e-9, (outcomes, fidelity)
+    assert branches > 0
 
 
 @st.composite

@@ -1,10 +1,18 @@
+import contextlib
+import dataclasses
+import io
 import json
+import math
+import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphqec import runner
-from graphqec.cli import cli_main
+from graphqec.cli import _KIND_BY_COMMAND, cli_main
 from graphqec.runner import (ConfigError, ExperimentConfig, encoded_state,
                              run_experiment)
 from graphqec.sampling import NoiseModel
@@ -116,14 +124,15 @@ class TestExperiments:
         assert bundle.summary["all_match"] is True
 
     def test_noise_sweep_encodes_only_witnessed_probes(self, monkeypatch):
-        # sweep_points encodings of |0>, then |0>, |+> and |+y> at v*
+        # sweep_points raw encodings of |0>, then |0>, |+> and |+y> at v*
         calls = []
+        encode = runner._encoded
 
         def counted(probe, *args):
             calls.append(probe)
-            return encoded_state(probe, *args)
+            return encode(probe, *args)
 
-        monkeypatch.setattr(runner, "encoded_state", counted)
+        monkeypatch.setattr(runner, "_encoded", counted)
         run_experiment(ExperimentConfig.from_dict({"kind": "noise-sweep"}))
         assert len(calls) == 14
         assert calls[-3:] == ["0", "+", "+y"]
@@ -267,6 +276,8 @@ class TestCli:
         ("witness", {"counts_per_setting": 1e30}, "counts_per_setting"),
         ("witness", {"counts_per_setting": float("inf")}, "counts_per_setting"),
         ("syndrome", {"error": "Z@3"}, "error"),
+        ("syndrome", {"error": 5}, "error"),
+        ("witness", {"out_dir": 5}, "out_dir"),
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, command, data, field):
         with pytest.raises(ConfigError) as err:
@@ -329,3 +340,46 @@ class TestCli:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["provenance"]["seed"] == 2
         assert summary["provenance"]["config"]["noise"]["visibility"] == 0.9
+
+
+# One wrong value of each kind the config file can carry: a string, a bool,
+# a list, null, NaN, a negative number or a nested object. The strings avoid
+# "/" and "." so that an accepted ``out_dir`` stays inside the working
+# directory.
+WRONG_VALUES = st.one_of(
+    st.text(alphabet="ab0@+-Z\0 ", max_size=4), st.booleans(),
+    st.lists(st.integers(-2, 2), max_size=2), st.none(), st.just(math.nan),
+    st.integers(max_value=-1), st.floats(max_value=-1e-3, allow_infinity=False),
+    st.dictionaries(st.sampled_from(["a", "1", "q2"]),
+                    st.one_of(st.integers(-1, 1), st.text(max_size=2)), max_size=2))
+
+# The command sets ``kind``, so a config file's ``kind`` never reaches the runner.
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "kind"]
+NOISE_FIELDS = [f.name for f in dataclasses.fields(NoiseModel)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(command=st.sampled_from(sorted(_KIND_BY_COMMAND)),
+       path=st.one_of(st.tuples(st.sampled_from(CONFIG_FIELDS)),
+                      st.tuples(st.just("noise"), st.sampled_from(NOISE_FIELDS))),
+       value=WRONG_VALUES)
+def test_wrong_config_value_exits_0_or_names_the_field(command, path, value):
+    """Any wrong-typed or out-of-range value of one field of a valid config
+    runs (exit 0) or exits 1 naming the field, and the noise sub-field when
+    the value sits in ``noise``; it never reaches a runtime error (exit 2)."""
+    data = {"trials": 100, "sweep_points": 3, "counts_per_setting": 500,
+            "noise": {"depolarizing": 0.02, "visibility": 0.9}}
+    (data["noise"] if len(path) == 2 else data)[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            pathlib.Path("cfg.json").write_text(json.dumps(data))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli_main([command, "--config", "cfg.json"])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert all(key in err.getvalue() for key in path), err.getvalue()
