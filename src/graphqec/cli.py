@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import pathlib
 import sys
 
 from . import kernel
@@ -91,11 +92,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _open(path: str, flag: str, **kwargs):
+    """``open(path)`` for reading; a path that cannot be opened (missing, a
+    directory, unreadable) is a usage error naming ``flag``."""
+    try:
+        return open(path, **kwargs)
+    except OSError as exc:
+        raise ConfigError({flag: f"cannot open {path!r}: {exc.strerror}"}) from None
+
+
 def _config_from_args(args) -> ExperimentConfig:
     data = {}
     if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
+        with _open(args.config, "--config") as fh:
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError({"--config": f"not valid JSON: {exc}"}) from None
+        if not isinstance(data, dict):
+            raise ConfigError({"--config": f"must hold a JSON object, got {data!r}"})
     data["kind"] = _KIND_BY_COMMAND[args.command]
     if args.seed is not None:
         data["seed"] = args.seed
@@ -137,6 +152,13 @@ def _emit(bundle: ReportBundle, args, report: str | None = None) -> None:
     """Write the bundle if an output directory is set, then print ``report``
     if given, else the written paths or, with no directory, the summary."""
     out = args.out or bundle.provenance["config"].get("out_dir")
+    if out:
+        try:
+            pathlib.Path(out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            flag = "--out" if args.out else "out_dir"
+            raise ConfigError({flag: f"cannot create directory {out!r}: {exc.strerror}"}) \
+                from None
     written = bundle.write(out) if out else []
     if report is not None:
         print(report)
@@ -149,14 +171,15 @@ def _emit(bundle: ReportBundle, args, report: str | None = None) -> None:
 
 def _cmd_build_resource(args) -> int:
     if args.graph:
-        with open(args.graph) as fh:
+        with _open(args.graph, "--graph") as fh:
             try:
                 g = Graph.from_dict(json.load(fh))
+                state = graph_state(g)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError({"graph": f"bad graph literal: {exc}"}) from exc
         report = {
             "graph": g.to_dict(),
-            "stabilizer_expectations": _stabilizer_expectations(graph_state(g), g),
+            "stabilizer_expectations": _stabilizer_expectations(state, g),
         }
     else:
         built = build_resource()
@@ -177,7 +200,7 @@ def _cmd_analyze_counts(args) -> int:
         problems["--seed"] = f"must be a non-negative integer, got {args.seed}"
     if problems:
         raise ConfigError(problems)
-    with open(args.infile, newline="") as fh:
+    with _open(args.infile, "--in", newline="") as fh:
         rows = list(csv.reader(fh))
     records = counts_from_csv_rows(rows)
     spec = builtin_witnesses(resource_as_printed=args.as_printed)[args.witness]
@@ -218,7 +241,7 @@ def cli_main(argv=None) -> int:
             report = "({:+d}, {:+d}, {:+d})".format(*row[6:9])
         _emit(bundle, args, report)
         return 0
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

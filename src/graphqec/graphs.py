@@ -8,6 +8,7 @@ attached to every code qubit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,18 +24,20 @@ class Graph:
     edges: frozenset[frozenset[int]]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(int(v) for v in self.vertices))
-        edges = frozenset(frozenset(int(x) for x in e) for e in self.edges)
+        object.__setattr__(self, "vertices", frozenset(map(_vertex, self.vertices)))
+        if not self.vertices:
+            raise ValueError("graph has no vertices")
+        edges = [tuple(map(_vertex, e)) for e in self.edges]
         for e in edges:
-            if len(e) != 2:
-                raise ValueError(f"edge {set(e)} is not a pair (self-loops not allowed)")
-            if not e <= self.vertices:
-                raise ValueError(f"edge {set(e)} references unknown vertices")
-        object.__setattr__(self, "edges", edges)
+            if len(e) != 2 or e[0] == e[1]:
+                raise ValueError(f"edge {list(e)} is not a pair (self-loops not allowed)")
+            if not set(e) <= self.vertices:
+                raise ValueError(f"edge {list(e)} references unknown vertices")
+        object.__setattr__(self, "edges", frozenset(map(frozenset, edges)))
 
     @staticmethod
     def from_edges(vertices, edge_pairs) -> "Graph":
-        return Graph(frozenset(vertices), frozenset(frozenset(p) for p in edge_pairs))
+        return Graph(vertices, edge_pairs)  # checked and frozen by __post_init__
 
     @staticmethod
     def from_dict(data: dict) -> "Graph":
@@ -49,6 +52,13 @@ class Graph:
 
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
+
+
+def _vertex(v) -> int:
+    """``v`` as an int, if it is an integer and not a bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"vertex {v!r} is not an integer")
+    return int(v)
 
 
 PATH5 = Graph.from_edges(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5)])

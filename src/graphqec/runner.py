@@ -5,6 +5,11 @@ machine-readable bundle: a summary JSON, CSV tables and optional SVG
 figures, together with a provenance block (config hash, seed, version).
 Re-running with an identical config and seed reproduces the bundle
 byte for byte.
+
+Tables and figures hold Python scalars only: a block of floats is rounded
+and converted once, at the array, with ``np.round(a, 12).tolist()``, never
+cell by cell, so no numpy scalar reaches the CSV or SVG writers. The summary
+reaches the JSON writer through :func:`_sanitize`.
 """
 from __future__ import annotations
 
@@ -295,21 +300,22 @@ def _bloch_grid() -> np.ndarray:
     return np.array(pts, dtype=float)
 
 
+def _rounded(a) -> list:
+    """``a`` rounded to 12 decimals as nested lists of Python floats."""
+    return np.round(a, 12).tolist()
+
+
 def _bloch_table(grid, mapped) -> list:
     rows = [("x_in", "y_in", "z_in", "x_out", "y_out", "z_out")]
-    for pin, pout in zip(grid, mapped):
-        rows.append(tuple(round(v, 12) for v in (*pin, *pout)))
+    rows += map(tuple, _rounded(np.hstack([grid, mapped])))
     return rows
 
 
 def _chi_table(chi) -> list:
     names = ("I", "X", "Y", "Z")
-    rows = [("row", "col", "re", "im")]
-    for i in range(4):
-        for j in range(4):
-            val = chi.matrix[i, j]
-            rows.append((names[i], names[j], round(val.real, 12), round(val.imag, 12)))
-    return rows
+    real, imag = _rounded(chi.matrix.real), _rounded(chi.matrix.imag)
+    return [("row", "col", "re", "im")] + [(names[i], names[j], real[i][j], imag[i][j])
+                                           for i in range(4) for j in range(4)]
 
 
 def _witness_table(named_results) -> list:
@@ -445,9 +451,9 @@ def _run_encode_tomography(cfg: ExperimentConfig):
             entry["sampled"] = {"unphysical": True, "detail": str(exc),
                                 "expectations": est}
         summary["probes"][probe] = entry
-        for (r, c) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            val = ldm.matrix[r, c]
-            matrix_rows.append((probe, f"{r}{c}", round(val.real, 12), round(val.imag, 12)))
+        real, imag = _rounded(ldm.matrix.real), _rounded(ldm.matrix.imag)
+        matrix_rows += [(probe, f"{r}{c}", real[r][c], imag[r][c])
+                        for r in (0, 1) for c in (0, 1)]
     tables = {"logical_matrices": matrix_rows}
     return summary, tables, {}
 
@@ -463,7 +469,7 @@ def _channel_report(outputs: dict, chi_ref, title: str):
     grid = _bloch_grid()
     mapped = bloch_image(chi, grid)
     tables = {"bloch_points": _bloch_table(grid, mapped), "chi": _chi_table(chi)}
-    figures = {"bloch": _svg_bloch(grid, mapped, title)}
+    figures = {"bloch": _svg_bloch(grid.tolist(), mapped.tolist(), title)}
     return _chi_block(chi, chi_ref), tables, figures
 
 
@@ -563,9 +569,11 @@ def _run_noise_sweep(cfg: ExperimentConfig):
     v* comes in closed form from the sweep's first and last rows, F(0) and
     F(1) (see :func:`_calibrated_visibility`), and the fidelity at v* is read
     from the encoded |0> built for the witnesses, so one sweep builds the
-    encoded |0> ``sweep_points + 1`` times. The sweep rows only read one
-    value each from their states, so they stay raw arrays; the states at v*
-    are reported, and checked.
+    encoded |0> ``sweep_points + 1`` times. The resource's per-qubit noise
+    does not depend on v, so it is applied once and each row only mixes in
+    its white noise. The sweep rows only read one value each from their
+    states, so they stay raw arrays; the states at v* are reported, and
+    checked.
     """
     ideal5 = build_resource()
     spec = resource_witness()
@@ -573,10 +581,10 @@ def _run_noise_sweep(cfg: ExperimentConfig):
     rows = [("visibility", "encoded0_fidelity", "resource_witness",
              "fidelity_lower_bound", "resource_fidelity", "bound_holds")]
     fidelities = []
+    local5 = sampling._local_noise(ideal5.amplitudes, ideal5.labels, cfg.noise)
     for v in np.linspace(0.0, 1.0, cfg.sweep_points):  # endpoints exactly 0.0 and 1.0
         v = float(v)
-        rho5 = sampling._noise(ideal5.amplitudes, ideal5.labels,
-                               replace(cfg.noise, visibility=v))
+        rho5 = sampling._white(local5, v)
         wit = spec.value(_expectations(rho5, ideal5.labels, words))
         bound = fidelity_lower_bound(wit)
         fid5 = _fidelity(rho5, ideal5.amplitudes)

@@ -126,8 +126,14 @@ def apply_noise(state, model: NoiseModel) -> DensityOperator:
 
 
 def _noise(raw: np.ndarray, labels, model: NoiseModel) -> np.ndarray:
-    """Raw :func:`apply_noise` of a state vector or density matrix; the
-    input is not modified."""
+    """Raw :func:`apply_noise` of a state vector or density matrix, the
+    composition ``_white`` ∘ ``_local_noise``; the input is not modified."""
+    return _white(_local_noise(raw, labels, model), model.visibility)
+
+
+def _local_noise(raw: np.ndarray, labels, model: NoiseModel) -> np.ndarray:
+    """Density matrix of ``raw`` after each qubit's depolarizing and
+    dephasing map, a new array."""
     n = len(labels)
     t = np.array(kernel._density_matrix(raw)).reshape([2] * (2 * n))
     for i, q in enumerate(labels):
@@ -141,10 +147,13 @@ def _noise(raw: np.ndarray, labels, model: NoiseModel) -> np.ndarray:
         if dq > 0:
             blocks[0, 1] *= 1 - 2 * dq
             blocks[1, 0] *= 1 - 2 * dq
-    dim = 2 ** n
-    rho = t.reshape(dim, dim)
-    v = model.visibility
+    return t.reshape(2 ** n, 2 ** n)
+
+
+def _white(rho: np.ndarray, v: float) -> np.ndarray:
+    """v rho + (1 - v) I / dim; ``rho`` itself when v = 1."""
     if v < 1:
+        dim = len(rho)
         rho = v * rho + (1 - v) * np.eye(dim) / dim
     return rho
 

@@ -17,9 +17,28 @@ class TestGraphType:
         with pytest.raises(ValueError, match="pair"):
             Graph.from_edges((1, 2), [(1, 1)])
 
+    @pytest.mark.parametrize("edge", [(1, 2, 2), (1,)])
+    def test_rejects_edge_of_other_length(self, edge):
+        # a frozenset would read (1, 2, 2) as the pair {1, 2}
+        with pytest.raises(ValueError, match="pair"):
+            Graph.from_edges((1, 2), [edge])
+
     def test_rejects_unknown_vertex(self):
         with pytest.raises(ValueError, match="unknown"):
             Graph.from_edges((1, 2), [(1, 3)])
+
+    def test_rejects_empty_vertex_set(self):
+        with pytest.raises(ValueError, match="no vertices"):
+            Graph.from_edges((), [])
+
+    @pytest.mark.parametrize("vertices, edges", [
+        ((1.5,), []), ((True, 2), []), ((1, True), []), (("1", 2), []),
+        ((1, 2), [(1, 2.0)]), ((1, 2), [(False, 2)]),
+    ])
+    def test_rejects_vertex_that_is_not_an_integer(self, vertices, edges):
+        # int() would truncate 1.5 and read True as 1
+        with pytest.raises(ValueError, match="not an integer"):
+            Graph.from_edges(vertices, edges)
 
     def test_neighbors(self):
         assert PATH5.neighbors(3) == {2, 4}

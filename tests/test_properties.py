@@ -11,7 +11,9 @@ from one Pauli vector must equal ``kernel.expectation`` term by term and
 rebuild the density matrix, and outcome probabilities must transform back
 into them; every witness's fidelity bound must hold on arbitrary states, not
 only on white noise, and loss recovery must return Haar-random inputs on
-every branch.
+every branch. Symbolic Pauli conjugation through random Clifford sequences
+must match the dense product, and the runner's bundle tables, rounded at the
+array, must print every float as the numpy scalar ``round`` would.
 
 States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
@@ -24,6 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracle
 from graphqec import kernel
@@ -32,9 +35,10 @@ from graphqec.code import (CODE_QUBITS, PROBE_NAMES, PROBES, AncillaState, encod
                            recover_average, recovery_recipe)
 from graphqec.graphs import build_resource
 from graphqec.kernel import DensityOperator, Observable, PureState
-from graphqec.pauli import PauliString, pauli_expectations
-from graphqec.runner import (BYPRODUCT_MODES, ExperimentConfig, _calibrated_visibility,
-                             _encoded_zero_fidelity, encoded_state, run_experiment)
+from graphqec.pauli import CliffordGate, PauliString, conjugate_sequence, pauli_expectations
+from graphqec.runner import (BYPRODUCT_MODES, ExperimentConfig, _bloch_table,
+                             _calibrated_visibility, _chi_table, _encoded_zero_fidelity,
+                             encoded_state, run_experiment)
 from graphqec.sampling import (CountRecord, NoiseModel, apply_noise, counts_from_csv_rows,
                                counts_to_csv_rows, estimate_expectation,
                                monte_carlo_uncertainty, outcome_probabilities)
@@ -127,6 +131,51 @@ def test_pauli_expectations_match_expectation(labels, data):
     got = pauli_expectations(state, words)
     for word, value in zip(words, got):
         assert abs(value - kernel.expectation(state, word.to_observable(state.labels))) < ATOL
+
+
+@st.composite
+def clifford_gates(draw, labels=(1, 2, 3)):
+    kind = draw(st.sampled_from(("CZ", *sorted(CliffordGate._ONE_QUBIT))))
+    targets = draw(st.permutations(labels))[:2 if kind == "CZ" else 1]
+    return CliffordGate(kind, tuple(targets))
+
+
+@PROPERTY
+@given(st.lists(clifford_gates(), min_size=1, max_size=6),
+       hermitian_words((1, 2, 3)), st.integers(0, 3))
+def test_conjugate_sequence_matches_dense_product(gates, word, phase_power):
+    labels = (1, 2, 3)
+    p = PauliString(word.letters, phase_power)
+    u = np.eye(2 ** len(labels))
+    for gate in gates:  # first gate applied first
+        u = oracle.embed_operator(gate.matrix, gate.targets, labels) @ u
+    got = conjugate_sequence(gates, p).dense(labels)
+    np.testing.assert_allclose(got, u @ p.dense(labels) @ u.conj().T, rtol=0, atol=ATOL)
+
+
+# Floats a bundle table may hold: values of order one, tiny values of either
+# sign (both zeros included), and values within 1e-15 of a point halfway
+# between two neighbours on the 12-decimal grid.
+table_floats = st.one_of(
+    st.floats(-2.0, 2.0), st.floats(-1e-11, 1e-11),
+    st.builds(lambda k, d: (k + 0.5) * 1e-12 + d,
+              st.integers(-10 ** 12, 10 ** 12), st.floats(-1e-15, 1e-15)))
+
+
+@PROPERTY
+@given(hnp.arrays(float, st.tuples(st.integers(1, 42), st.just(6)), elements=table_floats),
+       hnp.arrays(float, (4, 4, 2), elements=table_floats))
+def test_tables_print_like_rounded_numpy_scalars(points, chi_parts):
+    """The Bloch and chi tables, rounded once per array, hold the same text
+    as ``round(np.float64(x), 12)`` of every cell."""
+    def want(a):
+        return [str(round(np.float64(x), 12)) for x in a.ravel()]
+
+    rows = _bloch_table(points[:, :3], points[:, 3:])[1:]
+    assert [str(cell) for row in rows for cell in row] == want(points)
+    chi = SimpleNamespace(matrix=chi_parts.view(complex)[..., 0])  # keeps -0.0 parts
+    rows = _chi_table(chi)[1:]
+    assert [str(cell) for row in rows for cell in row[2:]] == want(chi_parts)
 
 
 @PROPERTY

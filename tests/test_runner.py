@@ -179,6 +179,15 @@ class TestExperiments:
         run_experiment(ExperimentConfig.from_dict({"kind": kind}))
         assert time.perf_counter() - t0 < 10.0
 
+    @pytest.mark.parametrize("kind", runner.KINDS)
+    def test_table_cells_are_python_scalars(self, kind):
+        # tables are converted at the array; no numpy scalar reaches the CSV writer
+        bundle = run_experiment(cfg(kind, noise={"depolarizing": 0.02, "visibility": 0.9}))
+        for name, rows in bundle.tables.items():
+            for row in rows[1:]:
+                for cell in row:
+                    assert type(cell) in (str, int, float, bool), (name, row, type(cell))
+
     def test_bundle_write_files(self, tmp_path):
         config = cfg("syndrome-table", formats=["json", "csv", "svg"])
         bundle = run_experiment(config)
@@ -301,6 +310,43 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert cli_main(["encode", "--config", str(path)]) == 1
         assert f"{field}: must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["witness", "--config", "{dir}"], "--config"),
+        (["witness", "--config", "{dir}/missing.json"], "--config"),
+        (["witness", "--config", "{list_json}"], "--config"),
+        (["witness", "--config", "{not_json}"], "--config"),
+        (["analyze-counts", "--in", "{dir}", "--witness", "pair2"], "--in"),
+        (["analyze-counts", "--in", "{dir}/missing.csv", "--witness", "pair2"], "--in"),
+        (["build-resource", "--graph", "{dir}"], "--graph"),
+        (["syndrome", "--ideal", "--out", "{file}"], "--out"),
+        (["syndrome", "--ideal", "--out", "{file}/sub"], "--out"),
+        (["syndrome", "--config", "{out_dir_json}"], "out_dir"),
+    ], ids=["config-dir", "config-missing", "config-list", "config-not-json", "in-dir",
+            "in-missing", "graph-dir", "out-file", "out-under-file", "out_dir-file"])
+    def test_path_that_cannot_be_opened_exits_1(self, tmp_path, capsys, argv, flag):
+        paths = {name: tmp_path / name for name in
+                 ("dir", "list_json", "not_json", "file", "out_dir_json")}
+        paths["dir"].mkdir()
+        paths["list_json"].write_text("[1]")
+        paths["not_json"].write_text("{bad")
+        paths["file"].write_text("")
+        paths["out_dir_json"].write_text(json.dumps({"out_dir": str(paths["file"])}))
+        assert cli_main([a.format(**paths) for a in argv]) == 1
+        assert f"{flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal, message", [
+        ({"vertices": [], "edges": []}, "no vertices"),
+        ({"vertices": list(range(1, 17)), "edges": []}, "graph has 16 vertices, max 6"),
+        ({"vertices": [1.5], "edges": []}, "vertex 1.5 is not an integer"),
+        ({"vertices": [True, 2], "edges": []}, "vertex True is not an integer"),
+    ])
+    def test_bad_graph_literal_exits_1(self, tmp_path, capsys, literal, message):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(literal))
+        assert cli_main(["build-resource", "--graph", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "graph: " in err and message in err
 
     def test_build_resource_selfcheck(self, capsys):
         assert cli_main(["build-resource"]) == 0
