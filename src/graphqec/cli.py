@@ -16,7 +16,7 @@ from .code import PROBE_NAMES, parse_error_spec
 from .graphs import Graph, RESOURCE, build_resource, graph_state, resource_state_expansion
 from .runner import (ConfigError, ExperimentConfig, ReportBundle, run_experiment,
                      _sanitize, _stabilizer_expectations)
-from .sampling import (counts_from_csv_rows, monte_carlo_uncertainty,
+from .sampling import (MAX_TRIALS, counts_from_csv_rows, monte_carlo_uncertainty,
                        witness_value_from_counts)
 from .witnesses import builtin_witnesses, fidelity_lower_bound
 
@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
                    choices=["resource5", "box4", "ghz4", "pair2"])
     p.add_argument("--as-printed", action="store_true",
                    help="use the literally printed resource witness coefficients")
-    p.add_argument("--trials", type=int, default=200, help="Monte Carlo trials (>= 100)")
+    p.add_argument("--trials", type=int, default=200, help="Monte Carlo trials (100 to 100000)")
     p.add_argument("--seed", type=int, default=12345)
     return parser
 
@@ -194,8 +194,8 @@ def _cmd_build_resource(args) -> int:
 
 def _cmd_analyze_counts(args) -> int:
     problems = {}
-    if args.trials < 100:
-        problems["--trials"] = f"must be an integer >= 100, got {args.trials}"
+    if not 100 <= args.trials <= MAX_TRIALS:
+        problems["--trials"] = f"must be an integer in [100, {MAX_TRIALS}], got {args.trials}"
     if args.seed < 0:
         problems["--seed"] = f"must be a non-negative integer, got {args.seed}"
     if problems:

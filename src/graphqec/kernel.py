@@ -18,7 +18,8 @@ axis in turn, so n small contractions give tr(rho P) for all 4^n Pauli words
 P at once, and a caller reads as many words as it needs from that vector.
 Its readers are the witnesses, syndromes and logical tomography, and the
 count sampler, which Walsh-Hadamard transforms one ``[2]*n`` sub-cube of it
-into a product setting's outcome probabilities.
+into a product setting's outcome probabilities with the same per-axis pass,
+``_transform_each_axis``.
 
 Validation happens at the boundary. The public constructors
 (``PureState``, ``DensityOperator``, ``Observable``) check their values, and
@@ -214,19 +215,26 @@ def _pauli_vector(raw: np.ndarray, n: int) -> np.ndarray:
     state vector or density matrix: axis k is the k-th qubit of the register,
     with I=0, X=1, Y=2, Z=3.
 
-    Each pass contracts the transform into the leading axis and rotates that
-    axis to the back, so after n passes the axes are back in register order.
     Raises ``ValueError`` if an entry has an imaginary part above 1e-9, as
     :func:`expectation` does.
     """
     t = _density_matrix(raw).reshape([2] * (2 * n))
-    t = t.transpose([k for q in range(n) for k in (q, n + q)]).reshape(4, -1)
-    for _ in range(n):
-        t = (_PAULI_TRANSFORM @ t).T.reshape(4, -1)
+    t = t.transpose([k for q in range(n) for k in (q, n + q)]).reshape([4] * n)
+    t = _transform_each_axis(_PAULI_TRANSFORM, t)
     imag = np.abs(t.imag).max()
     if imag > EIG_ATOL:
         raise ValueError(f"expectation has imaginary part {imag}")
-    return t.real.reshape([4] * n)
+    return t.real
+
+
+def _transform_each_axis(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The d x d matrix ``m`` applied along every axis of the ``[d]*n`` tensor
+    ``t``: each pass contracts ``m`` into the leading axis and rotates that
+    axis to the back, so after n passes the axes are back in order."""
+    out = t.reshape(len(m), -1)
+    for _ in range(t.ndim):
+        out = (m @ out).T.reshape(len(m), -1)
+    return out.reshape(t.shape)
 
 
 def _bra(tensor: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from .code import (ANCILLA, CODE_QUBITS, PROBE_NAMES, PROBE_TARGETS, PROBES,
 from .graphs import RESOURCE, build_resource, stabilizer_generators
 from .kernel import DensityOperator, PureState
 from .pauli import PauliString, _expectations, pauli_expectations
-from .sampling import (NoiseModel, apply_noise, counts_to_csv_rows,
+from .sampling import (MAX_TRIALS, NoiseModel, apply_noise, counts_to_csv_rows,
                        monte_carlo_uncertainty, sample_setting_counts,
                        witness_settings, witness_value_from_counts)
 from .tomography import (ChannelSample, _fidelity, average_probe_fidelity, bloch_image,
@@ -46,6 +46,7 @@ KINDS = ("resource-witness", "encode-tomography", "encode-channel",
          "loss-recovery", "syndrome-table", "noise-sweep")
 BYPRODUCT_MODES = ("condition0", "correct", "raw")
 FORMATS = ("json", "csv", "svg")
+MAX_SWEEP_POINTS = 100_000  # each point is one row of sweep.csv
 
 
 class ConfigError(ValueError):
@@ -97,12 +98,14 @@ class ExperimentConfig:
             problems["counts_per_setting"] = (f"must be a number in (0, "
                                               f"{sampling.MAX_EXPECTED_COUNTS:g}], "
                                               f"got {self.counts_per_setting!r}")
-        if not _is_number(self.trials, numbers.Integral) or self.trials < 100:
-            problems["trials"] = f"must be an integer >= 100, got {self.trials!r}"
+        if not _is_number(self.trials, numbers.Integral) or not 100 <= self.trials <= MAX_TRIALS:
+            problems["trials"] = f"must be an integer in [100, {MAX_TRIALS}], got {self.trials!r}"
         if self.byproduct not in BYPRODUCT_MODES:
             problems["byproduct"] = f"must be one of {BYPRODUCT_MODES}, got {self.byproduct!r}"
-        if not _is_number(self.sweep_points, numbers.Integral) or self.sweep_points < 3:
-            problems["sweep_points"] = f"must be an integer >= 3, got {self.sweep_points!r}"
+        if not _is_number(self.sweep_points, numbers.Integral) \
+                or not 3 <= self.sweep_points <= MAX_SWEEP_POINTS:
+            problems["sweep_points"] = (f"must be an integer in [3, {MAX_SWEEP_POINTS}], "
+                                        f"got {self.sweep_points!r}")
         if not _is_number(self.target_fidelity, numbers.Real) \
                 or not 0 < self.target_fidelity < 1:
             problems["target_fidelity"] = (f"must be a number in (0,1), "
@@ -426,11 +429,10 @@ def _run_encode_tomography(cfg: ExperimentConfig):
         target_key = PROBE_TARGETS[probe]
         target_state = basis[target_key]
         ideal_logical = _ideal_logical_vector(probe)
-        fid_logical = float(np.vdot(ideal_logical, ldm.matrix @ ideal_logical).real)
         entry = {
             "target": target_key,
             "logical_bloch": list(ldm.bloch),
-            "fidelity_logical": fid_logical,
+            "fidelity_logical": _fidelity(ldm.matrix, ideal_logical),
             "fidelity_state": state_fidelity(rho, target_state),
             "witnesses": {
                 name: _witness_block(state, spec, cfg.counts_per_setting, cfg.trials,
@@ -443,8 +445,7 @@ def _run_encode_tomography(cfg: ExperimentConfig):
             ldm_s = logical_density_from_expectations(est["xbar"], est["ybar"], est["zbar"])
             entry["sampled"] = {
                 "logical_bloch": list(ldm_s.bloch),
-                "fidelity_logical": float(np.vdot(ideal_logical,
-                                                  ldm_s.matrix @ ideal_logical).real),
+                "fidelity_logical": _fidelity(ldm_s.matrix, ideal_logical),
                 "negative_eigenvalue_flag": ldm_s.negative_eigenvalue,
             }
         except ValueError as exc:
@@ -540,20 +541,12 @@ def _run_syndrome_table(cfg: ExperimentConfig):
     return summary, {"syndrome_table": rows}, {}
 
 
-def _encoded_zero_fidelity(v: float, noise: NoiseModel) -> float:
-    return _fidelity(_encoded("0", replace(noise, visibility=v), "condition0"),
-                     logical_basis_states()["+"].amplitudes)
-
-
 def _calibrated_visibility(f0: float, f1: float, target: float) -> float:
     """Visibility v* at which the encoded |0> fidelity F(v) hits ``target``,
     given F(0) = ``f0`` and F(1) = ``f1``.
 
-    F is affine in v at both noise stages: white noise mixes the state with
-    I/2^n, and at post-resource the |0> probe's ancilla X outcome has
-    probability 1/2 at every v, so conditioning on it does not bend the
-    line. v* is therefore read off F(0) and F(1), clamped to [0, 1] for
-    unreachable targets.
+    F is affine in v (see :func:`_run_noise_sweep`), so v* is read off the
+    line through F(0) and F(1), clamped to [0, 1] for unreachable targets.
     """
     if target >= f1:
         return 1.0
@@ -566,34 +559,36 @@ def _run_noise_sweep(cfg: ExperimentConfig):
     """White-noise sweep of the resource and encoded |0>, then every witness
     at the visibility v* that calibrates the encoded |0> fidelity.
 
-    v* comes in closed form from the sweep's first and last rows, F(0) and
-    F(1) (see :func:`_calibrated_visibility`), and the fidelity at v* is read
-    from the encoded |0> built for the witnesses, so one sweep builds the
-    encoded |0> ``sweep_points + 1`` times. The resource's per-qubit noise
-    does not depend on v, so it is applied once and each row only mixes in
-    its white noise. The sweep rows only read one value each from their
-    states, so they stay raw arrays; the states at v* are reported, and
-    checked.
+    Every column is affine in the visibility v: white noise mixes a state
+    with I/2^n, fidelities and witnesses are linear in the state, and at
+    post-resource the |0> probe's ancilla X outcome has probability 1/2 at
+    every v, so conditioning on it does not bend the line. The encoded |0>
+    fidelity, the resource witness and the resource fidelity are therefore
+    computed at v = 0 and v = 1 only; each row reads
+    ``(1 - v) * end0 + v * end1``, the endpoints exactly at v = 0 and 1,
+    and v* comes from the same two fidelities. The states at v* are built,
+    checked and reported.
     """
     ideal5 = build_resource()
     spec = resource_witness()
     words = [t.word for t in spec.terms]
+    plus = logical_basis_states()["+"]
+    ends = []  # (encoded |0> fidelity, resource witness, resource fidelity)
+    for noise in (replace(cfg.noise, visibility=v) for v in (0.0, 1.0)):
+        rho5 = sampling._noise(ideal5.amplitudes, ideal5.labels, noise)
+        ends.append((_fidelity(_encoded("0", noise, "condition0"), plus.amplitudes),
+                     spec.value(_expectations(rho5, ideal5.labels, words)),
+                     _fidelity(rho5, ideal5.amplitudes)))
     rows = [("visibility", "encoded0_fidelity", "resource_witness",
              "fidelity_lower_bound", "resource_fidelity", "bound_holds")]
-    fidelities = []
-    local5 = sampling._local_noise(ideal5.amplitudes, ideal5.labels, cfg.noise)
     for v in np.linspace(0.0, 1.0, cfg.sweep_points):  # endpoints exactly 0.0 and 1.0
         v = float(v)
-        rho5 = sampling._white(local5, v)
-        wit = spec.value(_expectations(rho5, ideal5.labels, words))
+        fid0, wit, fid5 = ((1 - v) * end0 + v * end1 for end0, end1 in zip(*ends))
         bound = fidelity_lower_bound(wit)
-        fid5 = _fidelity(rho5, ideal5.amplitudes)
-        fidelities.append(_encoded_zero_fidelity(v, cfg.noise))
-        rows.append((round(v, 12), round(fidelities[-1], 12),
-                     round(wit, 12), round(bound, 12), round(fid5, 12),
-                     fid5 >= bound - 1e-12))
+        rows.append((round(v, 12), round(fid0, 12), round(wit, 12), round(bound, 12),
+                     round(fid5, 12), fid5 >= bound - 1e-12))
 
-    v_star = _calibrated_visibility(fidelities[0], fidelities[-1], cfg.target_fidelity)
+    v_star = _calibrated_visibility(ends[0][0], ends[1][0], cfg.target_fidelity)
     model = replace(cfg.noise, visibility=v_star)
     rho5 = apply_noise(ideal5, model)
     wit_star = evaluate_witness(rho5, spec).value
@@ -605,7 +600,7 @@ def _run_noise_sweep(cfg: ExperimentConfig):
     summary = {
         "calibrated_visibility": v_star,
         "target_fidelity": cfg.target_fidelity,
-        "fidelity_at_calibration": state_fidelity(encoded["0"], logical_basis_states()["+"]),
+        "fidelity_at_calibration": state_fidelity(encoded["0"], plus),
         "witness_values_at_calibration": witness_values,
         "all_witnesses_negative": all(w < 0 for w in witness_values.values()),
         "fidelity_lower_bound": fidelity_lower_bound(wit_star),

@@ -53,6 +53,11 @@ MAX_EXPECTED_COUNTS = 1e12
 # held to it when they enter.
 MAX_COUNT = 2 ** 53
 
+# Most Monte Carlo trials per call. The resampling draw is one int64
+# (trials x cells) array: 51 MB at the cap for the resource witness's two
+# five-qubit settings.
+MAX_TRIALS = 100_000
+
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(stream)))
@@ -126,14 +131,9 @@ def apply_noise(state, model: NoiseModel) -> DensityOperator:
 
 
 def _noise(raw: np.ndarray, labels, model: NoiseModel) -> np.ndarray:
-    """Raw :func:`apply_noise` of a state vector or density matrix, the
-    composition ``_white`` ∘ ``_local_noise``; the input is not modified."""
-    return _white(_local_noise(raw, labels, model), model.visibility)
-
-
-def _local_noise(raw: np.ndarray, labels, model: NoiseModel) -> np.ndarray:
-    """Density matrix of ``raw`` after each qubit's depolarizing and
-    dephasing map, a new array."""
+    """Raw :func:`apply_noise` of a state vector or density matrix; the
+    input is not modified. The result, v rho' + (1 - v) I / 2^n with rho'
+    the per-qubit noisy state, is affine in ``model.visibility``."""
     n = len(labels)
     t = np.array(kernel._density_matrix(raw)).reshape([2] * (2 * n))
     for i, q in enumerate(labels):
@@ -147,13 +147,10 @@ def _local_noise(raw: np.ndarray, labels, model: NoiseModel) -> np.ndarray:
         if dq > 0:
             blocks[0, 1] *= 1 - 2 * dq
             blocks[1, 0] *= 1 - 2 * dq
-    return t.reshape(2 ** n, 2 ** n)
-
-
-def _white(rho: np.ndarray, v: float) -> np.ndarray:
-    """v rho + (1 - v) I / dim; ``rho`` itself when v = 1."""
+    dim = 2 ** n
+    rho = t.reshape(dim, dim)
+    v = model.visibility
     if v < 1:
-        dim = len(rho)
         rho = v * rho + (1 - v) * np.eye(dim) / dim
     return rho
 
@@ -247,10 +244,8 @@ def outcome_probabilities(state, bases: dict[int, str]) -> np.ndarray:
         if q not in bases:
             raise ValueError(f"no basis given for qubit {q}")
     v = kernel._pauli_vector(kernel._raw(state), n)
-    t = v[np.ix_(*[(0, pauli._LETTER_INDEX[bases[q]]) for q in state.labels])].reshape(2, -1)
-    for _ in range(n):
-        t = (_WALSH @ t).T.reshape(2, -1)
-    probs = np.clip(t.reshape(-1) / 2 ** n, 0.0, None)
+    t = v[np.ix_(*[(0, pauli._LETTER_INDEX[bases[q]]) for q in state.labels])]
+    probs = np.clip(kernel._transform_each_axis(_WALSH, t).reshape(-1) / 2 ** n, 0.0, None)
     return probs / probs.sum()
 
 
@@ -351,8 +346,8 @@ def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple
     ``trials``: 8 bytes x sum of 2^k per trial, about 150 KB at 200 trials
     of three five-qubit settings.
     """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
+    if not 100 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in [100, {MAX_TRIALS}], got {trials}")
     records = list(records)
     rates = [r.dense for r in records]
     lam = np.concatenate([np.zeros(0, dtype=np.int64), *rates])

@@ -1,19 +1,21 @@
 """Property tests: the kernel's tensor contractions against the dense
 kron/Kraus oracle in ``oracle.py``, batched Monte Carlo resampling against
 its per-trial, per-cell oracle (also along sequences of calls), the
-closed-form visibility calibration against bisection, the raw-array
-encoding, loss and recovery pipeline against its step-by-step checked
-oracle, bit for bit, and process tomography through the Pauli transfer
-matrix against the chi-matrix sums and 16x16 solve it replaced. The encode
-and loss-recovery channels under random per-qubit noise must come out CPTP,
-and count records must survive the CSV round trip. Pauli expectations read
-from one Pauli vector must equal ``kernel.expectation`` term by term and
-rebuild the density matrix, and outcome probabilities must transform back
-into them; every witness's fidelity bound must hold on arbitrary states, not
-only on white noise, and loss recovery must return Haar-random inputs on
-every branch. Symbolic Pauli conjugation through random Clifford sequences
-must match the dense product, and the runner's bundle tables, rounded at the
-array, must print every float as the numpy scalar ``round`` would.
+closed-form visibility calibration against bisection of the checked
+oracle's fidelity, every noise-sweep row against the states built directly
+at its visibility, the raw-array encoding, loss and recovery pipeline
+against its step-by-step checked oracle, bit for bit, and process
+tomography through the Pauli transfer matrix against the chi-matrix sums
+and 16x16 solve it replaced. The encode and loss-recovery channels under
+random per-qubit noise must come out CPTP, and count records must survive
+the CSV round trip. Pauli expectations read from one Pauli vector must
+equal ``kernel.expectation`` term by term and rebuild the density matrix,
+and outcome probabilities must transform back into them; every witness's
+fidelity bound must hold on arbitrary states, not only on white noise, and
+loss recovery must return Haar-random inputs on every branch. Symbolic
+Pauli conjugation through random Clifford sequences must match the dense
+product, and the runner's bundle tables, rounded at the array, must print
+every float as the numpy scalar ``round`` would.
 
 States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
@@ -21,6 +23,7 @@ targets such as (5, 2) are non-adjacent and out of register order.
 """
 import itertools
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,8 +40,7 @@ from graphqec.graphs import build_resource
 from graphqec.kernel import DensityOperator, Observable, PureState
 from graphqec.pauli import CliffordGate, PauliString, conjugate_sequence, pauli_expectations
 from graphqec.runner import (BYPRODUCT_MODES, ExperimentConfig, _bloch_table,
-                             _calibrated_visibility, _chi_table, _encoded_zero_fidelity,
-                             encoded_state, run_experiment)
+                             _calibrated_visibility, _chi_table, encoded_state, run_experiment)
 from graphqec.sampling import (CountRecord, NoiseModel, apply_noise, counts_from_csv_rows,
                                counts_to_csv_rows, estimate_expectation,
                                monte_carlo_uncertainty, outcome_probabilities)
@@ -383,12 +385,36 @@ def test_calibrated_visibility_matches_bisection(data, stage, target):
     # F(0) = 1/16 and F(1) < 1, so targets on both sides are unreachable
     rates = st.dictionaries(st.integers(1, 5), st.floats(0.0, 0.3))
     noise = NoiseModel(depolarizing=data.draw(rates), dephasing=data.draw(rates), stage=stage)
-    want = oracle.bisect_visibility(lambda v: _encoded_zero_fidelity(v, noise), target)
-    f0, f1 = _encoded_zero_fidelity(0.0, noise), _encoded_zero_fidelity(1.0, noise)
+    want = oracle.bisect_visibility(lambda v: oracle_zero_fidelity(v, noise), target)
+    f0, f1 = oracle_zero_fidelity(0.0, noise), oracle_zero_fidelity(1.0, noise)
     assert abs(_calibrated_visibility(f0, f1, target) - want) < ATOL
 
 
+def oracle_zero_fidelity(v, noise) -> float:
+    """Fidelity of the checked oracle's encoded |0> with |+_L> at visibility v."""
+    encoded = oracle.encoded_state("0", replace(noise, visibility=v))
+    return state_fidelity(encoded, logical_basis_states()["+"])
+
+
 PIPELINE = settings(deadline=None, max_examples=20)
+
+
+@PIPELINE
+@given(st.sampled_from(("post-resource", "post-encoding")), st.integers(3, 9), st.data())
+def test_sweep_rows_match_direct_states(stage, points, data):
+    """Each sweep row, read off the line between v = 0 and v = 1, equals the
+    values of the states built directly at its visibility."""
+    noise = data.draw(noise_maps((1, 2, 3, 4, 5), stage))
+    config = ExperimentConfig("noise-sweep", noise=noise, sweep_points=points)
+    rows = run_experiment(config).tables["sweep"][1:]
+    ideal5 = build_resource()
+    for v, row in zip(np.linspace(0.0, 1.0, points), rows):
+        model = replace(noise, visibility=v)
+        rho5 = DensityOperator(ideal5.labels,
+                               oracle.apply_noise(dense(ideal5), ideal5.labels, model))
+        direct = (oracle_zero_fidelity(v, noise), evaluate_witness(rho5, resource_witness()).value,
+                  state_fidelity(rho5, ideal5))
+        np.testing.assert_allclose(row[1:3] + row[4:5], direct, rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))

@@ -124,7 +124,7 @@ class TestExperiments:
         assert bundle.summary["all_match"] is True
 
     def test_noise_sweep_encodes_only_witnessed_probes(self, monkeypatch):
-        # sweep_points raw encodings of |0>, then |0>, |+> and |+y> at v*
+        # raw encodings of |0> at v = 0 and v = 1, then |0>, |+> and |+y> at v*
         calls = []
         encode = runner._encoded
 
@@ -134,8 +134,7 @@ class TestExperiments:
 
         monkeypatch.setattr(runner, "_encoded", counted)
         run_experiment(ExperimentConfig.from_dict({"kind": "noise-sweep"}))
-        assert len(calls) == 14
-        assert calls[-3:] == ["0", "+", "+y"]
+        assert calls == ["0", "0", "0", "+", "+y"]
 
     def test_loss_recovery_ideal_is_identity_channel(self):
         for lost in (1, 4):
@@ -238,6 +237,14 @@ class TestCli:
                          "--trials", "50"]) == 1
         assert "--trials" in capsys.readouterr().err
 
+    def test_analyze_counts_trials_above_cap_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("setting,outcome,count\nZ1 Z2,00,5\nZ1 Z2,11,7\n")
+        assert cli_main(["analyze-counts", "--in", str(path), "--witness", "pair2",
+                         "--trials", "100001"]) == 1
+        assert "--trials: must be an integer in [100, 100000], got 100001" \
+            in capsys.readouterr().err
+
     def test_analyze_counts_negative_seed_exits_1(self, tmp_path, capsys):
         path = tmp_path / "counts.csv"
         path.write_text("setting,outcome,count\nZ1 Z2,00,5\nZ1 Z2,11,7\n")
@@ -287,6 +294,8 @@ class TestCli:
         ("syndrome", {"error": "Z@3"}, "error"),
         ("syndrome", {"error": 5}, "error"),
         ("witness", {"out_dir": 5}, "out_dir"),
+        ("sweep", {"sweep_points": 100001}, "sweep_points"),
+        ("witness", {"trials": 100001}, "trials"),
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, command, data, field):
         with pytest.raises(ConfigError) as err:

@@ -5,7 +5,7 @@ from graphqec import kernel
 from graphqec.code import PROBES, encode, logical_basis_states
 from graphqec.graphs import build_resource
 from graphqec.kernel import PureState
-from graphqec.sampling import (COUNTS_CSV_HEADER, CountRecord, NoiseModel,
+from graphqec.sampling import (COUNTS_CSV_HEADER, MAX_TRIALS, CountRecord, NoiseModel,
                                apply_noise, counts_from_csv_rows, counts_to_csv_rows,
                                estimate_expectation, monte_carlo_uncertainty,
                                outcome_probabilities, sample_setting_counts,
@@ -155,6 +155,11 @@ class TestMonteCarlo:
         rec = CountRecord.from_counts(((1, "Z"),), {"0": 80})
         with pytest.raises(ValueError, match="trials"):
             monte_carlo_uncertainty(lambda rs: 0.0, [rec], 10, seed=1)
+
+    def test_trials_cap(self):
+        rec = CountRecord.from_counts(((1, "Z"),), {"0": 80})
+        with pytest.raises(ValueError, match=f"trials must be in \\[100, {MAX_TRIALS}\\]"):
+            monte_carlo_uncertainty(lambda rs: 0.0, [rec], MAX_TRIALS + 1, seed=1)
 
     def test_std_scales_as_inverse_root_n(self):
         # on the ideal state stabilizer settings have deterministic parities
