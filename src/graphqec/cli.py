@@ -17,7 +17,7 @@ from .graphs import Graph, RESOURCE, build_resource, graph_state, resource_state
 from .runner import (ConfigError, ExperimentConfig, ReportBundle, run_experiment,
                      _sanitize, _stabilizer_expectations)
 from .sampling import (MAX_TRIALS, counts_from_csv_rows, monte_carlo_uncertainty,
-                       witness_value_from_counts)
+                       witness_records, witness_value_from_counts)
 from .witnesses import builtin_witnesses, fidelity_lower_bound
 
 
@@ -202,8 +202,8 @@ def _cmd_analyze_counts(args) -> int:
         raise ConfigError(problems)
     with _open(args.infile, "--in", newline="") as fh:
         rows = list(csv.reader(fh))
-    records = counts_from_csv_rows(rows)
     spec = builtin_witnesses(resource_as_printed=args.as_printed)[args.witness]
+    records = witness_records(counts_from_csv_rows(rows), spec)
     value = witness_value_from_counts(records, spec)
     _, std = monte_carlo_uncertainty(lambda rs: witness_value_from_counts(rs, spec),
                                      records, args.trials, args.seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache, reduce
 
 import numpy as np
 
@@ -376,27 +376,36 @@ def _recover(labels, matrix: np.ndarray, recipe: RecoveryRecipe, forced_outcomes
 
 
 def recover_average(rho, recipe: RecoveryRecipe) -> DensityOperator:
-    """Feedforward channel output: branch-probability average of the
-    recovered state over all four helper-outcome pairs.
+    """Feedforward channel output: the recovered state averaged over all
+    four helper-outcome pairs, each weighted by its probability.
 
-    Every branch is projected, corrected and weighted on raw matrices, and
-    branches below probability 1e-12 are skipped; the sum is validated once,
-    as the returned single-qubit ``DensityOperator``.
+    In Kraus form this is sum_s K_s rho K_s^dagger over the outcome pairs
+    s = (s_a, s_b), with K_s = frame C_s (x) <h_a, s_a| (x) <h_b, s_b| in
+    the register's label order (:func:`_recovery_kraus`), applied as one
+    contraction. No branch is skipped, so the output is exactly
+    trace-preserving; it is validated once, as the returned single-qubit
+    ``DensityOperator``.
     """
     _check_recipe(rho.labels, recipe)
-    matrix = kernel._density_matrix(kernel._raw(rho))
-    total = np.zeros((2, 2), dtype=complex)
+    kraus = _recovery_kraus(recipe, rho.labels)
+    m = kraus @ kernel._density_matrix(kernel._raw(rho)) @ kraus.conj().T
+    return DensityOperator((recipe.output,), np.einsum("kakb->ab", m.reshape(4, 2, 4, 2)))
+
+
+@lru_cache(maxsize=128)
+def _recovery_kraus(recipe: RecoveryRecipe, labels: tuple[int, ...]) -> np.ndarray:
+    """Read-only (8, 8) stack of a recipe's four 2x8 Kraus operators on a
+    register: rows 2k and 2k + 1 hold K_s for k = 2 s_a + s_b."""
+    (h_a, basis_a), (h_b, basis_b) = recipe.helpers
+    kraus = []
     for s_a, s_b in itertools.product((0, 1), repeat=2):
-        work, labels = matrix, rho.labels
-        prob = 1.0
-        try:
-            for (q, basis), s in zip(recipe.helpers, (s_a, s_b)):
-                p, work, labels = kernel._project(work, labels, q, basis, s)
-                prob *= p
-        except kernel.ZeroProbabilityError:
-            continue
-        total += prob * _correct(work, labels, recipe, s_a, s_b)
-    return DensityOperator((recipe.output,), total)
+        factors = {recipe.output: recipe.frame @ recipe.correction(s_a, s_b),
+                   h_a: kernel.BASIS_VECTORS[basis_a][s_a].conj()[None, :],
+                   h_b: kernel.BASIS_VECTORS[basis_b][s_b].conj()[None, :]}
+        kraus.append(reduce(np.kron, [factors[q] for q in labels]))
+    out = np.concatenate(kraus)
+    out.setflags(write=False)
+    return out
 
 
 def decode_no_loss(state, forced_outcomes=None,

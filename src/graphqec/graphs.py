@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -132,8 +133,11 @@ LC2_LAYER = (
 PATH_PHASE_FIX = ((2, kernel.Z), (4, kernel.Z))
 
 
+@cache
 def build_resource() -> PureState:
-    """Rotate the linear cluster into the code-plus-ancilla resource state."""
+    """Rotate the linear cluster into the code-plus-ancilla resource state.
+
+    Built once per process; the state is immutable, so every caller shares it."""
     state = build_linear_cluster5()
     for layer in (LC1_LAYER, LC2_LAYER, PATH_PHASE_FIX):
         for q, u in layer:

@@ -170,10 +170,7 @@ class CountRecord:
     dense: np.ndarray
 
     def __post_init__(self):
-        self.setting = tuple((int(q), str(b)) for q, b in self.setting)
-        for b in self.setting:
-            if b[1] not in "XYZ":
-                raise ValueError(f"bad basis in setting: {b}")
+        self.setting = _check_setting(self.setting)
         self.dense = np.asarray(self.dense, dtype=np.int64)
         if self.dense.shape[-1:] != (2 ** len(self.setting),):
             raise ValueError(f"expected {2 ** len(self.setting)} cells for setting "
@@ -191,6 +188,7 @@ class CountRecord:
     @staticmethod
     def from_counts(setting, counts: dict[str, int]) -> "CountRecord":
         """Record from a ``{bits: count}`` histogram; absent outcomes count 0."""
+        setting = _check_setting(setting)  # before 2^k cells are allocated
         k = len(setting)
         dense = np.zeros(2 ** k, dtype=np.int64)
         for bits, c in counts.items():
@@ -222,6 +220,22 @@ class CountRecord:
         # the leading 1 keeps k digits, and gives "" for a zero-qubit setting
         return {format(i | 1 << k, "b")[1:]: int(self.dense[i])
                 for i in np.flatnonzero(self.dense)}
+
+
+def _check_setting(setting) -> tuple[tuple[int, str], ...]:
+    """``setting`` as (qubit, basis) pairs, if every basis is X, Y or Z and
+    it measures at most ``kernel.MAX_QUBITS`` distinct qubits."""
+    setting = tuple((int(q), str(b)) for q, b in setting)
+    for b in setting:
+        if b[1] not in "XYZ":
+            raise ValueError(f"bad basis in setting: {b}")
+    qubits = [q for q, _ in setting]
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"setting {_setting_label(setting)!r} measures a qubit twice")
+    if len(qubits) > kernel.MAX_QUBITS:
+        raise ValueError(f"setting {_setting_label(setting)!r} has {len(qubits)} qubits, "
+                         f"at most {kernel.MAX_QUBITS}")
+    return setting
 
 
 def _setting_label(setting) -> str:
@@ -313,18 +327,35 @@ def witness_settings(spec: WitnessSpec) -> list[dict[int, str]]:
     return settings
 
 
+def _term_records(records: list, spec: WitnessSpec) -> list[int]:
+    """Index into ``records`` of the record each witness term is estimated
+    from: the first whose setting measures all of the term's letters."""
+    indices = []
+    for t in spec.terms:
+        i = next((i for i, r in enumerate(records)
+                  if all(dict(r.setting).get(q) == l for q, l in t.word.letters)), None)
+        if i is None:
+            raise ValueError(f"no setting covers term {t.label()}")
+        indices.append(i)
+    return indices
+
+
 def witness_value_from_counts(records, spec: WitnessSpec):
     """Evaluate a witness from recorded counts; each term is estimated from
     the first setting that measures all of its letters. On trial-batched
     records the value is an array with one entry per trial."""
+    records = list(records)
     value = float(spec.constant)
-    for t in spec.terms:
-        rec = next((r for r in records
-                    if all(dict(r.setting).get(q) == l for q, l in t.word.letters)), None)
-        if rec is None:
-            raise ValueError(f"no setting covers term {t.label()}")
-        value -= float(t.coefficient) * t.sign * estimate_expectation(rec, t.word.support)
+    for t, i in zip(spec.terms, _term_records(records, spec)):
+        value -= float(t.coefficient) * t.sign * estimate_expectation(records[i], t.word.support)
     return value
+
+
+def witness_records(records, spec: WitnessSpec) -> list[CountRecord]:
+    """The records :func:`witness_value_from_counts` reads, in their given
+    order; the value is the same on them as on all of ``records``."""
+    records = list(records)
+    return [records[i] for i in sorted(set(_term_records(records, spec)))]
 
 
 def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple[float, float]:
@@ -377,7 +408,7 @@ def counts_to_csv_rows(records) -> list[tuple[str, str, int]]:
 def counts_from_csv_rows(rows) -> list[CountRecord]:
     """Inverse of counts_to_csv_rows; accepts externally recorded tables. A
     malformed row raises ``ValueError`` naming its line (the header is line 1)."""
-    by_setting: dict[str, dict[str, int]] = {}
+    by_label: dict[str, tuple[tuple, dict[str, int]]] = {}
     for line, row in enumerate(map(tuple, rows), start=1):
         if line == 1 and row == COUNTS_CSV_HEADER:
             continue
@@ -393,7 +424,12 @@ def counts_from_csv_rows(rows) -> list[CountRecord]:
             count = int(count)
         except ValueError:
             raise ValueError(f"line {line}: count {count!r} is not an integer") from None
-        cells = by_setting.setdefault(label, {})
+        if label not in by_label:
+            try:
+                setting = _check_setting((int(tok[1:]), tok[0]) for tok in label.split())
+            except ValueError as exc:
+                raise ValueError(f"line {line}: {exc}") from None
+            by_label[label] = setting, {}
+        cells = by_label[label][1]
         cells[bits] = cells.get(bits, 0) + count
-    return [CountRecord.from_counts(tuple((int(tok[1:]), tok[0]) for tok in label.split()),
-                                    cells) for label, cells in by_setting.items()]
+    return [CountRecord.from_counts(setting, cells) for setting, cells in by_label.values()]

@@ -340,8 +340,7 @@ class TestRecovery:
         assert abs(state_fidelity(out, PureState.single(1, a.vector)) - 1) < 1e-9
 
     def test_recover_average_propagates_basis_error(self):
-        # only zero-probability branches may be skipped; a bad helper basis
-        # must surface instead of leaving an empty (trace 0) average
+        # a bad helper basis must surface, not build a channel
         good = recovery_recipe(4)
         bad = RecoveryRecipe(good.lost, ((2, "W"), good.helpers[1]), good.output,
                              good.corrections, good.correction_labels, good.frame,

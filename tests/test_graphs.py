@@ -165,6 +165,11 @@ class TestResourceBuild:
         for k in stabilizer_generators(RESOURCE):
             assert abs(kernel.expectation(built, k.to_observable(built.labels)) - 1) < 1e-10
 
+    def test_built_once_and_read_only(self):
+        built = build_resource()
+        assert build_resource() is built
+        assert not built.amplitudes.flags.writeable
+
 
 class TestBoxDerivation:
     def test_unique_box_graph(self):

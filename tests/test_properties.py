@@ -4,7 +4,8 @@ its per-trial, per-cell oracle (also along sequences of calls), the
 closed-form visibility calibration against bisection of the checked
 oracle's fidelity, every noise-sweep row against the states built directly
 at its visibility, the raw-array encoding, loss and recovery pipeline
-against its step-by-step checked oracle, bit for bit, and process
+against its step-by-step checked oracle, bit for bit (``recover_average``,
+one Kraus contraction, to 1e-12, with complete Kraus operators), and process
 tomography through the Pauli transfer matrix against the chi-matrix sums
 and 16x16 solve it replaced. The encode and loss-recovery channels under
 random per-qubit noise must come out CPTP, and count records must survive
@@ -12,7 +13,8 @@ the CSV round trip. Pauli expectations read from one Pauli vector must
 equal ``kernel.expectation`` term by term and rebuild the density matrix,
 and outcome probabilities must transform back into them; every witness's
 fidelity bound must hold on arbitrary states, not only on white noise, and
-loss recovery must return Haar-random inputs on every branch. Symbolic
+loss recovery must return Haar-random inputs on every branch and on
+average. Symbolic
 Pauli conjugation through random Clifford sequences must match the dense
 product, and the runner's bundle tables, rounded at the array, must print
 every float as the numpy scalar ``round`` would.
@@ -32,7 +34,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracle
-from graphqec import kernel
+from graphqec import code, kernel
 from graphqec.code import (CODE_QUBITS, PROBE_NAMES, PROBES, AncillaState, encode,
                            logical_basis_states, logical_ops, lose_qubit, recover,
                            recover_average, recovery_recipe)
@@ -442,7 +444,18 @@ def test_recover_average_matches_checked_oracle(lost, data):
     recipe = recovery_recipe(lost)
     got, want = recover_average(rho, recipe), oracle.recover_average(rho, recipe)
     assert got.labels == want.labels == (recipe.output,)
-    assert np.array_equal(got.matrix, want.matrix)
+    np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("lost", CODE_QUBITS)
+def test_recovery_kraus_operators_are_complete(lost):
+    """sum_s K_s^dagger K_s = I for every recipe on every order of its
+    register, so ``recover_average`` preserves trace exactly."""
+    recipe = recovery_recipe(lost)
+    for labels in itertools.permutations(survivors(lost)):
+        kraus = code._recovery_kraus(recipe, labels)
+        assert kraus.shape == (8, 8) and not kraus.flags.writeable
+        np.testing.assert_allclose(kraus.conj().T @ kraus, np.eye(8), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("lost", CODE_QUBITS)
@@ -468,7 +481,8 @@ def test_lose_and_recover_match_checked_oracle(lost, data, seed):
 def test_recovery_restores_haar_random_input(lost, seed, s3):
     """Encode a Haar-random input on either ancilla outcome (the byproduct
     X_L removed), lose a code qubit, and every helper-outcome branch that
-    can occur returns the input on the recipe's output qubit."""
+    can occur, and their average, returns the input on the recipe's output
+    qubit."""
     g = np.random.default_rng(seed).normal(size=(2, 2))
     alpha, beta = (g[0] + 1j * g[1]) / np.linalg.norm(g)
     _, state = encode(AncillaState(alpha, beta), forced_s3=s3)
@@ -488,6 +502,8 @@ def test_recovery_restores_haar_random_input(lost, seed, s3):
         fidelity = state_fidelity(out, target)
         assert fidelity >= 1 - 1e-9, (outcomes, fidelity)
     assert branches > 0
+    fidelity = state_fidelity(recover_average(reduced, recipe), target)
+    assert fidelity >= 1 - 1e-12, fidelity
 
 
 @st.composite

@@ -256,6 +256,7 @@ class TestCli:
         ("Z1,0", "line 3: expected 3 fields"),
         ("Z1 Z2,00,abc", "line 3: count 'abc' is not an integer"),
         ("Zx,0,3", "line 3: bad setting token 'Zx'"),
+        ("Z1 Z2 Z3 Z4 Z5 Z6 Z7,0000000,1", "line 3: setting 'Z1 Z2 Z3 Z4 Z5 Z6 Z7' has 7 qubits"),
     ])
     def test_analyze_counts_names_malformed_line(self, tmp_path, capsys, row, message):
         path = tmp_path / "counts.csv"
@@ -384,6 +385,21 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "witness resource5: value =" in out
+
+    def test_analyze_counts_resamples_only_the_witness_settings(self, tmp_path, capsys):
+        assert cli_main(["witness", "--visibility", "0.8", "--trials", "100", "--seed", "4",
+                         "--counts", "5000", "--out", str(tmp_path), "--format", "csv"]) == 0
+        counts_csv = tmp_path / "counts.csv"
+        header, *rows = counts_csv.read_text().splitlines()
+        padded = tmp_path / "padded.csv"
+        extra = [f"Z1 X2 Y3 Z4 X5 Y6,{i:06b},{i + 1}" for i in range(64)]
+        padded.write_text("\n".join([header, *extra, *rows]) + "\n")
+        capsys.readouterr()
+        outputs = []
+        for path in (counts_csv, padded):
+            assert cli_main(["analyze-counts", "--in", str(path), "--witness", "resource5"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_config_file_plus_flag_override(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

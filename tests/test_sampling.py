@@ -9,7 +9,8 @@ from graphqec.sampling import (COUNTS_CSV_HEADER, MAX_TRIALS, CountRecord, Noise
                                apply_noise, counts_from_csv_rows, counts_to_csv_rows,
                                estimate_expectation, monte_carlo_uncertainty,
                                outcome_probabilities, sample_setting_counts,
-                               witness_settings, witness_value_from_counts)
+                               witness_records, witness_settings,
+                               witness_value_from_counts)
 from graphqec.tomography import state_fidelity
 from graphqec.witnesses import (box_witness, evaluate_witness, fidelity_lower_bound,
                                 ghz_witness, pair_witness, resource_witness)
@@ -133,6 +134,16 @@ class TestWitnessFromCounts:
                    for i, s in enumerate(witness_settings(spec))]
         value = witness_value_from_counts(records, spec)
         assert abs(value - (-1.0)) < 0.02
+
+    def test_witness_records_are_the_ones_read(self):
+        spec = resource_witness()
+        records = [sample_setting_counts(build_resource(), s, 300, seed=2, stream=i)
+                   for i, s in enumerate(witness_settings(spec))]
+        extra = CountRecord.from_counts(((1, "Z"),), {"0": 3})
+        mixed = [extra, records[1], extra, records[0], records[1]]
+        used = witness_records(mixed, spec)
+        assert len(used) == 2 and used[0] is records[1] and used[1] is records[0]
+        assert witness_value_from_counts(used, spec) == witness_value_from_counts(mixed, spec)
 
     def test_missing_setting_rejected(self):
         with pytest.raises(ValueError, match="no setting covers"):
@@ -269,6 +280,9 @@ class TestCsvInterchange:
         (("Z1", "0"), "line 3: expected 3 fields"),
         (("Z1 Z2", "00", "abc"), "line 3: count 'abc' is not an integer"),
         (("Zx", "0", "3"), "line 3: bad setting token 'Zx'"),
+        (("Z1 Z1", "00", "3"), "line 3: setting 'Z1 Z1' measures a qubit twice"),
+        (("Z1 Z2 Z3 Z4 Z5 Z6 Z7", "0000000", "1"),
+         "line 3: setting 'Z1 Z2 Z3 Z4 Z5 Z6 Z7' has 7 qubits, at most 6"),
     ])
     def test_malformed_row_names_line(self, row, message):
         rows = [COUNTS_CSV_HEADER, ("Z1 Z2", "00", "5"), row]
@@ -282,6 +296,17 @@ class TestCsvInterchange:
             CountRecord.from_counts(((1, "Z"),), {"0": -1})
         with pytest.raises(ValueError, match="bad basis"):
             CountRecord.from_counts(((1, "Q"),), {"0": 1})
+
+    def test_setting_size_checked_before_allocating(self, monkeypatch):
+        # a 22-qubit setting would ask for 2^22 cells (33 MB), one more
+        # qubit for twice that
+        monkeypatch.setattr(np, "zeros", None)
+        with pytest.raises(ValueError, match="has 22 qubits, at most 6"):
+            CountRecord.from_counts(tuple((q, "Z") for q in range(1, 23)), {})
+        with pytest.raises(ValueError, match="'Z1 X1' measures a qubit twice"):
+            CountRecord.from_counts(((1, "Z"), (1, "X")), {"00": 1})
+        with pytest.raises(ValueError, match="measures a qubit twice"):
+            CountRecord(((2, "Z"), (2, "Z")), np.ones(4))
 
     def test_total_above_2_53_rejected(self):
         # two cells of 2^62 would wrap the int64 total, and the estimate
