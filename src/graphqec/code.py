@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernel
 from .kernel import DensityOperator, PureState
-from .pauli import PauliString, _expectations, pauli_commutes, pauli_multiply
+from .pauli import PauliString, _read_words, pauli_commutes, pauli_multiply
 
 CODE_QUBITS = (1, 2, 4, 5)
 ANCILLA = 3
@@ -205,13 +205,41 @@ def measure_syndromes(state) -> SyndromeRecord:
     """Exact syndrome expectations, all three read from one Pauli vector of
     the state; the state is left untouched."""
     kernel._axes(state.labels, CODE_QUBITS)
-    return SyndromeRecord(_syndrome_values(kernel._raw(state), state.labels))
+    vec = kernel._pauli_vector(kernel._raw(state), state.num_qubits)
+    return SyndromeRecord(_syndromes_of_vector(vec, state.labels))
 
 
-def _syndrome_values(raw: np.ndarray, labels) -> tuple[float, float, float]:
-    """Raw :func:`measure_syndromes`: <S1>, <S2>, <S3> of a raw state vector
-    or density matrix on ``labels``."""
-    return _expectations(raw, labels, syndrome_operators())
+def _syndromes_of_vector(vec: np.ndarray, labels) -> tuple[float, float, float]:
+    """Raw :func:`measure_syndromes`: <S1>, <S2>, <S3> read off the Pauli
+    vector ``vec`` of a state on ``labels``."""
+    return _read_words(vec, labels, syndrome_operators())
+
+
+@cache
+def _error_signs(letter: str) -> np.ndarray:
+    """Read-only signs s_L[P] = tr(P L P L^dagger) / 2 for P = I, X, Y, Z:
+    the diagonal of the single-qubit Pauli transfer matrix of conjugation by
+    L = ``kernel.PAULI[letter]``, +1 for I and L and -1 for the other two.
+    Built from the dense matrices, not from commutation rules."""
+    err = kernel.PAULI[letter]
+    out = np.array([np.trace(p @ err @ p @ err.conj().T).real / 2
+                    for p in (kernel.PAULI[c] for c in "IXYZ")])
+    out.setflags(write=False)
+    return out
+
+
+def _inject_in_pauli_vector(vec: np.ndarray, axis: int, letter: str) -> np.ndarray:
+    """Pauli vector of L rho L^dagger given the Pauli vector ``vec`` of rho,
+    for the single-qubit Pauli ``letter`` L on tensor axis ``axis``.
+
+    L leaves every component as it was except that it flips the sign of
+    each word whose letter on that axis is neither I nor L, so this is an
+    element-wise +-1 multiply by :func:`_error_signs` along the axis. The
+    result equals dense conjugation followed by ``kernel._pauli_vector``.
+    """
+    shape = [1] * vec.ndim
+    shape[axis] = 4
+    return vec * _error_signs(letter).reshape(shape)
 
 
 def predicted_syndrome_signs(error: PauliString) -> tuple[int, int, int]:

@@ -16,9 +16,12 @@ expectation: it interleaves each qubit's (row, col) axes of the density
 tensor into one axis of size 4 and applies one constant 4x4 matrix to each
 axis in turn, so n small contractions give tr(rho P) for all 4^n Pauli words
 P at once, and a caller reads as many words as it needs from that vector.
-Its readers are the witnesses, syndromes and logical tomography, and the
-count sampler, which Walsh-Hadamard transforms one ``[2]*n`` sub-cube of it
-into a product setting's outcome probabilities with the same per-axis pass,
+Its readers are the witnesses, syndromes and logical tomography; the
+syndrome table, which reads each single-qubit Pauli error off the error-free
+vector as a +-1 sign flip along the error's axis
+(``code._inject_in_pauli_vector``); and the count sampler, which
+Walsh-Hadamard transforms one ``[2]*n`` sub-cube of it into a product
+setting's outcome probabilities with the same per-axis pass,
 ``_transform_each_axis``.
 
 Validation happens at the boundary. The public constructors

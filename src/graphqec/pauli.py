@@ -154,7 +154,12 @@ _LETTER_INDEX = {"X": 1, "Y": 2, "Z": 3}
 def _expectations(raw: np.ndarray, labels, words) -> tuple[float, ...]:
     """Raw :func:`pauli_expectations`: one Pauli vector of a raw state vector
     or density matrix on ``labels``, read at each word's index."""
-    vec = kernel._pauli_vector(raw, len(labels))
+    return _read_words(kernel._pauli_vector(raw, len(labels)), labels, words)
+
+
+def _read_words(vec: np.ndarray, labels, words) -> tuple[float, ...]:
+    """tr(rho P) of each word P, read off the Pauli vector ``vec`` of a state
+    rho on ``labels`` (see ``kernel._pauli_vector``)."""
     out = []
     for p in words:
         index = [0] * len(labels)

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__, kernel, sampling
 from .code import (ANCILLA, CODE_QUBITS, PROBE_NAMES, PROBE_TARGETS, PROBES,
-                   SyndromeRecord, _encoding_input, _syndrome_values,
-                   logical_basis_states, logical_ops, parse_error_spec,
+                   SyndromeRecord, _encoding_input, _inject_in_pauli_vector,
+                   _syndromes_of_vector, logical_basis_states, logical_ops, parse_error_spec,
                    predicted_syndrome_signs, recover_average, recovery_recipe)
 from .graphs import RESOURCE, build_resource, stabilizer_generators
 from .kernel import DensityOperator, PureState
@@ -510,33 +510,42 @@ def _run_loss_recovery(cfg: ExperimentConfig):
 
 
 def _run_syndrome_table(cfg: ExperimentConfig):
+    """Syndrome expectations and signs under each single-qubit Pauli error,
+    beside the signs the commutation rules predict.
+
+    Each probe's encoded state is built and checked once and turned into one
+    Pauli vector. The error-free baseline and every injected error's three
+    syndromes are read off that vector: a Pauli error L on code qubit q
+    flips the sign of each component whose letter at q is neither I nor L
+    (``code._inject_in_pauli_vector``). The signs come from the dense
+    matrices, so the ``match`` column still compares a measured pattern
+    with ``predicted_syndrome_signs``, two independent computations.
+    """
     rows = [("error", "location", "probe", "s1", "s2", "s3",
              "sign1", "sign2", "sign3", "pred1", "pred2", "pred3", "match")]
     mismatches = 0
-    encoded = {p: encoded_state(p, cfg.noise, cfg.byproduct).matrix for p in cfg.probes}
+    vectors = {p: kernel._pauli_vector(encoded_state(p, cfg.noise, cfg.byproduct).matrix,
+                                       len(CODE_QUBITS))
+               for p in cfg.probes}
     err = parse_error_spec(cfg.error)  # one injected error, or the identity: all 12
     cases = [(err.letter(q), q) for q in err.support] \
         or [(letter, loc) for letter in "XYZ" for loc in CODE_QUBITS]
     for letter, loc in cases:
-        error = PauliString.single(loc, letter)
-        predicted = predicted_syndrome_signs(error)
+        predicted = predicted_syndrome_signs(PauliString.single(loc, letter))
         for probe in cfg.probes:
-            # measured on the injected state, not derived from commutation, so
-            # the match column compares two independent computations
-            state = kernel._unitary(encoded[probe], CODE_QUBITS, error.dense((loc,)), (loc,))
-            rec = SyndromeRecord(_syndrome_values(state, CODE_QUBITS))
+            injected = _inject_in_pauli_vector(vectors[probe], CODE_QUBITS.index(loc), letter)
+            rec = SyndromeRecord(_syndromes_of_vector(injected, CODE_QUBITS))
             match = rec.signs == predicted
             mismatches += 0 if match else 1
             rows.append((f"{letter}@{loc}", loc, probe,
                          *(round(v, 12) for v in rec.values),
                          *rec.signs, *predicted, match))
-    baseline = {p: _syndrome_values(encoded[p], CODE_QUBITS) for p in cfg.probes}
     summary = {
         "patterns_checked": (len(rows) - 1),
         "mismatches": mismatches,
         "all_match": mismatches == 0,
-        "no_error_syndromes": {p: [round(v, 12) for v in vals]
-                               for p, vals in baseline.items()},
+        "no_error_syndromes": {p: [round(v, 12) for v in _syndromes_of_vector(vec, CODE_QUBITS)]
+                               for p, vec in vectors.items()},
     }
     return summary, {"syndrome_table": rows}, {}
 

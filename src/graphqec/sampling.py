@@ -406,9 +406,12 @@ def counts_to_csv_rows(records) -> list[tuple[str, str, int]]:
 
 
 def counts_from_csv_rows(rows) -> list[CountRecord]:
-    """Inverse of counts_to_csv_rows; accepts externally recorded tables. A
-    malformed row raises ``ValueError`` naming its line (the header is line 1)."""
-    by_label: dict[str, tuple[tuple, dict[str, int]]] = {}
+    """Inverse of counts_to_csv_rows; accepts externally recorded tables.
+
+    Rows are grouped by the parsed setting, so labels that differ only in
+    spacing (``Z1 Z2`` and ``Z1  Z2``) add into one record. A malformed row
+    raises ``ValueError`` naming its line (the header is line 1)."""
+    by_setting: dict[tuple, dict[str, int]] = {}
     for line, row in enumerate(map(tuple, rows), start=1):
         if line == 1 and row == COUNTS_CSV_HEADER:
             continue
@@ -424,12 +427,10 @@ def counts_from_csv_rows(rows) -> list[CountRecord]:
             count = int(count)
         except ValueError:
             raise ValueError(f"line {line}: count {count!r} is not an integer") from None
-        if label not in by_label:
-            try:
-                setting = _check_setting((int(tok[1:]), tok[0]) for tok in label.split())
-            except ValueError as exc:
-                raise ValueError(f"line {line}: {exc}") from None
-            by_label[label] = setting, {}
-        cells = by_label[label][1]
+        try:
+            setting = _check_setting((int(tok[1:]), tok[0]) for tok in label.split())
+        except ValueError as exc:
+            raise ValueError(f"line {line}: {exc}") from None
+        cells = by_setting.setdefault(setting, {})
         cells[bits] = cells.get(bits, 0) + count
-    return [CountRecord.from_counts(setting, cells) for setting, cells in by_label.values()]
+    return [CountRecord.from_counts(setting, cells) for setting, cells in by_setting.items()]

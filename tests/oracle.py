@@ -13,7 +13,10 @@ package does not need, is kept here with its local Clifford unitary, and
 pure states are compared up to a global phase. The encoding and loss-recovery
 pipeline is also kept step by step through the checked public kernel
 functions, so every intermediate state is validated; the package runs the
-same arithmetic on raw arrays. Single-qubit process tomography is kept as
+same arithmetic on raw arrays. The syndrome table is kept as it was first
+written: each error injected into the state by a dense conjugation and a
+fresh Pauli vector read from the result, where the package flips signs on
+one vector per probe. Single-qubit process tomography is kept as
 the chi-matrix sums it was first written as: the channel applied term by
 term, the Bloch action read from its images, and chi solved from the
 superoperator. These are slow but transparent.
@@ -25,8 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from graphqec import kernel, sampling
-from graphqec.code import (ANCILLA, CODE_QUBITS, PROBES, logical_basis_states, logical_ops,
-                           syndrome_operators)
+from graphqec.code import (ANCILLA, CODE_QUBITS, PROBES, inject_pauli_error,
+                           logical_basis_states, logical_ops, measure_syndromes,
+                           parse_error_spec, predicted_syndrome_signs, syndrome_operators)
 from graphqec.graphs import Graph, stabilizer_generators
 from graphqec.kernel import DensityOperator, PureState
 from graphqec.pauli import CliffordGate, PauliString
@@ -341,8 +345,9 @@ def encoding_input_state(a) -> PureState:
 
 
 def encoded_state(probe, noise, byproduct="condition0") -> DensityOperator:
-    """``runner.encoded_state`` with a checked state after every step."""
-    state = encoding_input_state(PROBES[probe])
+    """``runner.encoded_state`` with a checked state after every step;
+    ``probe`` is a probe name or any ``AncillaState`` input."""
+    state = encoding_input_state(PROBES[probe] if isinstance(probe, str) else probe)
     if noise.stage == "post-resource":
         state = sampling.apply_noise(state, noise)
     xbar = logical_ops().xbar
@@ -357,6 +362,32 @@ def encoded_state(probe, noise, byproduct="condition0") -> DensityOperator:
     if len(branches) == 1:
         return branches[0][1]
     return DensityOperator(CODE_QUBITS, sum(p * b.matrix for p, b in branches))
+
+
+def injected_pauli_vector(raw, labels, letter, qubit) -> np.ndarray:
+    """Pauli vector of a raw state after the single-qubit Pauli error
+    ``letter`` on ``qubit``: dense conjugation, then a fresh vector."""
+    injected = kernel._unitary(raw, labels, kernel.PAULI[letter], (qubit,))
+    return kernel._pauli_vector(injected, len(labels))
+
+
+def syndrome_table_rows(config) -> list[tuple]:
+    """The data rows of the runner's syndrome table, each error injected
+    into the checked encoded state by ``inject_pauli_error`` and its
+    syndromes measured on the result with ``measure_syndromes``."""
+    encoded = {p: encoded_state(p, config.noise, config.byproduct) for p in config.probes}
+    err = parse_error_spec(config.error)
+    cases = [(err.letter(q), q) for q in err.support] \
+        or [(letter, loc) for letter in "XYZ" for loc in CODE_QUBITS]
+    rows = []
+    for letter, loc in cases:
+        error = PauliString.single(loc, letter)
+        predicted = predicted_syndrome_signs(error)
+        for probe in config.probes:
+            rec = measure_syndromes(inject_pauli_error(encoded[probe], error))
+            rows.append((f"{letter}@{loc}", loc, probe, *(round(v, 12) for v in rec.values),
+                         *rec.signs, *predicted, rec.signs == predicted))
+    return rows
 
 
 def lose_qubit(state, q) -> DensityOperator:

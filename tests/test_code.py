@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
-from graphqec import kernel
+from graphqec import code, kernel
 from graphqec.code import (AncillaState, CODE_QUBITS, PROBES, PROBE_TARGETS,
                            RecoveryRecipe, decode_no_loss, diagnose, encode,
                            encoding_input_state, inject_pauli_error,
@@ -172,6 +172,13 @@ class TestErrorsAndSyndromes:
         assert measure_syndromes(state_z).signs == (-1, -1, 1)
         state_y = inject_pauli_error(logical_basis_states()["0"], "Y@1")
         assert measure_syndromes(state_y).signs == (1, 1, -1)
+
+    def test_error_signs_are_the_pauli_transfer_diagonal(self):
+        # +1 on I and on the error's own letter, -1 on the other two
+        expected = {"X": (1, 1, -1, -1), "Y": (1, -1, 1, -1), "Z": (1, -1, -1, 1)}
+        for letter, signs in expected.items():
+            table = code._error_signs(letter)
+            assert tuple(table) == signs and not table.flags.writeable
 
     def test_full_sign_table_matches_commutation_parity(self):
         # 12 errors x 4 probes, exact sign agreement with zero tolerance

@@ -14,7 +14,10 @@ equal ``kernel.expectation`` term by term and rebuild the density matrix,
 and outcome probabilities must transform back into them; every witness's
 fidelity bound must hold on arbitrary states, not only on white noise, and
 loss recovery must return Haar-random inputs on every branch and on
-average. Symbolic
+average. A single-qubit Pauli error applied to the Pauli vector as a sign
+flip must equal dense conjugation, the 12 single-error syndrome patterns
+must hold on Haar-random encoded inputs under weak noise, and the syndrome
+table must equal its dense oracle row for row. Symbolic
 Pauli conjugation through random Clifford sequences must match the dense
 product, and the runner's bundle tables, rounded at the array, must print
 every float as the numpy scalar ``round`` would.
@@ -59,11 +62,11 @@ probabilities = st.floats(0.0, 1.0)
 
 
 @st.composite
-def states(draw, min_qubits=1, labels=None):
+def states(draw, min_qubits=1, labels=None, max_qubits=5):
     """A random state on ``labels``, or on a random register if omitted."""
     if labels is None:
-        labels = tuple(draw(st.lists(st.integers(1, 6), min_size=min_qubits, max_size=5,
-                                     unique=True)))
+        labels = tuple(draw(st.lists(st.integers(1, 6), min_size=min_qubits,
+                                     max_size=max_qubits, unique=True)))
     rng = np.random.default_rng(draw(seeds))
     dim = 2 ** len(labels)
     rank = draw(st.sampled_from((None, 1, 2, dim)))  # None: a pure state
@@ -430,6 +433,64 @@ def test_encoded_state_matches_checked_oracle(stage, byproduct, data):
     want = oracle.encoded_state(probe, noise, byproduct)
     assert got.labels == want.labels == CODE_QUBITS
     assert np.array_equal(got.matrix, want.matrix)
+
+
+@PROPERTY
+@given(states(max_qubits=6))
+def test_pauli_error_as_sign_flip_matches_dense_conjugation(state):
+    """Every single-qubit Pauli error on every qubit, applied to the Pauli
+    vector as a sign flip along the qubit's axis, equals dense conjugation
+    followed by a fresh Pauli vector."""
+    raw, n = kernel._raw(state), state.num_qubits
+    vec = kernel._pauli_vector(raw, n)
+    for axis, q in enumerate(state.labels):
+        for letter in "XYZ":
+            got = code._inject_in_pauli_vector(vec, axis, letter)
+            want = oracle.injected_pauli_vector(raw, state.labels, letter, q)
+            np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
+
+
+@st.composite
+def weak_noise(draw, stage):
+    """Per-qubit depolarizing and dephasing rates of at most 0.3 and a
+    visibility of at least 0.5: every syndrome expectation of an encoded
+    state stays positive, so no sign sits on the threshold."""
+    def rates():
+        return st.dictionaries(st.sampled_from((1, 2, 3, 4, 5)), st.floats(0.0, 0.3))
+    return NoiseModel(depolarizing=draw(rates()), dephasing=draw(rates()),
+                      visibility=draw(st.floats(0.5, 1.0)), stage=stage)
+
+
+@pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))
+@pytest.mark.parametrize("byproduct", BYPRODUCT_MODES)
+@PIPELINE
+@given(seeds, st.data())
+def test_single_error_patterns_on_random_inputs(stage, byproduct, seed, data):
+    """The 12 single-qubit errors give their predicted sign patterns, read
+    as the syndrome table reads them, on Haar-random encoded inputs under
+    random weak noise; the error-free pattern is (1, 1, 1)."""
+    g = np.random.default_rng(seed).normal(size=(2, 2))
+    alpha, beta = (g[0] + 1j * g[1]) / np.linalg.norm(g)
+    rho = oracle.encoded_state(AncillaState(alpha, beta), data.draw(weak_noise(stage)),
+                               byproduct)
+    vec = kernel._pauli_vector(rho.matrix, len(CODE_QUBITS))
+    assert code.SyndromeRecord(code._syndromes_of_vector(vec, CODE_QUBITS)).signs == (1, 1, 1)
+    for letter, q in itertools.product("XYZ", CODE_QUBITS):
+        injected = code._inject_in_pauli_vector(vec, CODE_QUBITS.index(q), letter)
+        rec = code.SyndromeRecord(code._syndromes_of_vector(injected, CODE_QUBITS))
+        assert rec.signs == code.predicted_syndrome_signs(PauliString.single(q, letter))
+
+
+@pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))
+@pytest.mark.parametrize("byproduct", BYPRODUCT_MODES)
+@pytest.mark.parametrize("error", ("none", "Y@4"))
+def test_syndrome_table_matches_dense_oracle_row_for_row(stage, byproduct, error):
+    noise = NoiseModel(depolarizing={1: 0.04, 3: 0.1, 5: 0.02}, dephasing={2: 0.07, 4: 0.03},
+                       visibility=0.85, stage=stage)
+    config = ExperimentConfig("syndrome-table", noise, byproduct=byproduct, error=error)
+    rows = run_experiment(config).tables["syndrome_table"][1:]
+    assert len(rows) == (48 if error == "none" else 4)
+    assert rows == oracle.syndrome_table_rows(config)
 
 
 def survivors(lost):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphqec import runner
+from graphqec import kernel, runner
 from graphqec.cli import _KIND_BY_COMMAND, cli_main
 from graphqec.runner import (ConfigError, ExperimentConfig, encoded_state,
                              run_experiment)
@@ -122,6 +122,23 @@ class TestExperiments:
         bundle = run_experiment(cfg("syndrome-table", error="I", probes=["+"]))
         assert bundle.summary["patterns_checked"] == 12
         assert bundle.summary["all_match"] is True
+
+    @pytest.mark.parametrize("byproduct", runner.BYPRODUCT_MODES)
+    def test_syndrome_table_reads_one_pauli_vector_per_probe(self, monkeypatch, byproduct):
+        """The 48 error rows and 4 baselines are read off 4 Pauli vectors, and
+        no error is injected by a dense conjugation: the only ``_unitary``
+        calls are the byproduct corrections of the 4 encodings in mode
+        ``correct``."""
+        calls = {"_pauli_vector": 0, "_unitary": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(kernel, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(kernel, name, counted)
+        noise = NoiseModel(depolarizing=0.05, visibility=0.8)
+        bundle = run_experiment(ExperimentConfig("syndrome-table", noise, byproduct=byproduct))
+        assert bundle.summary["patterns_checked"] == 48
+        assert calls == {"_pauli_vector": 4, "_unitary": 4 if byproduct == "correct" else 0}
 
     def test_noise_sweep_encodes_only_witnessed_probes(self, monkeypatch):
         # raw encodings of |0> at v = 0 and v = 1, then |0>, |+> and |+y> at v*
@@ -398,6 +415,17 @@ class TestCli:
         outputs = []
         for path in (counts_csv, padded):
             assert cli_main(["analyze-counts", "--in", str(path), "--witness", "resource5"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_analyze_counts_reads_every_spacing_of_a_label(self, tmp_path, capsys):
+        single, double = tmp_path / "single.csv", tmp_path / "double.csv"
+        rows = "setting,outcome,count\nY1 Z2,00,5\nY1{}Z2,01,7\nX1 X2,00,6\nX1 X2,01,2\n"
+        single.write_text(rows.format(" "))
+        double.write_text(rows.format("  "))
+        outputs = []
+        for path in (single, double):
+            assert cli_main(["analyze-counts", "--in", str(path), "--witness", "pair2"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 

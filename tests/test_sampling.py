@@ -276,6 +276,16 @@ class TestCsvInterchange:
         assert rec.counts == {"00": 5, "11": 7}
         assert rec.setting == ((1, "Z"), (2, "Z"))
 
+    def test_labels_that_differ_in_spacing_merge(self):
+        """Rows group by the parsed setting, so no row's counts end up in a
+        second record of the same setting that a witness never reads."""
+        rows = [("Z1 Z2", "00", "5"), ("Z1  Z2", "11", "7"), (" Z1 Z2", "00", "1")]
+        (rec,) = counts_from_csv_rows(rows)
+        assert rec.setting == ((1, "Z"), (2, "Z"))
+        assert rec.counts == {"00": 6, "11": 7}
+        # the bits follow the setting order, so a reordered setting stays apart
+        assert len(counts_from_csv_rows([("Z1 Z2", "01", "1"), ("Z2 Z1", "01", "1")])) == 2
+
     @pytest.mark.parametrize("row, message", [
         (("Z1", "0"), "line 3: expected 3 fields"),
         (("Z1 Z2", "00", "abc"), "line 3: count 'abc' is not an integer"),
