@@ -7,8 +7,10 @@ Re-running with an identical config and seed reproduces the bundle
 byte for byte.
 
 Tables and figures hold Python scalars only: a block of floats is rounded
-and converted once, at the array, with ``np.round(a, 12).tolist()``, never
-cell by cell, so no numpy scalar reaches the CSV or SVG writers. The summary
+and converted once, at the array, with ``(np.round(a, 12) + 0.0).tolist()``,
+never cell by cell, so no numpy scalar reaches the CSV or SVG writers.
+Adding 0.0 after rounding turns ``-0.0`` into ``0.0``, so residue of either
+sign prints the same; the scalar cells are rounded the same way. The summary
 reaches the JSON writer through :func:`_sanitize`.
 """
 from __future__ import annotations
@@ -304,8 +306,14 @@ def _bloch_grid() -> np.ndarray:
 
 
 def _rounded(a) -> list:
-    """``a`` rounded to 12 decimals as nested lists of Python floats."""
-    return np.round(a, 12).tolist()
+    """``a`` rounded to 12 decimals as nested lists of Python floats, with
+    ``-0.0`` written as ``0.0``."""
+    return (np.round(a, 12) + 0.0).tolist()
+
+
+def _round(x: float) -> float:
+    """One table cell: ``x`` rounded to 12 decimals, ``-0.0`` written as ``0.0``."""
+    return round(x, 12) + 0.0
 
 
 def _bloch_table(grid, mapped) -> list:
@@ -325,7 +333,7 @@ def _witness_table(named_results) -> list:
     rows = [("witness", "term", "coefficient", "expectation", "raw_expectation")]
     for name, result in named_results:
         for label, coeff, signed, raw in result.terms:
-            rows.append((name, label, coeff, round(signed, 12), round(raw, 12)))
+            rows.append((name, label, coeff, _round(signed), _round(raw)))
     return rows
 
 
@@ -538,13 +546,13 @@ def _run_syndrome_table(cfg: ExperimentConfig):
             match = rec.signs == predicted
             mismatches += 0 if match else 1
             rows.append((f"{letter}@{loc}", loc, probe,
-                         *(round(v, 12) for v in rec.values),
+                         *map(_round, rec.values),
                          *rec.signs, *predicted, match))
     summary = {
         "patterns_checked": (len(rows) - 1),
         "mismatches": mismatches,
         "all_match": mismatches == 0,
-        "no_error_syndromes": {p: [round(v, 12) for v in _syndromes_of_vector(vec, CODE_QUBITS)]
+        "no_error_syndromes": {p: list(map(_round, _syndromes_of_vector(vec, CODE_QUBITS)))
                                for p, vec in vectors.items()},
     }
     return summary, {"syndrome_table": rows}, {}
@@ -594,8 +602,7 @@ def _run_noise_sweep(cfg: ExperimentConfig):
         v = float(v)
         fid0, wit, fid5 = ((1 - v) * end0 + v * end1 for end0, end1 in zip(*ends))
         bound = fidelity_lower_bound(wit)
-        rows.append((round(v, 12), round(fid0, 12), round(wit, 12), round(bound, 12),
-                     round(fid5, 12), fid5 >= bound - 1e-12))
+        rows.append((*map(_round, (v, fid0, wit, bound, fid5)), fid5 >= bound - 1e-12))
 
     v_star = _calibrated_visibility(ends[0][0], ends[1][0], cfg.target_fidelity)
     model = replace(cfg.noise, visibility=v_star)

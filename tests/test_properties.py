@@ -174,13 +174,14 @@ table_floats = st.one_of(
        hnp.arrays(float, (4, 4, 2), elements=table_floats))
 def test_tables_print_like_rounded_numpy_scalars(points, chi_parts):
     """The Bloch and chi tables, rounded once per array, hold the same text
-    as ``round(np.float64(x), 12)`` of every cell."""
+    as ``round(np.float64(x), 12) + 0.0`` of every cell: the rounded value,
+    with a zero of either sign written as ``0.0``."""
     def want(a):
-        return [str(round(np.float64(x), 12)) for x in a.ravel()]
+        return [str(round(np.float64(x), 12) + 0.0) for x in a.ravel()]
 
     rows = _bloch_table(points[:, :3], points[:, 3:])[1:]
     assert [str(cell) for row in rows for cell in row] == want(points)
-    chi = SimpleNamespace(matrix=chi_parts.view(complex)[..., 0])  # keeps -0.0 parts
+    chi = SimpleNamespace(matrix=chi_parts.view(complex)[..., 0])  # keeps -0.0 inputs
     rows = _chi_table(chi)[1:]
     assert [str(cell) for row in rows for cell in row[2:]] == want(chi_parts)
 

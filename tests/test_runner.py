@@ -204,6 +204,14 @@ class TestExperiments:
                 for cell in row:
                     assert type(cell) in (str, int, float, bool), (name, row, type(cell))
 
+    def test_table_zeros_carry_no_sign(self):
+        """Residue of either sign that rounds to zero is written as 0.0, by
+        the array rounding and by the scalar one alike."""
+        cells = runner._rounded(np.array([-1e-17, 1e-17, -0.0, -0.25]))
+        cells += [runner._round(x) for x in (-1e-17, 1e-17, -0.0, np.float64(-1e-17))]
+        assert [math.copysign(1.0, x) for x in cells] == [1, 1, 1, -1, 1, 1, 1, 1]
+        assert all(str(x) == "0.0" for i, x in enumerate(cells) if i != 3)
+
     def test_bundle_write_files(self, tmp_path):
         config = cfg("syndrome-table", formats=["json", "csv", "svg"])
         bundle = run_experiment(config)
