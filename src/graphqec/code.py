@@ -4,6 +4,11 @@ Code qubits are (1,2,4,5); qubit 3 is the ancilla that carries the input
 state and is consumed by an X measurement during encoding. The encoded
 state is X_L^{s3} (alpha |+_L> + beta |-_L>), i.e. the input is stored in
 the Hadamard basis up to a byproduct fixed by the measurement outcome s3.
+
+The noisy encoding of a batch of inputs is also built directly as Pauli
+vectors (:func:`_encoded_vectors`): it is linear in the input's Bloch
+4-vector, and noise, the ancilla projection and the byproduct correction
+are each an element-wise step on the vector.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from functools import cache, lru_cache, reduce
 
 import numpy as np
 
-from . import kernel
+from . import kernel, sampling
 from .kernel import DensityOperator, PureState
 from .pauli import PauliString, _read_words, pauli_commutes, pauli_multiply
 
@@ -139,6 +144,57 @@ def _encoding_input(a: AncillaState) -> np.ndarray:
     return a.alpha * z3_plus + a.beta * o3_minus
 
 
+@cache
+def _input_map() -> np.ndarray:
+    """Read-only real 1024 x 4 map from an input's Bloch 4-vector (1, x, y, z)
+    to the Pauli vector of its encoding input on qubits (1,2,3,4,5), flattened.
+
+    Column k is the Pauli vector of V sigma_k V^dagger / 2 for the isometry
+    V: |0> -> |0>_3 |+_L>, |1> -> |1>_3 |-_L>, so the map sends the input
+    rho = (I + x X + y Y + z Z) / 2 to the vector of V rho V^dagger. It
+    depends on no noise model."""
+    v = np.stack(_encoding_branches(), axis=1)
+    out = np.stack([kernel._pauli_vector(v @ s @ v.conj().T / 2, 5).reshape(-1)
+                    for s in (kernel.I, kernel.X, kernel.Y, kernel.Z)], axis=1)
+    out.setflags(write=False)
+    return out
+
+
+def _encoded_vectors(blochs, noise, byproduct: str) -> np.ndarray:
+    """Pauli vectors of the encoded states of P inputs, shape (P, 4, 4, 4, 4)
+    on ``CODE_QUBITS``, from their Bloch 4-vectors (1, x, y, z), shape (P, 4).
+
+    ``noise`` is a ``sampling.NoiseModel`` and ``byproduct`` one of
+    ``condition0``, ``correct`` or ``raw``, as for ``runner.encoded_state``.
+    Every step is linear on the Pauli vector: the cached input map; the
+    noise as the diagonal ``sampling._noise_factors`` (before the ancilla
+    measurement at stage ``post-resource``, after the byproduct correction
+    at ``post-encoding``); the X projection of the ancilla with outcome s,
+    (v[..I_3..] + (-1)^s v[..X_3..]) / 2 normalized by its identity entry
+    p, refused below p = 1e-12 as ``kernel._project`` does; and the Xbar
+    correction as the sign flips of its letters. Mode ``condition0`` keeps
+    the s3 = 0 branch, the other two weight both branches by p.
+    """
+    vec = (np.asarray(blochs, dtype=float) @ _input_map().T).reshape(-1, *[4] * 5)
+    if noise.stage == "post-resource":
+        vec = vec * sampling._noise_factors((1, 2, 3, 4, 5), noise)
+    xbar = logical_ops().xbar
+    branches = []
+    for s3 in (0,) if byproduct == "condition0" else (0, 1):
+        post = (vec[:, :, :, 0] + (-1) ** s3 * vec[:, :, :, 1]) / 2
+        p = post[:, 0, 0, 0, 0, None, None, None, None]
+        if p.min() < 1e-12:
+            raise kernel.ZeroProbabilityError(
+                f"cannot take zero-probability branch {s3} (p = {p.min()})")
+        post = post / p
+        if s3 and byproduct == "correct":
+            post = _conjugate_pauli_vector(post, xbar, CODE_QUBITS)
+        if noise.stage == "post-encoding":
+            post = post * sampling._noise_factors(CODE_QUBITS, noise)
+        branches.append((p, post))
+    return branches[0][1] if len(branches) == 1 else sum(p * b for p, b in branches)
+
+
 def encoding_input_state(a: AncillaState) -> PureState:
     """alpha |0>_3 |+_L> + beta |1>_3 |-_L> on qubits (1,2,3,4,5): the
     resource state with the ancilla marginal replaced by the input."""
@@ -240,6 +296,16 @@ def _inject_in_pauli_vector(vec: np.ndarray, axis: int, letter: str) -> np.ndarr
     shape = [1] * vec.ndim
     shape[axis] = 4
     return vec * _error_signs(letter).reshape(shape)
+
+
+def _conjugate_pauli_vector(vec: np.ndarray, word: PauliString, labels) -> np.ndarray:
+    """Pauli vector of W rho W^dagger for the Pauli word W = ``word``, given
+    the Pauli vector ``vec`` of rho on ``labels``, held by the trailing axes
+    of ``vec``: one :func:`_inject_in_pauli_vector` per letter."""
+    offset = vec.ndim - len(labels)
+    for q, letter in word.letters:
+        vec = _inject_in_pauli_vector(vec, offset + labels.index(q), letter)
+    return vec
 
 
 def predicted_syndrome_signs(error: PauliString) -> tuple[int, int, int]:
@@ -415,9 +481,16 @@ def recover_average(rho, recipe: RecoveryRecipe) -> DensityOperator:
     ``DensityOperator``.
     """
     _check_recipe(rho.labels, recipe)
-    kraus = _recovery_kraus(recipe, rho.labels)
-    m = kraus @ kernel._density_matrix(kernel._raw(rho)) @ kraus.conj().T
-    return DensityOperator((recipe.output,), np.einsum("kakb->ab", m.reshape(4, 2, 4, 2)))
+    return DensityOperator((recipe.output,), _recover_average(
+        rho.labels, kernel._density_matrix(kernel._raw(rho)), recipe))
+
+
+def _recover_average(labels, matrix: np.ndarray, recipe: RecoveryRecipe) -> np.ndarray:
+    """Raw :func:`recover_average` of a density matrix on ``labels``, which
+    must be the recipe's qubits: the output qubit's 2x2 matrix."""
+    kraus = _recovery_kraus(recipe, labels)
+    m = kraus @ matrix @ kraus.conj().T
+    return np.einsum("kakb->ab", m.reshape(4, 2, 4, 2))
 
 
 @lru_cache(maxsize=128)

@@ -16,13 +16,17 @@ expectation: it interleaves each qubit's (row, col) axes of the density
 tensor into one axis of size 4 and applies one constant 4x4 matrix to each
 axis in turn, so n small contractions give tr(rho P) for all 4^n Pauli words
 P at once, and a caller reads as many words as it needs from that vector.
-Its readers are the witnesses, syndromes and logical tomography; the
-syndrome table, which reads each single-qubit Pauli error off the error-free
-vector as a +-1 sign flip along the error's axis
-(``code._inject_in_pauli_vector``); and the count sampler, which
-Walsh-Hadamard transforms one ``[2]*n`` sub-cube of it into a product
-setting's outcome probabilities with the same per-axis pass,
-``_transform_each_axis``.
+Its readers are the witnesses, syndromes and logical tomography of checked
+states, and the count sampler, which Walsh-Hadamard transforms one
+``[2]*n`` sub-cube of it into a product setting's outcome probabilities
+with the same per-axis pass, ``_transform_each_axis``. Encoded states are
+built as Pauli vectors in the first place (``code._encoded_vectors``), and
+the dense-channel kinds read them there: the logical read-out, fidelities
+with pure targets, witnesses, the partial trace (index 0 on the traced
+axes) and Pauli errors as +-1 sign flips along an axis
+(``code._inject_in_pauli_vector``). ``_from_pauli_vector`` is the inverse
+transform; it turns a vector into a density matrix where a state or a
+contraction needs one.
 
 Validation happens at the boundary. The public constructors
 (``PureState``, ``DensityOperator``, ``Observable``) check their values, and
@@ -228,6 +232,19 @@ def _pauli_vector(raw: np.ndarray, n: int) -> np.ndarray:
     if imag > EIG_ATOL:
         raise ValueError(f"expectation has imaginary part {imag}")
     return t.real
+
+
+# The inverse of _PAULI_TRANSFORM: column P sends tr(rho P) back to the
+# entries P[a, b] / 2 of one qubit's density block, flattened as 2a + b.
+_INVERSE_PAULI_TRANSFORM = np.stack([m.reshape(-1) for m in (I, X, Y, Z)], axis=1) / 2
+
+
+def _from_pauli_vector(vec: np.ndarray, n: int) -> np.ndarray:
+    """Raw 2^n x 2^n density matrix rho = 2^-n sum_P v_P P of the real
+    ``[4]*n`` Pauli vector ``vec``: the inverse of :func:`_pauli_vector`."""
+    t = _transform_each_axis(_INVERSE_PAULI_TRANSFORM, vec.astype(complex))
+    t = t.reshape([2] * (2 * n)).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    return t.reshape(2 ** n, 2 ** n)
 
 
 def _transform_each_axis(m: np.ndarray, t: np.ndarray) -> np.ndarray:

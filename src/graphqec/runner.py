@@ -28,19 +28,21 @@ import numpy as np
 
 from . import __version__, kernel, sampling
 from .code import (ANCILLA, CODE_QUBITS, PROBE_NAMES, PROBE_TARGETS, PROBES,
-                   SyndromeRecord, _encoding_input, _inject_in_pauli_vector,
-                   _syndromes_of_vector, logical_basis_states, logical_ops, parse_error_spec,
-                   predicted_syndrome_signs, recover_average, recovery_recipe)
+                   SyndromeRecord, _conjugate_pauli_vector, _encoded_vectors,
+                   _inject_in_pauli_vector, _recover_average, _syndromes_of_vector,
+                   logical_basis_states, logical_ops, parse_error_spec,
+                   predicted_syndrome_signs, recovery_recipe)
 from .graphs import RESOURCE, build_resource, stabilizer_generators
 from .kernel import DensityOperator, PureState
-from .pauli import PauliString, _expectations, pauli_expectations
+from .pauli import PauliString, _expectations, _read_words, pauli_expectations
 from .sampling import (MAX_TRIALS, NoiseModel, apply_noise, counts_to_csv_rows,
                        monte_carlo_uncertainty, sample_setting_counts,
                        witness_settings, witness_value_from_counts)
-from .tomography import (ChannelSample, _fidelity, average_probe_fidelity, bloch_image,
-                         chi_hadamard, chi_identity, logical_density_from_expectations,
-                         logical_tomography, process_fidelity, reconstruct_chi,
-                         sphere_average_fidelity, state_fidelity)
+from .tomography import (ChannelSample, _fidelity, _logical_of_vector, _vector_fidelity,
+                         average_probe_fidelity, bloch_image, chi_hadamard, chi_identity,
+                         logical_density_from_expectations, logical_tomography,
+                         process_fidelity, reconstruct_chi, sphere_average_fidelity,
+                         state_fidelity)
 from .witnesses import (box_witness, evaluate_witness, fidelity_lower_bound,
                         ghz_witness, pair_witness, resource_witness)
 
@@ -228,29 +230,20 @@ def encoded_state(probe: str, noise: NoiseModel, byproduct: str = "condition0") 
     before the ancilla measurement at stage ``post-resource`` and after the
     byproduct correction at stage ``post-encoding``.
 
-    The state stays a raw vector until the noise turns it into a density
-    matrix, every step works on raw arrays (see :func:`_encoded`), and the
-    result is validated once, as the returned ``DensityOperator``.
+    The state is built as its Pauli vector (:func:`_probe_vectors`), turned
+    into a density matrix once with ``kernel._from_pauli_vector`` and
+    validated once, as the returned ``DensityOperator``.
     """
-    return DensityOperator(CODE_QUBITS, _encoded(probe, noise, byproduct))
+    vec = _probe_vectors((probe,), noise, byproduct)[probe]
+    return DensityOperator(CODE_QUBITS, kernel._from_pauli_vector(vec, len(CODE_QUBITS)))
 
 
-def _encoded(probe: str, noise: NoiseModel, byproduct: str) -> np.ndarray:
-    """Raw density matrix of :func:`encoded_state`."""
-    labels = (1, 2, 3, 4, 5)
-    state = _encoding_input(PROBES[probe])
-    if noise.stage == "post-resource":
-        state = sampling._noise(state, labels, noise)
-    xbar = logical_ops().xbar
-    branches = []
-    for s3 in (0,) if byproduct == "condition0" else (0, 1):
-        p, post, post_labels = kernel._project(state, labels, ANCILLA, "X", s3)
-        if s3 and byproduct == "correct":
-            post = kernel._unitary(post, post_labels, xbar.dense(xbar.support), xbar.support)
-        if noise.stage == "post-encoding":
-            post = sampling._noise(post, post_labels, noise)
-        branches.append((p, post))
-    return branches[0][1] if len(branches) == 1 else sum(p * b for p, b in branches)
+def _probe_vectors(probes, noise: NoiseModel, byproduct: str) -> dict[str, np.ndarray]:
+    """Pauli vector of each probe's encoded state on ``CODE_QUBITS``, all
+    built in one batch by ``code._encoded_vectors`` from the probes' Bloch
+    4-vectors."""
+    blochs = [(1.0, *PROBES[p].bloch) for p in probes]
+    return dict(zip(probes, _encoded_vectors(blochs, noise, byproduct)))
 
 
 def _sampled_logical_expectations(rho, counts_per_setting, seed, stream_base) -> dict:
@@ -411,20 +404,37 @@ def _stabilizer_expectations(state, graph) -> dict:
     return dict(zip(map(str, gens), pauli_expectations(state, gens)))
 
 
-def _probe_witnesses(probe, rho) -> list:
+def _probe_witnesses(probe) -> list:
     """The witnesses certifying one encoded probe, as ``(name, stream offset,
-    state, spec)``: the box witness on |0> (on |1> in the Zbar frame), the
-    rotated GHZ witness on |+> and a pair witness on each pair of |+y>."""
+    spec, frame)``: the box witness on |0> (on |1> in the frame of the Pauli
+    word ``frame``, Zbar; ``None`` elsewhere), the rotated GHZ witness on |+>
+    and a pair witness on each pair of |+y>, read on that pair."""
     if probe == "0":
-        return [("box4", 0, rho, box_witness())]
+        return [("box4", 0, box_witness(), None)]
     if probe == "1":
-        zbar = logical_ops().zbar
-        rotated = kernel.apply_unitary(rho, zbar.dense(zbar.support), zbar.support)
-        return [("box4_zbar_frame", 0, rotated, box_witness())]
+        return [("box4_zbar_frame", 0, box_witness(), logical_ops().zbar)]
     if probe == "+":
-        return [("ghz4", 0, rho, ghz_witness())]
-    return [(f"pair2_{a}{b}", 10 * (i + 1), kernel.partial_trace(rho, (a, b)),
-             pair_witness((a, b))) for i, (a, b) in enumerate(((1, 2), (4, 5)))]
+        return [("ghz4", 0, ghz_witness(), None)]
+    return [(f"pair2_{a}{b}", 10 * (i + 1), pair_witness((a, b)), None)
+            for i, (a, b) in enumerate(((1, 2), (4, 5)))]
+
+
+def _witness_state(rho, spec, frame):
+    """The state a probe witness reads: the encoded ``rho``, conjugated by
+    ``frame`` if one is given, reduced to the witness's qubits."""
+    if frame is not None:
+        rho = kernel.apply_unitary(rho, frame.dense(frame.support), frame.support)
+    return rho if spec.qubits == rho.labels else kernel.partial_trace(rho, spec.qubits)
+
+
+def _witness_value_of_vector(vec: np.ndarray, spec, frame) -> float:
+    """Exact value of a probe witness read off the Pauli vector ``vec`` of
+    the encoded probe on ``CODE_QUBITS``: the frame is a sign flip per
+    letter, and a word on a pair reads index 0 on the two traced axes, which
+    is the reduced state's Pauli vector."""
+    if frame is not None:
+        vec = _conjugate_pauli_vector(vec, frame, CODE_QUBITS)
+    return spec.value(_read_words(vec, CODE_QUBITS, [t.word for t in spec.terms]))
 
 
 def _run_encode_tomography(cfg: ExperimentConfig):
@@ -443,9 +453,10 @@ def _run_encode_tomography(cfg: ExperimentConfig):
             "fidelity_logical": _fidelity(ldm.matrix, ideal_logical),
             "fidelity_state": state_fidelity(rho, target_state),
             "witnesses": {
-                name: _witness_block(state, spec, cfg.counts_per_setting, cfg.trials,
-                                     cfg.seed, 300 + 100 * idx + offset)[0]
-                for name, offset, state, spec in _probe_witnesses(probe, rho)},
+                name: _witness_block(_witness_state(rho, spec, frame), spec,
+                                     cfg.counts_per_setting, cfg.trials, cfg.seed,
+                                     300 + 100 * idx + offset)[0]
+                for name, offset, spec, frame in _probe_witnesses(probe)},
         }
         est = _sampled_logical_expectations(rho, cfg.counts_per_setting,
                                             cfg.seed, 700 + 10 * idx)
@@ -483,20 +494,28 @@ def _channel_report(outputs: dict, chi_ref, title: str):
 
 
 def _run_encode_channel(cfg: ExperimentConfig):
-    outputs = {p: logical_tomography(encoded_state(p, cfg.noise, cfg.byproduct))
-               for p in PROBE_NAMES}
+    """Chi of the encoding channel from the logical read-out of each probe,
+    three components of its encoded Pauli vector."""
+    outputs = {p: _logical_of_vector(vec, CODE_QUBITS)
+               for p, vec in _probe_vectors(PROBE_NAMES, cfg.noise, cfg.byproduct).items()}
     chi_block, tables, figures = _channel_report(outputs, chi_hadamard(), "encoding channel")
     return {"chi": chi_block, "reference": "hadamard"}, tables, figures
 
 
 def _run_loss_recovery(cfg: ExperimentConfig):
+    """Each probe's encoded Pauli vector loses qubit ``lost`` (index 0 on its
+    axis is the partial trace), becomes the remaining three qubits' density
+    matrix and runs through the recipe's Kraus contraction; only the
+    recovered single-qubit outputs are built as checked states."""
     recipe = recovery_recipe(cfg.lost)
+    axis = CODE_QUBITS.index(cfg.lost)
+    keep = tuple(q for q in CODE_QUBITS if q != cfg.lost)
     fidelities = {}
     outputs = {}
-    for probe in PROBE_NAMES:
-        rho = encoded_state(probe, cfg.noise, cfg.byproduct)
-        reduced = kernel.partial_trace(rho, tuple(q for q in CODE_QUBITS if q != cfg.lost))
-        outputs[probe] = recover_average(reduced, recipe)
+    for probe, vec in _probe_vectors(PROBE_NAMES, cfg.noise, cfg.byproduct).items():
+        reduced = kernel._from_pauli_vector(vec.take(0, axis=axis), len(keep))
+        outputs[probe] = DensityOperator((recipe.output,),
+                                         _recover_average(keep, reduced, recipe))
         target = PureState.single(recipe.output, PROBES[probe].vector)
         fidelities[probe] = state_fidelity(outputs[probe], target)
     chi_block, tables, figures = _channel_report(
@@ -521,20 +540,19 @@ def _run_syndrome_table(cfg: ExperimentConfig):
     """Syndrome expectations and signs under each single-qubit Pauli error,
     beside the signs the commutation rules predict.
 
-    Each probe's encoded state is built and checked once and turned into one
-    Pauli vector. The error-free baseline and every injected error's three
-    syndromes are read off that vector: a Pauli error L on code qubit q
-    flips the sign of each component whose letter at q is neither I nor L
-    (``code._inject_in_pauli_vector``). The signs come from the dense
+    Each probe's encoded state is built as one Pauli vector, all probes in
+    one batch (:func:`_probe_vectors`). The error-free baseline and every
+    injected error's three syndromes are read off that vector: a Pauli
+    error L on code qubit q flips the sign of each component whose letter
+    at q is neither I nor L (``code._inject_in_pauli_vector``). The signs
+    come from the dense
     matrices, so the ``match`` column still compares a measured pattern
     with ``predicted_syndrome_signs``, two independent computations.
     """
     rows = [("error", "location", "probe", "s1", "s2", "s3",
              "sign1", "sign2", "sign3", "pred1", "pred2", "pred3", "match")]
     mismatches = 0
-    vectors = {p: kernel._pauli_vector(encoded_state(p, cfg.noise, cfg.byproduct).matrix,
-                                       len(CODE_QUBITS))
-               for p in cfg.probes}
+    vectors = _probe_vectors(cfg.probes, cfg.noise, cfg.byproduct)
     err = parse_error_spec(cfg.error)  # one injected error, or the identity: all 12
     cases = [(err.letter(q), q) for q in err.support] \
         or [(letter, loc) for letter in "XYZ" for loc in CODE_QUBITS]
@@ -583,17 +601,18 @@ def _run_noise_sweep(cfg: ExperimentConfig):
     fidelity, the resource witness and the resource fidelity are therefore
     computed at v = 0 and v = 1 only; each row reads
     ``(1 - v) * end0 + v * end1``, the endpoints exactly at v = 0 and 1,
-    and v* comes from the same two fidelities. The states at v* are built,
-    checked and reported.
+    and v* comes from the same two fidelities. At v* the resource is built
+    and checked; the encoded probes stay Pauli vectors, and their
+    fidelities and witnesses are read off them.
     """
     ideal5 = build_resource()
     spec = resource_witness()
     words = [t.word for t in spec.terms]
-    plus = logical_basis_states()["+"]
+    plus = kernel._pauli_vector(logical_basis_states()["+"].amplitudes, len(CODE_QUBITS))
     ends = []  # (encoded |0> fidelity, resource witness, resource fidelity)
     for noise in (replace(cfg.noise, visibility=v) for v in (0.0, 1.0)):
         rho5 = sampling._noise(ideal5.amplitudes, ideal5.labels, noise)
-        ends.append((_fidelity(_encoded("0", noise, "condition0"), plus.amplitudes),
+        ends.append((_vector_fidelity(_probe_vectors(("0",), noise, "condition0")["0"], plus),
                      spec.value(_expectations(rho5, ideal5.labels, words)),
                      _fidelity(rho5, ideal5.amplitudes)))
     rows = [("visibility", "encoded0_fidelity", "resource_witness",
@@ -609,14 +628,14 @@ def _run_noise_sweep(cfg: ExperimentConfig):
     rho5 = apply_noise(ideal5, model)
     wit_star = evaluate_witness(rho5, spec).value
     witness_values = {"resource5": wit_star}
-    encoded = {p: encoded_state(p, model, "condition0") for p in ("0", "+", "+y")}
-    for probe, rho in encoded.items():
-        for name, _, state, witness in _probe_witnesses(probe, rho):
-            witness_values[name] = evaluate_witness(state, witness).value
+    encoded = _probe_vectors(("0", "+", "+y"), model, "condition0")
+    for probe, vec in encoded.items():
+        for name, _, witness, frame in _probe_witnesses(probe):
+            witness_values[name] = _witness_value_of_vector(vec, witness, frame)
     summary = {
         "calibrated_visibility": v_star,
         "target_fidelity": cfg.target_fidelity,
-        "fidelity_at_calibration": state_fidelity(encoded["0"], plus),
+        "fidelity_at_calibration": _vector_fidelity(encoded["0"], plus),
         "witness_values_at_calibration": witness_values,
         "all_witnesses_negative": all(w < 0 for w in witness_values.values()),
         "fidelity_lower_bound": fidelity_lower_bound(wit_star),

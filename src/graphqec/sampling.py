@@ -99,6 +99,14 @@ class NoiseModel:
       (1 - p) rho_aa + (p/2)(rho_00 + rho_11);
     - dephasing: the off-diagonal blocks rho_01, rho_10 scale by 1 - 2q.
 
+    On the Pauli vector v_P = tr(rho P) (``kernel._pauli_vector``) the whole
+    model is a diagonal: each qubit scales its X and Y components by
+    (1 - p)(1 - 2q) and its Z component by 1 - p, and white noise scales
+    every component but the identity by the visibility v. So the noisy
+    vector is v_P times the product of the per-qubit factors of P's letters,
+    for every word P but I...I, whose entry (the trace) is kept
+    (:func:`_noise_factors`).
+
     ``stage`` says where the runner applies the model: to the five-qubit
     resource or to the encoded four-qubit state.
     """
@@ -153,6 +161,23 @@ def _noise(raw: np.ndarray, labels, model: NoiseModel) -> np.ndarray:
     if v < 1:
         rho = v * rho + (1 - v) * np.eye(dim) / dim
     return rho
+
+
+def _noise_factors(labels, model: NoiseModel) -> np.ndarray:
+    """Real ``[4]*n`` diagonal of :func:`_noise` on the Pauli vector of a
+    state on ``labels`` (see :class:`NoiseModel`): the outer product of each
+    qubit's (1, (1 - p)(1 - 2q), (1 - p)(1 - 2q), 1 - p), times the
+    visibility everywhere but the all-identity entry, which is 1. Multiplying
+    a unit-trace state's Pauli vector by it gives the Pauli vector of the
+    noisy state."""
+    out = np.ones(())
+    for q in labels:
+        p, dq = model.depolarizing_for(q), model.dephasing_for(q)
+        xy = (1 - p) * (1 - 2 * dq)
+        out = np.multiply.outer(out, (1.0, xy, xy, 1 - p))
+    out = out * model.visibility
+    out[(0,) * len(labels)] = 1.0
+    return out
 
 
 @dataclass(eq=False)

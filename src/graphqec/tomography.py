@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .code import PROBE_NAMES, logical_ops
+from .code import CODE_QUBITS, PROBE_NAMES, logical_ops
 from .kernel import DensityOperator, PureState
-from .pauli import pauli_expectations
+from .pauli import _read_words
 
 PAULI_BASIS = ("I", "X", "Y", "Z")
 PAULI_MATS = tuple(kernel.PAULI[p] for p in PAULI_BASIS)
@@ -61,9 +61,17 @@ def logical_tomography(state) -> LogicalDensityMatrix:
     """rho_L = (I + <X_L> X + <Y_L> Y + <Z_L> Z) / 2 from the collective
     logical bases of a four-qubit code state; the three logical expectations
     are read from one Pauli vector of the state."""
+    kernel._axes(state.labels, CODE_QUBITS)
+    return _logical_of_vector(kernel._pauli_vector(kernel._raw(state), state.num_qubits),
+                              state.labels)
+
+
+def _logical_of_vector(vec: np.ndarray, labels) -> LogicalDensityMatrix:
+    """:func:`logical_tomography` of the state with Pauli vector ``vec`` on
+    ``labels``: <X_L>, <Y_L> and <Z_L> are three of its components."""
     ops = logical_ops()
-    ex, ey, ez = pauli_expectations(state, (ops.xbar, ops.ybar, ops.zbar))
-    return logical_density_from_expectations(ex, ey, ez)
+    return logical_density_from_expectations(
+        *_read_words(vec, labels, (ops.xbar, ops.ybar, ops.zbar)))
 
 
 def state_fidelity(rho, target: PureState) -> float:
@@ -81,6 +89,13 @@ def _fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     """Raw :func:`state_fidelity`: <psi| rho |psi> of a density matrix and a
     state vector on the same register."""
     return float(np.vdot(psi, rho @ psi).real)
+
+
+def _vector_fidelity(vec: np.ndarray, target: np.ndarray) -> float:
+    """:func:`state_fidelity` from Pauli vectors on one n-qubit register:
+    tr(rho sigma) = 2^-n sum_P v_P t_P for the pure target sigma with
+    Pauli vector ``target``."""
+    return float(vec.reshape(-1) @ target.reshape(-1)) / 2 ** vec.ndim
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,14 +12,14 @@ the printed syndrome factorizations. Local complementation, which the
 package does not need, is kept here with its local Clifford unitary, and
 pure states are compared up to a global phase. The encoding and loss-recovery
 pipeline is also kept step by step through the checked public kernel
-functions, so every intermediate state is validated; the package runs the
-same arithmetic on raw arrays. The syndrome table is kept as it was first
-written: each error injected into the state by a dense conjugation and a
-fresh Pauli vector read from the result, where the package flips signs on
-one vector per probe. Single-qubit process tomography is kept as
-the chi-matrix sums it was first written as: the channel applied term by
-term, the Bloch action read from its images, and chi solved from the
-superoperator. These are slow but transparent.
+functions, so every intermediate state is validated; the package runs loss
+recovery on raw arrays and builds the encoded states as Pauli vectors. The
+syndrome table is kept as it was first written: each error injected into
+the state by a dense conjugation and a fresh Pauli vector read from the
+result, where the package flips signs on one vector per probe.
+Single-qubit process tomography is kept as the chi-matrix sums it was first
+written as: the channel applied term by term, the Bloch action read from
+its images, and chi solved from the superoperator. These are slow but transparent.
 """
 import itertools
 from functools import reduce

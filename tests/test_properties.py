@@ -3,13 +3,13 @@ kron/Kraus oracle in ``oracle.py``, batched Monte Carlo resampling against
 its per-trial, per-cell oracle (also along sequences of calls), the
 closed-form visibility calibration against bisection of the checked
 oracle's fidelity, every noise-sweep row against the states built directly
-at its visibility, the raw-array encoding, loss and recovery pipeline
-against its step-by-step checked oracle, bit for bit (``recover_average``,
-one Kraus contraction, to 1e-12, with complete Kraus operators), and process
-tomography through the Pauli transfer matrix against the chi-matrix sums
-and 16x16 solve it replaced. The encode and loss-recovery channels under
-random per-qubit noise must come out CPTP, and count records must survive
-the CSV round trip. Pauli expectations read from one Pauli vector must
+at its visibility, the encoding (to 1e-12) and the raw-array loss and
+recovery pipeline against its step-by-step checked oracle, bit for bit
+(``recover_average``, one Kraus contraction, to 1e-12, with complete Kraus
+operators), and process tomography through the Pauli transfer matrix
+against the chi-matrix sums and 16x16 solve it replaced. The encode and
+loss-recovery channels under random per-qubit noise must come out CPTP,
+and count records must survive the CSV round trip. Pauli expectations read from one Pauli vector must
 equal ``kernel.expectation`` term by term and rebuild the density matrix,
 and outcome probabilities must transform back into them; every witness's
 fidelity bound must hold on arbitrary states, not only on white noise, and
@@ -17,10 +17,16 @@ loss recovery must return Haar-random inputs on every branch and on
 average. A single-qubit Pauli error applied to the Pauli vector as a sign
 flip must equal dense conjugation, the 12 single-error syndrome patterns
 must hold on Haar-random encoded inputs under weak noise, and the syndrome
-table must equal its dense oracle row for row. Symbolic
-Pauli conjugation through random Clifford sequences must match the dense
-product, and the runner's bundle tables, rounded at the array, must print
-every float as the numpy scalar ``round`` would.
+table must equal its dense oracle row for row. The Pauli-domain encoder
+must give the Pauli vectors of the checked oracle's encoded states for
+probes and Haar-random inputs, the noise model's Pauli diagonal must equal
+the dense noise, the encoder's linear map composed with the logical
+read-out, or with the index-0 trace and the recovery Kraus stack, must give
+the runner's encode-channel and loss-recovery PTMs, and the probe witnesses
+and fidelities read off the vectors must equal those of the dense states.
+Symbolic Pauli conjugation through random Clifford sequences must match the
+dense product, and the runner's bundle tables, rounded at the array, must
+print every float as the numpy scalar ``round`` would, zeros unsigned.
 
 States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
@@ -37,20 +43,21 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracle
-from graphqec import code, kernel
+from graphqec import code, kernel, runner, sampling
 from graphqec.code import (CODE_QUBITS, PROBE_NAMES, PROBES, AncillaState, encode,
                            logical_basis_states, logical_ops, lose_qubit, recover,
                            recover_average, recovery_recipe)
 from graphqec.graphs import build_resource
 from graphqec.kernel import DensityOperator, Observable, PureState
-from graphqec.pauli import CliffordGate, PauliString, conjugate_sequence, pauli_expectations
+from graphqec.pauli import (CliffordGate, PauliString, _read_words, conjugate_sequence,
+                           pauli_expectations)
 from graphqec.runner import (BYPRODUCT_MODES, ExperimentConfig, _bloch_table,
                              _calibrated_visibility, _chi_table, encoded_state, run_experiment)
 from graphqec.sampling import (CountRecord, NoiseModel, apply_noise, counts_from_csv_rows,
                                counts_to_csv_rows, estimate_expectation,
                                monte_carlo_uncertainty, outcome_probabilities)
-from graphqec.tomography import (ChannelSample, ChiMatrix, bloch_affine, reconstruct_chi,
-                                 state_fidelity)
+from graphqec.tomography import (ChannelSample, ChiMatrix, _vector_fidelity, bloch_affine,
+                                 reconstruct_chi, state_fidelity)
 from graphqec.witnesses import (box_witness, evaluate_witness, fidelity_lower_bound,
                                 ghz_witness, resource_witness)
 
@@ -189,7 +196,8 @@ def test_tables_print_like_rounded_numpy_scalars(points, chi_parts):
 @PROPERTY
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True), st.data())
 def test_pauli_vector_rebuilds_density(labels, data):
-    """rho = 2^-n sum_P v_P P, summed with the Pauli matrices themselves."""
+    """rho = 2^-n sum_P v_P P, summed with the Pauli matrices themselves and
+    by the inverse transform ``kernel._from_pauli_vector``."""
     state = data.draw(states(labels=tuple(labels)))
     n = state.num_qubits
     vec = kernel._pauli_vector(kernel._raw(state), n)
@@ -197,6 +205,8 @@ def test_pauli_vector_rebuilds_density(labels, data):
     operands = [x for k in range(n) for x in (paulis, [k, n + k, 2 * n + k])]
     rho = np.einsum(vec, list(range(n)), *operands, list(range(n, 3 * n)), optimize=True)
     np.testing.assert_allclose(rho.reshape(2 ** n, 2 ** n) / 2 ** n, dense(state),
+                               rtol=0, atol=ATOL)
+    np.testing.assert_allclose(kernel._from_pauli_vector(vec, n), dense(state),
                                rtol=0, atol=ATOL)
 
 
@@ -433,7 +443,122 @@ def test_encoded_state_matches_checked_oracle(stage, byproduct, data):
     got = encoded_state(probe, noise, byproduct)
     want = oracle.encoded_state(probe, noise, byproduct)
     assert got.labels == want.labels == CODE_QUBITS
-    assert np.array_equal(got.matrix, want.matrix)
+    np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))
+@pytest.mark.parametrize("byproduct", BYPRODUCT_MODES)
+@PIPELINE
+@given(st.lists(st.one_of(st.sampled_from(PROBE_NAMES), seeds), min_size=1, max_size=4),
+       st.data())
+def test_encoded_vectors_match_checked_oracle(stage, byproduct, inputs, data):
+    """One batch of probes and Haar-random inputs, encoded in the Pauli
+    domain, equals the Pauli vectors of the checked oracle's encoded states
+    under random per-qubit noise."""
+    def ancilla(x):
+        if isinstance(x, str):
+            return PROBES[x]
+        g = np.random.default_rng(x).normal(size=(2, 2))
+        alpha, beta = (g[0] + 1j * g[1]) / np.linalg.norm(g)
+        return AncillaState(alpha, beta)
+
+    noise = data.draw(noise_maps((1, 2, 3, 4, 5), stage))
+    inputs = [ancilla(x) for x in inputs]
+    got = code._encoded_vectors([(1, *a.bloch) for a in inputs], noise, byproduct)
+    assert got.shape == (len(inputs), 4, 4, 4, 4)
+    for a, vec in zip(inputs, got):
+        want = kernel._pauli_vector(oracle.encoded_state(a, noise, byproduct).matrix, 4)
+        np.testing.assert_allclose(vec, want, rtol=0, atol=ATOL)
+
+
+@PROPERTY
+@given(states(max_qubits=6), st.data())
+def test_noise_factors_match_dense_noise(state, data):
+    """The noise model as a diagonal on the Pauli vector equals the dense
+    closed form and the Kraus oracle, each turned into a Pauli vector."""
+    model = data.draw(noise_maps(state.labels))
+    raw, n = kernel._raw(state), state.num_qubits
+    got = kernel._pauli_vector(raw, n) * sampling._noise_factors(state.labels, model)
+    for noisy in (sampling._noise(raw, state.labels, model),
+                  oracle.apply_noise(dense(state), state.labels, model)):
+        np.testing.assert_allclose(got, kernel._pauli_vector(noisy, n), rtol=0, atol=ATOL)
+
+
+def encoding_ptm(noise, byproduct) -> np.ndarray:
+    """Real 256 x 4 map E from an input's Bloch 4-vector to the Pauli vector
+    of its encoded state, pushed through the encoder from the six Bloch
+    basis states: column k is (enc(+e_k) - enc(-e_k)) / 2 for k = X, Y, Z
+    and (enc(+e_Z) + enc(-e_Z)) / 2 for the identity."""
+    plus = np.hstack([np.ones((3, 1)), np.eye(3)])
+    minus = np.hstack([np.ones((3, 1)), -np.eye(3)])
+    vecs = code._encoded_vectors(np.vstack([plus, minus]), noise, byproduct).reshape(6, -1)
+    return np.stack([(vecs[2] + vecs[5]) / 2, *((vecs[:3] - vecs[3:]) / 2)], axis=1)
+
+
+def recovery_ptm(recipe, keep) -> np.ndarray:
+    """Real 4 x 64 map from a three-qubit Pauli vector on ``keep`` to the
+    Pauli vector of the recovered qubit, entry [a, Q] = tr(P_a sum_s K_s Q
+    K_s^dagger) / 8, from the recipe's Kraus stack."""
+    kraus = code._recovery_kraus(recipe, keep)
+    out = np.empty((4, 64))
+    for i, word in enumerate(itertools.product(oracle.PAULI_MATS, repeat=3)):
+        m = kraus @ np.kron(np.kron(*word[:2]), word[2]) @ kraus.conj().T
+        rho = np.einsum("kakb->ab", m.reshape(4, 2, 4, 2))
+        out[:, i] = [np.trace(p @ rho).real / 8 for p in oracle.PAULI_MATS]
+    return out
+
+
+def reported_ptm(config) -> np.ndarray:
+    block = run_experiment(config).summary["chi"]
+    return ChiMatrix(np.array(block["matrix_re"]) + 1j * np.array(block["matrix_im"])).ptm
+
+
+@pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))
+@pytest.mark.parametrize("byproduct", BYPRODUCT_MODES)
+@settings(deadline=None, max_examples=10)
+@given(st.data())
+def test_channel_ptms_compose_from_the_encoding_map(stage, byproduct, data):
+    """The encoder is one linear map E from the input's Bloch 4-vector.
+    Composed with the logical read-out (the identity entry and the Xbar,
+    Ybar and Zbar components) it is the encode-channel PTM; composed with
+    the index-0 trace of a lost qubit and the Kraus stack's PTM it is that
+    qubit's loss-recovery PTM. Both equal the PTMs the runner reconstructs
+    from the probes."""
+    noise = data.draw(noise_maps((1, 2, 3, 4, 5), stage))
+    e = encoding_ptm(noise, byproduct)
+    ops = logical_ops()
+    logical = np.array([(col[0, 0, 0, 0], *_read_words(col, CODE_QUBITS,
+                                                       (ops.xbar, ops.ybar, ops.zbar)))
+                        for col in e.T.reshape(4, 4, 4, 4, 4)]).T
+    want = reported_ptm(ExperimentConfig("encode-channel", noise, byproduct=byproduct))
+    np.testing.assert_allclose(logical, want, rtol=0, atol=ATOL)
+    for lost in CODE_QUBITS:
+        keep = survivors(lost)
+        traced = e.reshape(4, 4, 4, 4, 4).take(0, axis=CODE_QUBITS.index(lost)).reshape(64, 4)
+        want = reported_ptm(ExperimentConfig("loss-recovery", noise, lost=lost,
+                                             byproduct=byproduct))
+        np.testing.assert_allclose(recovery_ptm(recovery_recipe(lost), keep) @ traced, want,
+                                   rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("probe", PROBE_NAMES)
+@settings(deadline=None, max_examples=10)
+@given(st.data())
+def test_probe_witnesses_read_off_vectors_match_dense_states(probe, data):
+    """Each probe witness read off the encoded Pauli vector (the Zbar frame
+    of |1> as sign flips, a pair's words at index 0 on the traced axes)
+    equals the witness on the dense state it was read from, and the vector
+    fidelity equals ``state_fidelity``."""
+    noise = data.draw(noise_maps((1, 2, 3, 4, 5), data.draw(
+        st.sampled_from(("post-resource", "post-encoding")))))
+    vec = runner._probe_vectors((probe,), noise, "condition0")[probe]
+    rho = oracle.encoded_state(probe, noise)
+    for _, _, spec, frame in runner._probe_witnesses(probe):
+        want = evaluate_witness(runner._witness_state(rho, spec, frame), spec).value
+        assert abs(runner._witness_value_of_vector(vec, spec, frame) - want) < ATOL
+    target = logical_basis_states()[code.PROBE_TARGETS[probe]]
+    target_vec = kernel._pauli_vector(target.amplitudes, 4)
+    assert abs(_vector_fidelity(vec, target_vec) - state_fidelity(rho, target)) < ATOL
 
 
 @PROPERTY

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphqec import kernel, runner
+from graphqec import code, kernel, runner
 from graphqec.cli import _KIND_BY_COMMAND, cli_main
+from graphqec.code import PROBES
 from graphqec.runner import (ConfigError, ExperimentConfig, encoded_state,
                              run_experiment)
 from graphqec.sampling import NoiseModel
@@ -123,35 +124,54 @@ class TestExperiments:
         assert bundle.summary["patterns_checked"] == 12
         assert bundle.summary["all_match"] is True
 
-    @pytest.mark.parametrize("byproduct", runner.BYPRODUCT_MODES)
-    def test_syndrome_table_reads_one_pauli_vector_per_probe(self, monkeypatch, byproduct):
-        """The 48 error rows and 4 baselines are read off 4 Pauli vectors, and
-        no error is injected by a dense conjugation: the only ``_unitary``
-        calls are the byproduct corrections of the 4 encodings in mode
-        ``correct``."""
-        calls = {"_pauli_vector": 0, "_unitary": 0}
-        for name in calls:
+    @staticmethod
+    def count_kernel_calls(monkeypatch, names) -> dict:
+        """Count calls to the named kernel functions from here on, once the
+        encoder's input map is cached."""
+        code._input_map()
+        calls = dict.fromkeys(names, 0)
+        for name in names:
             def counted(*args, _real=getattr(kernel, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(kernel, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("byproduct", runner.BYPRODUCT_MODES)
+    def test_syndrome_table_reads_one_pauli_vector_per_probe(self, monkeypatch, byproduct):
+        """The 48 error rows and 4 baselines are read off the 4 probes' Pauli
+        vectors, which the encoder builds in the Pauli domain: no dense state
+        is turned into a vector, and neither an error nor the byproduct
+        correction is applied by a dense conjugation."""
+        calls = self.count_kernel_calls(monkeypatch, ("_pauli_vector", "_unitary"))
         noise = NoiseModel(depolarizing=0.05, visibility=0.8)
         bundle = run_experiment(ExperimentConfig("syndrome-table", noise, byproduct=byproduct))
         assert bundle.summary["patterns_checked"] == 48
-        assert calls == {"_pauli_vector": 4, "_unitary": 4 if byproduct == "correct" else 0}
+        assert calls == {"_pauli_vector": 0, "_unitary": 0}
+
+    @pytest.mark.parametrize("byproduct", runner.BYPRODUCT_MODES)
+    def test_encode_channel_reads_the_encoded_vectors(self, monkeypatch, byproduct):
+        """The logical read-out of each probe is three components of its
+        encoded Pauli vector: no dense state is turned into a vector."""
+        calls = self.count_kernel_calls(monkeypatch, ("_pauli_vector", "_unitary"))
+        noise = NoiseModel(depolarizing=0.05, visibility=0.8)
+        run_experiment(ExperimentConfig("encode-channel", noise, byproduct=byproduct))
+        assert calls == {"_pauli_vector": 0, "_unitary": 0}
 
     def test_noise_sweep_encodes_only_witnessed_probes(self, monkeypatch):
-        # raw encodings of |0> at v = 0 and v = 1, then |0>, |+> and |+y> at v*
+        # Pauli-domain encodings of |0> at v = 0 and at v = 1, then one batch
+        # of |0>, |+> and |+y> at v*
         calls = []
-        encode = runner._encoded
+        encode = runner._encoded_vectors
 
-        def counted(probe, *args):
-            calls.append(probe)
-            return encode(probe, *args)
+        def counted(blochs, *args):
+            calls.append([tuple(b) for b in blochs])
+            return encode(blochs, *args)
 
-        monkeypatch.setattr(runner, "_encoded", counted)
+        monkeypatch.setattr(runner, "_encoded_vectors", counted)
         run_experiment(ExperimentConfig.from_dict({"kind": "noise-sweep"}))
-        assert calls == ["0", "0", "0", "+", "+y"]
+        bloch = {p: (1.0, *PROBES[p].bloch) for p in ("0", "+", "+y")}
+        assert calls == [[bloch["0"]], [bloch["0"]], [bloch["0"], bloch["+"], bloch["+y"]]]
 
     def test_loss_recovery_ideal_is_identity_channel(self):
         for lost in (1, 4):
