@@ -13,9 +13,10 @@ import sys
 
 from . import kernel
 from .code import PROBE_NAMES, parse_error_spec
-from .graphs import Graph, RESOURCE, build_resource, graph_state, resource_state_expansion
-from .runner import (ConfigError, ExperimentConfig, ReportBundle, run_experiment,
-                     _sanitize, _stabilizer_expectations)
+from .graphs import (Graph, RESOURCE, build_resource, graph_state, resource_state_expansion,
+                     stabilizer_generators)
+from .pauli import pauli_expectations
+from .runner import ConfigError, ExperimentConfig, ReportBundle, run_experiment, _sanitize
 from .sampling import (MAX_TRIALS, counts_from_csv_rows, monte_carlo_uncertainty,
                        witness_records, witness_value_from_counts)
 from .witnesses import builtin_witnesses, fidelity_lower_bound
@@ -167,6 +168,12 @@ def _emit(bundle: ReportBundle, args, report: str | None = None) -> None:
             print(f"wrote {path}")
     else:
         print(bundle.summary_json(), end="")
+
+
+def _stabilizer_expectations(state, graph) -> dict:
+    """<K_v> of each stabilizer generator of ``graph``, keyed by its word."""
+    gens = stabilizer_generators(graph)
+    return dict(zip(map(str, gens), pauli_expectations(state, gens)))
 
 
 def _cmd_build_resource(args) -> int:

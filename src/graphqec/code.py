@@ -21,7 +21,8 @@ import numpy as np
 
 from . import kernel, sampling
 from .kernel import DensityOperator, PureState
-from .pauli import PauliString, _read_words, pauli_commutes, pauli_multiply
+from .pauli import (_LETTER_INDEX, PauliString, _read_words, pauli_commutes,
+                    pauli_multiply)
 
 CODE_QUBITS = (1, 2, 4, 5)
 ANCILLA = 3
@@ -164,16 +165,15 @@ def _encoded_vectors(blochs, noise, byproduct: str) -> np.ndarray:
     """Pauli vectors of the encoded states of P inputs, shape (P, 4, 4, 4, 4)
     on ``CODE_QUBITS``, from their Bloch 4-vectors (1, x, y, z), shape (P, 4).
 
-    ``noise`` is a ``sampling.NoiseModel`` and ``byproduct`` one of
-    ``condition0``, ``correct`` or ``raw``, as for ``runner.encoded_state``.
-    Every step is linear on the Pauli vector: the cached input map; the
-    noise as the diagonal ``sampling._noise_factors`` (before the ancilla
-    measurement at stage ``post-resource``, after the byproduct correction
-    at ``post-encoding``); the X projection of the ancilla with outcome s,
-    (v[..I_3..] + (-1)^s v[..X_3..]) / 2 normalized by its identity entry
-    p, refused below p = 1e-12 as ``kernel._project`` does; and the Xbar
-    correction as the sign flips of its letters. Mode ``condition0`` keeps
-    the s3 = 0 branch, the other two weight both branches by p.
+    ``noise`` is a ``sampling.NoiseModel``. Every step is linear on the
+    Pauli vector: the cached input map; the noise as the diagonal
+    ``sampling._noise_factors`` (before the ancilla measurement at stage
+    ``post-resource``, after the byproduct correction at ``post-encoding``);
+    the ancilla's X projection (:func:`_project_pauli_vector`); and the Xbar
+    correction as the sign flips of its letters. ``byproduct`` ``condition0``
+    keeps the s3 = 0 branch (the published convention); ``correct`` and
+    ``raw`` weight both branches by their probability, with and without the
+    feed-forward Xbar correction.
     """
     vec = (np.asarray(blochs, dtype=float) @ _input_map().T).reshape(-1, *[4] * 5)
     if noise.stage == "post-resource":
@@ -181,18 +181,28 @@ def _encoded_vectors(blochs, noise, byproduct: str) -> np.ndarray:
     xbar = logical_ops().xbar
     branches = []
     for s3 in (0,) if byproduct == "condition0" else (0, 1):
-        post = (vec[:, :, :, 0] + (-1) ** s3 * vec[:, :, :, 1]) / 2
-        p = post[:, 0, 0, 0, 0, None, None, None, None]
-        if p.min() < 1e-12:
-            raise kernel.ZeroProbabilityError(
-                f"cannot take zero-probability branch {s3} (p = {p.min()})")
-        post = post / p
+        p, post = _project_pauli_vector(vec, (1, 2, 3, 4, 5), ANCILLA, "X", s3)
         if s3 and byproduct == "correct":
             post = _conjugate_pauli_vector(post, xbar, CODE_QUBITS)
         if noise.stage == "post-encoding":
             post = post * sampling._noise_factors(CODE_QUBITS, noise)
         branches.append((p, post))
     return branches[0][1] if len(branches) == 1 else sum(p * b for p, b in branches)
+
+
+def _project_pauli_vector(vec: np.ndarray, labels, qubit: int, basis: str, outcome: int):
+    """Forced branch ``(p, post)`` of measuring ``qubit`` in ``basis``, from the
+    Pauli vector ``vec`` on ``labels`` held by its trailing axes: ``post`` is
+    (v[..I_q..] + (-1)^s v[..B_q..]) / 2 on the other labels, divided by its
+    identity entry p (kept with a size-1 axis per qubit, so it broadcasts).
+    ``ZeroProbabilityError`` below p = 1e-12, as ``kernel._project``."""
+    axis = vec.ndim - len(labels) + labels.index(qubit)
+    post = (vec.take(0, axis) + (-1) ** outcome * vec.take(_LETTER_INDEX[basis], axis)) / 2
+    p = post[(..., *[slice(0, 1)] * (len(labels) - 1))]
+    if p.min() < 1e-12:
+        raise kernel.ZeroProbabilityError(
+            f"cannot take zero-probability branch {outcome} (p = {p.min()})")
+    return p, post / p
 
 
 def encoding_input_state(a: AncillaState) -> PureState:

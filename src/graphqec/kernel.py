@@ -16,17 +16,17 @@ expectation: it interleaves each qubit's (row, col) axes of the density
 tensor into one axis of size 4 and applies one constant 4x4 matrix to each
 axis in turn, so n small contractions give tr(rho P) for all 4^n Pauli words
 P at once, and a caller reads as many words as it needs from that vector.
-Its readers are the witnesses, syndromes and logical tomography of checked
-states, and the count sampler, which Walsh-Hadamard transforms one
-``[2]*n`` sub-cube of it into a product setting's outcome probabilities
-with the same per-axis pass, ``_transform_each_axis``. Encoded states are
-built as Pauli vectors in the first place (``code._encoded_vectors``), and
-the dense-channel kinds read them there: the logical read-out, fidelities
-with pure targets, witnesses, the partial trace (index 0 on the traced
-axes) and Pauli errors as +-1 sign flips along an axis
-(``code._inject_in_pauli_vector``). ``_from_pauli_vector`` is the inverse
-transform; it turns a vector into a density matrix where a state or a
-contraction needs one.
+Every experiment kind reads its states as Pauli vectors: the resource times
+the noise diagonal, and the encoded states, built as vectors in the first
+place (``code._encoded_vectors``). Witnesses, syndromes, logical tomography
+and fidelities with pure targets read components; the partial trace is
+index 0 on the traced axes, a projective measurement adds or subtracts two
+slices (``code._project_pauli_vector``), a Pauli error or frame flips signs
+along an axis (``code._inject_in_pauli_vector``), and the count sampler
+Walsh-Hadamard transforms a setting's ``[2]*k`` sub-cube into its outcome
+probabilities with the same per-axis pass, ``_transform_each_axis``.
+``_from_pauli_vector``, the inverse transform, gives loss recovery the
+density matrix its Kraus contraction needs.
 
 Validation happens at the boundary. The public constructors
 (``PureState``, ``DensityOperator``, ``Observable``) check their values, and

@@ -151,12 +151,6 @@ def _check_hermitian(p: PauliString):
 _LETTER_INDEX = {"X": 1, "Y": 2, "Z": 3}
 
 
-def _expectations(raw: np.ndarray, labels, words) -> tuple[float, ...]:
-    """Raw :func:`pauli_expectations`: one Pauli vector of a raw state vector
-    or density matrix on ``labels``, read at each word's index."""
-    return _read_words(kernel._pauli_vector(raw, len(labels)), labels, words)
-
-
 def _read_words(vec: np.ndarray, labels, words) -> tuple[float, ...]:
     """tr(rho P) of each word P, read off the Pauli vector ``vec`` of a state
     rho on ``labels`` (see ``kernel._pauli_vector``)."""
@@ -181,7 +175,8 @@ def pauli_expectations(state, words) -> tuple[float, ...]:
     for p in words:
         _check_hermitian(p)
         kernel._axes(state.labels, p.support)
-    return _expectations(kernel._raw(state), state.labels, words)
+    return _read_words(kernel._pauli_vector(kernel._raw(state), state.num_qubits),
+                       state.labels, words)
 
 
 def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:

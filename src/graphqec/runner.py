@@ -29,22 +29,20 @@ import numpy as np
 from . import __version__, kernel, sampling
 from .code import (ANCILLA, CODE_QUBITS, PROBE_NAMES, PROBE_TARGETS, PROBES,
                    SyndromeRecord, _conjugate_pauli_vector, _encoded_vectors,
-                   _inject_in_pauli_vector, _recover_average, _syndromes_of_vector,
-                   logical_basis_states, logical_ops, parse_error_spec,
-                   predicted_syndrome_signs, recovery_recipe)
+                   _inject_in_pauli_vector, _project_pauli_vector, _recover_average,
+                   _syndromes_of_vector, logical_basis_states, logical_ops,
+                   parse_error_spec, predicted_syndrome_signs, recovery_recipe)
 from .graphs import RESOURCE, build_resource, stabilizer_generators
 from .kernel import DensityOperator, PureState
-from .pauli import PauliString, _expectations, _read_words, pauli_expectations
-from .sampling import (MAX_TRIALS, NoiseModel, apply_noise, counts_to_csv_rows,
-                       monte_carlo_uncertainty, sample_setting_counts,
-                       witness_settings, witness_value_from_counts)
+from .pauli import PauliString, _read_words
+from .sampling import (MAX_TRIALS, NoiseModel, _sample_counts, counts_to_csv_rows,
+                       monte_carlo_uncertainty, witness_settings, witness_value_from_counts)
 from .tomography import (ChannelSample, _fidelity, _logical_of_vector, _vector_fidelity,
                          average_probe_fidelity, bloch_image, chi_hadamard, chi_identity,
-                         logical_density_from_expectations, logical_tomography,
-                         process_fidelity, reconstruct_chi, sphere_average_fidelity,
-                         state_fidelity)
-from .witnesses import (box_witness, evaluate_witness, fidelity_lower_bound,
-                        ghz_witness, pair_witness, resource_witness)
+                         logical_density_from_expectations, process_fidelity,
+                         reconstruct_chi, sphere_average_fidelity, state_fidelity)
+from .witnesses import (_witness_result, box_witness, fidelity_lower_bound, ghz_witness,
+                        pair_witness, resource_witness)
 
 KINDS = ("resource-witness", "encode-tomography", "encode-channel",
          "loss-recovery", "syndrome-table", "noise-sweep")
@@ -221,23 +219,6 @@ class ReportBundle:
 # Shared pipeline pieces
 # ---------------------------------------------------------------------------
 
-def encoded_state(probe: str, noise: NoiseModel, byproduct: str = "condition0") -> DensityOperator:
-    """Four-qubit state after encoding one probe under the noise model.
-
-    ``byproduct`` selects how the ancilla outcome s3 is handled: keep only
-    the s3 = 0 branch (the published convention), average both branches
-    after feed-forward correction, or average them uncorrected. Noise acts
-    before the ancilla measurement at stage ``post-resource`` and after the
-    byproduct correction at stage ``post-encoding``.
-
-    The state is built as its Pauli vector (:func:`_probe_vectors`), turned
-    into a density matrix once with ``kernel._from_pauli_vector`` and
-    validated once, as the returned ``DensityOperator``.
-    """
-    vec = _probe_vectors((probe,), noise, byproduct)[probe]
-    return DensityOperator(CODE_QUBITS, kernel._from_pauli_vector(vec, len(CODE_QUBITS)))
-
-
 def _probe_vectors(probes, noise: NoiseModel, byproduct: str) -> dict[str, np.ndarray]:
     """Pauli vector of each probe's encoded state on ``CODE_QUBITS``, all
     built in one batch by ``code._encoded_vectors`` from the probes' Bloch
@@ -246,24 +227,30 @@ def _probe_vectors(probes, noise: NoiseModel, byproduct: str) -> dict[str, np.nd
     return dict(zip(probes, _encoded_vectors(blochs, noise, byproduct)))
 
 
-def _sampled_logical_expectations(rho, counts_per_setting, seed, stream_base) -> dict:
-    """Sampled estimate of each logical operator, measured with its own
-    letters on its support and Z on the other code qubits."""
+def _sampled_logical_expectations(vec, labels, counts_per_setting, seed, stream_base) -> dict:
+    """Sampled estimate of each logical operator from the Pauli vector ``vec``
+    on ``labels``, measured with its own letters and Z on the other code qubits."""
     est = {}
     for i, name in enumerate(("xbar", "ybar", "zbar")):
         op = getattr(logical_ops(), name)
         bases = {q: "Z" for q in CODE_QUBITS} | dict(op.letters)
-        rec = sample_setting_counts(rho, bases, counts_per_setting, seed, stream_base + i)
+        rec = _sample_counts(vec, labels, bases, counts_per_setting, seed, stream_base + i)
         est[name] = sampling.estimate_expectation(rec, op.support)
     return est
 
 
-def _witness_block(rho, spec, counts_per_setting, trials, seed, stream_base):
-    """Exact witness value plus the sampled estimate with Monte Carlo bars."""
-    exact = evaluate_witness(rho, spec)
-    settings = witness_settings(spec)
-    records = [sample_setting_counts(rho, s, counts_per_setting, seed, stream_base + i)
-               for i, s in enumerate(settings)]
+def _exact_witness(vec, labels, spec):
+    """The witness ``spec`` read off the Pauli vector ``vec`` of a state on
+    ``labels``; a qubit outside the witness reads index 0, its partial trace."""
+    return _witness_result(spec, _read_words(vec, labels, [t.word for t in spec.terms]))
+
+
+def _witness_block(vec, labels, spec, counts_per_setting, trials, seed, stream_base):
+    """Exact witness value plus the sampled estimate with Monte Carlo bars, for
+    the state with Pauli vector ``vec`` on ``labels``."""
+    exact = _exact_witness(vec, labels, spec)
+    records = [_sample_counts(vec, labels, s, counts_per_setting, seed, stream_base + i)
+               for i, s in enumerate(witness_settings(spec))]
     estimate = witness_value_from_counts(records, spec)
     mc_mean, mc_std = monte_carlo_uncertainty(
         lambda rs: witness_value_from_counts(rs, spec), records, trials, seed)
@@ -371,20 +358,24 @@ def _svg_bloch(points_in, points_out, title: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_resource_witness(cfg: ExperimentConfig):
+    """Every value is read off the resource's Pauli vector times the noise
+    diagonal, the box witness after the ancilla's Z projection of it."""
     ideal = build_resource()
-    rho = apply_noise(ideal, cfg.noise)
-    spec = resource_witness()
-    block, exact, records = _witness_block(rho, spec, cfg.counts_per_setting,
-                                           cfg.trials, cfg.seed, 100)
+    vec = kernel._pauli_vector(ideal.amplitudes, ideal.num_qubits)
+    rho = vec * sampling._noise_factors(ideal.labels, cfg.noise)
+    gens = stabilizer_generators(RESOURCE)
+    block, exact, records = _witness_block(rho, ideal.labels, resource_witness(),
+                                           cfg.counts_per_setting, cfg.trials, cfg.seed, 100)
     summary = {
         "resource5": block,
-        "state_fidelity": state_fidelity(rho, ideal),
-        "stabilizer_expectations": _stabilizer_expectations(rho, RESOURCE),
+        "state_fidelity": _vector_fidelity(rho, vec),
+        "stabilizer_expectations": dict(zip(map(str, gens), _read_words(rho, ideal.labels,
+                                                                        gens))),
     }
     # persistency check: remove the ancilla with a Z measurement, then the
     # box witness on the remaining code qubits
-    _, _, rho_box = kernel.projective_measure(rho, ANCILLA, "Z", forced_outcome=0)
-    box_block, box_exact, box_records = _witness_block(rho_box, box_witness(),
+    _, rho_box = _project_pauli_vector(rho, ideal.labels, ANCILLA, "Z", 0)
+    box_block, box_exact, box_records = _witness_block(rho_box, CODE_QUBITS, box_witness(),
                                                        cfg.counts_per_setting,
                                                        cfg.trials, cfg.seed, 200)
     summary["box4_after_ancilla_z"] = box_block
@@ -396,12 +387,6 @@ def _run_resource_witness(cfg: ExperimentConfig):
                                           [r[2] for r in exact.terms],
                                           "resource witness terms")}
     return summary, tables, figures
-
-
-def _stabilizer_expectations(state, graph) -> dict:
-    """<K_v> of each stabilizer generator of ``graph``, keyed by its word."""
-    gens = stabilizer_generators(graph)
-    return dict(zip(map(str, gens), pauli_expectations(state, gens)))
 
 
 def _probe_witnesses(probe) -> list:
@@ -419,46 +404,36 @@ def _probe_witnesses(probe) -> list:
             for i, (a, b) in enumerate(((1, 2), (4, 5)))]
 
 
-def _witness_state(rho, spec, frame):
-    """The state a probe witness reads: the encoded ``rho``, conjugated by
-    ``frame`` if one is given, reduced to the witness's qubits."""
-    if frame is not None:
-        rho = kernel.apply_unitary(rho, frame.dense(frame.support), frame.support)
-    return rho if spec.qubits == rho.labels else kernel.partial_trace(rho, spec.qubits)
-
-
-def _witness_value_of_vector(vec: np.ndarray, spec, frame) -> float:
-    """Exact value of a probe witness read off the Pauli vector ``vec`` of
-    the encoded probe on ``CODE_QUBITS``: the frame is a sign flip per
-    letter, and a word on a pair reads index 0 on the two traced axes, which
-    is the reduced state's Pauli vector."""
-    if frame is not None:
-        vec = _conjugate_pauli_vector(vec, frame, CODE_QUBITS)
-    return spec.value(_read_words(vec, CODE_QUBITS, [t.word for t in spec.terms]))
+def _in_frame(vec: np.ndarray, frame) -> np.ndarray:
+    """The Pauli vector a probe witness reads: the encoded ``vec`` on
+    ``CODE_QUBITS``, conjugated by the word ``frame`` (if any) as sign flips."""
+    return vec if frame is None else _conjugate_pauli_vector(vec, frame, CODE_QUBITS)
 
 
 def _run_encode_tomography(cfg: ExperimentConfig):
+    """Logical tomography, fidelity and witnesses of each encoded probe, exact
+    and sampled, all read off the probes' Pauli vectors from one batch."""
     basis = logical_basis_states()
     summary = {"probes": {}}
     matrix_rows = [("probe", "entry", "re", "im")]
-    for idx, probe in enumerate(cfg.probes):
-        rho = encoded_state(probe, cfg.noise, cfg.byproduct)
-        ldm = logical_tomography(rho)
+    vectors = _probe_vectors(cfg.probes, cfg.noise, cfg.byproduct)
+    for idx, (probe, vec) in enumerate(vectors.items()):
+        ldm = _logical_of_vector(vec, CODE_QUBITS)
         target_key = PROBE_TARGETS[probe]
-        target_state = basis[target_key]
-        ideal_logical = _ideal_logical_vector(probe)
+        target = kernel._pauli_vector(basis[target_key].amplitudes, len(CODE_QUBITS))
+        ideal_logical = kernel.H @ PROBES[probe].vector  # the input, in the Hadamard basis
         entry = {
             "target": target_key,
             "logical_bloch": list(ldm.bloch),
             "fidelity_logical": _fidelity(ldm.matrix, ideal_logical),
-            "fidelity_state": state_fidelity(rho, target_state),
+            "fidelity_state": _vector_fidelity(vec, target),
             "witnesses": {
-                name: _witness_block(_witness_state(rho, spec, frame), spec,
+                name: _witness_block(_in_frame(vec, frame), CODE_QUBITS, spec,
                                      cfg.counts_per_setting, cfg.trials, cfg.seed,
                                      300 + 100 * idx + offset)[0]
                 for name, offset, spec, frame in _probe_witnesses(probe)},
         }
-        est = _sampled_logical_expectations(rho, cfg.counts_per_setting,
+        est = _sampled_logical_expectations(vec, CODE_QUBITS, cfg.counts_per_setting,
                                             cfg.seed, 700 + 10 * idx)
         try:
             ldm_s = logical_density_from_expectations(est["xbar"], est["ybar"], est["zbar"])
@@ -476,10 +451,6 @@ def _run_encode_tomography(cfg: ExperimentConfig):
                         for r in (0, 1) for c in (0, 1)]
     tables = {"logical_matrices": matrix_rows}
     return summary, tables, {}
-
-
-def _ideal_logical_vector(probe: str) -> np.ndarray:
-    return kernel.H @ PROBES[probe].vector  # encoding stores the input in the Hadamard basis
 
 
 def _channel_report(outputs: dict, chi_ref, title: str):
@@ -601,20 +572,20 @@ def _run_noise_sweep(cfg: ExperimentConfig):
     fidelity, the resource witness and the resource fidelity are therefore
     computed at v = 0 and v = 1 only; each row reads
     ``(1 - v) * end0 + v * end1``, the endpoints exactly at v = 0 and 1,
-    and v* comes from the same two fidelities. At v* the resource is built
-    and checked; the encoded probes stay Pauli vectors, and their
-    fidelities and witnesses are read off them.
+    and v* comes from the same two fidelities. The resource, at v = 0, 1
+    and v*, is its Pauli vector times the noise diagonal, and the encoded
+    probes are Pauli vectors: every fidelity and witness is read off them.
     """
     ideal5 = build_resource()
+    vec5 = kernel._pauli_vector(ideal5.amplitudes, ideal5.num_qubits)
     spec = resource_witness()
-    words = [t.word for t in spec.terms]
     plus = kernel._pauli_vector(logical_basis_states()["+"].amplitudes, len(CODE_QUBITS))
     ends = []  # (encoded |0> fidelity, resource witness, resource fidelity)
     for noise in (replace(cfg.noise, visibility=v) for v in (0.0, 1.0)):
-        rho5 = sampling._noise(ideal5.amplitudes, ideal5.labels, noise)
+        rho5 = vec5 * sampling._noise_factors(ideal5.labels, noise)
         ends.append((_vector_fidelity(_probe_vectors(("0",), noise, "condition0")["0"], plus),
-                     spec.value(_expectations(rho5, ideal5.labels, words)),
-                     _fidelity(rho5, ideal5.amplitudes)))
+                     _exact_witness(rho5, ideal5.labels, spec).value,
+                     _vector_fidelity(rho5, vec5)))
     rows = [("visibility", "encoded0_fidelity", "resource_witness",
              "fidelity_lower_bound", "resource_fidelity", "bound_holds")]
     for v in np.linspace(0.0, 1.0, cfg.sweep_points):  # endpoints exactly 0.0 and 1.0
@@ -625,13 +596,14 @@ def _run_noise_sweep(cfg: ExperimentConfig):
 
     v_star = _calibrated_visibility(ends[0][0], ends[1][0], cfg.target_fidelity)
     model = replace(cfg.noise, visibility=v_star)
-    rho5 = apply_noise(ideal5, model)
-    wit_star = evaluate_witness(rho5, spec).value
+    rho5 = vec5 * sampling._noise_factors(ideal5.labels, model)
+    wit_star = _exact_witness(rho5, ideal5.labels, spec).value
     witness_values = {"resource5": wit_star}
     encoded = _probe_vectors(("0", "+", "+y"), model, "condition0")
     for probe, vec in encoded.items():
         for name, _, witness, frame in _probe_witnesses(probe):
-            witness_values[name] = _witness_value_of_vector(vec, witness, frame)
+            witness_values[name] = _exact_witness(_in_frame(vec, frame), CODE_QUBITS,
+                                                  witness).value
     summary = {
         "calibrated_visibility": v_star,
         "target_fidelity": cfg.target_fidelity,
@@ -639,7 +611,7 @@ def _run_noise_sweep(cfg: ExperimentConfig):
         "witness_values_at_calibration": witness_values,
         "all_witnesses_negative": all(w < 0 for w in witness_values.values()),
         "fidelity_lower_bound": fidelity_lower_bound(wit_star),
-        "resource_fidelity": state_fidelity(rho5, ideal5),
+        "resource_fidelity": _vector_fidelity(rho5, vec5),
     }
     return summary, {"sweep": rows}, {}
 

@@ -6,7 +6,7 @@ emulated by drawing a Poisson-distributed total per measurement setting and
 multinomial counts over outcomes. The outcome probabilities of a product
 setting are read from the state's Pauli vector: the expectations of the
 setting's letters on every subset of the qubits, Walsh-Hadamard transformed
-once per qubit (see :func:`outcome_probabilities`). All sampling is
+once per qubit (see :func:`_outcome_probabilities`). All sampling is
 reproducible: the same (seed, stream) pair always yields the same
 histogram, and distinct streams are independent.
 
@@ -135,16 +135,9 @@ class NoiseModel:
 def apply_noise(state, model: NoiseModel) -> DensityOperator:
     """Depolarize/dephase each qubit, then mix with the maximally mixed
     state: rho -> v rho' + (1 - v) I / 2^n. Trace is preserved exactly."""
-    return DensityOperator(state.labels, _noise(kernel._raw(state), state.labels, model))
-
-
-def _noise(raw: np.ndarray, labels, model: NoiseModel) -> np.ndarray:
-    """Raw :func:`apply_noise` of a state vector or density matrix; the
-    input is not modified. The result, v rho' + (1 - v) I / 2^n with rho'
-    the per-qubit noisy state, is affine in ``model.visibility``."""
-    n = len(labels)
-    t = np.array(kernel._density_matrix(raw)).reshape([2] * (2 * n))
-    for i, q in enumerate(labels):
+    n = state.num_qubits
+    t = np.array(kernel._density_matrix(kernel._raw(state))).reshape([2] * (2 * n))
+    for i, q in enumerate(state.labels):
         p, dq = model.depolarizing_for(q), model.dephasing_for(q)
         blocks = np.moveaxis(t, (i, n + i), (0, 1))  # view: blocks[a, b] = rho_ab
         if p > 0:
@@ -160,11 +153,11 @@ def _noise(raw: np.ndarray, labels, model: NoiseModel) -> np.ndarray:
     v = model.visibility
     if v < 1:
         rho = v * rho + (1 - v) * np.eye(dim) / dim
-    return rho
+    return DensityOperator(state.labels, rho)
 
 
 def _noise_factors(labels, model: NoiseModel) -> np.ndarray:
-    """Real ``[4]*n`` diagonal of :func:`_noise` on the Pauli vector of a
+    """Real ``[4]*n`` diagonal of :func:`apply_noise` on the Pauli vector of a
     state on ``labels`` (see :class:`NoiseModel`): the outer product of each
     qubit's (1, (1 - p)(1 - 2q), (1 - p)(1 - 2q), 1 - p), times the
     visibility everywhere but the all-identity entry, which is 1. Multiplying
@@ -269,22 +262,31 @@ def _setting_label(setting) -> str:
 
 def outcome_probabilities(state, bases: dict[int, str]) -> np.ndarray:
     """Joint outcome probabilities for measuring every qubit in its basis,
-    as a float vector laid out as :attr:`CountRecord.dense`.
+    as a float vector laid out as :attr:`CountRecord.dense`."""
+    return _outcome_probabilities(_setting_vector(state, bases), state.labels, bases)
 
-    Read from the state's Pauli vector: the ``[2]*n`` sub-cube of
-    ``kernel._pauli_vector`` whose axis q holds <I> and <P_q>, P_q the
-    qubit's basis, is Walsh-Hadamard transformed on every axis, so that
-    p(b) = 2^-n sum_S (-1)^(b.S) <prod_{q in S} P_q> with bit 0 meaning the
-    +1 eigenvalue. Negative rounding residue is clipped and the vector
-    renormalized.
-    """
-    n = state.num_qubits
+
+def _setting_vector(state, bases: dict[int, str]) -> np.ndarray:
+    """Pauli vector of ``state``, once ``bases`` is checked to cover it."""
     for q in state.labels:
         if q not in bases:
             raise ValueError(f"no basis given for qubit {q}")
-    v = kernel._pauli_vector(kernel._raw(state), n)
-    t = v[np.ix_(*[(0, pauli._LETTER_INDEX[bases[q]]) for q in state.labels])]
-    probs = np.clip(kernel._transform_each_axis(_WALSH, t).reshape(-1) / 2 ** n, 0.0, None)
+    return kernel._pauli_vector(kernel._raw(state), state.num_qubits)
+
+
+def _outcome_probabilities(vec: np.ndarray, labels, bases: dict[int, str]) -> np.ndarray:
+    """Raw :func:`outcome_probabilities` of the state with Pauli vector ``vec``
+    on ``labels``, over the k qubits that ``bases`` names, in register order.
+
+    The ``[2]*k`` sub-cube of ``vec`` whose axis q holds <I> and <P_q>, P_q
+    the qubit's basis, at index 0 (the partial trace) on every other axis, is
+    Walsh-Hadamard transformed on every axis, so that p(b) = 2^-k sum_S
+    (-1)^(b.S) <prod_{q in S} P_q> with bit 0 meaning the +1 eigenvalue.
+    Negative rounding residue is clipped and the vector renormalized.
+    """
+    t = vec[np.ix_(*[(0, pauli._LETTER_INDEX[bases[q]]) if q in bases else (0,)
+                     for q in labels])].squeeze()
+    probs = np.clip(kernel._transform_each_axis(_WALSH, t).reshape(-1) / t.size, 0.0, None)
     return probs / probs.sum()
 
 
@@ -294,10 +296,18 @@ def sample_setting_counts(state, bases: dict[int, str], expected_n: float,
     if not 0 < expected_n <= MAX_EXPECTED_COUNTS:  # also refuses NaN
         raise ValueError(f"expected_n must be positive and at most "
                          f"{MAX_EXPECTED_COUNTS:g}, got {expected_n}")
-    probs = outcome_probabilities(state, bases)
+    return _sample_counts(_setting_vector(state, bases), state.labels, bases, expected_n,
+                          seed, stream)
+
+
+def _sample_counts(vec: np.ndarray, labels, bases: dict[int, str], expected_n: float,
+                   seed: int, stream: int) -> CountRecord:
+    """Raw :func:`sample_setting_counts` of the state with Pauli vector ``vec``
+    on ``labels``, over the qubits that ``bases`` names, in register order."""
+    probs = _outcome_probabilities(vec, labels, bases)
     rng = make_rng(seed, stream)
     draws = rng.multinomial(int(rng.poisson(expected_n)), probs)
-    return CountRecord(tuple((q, bases[q]) for q in state.labels), draws)
+    return CountRecord(tuple((q, bases[q]) for q in labels if q in bases), draws)
 
 
 @functools.lru_cache(maxsize=128)

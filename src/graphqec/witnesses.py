@@ -157,7 +157,11 @@ def evaluate_witness(state, spec: WitnessSpec) -> WitnessResult:
     (:func:`.pauli.pauli_expectations`). Also returns the per-term breakdown
     (signed and raw expectations) for bar-chart style reporting.
     """
-    values = pauli_expectations(state, (t.word for t in spec.terms))
+    return _witness_result(spec, pauli_expectations(state, (t.word for t in spec.terms)))
+
+
+def _witness_result(spec: WitnessSpec, values) -> WitnessResult:
+    """Raw :func:`evaluate_witness` from the terms' exact expectations."""
     rows = tuple((t.label(), float(t.coefficient), t.sign * raw, raw)
                  for t, raw in zip(spec.terms, values))
     return WitnessResult(spec.value(values), rows)

@@ -345,8 +345,9 @@ def encoding_input_state(a) -> PureState:
 
 
 def encoded_state(probe, noise, byproduct="condition0") -> DensityOperator:
-    """``runner.encoded_state`` with a checked state after every step;
-    ``probe`` is a probe name or any ``AncillaState`` input."""
+    """The encoded state whose Pauli vector ``code._encoded_vectors`` builds,
+    with a checked state after every step; ``probe`` is a probe name or any
+    ``AncillaState`` input."""
     state = encoding_input_state(PROBES[probe] if isinstance(probe, str) else probe)
     if noise.stage == "post-resource":
         state = sampling.apply_noise(state, noise)

@@ -15,7 +15,7 @@ from graphqec.code import (AncillaState, CODE_QUBITS, PROBES, PROBE_TARGETS,
                            recovery_recipe, single_error_table, syndrome_operators)
 from graphqec.graphs import build_resource
 from graphqec.kernel import DensityOperator, PureState, overlap, partial_trace, reorder
-from graphqec.runner import BYPRODUCT_MODES, ExperimentConfig, encoded_state, run_experiment
+from graphqec.runner import BYPRODUCT_MODES, ExperimentConfig, _probe_vectors, run_experiment
 from graphqec.pauli import PauliString, pauli_commutes
 from graphqec.sampling import NoiseModel, apply_noise
 from graphqec.tomography import state_fidelity
@@ -430,10 +430,11 @@ class TestCheckedOnce:
     @pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))
     @pytest.mark.parametrize("byproduct", BYPRODUCT_MODES)
     def test_encoded_state(self, constructions, stage, byproduct):
+        """The encoded state is built as its Pauli vector, never checked."""
         noise = NoiseModel(depolarizing={1: 0.03, 3: 0.02}, dephasing=0.01, visibility=0.9,
                            stage=stage)
-        encoded_state("+y", noise, byproduct)
-        assert len(constructions) == 1
+        _probe_vectors(("+y",), noise, byproduct)
+        assert len(constructions) == 0
 
     @pytest.mark.parametrize("mixed", (False, True))
     def test_lose_qubit(self, constructions, mixed):
@@ -464,11 +465,15 @@ class TestCheckedOnce:
         decode_no_loss(state, forced, np.random.default_rng(3))
         assert len(constructions) == 1
 
-    @pytest.mark.parametrize("kind, checked", [("encode-channel", 0), ("loss-recovery", 4)])
+    @pytest.mark.parametrize("kind, checked", [("encode-channel", 0), ("loss-recovery", 4),
+                                               ("resource-witness", 0),
+                                               ("encode-tomography", 0)])
     def test_channel_runs(self, constructions, kind, checked):
-        """The encoded probes stay Pauli vectors: loss recovery checks only
-        each probe's single-qubit output, and the encoding channel's logical
-        matrices are checked by tomography and not wrapped again."""
+        """The encoded probes, and the resource, stay Pauli vectors: loss
+        recovery checks only each probe's single-qubit output, the logical
+        matrices are checked by tomography and not wrapped again, and the
+        witnesses, fidelities and every sampled setting (the ancilla's Z
+        projection and the Zbar frame included) are read off the vectors."""
         noise = NoiseModel(depolarizing={1: 0.03, 4: 0.02}, dephasing=0.01, visibility=0.9)
         run_experiment(ExperimentConfig(kind, noise, lost=2))
         assert len(constructions) == checked
@@ -480,9 +485,8 @@ class TestCheckedOnce:
         assert len(constructions) == 0
 
     def test_noise_sweep(self, constructions):
-        """Only the resource at v* is checked: the encoded probes at v* are
-        Pauli vectors that their witnesses and fidelity read, and the 11
-        sweep rows read their witness and fidelities from raw arrays."""
+        """The resource at v = 0, 1 and v* and the encoded probes are Pauli
+        vectors that the 11 sweep rows and the calibration read."""
         run_experiment(ExperimentConfig("noise-sweep", NoiseModel(depolarizing=0.05,
                                                                    visibility=0.8)))
-        assert len(constructions) == 1
+        assert len(constructions) == 0

@@ -24,6 +24,9 @@ the dense noise, the encoder's linear map composed with the logical
 read-out, or with the index-0 trace and the recovery Kraus stack, must give
 the runner's encode-channel and loss-recovery PTMs, and the probe witnesses
 and fidelities read off the vectors must equal those of the dense states.
+The sampler's outcome probabilities and the exact witness values read off
+a Pauli vector, under a random Pauli frame and on a random subset of the
+qubits, must equal those of the dense frame and partial trace.
 Symbolic Pauli conjugation through random Clifford sequences must match the
 dense product, and the runner's bundle tables, rounded at the array, must
 print every float as the numpy scalar ``round`` would, zeros unsigned.
@@ -35,6 +38,7 @@ targets such as (5, 2) are non-adjacent and out of register order.
 import itertools
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,14 +56,14 @@ from graphqec.kernel import DensityOperator, Observable, PureState
 from graphqec.pauli import (CliffordGate, PauliString, _read_words, conjugate_sequence,
                            pauli_expectations)
 from graphqec.runner import (BYPRODUCT_MODES, ExperimentConfig, _bloch_table,
-                             _calibrated_visibility, _chi_table, encoded_state, run_experiment)
+                             _calibrated_visibility, _chi_table, run_experiment)
 from graphqec.sampling import (CountRecord, NoiseModel, apply_noise, counts_from_csv_rows,
                                counts_to_csv_rows, estimate_expectation,
-                               monte_carlo_uncertainty, outcome_probabilities)
+                               monte_carlo_uncertainty, outcome_probabilities, witness_settings)
 from graphqec.tomography import (ChannelSample, ChiMatrix, _vector_fidelity, bloch_affine,
                                  reconstruct_chi, state_fidelity)
-from graphqec.witnesses import (box_witness, evaluate_witness, fidelity_lower_bound,
-                                ghz_witness, resource_witness)
+from graphqec.witnesses import (WitnessSpec, WitnessTerm, box_witness, evaluate_witness,
+                                fidelity_lower_bound, ghz_witness, resource_witness)
 
 ATOL = 1e-12
 PROPERTY = settings(deadline=None, max_examples=60)
@@ -438,12 +442,14 @@ def test_sweep_rows_match_direct_states(stage, points, data):
 @PIPELINE
 @given(st.data())
 def test_encoded_state_matches_checked_oracle(stage, byproduct, data):
+    """A probe's encoded Pauli vector, turned into a density matrix, equals
+    the checked oracle's encoded state."""
     probe = data.draw(st.sampled_from(PROBE_NAMES))
     noise = data.draw(noise_maps((1, 2, 3, 4, 5), stage))
-    got = encoded_state(probe, noise, byproduct)
+    vec = runner._probe_vectors((probe,), noise, byproduct)[probe]
     want = oracle.encoded_state(probe, noise, byproduct)
-    assert got.labels == want.labels == CODE_QUBITS
-    np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=ATOL)
+    assert want.labels == CODE_QUBITS
+    np.testing.assert_allclose(kernel._from_pauli_vector(vec, 4), want.matrix, rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))
@@ -479,7 +485,7 @@ def test_noise_factors_match_dense_noise(state, data):
     model = data.draw(noise_maps(state.labels))
     raw, n = kernel._raw(state), state.num_qubits
     got = kernel._pauli_vector(raw, n) * sampling._noise_factors(state.labels, model)
-    for noisy in (sampling._noise(raw, state.labels, model),
+    for noisy in (apply_noise(state, model).matrix,
                   oracle.apply_noise(dense(state), state.labels, model)):
         np.testing.assert_allclose(got, kernel._pauli_vector(noisy, n), rtol=0, atol=ATOL)
 
@@ -541,6 +547,56 @@ def test_channel_ptms_compose_from_the_encoding_map(stage, byproduct, data):
                                    rtol=0, atol=ATOL)
 
 
+def framed_and_reduced(state, frame, keep) -> DensityOperator:
+    """The dense path that the Pauli-domain reads replace: conjugation by the
+    Pauli word ``frame`` (if given) with ``apply_unitary``, then
+    ``partial_trace`` to ``keep``."""
+    if frame is not None:
+        state = kernel.apply_unitary(state, frame.dense(frame.support), frame.support)
+    return kernel.partial_trace(state.density() if isinstance(state, PureState) else state,
+                                keep)
+
+
+@st.composite
+def witness_specs(draw, qubits):
+    """A witness of one to four random terms on ``qubits``, with random
+    coefficients and tilde flags."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        support = draw(st.lists(st.sampled_from(qubits), min_size=1, unique=True))
+        word = PauliString.from_map({q: draw(st.sampled_from("XYZ")) for q in support})
+        tilde = frozenset(draw(st.lists(st.sampled_from(support), unique=True)))
+        terms.append(WitnessTerm(Fraction(draw(st.integers(1, 4)), 4), word, tilde))
+    return WitnessSpec("random", Fraction(draw(st.integers(0, 8)), 4), tuple(terms))
+
+
+@PROPERTY
+@given(states(min_qubits=2, max_qubits=6), st.data())
+def test_vector_sampler_matches_dense_path(state, data):
+    """Outcome probabilities and exact witness values read off a Pauli vector,
+    with an optional Pauli frame applied as sign flips and every unmeasured
+    qubit at index 0, equal those of the dense path: the frame applied with
+    ``apply_unitary``, the rest traced out with ``partial_trace``, then the
+    checked ``outcome_probabilities`` and ``evaluate_witness``. Each sampled
+    record measures the witness setting's qubits in register order."""
+    labels = state.labels
+    measured = subset(data, labels, len(labels))
+    keep = tuple(q for q in labels if q in measured)
+    bases = {q: data.draw(st.sampled_from("XYZ")) for q in measured}
+    frame = data.draw(st.one_of(st.none(), hermitian_words(labels).filter(lambda w: w.weight)))
+    vec = kernel._pauli_vector(kernel._raw(state), len(labels))
+    if frame is not None:
+        vec = code._conjugate_pauli_vector(vec, frame, labels)
+    reduced = framed_and_reduced(state, frame, keep)
+    np.testing.assert_allclose(sampling._outcome_probabilities(vec, labels, bases),
+                               outcome_probabilities(reduced, bases), rtol=0, atol=ATOL)
+    spec = data.draw(witness_specs(keep))
+    block, _, records = runner._witness_block(vec, labels, spec, 500, 100, data.draw(seeds), 0)
+    assert abs(block["exact"] - evaluate_witness(reduced, spec).value) < ATOL
+    assert [r.qubits for r in records] == [tuple(q for q in labels if q in s)
+                                           for s in witness_settings(spec)]
+
+
 @pytest.mark.parametrize("probe", PROBE_NAMES)
 @settings(deadline=None, max_examples=10)
 @given(st.data())
@@ -554,8 +610,9 @@ def test_probe_witnesses_read_off_vectors_match_dense_states(probe, data):
     vec = runner._probe_vectors((probe,), noise, "condition0")[probe]
     rho = oracle.encoded_state(probe, noise)
     for _, _, spec, frame in runner._probe_witnesses(probe):
-        want = evaluate_witness(runner._witness_state(rho, spec, frame), spec).value
-        assert abs(runner._witness_value_of_vector(vec, spec, frame) - want) < ATOL
+        want = evaluate_witness(framed_and_reduced(rho, frame, spec.qubits), spec).value
+        got = runner._exact_witness(runner._in_frame(vec, frame), CODE_QUBITS, spec).value
+        assert abs(got - want) < ATOL
     target = logical_basis_states()[code.PROBE_TARGETS[probe]]
     target_vec = kernel._pauli_vector(target.amplitudes, 4)
     assert abs(_vector_fidelity(vec, target_vec) - state_fidelity(rho, target)) < ATOL

@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 from graphqec import code, kernel, runner
 from graphqec.cli import _KIND_BY_COMMAND, cli_main
 from graphqec.code import PROBES
-from graphqec.runner import (ConfigError, ExperimentConfig, encoded_state,
-                             run_experiment)
+from graphqec.runner import ConfigError, ExperimentConfig, _probe_vectors, run_experiment
 from graphqec.sampling import NoiseModel
 
 
@@ -66,22 +65,26 @@ class TestConfigValidation:
             "866347311a6a4bd3222f53b91328986241b2d0c72117230fadbb6b6b0cdb3473"
 
 
+def encoded_vector(probe, noise, byproduct="condition0"):
+    return _probe_vectors((probe,), noise, byproduct)[probe]
+
+
 class TestEncodedState:
     def test_byproduct_modes_agree_for_ideal(self):
         for stage in ("post-resource", "post-encoding"):
             noise = NoiseModel(stage=stage)
-            a = encoded_state("0", noise, "condition0")
-            b = encoded_state("0", noise, "correct")
-            np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-10)
+            a = encoded_vector("0", noise, "condition0")
+            b = encoded_vector("0", noise, "correct")
+            np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_raw_mode_mixes_branches(self):
-        rho = encoded_state("+y", NoiseModel(), "raw")
-        assert rho.purity() < 1 - 1e-6
+        vec = encoded_vector("+y", NoiseModel(), "raw")
+        assert np.sum(vec ** 2) / 2 ** vec.ndim < 1 - 1e-6  # the purity tr(rho^2)
 
     def test_stages_agree_for_white_noise(self):
-        a = encoded_state("0", NoiseModel(visibility=0.7, stage="post-resource"))
-        b = encoded_state("0", NoiseModel(visibility=0.7, stage="post-encoding"))
-        np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-10)
+        a = encoded_vector("0", NoiseModel(visibility=0.7, stage="post-resource"))
+        b = encoded_vector("0", NoiseModel(visibility=0.7, stage="post-encoding"))
+        np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 class TestExperiments:
@@ -157,6 +160,18 @@ class TestExperiments:
         noise = NoiseModel(depolarizing=0.05, visibility=0.8)
         run_experiment(ExperimentConfig("encode-channel", noise, byproduct=byproduct))
         assert calls == {"_pauli_vector": 0, "_unitary": 0}
+
+    @pytest.mark.parametrize("kind, vectors", [("resource-witness", 1),
+                                               ("encode-tomography", 4), ("noise-sweep", 2)])
+    def test_sampled_kinds_read_pauli_vectors(self, monkeypatch, kind, vectors):
+        """The resource-reading and sampled kinds turn only their pure
+        references into Pauli vectors: the ideal resource, or each probe's
+        logical target, and the |+_L> of the sweep. The noisy states, the
+        ancilla projection and the Zbar frame stay in the Pauli domain."""
+        calls = self.count_kernel_calls(monkeypatch, ("_pauli_vector", "_unitary"))
+        noise = NoiseModel(depolarizing=0.05, visibility=0.8)
+        run_experiment(ExperimentConfig(kind, noise, trials=100))
+        assert calls == {"_pauli_vector": vectors, "_unitary": 0}
 
     def test_noise_sweep_encodes_only_witnessed_probes(self, monkeypatch):
         # Pauli-domain encodings of |0> at v = 0 and at v = 1, then one batch
