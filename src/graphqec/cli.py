@@ -127,8 +127,9 @@ def _config_from_args(args) -> ExperimentConfig:
         data["noise"] = {"visibility": 1.0}
     elif args.visibility is not None:
         noise = data.get("noise", {})
-        noise["visibility"] = args.visibility
-        data["noise"] = noise
+        if not isinstance(noise, dict):
+            raise ConfigError({"noise": f"must be an object of noise fields, got {noise!r}"})
+        data["noise"] = noise | {"visibility": args.visibility}
     if getattr(args, "probe", None):
         data["probes"] = [args.probe]
     if _single_error(args):

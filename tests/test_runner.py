@@ -504,11 +504,13 @@ NOISE_FIELDS = [f.name for f in dataclasses.fields(NoiseModel)]
 @given(command=st.sampled_from(sorted(_KIND_BY_COMMAND)),
        path=st.one_of(st.tuples(st.sampled_from(CONFIG_FIELDS)),
                       st.tuples(st.just("noise"), st.sampled_from(NOISE_FIELDS))),
-       value=WRONG_VALUES)
-def test_wrong_config_value_exits_0_or_names_the_field(command, path, value):
+       value=WRONG_VALUES,
+       flags=st.sampled_from([[], ["--visibility", "0.9"]]))
+def test_wrong_config_value_exits_0_or_names_the_field(command, path, value, flags):
     """Any wrong-typed or out-of-range value of one field of a valid config
     runs (exit 0) or exits 1 naming the field, and the noise sub-field when
-    the value sits in ``noise``; it never reaches a runtime error (exit 2)."""
+    the value sits in ``noise``; it never reaches a runtime error (exit 2).
+    The same holds when ``--visibility`` sets a field inside ``noise``."""
     data = {"trials": 100, "sweep_points": 3, "counts_per_setting": 500,
             "noise": {"depolarizing": 0.02, "visibility": 0.9}}
     (data["noise"] if len(path) == 2 else data)[path[-1]] = value
@@ -519,7 +521,7 @@ def test_wrong_config_value_exits_0_or_names_the_field(command, path, value):
         try:
             pathlib.Path("cfg.json").write_text(json.dumps(data))
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = cli_main([command, "--config", "cfg.json"])
+                code = cli_main([command, "--config", "cfg.json", *flags])
         finally:
             os.chdir(cwd)
     assert code in (0, 1), err.getvalue()
