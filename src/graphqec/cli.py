@@ -17,8 +17,7 @@ from .graphs import (Graph, RESOURCE, build_resource, graph_state, resource_stat
                      stabilizer_generators)
 from .pauli import pauli_expectations
 from .runner import ConfigError, ExperimentConfig, ReportBundle, run_experiment, _sanitize
-from .sampling import (MAX_TRIALS, counts_from_csv_rows, monte_carlo_uncertainty,
-                       witness_records, witness_value_from_counts)
+from .sampling import MAX_TRIALS, _witness_estimate, counts_from_csv_rows, witness_records
 from .witnesses import builtin_witnesses, fidelity_lower_bound
 
 
@@ -212,9 +211,7 @@ def _cmd_analyze_counts(args) -> int:
         rows = list(csv.reader(fh))
     spec = builtin_witnesses(resource_as_printed=args.as_printed)[args.witness]
     records = witness_records(counts_from_csv_rows(rows), spec)
-    value = witness_value_from_counts(records, spec)
-    _, std = monte_carlo_uncertainty(lambda rs: witness_value_from_counts(rs, spec),
-                                     records, args.trials, args.seed)
+    value, _, std = _witness_estimate(records, spec, args.trials, args.seed)
     bound = fidelity_lower_bound(value)
     print(f"witness {spec.name}: value = {value:.4f} +/- {std:.4f} "
           f"(fidelity lower bound {bound:.4f})")

@@ -35,8 +35,8 @@ from .code import (ANCILLA, CODE_QUBITS, PROBE_NAMES, PROBE_TARGETS, PROBES,
 from .graphs import RESOURCE, build_resource, stabilizer_generators
 from .kernel import DensityOperator, PureState
 from .pauli import PauliString, _read_words
-from .sampling import (MAX_TRIALS, NoiseModel, _sample_counts, counts_to_csv_rows,
-                       monte_carlo_uncertainty, witness_settings, witness_value_from_counts)
+from .sampling import (MAX_TRIALS, NoiseModel, _sample_counts, _witness_estimate,
+                       counts_to_csv_rows, witness_settings)
 from .tomography import (ChannelSample, _fidelity, _logical_of_vector, _vector_fidelity,
                          average_probe_fidelity, bloch_image, chi_hadamard, chi_identity,
                          logical_density_from_expectations, process_fidelity,
@@ -251,9 +251,7 @@ def _witness_block(vec, labels, spec, counts_per_setting, trials, seed, stream_b
     exact = _exact_witness(vec, labels, spec)
     records = [_sample_counts(vec, labels, s, counts_per_setting, seed, stream_base + i)
                for i, s in enumerate(witness_settings(spec))]
-    estimate = witness_value_from_counts(records, spec)
-    mc_mean, mc_std = monte_carlo_uncertainty(
-        lambda rs: witness_value_from_counts(rs, spec), records, trials, seed)
+    estimate, mc_mean, mc_std = _witness_estimate(records, spec, trials, seed)
     block = {
         "exact": exact.value,
         "estimate": estimate,

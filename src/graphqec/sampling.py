@@ -17,10 +17,18 @@ Outcome bitstrings appear only at the edges: :meth:`CountRecord.from_counts`
 parses them, :attr:`CountRecord.counts` lists the nonzero cells by them, and
 the CSV interchange reads and writes them. Parity estimates are
 ``(counts @ mask) / counts.sum(-1)`` with a cached +/-1 parity mask, so the
-same estimator serves one histogram and a batch. Monte Carlo resampling
-draws every trial's Poisson vector over all histograms from one generator
-per call and calls the statistic once on the trial-batched records; see
-:func:`monte_carlo_uncertainty`.
+same estimator serves one histogram and a batch. A witness is read through
+a cached parity plan (:func:`_witness_plan`): per record it reads, one
+int64 matrix whose columns are the masks of the terms read there, so one
+``counts @ matrix`` estimates all of them, on a histogram or a batch.
+
+Monte Carlo resampling draws every trial's Poisson vector over all
+histograms in one draw per call (:func:`_poisson_trials`).
+:func:`monte_carlo_uncertainty` hands an arbitrary statistic the
+trial-batched records; the runner and the CLI take a witness's estimate
+and error bar from :func:`_witness_estimate`, which evaluates the plan on
+the raw trial blocks of the same draw, so no trial batch becomes a
+:class:`CountRecord`.
 """
 from __future__ import annotations
 
@@ -28,6 +36,7 @@ import functools
 import numbers
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -284,10 +293,23 @@ def _outcome_probabilities(vec: np.ndarray, labels, bases: dict[int, str]) -> np
     (-1)^(b.S) <prod_{q in S} P_q> with bit 0 meaning the +1 eigenvalue.
     Negative rounding residue is clipped and the vector renormalized.
     """
-    t = vec[np.ix_(*[(0, pauli._LETTER_INDEX[bases[q]]) if q in bases else (0,)
-                     for q in labels])].squeeze()
+    t = vec.take(_setting_gather(tuple(bases.get(q) for q in labels)))
     probs = np.clip(kernel._transform_each_axis(_WALSH, t).reshape(-1) / t.size, 0.0, None)
     return probs / probs.sum()
+
+
+@functools.lru_cache(maxsize=128)
+def _setting_gather(letters: tuple[str | None, ...]) -> np.ndarray:
+    """Read-only flat index into a ``[4]*n`` Pauli vector, shaped ``[2]*k``:
+    the sub-cube :func:`_outcome_probabilities` transforms, for a register
+    whose axis i is measured in ``letters[i]`` (``None``: not measured, read
+    at index 0). Taking it from the flattened vector equals the ``np.ix_``
+    selection of indices (0, letter) and (0,), squeezed."""
+    index = np.arange(4 ** len(letters)).reshape([4] * len(letters))
+    index = index[np.ix_(*[(0, pauli._LETTER_INDEX[l]) if l else (0,)
+                           for l in letters])].squeeze()
+    index.setflags(write=False)
+    return index
 
 
 def sample_setting_counts(state, bases: dict[int, str], expected_n: float,
@@ -362,35 +384,110 @@ def witness_settings(spec: WitnessSpec) -> list[dict[int, str]]:
     return settings
 
 
-def _term_records(records: list, spec: WitnessSpec) -> list[int]:
-    """Index into ``records`` of the record each witness term is estimated
-    from: the first whose setting measures all of the term's letters."""
+def _term_records(settings, spec: WitnessSpec) -> list[int]:
+    """Index into ``settings`` of the setting each witness term is estimated
+    from: the first that measures all of the term's letters and no qubit
+    outside ``spec.qubits``, else the first that measures all its letters."""
+    inside = set(spec.qubits)
+    settings = [dict(s) for s in settings]
     indices = []
     for t in spec.terms:
-        i = next((i for i, r in enumerate(records)
-                  if all(dict(r.setting).get(q) == l for q, l in t.word.letters)), None)
-        if i is None:
+        covering = [i for i, s in enumerate(settings)
+                    if all(s.get(q) == l for q, l in t.word.letters)]
+        if not covering:
             raise ValueError(f"no setting covers term {t.label()}")
-        indices.append(i)
+        indices.append(next((i for i in covering if settings[i].keys() <= inside),
+                            covering[0]))
     return indices
 
 
-def witness_value_from_counts(records, spec: WitnessSpec):
-    """Evaluate a witness from recorded counts; each term is estimated from
-    the first setting that measures all of its letters. On trial-batched
-    records the value is an array with one entry per trial."""
-    records = list(records)
+class _PlanRecord(NamedTuple):
+    """The terms of a witness read from one record, the ``index``-th, whose
+    setting prints as ``label``: ``matrix`` is the read-only int64
+    (2^k x m) matrix whose columns are the terms' :func:`_parity_mask`,
+    ``positions`` their indices in ``spec.terms`` and ``weights`` each
+    term's ``float(coefficient) * sign``."""
+
+    index: int
+    label: str
+    matrix: np.ndarray
+    positions: tuple[int, ...]
+    weights: np.ndarray
+
+
+@functools.lru_cache(maxsize=128)
+def _witness_plan(spec: WitnessSpec, settings: tuple) -> tuple[_PlanRecord, ...]:
+    """The parity plan of ``spec`` on records with these ``settings``: one
+    :class:`_PlanRecord` per record read, in record order."""
+    chosen = _term_records(settings, spec)
+    plan = []
+    for i in sorted(set(chosen)):
+        qubits = [q for q, _ in settings[i]]
+        positions = tuple(j for j, r in enumerate(chosen) if r == i)
+        terms = [spec.terms[j] for j in positions]
+        matrix = np.stack([_parity_mask(len(qubits), tuple(map(qubits.index, t.word.support)))
+                           for t in terms], axis=1)
+        matrix.setflags(write=False)
+        weights = np.array([float(t.coefficient) * t.sign for t in terms])
+        weights.setflags(write=False)
+        plan.append(_PlanRecord(i, _setting_label(settings[i]), matrix, positions, weights))
+    return tuple(plan)
+
+
+def _plan_value(spec: WitnessSpec, plan, counts):
+    """The witness on the count vectors ``counts`` (one per record, each one
+    histogram or a batch with leading axes), one ``counts @ matrix`` per
+    record read. The terms are subtracted from the constant one by one in
+    term order, so the float operations are those of a per-term loop over
+    :func:`estimate_expectation`."""
+    shape = counts[plan[0].index].shape[:-1] if plan else ()
+    terms = np.empty(shape + (len(spec.terms),))
+    for r in plan:
+        c = counts[r.index]
+        totals = c.sum(-1)
+        if np.any(totals == 0):
+            raise ValueError("empty histogram")
+        if np.any(totals > MAX_COUNT):
+            raise ValueError(f"histogram total above 2^53 in setting {r.label!r}")
+        terms[..., r.positions] = (c @ r.matrix) / totals[..., None] * r.weights
     value = float(spec.constant)
-    for t, i in zip(spec.terms, _term_records(records, spec)):
-        value -= float(t.coefficient) * t.sign * estimate_expectation(records[i], t.word.support)
-    return value
+    for column in np.moveaxis(terms, -1, 0):
+        value = value - column
+    return value if shape else float(value)
+
+
+def witness_value_from_counts(records, spec: WitnessSpec):
+    """Evaluate a witness from recorded counts. On trial-batched records the
+    value is an array with one entry per trial.
+
+    Each term is estimated from the first record that measures all of its
+    letters and no qubit outside ``spec.qubits``; only if there is none,
+    from the first record that measures all of its letters. So the box
+    witness reads its ``X4 X5`` term off a four-qubit box setting, not off a
+    five-qubit resource setting taken before the ancilla was measured. The
+    terms read from one record are evaluated together, through a cached
+    parity plan (:func:`_witness_plan`)."""
+    records = list(records)
+    plan = _witness_plan(spec, tuple(r.setting for r in records))
+    return _plan_value(spec, plan, [r.dense for r in records])
 
 
 def witness_records(records, spec: WitnessSpec) -> list[CountRecord]:
     """The records :func:`witness_value_from_counts` reads, in their given
     order; the value is the same on them as on all of ``records``."""
     records = list(records)
-    return [records[i] for i in sorted(set(_term_records(records, spec)))]
+    return [records[i] for i in sorted(set(_term_records([r.setting for r in records], spec)))]
+
+
+def _poisson_trials(counts, trials: int, seed: int) -> list[np.ndarray]:
+    """Poisson resamples of every cell of the count vectors ``counts``, one
+    (trials x 2^k) block per vector: a single (trials x cells) draw from the
+    (seed, stream) generator of Monte Carlo resampling, split by vector."""
+    if not 100 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in [100, {MAX_TRIALS}], got {trials}")
+    lam = np.concatenate([np.zeros(0, dtype=np.int64), *counts])
+    draws = make_rng(seed, _MC_STREAM).poisson(lam, size=(trials, lam.size))
+    return np.split(draws, np.cumsum([c.size for c in counts])[:-1], axis=1)
 
 
 def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple[float, float]:
@@ -412,17 +509,26 @@ def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple
     ``trials``: 8 bytes x sum of 2^k per trial, about 150 KB at 200 trials
     of three five-qubit settings.
     """
-    if not 100 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be in [100, {MAX_TRIALS}], got {trials}")
     records = list(records)
-    rates = [r.dense for r in records]
-    lam = np.concatenate([np.zeros(0, dtype=np.int64), *rates])
-    draws = make_rng(seed, _MC_STREAM).poisson(lam, size=(trials, lam.size))
-    blocks = np.split(draws, np.cumsum([d.size for d in rates])[:-1], axis=1)
-    batched = [CountRecord(r.setting, b) for r, b in zip(records, blocks)]
+    blocks = _poisson_trials([r.dense for r in records], trials, seed)
     vals = np.empty(trials)
-    vals[:] = statistic(batched)
+    vals[:] = statistic([CountRecord(r.setting, b) for r, b in zip(records, blocks)])
     return float(vals.mean()), float(vals.std())
+
+
+def _witness_estimate(records, spec: WitnessSpec, trials: int,
+                      seed: int) -> tuple[float, float, float]:
+    """(estimate, mc_mean, mc_std) of the witness ``spec`` on ``records``:
+    :func:`witness_value_from_counts`, and :func:`monte_carlo_uncertainty`
+    of it with every record resampled, bit for bit. The plan is evaluated
+    on the raw trial blocks of the same draw, which become no
+    :class:`CountRecord`."""
+    records = list(records)
+    plan = _witness_plan(spec, tuple(r.setting for r in records))
+    counts = [r.dense for r in records]
+    estimate = _plan_value(spec, plan, counts)
+    vals = _plan_value(spec, plan, _poisson_trials(counts, trials, seed))
+    return estimate, float(vals.mean()), float(vals.std())
 
 
 # -- CSV interchange ---------------------------------------------------------

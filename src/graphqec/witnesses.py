@@ -6,9 +6,11 @@ with the eigenstates swapped. Since the letters are traceless this is an
 eigenvalue swap, so a tilde contributes a factor -1 to the term. A witness
 value below zero certifies genuine multipartite entanglement, and the
 calibrated witnesses all reach exactly -1 on their ideal target states.
+The specs are frozen, so each built-in witness is built once and shared.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,6 +91,7 @@ def _resource5_terms(x_coeff, zy_coeff) -> tuple[WitnessTerm, ...]:
                  + [_term(zy_coeff, w, t) for w, t in zy_terms])
 
 
+@functools.cache
 def resource_witness(as_printed: bool = False) -> WitnessSpec:
     """GME witness for the five-qubit resource state.
 
@@ -104,6 +107,7 @@ def resource_witness(as_printed: bool = False) -> WitnessSpec:
                        _resource5_terms(Fraction(1, 4), Fraction(1, 2)))
 
 
+@functools.cache
 def box_witness() -> WitnessSpec:
     """Two-setting GME witness for the box cluster state |+_L> on (1,2,4,5):
     settings Z1 Z2 X4 X5 and X1 X2 Z4 Z5, terms the box stabilizer products."""
@@ -118,6 +122,7 @@ def box_witness() -> WitnessSpec:
     return WitnessSpec("box4", Fraction(2), terms)
 
 
+@functools.cache
 def ghz_witness() -> WitnessSpec:
     """Witness for the rotated GHZ state encoding |0_L>: one full-weight
     Z term plus the seven even X pair products, tildes on qubits 4 and 5."""
@@ -130,6 +135,7 @@ def ghz_witness() -> WitnessSpec:
     return WitnessSpec("ghz4", Fraction(7, 4), tuple(terms))
 
 
+@functools.cache
 def pair_witness(qubits: tuple[int, int] = (1, 2)) -> WitnessSpec:
     """Witness I - (tilde Y)Z - XX for one maximally entangled pair of the
     biseparable |-y_L> encoding."""

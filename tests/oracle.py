@@ -4,7 +4,8 @@ Every local operator is widened to the whole register with ``np.kron`` and
 applied by full matrix products, and single-qubit noise runs through its
 Kraus operators; these functions take raw matrices plus a label tuple. Count
 statistics are evaluated per outcome and per Monte Carlo trial, with one
-scalar Poisson draw per histogram cell. The package's closed forms are
+scalar Poisson draw per histogram cell, and witnesses from counts one term
+at a time. The package's closed forms are
 checked against the searches they replace: loss-recovery recipes derived
 branch by branch from the logical basis, the visibility calibration by
 bisection, and the box graph as the unique graph on {1,2,4,5} that gives
@@ -121,6 +122,24 @@ def estimate_expectation(record, support) -> float:
         parity = sum(int(bits[i]) for i in positions) % 2
         acc += -c if parity else c
     return acc / record.total
+
+
+def witness_value_from_counts(records, spec):
+    """A witness from recorded counts, one term at a time: each term is
+    ``sampling.estimate_expectation`` on the first record that measures all
+    of its letters and no qubit outside the witness, else on the first that
+    measures all of its letters."""
+    records = list(records)
+    value = float(spec.constant)
+    for t in spec.terms:
+        covering = [r for r in records
+                    if all(dict(r.setting).get(q) == l for q, l in t.word.letters)]
+        if not covering:
+            raise ValueError(f"no setting covers term {t.label()}")
+        inside = [r for r in covering if set(r.qubits) <= set(spec.qubits)]
+        value -= float(t.coefficient) * t.sign * sampling.estimate_expectation(
+            (inside or covering)[0], t.word.support)
+    return value
 
 
 def resample_counts(records, rng) -> list:

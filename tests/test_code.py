@@ -17,8 +17,9 @@ from graphqec.graphs import build_resource
 from graphqec.kernel import DensityOperator, PureState, overlap, partial_trace, reorder
 from graphqec.runner import BYPRODUCT_MODES, ExperimentConfig, _probe_vectors, run_experiment
 from graphqec.pauli import PauliString, pauli_commutes
-from graphqec.sampling import NoiseModel, apply_noise
+from graphqec.sampling import CountRecord, NoiseModel, apply_noise
 from graphqec.tomography import state_fidelity
+from graphqec.witnesses import WitnessSpec
 
 RT2 = math.sqrt(2)
 
@@ -413,7 +414,9 @@ class TestDecodeNoLoss:
 
 class TestCheckedOnce:
     """Each pipeline call validates one result: internal steps run on raw
-    arrays and build no checked DensityOperator."""
+    arrays and build no checked DensityOperator, a sampled setting is
+    checked once as its CountRecord, and the built-in witnesses are built
+    once per process."""
 
     @pytest.fixture
     def constructions(self, monkeypatch):
@@ -477,6 +480,49 @@ class TestCheckedOnce:
         noise = NoiseModel(depolarizing={1: 0.03, 4: 0.02}, dephasing=0.01, visibility=0.9)
         run_experiment(ExperimentConfig(kind, noise, lost=2))
         assert len(constructions) == checked
+
+    @pytest.fixture
+    def count_records(self, monkeypatch):
+        count = []
+        checked = CountRecord.__post_init__
+
+        def counted(self):
+            count.append(self.setting)
+            checked(self)
+
+        monkeypatch.setattr(CountRecord, "__post_init__", counted)
+        return count
+
+    @pytest.mark.parametrize("noise", (NoiseModel(), NoiseModel(depolarizing=0.05,
+                                                                visibility=0.8)))
+    @pytest.mark.parametrize("kind, built", [("resource-witness", 4),
+                                             ("encode-tomography", 22)])
+    def test_sampled_runs(self, count_records, noise, kind, built):
+        """One CountRecord per sampled setting: the two settings of each of
+        the resource run's two witnesses; each probe's witness settings
+        (2, 2, 2 and 4) and its three logical settings. The Monte Carlo
+        trials are evaluated as raw blocks of the draw."""
+        config = ExperimentConfig(kind, noise)
+        run_experiment(config)  # warm-up
+        count_records.clear()
+        run_experiment(config)
+        assert len(count_records) == built
+
+    @pytest.mark.parametrize("kind", ("resource-witness", "encode-tomography"))
+    def test_witness_specs(self, monkeypatch, kind):
+        """The runs read cached built-in witnesses and build no spec."""
+        config = ExperimentConfig(kind)
+        run_experiment(config)  # warm-up
+        built = []
+        init = WitnessSpec.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WitnessSpec, "__init__", counted)
+        run_experiment(config)
+        assert len(built) == 0
 
     def test_syndrome_table(self, constructions):
         """The encoded probes, the 48 injected errors and their syndromes all

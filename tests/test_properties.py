@@ -26,7 +26,11 @@ the runner's encode-channel and loss-recovery PTMs, and the probe witnesses
 and fidelities read off the vectors must equal those of the dense states.
 The sampler's outcome probabilities and the exact witness values read off
 a Pauli vector, under a random Pauli frame and on a random subset of the
-qubits, must equal those of the dense frame and partial trace.
+qubits, must equal those of the dense frame and partial trace, and the
+cached gather of the setting's sub-cube must select what ``np.ix_`` does.
+A witness read from counts through its parity plan must equal the per-term
+loop exactly, on histograms and on trial batches, whichever records cover
+it and in whatever order.
 Symbolic Pauli conjugation through random Clifford sequences must match the
 dense product, and the runner's bundle tables, rounded at the array, must
 print every float as the numpy scalar ``round`` would, zeros unsigned.
@@ -63,7 +67,8 @@ from graphqec.sampling import (CountRecord, NoiseModel, apply_noise, counts_from
 from graphqec.tomography import (ChannelSample, ChiMatrix, _vector_fidelity, bloch_affine,
                                  reconstruct_chi, state_fidelity)
 from graphqec.witnesses import (WitnessSpec, WitnessTerm, box_witness, evaluate_witness,
-                                fidelity_lower_bound, ghz_witness, resource_witness)
+                                fidelity_lower_bound, ghz_witness, pair_witness,
+                                resource_witness)
 
 ATOL = 1e-12
 PROPERTY = settings(deadline=None, max_examples=60)
@@ -395,6 +400,85 @@ def test_monte_carlo_call_sequences_match_oracle(calls):
         scalar = linear_statistic(0.5, terms, oracle.estimate_expectation)
         assert outcome(lambda: monte_carlo_uncertainty(batched, records, trials, seed)) \
             == outcome(lambda: oracle.monte_carlo_uncertainty(scalar, records, trials, seed))
+
+
+BUILTIN_SPECS = (resource_witness(), resource_witness(as_printed=True), box_witness(),
+                 ghz_witness(), pair_witness((1, 2)), pair_witness((4, 5)))
+
+
+@st.composite
+def witness_tables(draw):
+    """A built-in or random witness and count records that cover it, in
+    shuffled order: each of its settings, or a copy widened by a qubit
+    outside the witness, or both, plus up to two unrelated records. Every
+    record holds one histogram, or every record a batch of them; cells are
+    sparse or dense, and small counts leave some histograms empty."""
+    spec = draw(st.one_of(st.sampled_from(BUILTIN_SPECS), st.lists(
+        st.integers(1, 5), min_size=1, max_size=5, unique=True).flatmap(witness_specs)))
+    outside = [q for q in range(1, 7) if q not in spec.qubits]
+    settings_ = []
+    for own in witness_settings(spec):
+        own = list(own.items())
+        kept = draw(st.sampled_from(("own", "wide", "both"))) if outside else "own"
+        if kept != "own":
+            settings_.append(own + [(draw(st.sampled_from(outside)),
+                                     draw(st.sampled_from("XYZ")))])
+        if kept != "wide":
+            settings_.append(own)
+    for _ in range(draw(st.integers(0, 2))):
+        qubits = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
+        settings_.append([(q, draw(st.sampled_from("XYZ"))) for q in qubits])
+    rng = np.random.default_rng(draw(seeds))
+    batch = draw(st.sampled_from(((), (1,), (3,))))
+    records = []
+    for setting in settings_:
+        size = batch + (2 ** len(setting),)
+        high = draw(st.sampled_from((2, 5, 600)))
+        density = draw(st.sampled_from((0.3, 1.0)))
+        counts = rng.integers(0, high, size) * (rng.random(size) < density)
+        records.append(CountRecord(tuple(draw(st.permutations(setting))), counts))
+    return spec, draw(st.permutations(records))
+
+
+def plain(value):
+    """A witness outcome comparable with ``==``: an error message, a float or
+    a list of per-trial floats."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@PROPERTY
+@given(witness_tables(), seeds)
+def test_witness_plan_matches_per_term_oracle(table, seed):
+    """The parity plan gives exactly (==, not to a tolerance) the per-term
+    loop's value, on one histogram per record or on trial batches, the
+    record-choice rule and an empty histogram's error included. On single
+    histograms the estimate helper equals the value plus the public Monte
+    Carlo of it, bit for bit, from the same draw."""
+    spec, records = table
+    value = lambda rs: sampling.witness_value_from_counts(rs, spec)
+    got = outcome(lambda: value(records))
+    want = outcome(lambda: oracle.witness_value_from_counts(records, spec))
+    assert type(got) is type(want) and plain(got) == plain(want)
+    if records[0].dense.ndim == 1:
+        assert outcome(lambda: sampling._witness_estimate(records, spec, 100, seed)) \
+            == outcome(lambda: (value(records), *monte_carlo_uncertainty(value, records, 100,
+                                                                         seed)))
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True), st.data(), seeds)
+def test_setting_gather_equals_ix_selection(labels, data, seed):
+    """The cached flat gather of ``_outcome_probabilities`` picks exactly the
+    sub-cube that ``np.ix_`` selects: indices 0 and the letter's on each
+    measured axis, 0 on the others, the unmeasured axes squeezed out."""
+    measured = subset(data, labels, len(labels))
+    letters = tuple(data.draw(st.sampled_from("XYZ")) if q in measured else None
+                    for q in labels)
+    vec = np.random.default_rng(seed).normal(size=[4] * len(labels))
+    want = vec[np.ix_(*[(0, "IXYZ".index(l)) if l else (0,) for l in letters])].squeeze()
+    got = vec.take(sampling._setting_gather(letters))
+    assert got.shape == want.shape == (2,) * len(measured)
+    assert np.array_equal(got, want)
 
 
 @settings(deadline=None, max_examples=30)

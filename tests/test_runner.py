@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -11,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphqec import code, kernel, runner
+from graphqec import code, kernel, runner, sampling
 from graphqec.cli import _KIND_BY_COMMAND, cli_main
 from graphqec.code import PROBES
 from graphqec.runner import ConfigError, ExperimentConfig, _probe_vectors, run_experiment
-from graphqec.sampling import NoiseModel
+from graphqec.sampling import NoiseModel, counts_from_csv_rows, witness_records
+from graphqec.witnesses import builtin_witnesses
 
 
 def cfg(kind, **kw):
@@ -289,6 +291,30 @@ class TestCli:
         assert cli_main(["analyze-counts", "--in", str(path), "--witness", "pair2"]) == 2
         err = capsys.readouterr().err
         assert "'Z1 Z2'" in err and "too large to convert" not in err
+
+    @pytest.mark.parametrize("witness, block", [("box4", "box4_after_ancilla_z"),
+                                                ("resource5", "resource5")])
+    def test_analyze_counts_reproduces_witness_bundle(self, tmp_path, capsys, witness, block):
+        """analyze-counts on a witness bundle's counts.csv, with the run's
+        trials and seed, gives the bundle's estimate and Monte Carlo spread
+        bit for bit: box4 reads the two box settings, not the resource's X
+        setting, which also covers two of its terms but was taken before
+        the ancilla's Z measurement."""
+        flags = ["--trials", "100", "--seed", "4"]
+        assert cli_main(["witness", "--visibility", "0.8", *flags, "--out", str(tmp_path),
+                         "--format", "csv", "--format", "json"]) == 0
+        want = json.loads((tmp_path / "summary.json").read_text())["summary"][block]
+        capsys.readouterr()
+        counts = tmp_path / "counts.csv"
+        assert cli_main(["analyze-counts", "--in", str(counts), "--witness", witness,
+                         *flags]) == 0
+        assert f"value = {want['estimate']:.4f} +/- {want['mc_std']:.4f}" \
+            in capsys.readouterr().out
+        spec = builtin_witnesses()[witness]
+        with open(counts, newline="") as fh:
+            records = witness_records(counts_from_csv_rows(csv.reader(fh)), spec)
+        assert sampling._witness_estimate(records, spec, 100, 4) \
+            == (want["estimate"], want["mc_mean"], want["mc_std"])
 
     def test_analyze_counts_trials_below_100_exits_1(self, tmp_path, capsys):
         path = tmp_path / "counts.csv"

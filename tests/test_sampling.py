@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from graphqec import kernel
 from graphqec.code import PROBES, encode, logical_basis_states
 from graphqec.graphs import build_resource
@@ -9,7 +10,7 @@ from graphqec.sampling import (COUNTS_CSV_HEADER, MAX_TRIALS, CountRecord, Noise
                                apply_noise, counts_from_csv_rows, counts_to_csv_rows,
                                estimate_expectation, monte_carlo_uncertainty,
                                outcome_probabilities, sample_setting_counts,
-                               witness_records, witness_settings,
+                               _witness_estimate, witness_records, witness_settings,
                                witness_value_from_counts)
 from graphqec.tomography import state_fidelity
 from graphqec.witnesses import (box_witness, evaluate_witness, fidelity_lower_bound,
@@ -149,6 +150,34 @@ class TestWitnessFromCounts:
         with pytest.raises(ValueError, match="no setting covers"):
             witness_value_from_counts([], resource_witness())
 
+    def test_terms_prefer_settings_inside_the_witness(self):
+        """A resource setting listed first also measures the box witness's
+        X4 X5 and X1 X2 terms, but on qubit 3, outside the box: the box
+        settings are read instead, and the resource setting is not."""
+        spec = box_witness()
+        wide = CountRecord(tuple((q, "X") for q in range(1, 6)), np.arange(32) % 7)
+        box = [CountRecord(tuple(sorted(s.items())), 3 + np.arange(16) % 5)
+               for s in witness_settings(spec)]
+        assert witness_records([wide, *box], spec) == box
+        assert witness_value_from_counts([wide, *box], spec) \
+            == witness_value_from_counts(box, spec) \
+            == oracle.witness_value_from_counts([wide, *box], spec)
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_empty_histogram_rejected(self, shape):
+        """One empty histogram among the records read, or one empty trial in
+        a batch, raises what the per-term estimator raises."""
+        spec = box_witness()
+        records = [CountRecord(tuple(sorted(s.items())), np.full(shape + (16,), 2))
+                   for s in witness_settings(spec)]
+        records[1].dense[(0,) * len(shape)] = 0
+        for evaluate in (witness_value_from_counts, oracle.witness_value_from_counts):
+            with pytest.raises(ValueError, match="^empty histogram$"):
+                evaluate(records, spec)
+        if not shape:
+            with pytest.raises(ValueError, match="^empty histogram$"):
+                _witness_estimate(records, spec, 100, seed=1)
+
 
 class TestMonteCarlo:
     def test_constant_statistic_has_zero_std(self):
@@ -171,6 +200,20 @@ class TestMonteCarlo:
         rec = CountRecord.from_counts(((1, "Z"),), {"0": 80})
         with pytest.raises(ValueError, match=f"trials must be in \\[100, {MAX_TRIALS}\\]"):
             monte_carlo_uncertainty(lambda rs: 0.0, [rec], MAX_TRIALS + 1, seed=1)
+
+    def test_resampled_total_above_cap_rejected(self):
+        """A recorded total at 2^53 resamples above it in some trial: the
+        witness helper refuses it as the trial-batched records do, naming
+        the setting."""
+        spec = pair_witness((1, 2))
+        records = [CountRecord(tuple(sorted(s.items())), [2 ** 53 - 9, 3, 3, 3])
+                   for s in witness_settings(spec)]
+        stat = lambda rs: witness_value_from_counts(rs, spec)
+        for estimate in (lambda: monte_carlo_uncertainty(stat, records, 100, seed=3),
+                         lambda: _witness_estimate(records, spec, 100, seed=3)):
+            with pytest.raises(ValueError, match="^histogram total above 2\\^53 in setting "
+                                                 "'Y1 Z2'$"):
+                estimate()
 
     def test_std_scales_as_inverse_root_n(self):
         # on the ideal state stabilizer settings have deterministic parities

@@ -64,6 +64,13 @@ class TestBuiltinStructure:
         cat = builtin_witnesses()
         assert set(cat) == {"resource5", "box4", "ghz4", "pair2"}
 
+    def test_builtins_catalog_is_fresh_per_call(self):
+        """The specs are cached and shared; the catalog dict is not."""
+        cat = builtin_witnesses()
+        cat["box4"] = None
+        assert builtin_witnesses() is not cat
+        assert builtin_witnesses()["box4"] is box_witness()
+
 
 class TestIdealValues:
     @pytest.mark.parametrize("name", ["resource5", "box4", "ghz4", "pair2"])
