@@ -153,14 +153,19 @@ def _emit(bundle: ReportBundle, args, report: str | None = None) -> None:
     """Write the bundle if an output directory is set, then print ``report``
     if given, else the written paths or, with no directory, the summary."""
     out = args.out or bundle.provenance["config"].get("out_dir")
+    written = []
     if out:
+        flag = "--out" if args.out else "out_dir"
         try:
             pathlib.Path(out).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            flag = "--out" if args.out else "out_dir"
             raise ConfigError({flag: f"cannot create directory {out!r}: {exc.strerror}"}) \
                 from None
-    written = bundle.write(out) if out else []
+        try:
+            written = bundle.write(out)
+        except OSError as exc:
+            raise ConfigError({flag: f"cannot write {exc.filename or out!r}: "
+                                     f"{exc.strerror or exc}"}) from None
     if report is not None:
         print(report)
     elif out:

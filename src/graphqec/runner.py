@@ -21,6 +21,7 @@ import io
 import json
 import math
 import numbers
+import os
 import pathlib
 from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
 
@@ -158,8 +159,13 @@ class ExperimentConfig:
         return asdict(self)
 
     def digest(self) -> str:
-        blob = json.dumps(_sanitize(self.to_dict()), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return _digest(self.to_dict())
+
+
+def _digest(config_dict: dict) -> str:
+    """SHA-256 of the canonical JSON of a config's :meth:`~ExperimentConfig.to_dict`."""
+    blob = json.dumps(_sanitize(config_dict), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _is_number(value, kind) -> bool:
@@ -200,6 +206,14 @@ class ReportBundle:
         return buf.getvalue()
 
     def write(self, out_dir, formats=None) -> list[str]:
+        """Write the bundle's files into ``out_dir`` and return their paths.
+
+        A rerun into the same directory overwrites each file in place: it is
+        opened without ``O_TRUNC``, written, then cut to the new length. The
+        bytes, the inode and the mode are those an ``O_TRUNC`` open gives,
+        but truncating a non-empty file to zero first frees its blocks only
+        for the write to allocate them again, which on some filesystems
+        costs ten times the write itself."""
         formats = tuple(formats) if formats else tuple(self.provenance.get("formats", FORMATS))
         files = {}
         if "json" in formats:
@@ -211,8 +225,15 @@ class ReportBundle:
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            (out / name).write_text(text)
+            with open(out / name, "w", opener=_open_untruncated) as fh:
+                fh.write(text)
+                fh.truncate()
         return [str(out / name) for name in files]
+
+
+def _open_untruncated(path, flags):
+    """``os.open`` for :func:`open` with ``O_TRUNC`` dropped from ``flags``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +648,11 @@ _RUNNERS = {
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
     """Run one experiment kind; the bundle is a pure function of the config."""
     summary, tables, figures = _RUNNERS[config.kind](config)
+    config_dict = config.to_dict()
     provenance = {
         "kind": config.kind,
-        "config": config.to_dict(),
-        "config_sha256": config.digest(),
+        "config": config_dict,
+        "config_sha256": _digest(config_dict),
         "seed": config.seed,
         "version": __version__,
         "formats": list(config.formats),

@@ -46,6 +46,21 @@ class WitnessSpec:
     constant: Fraction
     terms: tuple[WitnessTerm, ...]
 
+    def __hash__(self) -> int:
+        # The field hash, computed once: cached plans are keyed on the spec,
+        # and rehashing every term's Fraction and PauliString on each lookup
+        # costs more than the lookup. It is left out of pickles, since a
+        # string's hash differs between processes.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.name, self.constant, self.terms))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def qubits(self) -> tuple[int, ...]:
         return tuple(sorted({q for t in self.terms for q in t.word.support}))

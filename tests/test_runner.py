@@ -260,6 +260,38 @@ class TestExperiments:
         assert written == rewritten
         assert (tmp_path / "summary.json").read_text() == again.summary_json()
 
+    @pytest.mark.parametrize("stale", ["longer", "shorter", "none"])
+    def test_bundle_rewrite_equals_fresh_write(self, tmp_path, stale):
+        """Whatever a file held before, a rewrite leaves the bytes and mode
+        of a write into a fresh directory."""
+        bundle = run_experiment(cfg("syndrome-table", formats=["json", "csv", "svg"]))
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        names = [pathlib.Path(p).name for p in bundle.write(fresh)]
+        rerun.mkdir()
+        for name in names:
+            size = (fresh / name).stat().st_size
+            if stale == "longer":
+                (rerun / name).write_bytes(b"x\n" * size + b"tail")
+            elif stale == "shorter":
+                (rerun / name).write_bytes(b"y" * (size // 2))
+        bundle.write(rerun)
+        for name in names:
+            assert (rerun / name).read_bytes() == (fresh / name).read_bytes(), name
+            assert (rerun / name).stat().st_mode == (fresh / name).stat().st_mode, name
+
+    def test_bundle_rewrite_keeps_inode(self, tmp_path):
+        """A rerun writes into the existing files, as an ``O_TRUNC`` open
+        does, so a hard link sees the new bundle."""
+        bundle = run_experiment(cfg("syndrome-table"))
+        bundle.write(tmp_path)
+        inodes = {p.name: p.stat().st_ino for p in tmp_path.iterdir()}
+        os.link(tmp_path / "summary.json", tmp_path / "linked.json")
+        (tmp_path / "summary.json").write_text("stale " * 10_000)
+        bundle.write(tmp_path)
+        assert {p.name: p.stat().st_ino for p in tmp_path.iterdir()
+                if p.name != "linked.json"} == inodes
+        assert (tmp_path / "linked.json").read_text() == bundle.summary_json()
+
 
 class TestCli:
     def test_syndrome_single_case(self, capsys):
@@ -430,6 +462,22 @@ class TestCli:
         paths["out_dir_json"].write_text(json.dumps({"out_dir": str(paths["file"])}))
         assert cli_main([a.format(**paths) for a in argv]) == 1
         assert f"{flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["--out", "out_dir"])
+    def test_unwritable_bundle_file_exits_1(self, tmp_path, capsys, via_config):
+        """A directory in the way of a bundle file is a usage error naming
+        the flag or field that chose the directory, not a runtime error."""
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        if via_config:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"out_dir": str(out)}))
+            argv, flag = ["--config", str(path)], "out_dir"
+        else:
+            argv, flag = ["--out", str(out)], "--out"
+        assert cli_main(["syndrome", "--error", "Z@1", *argv]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag}: cannot write " in err and "summary.json" in err
 
     @pytest.mark.parametrize("literal, message", [
         ({"vertices": [], "edges": []}, "no vertices"),

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +72,18 @@ class TestBuiltinStructure:
         cat["box4"] = None
         assert builtin_witnesses() is not cat
         assert builtin_witnesses()["box4"] is box_witness()
+
+    @pytest.mark.parametrize("name", ["resource5", "box4", "ghz4", "pair2"])
+    def test_cached_hash_agrees_with_field_equality(self, name):
+        spec = builtin_witnesses()[name]
+        twin = dataclasses.replace(spec)
+        assert twin is not spec and twin == spec
+        assert hash(spec) == hash(twin) == hash((spec.name, spec.constant, spec.terms))
+        other = dataclasses.replace(spec, terms=spec.terms[:-1])
+        assert other != spec and hash(other) == hash((other.name, other.constant, other.terms))
+        copy = pickle.loads(pickle.dumps(spec))
+        assert "_hash" not in copy.__dict__
+        assert copy == spec and hash(copy) == hash(spec)
 
 
 class TestIdealValues:
