@@ -19,7 +19,7 @@ from .graphs import (BOX, PATH5, RESOURCE, Graph, build_linear_cluster5,
                      stabilizer_generators)
 from .code import (AncillaState, Diagnosis, LogicalOperators, PROBES,
                    RecoveryRecipe, SyndromeRecord, decode_no_loss, diagnose,
-                   encode, encoding_input_state, inject_pauli_error,
+                   encode, inject_pauli_error,
                    logical_basis_states, logical_ops, lose_qubit,
                    measure_syndromes, recover, recover_average, recovery_recipe,
                    syndrome_operators)

@@ -17,7 +17,8 @@ from .graphs import (Graph, RESOURCE, build_resource, graph_state, resource_stat
                      stabilizer_generators)
 from .pauli import pauli_expectations
 from .runner import ConfigError, ExperimentConfig, ReportBundle, run_experiment, _sanitize
-from .sampling import MAX_TRIALS, _witness_estimate, counts_from_csv_rows, witness_records
+from .sampling import (MAX_TRIALS, _probability, _witness_estimate, counts_from_csv_rows,
+                       witness_records)
 from .witnesses import builtin_witnesses, fidelity_lower_bound
 
 
@@ -44,7 +45,7 @@ def _add_common(p: _Parser):
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--seed", type=int, help="sampling seed")
     p.add_argument("--out", help="directory for the report bundle")
-    p.add_argument("--format", dest="formats", action="append",
+    p.add_argument("--format", action="append",
                    choices=["json", "csv", "svg"], help="output formats (repeatable)")
     p.add_argument("--counts", type=float, help="expected counts per setting")
     p.add_argument("--trials", type=int, help="Monte Carlo trials")
@@ -77,7 +78,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--probe", choices=list(PROBE_NAMES),
                            help="restrict to a single probe state")
         if cmd == "loss":
-            p.add_argument("--lost", type=int, choices=[1, 2, 4, 5])
+            p.add_argument("--lost", type=int, help="code qubit to lose: 1, 2, 4 or 5")
         if cmd == "syndrome":
             p.add_argument("--error", help="single error spec like Z@1, or none")
 
@@ -101,6 +102,11 @@ def _open(path: str, flag: str, **kwargs):
         raise ConfigError({flag: f"cannot open {path!r}: {exc.strerror}"}) from None
 
 
+# Flag --name -> the config field it sets as given.
+_FLAG_FIELDS = {"seed": "seed", "counts": "counts_per_setting", "trials": "trials",
+                "format": "formats", "byproduct": "byproduct", "lost": "lost", "error": "error"}
+
+
 def _config_from_args(args) -> ExperimentConfig:
     data = {}
     if args.config:
@@ -112,32 +118,30 @@ def _config_from_args(args) -> ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError({"--config": f"must hold a JSON object, got {data!r}"})
     data["kind"] = _KIND_BY_COMMAND[args.command]
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.counts is not None:
-        data["counts_per_setting"] = args.counts
-    if args.trials is not None:
-        data["trials"] = args.trials
-    if args.formats:
-        data["formats"] = args.formats
-    if args.byproduct:
-        data["byproduct"] = args.byproduct
+    flagged = {}  # config field -> the flag that set it
+    for flag, name in _FLAG_FIELDS.items():
+        if getattr(args, flag, None) is not None:
+            data[name], flagged[name] = getattr(args, flag), f"--{flag}"
     if args.ideal:
         data["noise"] = {"visibility": 1.0}
     elif args.visibility is not None:
         noise = data.get("noise", {})
         if not isinstance(noise, dict):
             raise ConfigError({"noise": f"must be an object of noise fields, got {noise!r}"})
+        try:  # checked here, so that a problem in the file's noise names only the field
+            _probability(args.visibility, "visibility")
+        except ValueError as exc:
+            raise ConfigError({"--visibility (noise)": str(exc)}) from None
         data["noise"] = noise | {"visibility": args.visibility}
     if getattr(args, "probe", None):
         data["probes"] = [args.probe]
     if _single_error(args):
         data["probes"] = [args.probe or "+"]
-    if getattr(args, "lost", None):
-        data["lost"] = args.lost
-    if getattr(args, "error", None):
-        data["error"] = args.error
-    return ExperimentConfig.from_dict(data)
+    try:
+        return ExperimentConfig.from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError({f"{flagged[k]} ({k})" if k in flagged else k: problem
+                           for k, problem in exc.fields.items()}) from None
 
 
 def _single_error(args) -> bool:

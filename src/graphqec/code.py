@@ -140,7 +140,8 @@ def _encoding_branches() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _encoding_input(a: AncillaState) -> np.ndarray:
-    """Raw amplitudes of :func:`encoding_input_state`."""
+    """alpha |0>_3 |+_L> + beta |1>_3 |-_L> on qubits (1,2,3,4,5): the
+    resource state with the ancilla marginal replaced by the input."""
     z3_plus, o3_minus = _encoding_branches()
     return a.alpha * z3_plus + a.beta * o3_minus
 
@@ -203,12 +204,6 @@ def _project_pauli_vector(vec: np.ndarray, labels, qubit: int, basis: str, outco
         raise kernel.ZeroProbabilityError(
             f"cannot take zero-probability branch {outcome} (p = {p.min()})")
     return p, post / p
-
-
-def encoding_input_state(a: AncillaState) -> PureState:
-    """alpha |0>_3 |+_L> + beta |1>_3 |-_L> on qubits (1,2,3,4,5): the
-    resource state with the ancilla marginal replaced by the input."""
-    return PureState((1, 2, 3, 4, 5), _encoding_input(a))
 
 
 def encode(a: AncillaState, forced_s3: int | None = None,
@@ -448,12 +443,6 @@ def _check_recipe(labels, recipe: RecoveryRecipe):
         kernel._check_basis(basis)
 
 
-def _correct(matrix: np.ndarray, labels, recipe: RecoveryRecipe, s_a: int, s_b: int):
-    """Raw output qubit after the (s_a, s_b) correction and the frame."""
-    fix = recipe.frame @ recipe.correction(s_a, s_b)
-    return kernel._unitary(matrix, labels, fix, (recipe.output,))
-
-
 def recover(rho, recipe: RecoveryRecipe, forced_outcomes=None,
             rng: np.random.Generator | None = None) -> tuple[tuple[int, int], DensityOperator]:
     """Measure the helpers, then apply the outcome correction and frame.
@@ -475,8 +464,10 @@ def _recover(labels, matrix: np.ndarray, recipe: RecoveryRecipe, forced_outcomes
         forced = None if forced_outcomes is None else forced_outcomes[i]
         s, _, matrix, labels = kernel._measure(matrix, labels, q, basis, forced, rng)
         outcomes.append(s)
-    s_a, s_b = outcomes
-    return (s_a, s_b), DensityOperator(labels, _correct(matrix, labels, recipe, s_a, s_b))
+    s_a, s_b = outcomes  # then the (s_a, s_b) correction and the frame on the output
+    fix = recipe.frame @ recipe.correction(s_a, s_b)
+    return (s_a, s_b), DensityOperator(labels, kernel._unitary(matrix, labels, fix,
+                                                               (recipe.output,)))
 
 
 def recover_average(rho, recipe: RecoveryRecipe) -> DensityOperator:
@@ -485,22 +476,30 @@ def recover_average(rho, recipe: RecoveryRecipe) -> DensityOperator:
 
     In Kraus form this is sum_s K_s rho K_s^dagger over the outcome pairs
     s = (s_a, s_b), with K_s = frame C_s (x) <h_a, s_a| (x) <h_b, s_b| in
-    the register's label order (:func:`_recovery_kraus`), applied as one
-    contraction. No branch is skipped, so the output is exactly
-    trace-preserving; it is validated once, as the returned single-qubit
-    ``DensityOperator``.
+    the register's label order (:func:`_recovery_kraus`), applied as its
+    cached transfer matrix (:func:`_recovery_ptm`) to the state's Pauli
+    vector. No branch is skipped, so the output is exactly trace-preserving;
+    it is validated once, as the returned single-qubit ``DensityOperator``.
     """
     _check_recipe(rho.labels, recipe)
-    return DensityOperator((recipe.output,), _recover_average(
-        rho.labels, kernel._density_matrix(kernel._raw(rho)), recipe))
+    vec = kernel._pauli_vector(kernel._raw(rho), len(rho.labels)).reshape(-1)
+    b = _recovery_ptm(recipe, rho.labels) @ vec
+    return DensityOperator((recipe.output,),
+                           sum(x * kernel.PAULI[c] for x, c in zip(b, "IXYZ")) / 2)
 
 
-def _recover_average(labels, matrix: np.ndarray, recipe: RecoveryRecipe) -> np.ndarray:
-    """Raw :func:`recover_average` of a density matrix on ``labels``, which
-    must be the recipe's qubits: the output qubit's 2x2 matrix."""
+@lru_cache(maxsize=128)
+def _recovery_ptm(recipe: RecoveryRecipe, labels: tuple[int, ...]) -> np.ndarray:
+    """Read-only real 4 x 64 Pauli transfer matrix of :func:`recover_average`
+    on a register: entry [a, Q] = tr(P_a sum_s K_s Q K_s^dagger) / 8 sends the
+    register's flattened Pauli vector to the output's (b0, bx, by, bz)."""
     kraus = _recovery_kraus(recipe, labels)
-    m = kraus @ matrix @ kraus.conj().T
-    return np.einsum("kakb->ab", m.reshape(4, 2, 4, 2))
+    paulis = np.stack([kernel.PAULI[c] for c in "IXYZ"])
+    words = np.stack([reduce(np.kron, w) for w in itertools.product(paulis, repeat=len(labels))])
+    images = np.einsum("qkakb->qab", (kraus @ words @ kraus.conj().T).reshape(-1, 4, 2, 4, 2))
+    out = np.einsum("aij,qji->aq", paulis, images).real / 2 ** len(labels)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=128)

@@ -25,8 +25,9 @@ slices (``code._project_pauli_vector``), a Pauli error or frame flips signs
 along an axis (``code._inject_in_pauli_vector``), and the count sampler
 Walsh-Hadamard transforms a setting's ``[2]*k`` sub-cube into its outcome
 probabilities with the same per-axis pass, ``_transform_each_axis``.
-``_from_pauli_vector``, the inverse transform, gives loss recovery the
-density matrix its Kraus contraction needs.
+Loss recovery is a real 4 x 64 Pauli transfer matrix on the index-0 slice
+of the lost qubit's axis (``code._recovery_ptm``), so no kind turns a
+vector back into a density matrix.
 
 Validation happens at the boundary. The public constructors
 (``PureState``, ``DensityOperator``, ``Observable``) check their values, and
@@ -121,12 +122,8 @@ class PureState:
         return DensityOperator(self.labels, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     @staticmethod
-    def from_amplitudes(labels, amplitudes) -> "PureState":
-        return PureState(tuple(labels), np.asarray(amplitudes, dtype=complex).reshape(-1))
-
-    @staticmethod
     def single(label: int, vector) -> "PureState":
-        return PureState.from_amplitudes((label,), vector)
+        return PureState((label,), vector)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,19 +229,6 @@ def _pauli_vector(raw: np.ndarray, n: int) -> np.ndarray:
     if imag > EIG_ATOL:
         raise ValueError(f"expectation has imaginary part {imag}")
     return t.real
-
-
-# The inverse of _PAULI_TRANSFORM: column P sends tr(rho P) back to the
-# entries P[a, b] / 2 of one qubit's density block, flattened as 2a + b.
-_INVERSE_PAULI_TRANSFORM = np.stack([m.reshape(-1) for m in (I, X, Y, Z)], axis=1) / 2
-
-
-def _from_pauli_vector(vec: np.ndarray, n: int) -> np.ndarray:
-    """Raw 2^n x 2^n density matrix rho = 2^-n sum_P v_P P of the real
-    ``[4]*n`` Pauli vector ``vec``: the inverse of :func:`_pauli_vector`."""
-    t = _transform_each_axis(_INVERSE_PAULI_TRANSFORM, vec.astype(complex))
-    t = t.reshape([2] * (2 * n)).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
-    return t.reshape(2 ** n, 2 ** n)
 
 
 def _transform_each_axis(m: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -24,24 +24,24 @@ import numbers
 import os
 import pathlib
 from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
+from functools import cache
 
 import numpy as np
 
 from . import __version__, kernel, sampling
 from .code import (ANCILLA, CODE_QUBITS, PROBE_NAMES, PROBE_TARGETS, PROBES,
                    SyndromeRecord, _conjugate_pauli_vector, _encoded_vectors,
-                   _inject_in_pauli_vector, _project_pauli_vector, _recover_average,
+                   _inject_in_pauli_vector, _project_pauli_vector, _recovery_ptm,
                    _syndromes_of_vector, logical_basis_states, logical_ops,
                    parse_error_spec, predicted_syndrome_signs, recovery_recipe)
 from .graphs import RESOURCE, build_resource, stabilizer_generators
-from .kernel import DensityOperator, PureState
 from .pauli import PauliString, _read_words
 from .sampling import (MAX_TRIALS, NoiseModel, _sample_counts, _witness_estimate,
                        counts_to_csv_rows, witness_settings)
 from .tomography import (ChannelSample, _fidelity, _logical_of_vector, _vector_fidelity,
                          average_probe_fidelity, bloch_image, chi_hadamard, chi_identity,
                          logical_density_from_expectations, process_fidelity,
-                         reconstruct_chi, sphere_average_fidelity, state_fidelity)
+                         reconstruct_chi, sphere_average_fidelity)
 from .witnesses import (_witness_result, box_witness, fidelity_lower_bound, ghz_witness,
                         pair_witness, resource_witness)
 
@@ -295,13 +295,17 @@ def _chi_block(chi, chi_ref) -> dict:
     }
 
 
+@cache
 def _bloch_grid() -> np.ndarray:
+    """Read-only (42, 3) Bloch vectors: six axis points, three great circles."""
     pts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     for k in range(12):
         ang = 2 * math.pi * k / 12
         c, s = math.cos(ang), math.sin(ang)
         pts += [(c, s, 0), (0, c, s), (c, 0, s)]
-    return np.array(pts, dtype=float)
+    out = np.array(pts, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def _rounded(a) -> list:
@@ -494,20 +498,24 @@ def _run_encode_channel(cfg: ExperimentConfig):
 
 def _run_loss_recovery(cfg: ExperimentConfig):
     """Each probe's encoded Pauli vector loses qubit ``lost`` (index 0 on its
-    axis is the partial trace), becomes the remaining three qubits' density
-    matrix and runs through the recipe's Kraus contraction; only the
-    recovered single-qubit outputs are built as checked states."""
+    axis is the partial trace); one matmul with the recipe's cached transfer
+    matrix gives each output's Pauli 4-vector (b0, r), checked as a
+    ``DensityOperator``, and its fidelity (b0 + r.s) / 2 to the probe's Bloch s."""
     recipe = recovery_recipe(cfg.lost)
-    axis = CODE_QUBITS.index(cfg.lost)
     keep = tuple(q for q in CODE_QUBITS if q != cfg.lost)
-    fidelities = {}
-    outputs = {}
-    for probe, vec in _probe_vectors(PROBE_NAMES, cfg.noise, cfg.byproduct).items():
-        reduced = kernel._from_pauli_vector(vec.take(0, axis=axis), len(keep))
-        outputs[probe] = DensityOperator((recipe.output,),
-                                         _recover_average(keep, reduced, recipe))
-        target = PureState.single(recipe.output, PROBES[probe].vector)
-        fidelities[probe] = state_fidelity(outputs[probe], target)
+    blochs = np.array([(1.0, *PROBES[p].bloch) for p in PROBE_NAMES])
+    traced = _encoded_vectors(blochs, cfg.noise, cfg.byproduct).take(
+        0, axis=1 + CODE_QUBITS.index(cfg.lost))
+    recovered = traced.reshape(len(PROBE_NAMES), -1) @ _recovery_ptm(recipe, keep).T
+    trace = recovered[:, 0]
+    if np.abs(trace - 1).max() > kernel.NORM_ATOL:
+        raise ValueError(f"recovered output traces {trace.tolist()} are not all 1")
+    eig_min = ((trace - np.linalg.norm(recovered[:, 1:], axis=1)) / 2).min()
+    if eig_min < -kernel.EIG_ATOL:
+        raise ValueError(f"recovered output not PSD, min eigenvalue {eig_min}")
+    outputs = {p: logical_density_from_expectations(*b[1:])
+               for p, b in zip(PROBE_NAMES, recovered)}
+    fidelities = dict(zip(PROBE_NAMES, ((recovered * blochs).sum(axis=1) / 2).tolist()))
     chi_block, tables, figures = _channel_report(
         outputs, chi_identity(), f"recovery after losing qubit {cfg.lost}")
     summary = {

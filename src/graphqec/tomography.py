@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -155,10 +156,12 @@ def chi_of_unitary(u: np.ndarray) -> ChiMatrix:
     return ChiMatrix(np.outer(a, a.conj()))
 
 
+@cache
 def chi_identity() -> ChiMatrix:
     return chi_of_unitary(kernel.I)
 
 
+@cache
 def chi_hadamard() -> ChiMatrix:
     return chi_of_unitary(kernel.H)
 

@@ -13,8 +13,10 @@ the printed syndrome factorizations. Local complementation, which the
 package does not need, is kept here with its local Clifford unitary, and
 pure states are compared up to a global phase. The encoding and loss-recovery
 pipeline is also kept step by step through the checked public kernel
-functions, so every intermediate state is validated; the package runs loss
-recovery on raw arrays and builds the encoded states as Pauli vectors. The
+functions, so every intermediate state is validated; the package builds the
+encoded states as Pauli vectors and runs loss recovery as a transfer matrix
+on them. ``from_pauli_vector``, the inverse of ``kernel._pauli_vector``,
+turns such a vector back into the density matrix these oracles take. The
 syndrome table is kept as it was first written: each error injected into
 the state by a dense conjugation and a fresh Pauli vector read from the
 result, where the package flips signs on one vector per probe.
@@ -36,6 +38,20 @@ from graphqec.graphs import Graph, stabilizer_generators
 from graphqec.kernel import DensityOperator, PureState
 from graphqec.pauli import CliffordGate, PauliString
 from graphqec.sampling import _MC_STREAM, CountRecord
+
+
+# The inverse of kernel._PAULI_TRANSFORM: column P sends tr(rho P) back to
+# the entries P[a, b] / 2 of one qubit's density block, flattened as 2a + b.
+_INVERSE_PAULI_TRANSFORM = np.stack([m.reshape(-1) for m in kernel.PAULI.values()],
+                                    axis=1) / 2
+
+
+def from_pauli_vector(vec, n) -> np.ndarray:
+    """Raw 2^n x 2^n density matrix rho = 2^-n sum_P v_P P of the real
+    ``[4]*n`` Pauli vector ``vec``: the inverse of ``kernel._pauli_vector``."""
+    t = kernel._transform_each_axis(_INVERSE_PAULI_TRANSFORM, vec.astype(complex))
+    t = t.reshape([2] * (2 * n)).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    return t.reshape(2 ** n, 2 ** n)
 
 
 def embed_operator(matrix, op_labels, register_labels) -> np.ndarray:

@@ -5,8 +5,9 @@ closed-form visibility calibration against bisection of the checked
 oracle's fidelity, every noise-sweep row against the states built directly
 at its visibility, the encoding (to 1e-12) and the raw-array loss and
 recovery pipeline against its step-by-step checked oracle, bit for bit
-(``recover_average``, one Kraus contraction, to 1e-12, with complete Kraus
-operators), and process tomography through the Pauli transfer matrix
+(``recover_average``, the cached transfer matrix, to 1e-12; that matrix
+equals the Kraus stack's PTM to 1e-15 on every register order, and the
+Kraus operators are complete), and process tomography through the Pauli transfer matrix
 against the chi-matrix sums and 16x16 solve it replaced. The encode and
 loss-recovery channels under random per-qubit noise must come out CPTP,
 and count records must survive the CSV round trip. Pauli expectations read from one Pauli vector must
@@ -23,7 +24,10 @@ probes and Haar-random inputs, the noise model's Pauli diagonal must equal
 the dense noise, the encoder's linear map composed with the logical
 read-out, or with the index-0 trace and the recovery Kraus stack, must give
 the runner's encode-channel and loss-recovery PTMs, and the probe witnesses
-and fidelities read off the vectors must equal those of the dense states.
+and fidelities read off the vectors must equal those of the dense states;
+so must the loss-recovery kind's outputs and probe fidelities, against the
+oracle's encode, trace and Kraus average. The channel report's reference
+chi matrices and Bloch grid are cached and read-only.
 The sampler's outcome probabilities and the exact witness values read off
 a Pauli vector, under a random Pauli frame and on a random subset of the
 qubits, must equal those of the dense frame and partial trace, and the
@@ -41,6 +45,7 @@ targets such as (5, 2) are non-adjacent and out of register order.
 """
 import itertools
 import warnings
+from unittest import mock
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -51,7 +56,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracle
-from graphqec import code, kernel, runner, sampling
+from graphqec import code, kernel, runner, sampling, tomography
 from graphqec.code import (CODE_QUBITS, PROBE_NAMES, PROBES, AncillaState, encode,
                            logical_basis_states, logical_ops, lose_qubit, recover,
                            recover_average, recovery_recipe)
@@ -206,7 +211,7 @@ def test_tables_print_like_rounded_numpy_scalars(points, chi_parts):
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True), st.data())
 def test_pauli_vector_rebuilds_density(labels, data):
     """rho = 2^-n sum_P v_P P, summed with the Pauli matrices themselves and
-    by the inverse transform ``kernel._from_pauli_vector``."""
+    by the inverse transform ``oracle.from_pauli_vector``."""
     state = data.draw(states(labels=tuple(labels)))
     n = state.num_qubits
     vec = kernel._pauli_vector(kernel._raw(state), n)
@@ -215,7 +220,7 @@ def test_pauli_vector_rebuilds_density(labels, data):
     rho = np.einsum(vec, list(range(n)), *operands, list(range(n, 3 * n)), optimize=True)
     np.testing.assert_allclose(rho.reshape(2 ** n, 2 ** n) / 2 ** n, dense(state),
                                rtol=0, atol=ATOL)
-    np.testing.assert_allclose(kernel._from_pauli_vector(vec, n), dense(state),
+    np.testing.assert_allclose(oracle.from_pauli_vector(vec, n), dense(state),
                                rtol=0, atol=ATOL)
 
 
@@ -533,7 +538,7 @@ def test_encoded_state_matches_checked_oracle(stage, byproduct, data):
     vec = runner._probe_vectors((probe,), noise, byproduct)[probe]
     want = oracle.encoded_state(probe, noise, byproduct)
     assert want.labels == CODE_QUBITS
-    np.testing.assert_allclose(kernel._from_pauli_vector(vec, 4), want.matrix, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(oracle.from_pauli_vector(vec, 4), want.matrix, rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))
@@ -773,6 +778,63 @@ def test_recover_average_matches_checked_oracle(lost, data):
     got, want = recover_average(rho, recipe), oracle.recover_average(rho, recipe)
     assert got.labels == want.labels == (recipe.output,)
     np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("lost", CODE_QUBITS)
+def test_recovery_ptm_matches_kraus_oracle(lost):
+    """The cached transfer matrix the runner and ``recover_average`` apply
+    equals the Kraus stack's PTM, word by word, on every order of the
+    register, and cannot be written to."""
+    recipe = recovery_recipe(lost)
+    for labels in itertools.permutations(survivors(lost)):
+        got = code._recovery_ptm(recipe, labels)
+        assert got.shape == (4, 64) and got is code._recovery_ptm(recipe, labels)
+        np.testing.assert_allclose(got, recovery_ptm(recipe, labels), rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))
+@pytest.mark.parametrize("byproduct", BYPRODUCT_MODES)
+@settings(deadline=None, max_examples=10)
+@given(st.sampled_from(CODE_QUBITS), st.data())
+def test_loss_recovery_outputs_match_dense_recovery(stage, byproduct, lost, data):
+    """Under random noise the loss-recovery kind's outputs, read off the
+    transfer matrix, equal the checked oracle's dense pipeline: encode, trace
+    out the lost qubit, average the recipe's branches. Probe fidelities agree
+    with ``state_fidelity`` and output Bloch vectors with the dense matrix's,
+    and no output is flagged with a negative eigenvalue."""
+    noise = data.draw(noise_maps((1, 2, 3, 4, 5), stage))
+    built, build = [], runner.logical_density_from_expectations
+
+    def recording(*expectations):
+        built.append(build(*expectations))
+        return built[-1]
+
+    with mock.patch.object(runner, "logical_density_from_expectations", recording):
+        summary = run_experiment(ExperimentConfig("loss-recovery", noise, lost=lost,
+                                                  byproduct=byproduct)).summary
+    recipe = recovery_recipe(lost)
+    assert len(built) == len(PROBE_NAMES)
+    for probe, out in zip(PROBE_NAMES, built):
+        state = oracle.encoded_state(probe, noise, byproduct)
+        want = oracle.recover_average(oracle.lose_qubit(state, lost), recipe)
+        target = PureState.single(recipe.output, PROBES[probe].vector)
+        assert abs(summary["probe_fidelities"][probe] - state_fidelity(want, target)) < ATOL
+        np.testing.assert_allclose(out.bloch, kernel._pauli_vector(want.matrix, 1)[1:],
+                                   rtol=0, atol=ATOL)
+        assert not out.negative_eigenvalue
+
+
+def test_channel_report_constants_are_cached_read_only():
+    """The reference chi matrices and the Bloch grid are built once per
+    process and cannot be written to."""
+    for get in (tomography.chi_identity, tomography.chi_hadamard, runner._bloch_grid):
+        assert get() is get()
+        array = get() if get is runner._bloch_grid else get().matrix
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.5
+    assert runner._bloch_grid().shape == (42, 3)
 
 
 @pytest.mark.parametrize("lost", CODE_QUBITS)

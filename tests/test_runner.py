@@ -200,6 +200,26 @@ class TestExperiments:
             np.testing.assert_allclose(chi_re, expected, atol=1e-8)
             assert bundle.summary["chi"]["process_fidelity"] == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.filterwarnings("ignore:chi expands the Bloch sphere")
+    @pytest.mark.parametrize("trace, radius, message", [
+        (1 + 5e-11, 1, None), (1 - 5e-11, 1, None), (1 - 2e-10, 1, "traces"),
+        (1 + 2e-10, 1, "traces"), (1, 1 + 1.5e-9, None), (1, 1 + 2.5e-9, "not PSD")])
+    def test_loss_recovery_checks_outputs(self, monkeypatch, trace, radius, message):
+        """An output whose trace is off 1 by more than NORM_ATOL, or whose
+        minimum eigenvalue (b0 - |r|) / 2 is below -EIG_ATOL, raises, as a
+        checked DensityOperator would; the ideal outputs are pure, so the
+        transfer matrix's identity row sets b0 and its Bloch rows |r|. A
+        channel that expands the sphere within the tolerance only warns."""
+        ptm = code._recovery_ptm
+        scale = np.array([trace, radius, radius, radius])[:, None]
+        monkeypatch.setattr(runner, "_recovery_ptm", lambda *args: ptm(*args) * scale)
+        config = cfg("loss-recovery", lost=2)
+        if message is None:
+            run_experiment(config)
+        else:
+            with pytest.raises(ValueError, match=message):
+                run_experiment(config)
+
     def test_encode_channel_ideal_is_hadamard(self):
         bundle = run_experiment(cfg("encode-channel"))
         assert bundle.summary["chi"]["process_fidelity"] == pytest.approx(1.0, abs=1e-8)
@@ -424,6 +444,29 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert cli_main([command, "--config", str(path)]) == 1
         assert f"{field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, field", [
+        (["witness", "--counts", "-1"], "--counts", "counts_per_setting"),
+        (["witness", "--trials", "5"], "--trials", "trials"),
+        (["witness", "--seed", "-1"], "--seed", "seed"),
+        (["channel", "--visibility", "2"], "--visibility", "noise"),
+        (["loss", "--lost", "3"], "--lost", "lost"),
+        (["loss", "--lost", "0"], "--lost", "lost"),
+        (["syndrome", "--error", "Z@3"], "--error", "error"),
+    ])
+    def test_bad_flag_value_names_flag_and_field(self, capsys, argv, flag, field):
+        """A value a flag wrote into the config is reported under the flag,
+        with the field it sets in parentheses."""
+        assert cli_main(argv) == 1
+        assert f"{flag} ({field}): " in capsys.readouterr().err
+
+    def test_bad_config_noise_beside_visibility_flag_names_only_the_field(self, tmp_path,
+                                                                          capsys):
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps({"noise": {"depolarizing": 2}}))
+        assert cli_main(["channel", "--config", str(path), "--visibility", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert "noise: depolarizing" in err and "--visibility" not in err
 
     @pytest.mark.parametrize("data, field", [
         ({"probes": 5}, "probes"),
