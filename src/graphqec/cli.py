@@ -16,7 +16,7 @@ from .code import PROBE_NAMES, parse_error_spec
 from .graphs import (Graph, RESOURCE, build_resource, graph_state, resource_state_expansion,
                      stabilizer_generators)
 from .pauli import pauli_expectations
-from .runner import ConfigError, ExperimentConfig, ReportBundle, run_experiment, _sanitize
+from .runner import ConfigError, ExperimentConfig, ReportBundle, run_experiment, _json_text
 from .sampling import (MAX_TRIALS, _probability, _witness_estimate, counts_from_csv_rows,
                        witness_records)
 from .witnesses import builtin_witnesses, fidelity_lower_bound
@@ -204,7 +204,7 @@ def _cmd_build_resource(args) -> int:
             "overlap_explicit_expansion": kernel.overlap(built, resource_state_expansion()),
             "stabilizer_expectations": _stabilizer_expectations(built, RESOURCE),
         }
-    print(json.dumps(_sanitize(report), sort_keys=True, indent=2))
+    print(_json_text(report))
     return 0
 
 

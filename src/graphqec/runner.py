@@ -11,7 +11,9 @@ and converted once, at the array, with ``(np.round(a, 12) + 0.0).tolist()``,
 never cell by cell, so no numpy scalar reaches the CSV or SVG writers.
 Adding 0.0 after rounding turns ``-0.0`` into ``0.0``, so residue of either
 sign prints the same; the scalar cells are rounded the same way. The summary
-reaches the JSON writer through :func:`_sanitize`.
+is written by :func:`_json_text` in one pass: it converts numpy values as
+:func:`_sanitize` does while it writes the text ``json.dumps(..., indent=2,
+sort_keys=True)`` gives, so no sanitized copy of the summary is built.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import math
 import numbers
 import os
 import pathlib
-from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from functools import cache
 
 import numpy as np
@@ -156,10 +158,20 @@ class ExperimentConfig:
             raise ConfigError({"<config>": str(exc)}) from exc
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """``dataclasses.asdict(self)``, built field by field: the noise model
+        becomes a dict whose per-qubit maps are copies, every other value is
+        immutable and shared."""
+        out = {name: getattr(self, name) for name in _CONFIG_FIELDS}
+        noise = {name: getattr(self.noise, name) for name in _NOISE_FIELDS}
+        out["noise"] = {k: dict(v) if isinstance(v, dict) else v for k, v in noise.items()}
+        return out
 
     def digest(self) -> str:
         return _digest(self.to_dict())
+
+
+_CONFIG_FIELDS = tuple(f.name for f in dc_fields(ExperimentConfig))
+_NOISE_FIELDS = tuple(f.name for f in dc_fields(NoiseModel))
 
 
 def _digest(config_dict: dict) -> str:
@@ -174,7 +186,8 @@ def _is_number(value, kind) -> bool:
 
 
 def _sanitize(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps is stable."""
+    """Recursively convert numpy scalars/arrays so json.dumps is stable: the
+    config hash's input, and the rules :func:`_json_text` follows."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -188,6 +201,75 @@ def _sanitize(obj):
     return obj
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, nl: str = "\n") -> str:
+    """``json.dumps(_sanitize(obj), sort_keys=True, indent=2)`` in one pass.
+
+    ``nl`` is a newline plus the indent of the line ``obj`` starts on. Values
+    are converted by the rules of :func:`_sanitize`, in its order (keys by
+    ``str``, numpy scalars by ``.item()``, arrays by ``.tolist()``, complex
+    numbers as ``{"re", "im"}``), and written as the stdlib writes them; a
+    list of plain finite floats is written with one join."""
+    kind = type(obj)
+    if kind is float:
+        return _json_float(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        obj = {str(k): v for k, v in obj.items()}
+        return "{" + inner + ("," + inner).join(
+            [f"{_encode_str(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj)]) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if all(type(x) is float for x in obj):
+            text = ("," + inner).join(map(float.__repr__, obj))
+            if "n" not in text:  # no repr of a finite float holds an "n"; nan and inf do
+                return "[" + inner + text + nl + "]"
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in obj]) + nl + "]"
+    if isinstance(obj, (np.floating, np.integer)):
+        return _json_scalar(obj.item())
+    if isinstance(obj, np.ndarray):
+        return _json_text(obj.tolist(), nl)
+    if isinstance(obj, complex):
+        inner = nl + "  "
+        return (f'{{{inner}"im": {_json_scalar(obj.imag)},{inner}'
+                f'"re": {_json_scalar(obj.real)}{nl}}}')
+    return _json_scalar(obj)
+
+
+def _json_scalar(obj) -> str:
+    """A value that is not a container as the stdlib JSON writer writes it."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_float(x: float) -> str:
+    """``x`` as ``json.dumps`` writes it: its repr, or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
 @dataclass
 class ReportBundle:
     summary: dict
@@ -196,8 +278,7 @@ class ReportBundle:
     provenance: dict
 
     def summary_json(self) -> str:
-        doc = {"summary": _sanitize(self.summary), "provenance": _sanitize(self.provenance)}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json_text({"summary": self.summary, "provenance": self.provenance}) + "\n"
 
     def table_csv(self, name: str) -> str:
         buf = io.StringIO()
@@ -208,12 +289,16 @@ class ReportBundle:
     def write(self, out_dir, formats=None) -> list[str]:
         """Write the bundle's files into ``out_dir`` and return their paths.
 
-        A rerun into the same directory overwrites each file in place: it is
-        opened without ``O_TRUNC``, written, then cut to the new length. The
-        bytes, the inode and the mode are those an ``O_TRUNC`` open gives,
-        but truncating a non-empty file to zero first frees its blocks only
-        for the write to allocate them again, which on some filesystems
-        costs ten times the write itself."""
+        Each file's text is encoded once, as UTF-8, and written by
+        :func:`_write_in_place`: one ``os.open`` without ``O_TRUNC`` (mode
+        ``0o666`` before the umask), ``os.write`` until every byte is written,
+        then ``os.ftruncate`` to the new length. A rerun into the same
+        directory thus overwrites each file in place. The bytes, the inode and
+        the mode are those an ``O_TRUNC`` open gives, but truncating a
+        non-empty file to zero first frees its blocks only for the write to
+        allocate them again, which on some filesystems costs ten times the
+        write itself. A file that cannot be written raises ``OSError`` naming
+        it."""
         formats = tuple(formats) if formats else tuple(self.provenance.get("formats", FORMATS))
         files = {}
         if "json" in formats:
@@ -225,15 +310,21 @@ class ReportBundle:
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            with open(out / name, "w", opener=_open_untruncated) as fh:
-                fh.write(text)
-                fh.truncate()
+            _write_in_place(out / name, text.encode())
         return [str(out / name) for name in files]
 
 
-def _open_untruncated(path, flags):
-    """``os.open`` for :func:`open` with ``O_TRUNC`` dropped from ``flags``."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+def _write_in_place(path, data: bytes) -> None:
+    """Make the file at ``path`` hold exactly ``data``, writing over its old
+    bytes rather than truncating it first."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -359,21 +450,27 @@ def _svg_bars(labels, values, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _svg_bloch(points_in, points_out, title: str) -> str:
-    # x-z projections of the input and output spheres, side by side
-    def disc(cx, pts, color):
-        out = [f'<circle cx="{cx}" cy="120" r="100" fill="none" stroke="gray"/>']
-        for x, _, z in pts:
-            out.append(f'<circle cx="{cx + 100 * x:.1f}" cy="{120 - 100 * z:.1f}" '
-                       f'r="2.5" fill="{color}"/>')
-        return out
-
+def _svg_bloch(points_out, title: str) -> str:
+    """x-z projections of the Bloch grid and of its image ``points_out``,
+    side by side."""
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="480" height="250">',
-             f'<text x="10" y="14" font-size="12">{title} (x-z projection)</text>']
-    parts += disc(120, points_in, "steelblue")
-    parts += disc(350, points_out, "indianred")
-    parts.append("</svg>")
+             f'<text x="10" y="14" font-size="12">{title} (x-z projection)</text>',
+             *_svg_grid_disc(), *_svg_disc(350, points_out, "indianred"), "</svg>"]
     return "\n".join(parts) + "\n"
+
+
+def _svg_disc(cx: int, points, color: str) -> list[str]:
+    out = [f'<circle cx="{cx}" cy="120" r="100" fill="none" stroke="gray"/>']
+    for x, _, z in points:
+        out.append(f'<circle cx="{cx + 100 * x:.1f}" cy="{120 - 100 * z:.1f}" '
+                   f'r="2.5" fill="{color}"/>')
+    return out
+
+
+@cache
+def _svg_grid_disc() -> tuple[str, ...]:
+    """The input half of every Bloch figure: the disc of :func:`_bloch_grid`."""
+    return tuple(_svg_disc(120, _bloch_grid().tolist(), "steelblue"))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +580,7 @@ def _channel_report(outputs: dict, chi_ref, title: str):
     grid = _bloch_grid()
     mapped = bloch_image(chi, grid)
     tables = {"bloch_points": _bloch_table(grid, mapped), "chi": _chi_table(chi)}
-    figures = {"bloch": _svg_bloch(grid.tolist(), mapped.tolist(), title)}
+    figures = {"bloch": _svg_bloch(mapped.tolist(), title)}
     return _chi_block(chi, chi_ref), tables, figures
 
 

@@ -10,6 +10,7 @@ it by one constant change of basis.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cache
@@ -50,8 +51,10 @@ class LogicalDensityMatrix:
 
 
 def logical_density_from_expectations(ex: float, ey: float, ez: float) -> LogicalDensityMatrix:
+    """(I + r.sigma) / 2 for r = (ex, ey, ez); its smaller eigenvalue is
+    (1 - |r|) / 2 in closed form."""
     mat = 0.5 * (kernel.I + ex * kernel.X + ey * kernel.Y + ez * kernel.Z)
-    eig_min = float(np.linalg.eigvalsh(mat).min())
+    eig_min = (1 - math.hypot(ex, ey, ez)) / 2
     flagged = eig_min < -kernel.EIG_ATOL
     if eig_min < -NEGATIVITY_TOLERANCE:
         raise ValueError(f"logical matrix unphysical: eigenvalue {eig_min}")

@@ -22,9 +22,13 @@ the state by a dense conjugation and a fresh Pauli vector read from the
 result, where the package flips signs on one vector per probe.
 Single-qubit process tomography is kept as the chi-matrix sums it was first
 written as: the channel applied term by term, the Bloch action read from
-its images, and chi solved from the superoperator. These are slow but transparent.
+its images, and chi solved from the superoperator. The bundle's summary
+text is kept as the stdlib writes it: a sanitized copy of the document,
+then ``json.dumps`` with ``indent=2``, where the runner writes it in one
+pass. These are slow but transparent.
 """
 import itertools
+import json
 from functools import reduce
 from typing import NamedTuple
 
@@ -37,6 +41,7 @@ from graphqec.code import (ANCILLA, CODE_QUBITS, PROBES, inject_pauli_error,
 from graphqec.graphs import Graph, stabilizer_generators
 from graphqec.kernel import DensityOperator, PureState
 from graphqec.pauli import CliffordGate, PauliString
+from graphqec.runner import _sanitize
 from graphqec.sampling import _MC_STREAM, CountRecord
 
 
@@ -52,6 +57,12 @@ def from_pauli_vector(vec, n) -> np.ndarray:
     t = kernel._transform_each_axis(_INVERSE_PAULI_TRANSFORM, vec.astype(complex))
     t = t.reshape([2] * (2 * n)).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
     return t.reshape(2 ** n, 2 ** n)
+
+
+def json_text(obj) -> str:
+    """The indent-2 JSON of ``obj`` that ``runner._json_text`` writes in one
+    pass: numpy values converted by ``_sanitize``, then the stdlib writer."""
+    return json.dumps(_sanitize(obj), sort_keys=True, indent=2)
 
 
 def embed_operator(matrix, op_labels, register_labels) -> np.ndarray:

@@ -38,15 +38,21 @@ it and in whatever order.
 Symbolic Pauli conjugation through random Clifford sequences must match the
 dense product, and the runner's bundle tables, rounded at the array, must
 print every float as the numpy scalar ``round`` would, zeros unsigned.
+The runner's one-pass JSON writer must give the oracle's sanitize-then-stdlib
+text on random nested documents of Python and numpy values, and refuse what
+it refuses; a config's field-built dict must equal ``dataclasses.asdict``,
+keep its digest and share no mutable map with the config. A logical 2 x 2
+matrix is flagged, or refused, as ``eigvalsh`` of it would have it.
 
 States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
 targets such as (5, 2) are non-adjacent and out of register order.
 """
 import itertools
+import math
 import warnings
 from unittest import mock
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -949,3 +955,106 @@ def test_noisy_channels_are_cptp(stage, byproduct, data):
         chi = ChiMatrix(np.array(block["matrix_re"]) + 1j * np.array(block["matrix_im"]))
         assert chi.is_physical, (config.kind, config.lost, chi.min_eigenvalue,
                                  chi.trace_preservation_defect())
+
+
+json_floats = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from((-0.0, 0.0, 5e-324, 1e-310, 1e16, -1e16, 1e-7, 0.1,
+                     math.nan, math.inf, -math.inf)))
+json_strings = st.one_of(st.text(max_size=8),
+                         st.text(st.sampled_from('a\x00\x1f\x7f"\\/\u00e9\u2028\U0001f600'),
+                                 max_size=6))
+json_keys = st.one_of(json_strings, st.integers(-20, 20))
+numpy_arrays = hnp.arrays(st.sampled_from((np.float64, np.int64, np.complex128, np.bool_)),
+                          hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 80, 2 ** 80), json_floats, json_strings,
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    json_floats.map(np.float64), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    numpy_arrays,
+    st.lists(json_floats, max_size=5),  # float-only lists take the writer's joined path
+    st.lists(st.one_of(json_floats, st.booleans(), st.integers(-3, 3)), max_size=5))
+json_documents = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(json_keys, children, max_size=4)),
+    max_leaves=25)
+
+
+@settings(deadline=None, max_examples=300)
+@given(json_documents)
+def test_json_writer_matches_stdlib_oracle(doc):
+    """The runner's one-pass writer gives the text of ``_sanitize`` then
+    ``json.dumps(sort_keys=True, indent=2)``, byte for byte."""
+    assert runner._json_text(doc) == oracle.json_text(doc)
+
+
+@PROPERTY
+@given(json_documents, st.sampled_from((np.bool_(True), np.complex64(1j), object(), {1, 2},
+                                        b"bytes")),
+       st.sampled_from(("list", "dict", "bare")))
+def test_json_writer_refuses_what_the_oracle_refuses(doc, bad, where):
+    """A value the stdlib writer refuses after sanitizing, such as a numpy
+    bool, raises ``TypeError`` in the one-pass writer too."""
+    wrapped = {"list": [doc, bad], "dict": {"ok": doc, "bad": bad}, "bare": bad}[where]
+    with pytest.raises(TypeError):
+        oracle.json_text(wrapped)
+    with pytest.raises(TypeError):
+        runner._json_text(wrapped)
+
+
+@st.composite
+def configs(draw):
+    """A valid config of any kind, with uniform or per-qubit noise."""
+    stage = draw(st.sampled_from(("post-resource", "post-encoding")))
+    return ExperimentConfig(
+        kind=draw(st.sampled_from(runner.KINDS)),
+        noise=draw(noise_maps((1, 2, 3, 4, 5), stage)),
+        probes=tuple(draw(st.lists(st.sampled_from(PROBE_NAMES), min_size=1, unique=True))),
+        error=draw(st.sampled_from(("none", "Z@1", "X@4", "Y@5"))),
+        lost=draw(st.sampled_from(CODE_QUBITS)),
+        counts_per_setting=draw(st.floats(1.0, 1e4)),
+        trials=draw(st.integers(100, 1000)),
+        seed=draw(st.integers(0, 2 ** 40)),
+        byproduct=draw(st.sampled_from(BYPRODUCT_MODES)),
+        sweep_points=draw(st.integers(3, 50)),
+        target_fidelity=draw(st.floats(0.01, 0.99)),
+        out_dir=draw(st.one_of(st.none(), st.text("ab/.-_", min_size=1, max_size=8))),
+        formats=tuple(draw(st.lists(st.sampled_from(runner.FORMATS), unique=True))))
+
+
+@PROPERTY
+@given(configs())
+def test_config_dict_equals_asdict(config):
+    """``to_dict`` equals ``asdict`` and keeps the digest; its
+    noise maps are copies, so changing them leaves the config as it was."""
+    want = asdict(config)
+    digest = runner._digest(want)
+    got = config.to_dict()
+    assert got == want
+    assert config.digest() == digest
+    for value in got["noise"].values():
+        if isinstance(value, dict):
+            value[7] = 0.5
+    got["noise"]["visibility"] = 0.25
+    assert config.to_dict() == want
+    assert config.digest() == digest
+
+
+@PROPERTY
+@given(st.tuples(*[st.floats(-1.1, 1.1)] * 3))
+def test_logical_matrix_checks_match_eigvalsh(r):
+    """The closed-form minimum eigenvalue (1 - |r|) / 2 flags and refuses
+    the logical matrix (I + r.sigma) / 2 exactly where ``eigvalsh`` would."""
+    mat = 0.5 * (kernel.I + r[0] * kernel.X + r[1] * kernel.Y + r[2] * kernel.Z)
+    eig = np.linalg.eigvalsh(mat).min()
+    for bound in (kernel.EIG_ATOL, tomography.NEGATIVITY_TOLERANCE):
+        assume(abs(eig + bound) > 1e-12)
+    if eig < -tomography.NEGATIVITY_TOLERANCE:
+        with pytest.raises(ValueError, match="unphysical"):
+            tomography.logical_density_from_expectations(*r)
+    else:
+        ldm = tomography.logical_density_from_expectations(*r)
+        assert ldm.negative_eigenvalue == (eig < -kernel.EIG_ATOL)
+        np.testing.assert_array_equal(ldm.matrix, mat)

@@ -312,6 +312,17 @@ class TestExperiments:
                 if p.name != "linked.json"} == inodes
         assert (tmp_path / "linked.json").read_text() == bundle.summary_json()
 
+    def test_bundle_write_completes_short_writes(self, tmp_path, monkeypatch):
+        """``os.write`` may write fewer bytes than asked; the rest still
+        reaches the file."""
+        bundle = run_experiment(cfg("syndrome-table", formats=["json", "csv", "svg"]))
+        fresh = [pathlib.Path(p) for p in bundle.write(tmp_path / "fresh")]
+        write = os.write
+        monkeypatch.setattr(runner.os, "write", lambda fd, data: write(fd, data[:100]))
+        bundle.write(tmp_path / "short")
+        for path in fresh:
+            assert (tmp_path / "short" / path.name).read_bytes() == path.read_bytes(), path.name
+
 
 class TestCli:
     def test_syndrome_single_case(self, capsys):
