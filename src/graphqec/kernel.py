@@ -23,8 +23,9 @@ and fidelities with pure targets read components; the partial trace is
 index 0 on the traced axes, a projective measurement adds or subtracts two
 slices (``code._project_pauli_vector``), a Pauli error or frame flips signs
 along an axis (``code._inject_in_pauli_vector``), and the count sampler
-Walsh-Hadamard transforms a setting's ``[2]*k`` sub-cube into its outcome
-probabilities with the same per-axis pass, ``_transform_each_axis``.
+Walsh-Hadamard transforms the ``[2]*k`` sub-cubes of all of a witness's
+settings into their outcome probabilities, one butterfly per axis
+(``sampling._probabilities``).
 Loss recovery is a real 4 x 64 Pauli transfer matrix on the index-0 slice
 of the lost qubit's axis (``code._recovery_ptm``), so no kind turns a
 vector back into a density matrix.

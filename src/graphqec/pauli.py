@@ -153,14 +153,26 @@ _LETTER_INDEX = {"X": 1, "Y": 2, "Z": 3}
 
 def _read_words(vec: np.ndarray, labels, words) -> tuple[float, ...]:
     """tr(rho P) of each word P, read off the Pauli vector ``vec`` of a state
-    rho on ``labels`` (see ``kernel._pauli_vector``)."""
-    out = []
-    for p in words:
-        index = [0] * len(labels)
+    rho on ``labels`` (see ``kernel._pauli_vector``): one ``vec.take`` of
+    the words' cached flat indices, times their real phases."""
+    index, phase = _word_plan(tuple(labels), tuple(words))
+    return tuple((vec.take(index) * phase).tolist())
+
+
+@lru_cache(maxsize=256)
+def _word_plan(labels: tuple[int, ...], words: tuple[PauliString, ...]):
+    """Read-only (flat index, phase) arrays of ``words`` in a ``[4]*n`` Pauli
+    vector on ``labels``: the entry of each word, whose axis i holds the
+    index of its letter on ``labels[i]`` (0 for I), and the real part of its
+    phase. A letter on a qubit outside ``labels`` raises ``ValueError``."""
+    index = np.zeros(len(words), dtype=np.intp)
+    for i, p in enumerate(words):
         for q, letter in p.letters:
-            index[labels.index(q)] = _LETTER_INDEX[letter]
-        out.append(float(p.phase.real * vec[tuple(index)]))
-    return tuple(out)
+            index[i] += _LETTER_INDEX[letter] * 4 ** (len(labels) - 1 - labels.index(q))
+    phase = np.array([p.phase.real for p in words])
+    index.setflags(write=False)
+    phase.setflags(write=False)
+    return index, phase
 
 
 def pauli_expectations(state, words) -> tuple[float, ...]:

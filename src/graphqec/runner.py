@@ -11,9 +11,11 @@ and converted once, at the array, with ``(np.round(a, 12) + 0.0).tolist()``,
 never cell by cell, so no numpy scalar reaches the CSV or SVG writers.
 Adding 0.0 after rounding turns ``-0.0`` into ``0.0``, so residue of either
 sign prints the same; the scalar cells are rounded the same way. The summary
-is written by :func:`_json_text` in one pass: it converts numpy values as
-:func:`_sanitize` does while it writes the text ``json.dumps(..., indent=2,
-sort_keys=True)`` gives, so no sanitized copy of the summary is built.
+is written by :func:`_json_text` in one pass: it converts numpy values while
+it writes the text ``json.dumps(..., indent=2, sort_keys=True)`` gives for
+the converted document, so no converted copy of the summary is built. The
+config digest converts them the same way, through ``json.dumps``'s
+``default`` hook (:func:`_json_default`).
 """
 from __future__ import annotations
 
@@ -32,20 +34,20 @@ import numpy as np
 
 from . import __version__, kernel, sampling
 from .code import (ANCILLA, CODE_QUBITS, PROBE_NAMES, PROBE_TARGETS, PROBES,
-                   SyndromeRecord, _conjugate_pauli_vector, _encoded_vectors,
-                   _inject_in_pauli_vector, _project_pauli_vector, _recovery_ptm,
-                   _syndromes_of_vector, logical_basis_states, logical_ops,
-                   parse_error_spec, predicted_syndrome_signs, recovery_recipe)
+                   SyndromeRecord, _conjugate_pauli_vector, _encoded_vectors, _error_signs,
+                   _project_pauli_vector, _recovery_ptm, _syndromes_of_vector,
+                   logical_basis_states, logical_ops, parse_error_spec,
+                   predicted_syndrome_signs, recovery_recipe, syndrome_operators)
 from .graphs import RESOURCE, build_resource, stabilizer_generators
 from .pauli import PauliString, _read_words
-from .sampling import (MAX_TRIALS, NoiseModel, _sample_counts, _witness_estimate,
-                       counts_to_csv_rows, witness_settings)
+from .sampling import (MAX_TRIALS, NoiseModel, _sample_settings, _witness_estimate,
+                       _witness_settings, counts_to_csv_rows)
 from .tomography import (ChannelSample, _fidelity, _logical_of_vector, _vector_fidelity,
                          average_probe_fidelity, bloch_image, chi_hadamard, chi_identity,
                          logical_density_from_expectations, process_fidelity,
                          reconstruct_chi, sphere_average_fidelity)
-from .witnesses import (_witness_result, box_witness, fidelity_lower_bound, ghz_witness,
-                        pair_witness, resource_witness)
+from .witnesses import (_term_table, _witness_result, box_witness, fidelity_lower_bound,
+                        ghz_witness, pair_witness, resource_witness)
 
 KINDS = ("resource-witness", "encode-tomography", "encode-channel",
          "loss-recovery", "syndrome-table", "noise-sweep")
@@ -175,8 +177,11 @@ _NOISE_FIELDS = tuple(f.name for f in dc_fields(NoiseModel))
 
 
 def _digest(config_dict: dict) -> str:
-    """SHA-256 of the canonical JSON of a config's :meth:`~ExperimentConfig.to_dict`."""
-    blob = json.dumps(_sanitize(config_dict), sort_keys=True)
+    """SHA-256 of the canonical JSON of a config's :meth:`~ExperimentConfig.to_dict`:
+    ``json.dumps`` with sorted keys, numpy values converted by
+    :func:`_json_default`. A config's per-qubit maps are keyed by qubit
+    numbers 1 to 6, which sort as their strings do."""
+    blob = json.dumps(config_dict, sort_keys=True, default=_json_default)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -185,32 +190,30 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _sanitize(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps is stable: the
-    config hash's input, and the rules :func:`_json_text` follows."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
+def _json_default(obj):
+    """A value ``json.dumps`` cannot write, as one it can: a numpy scalar by
+    ``.item()``, an array by ``.tolist()``, a complex number as ``{"re", "im"}``.
+    Anything else raises ``TypeError``, as ``json.dumps`` does."""
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
+        return obj.tolist()
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _json_text(obj, nl: str = "\n") -> str:
-    """``json.dumps(_sanitize(obj), sort_keys=True, indent=2)`` in one pass.
+    """``json.dumps(obj, sort_keys=True, indent=2)`` in one pass, numpy values
+    converted.
 
-    ``nl`` is a newline plus the indent of the line ``obj`` starts on. Values
-    are converted by the rules of :func:`_sanitize`, in its order (keys by
-    ``str``, numpy scalars by ``.item()``, arrays by ``.tolist()``, complex
-    numbers as ``{"re", "im"}``), and written as the stdlib writes them; a
+    ``nl`` is a newline plus the indent of the line ``obj`` starts on. Keys
+    are converted by ``str`` before they are sorted, numpy scalars by
+    ``.item()``, arrays by ``.tolist()`` and complex numbers to
+    ``{"re", "im"}``, and values are written as the stdlib writes them; a
     list of plain finite floats is written with one join."""
     kind = type(obj)
     if kind is float:
@@ -342,27 +345,25 @@ def _probe_vectors(probes, noise: NoiseModel, byproduct: str) -> dict[str, np.nd
 def _sampled_logical_expectations(vec, labels, counts_per_setting, seed, stream_base) -> dict:
     """Sampled estimate of each logical operator from the Pauli vector ``vec``
     on ``labels``, measured with its own letters and Z on the other code qubits."""
-    est = {}
-    for i, name in enumerate(("xbar", "ybar", "zbar")):
-        op = getattr(logical_ops(), name)
-        bases = {q: "Z" for q in CODE_QUBITS} | dict(op.letters)
-        rec = _sample_counts(vec, labels, bases, counts_per_setting, seed, stream_base + i)
-        est[name] = sampling.estimate_expectation(rec, op.support)
-    return est
+    ops = {name: getattr(logical_ops(), name) for name in ("xbar", "ybar", "zbar")}
+    settings = [{q: "Z" for q in CODE_QUBITS} | dict(op.letters) for op in ops.values()]
+    records = _sample_settings(vec, labels, settings, counts_per_setting, seed, stream_base)
+    return {name: sampling.estimate_expectation(rec, op.support)
+            for (name, op), rec in zip(ops.items(), records)}
 
 
 def _exact_witness(vec, labels, spec):
     """The witness ``spec`` read off the Pauli vector ``vec`` of a state on
     ``labels``; a qubit outside the witness reads index 0, its partial trace."""
-    return _witness_result(spec, _read_words(vec, labels, [t.word for t in spec.terms]))
+    return _witness_result(spec, _read_words(vec, labels, _term_table(spec).words))
 
 
 def _witness_block(vec, labels, spec, counts_per_setting, trials, seed, stream_base):
     """Exact witness value plus the sampled estimate with Monte Carlo bars, for
     the state with Pauli vector ``vec`` on ``labels``."""
     exact = _exact_witness(vec, labels, spec)
-    records = [_sample_counts(vec, labels, s, counts_per_setting, seed, stream_base + i)
-               for i, s in enumerate(witness_settings(spec))]
+    records = _sample_settings(vec, labels, _witness_settings(spec), counts_per_setting, seed,
+                               stream_base)
     estimate, mc_mean, mc_std = _witness_estimate(records, spec, trials, seed)
     block = {
         "exact": exact.value,
@@ -636,37 +637,38 @@ def _run_syndrome_table(cfg: ExperimentConfig):
     beside the signs the commutation rules predict.
 
     Each probe's encoded state is built as one Pauli vector, all probes in
-    one batch (:func:`_probe_vectors`). The error-free baseline and every
-    injected error's three syndromes are read off that vector: a Pauli
-    error L on code qubit q flips the sign of each component whose letter
-    at q is neither I nor L (``code._inject_in_pauli_vector``). The signs
-    come from the dense
-    matrices, so the ``match`` column still compares a measured pattern
-    with ``predicted_syndrome_signs``, two independent computations.
+    one batch (:func:`_probe_vectors`), and its three syndromes are read off
+    that vector once. A Pauli error L on code qubit q flips the sign of each
+    component whose letter at q is neither I nor L, so under it a syndrome
+    reads its error-free value times ``code._error_signs(L)`` at its own
+    letter on q. Those signs come from the dense matrices, so the ``match``
+    column still compares a measured pattern with
+    ``predicted_syndrome_signs``, two independent computations.
     """
     rows = [("error", "location", "probe", "s1", "s2", "s3",
              "sign1", "sign2", "sign3", "pred1", "pred2", "pred3", "match")]
     mismatches = 0
     vectors = _probe_vectors(cfg.probes, cfg.noise, cfg.byproduct)
+    syndromes = {p: _syndromes_of_vector(vec, CODE_QUBITS) for p, vec in vectors.items()}
     err = parse_error_spec(cfg.error)  # one injected error, or the identity: all 12
     cases = [(err.letter(q), q) for q in err.support] \
         or [(letter, loc) for letter in "XYZ" for loc in CODE_QUBITS]
     for letter, loc in cases:
         predicted = predicted_syndrome_signs(PauliString.single(loc, letter))
+        flips = [float(_error_signs(letter)["IXYZ".index(s.letter(loc))])
+                 for s in syndrome_operators()]
         for probe in cfg.probes:
-            injected = _inject_in_pauli_vector(vectors[probe], CODE_QUBITS.index(loc), letter)
-            rec = SyndromeRecord(_syndromes_of_vector(injected, CODE_QUBITS))
-            match = rec.signs == predicted
+            rec = SyndromeRecord(tuple(v * f for v, f in zip(syndromes[probe], flips)))
+            signs = rec.signs
+            match = signs == predicted
             mismatches += 0 if match else 1
-            rows.append((f"{letter}@{loc}", loc, probe,
-                         *map(_round, rec.values),
-                         *rec.signs, *predicted, match))
+            rows.append((f"{letter}@{loc}", loc, probe, *map(_round, rec.values),
+                         *signs, *predicted, match))
     summary = {
         "patterns_checked": (len(rows) - 1),
         "mismatches": mismatches,
         "all_match": mismatches == 0,
-        "no_error_syndromes": {p: list(map(_round, _syndromes_of_vector(vec, CODE_QUBITS)))
-                               for p, vec in vectors.items()},
+        "no_error_syndromes": {p: list(map(_round, values)) for p, values in syndromes.items()},
     }
     return summary, {"syndrome_table": rows}, {}
 

@@ -6,9 +6,11 @@ emulated by drawing a Poisson-distributed total per measurement setting and
 multinomial counts over outcomes. The outcome probabilities of a product
 setting are read from the state's Pauli vector: the expectations of the
 setting's letters on every subset of the qubits, Walsh-Hadamard transformed
-once per qubit (see :func:`_outcome_probabilities`). All sampling is
-reproducible: the same (seed, stream) pair always yields the same
-histogram, and distinct streams are independent.
+once per qubit. :func:`_sample_settings` does this for all the settings of
+a witness at once, with one gather and one staged transform, then draws
+each setting's histogram from its own stream. All sampling is reproducible:
+the same (seed, stream) pair always yields the same histogram, and
+distinct streams are independent.
 
 A histogram over k measured qubits is a :class:`CountRecord` holding a dense
 int64 count vector of length 2^k indexed by ``int(bits, 2)``, which is also
@@ -16,11 +18,14 @@ the sorted-key order, or a (trials x 2^k) matrix of Monte Carlo resamples.
 Outcome bitstrings appear only at the edges: :meth:`CountRecord.from_counts`
 parses them, :attr:`CountRecord.counts` lists the nonzero cells by them, and
 the CSV interchange reads and writes them. Parity estimates are
-``(counts @ mask) / counts.sum(-1)`` with a cached +/-1 parity mask, so the
-same estimator serves one histogram and a batch. A witness is read through
-a cached parity plan (:func:`_witness_plan`): per record it reads, one
-int64 matrix whose columns are the masks of the terms read there, so one
-``counts @ matrix`` estimates all of them, on a histogram or a batch.
+``(counts @ mask) / counts.sum(-1)`` with a cached float64 +/-1 parity mask,
+so the same estimator serves one histogram and a batch. A witness is read
+through a cached parity plan (:func:`_witness_plan`): per record it reads,
+one float64 +/-1 matrix whose columns are the masks of the terms read
+there, so one ``counts @ matrix`` estimates all of them, on a histogram or
+a batch. The products run in float64 and are exact: a histogram's total is
+at most 2^53, so every count and every partial sum of signed counts is an
+integer that float64 holds exactly.
 
 Monte Carlo resampling draws every trial's Poisson vector over all
 histograms in one draw per call (:func:`_poisson_trials`).
@@ -33,6 +38,7 @@ the raw trial blocks of the same draw, so no trial batch becomes a
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 import re
 from dataclasses import dataclass
@@ -43,10 +49,6 @@ import numpy as np
 from . import kernel, pauli
 from .kernel import DensityOperator
 from .witnesses import WitnessSpec
-
-# The 2x2 Walsh-Hadamard matrix: it sends (<I>, <P>) of one qubit to the
-# unnormalized probabilities of the +1 and -1 outcomes of measuring P.
-_WALSH = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 _MC_STREAM = 0x4D43  # reserved stream id for Monte Carlo resampling
 
@@ -191,6 +193,14 @@ class CountRecord:
     where ``bits`` lists the outcomes in setting order with bit 0 meaning the
     +1 eigenvalue; a Monte Carlo batch is a (trials x 2^k) matrix with one
     such row per trial.
+
+    The constructor checks every record that enters from outside: the
+    setting, the cell count, non-negative counts and totals of at most 2^53.
+    :meth:`from_counts`, the CSV reader and :func:`monte_carlo_uncertainty`
+    batches all pass through it. Only the histograms the sampler draws skip
+    it (:meth:`_drawn`): they are non-negative int64 vectors of 2^k cells
+    over a setting checked before the draw, with a Poisson total at a rate
+    of at most ``MAX_EXPECTED_COUNTS``.
     """
 
     setting: tuple[tuple[int, str], ...]
@@ -227,6 +237,14 @@ class CountRecord:
             dense[int("0" + bits, 2)] = c  # "0" + : a zero-qubit setting's key is ""
         return CountRecord(setting, dense)
 
+    @classmethod
+    def _drawn(cls, setting: tuple[tuple[int, str], ...], dense: np.ndarray) -> "CountRecord":
+        """A record of a histogram the sampler drew, built without the checks
+        of the constructor (see the class docstring)."""
+        record = cls.__new__(cls)
+        record.setting, record.dense = setting, dense
+        return record
+
     @property
     def setting_label(self) -> str:
         return _setting_label(self.setting)
@@ -244,18 +262,20 @@ class CountRecord:
     def counts(self) -> dict[str, int]:
         """Nonzero cells of one histogram keyed by bitstring, in index order."""
         k = len(self.setting)
+        cells = np.flatnonzero(self.dense)
         # the leading 1 keeps k digits, and gives "" for a zero-qubit setting
-        return {format(i | 1 << k, "b")[1:]: int(self.dense[i])
-                for i in np.flatnonzero(self.dense)}
+        return dict(zip([format(i | 1 << k, "b")[1:] for i in cells.tolist()],
+                        self.dense[cells].tolist()))
 
 
 def _check_setting(setting) -> tuple[tuple[int, str], ...]:
     """``setting`` as (qubit, basis) pairs, if every basis is X, Y or Z and
     it measures at most ``kernel.MAX_QUBITS`` distinct qubits."""
     setting = tuple((int(q), str(b)) for q, b in setting)
-    for b in setting:
-        if b[1] not in "XYZ":
-            raise ValueError(f"bad basis in setting: {b}")
+    for q, b in setting:
+        if b not in ("X", "Y", "Z"):
+            raise ValueError(f"bad basis {b!r} for qubit {q} in setting "
+                             f"{_setting_label(setting)!r}")
     qubits = [q for q, _ in setting]
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"setting {_setting_label(setting)!r} measures a qubit twice")
@@ -276,7 +296,13 @@ def outcome_probabilities(state, bases: dict[int, str]) -> np.ndarray:
 
 
 def _setting_vector(state, bases: dict[int, str]) -> np.ndarray:
-    """Pauli vector of ``state``, once ``bases`` is checked to cover it."""
+    """Pauli vector of ``state``, once ``bases`` is checked to be a setting
+    (:func:`_check_setting`) over exactly the state's register."""
+    setting = _check_setting(bases.items())
+    outside = [q for q, _ in setting if q not in state.labels]
+    if outside:
+        raise ValueError(f"setting {_setting_label(setting)!r} measures qubits {outside} "
+                         f"outside the register {state.labels}")
     for q in state.labels:
         if q not in bases:
             raise ValueError(f"no basis given for qubit {q}")
@@ -285,25 +311,45 @@ def _setting_vector(state, bases: dict[int, str]) -> np.ndarray:
 
 def _outcome_probabilities(vec: np.ndarray, labels, bases: dict[int, str]) -> np.ndarray:
     """Raw :func:`outcome_probabilities` of the state with Pauli vector ``vec``
-    on ``labels``, over the k qubits that ``bases`` names, in register order.
+    on ``labels``, over the k qubits that ``bases`` names, in register order
+    (see :func:`_probabilities`)."""
+    return _probabilities(vec, _setting_gather(tuple(bases.get(q) for q in labels))[None])[0]
 
-    The ``[2]*k`` sub-cube of ``vec`` whose axis q holds <I> and <P_q>, P_q
-    the qubit's basis, at index 0 (the partial trace) on every other axis, is
-    Walsh-Hadamard transformed on every axis, so that p(b) = 2^-k sum_S
-    (-1)^(b.S) <prod_{q in S} P_q> with bit 0 meaning the +1 eigenvalue.
-    Negative rounding residue is clipped and the vector renormalized.
+
+def _probabilities(vec: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """(settings x 2^k) outcome probabilities of the settings whose stacked
+    sub-cube indices are ``gather`` (see :func:`_settings_plan`), for the
+    state with Pauli vector ``vec``.
+
+    Each setting's ``[2]*k`` sub-cube holds <I> and <P_q>, P_q the qubit's
+    basis, on every measured axis, at index 0 (the partial trace) on every
+    other axis. It is Walsh-Hadamard transformed on every axis, so that
+    p(b) = 2^-k sum_S (-1)^(b.S) <prod_{q in S} P_q> with bit 0 meaning the
+    +1 eigenvalue. The transform is one butterfly (a + b, a - b) per axis,
+    first axis first, in place over all settings at once: the same float
+    operations as :func:`kernel._transform_each_axis` with the 2x2 Walsh
+    matrix. Negative rounding residue is clipped to 0 and each setting's
+    vector renormalized.
     """
-    t = vec.take(_setting_gather(tuple(bases.get(q) for q in labels)))
-    probs = np.clip(kernel._transform_each_axis(_WALSH, t).reshape(-1) / t.size, 0.0, None)
-    return probs / probs.sum()
+    n, k = len(gather), gather.ndim - 1
+    t = vec.take(gather).reshape(n, -1)
+    for axis in range(k):
+        pairs = t.reshape(n, 2 ** axis, 2, -1)
+        even, odd = pairs[:, :, 0], pairs[:, :, 1]
+        total = even + odd
+        np.subtract(even, odd, out=odd)
+        even[...] = total
+    t /= 2 ** k
+    np.maximum(t, 0.0, out=t)
+    return t / t.sum(-1, keepdims=True)
 
 
 @functools.lru_cache(maxsize=128)
 def _setting_gather(letters: tuple[str | None, ...]) -> np.ndarray:
     """Read-only flat index into a ``[4]*n`` Pauli vector, shaped ``[2]*k``:
-    the sub-cube :func:`_outcome_probabilities` transforms, for a register
-    whose axis i is measured in ``letters[i]`` (``None``: not measured, read
-    at index 0). Taking it from the flattened vector equals the ``np.ix_``
+    the sub-cube :func:`_probabilities` transforms, for a register whose
+    axis i is measured in ``letters[i]`` (``None``: not measured, read at
+    index 0). Taking it from the flattened vector equals the ``np.ix_``
     selection of indices (0, letter) and (0,), squeezed."""
     index = np.arange(4 ** len(letters)).reshape([4] * len(letters))
     index = index[np.ix_(*[(0, pauli._LETTER_INDEX[l]) if l else (0,)
@@ -312,35 +358,59 @@ def _setting_gather(letters: tuple[str | None, ...]) -> np.ndarray:
     return index
 
 
+@functools.lru_cache(maxsize=128)
+def _settings_plan(labels: tuple[int, ...], letters: tuple[tuple[str | None, ...], ...]):
+    """(gather, settings) for settings that measure the qubits of ``labels``
+    in the bases ``letters`` (per setting, each qubit's basis or ``None``;
+    all settings measure the same number of qubits): the read-only
+    stack of their :func:`_setting_gather` indices, and each setting as the
+    (qubit, basis) pairs of a :class:`CountRecord`."""
+    gather = np.stack([_setting_gather(l) for l in letters])
+    gather.setflags(write=False)
+    settings = tuple(tuple((q, b) for q, b in zip(labels, l) if b) for l in letters)
+    return gather, settings
+
+
 def sample_setting_counts(state, bases: dict[int, str], expected_n: float,
                           seed: int, stream: int = 0) -> CountRecord:
     """Poisson total then multinomial split over exact outcome probabilities."""
     if not 0 < expected_n <= MAX_EXPECTED_COUNTS:  # also refuses NaN
         raise ValueError(f"expected_n must be positive and at most "
                          f"{MAX_EXPECTED_COUNTS:g}, got {expected_n}")
-    return _sample_counts(_setting_vector(state, bases), state.labels, bases, expected_n,
-                          seed, stream)
+    return _sample_settings(_setting_vector(state, bases), state.labels, (bases,), expected_n,
+                            seed, stream)[0]
 
 
-def _sample_counts(vec: np.ndarray, labels, bases: dict[int, str], expected_n: float,
-                   seed: int, stream: int) -> CountRecord:
+def _sample_settings(vec: np.ndarray, labels, settings, expected_n: float, seed: int,
+                     stream_base: int) -> list[CountRecord]:
     """Raw :func:`sample_setting_counts` of the state with Pauli vector ``vec``
-    on ``labels``, over the qubits that ``bases`` names, in register order."""
-    probs = _outcome_probabilities(vec, labels, bases)
-    rng = make_rng(seed, stream)
-    draws = rng.multinomial(int(rng.poisson(expected_n)), probs)
-    return CountRecord(tuple((q, bases[q]) for q in labels if q in bases), draws)
+    on ``labels`` for each setting in ``settings`` (a ``{qubit: basis}`` map,
+    measured in register order), the i-th from stream ``stream_base + i``.
+
+    The probabilities of all settings come from one :func:`_probabilities`
+    pass; each histogram is then a Poisson total and a multinomial split
+    drawn from its own (seed, stream) generator, so it equals drawing the
+    settings one at a time."""
+    labels = tuple(labels)
+    gather, measured = _settings_plan(labels, tuple(tuple(map(s.get, labels))
+                                                    for s in settings))
+    out = []
+    for i, (setting, probs) in enumerate(zip(measured, _probabilities(vec, gather))):
+        rng = make_rng(seed, stream_base + i)
+        out.append(CountRecord._drawn(setting, rng.multinomial(int(rng.poisson(expected_n)),
+                                                               probs)))
+    return out
 
 
 @functools.lru_cache(maxsize=128)
 def _parity_mask(k: int, positions: tuple[int, ...]) -> np.ndarray:
-    """Read-only int64 vector over the 2^k outcomes: +1 where the bits at
+    """Read-only float64 vector over the 2^k outcomes: +1 where the bits at
     ``positions`` (0 = leftmost) have even parity, -1 where odd."""
     index = np.arange(2 ** k)
     parity = np.zeros(2 ** k, dtype=np.int64)
     for i in positions:
         parity ^= (index >> (k - 1 - i)) & 1
-    mask = 1 - 2 * parity
+    mask = 1.0 - 2 * parity
     mask.setflags(write=False)
     return mask
 
@@ -350,13 +420,14 @@ def estimate_expectation(record, support):
     support, over the total.
 
     ``record.dense`` is one count vector (returns a float) or a Monte Carlo
-    batch of them (returns one estimate per trial). Integer dot products are
-    exact and the final int/int division rounds as Python's does, so both
-    agree bit for bit with a per-outcome loop.
+    batch of them (returns one estimate per trial). The dot product with the
+    float64 mask is exact, since a record's total is at most 2^53 and so is
+    every partial sum, and the final division rounds as Python's int/int
+    division does, so both agree bit for bit with a per-outcome loop.
     """
     counts = record.dense
     totals = counts.sum(-1)
-    if np.any(totals == 0):
+    if (totals == 0).any():
         raise ValueError("empty histogram")
     qubits = record.qubits
     missing = [q for q in support if q not in qubits]
@@ -370,6 +441,13 @@ def estimate_expectation(record, support):
 def witness_settings(spec: WitnessSpec) -> list[dict[int, str]]:
     """Greedy packing of witness terms into joint measurement settings;
     for the built-in witnesses this recovers the published two settings."""
+    return [dict(s) for s in _witness_settings(spec)]
+
+
+@functools.lru_cache(maxsize=128)
+def _witness_settings(spec: WitnessSpec) -> tuple[dict[int, str], ...]:
+    """:func:`witness_settings`, cached per spec; the maps are shared, and
+    read only."""
     settings: list[dict[int, str]] = []
     for t in spec.terms:
         for s in settings:
@@ -381,7 +459,7 @@ def witness_settings(spec: WitnessSpec) -> list[dict[int, str]]:
     for s in settings:
         for q in spec.qubits:
             s.setdefault(q, "Z")
-    return settings
+    return tuple(settings)
 
 
 def _term_records(settings, spec: WitnessSpec) -> list[int]:
@@ -403,10 +481,12 @@ def _term_records(settings, spec: WitnessSpec) -> list[int]:
 
 class _PlanRecord(NamedTuple):
     """The terms of a witness read from one record, the ``index``-th, whose
-    setting prints as ``label``: ``matrix`` is the read-only int64
+    setting prints as ``label``: ``matrix`` is the read-only float64 +/-1
     (2^k x m) matrix whose columns are the terms' :func:`_parity_mask`,
     ``positions`` their indices in ``spec.terms`` and ``weights`` each
-    term's ``float(coefficient) * sign``."""
+    term's ``float(coefficient) * sign``. The matrix is float64 so that
+    ``counts @ matrix`` runs as one BLAS product; it is exact, since
+    :func:`_plan_value` checks every total against 2^53 before it."""
 
     index: int
     label: str
@@ -437,22 +517,23 @@ def _witness_plan(spec: WitnessSpec, settings: tuple) -> tuple[_PlanRecord, ...]
 def _plan_value(spec: WitnessSpec, plan, counts):
     """The witness on the count vectors ``counts`` (one per record, each one
     histogram or a batch with leading axes), one ``counts @ matrix`` per
-    record read. The terms are subtracted from the constant one by one in
-    term order, so the float operations are those of a per-term loop over
-    :func:`estimate_expectation`."""
+    record read. Every total is checked against 2^53 before the float64
+    product, which is then exact. The terms are subtracted from the
+    constant one by one in term order, so the float operations are those of
+    a per-term loop over :func:`estimate_expectation`."""
     shape = counts[plan[0].index].shape[:-1] if plan else ()
     terms = np.empty(shape + (len(spec.terms),))
     for r in plan:
         c = counts[r.index]
         totals = c.sum(-1)
-        if np.any(totals == 0):
+        if (totals == 0).any():
             raise ValueError("empty histogram")
-        if np.any(totals > MAX_COUNT):
+        if (totals > MAX_COUNT).any():
             raise ValueError(f"histogram total above 2^53 in setting {r.label!r}")
-        terms[..., r.positions] = (c @ r.matrix) / totals[..., None] * r.weights
+        terms[..., r.positions] = (c.astype(float) @ r.matrix) / totals[..., None] * r.weights
     value = float(spec.constant)
-    for column in np.moveaxis(terms, -1, 0):
-        value = value - column
+    for j in range(len(spec.terms)):
+        value = value - terms[..., j]
     return value if shape else float(value)
 
 
@@ -487,7 +568,8 @@ def _poisson_trials(counts, trials: int, seed: int) -> list[np.ndarray]:
         raise ValueError(f"trials must be in [100, {MAX_TRIALS}], got {trials}")
     lam = np.concatenate([np.zeros(0, dtype=np.int64), *counts])
     draws = make_rng(seed, _MC_STREAM).poisson(lam, size=(trials, lam.size))
-    return np.split(draws, np.cumsum([c.size for c in counts])[:-1], axis=1)
+    ends = list(itertools.accumulate(c.size for c in counts))
+    return [draws[:, start:end] for start, end in zip([0] + ends, ends)]
 
 
 def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple[float, float]:
@@ -541,8 +623,8 @@ def counts_to_csv_rows(records) -> list[tuple[str, str, int]]:
     that it survives the round trip."""
     rows = [COUNTS_CSV_HEADER]
     for r in records:
-        cells = r.counts or {"0" * len(r.setting): 0}
-        rows.extend((r.setting_label, bits, c) for bits, c in cells.items())
+        label, cells = r.setting_label, r.counts or {"0" * len(r.setting): 0}
+        rows.extend((label, bits, c) for bits, c in cells.items())
     return rows
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .pauli import PauliString, pauli_expectations
 
@@ -64,12 +65,6 @@ class WitnessSpec:
     @property
     def qubits(self) -> tuple[int, ...]:
         return tuple(sorted({q for t in self.terms for q in t.word.support}))
-
-    def value(self, expectations) -> float:
-        """constant - sum_k coeff_k sign_k <word_k>, from the exact
-        expectations of the terms' words in term order."""
-        return float(self.constant) - sum(float(t.coefficient) * (t.sign * e)
-                                          for t, e in zip(self.terms, expectations))
 
 
 @dataclass(frozen=True)
@@ -178,14 +173,35 @@ def evaluate_witness(state, spec: WitnessSpec) -> WitnessResult:
     (:func:`.pauli.pauli_expectations`). Also returns the per-term breakdown
     (signed and raw expectations) for bar-chart style reporting.
     """
-    return _witness_result(spec, pauli_expectations(state, (t.word for t in spec.terms)))
+    return _witness_result(spec, pauli_expectations(state, _term_table(spec).words))
 
 
 def _witness_result(spec: WitnessSpec, values) -> WitnessResult:
-    """Raw :func:`evaluate_witness` from the terms' exact expectations."""
-    rows = tuple((t.label(), float(t.coefficient), t.sign * raw, raw)
-                 for t, raw in zip(spec.terms, values))
-    return WitnessResult(spec.value(values), rows)
+    """Raw :func:`evaluate_witness` from the sequence ``values`` of the terms'
+    exact expectations: constant - sum_k coeff_k (sign_k <word_k>), summed
+    in term order, with the terms read from the spec's cached table."""
+    table = _term_table(spec)
+    signed = [s * raw for s, raw in zip(table.signs, values)]
+    value = table.constant - sum([c * e for c, e in zip(table.coefficients, signed)])
+    return WitnessResult(value, tuple(zip(table.labels, table.coefficients, signed, values)))
+
+
+class _TermTable(NamedTuple):
+    """A witness's terms as plain values, in term order, and its constant."""
+
+    labels: tuple[str, ...]
+    words: tuple[PauliString, ...]
+    coefficients: tuple[float, ...]
+    signs: tuple[int, ...]
+    constant: float
+
+
+@functools.lru_cache(maxsize=128)
+def _term_table(spec: WitnessSpec) -> _TermTable:
+    terms = spec.terms
+    return _TermTable(tuple(t.label() for t in terms), tuple(t.word for t in terms),
+                      tuple(float(t.coefficient) for t in terms),
+                      tuple(t.sign for t in terms), float(spec.constant))
 
 
 def fidelity_lower_bound(value: float) -> float:

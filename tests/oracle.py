@@ -5,7 +5,11 @@ applied by full matrix products, and single-qubit noise runs through its
 Kraus operators; these functions take raw matrices plus a label tuple. Count
 statistics are evaluated per outcome and per Monte Carlo trial, with one
 scalar Poisson draw per histogram cell, and witnesses from counts one term
-at a time. The package's closed forms are
+at a time. Histograms are drawn one setting at a time through the generic
+per-axis transform, Pauli words are read off a Pauli vector one at a time,
+and an exact witness is summed term by term from its spec, where the
+package batches all settings, indexes all words at once and reads a cached
+term table. The package's closed forms are
 checked against the searches they replace: loss-recovery recipes derived
 branch by branch from the logical basis, the visibility calibration by
 bisection, and the box graph as the unique graph on {1,2,4,5} that gives
@@ -41,9 +45,12 @@ from graphqec.code import (ANCILLA, CODE_QUBITS, PROBES, inject_pauli_error,
 from graphqec.graphs import Graph, stabilizer_generators
 from graphqec.kernel import DensityOperator, PureState
 from graphqec.pauli import CliffordGate, PauliString
-from graphqec.runner import _sanitize
 from graphqec.sampling import _MC_STREAM, CountRecord
 
+
+# The 2x2 Walsh-Hadamard matrix: it sends (<I>, <P>) of one qubit to the
+# unnormalized probabilities of the +1 and -1 outcomes of measuring P.
+WALSH = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 # The inverse of kernel._PAULI_TRANSFORM: column P sends tr(rho P) back to
 # the entries P[a, b] / 2 of one qubit's density block, flattened as 2a + b.
@@ -59,10 +66,27 @@ def from_pauli_vector(vec, n) -> np.ndarray:
     return t.reshape(2 ** n, 2 ** n)
 
 
+def sanitize(obj):
+    """Recursively convert numpy scalars/arrays and complex numbers so that
+    ``json.dumps`` can write them: the rules the runner's one-pass writer and
+    its config digest follow."""
+    if isinstance(obj, dict):
+        return {str(k): sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [sanitize(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return sanitize(obj.tolist())
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    return obj
+
+
 def json_text(obj) -> str:
     """The indent-2 JSON of ``obj`` that ``runner._json_text`` writes in one
-    pass: numpy values converted by ``_sanitize``, then the stdlib writer."""
-    return json.dumps(_sanitize(obj), sort_keys=True, indent=2)
+    pass: numpy values converted by ``sanitize``, then the stdlib writer."""
+    return json.dumps(sanitize(obj), sort_keys=True, indent=2)
 
 
 def embed_operator(matrix, op_labels, register_labels) -> np.ndarray:
@@ -137,6 +161,43 @@ def apply_noise(rho, labels, model) -> np.ndarray:
     dim = 2 ** len(labels)
     v = model.visibility
     return v * rho + (1 - v) * np.eye(dim) / dim
+
+
+def sample_counts(vec, labels, bases, expected_n, seed, stream) -> CountRecord:
+    """The sampler one setting at a time, as it was first written: the
+    setting's sub-cube of the Pauli vector ``vec`` on ``labels``
+    Walsh-Hadamard transformed by the generic per-axis pass, clipped and
+    renormalized, then a Poisson total and a multinomial split drawn from
+    the (seed, stream) generator into a checked record."""
+    t = vec.take(sampling._setting_gather(tuple(bases.get(q) for q in labels)))
+    probs = np.clip(kernel._transform_each_axis(WALSH, t).reshape(-1) / t.size, 0.0, None)
+    rng = sampling.make_rng(seed, stream)
+    draws = rng.multinomial(int(rng.poisson(expected_n)), probs / probs.sum())
+    return CountRecord(tuple((q, bases[q]) for q in labels if q in bases), draws)
+
+
+def read_words(vec, labels, words) -> tuple[float, ...]:
+    """tr(rho P) of each word P off the Pauli vector ``vec`` on ``labels``,
+    one word at a time: its letters' indices on their axes, 0 elsewhere,
+    times the real part of its phase."""
+    out = []
+    for p in words:
+        index = [0] * len(labels)
+        for q, letter in p.letters:
+            index[labels.index(q)] = "IXYZ".index(letter)
+        out.append(float(p.phase.real * vec[tuple(index)]))
+    return tuple(out)
+
+
+def witness_result(spec, values):
+    """``(value, rows)`` of a witness from its terms' exact expectations, one
+    term at a time: constant - sum_k coeff_k (sign_k <word_k>), and per term
+    (label, coefficient, signed expectation, raw expectation)."""
+    value = float(spec.constant) - sum(float(t.coefficient) * (t.sign * e)
+                                       for t, e in zip(spec.terms, values))
+    rows = tuple((t.label(), float(t.coefficient), t.sign * raw, raw)
+                 for t, raw in zip(spec.terms, values))
+    return value, rows
 
 
 def estimate_expectation(record, support) -> float:

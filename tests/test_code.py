@@ -485,14 +485,21 @@ class TestCheckedOnce:
 
     @pytest.fixture
     def count_records(self, monkeypatch):
-        count = []
-        checked = CountRecord.__post_init__
+        """The records built, as ``{"drawn": [...], "checked": [...]}``: drawn
+        by the sampler, or passed through the constructor's checks."""
+        count = {"drawn": [], "checked": []}
+        checked, drawn = CountRecord.__post_init__, CountRecord._drawn.__func__
 
-        def counted(self):
-            count.append(self.setting)
+        def counted_check(self):
+            count["checked"].append(self.setting)
             checked(self)
 
-        monkeypatch.setattr(CountRecord, "__post_init__", counted)
+        def counted_draw(cls, setting, dense):
+            count["drawn"].append(setting)
+            return drawn(cls, setting, dense)
+
+        monkeypatch.setattr(CountRecord, "__post_init__", counted_check)
+        monkeypatch.setattr(CountRecord, "_drawn", classmethod(counted_draw))
         return count
 
     @pytest.mark.parametrize("noise", (NoiseModel(), NoiseModel(depolarizing=0.05,
@@ -502,13 +509,16 @@ class TestCheckedOnce:
     def test_sampled_runs(self, count_records, noise, kind, built):
         """One CountRecord per sampled setting: the two settings of each of
         the resource run's two witnesses; each probe's witness settings
-        (2, 2, 2 and 4) and its three logical settings. The Monte Carlo
-        trials are evaluated as raw blocks of the draw."""
+        (2, 2, 2 and 4) and its three logical settings. Each is a drawn
+        histogram, which the constructor does not check again. The Monte
+        Carlo trials are evaluated as raw blocks of the draw."""
         config = ExperimentConfig(kind, noise)
         run_experiment(config)  # warm-up
-        count_records.clear()
+        for records in count_records.values():
+            records.clear()
         run_experiment(config)
-        assert len(count_records) == built
+        assert len(count_records["drawn"]) == built
+        assert count_records["checked"] == []
 
     @pytest.mark.parametrize("kind", ("resource-witness", "encode-tomography"))
     def test_witness_specs(self, monkeypatch, kind):

@@ -34,7 +34,12 @@ qubits, must equal those of the dense frame and partial trace, and the
 cached gather of the setting's sub-cube must select what ``np.ix_`` does.
 A witness read from counts through its parity plan must equal the per-term
 loop exactly, on histograms and on trial batches, whichever records cover
-it and in whatever order.
+it and in whatever order, and its float64 plans must equal the int64
+products at histogram totals of exactly 2^53. The batched sampler must draw
+what the one-setting-at-a-time oracle draws, bit for bit, from 0.001 to
+1e12 expected counts; the indexed Pauli-word read and the cached witness
+term table must equal their per-word and per-term loops, and the config
+digest the hash of the sanitized config's stdlib JSON.
 Symbolic Pauli conjugation through random Clifford sequences must match the
 dense product, and the runner's bundle tables, rounded at the array, must
 print every float as the numpy scalar ``round`` would, zeros unsigned.
@@ -48,7 +53,9 @@ States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
 targets such as (5, 2) are non-adjacent and out of register order.
 """
+import hashlib
 import itertools
+import json
 import math
 import warnings
 from unittest import mock
@@ -490,6 +497,109 @@ def test_setting_gather_equals_ix_selection(labels, data, seed):
     got = vec.take(sampling._setting_gather(letters))
     assert got.shape == want.shape == (2,) * len(measured)
     assert np.array_equal(got, want)
+
+
+expected_counts = st.one_of(st.sampled_from((0.001, 0.5, 1e12)),
+                            st.floats(0.001, sampling.MAX_EXPECTED_COUNTS))
+
+
+@PROPERTY
+@given(states(min_qubits=2, max_qubits=5), st.data(), expected_counts, seeds,
+       st.integers(0, 2 ** 32))
+def test_sample_settings_match_per_setting_oracle(state, data, expected_n, seed, stream_base):
+    """The batched sampler equals drawing one setting at a time through the
+    generic per-axis transform, bit for bit: the probabilities, each record's
+    setting and every count, from 0.001 expected counts (mostly empty
+    histograms) to 1e12. Every drawn record passes the constructor's checks."""
+    labels = state.labels
+    vec = kernel._pauli_vector(kernel._raw(state), len(labels))
+    k = data.draw(st.integers(1, len(labels)))
+    settings_ = [{q: data.draw(st.sampled_from("XYZ"))
+                  for q in data.draw(st.permutations(labels))[:k]}
+                 for _ in range(data.draw(st.integers(1, 3)))]
+    got = sampling._sample_settings(vec, labels, settings_, expected_n, seed, stream_base)
+    want = [oracle.sample_counts(vec, labels, s, expected_n, seed, stream_base + i)
+            for i, s in enumerate(settings_)]
+    assert [r.setting for r in got] == [r.setting for r in want]
+    for g, w, bases in zip(got, want, settings_):
+        assert g.dense.dtype == np.int64 and np.array_equal(g.dense, w.dense)
+        t = vec.take(sampling._setting_gather(tuple(bases.get(q) for q in labels)))
+        probs = np.clip(kernel._transform_each_axis(oracle.WALSH, t).reshape(-1) / t.size,
+                        0.0, None)
+        assert np.array_equal(sampling._outcome_probabilities(vec, labels, bases),
+                              probs / probs.sum())
+        g.__post_init__()  # raises if the drawn record would fail the checks
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True), st.data(), seeds)
+def test_read_words_match_per_word_oracle(labels, data, seed):
+    """The indexed read equals the per-word loop exactly, on any register
+    order and for words with phase -1; a qubit outside the register raises
+    ``ValueError`` in both."""
+    labels = tuple(data.draw(st.permutations(labels)))
+    vec = np.random.default_rng(seed).normal(size=[4] * len(labels))
+    words = tuple(data.draw(st.lists(hermitian_words(labels), max_size=6)))
+    got = _read_words(vec, labels, words)
+    assert type(got) is tuple and all(type(x) is float for x in got)
+    assert got == oracle.read_words(vec, labels, words)
+    outside = words + (PauliString.single(data.draw(st.integers(7, 9)), "Z"),)
+    for read in (_read_words, oracle.read_words):
+        with pytest.raises(ValueError):
+            read(vec, labels, outside)
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SPECS, ids=lambda s: s.name)
+@settings(deadline=None, max_examples=20)
+@given(values=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10))
+def test_witness_result_matches_per_term_oracle(spec, values):
+    """The cached term table gives the value and rows of the per-term sum,
+    bit for bit."""
+    values = tuple(values[:len(spec.terms)])
+    got = runner._witness_result(spec, values)
+    assert (got.value, got.terms) == oracle.witness_result(spec, values)
+
+
+@PROPERTY
+@given(st.sampled_from(BUILTIN_SPECS), st.data(), seeds)
+def test_float_plans_exact_at_2_53(spec, data, seed):
+    """With every histogram total at exactly 2^53, the float64 parity plan
+    and estimator equal the int64 products divided as Python divides ints.
+    A total of 2^53 + 1 is refused."""
+    rng = np.random.default_rng(seed)
+    settings_ = [tuple(s.items()) for s in witness_settings(spec)]
+    dense = []
+    for setting in settings_:
+        cells = 2 ** len(setting)
+        if data.draw(st.booleans()):  # all counts in one cell
+            counts = np.zeros(cells, dtype=np.int64)
+            counts[data.draw(st.integers(0, cells - 1))] = 2 ** 53
+        else:
+            cuts = np.sort(rng.integers(0, 2 ** 53, cells - 1, dtype=np.int64))
+            counts = np.diff(np.concatenate(([0], cuts, [2 ** 53])))
+        dense.append(counts)
+    records = [CountRecord(s, d) for s, d in zip(settings_, dense)]
+    assert all(r.total == 2 ** 53 for r in records)
+    want = float(spec.constant)
+    plan = sampling._witness_plan(spec, tuple(settings_))
+    for r in plan:
+        ints = (r.matrix.astype(np.int64).T @ dense[r.index]).tolist()
+        for j, acc in zip(r.positions, ints):
+            assert sampling.estimate_expectation(
+                records[r.index], spec.terms[j].word.support) == acc / 2 ** 53
+    for t in spec.terms:
+        i = next(r.index for r in plan if spec.terms.index(t) in r.positions)
+        qubits = records[i].qubits
+        mask = sampling._parity_mask(len(qubits), tuple(map(qubits.index, t.word.support)))
+        want -= float(t.coefficient) * t.sign * (int(mask.astype(np.int64) @ dense[i])
+                                                 / 2 ** 53)
+    assert sampling.witness_value_from_counts(records, spec) == want
+    over = [d.copy() for d in dense]
+    over[plan[0].index][0] += 1
+    with pytest.raises(ValueError, match="above 2"):
+        sampling._plan_value(spec, plan, over)
+    with pytest.raises(ValueError, match="above 2"):
+        CountRecord(settings_[plan[0].index], over[plan[0].index])
 
 
 @settings(deadline=None, max_examples=30)
@@ -985,7 +1095,7 @@ json_documents = st.recursive(
 @settings(deadline=None, max_examples=300)
 @given(json_documents)
 def test_json_writer_matches_stdlib_oracle(doc):
-    """The runner's one-pass writer gives the text of ``_sanitize`` then
+    """The runner's one-pass writer gives the text of ``oracle.sanitize`` then
     ``json.dumps(sort_keys=True, indent=2)``, byte for byte."""
     assert runner._json_text(doc) == oracle.json_text(doc)
 
@@ -1040,6 +1150,23 @@ def test_config_dict_equals_asdict(config):
     got["noise"]["visibility"] = 0.25
     assert config.to_dict() == want
     assert config.digest() == digest
+
+
+@PROPERTY
+@given(configs(), st.booleans())
+def test_digest_equals_sanitized_stdlib_hash(config, numpy_values):
+    """The digest writes the config dict directly, numpy values through the
+    ``default`` hook, and equals the hash of the sanitized copy's
+    ``json.dumps``: with numpy integer seeds, trials and sweep points, numpy
+    float counts and targets, and uniform or per-qubit noise."""
+    if numpy_values:
+        config = replace(config, seed=np.int64(config.seed), trials=np.int64(config.trials),
+                         sweep_points=np.int32(config.sweep_points),
+                         counts_per_setting=np.float64(config.counts_per_setting),
+                         target_fidelity=np.float32(config.target_fidelity))
+    d = config.to_dict()
+    blob = json.dumps(oracle.sanitize(d), sort_keys=True)
+    assert runner._digest(d) == config.digest() == hashlib.sha256(blob.encode()).hexdigest()
 
 
 @PROPERTY

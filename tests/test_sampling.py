@@ -96,6 +96,31 @@ class TestSampling:
             sample_setting_counts(logical_basis_states()["+"],
                                   {1: "Z", 2: "Z", 4: "Z", 5: "Z"}, expected_n, seed=1)
 
+    @pytest.mark.parametrize("letter", ["W", "XY", "", "z"])
+    @pytest.mark.parametrize("read", [
+        lambda state, bases: sample_setting_counts(state, bases, 100, seed=1),
+        outcome_probabilities], ids=["sample", "probabilities"])
+    def test_bad_basis_letter_names_the_setting(self, read, letter):
+        """A basis that is not X, Y or Z raises ``ValueError`` naming it and
+        its setting, not ``KeyError`` from the setting's gather."""
+        bases = {1: letter, 2: "Z", 4: "Z", 5: "Z"}
+        label = f"{letter}1 Z2 Z4 Z5"
+        with pytest.raises(ValueError, match=f"bad basis '{letter}' for qubit 1 in setting "
+                                             f"'{label}'"):
+            read(logical_basis_states()["+"], bases)
+
+    @pytest.mark.parametrize("read", [
+        lambda state, bases: sample_setting_counts(state, bases, 100, seed=1),
+        outcome_probabilities], ids=["sample", "probabilities"])
+    def test_basis_outside_the_register_refused(self, read):
+        """A basis for a qubit the state does not hold is refused, not
+        dropped; so is a register qubit without a basis."""
+        state = logical_basis_states()["+"]
+        with pytest.raises(ValueError, match=r"measures qubits \[7\] outside the register"):
+            read(state, {1: "Z", 2: "Z", 4: "Z", 5: "Z", 7: "Z"})
+        with pytest.raises(ValueError, match="no basis given for qubit 5"):
+            read(state, {1: "Z", 2: "Z", 4: "Z"})
+
 
 class TestEstimator:
     def test_even_parity_gives_plus_one(self):
