@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 
 from .kernel import (DensityOperator, Observable, PureState, apply_unitary,
                      expectation, maximally_mixed, overlap, partial_trace,
-                     projective_measure, reorder, tensor_product)
-from .pauli import (CliffordGate, PauliString, conjugate_pauli, conjugate_sequence,
-                    expand_logical, pauli_commutes, pauli_expectations, pauli_multiply)
+                     projective_measure, reorder)
+from .pauli import (PauliString, conjugate_pauli, conjugate_sequence, expand_logical,
+                    pauli_commutes, pauli_expectations, pauli_multiply)
 from .graphs import (BOX, PATH5, RESOURCE, Graph, build_linear_cluster5,
                      build_resource, graph_state, resource_state_expansion,
                      stabilizer_generators)
@@ -25,7 +25,7 @@ from .code import (AncillaState, Diagnosis, LogicalOperators, PROBES,
                    syndrome_operators)
 from .tomography import (ChannelSample, ChiMatrix, LogicalDensityMatrix,
                          average_probe_fidelity, bloch_image, chi_hadamard,
-                         chi_identity, chi_of_unitary, logical_tomography,
+                         chi_identity, logical_tomography,
                          process_fidelity, reconstruct_chi,
                          sphere_average_fidelity, state_fidelity)
 from .witnesses import (WitnessSpec, builtin_witnesses, evaluate_witness,

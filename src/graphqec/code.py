@@ -134,7 +134,7 @@ def _encoding_branches() -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes of |0>_3 |+_L> and |1>_3 |-_L> on qubits (1,2,3,4,5)."""
     basis = logical_basis_states()
     return tuple(
-        kernel.reorder(kernel.tensor_product(PureState.single(ANCILLA, ket), basis[key]),
+        kernel.reorder(PureState((ANCILLA, *CODE_QUBITS), np.kron(ket, basis[key].amplitudes)),
                        (1, 2, 3, 4, 5)).amplitudes
         for ket, key in ((kernel.KET0, "+"), (kernel.KET1, "-")))
 
@@ -196,7 +196,7 @@ def _project_pauli_vector(vec: np.ndarray, labels, qubit: int, basis: str, outco
     Pauli vector ``vec`` on ``labels`` held by its trailing axes: ``post`` is
     (v[..I_q..] + (-1)^s v[..B_q..]) / 2 on the other labels, divided by its
     identity entry p (kept with a size-1 axis per qubit, so it broadcasts).
-    ``ZeroProbabilityError`` below p = 1e-12, as ``kernel._project``."""
+    ``ZeroProbabilityError`` below p = 1e-12, as ``kernel._measure``."""
     axis = vec.ndim - len(labels) + labels.index(qubit)
     post = (vec.take(0, axis) + (-1) ** outcome * vec.take(_LETTER_INDEX[basis], axis)) / 2
     p = post[(..., *[slice(0, 1)] * (len(labels) - 1))]
@@ -458,7 +458,11 @@ def _recover(labels, matrix: np.ndarray, recipe: RecoveryRecipe, forced_outcomes
     """:func:`recover` of a raw density matrix on ``labels``."""
     _check_recipe(labels, recipe)
     if forced_outcomes is not None:
-        forced_outcomes = tuple(kernel._check_outcome(s) for s in forced_outcomes)
+        given = tuple(forced_outcomes) if np.iterable(forced_outcomes) else ()
+        if len(given) != len(recipe.helpers):
+            raise ValueError(f"forced_outcomes must hold {len(recipe.helpers)} outcomes, one "
+                             f"per helper measurement, got {forced_outcomes!r}")
+        forced_outcomes = tuple(kernel._check_outcome(s) for s in given)
     outcomes = []
     for i, (q, basis) in enumerate(recipe.helpers):
         forced = None if forced_outcomes is None else forced_outcomes[i]
@@ -484,8 +488,7 @@ def recover_average(rho, recipe: RecoveryRecipe) -> DensityOperator:
     _check_recipe(rho.labels, recipe)
     vec = kernel._pauli_vector(kernel._raw(rho), len(rho.labels)).reshape(-1)
     b = _recovery_ptm(recipe, rho.labels) @ vec
-    return DensityOperator((recipe.output,),
-                           sum(x * kernel.PAULI[c] for x, c in zip(b, "IXYZ")) / 2)
+    return DensityOperator((recipe.output,), kernel._density_of_pauli_vector(b, 1))
 
 
 @lru_cache(maxsize=128)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -72,9 +72,7 @@ def graph_state(g: Graph) -> PureState:
     labels = tuple(sorted(g.vertices))
     if len(labels) > kernel.MAX_QUBITS:
         raise ValueError(f"graph has {len(labels)} vertices, max {kernel.MAX_QUBITS}")
-    state = PureState.single(labels[0], kernel.PLUS)
-    for q in labels[1:]:
-        state = kernel.tensor_product(state, PureState.single(q, kernel.PLUS))
+    state = PureState(labels, reduce(np.kron, [kernel.PLUS] * len(labels)))
     for a, b in g.edge_list():
         state = kernel.apply_unitary(state, kernel.CZ, (a, b))
     return state

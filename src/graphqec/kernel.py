@@ -11,11 +11,14 @@ Every local operator is applied by one contraction helper, ``_apply_local``:
 it contracts a k-qubit matrix into chosen axes of the ``[2]*n`` amplitude
 tensor (or of the ``[2]*2n`` density tensor) with ``tensordot`` and moves
 the result back into place, so no operator is ever widened to the full
-register. The second primitive, ``_pauli_vector``, serves every Pauli
-expectation: it interleaves each qubit's (row, col) axes of the density
-tensor into one axis of size 4 and applies one constant 4x4 matrix to each
-axis in turn, so n small contractions give tr(rho P) for all 4^n Pauli words
-P at once, and a caller reads as many words as it needs from that vector.
+register. A projective measurement is one such unitary (``_measure``): a
+constant 2x2 matrix whose row s is <v_s| rotates the measured qubit onto
+Z, so both branches are indices of one result. The second primitive,
+``_pauli_vector``, serves every Pauli expectation: it interleaves each
+qubit's (row, col) axes of the density tensor into one axis of size 4 and
+applies one constant 4x4 matrix to each axis in turn, so n small
+contractions give tr(rho P) for all 4^n Pauli words P at once, and a
+caller reads as many words as it needs from that vector.
 Every experiment kind reads its states as Pauli vectors: the resource times
 the noise diagonal, and the encoded states, built as vectors in the first
 place (``code._encoded_vectors``). Witnesses, syndromes, logical tomography
@@ -28,7 +31,8 @@ settings into their outcome probabilities, one butterfly per axis
 (``sampling._probabilities``).
 Loss recovery is a real 4 x 64 Pauli transfer matrix on the index-0 slice
 of the lost qubit's axis (``code._recovery_ptm``), so no kind turns a
-vector back into a density matrix.
+vector back into a density matrix; ``_density_of_pauli_vector`` does that
+for ``sampling.apply_noise``, the noise diagonal, and ``recover_average``.
 
 Validation happens at the boundary. The public constructors
 (``PureState``, ``DensityOperator``, ``Observable``) check their values, and
@@ -40,6 +44,7 @@ never build a checked object, so internal steps chain them directly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,15 +209,11 @@ def _apply_local(tensor: np.ndarray, matrix: np.ndarray, axes) -> np.ndarray:
     return np.moveaxis(out, list(range(k)), list(axes))
 
 
-def _conjugate(tensor: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
-    """U rho U^dagger on a ``[2]*2n`` density tensor; ``axes`` index the rows."""
-    n = tensor.ndim // 2
-    return _apply_local(_apply_local(tensor, u, axes), u.conj(), [n + a for a in axes])
-
-
 # Row P sends one qubit's density entries rho[a, b], flattened as 2a + b, to
-# sum_ab rho[a, b] P[b, a] = tr(rho P); rows in I, X, Y, Z order.
+# sum_ab rho[a, b] P[b, a] = tr(rho P); rows in I, X, Y, Z order. Its inverse
+# sends tr(rho P) back: column P holds the entries P[a, b] / 2.
 _PAULI_TRANSFORM = np.stack([m.T.reshape(-1) for m in (I, X, Y, Z)])
+_PAULI_INVERSE = np.stack([m.reshape(-1) for m in (I, X, Y, Z)], axis=1) / 2
 
 
 def _pauli_vector(raw: np.ndarray, n: int) -> np.ndarray:
@@ -232,6 +233,14 @@ def _pauli_vector(raw: np.ndarray, n: int) -> np.ndarray:
     return t.real
 
 
+def _density_of_pauli_vector(vec: np.ndarray, n: int) -> np.ndarray:
+    """Raw 2^n x 2^n density matrix 2^-n sum_P v_P P of a real ``[4]*n`` Pauli
+    vector: the inverse of :func:`_pauli_vector`."""
+    t = _transform_each_axis(_PAULI_INVERSE, vec.astype(complex))
+    t = t.reshape([2] * (2 * n)).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    return t.reshape(2 ** n, 2 ** n)
+
+
 def _transform_each_axis(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The d x d matrix ``m`` applied along every axis of the ``[d]*n`` tensor
     ``t``: each pass contracts ``m`` into the leading axis and rotates that
@@ -240,11 +249,6 @@ def _transform_each_axis(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     for _ in range(t.ndim):
         out = (m @ out).T.reshape(len(m), -1)
     return out.reshape(t.shape)
-
-
-def _bra(tensor: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:
-    """Contract <v| into one axis of a tensor, removing that axis."""
-    return np.tensordot(v.conj(), tensor, axes=([0], [axis]))
 
 
 def _raw(state: PureState | DensityOperator) -> np.ndarray:
@@ -263,15 +267,8 @@ def _unitary(raw: np.ndarray, labels, u: np.ndarray, targets) -> np.ndarray:
     axes = _axes(labels, targets)
     if raw.ndim == 1:
         return _apply_local(raw.reshape([2] * n), u, axes).reshape(-1)
-    return _conjugate(raw.reshape([2] * (2 * n)), u, axes).reshape(2 ** n, 2 ** n)
-
-
-def tensor_product(a: PureState, b: PureState) -> PureState:
-    """Kronecker product of two registers; label sets must be disjoint."""
-    clash = set(a.labels) & set(b.labels)
-    if clash:
-        raise ValueError(f"label collision in tensor product: {sorted(clash)}")
-    return PureState(a.labels + b.labels, np.kron(a.amplitudes, b.amplitudes))
+    t = _apply_local(raw.reshape([2] * (2 * n)), u, axes)
+    return _apply_local(t, u.conj(), [n + a for a in axes]).reshape(2 ** n, 2 ** n)
 
 
 def reorder(state: PureState | DensityOperator, new_labels) -> PureState | DensityOperator:
@@ -347,42 +344,35 @@ class ZeroProbabilityError(ValueError):
     """A forced measurement branch has probability below 1e-12."""
 
 
-def _branch(raw: np.ndarray, labels, qubit: int, basis: str, outcome: int):
-    """(p, unnormalized branch) of one outcome on ``qubit``, which is
-    removed: <v_s|psi> for a raw state vector, <v_s|rho|v_s> for a density
-    matrix."""
-    n, i = len(labels), labels.index(qubit)
-    v = BASIS_VECTORS[basis][outcome]
-    if raw.ndim == 1:
-        vec = _bra(raw.reshape([2] * n), v, i).reshape(-1)
-        return float(np.vdot(vec, vec).real), vec
-    t = _bra(raw.reshape([2] * (2 * n)), v, i)
-    mat = _bra(t, v.conj(), n - 1 + i).reshape(2 ** (n - 1), 2 ** (n - 1))
-    return float(np.trace(mat).real), mat
-
-
-def _project(raw: np.ndarray, labels, qubit: int, basis: str, outcome: int):
-    """Forced branch ``(p, post, post_labels)`` of a raw density matrix or
-    state vector, with ``qubit`` removed and ``post`` normalized; a state
-    vector stays a vector. ``ZeroProbabilityError`` below p = 1e-12."""
-    p, branch = _branch(raw, labels, qubit, basis, outcome)
-    if p < 1e-12:
-        raise ZeroProbabilityError(f"cannot take zero-probability branch {outcome} (p = {p})")
-    norm = math.sqrt(p) if raw.ndim == 1 else p
-    return p, branch / norm, tuple(q for q in labels if q != qubit)
+# Row s is <v_s| for the basis's eigenvector v_s: the unitary that rotates a
+# measured qubit onto Z, so that outcome s is index s on its axis.
+_ONTO_Z = {basis: np.stack([v.conj() for v in vs]) for basis, vs in BASIS_VECTORS.items()}
 
 
 def _measure(raw: np.ndarray, labels, qubit: int, basis: str, forced_outcome: int | None,
              rng: np.random.Generator | None):
-    """Raw :func:`projective_measure`: ``(outcome, p, post, post_labels)``."""
+    """Raw :func:`projective_measure`: ``(outcome, p, post, post_labels)``.
+
+    One contraction rotates ``qubit`` onto Z; branch s is then index s on
+    its axis of a state vector, <v_s|psi>, or on its row and column axes of
+    a density matrix, <v_s|rho|v_s>. ``post`` is that branch normalized,
+    with ``qubit`` removed; a state vector stays a vector.
+    ``ZeroProbabilityError`` if the branch taken has p below 1e-12."""
+    n, i, d = len(labels), labels.index(qubit), raw.ndim
+    rotated = _unitary(raw, labels, _ONTO_Z[basis], (qubit,)).reshape([2] * (d * n))
+    rotated = np.moveaxis(rotated, (i, n + i)[:d], range(d))
+    branches = [rotated[(s,) * d].reshape((2 ** (n - 1),) * d) for s in (0, 1)]
+    probs = [float((np.vdot(b, b) if d == 1 else np.trace(b)).real) for b in branches]
     if forced_outcome is None:
-        p0, _ = _branch(raw, labels, qubit, basis, 0)
-        p1, _ = _branch(raw, labels, qubit, basis, 1)
         rng = rng if rng is not None else np.random.default_rng()
-        outcome = 0 if rng.random() < p0 / (p0 + p1) else 1
+        outcome = 0 if rng.random() < probs[0] / (probs[0] + probs[1]) else 1
     else:
         outcome = forced_outcome
-    return (outcome, *_project(raw, labels, qubit, basis, outcome))
+    p = probs[outcome]
+    if p < 1e-12:
+        raise ZeroProbabilityError(f"cannot take zero-probability branch {outcome} (p = {p})")
+    post = branches[outcome] / (math.sqrt(p) if d == 1 else p)
+    return outcome, p, post, tuple(q for q in labels if q != qubit)
 
 
 def _check_basis(basis: str):
@@ -391,8 +381,8 @@ def _check_basis(basis: str):
 
 
 def _check_outcome(outcome) -> int:
-    if int(outcome) not in (0, 1):
-        raise ValueError(f"forced_outcome must be 0 or 1, got {outcome}")
+    if not isinstance(outcome, numbers.Integral) or outcome not in (0, 1):
+        raise ValueError(f"forced_outcome must be 0 or 1, got {outcome!r}")
     return int(outcome)
 
 

@@ -478,24 +478,34 @@ def _svg_grid_disc() -> tuple[str, ...]:
 # Experiment kinds
 # ---------------------------------------------------------------------------
 
+@cache
+def _ideal_vector(key: str) -> np.ndarray:
+    """Read-only Pauli vector of an ideal state the kinds read as a target:
+    the resource on qubits 1-5 (``"resource"``), or the logical basis state
+    ``key`` on ``CODE_QUBITS``."""
+    state = build_resource() if key == "resource" else logical_basis_states()[key]
+    out = kernel._pauli_vector(state.amplitudes, state.num_qubits)
+    out.setflags(write=False)
+    return out
+
+
 def _run_resource_witness(cfg: ExperimentConfig):
     """Every value is read off the resource's Pauli vector times the noise
     diagonal, the box witness after the ancilla's Z projection of it."""
-    ideal = build_resource()
-    vec = kernel._pauli_vector(ideal.amplitudes, ideal.num_qubits)
-    rho = vec * sampling._noise_factors(ideal.labels, cfg.noise)
+    labels = build_resource().labels
+    vec = _ideal_vector("resource")
+    rho = vec * sampling._noise_factors(labels, cfg.noise)
     gens = stabilizer_generators(RESOURCE)
-    block, exact, records = _witness_block(rho, ideal.labels, resource_witness(),
+    block, exact, records = _witness_block(rho, labels, resource_witness(),
                                            cfg.counts_per_setting, cfg.trials, cfg.seed, 100)
     summary = {
         "resource5": block,
         "state_fidelity": _vector_fidelity(rho, vec),
-        "stabilizer_expectations": dict(zip(map(str, gens), _read_words(rho, ideal.labels,
-                                                                        gens))),
+        "stabilizer_expectations": dict(zip(map(str, gens), _read_words(rho, labels, gens))),
     }
     # persistency check: remove the ancilla with a Z measurement, then the
     # box witness on the remaining code qubits
-    _, rho_box = _project_pauli_vector(rho, ideal.labels, ANCILLA, "Z", 0)
+    _, rho_box = _project_pauli_vector(rho, labels, ANCILLA, "Z", 0)
     box_block, box_exact, box_records = _witness_block(rho_box, CODE_QUBITS, box_witness(),
                                                        cfg.counts_per_setting,
                                                        cfg.trials, cfg.seed, 200)
@@ -534,14 +544,13 @@ def _in_frame(vec: np.ndarray, frame) -> np.ndarray:
 def _run_encode_tomography(cfg: ExperimentConfig):
     """Logical tomography, fidelity and witnesses of each encoded probe, exact
     and sampled, all read off the probes' Pauli vectors from one batch."""
-    basis = logical_basis_states()
     summary = {"probes": {}}
     matrix_rows = [("probe", "entry", "re", "im")]
     vectors = _probe_vectors(cfg.probes, cfg.noise, cfg.byproduct)
     for idx, (probe, vec) in enumerate(vectors.items()):
         ldm = _logical_of_vector(vec, CODE_QUBITS)
         target_key = PROBE_TARGETS[probe]
-        target = kernel._pauli_vector(basis[target_key].amplitudes, len(CODE_QUBITS))
+        target = _ideal_vector(target_key)
         ideal_logical = kernel.H @ PROBES[probe].vector  # the input, in the Hadamard basis
         entry = {
             "target": target_key,
@@ -702,15 +711,15 @@ def _run_noise_sweep(cfg: ExperimentConfig):
     and v*, is its Pauli vector times the noise diagonal, and the encoded
     probes are Pauli vectors: every fidelity and witness is read off them.
     """
-    ideal5 = build_resource()
-    vec5 = kernel._pauli_vector(ideal5.amplitudes, ideal5.num_qubits)
+    labels5 = build_resource().labels
+    vec5 = _ideal_vector("resource")
     spec = resource_witness()
-    plus = kernel._pauli_vector(logical_basis_states()["+"].amplitudes, len(CODE_QUBITS))
+    plus = _ideal_vector("+")
     ends = []  # (encoded |0> fidelity, resource witness, resource fidelity)
     for noise in (replace(cfg.noise, visibility=v) for v in (0.0, 1.0)):
-        rho5 = vec5 * sampling._noise_factors(ideal5.labels, noise)
+        rho5 = vec5 * sampling._noise_factors(labels5, noise)
         ends.append((_vector_fidelity(_probe_vectors(("0",), noise, "condition0")["0"], plus),
-                     _exact_witness(rho5, ideal5.labels, spec).value,
+                     _exact_witness(rho5, labels5, spec).value,
                      _vector_fidelity(rho5, vec5)))
     rows = [("visibility", "encoded0_fidelity", "resource_witness",
              "fidelity_lower_bound", "resource_fidelity", "bound_holds")]
@@ -722,8 +731,8 @@ def _run_noise_sweep(cfg: ExperimentConfig):
 
     v_star = _calibrated_visibility(ends[0][0], ends[1][0], cfg.target_fidelity)
     model = replace(cfg.noise, visibility=v_star)
-    rho5 = vec5 * sampling._noise_factors(ideal5.labels, model)
-    wit_star = _exact_witness(rho5, ideal5.labels, spec).value
+    rho5 = vec5 * sampling._noise_factors(labels5, model)
+    wit_star = _exact_witness(rho5, labels5, spec).value
     witness_values = {"resource5": wit_star}
     encoded = _probe_vectors(("0", "+", "+y"), model, "condition0")
     for probe, vec in encoded.items():

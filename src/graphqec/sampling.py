@@ -102,21 +102,17 @@ class NoiseModel:
 
     Depolarizing p sends rho to (1 - 3p/4) rho + (p/4)(X rho X + Y rho Y +
     Z rho Z), so a |0> qubit keeps <Z> = 1 - p. Dephasing q sends rho to
-    (1 - q) rho + q Z rho Z. Both are applied in closed form on the qubit's
-    2x2 block structure (rho_ab is the block with row bit a, column bit b):
+    (1 - q) rho + q Z rho Z. White noise mixes the result with the maximally
+    mixed state: rho -> v rho + (1 - v) I / 2^n.
 
-    - depolarizing: rho -> (1 - p) rho + p Tr_q(rho) (x) I/2, i.e. the
-      off-diagonal blocks scale by 1 - p and each diagonal block becomes
-      (1 - p) rho_aa + (p/2)(rho_00 + rho_11);
-    - dephasing: the off-diagonal blocks rho_01, rho_10 scale by 1 - 2q.
-
-    On the Pauli vector v_P = tr(rho P) (``kernel._pauli_vector``) the whole
-    model is a diagonal: each qubit scales its X and Y components by
-    (1 - p)(1 - 2q) and its Z component by 1 - p, and white noise scales
-    every component but the identity by the visibility v. So the noisy
-    vector is v_P times the product of the per-qubit factors of P's letters,
-    for every word P but I...I, whose entry (the trace) is kept
-    (:func:`_noise_factors`).
+    The model is defined by its diagonal on the Pauli vector
+    v_P = tr(rho P) (``kernel._pauli_vector``): each qubit scales its X and
+    Y components by (1 - p)(1 - 2q) and its Z component by 1 - p, and white
+    noise scales every component but the identity by the visibility v. So
+    the noisy vector is v_P times the product of the per-qubit factors of
+    P's letters, for every word P but I...I, whose entry (the trace) is kept
+    (:func:`_noise_factors`). Every experiment kind and :func:`apply_noise`
+    apply it in this one form.
 
     ``stage`` says where the runner applies the model: to the five-qubit
     resource or to the encoded four-qubit state.
@@ -145,30 +141,15 @@ class NoiseModel:
 
 def apply_noise(state, model: NoiseModel) -> DensityOperator:
     """Depolarize/dephase each qubit, then mix with the maximally mixed
-    state: rho -> v rho' + (1 - v) I / 2^n. Trace is preserved exactly."""
+    state: the Pauli vector times :func:`_noise_factors`, turned back into a
+    density matrix. Trace is preserved exactly."""
     n = state.num_qubits
-    t = np.array(kernel._density_matrix(kernel._raw(state))).reshape([2] * (2 * n))
-    for i, q in enumerate(state.labels):
-        p, dq = model.depolarizing_for(q), model.dephasing_for(q)
-        blocks = np.moveaxis(t, (i, n + i), (0, 1))  # view: blocks[a, b] = rho_ab
-        if p > 0:
-            mixed = p / 2 * (blocks[0, 0] + blocks[1, 1])
-            blocks *= 1 - p
-            blocks[0, 0] += mixed
-            blocks[1, 1] += mixed
-        if dq > 0:
-            blocks[0, 1] *= 1 - 2 * dq
-            blocks[1, 0] *= 1 - 2 * dq
-    dim = 2 ** n
-    rho = t.reshape(dim, dim)
-    v = model.visibility
-    if v < 1:
-        rho = v * rho + (1 - v) * np.eye(dim) / dim
-    return DensityOperator(state.labels, rho)
+    vec = kernel._pauli_vector(kernel._raw(state), n) * _noise_factors(state.labels, model)
+    return DensityOperator(state.labels, kernel._density_of_pauli_vector(vec, n))
 
 
 def _noise_factors(labels, model: NoiseModel) -> np.ndarray:
-    """Real ``[4]*n`` diagonal of :func:`apply_noise` on the Pauli vector of a
+    """Real ``[4]*n`` diagonal of the noise model on the Pauli vector of a
     state on ``labels`` (see :class:`NoiseModel`): the outer product of each
     qubit's (1, (1 - p)(1 - 2q), (1 - p)(1 - 2q), 1 - p), times the
     visibility everywhere but the all-identity entry, which is 1. Multiplying

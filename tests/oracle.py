@@ -103,6 +103,14 @@ def embed_operator(matrix, op_labels, register_labels) -> np.ndarray:
     return t.reshape(2 ** n, 2 ** n)
 
 
+def tensor_product(a: PureState, b: PureState) -> PureState:
+    """Kronecker product of two registers; label sets must be disjoint."""
+    clash = set(a.labels) & set(b.labels)
+    if clash:
+        raise ValueError(f"label collision in tensor product: {sorted(clash)}")
+    return PureState(a.labels + b.labels, np.kron(a.amplitudes, b.amplitudes))
+
+
 def conjugate(rho, labels, u, targets) -> np.ndarray:
     full = embed_operator(u, targets, labels)
     return full @ rho @ full.conj().T
@@ -267,8 +275,8 @@ PUBLISHED_ASSIGNMENTS = {
 
 def _project_out(amps, labels, qubit, basis, outcome):
     """Unnormalized projection <v_s|_qubit psi, qubit removed."""
-    t = kernel._bra(amps.reshape([2] * len(labels)), kernel.BASIS_VECTORS[basis][outcome],
-                    labels.index(qubit))
+    v = kernel.BASIS_VECTORS[basis][outcome]
+    t = np.tensordot(v.conj(), amps.reshape([2] * len(labels)), axes=([0], [labels.index(qubit)]))
     return t.reshape(-1), [q for q in labels if q != qubit]
 
 
@@ -442,10 +450,10 @@ def encoding_input_state(a) -> PureState:
     """alpha |0>_3 |+_L> + beta |1>_3 |-_L>, rebuilt from the logical basis."""
     basis = logical_basis_states()
     z3_plus = kernel.reorder(
-        kernel.tensor_product(PureState.single(ANCILLA, kernel.KET0), basis["+"]),
+        tensor_product(PureState.single(ANCILLA, kernel.KET0), basis["+"]),
         (1, 2, 3, 4, 5))
     o3_minus = kernel.reorder(
-        kernel.tensor_product(PureState.single(ANCILLA, kernel.KET1), basis["-"]),
+        tensor_product(PureState.single(ANCILLA, kernel.KET1), basis["-"]),
         (1, 2, 3, 4, 5))
     amps = a.alpha * z3_plus.amplitudes + a.beta * o3_minus.amplitudes
     return PureState((1, 2, 3, 4, 5), amps)
@@ -457,7 +465,7 @@ def encoded_state(probe, noise, byproduct="condition0") -> DensityOperator:
     ``AncillaState`` input."""
     state = encoding_input_state(PROBES[probe] if isinstance(probe, str) else probe)
     if noise.stage == "post-resource":
-        state = sampling.apply_noise(state, noise)
+        state = _kraus_noise(state, noise)
     xbar = logical_ops().xbar
     branches = []
     for s3 in (0,) if byproduct == "condition0" else (0, 1):
@@ -465,11 +473,17 @@ def encoded_state(probe, noise, byproduct="condition0") -> DensityOperator:
         if s3 and byproduct == "correct":
             post = kernel.apply_unitary(post, xbar.dense(xbar.support), xbar.support)
         if noise.stage == "post-encoding":
-            post = sampling.apply_noise(post, noise)
+            post = _kraus_noise(post, noise)
         branches.append((p, post))
     if len(branches) == 1:
         return branches[0][1]
     return DensityOperator(CODE_QUBITS, sum(p * b.matrix for p, b in branches))
+
+
+def _kraus_noise(state, noise) -> DensityOperator:
+    """The checked state after :func:`apply_noise`, the Kraus form."""
+    rho = state.density().matrix if isinstance(state, PureState) else state.matrix
+    return DensityOperator(state.labels, apply_noise(rho, state.labels, noise))
 
 
 def injected_pauli_vector(raw, labels, letter, qubit) -> np.ndarray:

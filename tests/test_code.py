@@ -413,6 +413,44 @@ class TestDecodeNoLoss:
             decode_no_loss(lose_qubit(state, 4))
 
 
+class TestForcedOutcomes:
+    """Forced measurement outcomes are integral 0 or 1, exactly one per
+    measurement, or the call raises a ValueError that names them."""
+
+    BAD = (0.7, 1.0, "1", 2, -1)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_encode(self, bad):
+        with pytest.raises(ValueError, match="forced_outcome must be 0 or 1"):
+            encode(PROBES["+"], forced_s3=bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_recover_and_decode_values(self, bad):
+        state = encoded((0.6, 0.8))
+        for forced in ((0, bad), (bad, 1)):
+            with pytest.raises(ValueError, match="forced_outcome must be 0 or 1"):
+                recover(lose_qubit(state, 2), recovery_recipe(2), forced_outcomes=forced)
+            with pytest.raises(ValueError, match="forced_outcome must be 0 or 1"):
+                decode_no_loss(state, forced_outcomes=forced)
+
+    @pytest.mark.parametrize("forced", ((0,), (0, 1, 1), (), 1, "01x"))
+    def test_recover_and_decode_count(self, forced):
+        state = encoded((0.6, 0.8))
+        with pytest.raises(ValueError, match="forced_outcomes must hold 2 outcomes"):
+            recover(lose_qubit(state, 5), recovery_recipe(5), forced_outcomes=forced)
+        with pytest.raises(ValueError, match="forced_outcomes must hold 2 outcomes"):
+            decode_no_loss(state, forced_outcomes=forced)
+
+    def test_integral_outcomes_accepted(self):
+        state = encoded((0.6, 0.8))
+        assert encode(PROBES["+"], forced_s3=np.int64(1))[0] == 1
+        want = recover(lose_qubit(state, 1), recovery_recipe(1), forced_outcomes=(1, 0))
+        got = recover(lose_qubit(state, 1), recovery_recipe(1),
+                      forced_outcomes=np.array([1, 0]))
+        assert got[0] == want[0] == (1, 0)
+        assert np.array_equal(got[1].matrix, want[1].matrix)
+
+
 class TestCheckedOnce:
     """Each pipeline call validates one result: internal steps run on raw
     arrays and build no checked DensityOperator, a sampled setting is

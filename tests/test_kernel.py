@@ -6,8 +6,8 @@ import pytest
 from graphqec import kernel
 from graphqec.kernel import (DensityOperator, Observable, PureState, apply_unitary,
                              expectation, maximally_mixed, overlap, partial_trace,
-                             projective_measure, reorder, tensor_product)
-from oracle import states_equal
+                             projective_measure, reorder)
+from oracle import states_equal, tensor_product
 
 RT2 = math.sqrt(2)
 
@@ -193,6 +193,36 @@ class TestProjectiveMeasure:
         state = tensor_product(PureState.single(1, kernel.KET0), PureState.single(2, kernel.PLUS))
         with pytest.raises(ValueError, match="zero-probability"):
             projective_measure(state, 1, "Z", forced_outcome=1)
+
+    @pytest.mark.parametrize("basis", "XYZ")
+    @pytest.mark.parametrize("outcome", (0, 1))
+    @pytest.mark.parametrize("mixed", (False, True))
+    def test_zero_probability_branch_in_each_basis(self, basis, outcome, mixed):
+        """Qubit 2 is the eigenvector of the other outcome: forcing this one
+        raises, and an unforced draw always takes the other."""
+        rng = np.random.default_rng(5)
+        state = tensor_product(tensor_product(
+            random_state((1,), rng), PureState.single(2, kernel.BASIS_VECTORS[basis][1 - outcome])),
+            random_state((3,), rng))
+        if mixed:
+            state = state.density()
+        with pytest.raises(kernel.ZeroProbabilityError, match="zero-probability"):
+            projective_measure(state, 2, basis, forced_outcome=outcome)
+        for seed in range(4):
+            s, p, post = projective_measure(state, 2, basis, rng=np.random.default_rng(seed))
+            assert s == 1 - outcome and abs(p - 1) < 1e-12 and post.labels == (1, 3)
+
+    @pytest.mark.parametrize("bad", (0.7, 1.0, "1", 2, -1, np.float64(0.0)))
+    def test_forced_outcome_must_be_integral_0_or_1(self, bad):
+        state = tensor_product(PureState.single(1, kernel.PLUS), PureState.single(2, kernel.KET0))
+        with pytest.raises(ValueError, match="forced_outcome must be 0 or 1"):
+            projective_measure(state, 1, "Z", forced_outcome=bad)
+
+    def test_integral_forced_outcomes_accepted(self):
+        state = tensor_product(PureState.single(1, kernel.PLUS), PureState.single(2, kernel.KET0))
+        for good, want in ((np.int64(1), 1), (True, 1), (np.uint8(0), 0)):
+            s, _, _ = projective_measure(state, 1, "Z", forced_outcome=good)
+            assert s == want and type(s) is int
 
     def test_sampled_outcome_matches_forced_branch(self):
         rng = np.random.default_rng(9)

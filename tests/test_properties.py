@@ -12,7 +12,10 @@ against the chi-matrix sums and 16x16 solve it replaced. The encode and
 loss-recovery channels under random per-qubit noise must come out CPTP,
 and count records must survive the CSV round trip. Pauli expectations read from one Pauli vector must
 equal ``kernel.expectation`` term by term and rebuild the density matrix,
-and outcome probabilities must transform back into them; every witness's
+and outcome probabilities must transform back into them; the kernel's
+inverse transform must rebuild the state from its Pauli vector. A sampled
+measurement must return the forced branch of the outcome it drew, bit for
+bit; every witness's
 fidelity bound must hold on arbitrary states, not only on white noise, and
 loss recovery must return Haar-random inputs on every branch and on
 average. A single-qubit Pauli error applied to the Pauli vector as a sign
@@ -21,7 +24,7 @@ must hold on Haar-random encoded inputs under weak noise, and the syndrome
 table must equal its dense oracle row for row. The Pauli-domain encoder
 must give the Pauli vectors of the checked oracle's encoded states for
 probes and Haar-random inputs, the noise model's Pauli diagonal must equal
-the dense noise, the encoder's linear map composed with the logical
+the Kraus noise, the encoder's linear map composed with the logical
 read-out, or with the index-0 trace and the recovery Kraus stack, must give
 the runner's encode-channel and loss-recovery PTMs, and the probe witnesses
 and fidelities read off the vectors must equal those of the dense states;
@@ -237,6 +240,18 @@ def test_pauli_vector_rebuilds_density(labels, data):
                                rtol=0, atol=ATOL)
 
 
+@PROPERTY
+@given(states(max_qubits=6))
+def test_density_of_pauli_vector_inverts_pauli_vector(state):
+    """The kernel's inverse transform rebuilds the state from its Pauli
+    vector, and agrees with the oracle's own copy of the inverse."""
+    n = state.num_qubits
+    vec = kernel._pauli_vector(kernel._raw(state), n)
+    got = kernel._density_of_pauli_vector(vec, n)
+    np.testing.assert_allclose(got, dense(state), rtol=0, atol=ATOL)
+    np.testing.assert_allclose(got, oracle.from_pauli_vector(vec, n), rtol=0, atol=ATOL)
+
+
 def _witness_targets():
     basis = logical_basis_states()
     return {"resource5": (resource_witness(), build_resource()),
@@ -281,6 +296,26 @@ def test_projective_measure_matches_oracle(state, data):
     assert s == outcome and abs(p - p_want) < ATOL
     assert post.labels == tuple(q for q in state.labels if q != qubit)
     np.testing.assert_allclose(dense(post), post_want, rtol=0, atol=ATOL)
+
+
+@PROPERTY
+@given(states(min_qubits=2), st.data(), seeds)
+def test_sampled_measurement_matches_forced_branch(state, data, seed):
+    """An unforced measurement draws outcome 0 when the generator's first
+    uniform falls below p0, and returns the forced call's (p, post) for the
+    outcome drawn, bit for bit; p matches the oracle."""
+    qubit = data.draw(st.sampled_from(state.labels))
+    basis = data.draw(st.sampled_from("XYZ"))
+    s, p, post = kernel.projective_measure(state, qubit, basis, rng=np.random.default_rng(seed))
+    _, p_forced, post_forced = kernel.projective_measure(state, qubit, basis, forced_outcome=s)
+    assert p == p_forced and type(post) is type(post_forced) is type(state)
+    assert post.labels == post_forced.labels
+    assert np.array_equal(kernel._raw(post), kernel._raw(post_forced))
+    p0, _ = oracle.projective_measure(dense(state), state.labels, qubit, basis, 0)
+    assert abs(p - (p0 if s == 0 else 1 - p0)) < ATOL
+    u = np.random.default_rng(seed).random()
+    if abs(u - p0) > 1e-9:
+        assert s == (0 if u < p0 else 1)
 
 
 @PROPERTY
@@ -685,8 +720,8 @@ def test_encoded_vectors_match_checked_oracle(stage, byproduct, inputs, data):
 @PROPERTY
 @given(states(max_qubits=6), st.data())
 def test_noise_factors_match_dense_noise(state, data):
-    """The noise model as a diagonal on the Pauli vector equals the dense
-    closed form and the Kraus oracle, each turned into a Pauli vector."""
+    """The noise model as a diagonal on the Pauli vector equals
+    ``apply_noise`` and the Kraus oracle, each turned into a Pauli vector."""
     model = data.draw(noise_maps(state.labels))
     raw, n = kernel._raw(state), state.num_qubits
     got = kernel._pauli_vector(raw, n) * sampling._noise_factors(state.labels, model)

@@ -168,10 +168,14 @@ class TestExperiments:
     def test_sampled_kinds_read_pauli_vectors(self, monkeypatch, kind, vectors):
         """The resource-reading and sampled kinds turn only their pure
         references into Pauli vectors: the ideal resource, or each probe's
-        logical target, and the |+_L> of the sweep. The noisy states, the
-        ancilla projection and the Zbar frame stay in the Pauli domain."""
+        logical target, and the |+_L> of the sweep, each once per process.
+        The noisy states, the ancilla projection and the Zbar frame stay in
+        the Pauli domain."""
+        runner._ideal_vector.cache_clear()
         calls = self.count_kernel_calls(monkeypatch, ("_pauli_vector", "_unitary"))
         noise = NoiseModel(depolarizing=0.05, visibility=0.8)
+        run_experiment(ExperimentConfig(kind, noise, trials=100))
+        assert calls == {"_pauli_vector": vectors, "_unitary": 0}
         run_experiment(ExperimentConfig(kind, noise, trials=100))
         assert calls == {"_pauli_vector": vectors, "_unitary": 0}
 
