@@ -61,8 +61,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("build-resource", help="resource-state self check")
-    p.add_argument("--graph", help="JSON graph literal {vertices, edges}: report its "
-                                   "graph state's stabilizer expectations instead")
+    p.add_argument("--graph", metavar="FILE",
+                   help="path of a JSON file holding a graph literal {vertices, edges}: "
+                        "report its graph state's stabilizer expectations instead")
 
     for cmd, help_text in [
         ("witness", "resource witness with Monte Carlo error bars"),

@@ -8,7 +8,6 @@ attached to every code qubit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache, reduce
 
@@ -56,10 +55,8 @@ class Graph:
 
 
 def _vertex(v) -> int:
-    """``v`` as an int, if it is an integer and not a bool."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise ValueError(f"vertex {v!r} is not an integer")
-    return int(v)
+    """``v`` as an int, by the kernel's rule for qubit labels."""
+    return kernel._integral(v, "vertex")
 
 
 PATH5 = Graph.from_edges(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5)])

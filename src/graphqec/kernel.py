@@ -9,11 +9,15 @@ states can be shared freely between threads.
 
 Every local operator is applied by one contraction helper, ``_apply_local``:
 it contracts a k-qubit matrix into chosen axes of the ``[2]*n`` amplitude
-tensor (or of the ``[2]*2n`` density tensor) with ``tensordot`` and moves
-the result back into place, so no operator is ever widened to the full
-register. A projective measurement is one such unitary (``_measure``): a
-constant 2x2 matrix whose row s is <v_s| rotates the measured qubit onto
-Z, so both branches are indices of one result. The second primitive,
+tensor (or of the ``[2]*2n`` density tensor) with the ``np.dot`` of
+``tensordot``, under a cached axis plan: one transpose brings the target
+axes to the front, one ``dot`` of the 2^k x 2^k matrix with the
+2^k-row view of the tensor does the arithmetic, with operands laid out as
+``tensordot`` lays them out, so every bit is the same, and one transpose
+puts the axes back. No operator is ever widened to the full register. A
+projective measurement is one such unitary (``_measure``): a constant 2x2
+matrix whose row s is <v_s| rotates the measured qubit onto Z, so branch s
+is index s on that qubit's axis. The second primitive,
 ``_pauli_vector``, serves every Pauli expectation: it interleaves each
 qubit's (row, col) axes of the density tensor into one axis of size 4 and
 applies one constant 4x4 matrix to each axis in turn, so n small
@@ -46,6 +50,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -93,8 +98,16 @@ def _as_complex(a) -> np.ndarray:
     return arr
 
 
+def _integral(q, what: str = "qubit label") -> int:
+    """``q`` as an int, if it is integral and not a bool; ``ValueError``
+    naming it otherwise, so 1.5, True and "1" are never read as labels."""
+    if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+        raise ValueError(f"{what} {q!r} is not an integer")
+    return int(q)
+
+
 def _check_labels(labels) -> tuple[int, ...]:
-    labels = tuple(int(q) for q in labels)
+    labels = tuple(q if type(q) is int else _integral(q) for q in labels)
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate qubit labels: {labels}")
     if not 1 <= len(labels) <= MAX_QUBITS:
@@ -204,9 +217,20 @@ def _apply_local(tensor: np.ndarray, matrix: np.ndarray, axes) -> np.ndarray:
     keeps the tensor's axis order.
     """
     k = len(axes)
-    m = np.asarray(matrix).reshape([2] * (2 * k))
-    out = np.tensordot(m, tensor, axes=(list(range(k, 2 * k)), list(axes)))
-    return np.moveaxis(out, list(range(k)), list(axes))
+    front, back = _axis_plan(tensor.ndim, tuple(axes))
+    # Through the [2]*2k shape, as in tensordot, so that a matrix that is not
+    # C-ordered reaches dot in the same layout there.
+    m = np.asarray(matrix).reshape([2] * (2 * k)).reshape(2 ** k, 2 ** k)
+    out = np.dot(m, tensor.transpose(front).reshape(2 ** k, -1))
+    return out.reshape(tensor.shape).transpose(back)
+
+
+@cache
+def _axis_plan(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``front`` puts ``axes`` first, in order, and the other axes after them
+    in theirs; ``back`` is its inverse."""
+    front = axes + tuple(a for a in range(ndim) if a not in axes)
+    return front, tuple(sorted(range(ndim), key=front.__getitem__))
 
 
 # Row P sends one qubit's density entries rho[a, b], flattened as 2a + b, to
@@ -353,16 +377,20 @@ def _measure(raw: np.ndarray, labels, qubit: int, basis: str, forced_outcome: in
              rng: np.random.Generator | None):
     """Raw :func:`projective_measure`: ``(outcome, p, post, post_labels)``.
 
-    One contraction rotates ``qubit`` onto Z; branch s is then index s on
-    its axis of a state vector, <v_s|psi>, or on its row and column axes of
-    a density matrix, <v_s|rho|v_s>. ``post`` is that branch normalized,
-    with ``qubit`` removed; a state vector stays a vector.
+    One ``_apply_local`` contraction rotates ``qubit`` onto Z; branch s is
+    then a tuple index, s on its axis of a state vector, <v_s|psi>, or on
+    its row and column axes of a density matrix, <v_s|rho|v_s>. A forced
+    outcome reads and weighs only its own branch; a drawn one weighs both.
+    ``post`` is the branch taken, normalized, with ``qubit`` removed; a
+    state vector stays a vector.
     ``ZeroProbabilityError`` if the branch taken has p below 1e-12."""
     n, i, d = len(labels), labels.index(qubit), raw.ndim
     rotated = _unitary(raw, labels, _ONTO_Z[basis], (qubit,)).reshape([2] * (d * n))
-    rotated = np.moveaxis(rotated, (i, n + i)[:d], range(d))
-    branches = [rotated[(s,) * d].reshape((2 ** (n - 1),) * d) for s in (0, 1)]
-    probs = [float((np.vdot(b, b) if d == 1 else np.trace(b)).real) for b in branches]
+    branches, probs = {}, {}
+    for s in (0, 1) if forced_outcome is None else (forced_outcome,):
+        index = ((slice(None),) * i + (s,) + (slice(None),) * (n - 1 - i)) * d
+        b = branches[s] = rotated[index].reshape((2 ** (n - 1),) * d)
+        probs[s] = float((np.vdot(b, b) if d == 1 else np.trace(b)).real)
     if forced_outcome is None:
         rng = rng if rng is not None else np.random.default_rng()
         outcome = 0 if rng.random() < probs[0] / (probs[0] + probs[1]) else 1

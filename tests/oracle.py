@@ -15,7 +15,10 @@ branch by branch from the logical basis, the visibility calibration by
 bisection, and the box graph as the unique graph on {1,2,4,5} that gives
 the printed syndrome factorizations. Local complementation, which the
 package does not need, is kept here with its local Clifford unitary, and
-pure states are compared up to a global phase. The encoding and loss-recovery
+pure states are compared up to a global phase. The kernel's contraction is
+kept as it was first written, ``tensordot`` then ``moveaxis``
+(``apply_local``), where the package calls tensordot's own ``dot`` under a
+cached axis plan; the two must agree bit for bit. The encoding and loss-recovery
 pipeline is also kept step by step through the checked public kernel
 functions, so every intermediate state is validated; the package builds the
 encoded states as Pauli vectors and runs loss recovery as a transfer matrix
@@ -101,6 +104,19 @@ def embed_operator(matrix, op_labels, register_labels) -> np.ndarray:
     perm = [cur.index(q) for q in register_labels]
     t = np.transpose(full.reshape([2] * (2 * n)), perm + [n + p for p in perm])
     return t.reshape(2 ** n, 2 ** n)
+
+
+def apply_local(tensor: np.ndarray, matrix: np.ndarray, axes) -> np.ndarray:
+    """Contract a k-qubit matrix into ``axes`` of a ``[2]*m`` tensor.
+
+    The first tensor factor of ``matrix`` acts on ``axes[0]``, the second on
+    ``axes[1]`` and so on; every other axis is untouched and the result
+    keeps the tensor's axis order.
+    """
+    k = len(axes)
+    m = np.asarray(matrix).reshape([2] * (2 * k))
+    out = np.tensordot(m, tensor, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, list(range(k)), list(axes))
 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,30 @@ class TestStateChecks:
                                PureState.single(2, kernel.PLUS))
         with pytest.raises(ValueError, match="permutation"):
             reorder(state, (1, 3))
+
+    @pytest.mark.parametrize("bad", (1.5, 2.0, np.float64(2.0), True, False, "1", None))
+    def test_labels_must_be_integers(self, bad):
+        """int() would truncate 1.5, read True as 1 and parse "1"."""
+        message = re.escape(f"qubit label {bad!r} is not an integer")
+        with pytest.raises(ValueError, match=message):
+            PureState((bad, 3), np.full(4, 0.5))
+        with pytest.raises(ValueError, match=message):
+            DensityOperator((bad, 3), np.eye(4) / 4)
+        with pytest.raises(ValueError, match=message):
+            Observable((3, bad), np.eye(4))
+
+    @pytest.mark.parametrize("bad", (2.0, np.float64(2.0), True))
+    def test_reorder_and_partial_trace_refuse_labels_equal_to_an_integer(self, bad):
+        state = random_state((1, 2), np.random.default_rng(4))
+        message = re.escape(f"qubit label {bad!r} is not an integer")
+        with pytest.raises(ValueError, match=message):
+            reorder(state, (bad, 3 - bad))
+        with pytest.raises(ValueError, match=message):
+            partial_trace(state.density(), (bad,))
+
+    def test_integral_labels_become_ints(self):
+        state = PureState((np.int64(2), np.uint8(1)), np.full(4, 0.5))
+        assert state.labels == (2, 1) and all(type(q) is int for q in state.labels)
 
     def test_reorder_roundtrip(self):
         rng = np.random.default_rng(3)

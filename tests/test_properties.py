@@ -13,9 +13,11 @@ loss-recovery channels under random per-qubit noise must come out CPTP,
 and count records must survive the CSV round trip. Pauli expectations read from one Pauli vector must
 equal ``kernel.expectation`` term by term and rebuild the density matrix,
 and outcome probabilities must transform back into them; the kernel's
-inverse transform must rebuild the state from its Pauli vector. A sampled
-measurement must return the forced branch of the outcome it drew, bit for
-bit; every witness's
+inverse transform must rebuild the state from its Pauli vector. The kernel's
+contraction must equal the tensordot-then-moveaxis oracle bit for bit, on
+any axes of vectors and density tensors. A sampled measurement must return
+the forced branch of the outcome it drew, bit for bit, also at the raw
+``_measure`` on pure and density inputs in each basis; every witness's
 fidelity bound must hold on arbitrary states, not only on white noise, and
 loss recovery must return Haar-random inputs on every branch and on
 average. A single-qubit Pauli error applied to the Pauli vector as a sign
@@ -145,6 +147,47 @@ def test_apply_unitary_matches_oracle(state, data, seed):
     else:
         want = oracle.conjugate(state.matrix, state.labels, u, targets)
         np.testing.assert_allclose(out.matrix, want, rtol=0, atol=ATOL)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 6), st.booleans(), st.data(), seeds)
+def test_apply_local_is_tensordot_bit_for_bit(n, density, data, seed):
+    """On a vector or density tensor of n qubits, any 1-3 axes in any order,
+    C-ordered or transposed tensors and matrices, u or its conjugate, the
+    kernel's contraction returns the tensordot-then-moveaxis array bit for
+    bit, in the same shape and axis layout."""
+    ndim = 2 * n if density else n
+    rng = np.random.default_rng(seed)
+    axes = tuple(data.draw(st.permutations(range(ndim)))[:data.draw(st.integers(1, min(3, ndim)))])
+    tensor = rng.normal(size=[2] * ndim) + 1j * rng.normal(size=[2] * ndim)
+    if data.draw(st.booleans()):
+        tensor = tensor.transpose(data.draw(st.permutations(range(ndim))))
+    u = random_unitary(2 ** len(axes), rng)
+    u = {"u": u, "conj": u.conj(), "T": u.T}[data.draw(st.sampled_from(("u", "conj", "T")))]
+    got, want = kernel._apply_local(tensor, u, axes), oracle.apply_local(tensor, u, axes)
+    assert got.shape == want.shape and got.strides == want.strides
+    assert np.array_equal(got, want)
+
+
+@PROPERTY
+@pytest.mark.parametrize("basis", "XYZ")
+@pytest.mark.parametrize("mixed", (False, True))
+@given(data=st.data(), seed=seeds)
+def test_forced_measure_equals_the_draw_that_lands_on_it(basis, mixed, data, seed):
+    """``_measure`` forced to an outcome weighs only that branch, and returns
+    the (p, post) of an unforced draw that lands on it, bit for bit."""
+    labels = tuple(data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=5, unique=True)))
+    if mixed:
+        raw = kernel._density_matrix(kernel._raw(data.draw(states(labels=labels))))
+    else:
+        g = np.random.default_rng(seed).normal(size=(2, 2 ** len(labels)))
+        raw = (g[0] + 1j * g[1]) / np.linalg.norm(g)
+    qubit = data.draw(st.sampled_from(labels))
+    s, p, post, post_labels = kernel._measure(raw, labels, qubit, basis, None,
+                                              np.random.default_rng(seed))
+    forced = kernel._measure(raw, labels, qubit, basis, s, None)
+    assert forced[0] == s and forced[1] == p and forced[3] == post_labels
+    assert forced[2].shape == post.shape and np.array_equal(forced[2], post)
 
 
 @PROPERTY

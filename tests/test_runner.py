@@ -550,6 +550,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert "graph: " in err and message in err
 
+    def test_build_resource_help_says_graph_is_a_file(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["build-resource", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--graph FILE path of a JSON file holding a graph literal {vertices, edges}" in text
+
     def test_build_resource_selfcheck(self, capsys):
         assert cli_main(["build-resource"]) == 0
         report = json.loads(capsys.readouterr().out)
