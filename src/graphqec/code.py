@@ -359,7 +359,7 @@ def diagnose(signs, known_location: int | None = None) -> Diagnosis:
 
 def lose_qubit(state, q: int) -> DensityOperator:
     """Erase a code qubit at a known location: trace it out."""
-    return DensityOperator(*_lose(state, q))
+    return DensityOperator(*_lose(state, q if type(q) is int else kernel._integral(q)))
 
 
 def _lose(state, q: int):

@@ -319,7 +319,7 @@ def _check_unitary(u: np.ndarray):
 def apply_unitary(state: PureState | DensityOperator, u, targets) -> PureState | DensityOperator:
     """Apply a unitary on the target qubits, identity elsewhere."""
     u = np.asarray(u, dtype=complex)
-    targets = tuple(targets)
+    targets = tuple(q if type(q) is int else _integral(q) for q in targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate targets: {targets}")
     if u.shape != (2 ** len(targets), 2 ** len(targets)):
@@ -424,6 +424,7 @@ def projective_measure(state, qubit: int, basis: str, forced_outcome: int | None
     the branch is sampled with ``rng`` (a fresh default generator if omitted).
     """
     _check_basis(basis)
+    qubit = qubit if type(qubit) is int else _integral(qubit)
     if qubit not in state.labels:
         raise ValueError(f"qubit {qubit} not in register {state.labels}")
     if state.num_qubits == 1:

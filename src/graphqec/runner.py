@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, kernel, sampling
 from .code import (ANCILLA, CODE_QUBITS, PROBE_NAMES, PROBE_TARGETS, PROBES,
-                   SyndromeRecord, _conjugate_pauli_vector, _encoded_vectors, _error_signs,
+                   _conjugate_pauli_vector, _encoded_vectors, _error_signs,
                    _project_pauli_vector, _recovery_ptm, _syndromes_of_vector,
                    logical_basis_states, logical_ops, parse_error_spec,
                    predicted_syndrome_signs, recovery_recipe, syndrome_operators)
@@ -342,14 +342,33 @@ def _probe_vectors(probes, noise: NoiseModel, byproduct: str) -> dict[str, np.nd
     return dict(zip(probes, _encoded_vectors(blochs, noise, byproduct)))
 
 
-def _sampled_logical_expectations(vec, labels, counts_per_setting, seed, stream_base) -> dict:
-    """Sampled estimate of each logical operator from the Pauli vector ``vec``
-    on ``labels``, measured with its own letters and Z on the other code qubits."""
-    ops = {name: getattr(logical_ops(), name) for name in ("xbar", "ybar", "zbar")}
-    settings = [{q: "Z" for q in CODE_QUBITS} | dict(op.letters) for op in ops.values()]
-    records = _sample_settings(vec, labels, settings, counts_per_setting, seed, stream_base)
-    return {name: sampling.estimate_expectation(rec, op.support)
-            for (name, op), rec in zip(ops.items(), records)}
+_LOGICAL_NAMES = ("xbar", "ybar", "zbar")
+
+
+@cache
+def _logical_readout() -> tuple[tuple[dict[int, str], ...], np.ndarray]:
+    """(settings, masks) of the sampled logical read-out: each logical
+    operator measured with its own letters and Z on the other code qubits,
+    and its +/-1 parity mask over that setting's 16 outcomes, stacked."""
+    ops = [getattr(logical_ops(), name) for name in _LOGICAL_NAMES]
+    settings = tuple({q: "Z" for q in CODE_QUBITS} | dict(op.letters) for op in ops)
+    masks = np.stack([sampling._parity_mask(len(CODE_QUBITS),
+                                            tuple(map(CODE_QUBITS.index, op.support)))
+                      for op in ops])
+    masks.setflags(write=False)
+    return settings, masks
+
+
+def _sampled_logical_expectations(records) -> dict:
+    """Sampled estimate of each logical operator from its record of the
+    :func:`_logical_readout` settings: one masked product over the stacked
+    histograms, the same parity estimate as ``sampling.estimate_expectation``
+    (every partial sum is an exact integer), with its "empty histogram"."""
+    counts = np.stack([r.dense for r in records])
+    totals = counts.sum(-1)
+    if (totals == 0).any():
+        raise ValueError("empty histogram")
+    return dict(zip(_LOGICAL_NAMES, ((counts * _logical_readout()[1]).sum(-1) / totals).tolist()))
 
 
 def _exact_witness(vec, labels, spec):
@@ -358,12 +377,11 @@ def _exact_witness(vec, labels, spec):
     return _witness_result(spec, _read_words(vec, labels, _term_table(spec).words))
 
 
-def _witness_block(vec, labels, spec, counts_per_setting, trials, seed, stream_base):
-    """Exact witness value plus the sampled estimate with Monte Carlo bars, for
-    the state with Pauli vector ``vec`` on ``labels``."""
+def _witness_block(vec, labels, spec, records, trials, seed):
+    """Exact witness value, for the state with Pauli vector ``vec`` on
+    ``labels``, plus the estimate with Monte Carlo bars from ``records``, the
+    histograms drawn of its settings."""
     exact = _exact_witness(vec, labels, spec)
-    records = _sample_settings(vec, labels, _witness_settings(spec), counts_per_setting, seed,
-                               stream_base)
     estimate, mc_mean, mc_std = _witness_estimate(records, spec, trials, seed)
     block = {
         "exact": exact.value,
@@ -373,7 +391,7 @@ def _witness_block(vec, labels, spec, counts_per_setting, trials, seed, stream_b
         "fidelity_lower_bound": fidelity_lower_bound(exact.value),
         "gme_witnessed": exact.value < 0,
     }
-    return block, exact, records
+    return block, exact
 
 
 def _chi_block(chi, chi_ref) -> dict:
@@ -495,20 +513,23 @@ def _run_resource_witness(cfg: ExperimentConfig):
     labels = build_resource().labels
     vec = _ideal_vector("resource")
     rho = vec * sampling._noise_factors(labels, cfg.noise)
+    # persistency check: remove the ancilla with a Z measurement, then the
+    # box witness on the remaining code qubits
+    _, rho_box = _project_pauli_vector(rho, labels, ANCILLA, "Z", 0)
+    spec, box_spec = resource_witness(), box_witness()
+    records, box_records = _sample_settings(
+        [(rho, labels, _witness_settings(spec), 100),
+         (rho_box, CODE_QUBITS, _witness_settings(box_spec), 200)],
+        cfg.counts_per_setting, cfg.seed)
     gens = stabilizer_generators(RESOURCE)
-    block, exact, records = _witness_block(rho, labels, resource_witness(),
-                                           cfg.counts_per_setting, cfg.trials, cfg.seed, 100)
+    block, exact = _witness_block(rho, labels, spec, records, cfg.trials, cfg.seed)
     summary = {
         "resource5": block,
         "state_fidelity": _vector_fidelity(rho, vec),
         "stabilizer_expectations": dict(zip(map(str, gens), _read_words(rho, labels, gens))),
     }
-    # persistency check: remove the ancilla with a Z measurement, then the
-    # box witness on the remaining code qubits
-    _, rho_box = _project_pauli_vector(rho, labels, ANCILLA, "Z", 0)
-    box_block, box_exact, box_records = _witness_block(rho_box, CODE_QUBITS, box_witness(),
-                                                       cfg.counts_per_setting,
-                                                       cfg.trials, cfg.seed, 200)
+    box_block, box_exact = _witness_block(rho_box, CODE_QUBITS, box_spec, box_records,
+                                          cfg.trials, cfg.seed)
     summary["box4_after_ancilla_z"] = box_block
     tables = {
         "witness_terms": _witness_table([("resource5", exact), ("box4", box_exact)]),
@@ -543,11 +564,21 @@ def _in_frame(vec: np.ndarray, frame) -> np.ndarray:
 
 def _run_encode_tomography(cfg: ExperimentConfig):
     """Logical tomography, fidelity and witnesses of each encoded probe, exact
-    and sampled, all read off the probes' Pauli vectors from one batch."""
+    and sampled, all read off the probes' Pauli vectors from one batch. Every
+    histogram of the run is drawn in one :func:`_sample_settings` call."""
     summary = {"probes": {}}
     matrix_rows = [("probe", "entry", "re", "im")]
     vectors = _probe_vectors(cfg.probes, cfg.noise, cfg.byproduct)
+    witnesses = {probe: [(name, _in_frame(vec, frame), spec, 300 + 100 * idx + offset)
+                         for name, offset, spec, frame in _probe_witnesses(probe)]
+                 for idx, (probe, vec) in enumerate(vectors.items())}
+    jobs = []
     for idx, (probe, vec) in enumerate(vectors.items()):
+        jobs += [(framed, CODE_QUBITS, _witness_settings(spec), stream)
+                 for _, framed, spec, stream in witnesses[probe]]
+        jobs.append((vec, CODE_QUBITS, _logical_readout()[0], 700 + 10 * idx))
+    drawn = iter(_sample_settings(jobs, cfg.counts_per_setting, cfg.seed))
+    for probe, vec in vectors.items():
         ldm = _logical_of_vector(vec, CODE_QUBITS)
         target_key = PROBE_TARGETS[probe]
         target = _ideal_vector(target_key)
@@ -558,13 +589,11 @@ def _run_encode_tomography(cfg: ExperimentConfig):
             "fidelity_logical": _fidelity(ldm.matrix, ideal_logical),
             "fidelity_state": _vector_fidelity(vec, target),
             "witnesses": {
-                name: _witness_block(_in_frame(vec, frame), CODE_QUBITS, spec,
-                                     cfg.counts_per_setting, cfg.trials, cfg.seed,
-                                     300 + 100 * idx + offset)[0]
-                for name, offset, spec, frame in _probe_witnesses(probe)},
+                name: _witness_block(framed, CODE_QUBITS, spec, next(drawn), cfg.trials,
+                                     cfg.seed)[0]
+                for name, framed, spec, _ in witnesses[probe]},
         }
-        est = _sampled_logical_expectations(vec, CODE_QUBITS, cfg.counts_per_setting,
-                                            cfg.seed, 700 + 10 * idx)
+        est = _sampled_logical_expectations(next(drawn))
         try:
             ldm_s = logical_density_from_expectations(est["xbar"], est["ybar"], est["zbar"])
             entry["sampled"] = {
@@ -641,6 +670,18 @@ def _run_loss_recovery(cfg: ExperimentConfig):
     return summary, tables, figures
 
 
+@cache
+def _syndrome_case(letter: str, loc: int) -> tuple[tuple[int, int, int], tuple[float, ...]]:
+    """(predicted, flips) of the Pauli error ``letter`` on code qubit ``loc``:
+    the sign pattern ``predicted_syndrome_signs`` gives it, and the sign
+    ``code._error_signs(letter)`` puts on each syndrome, at that syndrome's
+    letter on ``loc``."""
+    predicted = predicted_syndrome_signs(PauliString.single(loc, letter))
+    flips = tuple(float(_error_signs(letter)["IXYZ".index(s.letter(loc))])
+                  for s in syndrome_operators())
+    return predicted, flips
+
+
 def _run_syndrome_table(cfg: ExperimentConfig):
     """Syndrome expectations and signs under each single-qubit Pauli error,
     beside the signs the commutation rules predict.
@@ -652,7 +693,11 @@ def _run_syndrome_table(cfg: ExperimentConfig):
     reads its error-free value times ``code._error_signs(L)`` at its own
     letter on q. Those signs come from the dense matrices, so the ``match``
     column still compares a measured pattern with
-    ``predicted_syndrome_signs``, two independent computations.
+    ``predicted_syndrome_signs``, two independent computations; both are
+    constants of the code (:func:`_syndrome_case`). A flip keeps |value|, so
+    the syndromes are checked once against the bound ``SyndromeRecord``
+    holds each value to, and the first value out of range in row order
+    names the error.
     """
     rows = [("error", "location", "probe", "s1", "s2", "s3",
              "sign1", "sign2", "sign3", "pred1", "pred2", "pred3", "match")]
@@ -662,16 +707,19 @@ def _run_syndrome_table(cfg: ExperimentConfig):
     err = parse_error_spec(cfg.error)  # one injected error, or the identity: all 12
     cases = [(err.letter(q), q) for q in err.support] \
         or [(letter, loc) for letter in "XYZ" for loc in CODE_QUBITS]
+    _, first_flips = _syndrome_case(*cases[0])
+    for probe in cfg.probes:
+        for v, f in zip(syndromes[probe], first_flips):
+            if abs(v) > 1 + kernel.EIG_ATOL:
+                raise ValueError(f"syndrome expectation out of range: {v * f}")
     for letter, loc in cases:
-        predicted = predicted_syndrome_signs(PauliString.single(loc, letter))
-        flips = [float(_error_signs(letter)["IXYZ".index(s.letter(loc))])
-                 for s in syndrome_operators()]
+        predicted, flips = _syndrome_case(letter, loc)
         for probe in cfg.probes:
-            rec = SyndromeRecord(tuple(v * f for v, f in zip(syndromes[probe], flips)))
-            signs = rec.signs
+            values = [v * f for v, f in zip(syndromes[probe], flips)]
+            signs = tuple(1 if v >= 0 else -1 for v in values)
             match = signs == predicted
             mismatches += 0 if match else 1
-            rows.append((f"{letter}@{loc}", loc, probe, *map(_round, rec.values),
+            rows.append((f"{letter}@{loc}", loc, probe, *map(_round, values),
                          *signs, *predicted, match))
     summary = {
         "patterns_checked": (len(rows) - 1),

@@ -6,34 +6,37 @@ emulated by drawing a Poisson-distributed total per measurement setting and
 multinomial counts over outcomes. The outcome probabilities of a product
 setting are read from the state's Pauli vector: the expectations of the
 setting's letters on every subset of the qubits, Walsh-Hadamard transformed
-once per qubit. :func:`_sample_settings` does this for all the settings of
-a witness at once, with one gather and one staged transform, then draws
-each setting's histogram from its own stream. All sampling is reproducible:
-the same (seed, stream) pair always yields the same histogram, and
-distinct streams are independent.
+once per qubit. :func:`_sample_settings` does this for every setting of a
+run at once: it gathers the settings of all its states from their
+concatenated Pauli vectors and transforms them with one staged butterfly
+per number of measured qubits, then draws each setting's histogram from
+its own stream. All sampling is reproducible: the same (seed, stream) pair
+always yields the same histogram, and distinct streams are independent.
 
 A histogram over k measured qubits is a :class:`CountRecord` holding a dense
 int64 count vector of length 2^k indexed by ``int(bits, 2)``, which is also
 the sorted-key order, or a (trials x 2^k) matrix of Monte Carlo resamples.
 Outcome bitstrings appear only at the edges: :meth:`CountRecord.from_counts`
 parses them, :attr:`CountRecord.counts` lists the nonzero cells by them, and
-the CSV interchange reads and writes them. Parity estimates are
-``(counts @ mask) / counts.sum(-1)`` with a cached float64 +/-1 parity mask,
-so the same estimator serves one histogram and a batch. A witness is read
-through a cached parity plan (:func:`_witness_plan`): per record it reads,
-one float64 +/-1 matrix whose columns are the masks of the terms read
-there, so one ``counts @ matrix`` estimates all of them, on a histogram or
-a batch. The products run in float64 and are exact: a histogram's total is
-at most 2^53, so every count and every partial sum of signed counts is an
-integer that float64 holds exactly.
+the CSV interchange reads and writes them, indexing one cached tuple of the
+2^k bitstrings. Parity estimates are ``(counts @ mask) / counts.sum(-1)``
+with a cached float64 +/-1 parity mask, so the same estimator serves one
+histogram and a batch. A witness is read through a cached parity plan
+(:func:`_witness_plan`): one float64 matrix over the cells of all its
+records, whose columns are each term's parity mask and its record's 0/1
+indicator, so one ``counts @ matrix`` gives every term's signed sum and
+total, on a histogram or a batch. The product runs in float64 and is exact:
+a histogram's total is at most 2^53, so every count and every partial sum
+of signed counts is an integer that float64 holds exactly.
 
-Monte Carlo resampling draws every trial's Poisson vector over all
-histograms in one draw per call (:func:`_poisson_trials`).
-:func:`monte_carlo_uncertainty` hands an arbitrary statistic the
-trial-batched records; the runner and the CLI take a witness's estimate
-and error bar from :func:`_witness_estimate`, which evaluates the plan on
-the raw trial blocks of the same draw, so no trial batch becomes a
-:class:`CountRecord`.
+Monte Carlo resampling draws every trial's Poisson vector over the nonzero
+cells of all histograms in one draw per call (:func:`_poisson_trials`): a
+zero cell always resamples to 0 and consumes no draw, so this is the draw
+over every cell, value for value. :func:`monte_carlo_uncertainty` hands an
+arbitrary statistic the trial-batched records, zero cells filled back in;
+the runner and the CLI take a witness's estimate and error bar from
+:func:`_witness_estimate`, which evaluates the plan's rows of the nonzero
+cells on the draw itself, so no trial batch becomes a :class:`CountRecord`.
 """
 from __future__ import annotations
 
@@ -242,11 +245,16 @@ class CountRecord:
     @property
     def counts(self) -> dict[str, int]:
         """Nonzero cells of one histogram keyed by bitstring, in index order."""
-        k = len(self.setting)
+        keys = _outcome_keys(len(self.setting))
         cells = np.flatnonzero(self.dense)
-        # the leading 1 keeps k digits, and gives "" for a zero-qubit setting
-        return dict(zip([format(i | 1 << k, "b")[1:] for i in cells.tolist()],
-                        self.dense[cells].tolist()))
+        return dict(zip([keys[i] for i in cells.tolist()], self.dense[cells].tolist()))
+
+
+@functools.cache
+def _outcome_keys(k: int) -> tuple[str, ...]:
+    """The 2^k outcome bitstrings of a k-qubit setting, in index order."""
+    # the leading 1 keeps k digits, and gives "" for a zero-qubit setting
+    return tuple(format(i | 1 << k, "b")[1:] for i in range(2 ** k))
 
 
 def _check_setting(setting) -> tuple[tuple[int, str], ...]:
@@ -299,8 +307,8 @@ def _outcome_probabilities(vec: np.ndarray, labels, bases: dict[int, str]) -> np
 
 def _probabilities(vec: np.ndarray, gather: np.ndarray) -> np.ndarray:
     """(settings x 2^k) outcome probabilities of the settings whose stacked
-    sub-cube indices are ``gather`` (see :func:`_settings_plan`), for the
-    state with Pauli vector ``vec``.
+    sub-cube indices into the flat ``vec`` are ``gather`` (see
+    :func:`_jobs_plan`): Pauli vectors, one or several concatenated.
 
     Each setting's ``[2]*k`` sub-cube holds <I> and <P_q>, P_q the qubit's
     basis, on every measured axis, at index 0 (the partial trace) on every
@@ -339,48 +347,71 @@ def _setting_gather(letters: tuple[str | None, ...]) -> np.ndarray:
     return index
 
 
-@functools.lru_cache(maxsize=128)
-def _settings_plan(labels: tuple[int, ...], letters: tuple[tuple[str | None, ...], ...]):
-    """(gather, settings) for settings that measure the qubits of ``labels``
-    in the bases ``letters`` (per setting, each qubit's basis or ``None``;
-    all settings measure the same number of qubits): the read-only
-    stack of their :func:`_setting_gather` indices, and each setting as the
-    (qubit, basis) pairs of a :class:`CountRecord`."""
-    gather = np.stack([_setting_gather(l) for l in letters])
-    gather.setflags(write=False)
-    settings = tuple(tuple((q, b) for q, b in zip(labels, l) if b) for l in letters)
-    return gather, settings
-
-
 def sample_setting_counts(state, bases: dict[int, str], expected_n: float,
                           seed: int, stream: int = 0) -> CountRecord:
     """Poisson total then multinomial split over exact outcome probabilities."""
     if not 0 < expected_n <= MAX_EXPECTED_COUNTS:  # also refuses NaN
         raise ValueError(f"expected_n must be positive and at most "
                          f"{MAX_EXPECTED_COUNTS:g}, got {expected_n}")
-    return _sample_settings(_setting_vector(state, bases), state.labels, (bases,), expected_n,
-                            seed, stream)[0]
+    job = (_setting_vector(state, bases), state.labels, (bases,), stream)
+    return _sample_settings([job], expected_n, seed)[0][0]
 
 
-def _sample_settings(vec: np.ndarray, labels, settings, expected_n: float, seed: int,
-                     stream_base: int) -> list[CountRecord]:
-    """Raw :func:`sample_setting_counts` of the state with Pauli vector ``vec``
-    on ``labels`` for each setting in ``settings`` (a ``{qubit: basis}`` map,
-    measured in register order), the i-th from stream ``stream_base + i``.
+def _sample_settings(jobs, expected_n: float, seed: int) -> list[list[CountRecord]]:
+    """Raw :func:`sample_setting_counts` of every setting of every job. A job
+    is ``(vec, labels, settings, stream_base)``: the Pauli vector of a state
+    on ``labels`` and the settings (``{qubit: basis}`` maps, measured in
+    register order) drawn from it, the i-th from stream ``stream_base + i``.
+    One list of records per job, in setting order.
 
-    The probabilities of all settings come from one :func:`_probabilities`
-    pass; each histogram is then a Poisson total and a multinomial split
-    drawn from its own (seed, stream) generator, so it equals drawing the
-    settings one at a time."""
-    labels = tuple(labels)
-    gather, measured = _settings_plan(labels, tuple(tuple(map(s.get, labels))
-                                                    for s in settings))
+    The settings of all jobs are gathered from the jobs' concatenated
+    vectors, and their probabilities come from one :func:`_probabilities`
+    pass per number of measured qubits. Each histogram is then a Poisson
+    total and a multinomial split drawn from its own (seed, stream)
+    generator, job after job, so it equals drawing the settings one at a
+    time."""
+    groups, measured = _jobs_plan(tuple(
+        (tuple(labels), tuple(tuple(map(s.get, labels)) for s in settings))
+        for _, labels, settings, _ in jobs))
+    vec = jobs[0][0] if len(jobs) == 1 else np.concatenate([j[0].reshape(-1) for j in jobs])
+    probs = {}
+    for gather, where in groups:
+        probs.update(zip(where, _probabilities(vec, gather)))
     out = []
-    for i, (setting, probs) in enumerate(zip(measured, _probabilities(vec, gather))):
-        rng = make_rng(seed, stream_base + i)
-        out.append(CountRecord._drawn(setting, rng.multinomial(int(rng.poisson(expected_n)),
-                                                               probs)))
+    for j, ((*_, base), settings) in enumerate(zip(jobs, measured)):
+        records = []
+        for i, setting in enumerate(settings):
+            rng = make_rng(seed, base + i)
+            records.append(CountRecord._drawn(setting, rng.multinomial(
+                int(rng.poisson(expected_n)), probs[j, i])))
+        out.append(records)
     return out
+
+
+@functools.lru_cache(maxsize=128)
+def _jobs_plan(shapes: tuple[tuple[tuple[int, ...], tuple[tuple[str | None, ...], ...]], ...]):
+    """(groups, settings) for :func:`_sample_settings` jobs of these shapes,
+    each ``(labels, letters)``: the register and, per setting, each
+    qubit's basis or ``None``. ``groups`` holds one ``(gather, where)`` per
+    number k of measured qubits: the read-only stack of the k-qubit
+    settings' :func:`_setting_gather` indices into the concatenated flat
+    vectors, and the (job, setting) position of each. ``settings`` gives
+    each job's settings as the (qubit, basis) pairs of a
+    :class:`CountRecord`."""
+    by_width: dict[int, list] = {}
+    settings, offset = [], 0
+    for j, (labels, letters) in enumerate(shapes):
+        for i, l in enumerate(letters):
+            gather = _setting_gather(l) + offset
+            by_width.setdefault(gather.ndim, []).append((gather, (j, i)))
+        settings.append(tuple(tuple((q, b) for q, b in zip(labels, l) if b) for l in letters))
+        offset += 4 ** len(labels)
+    groups = []
+    for entries in by_width.values():
+        gather = np.stack([g for g, _ in entries])
+        gather.setflags(write=False)
+        groups.append((gather, tuple(w for _, w in entries)))
+    return tuple(groups), tuple(settings)
 
 
 @functools.lru_cache(maxsize=128)
@@ -460,62 +491,84 @@ def _term_records(settings, spec: WitnessSpec) -> list[int]:
     return indices
 
 
-class _PlanRecord(NamedTuple):
-    """The terms of a witness read from one record, the ``index``-th, whose
-    setting prints as ``label``: ``matrix`` is the read-only float64 +/-1
-    (2^k x m) matrix whose columns are the terms' :func:`_parity_mask`,
-    ``positions`` their indices in ``spec.terms`` and ``weights`` each
-    term's ``float(coefficient) * sign``. The matrix is float64 so that
-    ``counts @ matrix`` runs as one BLAS product; it is exact, since
-    :func:`_plan_value` checks every total against 2^53 before it."""
+class _Plan(NamedTuple):
+    """The parity plan of a witness with T terms on a list of records (see
+    :func:`_witness_plan`), over the records' cells concatenated in record
+    order. ``matrix`` is the read-only float64 (cells x 2T) matrix: column
+    j < T holds term j's :func:`_parity_mask` in the rows of the record it
+    reads, column T + j that record's 0/1 indicator, so ``counts @ matrix``
+    gives every term's signed parity sum and its record's total in one BLAS
+    product. ``weights`` holds each term's ``float(coefficient) * sign``.
+    Per record read, in record order, ``reads`` holds its first cell, its
+    end and its setting's label, and ``firsts`` the first term it serves."""
 
-    index: int
-    label: str
     matrix: np.ndarray
-    positions: tuple[int, ...]
     weights: np.ndarray
+    reads: tuple[tuple[int, int, str], ...]
+    firsts: tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=128)
-def _witness_plan(spec: WitnessSpec, settings: tuple) -> tuple[_PlanRecord, ...]:
-    """The parity plan of ``spec`` on records with these ``settings``: one
-    :class:`_PlanRecord` per record read, in record order."""
+def _witness_plan(spec: WitnessSpec, settings: tuple) -> _Plan:
+    """The :class:`_Plan` of ``spec`` on records with these ``settings``."""
     chosen = _term_records(settings, spec)
-    plan = []
-    for i in sorted(set(chosen)):
+    starts = [0, *itertools.accumulate(2 ** len(s) for s in settings)]
+    n = len(spec.terms)
+    matrix = np.zeros((starts[-1], 2 * n))
+    for j, (t, i) in enumerate(zip(spec.terms, chosen)):
         qubits = [q for q, _ in settings[i]]
-        positions = tuple(j for j, r in enumerate(chosen) if r == i)
-        terms = [spec.terms[j] for j in positions]
-        matrix = np.stack([_parity_mask(len(qubits), tuple(map(qubits.index, t.word.support)))
-                           for t in terms], axis=1)
-        matrix.setflags(write=False)
-        weights = np.array([float(t.coefficient) * t.sign for t in terms])
-        weights.setflags(write=False)
-        plan.append(_PlanRecord(i, _setting_label(settings[i]), matrix, positions, weights))
-    return tuple(plan)
+        rows = slice(starts[i], starts[i + 1])
+        matrix[rows, j] = _parity_mask(len(qubits), tuple(map(qubits.index, t.word.support)))
+        matrix[rows, n + j] = 1.0
+    matrix.setflags(write=False)
+    weights = np.array([float(t.coefficient) * t.sign for t in spec.terms])
+    weights.setflags(write=False)
+    read = sorted(set(chosen))
+    return _Plan(matrix, weights,
+                 tuple((starts[i], starts[i + 1], _setting_label(settings[i])) for i in read),
+                 tuple(map(chosen.index, read)))
 
 
-def _plan_value(spec: WitnessSpec, plan, counts):
-    """The witness on the count vectors ``counts`` (one per record, each one
-    histogram or a batch with leading axes), one ``counts @ matrix`` per
-    record read. Every total is checked against 2^53 before the float64
-    product, which is then exact. The terms are subtracted from the
-    constant one by one in term order, so the float operations are those of
-    a per-term loop over :func:`estimate_expectation`."""
-    shape = counts[plan[0].index].shape[:-1] if plan else ()
-    terms = np.empty(shape + (len(spec.terms),))
-    for r in plan:
-        c = counts[r.index]
-        totals = c.sum(-1)
-        if (totals == 0).any():
-            raise ValueError("empty histogram")
-        if (totals > MAX_COUNT).any():
-            raise ValueError(f"histogram total above 2^53 in setting {r.label!r}")
-        terms[..., r.positions] = (c.astype(float) @ r.matrix) / totals[..., None] * r.weights
-    value = float(spec.constant)
-    for j in range(len(spec.terms)):
-        value = value - terms[..., j]
-    return value if shape else float(value)
+def _plan_value(spec: WitnessSpec, plan: _Plan, counts, cells=None):
+    """The witness on ``counts``: the records' count vectors concatenated in
+    record order (one histogram, or a batch with leading axes), or, given
+    the sorted indices ``cells`` into them, only those cells (every other
+    cell is 0).
+
+    One float64 product with the plan's matrix gives every signed sum and
+    every total. A float total is exact if the true total is at most 2^53,
+    and at least 2^53 if it is above, since every partial sum of
+    non-negative integers below 2^53 is exact and rounding is monotone; so
+    only a record whose float total reaches 2^53 is summed again in int64
+    to refuse a total above 2^53. With every total at most 2^53, every
+    partial signed sum is an exact integer too. The terms
+    are then subtracted from the constant in term order, so the float
+    operations are those of a per-term loop over
+    :func:`estimate_expectation`. A record read that is empty, or above
+    2^53, raises; the first such record in record order names the error."""
+    if not spec.terms:
+        return float(spec.constant)
+    n = len(spec.terms)
+    sums = counts.astype(float) @ (plan.matrix if cells is None else plan.matrix[cells])
+    signed, totals = sums[..., :n], sums[..., n:]
+    if not 0 < totals.min() <= totals.max() < MAX_COUNT:
+        reads = totals[..., plan.firsts].reshape(-1, len(plan.firsts))
+        for (start, end, label), read in zip(plan.reads, reads.T):
+            if (read == 0).any():
+                raise ValueError("empty histogram")
+            part = slice(start, end) if cells is None \
+                else slice(*np.searchsorted(cells, (start, end)))
+            if (read >= MAX_COUNT).any() and (counts[..., part].sum(-1) > MAX_COUNT).any():
+                raise ValueError(f"histogram total above 2^53 in setting {label!r}")
+    value = np.subtract.reduce(signed / totals * plan.weights, axis=-1,
+                               initial=float(spec.constant))
+    return value if value.ndim else float(value)
+
+
+def _concatenated(records) -> np.ndarray:
+    """The records' count vectors (or batches) concatenated in record order."""
+    return np.concatenate([r.dense for r in records], axis=-1) if records \
+        else np.zeros(0, dtype=np.int64)
 
 
 def witness_value_from_counts(records, spec: WitnessSpec):
@@ -531,7 +584,7 @@ def witness_value_from_counts(records, spec: WitnessSpec):
     parity plan (:func:`_witness_plan`)."""
     records = list(records)
     plan = _witness_plan(spec, tuple(r.setting for r in records))
-    return _plan_value(spec, plan, [r.dense for r in records])
+    return _plan_value(spec, plan, _concatenated(records))
 
 
 def witness_records(records, spec: WitnessSpec) -> list[CountRecord]:
@@ -541,16 +594,16 @@ def witness_records(records, spec: WitnessSpec) -> list[CountRecord]:
     return [records[i] for i in sorted(set(_term_records([r.setting for r in records], spec)))]
 
 
-def _poisson_trials(counts, trials: int, seed: int) -> list[np.ndarray]:
-    """Poisson resamples of every cell of the count vectors ``counts``, one
-    (trials x 2^k) block per vector: a single (trials x cells) draw from the
-    (seed, stream) generator of Monte Carlo resampling, split by vector."""
+def _poisson_trials(counts: np.ndarray, trials: int, seed: int):
+    """(draws, cells): Poisson resamples of the nonzero cells ``cells`` of the
+    count vector ``counts``, as one (trials x cells) draw from the
+    (seed, stream) generator of Monte Carlo resampling. numpy draws 0 for a
+    rate of 0 and consumes no draw, so these are the nonzero columns of the
+    draw over every cell, value for value, and every other cell is 0."""
     if not 100 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in [100, {MAX_TRIALS}], got {trials}")
-    lam = np.concatenate([np.zeros(0, dtype=np.int64), *counts])
-    draws = make_rng(seed, _MC_STREAM).poisson(lam, size=(trials, lam.size))
-    ends = list(itertools.accumulate(c.size for c in counts))
-    return [draws[:, start:end] for start, end in zip([0] + ends, ends)]
+    cells = np.flatnonzero(counts)
+    return make_rng(seed, _MC_STREAM).poisson(counts[cells], size=(trials, cells.size)), cells
 
 
 def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple[float, float]:
@@ -565,17 +618,23 @@ def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple
     trial.
 
     All trials come from one (seed, stream) generator in a single
-    (trials x cells) Poisson draw: row t is trial t, its cells follow the
-    records in order, and a zero cell consumes no draw. Row t therefore
-    does not depend on ``trials``, and equals drawing the nonzero cells one
-    by one, trial after trial, in sorted order. Memory grows linearly in
-    ``trials``: 8 bytes x sum of 2^k per trial, about 150 KB at 200 trials
-    of three five-qubit settings.
+    (trials x nonzero cells) Poisson draw: row t is trial t, its cells
+    follow the records in order, and a zero cell stays 0 and consumes no
+    draw. Row t therefore does not depend on ``trials``, and equals drawing
+    the nonzero cells one by one, trial after trial, in sorted order. The
+    draw grows with the nonzero cells, 8 bytes each per trial; the batch
+    handed to ``statistic`` holds every cell, 8 bytes x sum of 2^k per
+    trial, about 150 KB at 200 trials of three five-qubit settings.
     """
     records = list(records)
-    blocks = _poisson_trials([r.dense for r in records], trials, seed)
+    counts = _concatenated(records)
+    draws, cells = _poisson_trials(counts, trials, seed)
+    full = np.zeros((trials, counts.size), dtype=np.int64)
+    full[:, cells] = draws
+    ends = list(itertools.accumulate(r.dense.size for r in records))
     vals = np.empty(trials)
-    vals[:] = statistic([CountRecord(r.setting, b) for r, b in zip(records, blocks)])
+    vals[:] = statistic([CountRecord(r.setting, full[:, start:end])
+                         for r, start, end in zip(records, [0] + ends, ends)])
     return float(vals.mean()), float(vals.std())
 
 
@@ -584,13 +643,13 @@ def _witness_estimate(records, spec: WitnessSpec, trials: int,
     """(estimate, mc_mean, mc_std) of the witness ``spec`` on ``records``:
     :func:`witness_value_from_counts`, and :func:`monte_carlo_uncertainty`
     of it with every record resampled, bit for bit. The plan is evaluated
-    on the raw trial blocks of the same draw, which become no
+    on the nonzero columns of the same draw, which become no
     :class:`CountRecord`."""
     records = list(records)
     plan = _witness_plan(spec, tuple(r.setting for r in records))
-    counts = [r.dense for r in records]
+    counts = _concatenated(records)
     estimate = _plan_value(spec, plan, counts)
-    vals = _plan_value(spec, plan, _poisson_trials(counts, trials, seed))
+    vals = _plan_value(spec, plan, *_poisson_trials(counts, trials, seed))
     return estimate, float(vals.mean()), float(vals.std())
 
 
@@ -604,8 +663,10 @@ def counts_to_csv_rows(records) -> list[tuple[str, str, int]]:
     that it survives the round trip."""
     rows = [COUNTS_CSV_HEADER]
     for r in records:
-        label, cells = r.setting_label, r.counts or {"0" * len(r.setting): 0}
-        rows.extend((label, bits, c) for bits, c in cells.items())
+        label, keys = r.setting_label, _outcome_keys(len(r.setting))
+        cells = np.flatnonzero(r.dense).tolist() or [0]
+        rows.extend(zip(itertools.repeat(label), [keys[i] for i in cells],
+                        r.dense[cells].tolist()))
     return rows
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graphqec import kernel
+from graphqec.code import lose_qubit
 from graphqec.kernel import (DensityOperator, Observable, PureState, apply_unitary,
                              expectation, maximally_mixed, overlap, partial_trace,
                              projective_measure, reorder)
@@ -280,6 +281,27 @@ class TestStateChecks:
             reorder(state, (bad, 3 - bad))
         with pytest.raises(ValueError, match=message):
             partial_trace(state.density(), (bad,))
+
+    @pytest.mark.parametrize("bad", (2.0, np.float64(2.0), True))
+    def test_targets_measured_and_lost_qubits_follow_the_label_rule(self, bad):
+        """A target, a measured qubit or a lost qubit equal to a label but not
+        an integer is refused, naming the value, not read as that label."""
+        state = random_state((1, 2), np.random.default_rng(5))
+        message = re.escape(f"qubit label {bad!r} is not an integer")
+        for state_ in (state, state.density()):
+            with pytest.raises(ValueError, match=message):
+                apply_unitary(state_, kernel.X, (bad,))
+            with pytest.raises(ValueError, match=message):
+                kernel.projective_measure(state_, bad, "Z", 0)
+            with pytest.raises(ValueError, match=message):
+                lose_qubit(state_, bad)
+
+    def test_integral_targets_measured_and_lost_qubits_are_read(self):
+        state = random_state((1, 2), np.random.default_rng(5))
+        assert states_equal(apply_unitary(state, kernel.X, (np.int64(2),)),
+                            apply_unitary(state, kernel.X, (2,)))
+        assert kernel.projective_measure(state, np.uint8(1), "Z", 0)[2].labels == (2,)
+        assert lose_qubit(state, np.int32(2)).labels == (1,)
 
     def test_integral_labels_become_ints(self):
         state = PureState((np.int64(2), np.uint8(1)), np.full(4, 0.5))

@@ -86,7 +86,8 @@ from graphqec.runner import (BYPRODUCT_MODES, ExperimentConfig, _bloch_table,
                              _calibrated_visibility, _chi_table, run_experiment)
 from graphqec.sampling import (CountRecord, NoiseModel, apply_noise, counts_from_csv_rows,
                                counts_to_csv_rows, estimate_expectation,
-                               monte_carlo_uncertainty, outcome_probabilities, witness_settings)
+                               monte_carlo_uncertainty, outcome_probabilities,
+                               sample_setting_counts, witness_settings)
 from graphqec.tomography import (ChannelSample, ChiMatrix, _vector_fidelity, bloch_affine,
                                  reconstruct_chi, state_fidelity)
 from graphqec.witnesses import (WitnessSpec, WitnessTerm, box_witness, evaluate_witness,
@@ -595,7 +596,7 @@ def test_sample_settings_match_per_setting_oracle(state, data, expected_n, seed,
     settings_ = [{q: data.draw(st.sampled_from("XYZ"))
                   for q in data.draw(st.permutations(labels))[:k]}
                  for _ in range(data.draw(st.integers(1, 3)))]
-    got = sampling._sample_settings(vec, labels, settings_, expected_n, seed, stream_base)
+    [got] = sampling._sample_settings([(vec, labels, settings_, stream_base)], expected_n, seed)
     want = [oracle.sample_counts(vec, labels, s, expected_n, seed, stream_base + i)
             for i, s in enumerate(settings_)]
     assert [r.setting for r in got] == [r.setting for r in want]
@@ -607,6 +608,29 @@ def test_sample_settings_match_per_setting_oracle(state, data, expected_n, seed,
         assert np.array_equal(sampling._outcome_probabilities(vec, labels, bases),
                               probs / probs.sum())
         g.__post_init__()  # raises if the drawn record would fail the checks
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from((2, 4)).flatmap(lambda n: states(n, max_qubits=n)),
+                min_size=1, max_size=4), st.data(), expected_counts, seeds)
+def test_sample_settings_stack_matches_one_vector_at_a_time(states_, data, expected_n, seed):
+    """One call over a stack of 2- and 4-qubit vectors, 1-3 settings each,
+    in any order: every histogram equals ``sample_setting_counts`` on its
+    own state and stream, bit for bit, and every setting is its own."""
+    jobs = []
+    for state in states_:
+        settings_ = [{q: data.draw(st.sampled_from("XYZ"))
+                      for q in data.draw(st.permutations(state.labels))}
+                     for _ in range(data.draw(st.integers(1, 3)))]
+        vec = kernel._pauli_vector(kernel._raw(state), state.num_qubits)
+        jobs.append((vec, state.labels, settings_, data.draw(st.integers(0, 2 ** 32))))
+    got = sampling._sample_settings(jobs, expected_n, seed)
+    assert [len(records) for records in got] == [len(settings_) for _, _, settings_, _ in jobs]
+    for state, (_, _, settings_, base), records in zip(states_, jobs, got):
+        for i, (bases, g) in enumerate(zip(settings_, records)):
+            w = sample_setting_counts(state, bases, expected_n, seed, base + i)
+            assert g.setting == w.setting
+            assert g.dense.dtype == np.int64 and np.array_equal(g.dense, w.dense)
 
 
 @PROPERTY
@@ -660,24 +684,29 @@ def test_float_plans_exact_at_2_53(spec, data, seed):
     assert all(r.total == 2 ** 53 for r in records)
     want = float(spec.constant)
     plan = sampling._witness_plan(spec, tuple(settings_))
-    for r in plan:
-        ints = (r.matrix.astype(np.int64).T @ dense[r.index]).tolist()
-        for j, acc in zip(r.positions, ints):
-            assert sampling.estimate_expectation(
-                records[r.index], spec.terms[j].word.support) == acc / 2 ** 53
-    for t in spec.terms:
-        i = next(r.index for r in plan if spec.terms.index(t) in r.positions)
+    chosen = sampling._term_records(settings_, spec)
+    n = len(spec.terms)
+    ints = (plan.matrix.astype(np.int64).T @ np.concatenate(dense)).tolist()
+    assert ints[n:] == [2 ** 53] * n  # each term's record total
+    for j, (i, acc) in enumerate(zip(chosen, ints)):
+        assert sampling.estimate_expectation(
+            records[i], spec.terms[j].word.support) == acc / 2 ** 53
+    for t, i in zip(spec.terms, chosen):
         qubits = records[i].qubits
         mask = sampling._parity_mask(len(qubits), tuple(map(qubits.index, t.word.support)))
         want -= float(t.coefficient) * t.sign * (int(mask.astype(np.int64) @ dense[i])
                                                  / 2 ** 53)
     assert sampling.witness_value_from_counts(records, spec) == want
+    first = min(chosen)
     over = [d.copy() for d in dense]
-    over[plan[0].index][0] += 1
+    over[first][0] += 1
+    over = np.concatenate(over)
+    cells = np.flatnonzero(over)
+    for args in ((over,), (over[cells], cells)):  # every cell, or the nonzero ones
+        with pytest.raises(ValueError, match="above 2"):
+            sampling._plan_value(spec, plan, *args)
     with pytest.raises(ValueError, match="above 2"):
-        sampling._plan_value(spec, plan, over)
-    with pytest.raises(ValueError, match="above 2"):
-        CountRecord(settings_[plan[0].index], over[plan[0].index])
+        CountRecord(settings_[first], over[plan.reads[0][0]:plan.reads[0][1]])
 
 
 @settings(deadline=None, max_examples=30)
@@ -874,7 +903,9 @@ def test_vector_sampler_matches_dense_path(state, data):
     np.testing.assert_allclose(sampling._outcome_probabilities(vec, labels, bases),
                                outcome_probabilities(reduced, bases), rtol=0, atol=ATOL)
     spec = data.draw(witness_specs(keep))
-    block, _, records = runner._witness_block(vec, labels, spec, 500, 100, data.draw(seeds), 0)
+    seed = data.draw(seeds)
+    [records] = sampling._sample_settings([(vec, labels, witness_settings(spec), 0)], 500, seed)
+    block, _ = runner._witness_block(vec, labels, spec, records, 100, seed)
     assert abs(block["exact"] - evaluate_witness(reduced, spec).value) < ATOL
     assert [r.qubits for r in records] == [tuple(q for q in labels if q in s)
                                            for s in witness_settings(spec)]

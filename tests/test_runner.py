@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -123,6 +124,26 @@ class TestExperiments:
         rows = bundle.tables["syndrome_table"][1:]
         assert len(rows) == 4  # one probe each
         assert all(r[0] == "Z@1" and r[6:9] == (-1, -1, 1) for r in rows)
+
+    @pytest.mark.parametrize("error, case", [("none", ("X", 1)), ("Y@2", ("Y", 2))])
+    def test_syndrome_values_out_of_range_refused_as_records_refuse_them(
+            self, monkeypatch, error, case):
+        """The table's values are held to the bound a checked
+        ``SyndromeRecord`` holds them to, once per run: the first value out of
+        range in row order (the first error, then probe order) names the
+        error, with the sign that error gives it; 1 + 5e-10 is in range."""
+        real = runner._syndromes_of_vector
+        wrong = {"0": (0.25, 1 + 5e-10, -0.5), "1": (0.5, -1.25, 2.0)}
+        vectors = iter(PROBES)
+        monkeypatch.setattr(runner, "_syndromes_of_vector",
+                            lambda vec, labels: wrong.get(next(vectors)) or real(vec, labels))
+        letter, loc = case
+        flips = [code._error_signs(letter)["IXYZ".index(s.letter(loc))]
+                 for s in code.syndrome_operators()]
+        with pytest.raises(ValueError) as want:
+            code.SyndromeRecord(tuple(v * f for v, f in zip(wrong["1"], flips)))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            run_experiment(cfg("syndrome-table", error=error))
 
     def test_identity_error_spec_gives_full_table(self):
         bundle = run_experiment(cfg("syndrome-table", error="I", probes=["+"]))

@@ -240,6 +240,47 @@ class TestMonteCarlo:
                                                  "'Y1 Z2'$"):
                 estimate()
 
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_read_record_without_nonzero_cell_is_empty_in_every_trial(self, empty):
+        """A read record with no nonzero cell, first or last among the cells,
+        has no column in the nonzero-cell draw: the witness helper, the
+        trial-batched records and the per-trial oracle all refuse it as an
+        empty histogram. An unread record without a nonzero cell after them
+        changes no value."""
+        spec = pair_witness((1, 2))
+        records = [CountRecord(tuple(sorted(s.items())), [50, 0, 20, 10])
+                   for s in witness_settings(spec)]
+        unread = CountRecord(((3, "Z"),), [0, 0])
+        stat = lambda rs: witness_value_from_counts(rs, spec)
+        scalar = lambda rs: oracle.witness_value_from_counts(rs, spec)
+        assert monte_carlo_uncertainty(stat, records + [unread], 100, seed=3) \
+            == oracle.monte_carlo_uncertainty(scalar, records + [unread], 100, seed=3) \
+            == _witness_estimate(records + [unread], spec, 100, seed=3)[1:]
+        records[empty] = CountRecord(records[empty].setting, [0, 0, 0, 0])
+        for estimate in (lambda: monte_carlo_uncertainty(stat, records, 100, seed=3),
+                         lambda: oracle.monte_carlo_uncertainty(scalar, records, 100, seed=3),
+                         lambda: _witness_estimate(records, spec, 100, seed=3)):
+            with pytest.raises(ValueError, match="^empty histogram$"):
+                estimate()
+
+    @pytest.mark.parametrize("over", [(1,), (0, 1)])
+    def test_sparse_record_resampled_above_cap_names_its_setting(self, over):
+        """A record whose only nonzero cell holds 2^53 resamples above 2^53 in
+        some trial; the error names the first such record read, through the
+        witness helper and the trial-batched records alike."""
+        spec = pair_witness((1, 2))
+        records = [CountRecord(tuple(sorted(s.items())), [50, 0, 20, 10])
+                   for s in witness_settings(spec)]
+        for i in over:
+            records[i] = CountRecord(records[i].setting, [0, 0, 2 ** 53, 0])
+        label = records[over[0]].setting_label
+        stat = lambda rs: witness_value_from_counts(rs, spec)
+        for estimate in (lambda: monte_carlo_uncertainty(stat, records, 100, seed=3),
+                         lambda: _witness_estimate(records, spec, 100, seed=3)):
+            with pytest.raises(ValueError, match=f"^histogram total above 2\\^53 in setting "
+                                                 f"'{label}'$"):
+                estimate()
+
     def test_std_scales_as_inverse_root_n(self):
         # on the ideal state stabilizer settings have deterministic parities
         # (std exactly zero), so scaling is checked on a noisy state
