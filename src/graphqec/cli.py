@@ -220,7 +220,12 @@ def _cmd_analyze_counts(args) -> int:
     with _open(args.infile, "--in", newline="") as fh:
         rows = list(csv.reader(fh))
     spec = builtin_witnesses(resource_as_printed=args.as_printed)[args.witness]
-    records = witness_records(counts_from_csv_rows(rows), spec)
+    records = counts_from_csv_rows(rows)
+    try:  # each input is valid alone; only the pairing of --witness and --in fails
+        records = witness_records(records, spec)
+    except ValueError as exc:
+        raise ConfigError({"--witness": f"{args.witness} is not covered by the settings in "
+                                        f"{args.infile!r}: {exc}"}) from None
     value, _, std = _witness_estimate(records, spec, args.trials, args.seed)
     bound = fidelity_lower_bound(value)
     print(f"witness {spec.name}: value = {value:.4f} +/- {std:.4f} "

@@ -12,10 +12,9 @@ are each an element-wise step on the vector.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -276,15 +275,23 @@ def _syndromes_of_vector(vec: np.ndarray, labels) -> tuple[float, float, float]:
     return _read_words(vec, labels, syndrome_operators())
 
 
+def _pauli_transfer(u: np.ndarray) -> np.ndarray:
+    """Real 4 x 4 Pauli transfer matrix R[a, c] = tr(P_a U P_c U^dagger) / 2 of
+    conjugation by the 2x2 unitary U = ``u``, Paulis in I, X, Y, Z order:
+    column c is the Pauli vector of U P_c U^dagger, so R sends one qubit's
+    Pauli vector to that of its conjugate. Error injection, syndrome flips
+    and loss recovery all read it."""
+    paulis = np.stack([kernel.PAULI[c] for c in "IXYZ"])
+    return np.einsum("aij,cji->ac", paulis, u @ paulis @ u.conj().T).real / 2
+
+
 @cache
 def _error_signs(letter: str) -> np.ndarray:
     """Read-only signs s_L[P] = tr(P L P L^dagger) / 2 for P = I, X, Y, Z:
-    the diagonal of the single-qubit Pauli transfer matrix of conjugation by
-    L = ``kernel.PAULI[letter]``, +1 for I and L and -1 for the other two.
-    Built from the dense matrices, not from commutation rules."""
-    err = kernel.PAULI[letter]
-    out = np.array([np.trace(p @ err @ p @ err.conj().T).real / 2
-                    for p in (kernel.PAULI[c] for c in "IXYZ")])
+    the diagonal of :func:`_pauli_transfer` of L = ``kernel.PAULI[letter]``,
+    +1 for I and L and -1 for the other two. Built from the dense matrices,
+    not from commutation rules."""
+    out = _pauli_transfer(kernel.PAULI[letter]).diagonal().copy()
     out.setflags(write=False)
     return out
 
@@ -379,8 +386,9 @@ def _lose(state, q: int):
 class RecoveryRecipe:
     """Helper measurements plus feedforward that undo the loss of one qubit.
 
-    ``corrections[2*s_a + s_b]`` is the Pauli applied to the output qubit
-    for helper outcomes (s_a, s_b), named by ``correction_labels``;
+    ``corrections[2*s_a + s_b]`` is the 2x2 unitary, a Pauli in the built-in
+    recipes, applied to the output qubit for helper outcomes (s_a, s_b),
+    named by ``correction_labels``;
     ``frame`` is the fixed unitary applied afterwards, named by
     ``frame_label``. The recipes of :func:`recovery_recipe` hold the exact
     matrices ``kernel.PAULI[letter]`` and the frame ``kernel.Z``. Applying
@@ -478,12 +486,12 @@ def recover_average(rho, recipe: RecoveryRecipe) -> DensityOperator:
     """Feedforward channel output: the recovered state averaged over all
     four helper-outcome pairs, each weighted by its probability.
 
-    In Kraus form this is sum_s K_s rho K_s^dagger over the outcome pairs
-    s = (s_a, s_b), with K_s = frame C_s (x) <h_a, s_a| (x) <h_b, s_b| in
-    the register's label order (:func:`_recovery_kraus`), applied as its
-    cached transfer matrix (:func:`_recovery_ptm`) to the state's Pauli
-    vector. No branch is skipped, so the output is exactly trace-preserving;
-    it is validated once, as the returned single-qubit ``DensityOperator``.
+    Measuring the helpers and applying frame C_s for outcomes s = (s_a, s_b)
+    act on the state's Pauli vector in closed form, so the channel is one
+    cached real transfer matrix (:func:`_recovery_ptm`). Its trace row is
+    exactly the unit vector at I...I: no branch is skipped, and the output
+    is exactly trace-preserving. It is validated once, as the returned
+    single-qubit ``DensityOperator``.
     """
     _check_recipe(rho.labels, recipe)
     vec = kernel._pauli_vector(kernel._raw(rho), len(rho.labels)).reshape(-1)
@@ -493,30 +501,28 @@ def recover_average(rho, recipe: RecoveryRecipe) -> DensityOperator:
 
 @lru_cache(maxsize=128)
 def _recovery_ptm(recipe: RecoveryRecipe, labels: tuple[int, ...]) -> np.ndarray:
-    """Read-only real 4 x 64 Pauli transfer matrix of :func:`recover_average`
-    on a register: entry [a, Q] = tr(P_a sum_s K_s Q K_s^dagger) / 8 sends the
-    register's flattened Pauli vector to the output's (b0, bx, by, bz)."""
-    kraus = _recovery_kraus(recipe, labels)
-    paulis = np.stack([kernel.PAULI[c] for c in "IXYZ"])
-    words = np.stack([reduce(np.kron, w) for w in itertools.product(paulis, repeat=len(labels))])
-    images = np.einsum("qkakb->qab", (kraus @ words @ kraus.conj().T).reshape(-1, 4, 2, 4, 2))
-    out = np.einsum("aij,qji->aq", paulis, images).real / 2 ** len(labels)
-    out.setflags(write=False)
-    return out
+    """Read-only real 4 x 4^n Pauli transfer matrix of :func:`recover_average`
+    on a register: it sends the register's flattened Pauli vector to the
+    output's (b0, bx, by, bz).
 
-
-@lru_cache(maxsize=128)
-def _recovery_kraus(recipe: RecoveryRecipe, labels: tuple[int, ...]) -> np.ndarray:
-    """Read-only (8, 8) stack of a recipe's four 2x8 Kraus operators on a
-    register: rows 2k and 2k + 1 hold K_s for k = 2 s_a + s_b."""
-    (h_a, basis_a), (h_b, basis_b) = recipe.helpers
-    kraus = []
-    for s_a, s_b in itertools.product((0, 1), repeat=2):
-        factors = {recipe.output: recipe.frame @ recipe.correction(s_a, s_b),
-                   h_a: kernel.BASIS_VECTORS[basis_a][s_a].conj()[None, :],
-                   h_b: kernel.BASIS_VECTORS[basis_b][s_b].conj()[None, :]}
-        kraus.append(reduce(np.kron, [factors[q] for q in labels]))
-    out = np.concatenate(kraus)
+    It is read off the branch algebra (the stabilizer picture of a
+    measurement and a Pauli frame). Measuring helper h in basis B with
+    outcome s keeps (v[..I_h..] + (-1)^s v[..B_h..]) / 2, the numerator of
+    :func:`_project_pauli_vector`, and frame C_s then acts on the output
+    letter c by :func:`_pauli_transfer`. So entry [a, word] is nonzero only
+    where the word holds I (j = 0) or the helper's basis (j = 1) on each
+    helper, and there it is sum_s (-1)^(s_a j_a + s_b j_b) R(frame C_s)[a, c]
+    / 4. For the Pauli recipes every term is 0 or +-1, so the matrix is
+    exact."""
+    kept = np.zeros((2, 2, 4))  # [helper, s, letter]: 1 at I, (-1)^s at the basis
+    kept[..., 0] = 1
+    for i, (_, basis) in enumerate(recipe.helpers):
+        kept[i, :, _LETTER_INDEX[basis]] = 1, -1
+    transfers = np.stack([_pauli_transfer(recipe.frame @ c) for c in recipe.corrections])
+    subscript = {recipe.helpers[0][0]: "j", recipe.helpers[1][0]: "k", recipe.output: "c"}
+    out = np.einsum("xyac,xj,yk->a" + "".join(subscript[q] for q in labels),
+                    transfers.reshape(2, 2, 4, 4), *kept) / 4
+    out = out.reshape(4, -1)
     out.setflags(write=False)
     return out
 

@@ -33,8 +33,9 @@ along an axis (``code._inject_in_pauli_vector``), and the count sampler
 Walsh-Hadamard transforms the ``[2]*k`` sub-cubes of all of a witness's
 settings into their outcome probabilities, one butterfly per axis
 (``sampling._probabilities``).
-Loss recovery is a real 4 x 64 Pauli transfer matrix on the index-0 slice
-of the lost qubit's axis (``code._recovery_ptm``), so no kind turns a
+Loss recovery is a real 4 x 64 Pauli transfer matrix, read off the
+recipe's branch algebra, on the index-0 slice of the lost qubit's axis
+(``code._recovery_ptm``), so no kind turns a
 vector back into a density matrix; ``_density_of_pauli_vector`` does that
 for ``sampling.apply_noise``, the noise diagonal, and ``recover_average``.
 
@@ -329,13 +330,12 @@ def apply_unitary(state: PureState | DensityOperator, u, targets) -> PureState |
 
 
 def _partial_trace(matrix: np.ndarray, labels, keep) -> np.ndarray:
-    """Raw density matrix of ``keep``, in ``keep`` order."""
+    """Raw density matrix of ``keep``, in ``keep`` order: the axis plan puts
+    the kept axes first, in that order, and the traced ones after them."""
     n = len(labels)
-    kept = [labels.index(q) for q in keep]
-    dropped = [i for i, q in enumerate(labels) if q not in keep]
-    rows = kept + dropped
-    t = matrix.reshape([2] * (2 * n)).transpose(rows + [n + i for i in rows])
-    dk, dd = 2 ** len(kept), 2 ** len(dropped)
+    rows, _ = _axis_plan(n, tuple(labels.index(q) for q in keep))
+    t = matrix.reshape([2] * (2 * n)).transpose(rows + tuple(n + i for i in rows))
+    dk, dd = 2 ** len(keep), 2 ** (n - len(keep))
     return np.einsum("ajbj->ab", t.reshape(dk, dd, dk, dd))
 
 

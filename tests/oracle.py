@@ -22,8 +22,11 @@ cached axis plan; the two must agree bit for bit. The encoding and loss-recovery
 pipeline is also kept step by step through the checked public kernel
 functions, so every intermediate state is validated; the package builds the
 encoded states as Pauli vectors and runs loss recovery as a transfer matrix
-on them. ``from_pauli_vector``, the inverse of ``kernel._pauli_vector``,
-turns such a vector back into the density matrix these oracles take. The
+on them, read off the recipe's branch algebra; the recipe's Kraus stack,
+each operator widened with ``np.kron``, is kept here (``recovery_kraus``) as
+the reference that matrix is checked against. ``from_pauli_vector``, the
+inverse of ``kernel._pauli_vector``, turns such a vector back into the
+density matrix these oracles take. The
 syndrome table is kept as it was first written: each error injected into
 the state by a dense conjugation and a fresh Pauli vector read from the
 result, where the package flips signs on one vector per probe.
@@ -564,6 +567,21 @@ def recover_average(rho, recipe) -> DensityOperator:
         fix = recipe.frame @ recipe.correction(s_a, s_b)
         total += prob * kernel.apply_unitary(work, fix, (recipe.output,)).matrix
     return DensityOperator((recipe.output,), total)
+
+
+def recovery_kraus(recipe, labels) -> np.ndarray:
+    """(8, 8) stack of a recipe's four 2x8 Kraus operators on a register:
+    rows 2k and 2k + 1 hold K_s = frame C_s (x) <h_a, s_a| (x) <h_b, s_b|, in
+    the register's label order, for k = 2 s_a + s_b. The package reads its
+    transfer matrix off the branch algebra instead (``code._recovery_ptm``)."""
+    (h_a, basis_a), (h_b, basis_b) = recipe.helpers
+    kraus = []
+    for s_a, s_b in itertools.product((0, 1), repeat=2):
+        factors = {recipe.output: recipe.frame @ recipe.correction(s_a, s_b),
+                   h_a: kernel.BASIS_VECTORS[basis_a][s_a].conj()[None, :],
+                   h_b: kernel.BASIS_VECTORS[basis_b][s_b].conj()[None, :]}
+        kraus.append(reduce(np.kron, [factors[q] for q in labels]))
+    return np.concatenate(kraus)
 
 
 # ---------------------------------------------------------------------------

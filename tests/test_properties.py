@@ -5,9 +5,12 @@ closed-form visibility calibration against bisection of the checked
 oracle's fidelity, every noise-sweep row against the states built directly
 at its visibility, the encoding (to 1e-12) and the raw-array loss and
 recovery pipeline against its step-by-step checked oracle, bit for bit
-(``recover_average``, the cached transfer matrix, to 1e-12; that matrix
-equals the Kraus stack's PTM to 1e-15 on every register order, and the
-Kraus operators are complete), and process tomography through the Pauli transfer matrix
+(``recover_average``, the cached transfer matrix read off the recipe's
+branch algebra, to 1e-12, also for recipes with non-Pauli frames and
+corrections; that matrix equals the oracle's Kraus stack's PTM to 1e-15 on
+every register order, its trace row is exactly the unit vector at I...I and
+each Bloch row holds one exact +-1, and the oracle's Kraus operators are
+complete), and process tomography through the Pauli transfer matrix
 against the chi-matrix sums and 16x16 solve it replaced. The encode and
 loss-recovery channels under random per-qubit noise must come out CPTP,
 and count records must survive the CSV round trip. Pauli expectations read from one Pauli vector must
@@ -817,7 +820,7 @@ def recovery_ptm(recipe, keep) -> np.ndarray:
     """Real 4 x 64 map from a three-qubit Pauli vector on ``keep`` to the
     Pauli vector of the recovered qubit, entry [a, Q] = tr(P_a sum_s K_s Q
     K_s^dagger) / 8, from the recipe's Kraus stack."""
-    kraus = code._recovery_kraus(recipe, keep)
+    kraus = oracle.recovery_kraus(recipe, keep)
     out = np.empty((4, 64))
     for i, word in enumerate(itertools.product(oracle.PAULI_MATS, repeat=3)):
         m = kraus @ np.kron(np.kron(*word[:2]), word[2]) @ kraus.conj().T
@@ -1006,6 +1009,43 @@ def test_recover_average_matches_checked_oracle(lost, data):
 
 
 @pytest.mark.parametrize("lost", CODE_QUBITS)
+@PIPELINE
+@given(st.data())
+def test_recover_average_matches_oracle_for_non_pauli_recipes(lost, data):
+    """A recipe whose frame and corrections are not Pauli matrices (frame H,
+    one correction S, as a user may build one) recovers what the checked
+    step-by-step oracle does: the transfer matrix reads each branch's
+    unitary through its Pauli transfer matrix, not through sign flips."""
+    base = recovery_recipe(lost)
+    corrections = list(base.corrections)
+    corrections[data.draw(st.integers(0, 3))] = kernel.S
+    recipe = code.RecoveryRecipe(lost, base.helpers, base.output, tuple(corrections),
+                                 base.correction_labels, kernel.H, "H")
+    rho = data.draw(states(labels=tuple(data.draw(st.permutations(survivors(lost))))))
+    got, want = recover_average(rho, recipe), oracle.recover_average(rho, recipe)
+    assert got.labels == want.labels == (recipe.output,)
+    np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("lost", CODE_QUBITS)
+def test_recovery_ptm_is_exact(lost):
+    """On every order of the register, the trace row is exactly the unit
+    vector at I...I, and rows X, Y and Z each hold exactly one nonzero entry,
+    exactly +-1, at a word whose letter on each helper is I or that helper's
+    basis: the recipe sends each logical Pauli to one output Pauli."""
+    recipe = recovery_recipe(lost)
+    for labels in itertools.permutations(survivors(lost)):
+        ptm = code._recovery_ptm(recipe, labels)
+        assert np.array_equal(ptm[0], np.eye(64)[0])
+        for row in ptm[1:]:
+            (word,) = np.flatnonzero(row)
+            assert abs(row[word]) == 1.0
+            letters = dict(zip(labels, np.unravel_index(word, (4, 4, 4))))
+            for q, basis in recipe.helpers:
+                assert letters[q] in (0, "IXYZ".index(basis)), (labels, word)
+
+
+@pytest.mark.parametrize("lost", CODE_QUBITS)
 def test_recovery_ptm_matches_kraus_oracle(lost):
     """The cached transfer matrix the runner and ``recover_average`` apply
     equals the Kraus stack's PTM, word by word, on every order of the
@@ -1064,12 +1104,13 @@ def test_channel_report_constants_are_cached_read_only():
 
 @pytest.mark.parametrize("lost", CODE_QUBITS)
 def test_recovery_kraus_operators_are_complete(lost):
-    """sum_s K_s^dagger K_s = I for every recipe on every order of its
-    register, so ``recover_average`` preserves trace exactly."""
+    """sum_s K_s^dagger K_s = I for the oracle's Kraus stack of every recipe
+    on every order of its register, so the channel it checks the transfer
+    matrix against preserves trace."""
     recipe = recovery_recipe(lost)
     for labels in itertools.permutations(survivors(lost)):
-        kraus = code._recovery_kraus(recipe, labels)
-        assert kraus.shape == (8, 8) and not kraus.flags.writeable
+        kraus = oracle.recovery_kraus(recipe, labels)
+        assert kraus.shape == (8, 8)
         np.testing.assert_allclose(kraus.conj().T @ kraus, np.eye(8), rtol=0, atol=1e-14)
 
 

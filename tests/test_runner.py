@@ -7,6 +7,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -426,6 +428,19 @@ class TestCli:
                          "--seed", "-1"]) == 1
         assert "--seed: must be a non-negative integer, got -1" in capsys.readouterr().err
 
+    def test_analyze_counts_witness_not_covered_exits_1(self, tmp_path, capsys):
+        """A valid counts file and a valid witness that it does not cover are a
+        usage error naming --witness and the uncovered term, not a runtime
+        failure."""
+        assert cli_main(["witness", "--visibility", "0.8", "--trials", "100", "--seed", "4",
+                         "--out", str(tmp_path), "--format", "csv"]) == 0
+        capsys.readouterr()
+        counts = tmp_path / "counts.csv"
+        assert cli_main(["analyze-counts", "--in", str(counts), "--witness", "pair2"]) == 1
+        err = capsys.readouterr().err
+        assert "--witness: pair2 is not covered by the settings in" in err
+        assert str(counts) in err and "no setting covers term Y~1 Z2" in err
+
     @pytest.mark.parametrize("row, message", [
         ("Z1,0", "line 3: expected 3 fields"),
         ("Z1 Z2,00,abc", "line 3: count 'abc' is not an integer"),
@@ -686,3 +701,18 @@ def test_wrong_config_value_exits_0_or_names_the_field(command, path, value, fla
     assert code in (0, 1), err.getvalue()
     if code == 1:
         assert all(key in err.getvalue() for key in path), err.getvalue()
+
+
+def test_import_adds_no_third_party_module():
+    """Importing the package and its CLI loads nothing outside the standard
+    library, numpy and graphqec itself: numpy stays the only runtime
+    dependency, and nothing else joins the import time of a one-shot call."""
+    script = ("import sys; before = set(sys.modules); import graphqec, graphqec.cli; "
+              "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "graphqec" in out and "numpy" in out
+    assert set(out) - set(sys.stdlib_module_names) <= {"numpy", "graphqec"}, out
