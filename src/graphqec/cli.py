@@ -262,7 +262,11 @@ def cli_main(argv=None) -> int:
         _emit(bundle, args, report)
         return 0
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        if args.command == "analyze-counts":  # its flags only; no config file is involved
+            print("error: " + "; ".join(f"{k}: {v}" for k, v in sorted(exc.fields.items())),
+                  file=sys.stderr)
+        else:
+            print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure
         print(f"error: {exc}", file=sys.stderr)

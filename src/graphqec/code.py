@@ -215,7 +215,7 @@ def encode(a: AncillaState, forced_s3: int | None = None,
     forced = None if forced_s3 is None else kernel._check_outcome(forced_s3)
     s3, _, post, labels = kernel._measure(_encoding_input(a), (1, 2, 3, 4, 5), ANCILLA, "X",
                                           forced, rng)
-    return s3, PureState(labels, post)
+    return s3, kernel._trusted(PureState, labels, post)
 
 
 def parse_error_spec(spec: str) -> PauliString:
@@ -231,7 +231,8 @@ def parse_error_spec(spec: str) -> PauliString:
 
 
 def inject_pauli_error(state, error: PauliString | str):
-    """Apply a weight <= 1 Pauli error on a code qubit."""
+    """Apply a weight <= 1 Pauli error on a code qubit. The error's dense
+    matrix is unitary by construction, so it is applied unchecked."""
     if isinstance(error, str):
         error = parse_error_spec(error)
     if error.weight > 1:
@@ -240,7 +241,9 @@ def inject_pauli_error(state, error: PauliString | str):
         return state
     if not set(error.support) <= set(CODE_QUBITS):
         raise ValueError(f"error must act on a code qubit, got {error.support}")
-    return kernel.apply_unitary(state, error.dense(error.support), error.support)
+    u = error.dense(error.support)
+    return kernel._trusted(type(state), state.labels,
+                           kernel._unitary(kernel._raw(state), state.labels, u, error.support))
 
 
 @dataclass(frozen=True)
@@ -366,7 +369,8 @@ def diagnose(signs, known_location: int | None = None) -> Diagnosis:
 
 def lose_qubit(state, q: int) -> DensityOperator:
     """Erase a code qubit at a known location: trace it out."""
-    return DensityOperator(*_lose(state, q if type(q) is int else kernel._integral(q)))
+    return kernel._trusted(DensityOperator,
+                           *_lose(state, q if type(q) is int else kernel._integral(q)))
 
 
 def _lose(state, q: int):
@@ -478,8 +482,8 @@ def _recover(labels, matrix: np.ndarray, recipe: RecoveryRecipe, forced_outcomes
         outcomes.append(s)
     s_a, s_b = outcomes  # then the (s_a, s_b) correction and the frame on the output
     fix = recipe.frame @ recipe.correction(s_a, s_b)
-    return (s_a, s_b), DensityOperator(labels, kernel._unitary(matrix, labels, fix,
-                                                               (recipe.output,)))
+    return (s_a, s_b), kernel._trusted(DensityOperator, labels,
+                                       kernel._unitary(matrix, labels, fix, (recipe.output,)))
 
 
 def recover_average(rho, recipe: RecoveryRecipe) -> DensityOperator:
@@ -490,13 +494,14 @@ def recover_average(rho, recipe: RecoveryRecipe) -> DensityOperator:
     act on the state's Pauli vector in closed form, so the channel is one
     cached real transfer matrix (:func:`_recovery_ptm`). Its trace row is
     exactly the unit vector at I...I: no branch is skipped, and the output
-    is exactly trace-preserving. It is validated once, as the returned
-    single-qubit ``DensityOperator``.
+    is exactly trace-preserving. The output, derived from the checked
+    input, is built trusted; a property test re-checks it.
     """
     _check_recipe(rho.labels, recipe)
     vec = kernel._pauli_vector(kernel._raw(rho), len(rho.labels)).reshape(-1)
     b = _recovery_ptm(recipe, rho.labels) @ vec
-    return DensityOperator((recipe.output,), kernel._density_of_pauli_vector(b, 1))
+    return kernel._trusted(DensityOperator, (recipe.output,),
+                           kernel._density_of_pauli_vector(b, 1))
 
 
 @lru_cache(maxsize=128)

@@ -39,12 +39,16 @@ recipe's branch algebra, on the index-0 slice of the lost qubit's axis
 vector back into a density matrix; ``_density_of_pauli_vector`` does that
 for ``sampling.apply_noise``, the noise diagonal, and ``recover_average``.
 
-Validation happens at the boundary. The public constructors
+Validation happens where inputs enter. The public constructors
 (``PureState``, ``DensityOperator``, ``Observable``) check their values, and
-every public function checks its inputs and builds one checked result.
-Helpers whose names start with ``_`` take raw arrays (a state vector is
-1-D, a density matrix 2-D) plus a label tuple, trust their callers and
-never build a checked object, so internal steps chain them directly.
+every public function checks the inputs it is given: labels, targets, a
+user's unitary, bases and outcomes. A result derived from checked inputs is
+built trusted (``_trusted``), with no second check; a property test
+re-wraps every such public output through its checked constructor, so the
+guarantee the check gave still holds. Helpers whose names start with ``_``
+take raw arrays (a state vector is 1-D, a density matrix 2-D) plus a label
+tuple, trust their callers and never build a checked object, so internal
+steps chain them directly.
 """
 from __future__ import annotations
 
@@ -139,7 +143,8 @@ class PureState:
         return len(self.labels)
 
     def density(self) -> "DensityOperator":
-        return DensityOperator(self.labels, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return _trusted(DensityOperator, self.labels,
+                        np.outer(self.amplitudes, self.amplitudes.conj()))
 
     @staticmethod
     def single(label: int, vector) -> "PureState":
@@ -197,9 +202,23 @@ class Observable:
         object.__setattr__(self, "matrix", mat)
 
 
+def _trusted(cls, labels: tuple[int, ...], raw: np.ndarray):
+    """A ``PureState`` or ``DensityOperator`` (``cls``) built without the
+    checks of its constructor, for a result the package derives from checked
+    inputs: ``labels`` is a checked label tuple and ``raw`` a state vector
+    (1-D) or density matrix (2-D) of the right size, made read-only here."""
+    raw = np.asarray(raw, dtype=complex)
+    raw.setflags(write=False)
+    state = object.__new__(cls)
+    object.__setattr__(state, "labels", labels)
+    object.__setattr__(state, "amplitudes" if cls is PureState else "matrix", raw)
+    return state
+
+
 def maximally_mixed(labels) -> DensityOperator:
-    dim = 2 ** len(tuple(labels))
-    return DensityOperator(tuple(labels), np.eye(dim, dtype=complex) / dim)
+    labels = _check_labels(labels)
+    dim = 2 ** len(labels)
+    return _trusted(DensityOperator, labels, np.eye(dim, dtype=complex) / dim)
 
 
 def _axes(labels, targets) -> list[int]:
@@ -301,14 +320,15 @@ def reorder(state: PureState | DensityOperator, new_labels) -> PureState | Densi
     new_labels = tuple(new_labels)
     if set(new_labels) != set(state.labels) or len(new_labels) != len(state.labels):
         raise ValueError(f"reorder needs a permutation of {state.labels}, got {new_labels}")
+    new_labels = _check_labels(new_labels)
     n = len(new_labels)
     perm = [state.labels.index(q) for q in new_labels]
     if isinstance(state, PureState):
         amps = state.amplitudes.reshape([2] * n).transpose(perm).reshape(-1)
-        return PureState(new_labels, amps)
+        return _trusted(PureState, new_labels, amps)
     mat = state.matrix.reshape([2] * (2 * n))
     mat = np.transpose(mat, perm + [n + p for p in perm])
-    return DensityOperator(new_labels, mat.reshape(2 ** n, 2 ** n))
+    return _trusted(DensityOperator, new_labels, mat.reshape(2 ** n, 2 ** n))
 
 
 def _check_unitary(u: np.ndarray):
@@ -326,7 +346,7 @@ def apply_unitary(state: PureState | DensityOperator, u, targets) -> PureState |
     if u.shape != (2 ** len(targets), 2 ** len(targets)):
         raise ValueError(f"unitary shape {u.shape} does not match {len(targets)} targets")
     _check_unitary(u)
-    return type(state)(state.labels, _unitary(_raw(state), state.labels, u, targets))
+    return _trusted(type(state), state.labels, _unitary(_raw(state), state.labels, u, targets))
 
 
 def _partial_trace(matrix: np.ndarray, labels, keep) -> np.ndarray:
@@ -346,7 +366,8 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
         raise ValueError("keep must be non-empty")
     if not set(keep) <= set(rho.labels) or len(set(keep)) != len(keep):
         raise ValueError(f"keep {keep} must list distinct qubits of register {rho.labels}")
-    return DensityOperator(keep, _partial_trace(rho.matrix, rho.labels, keep))
+    keep = _check_labels(keep)
+    return _trusted(DensityOperator, keep, _partial_trace(rho.matrix, rho.labels, keep))
 
 
 def expectation(state: PureState | DensityOperator, obs: Observable) -> float:
@@ -433,7 +454,7 @@ def projective_measure(state, qubit: int, basis: str, forced_outcome: int | None
         forced_outcome = _check_outcome(forced_outcome)
     outcome, p, post, post_labels = _measure(_raw(state), state.labels, qubit, basis,
                                              forced_outcome, rng)
-    return outcome, p, type(state)(post_labels, post)
+    return outcome, p, _trusted(type(state), post_labels, post)
 
 
 def overlap(a: PureState, b: PureState) -> float:

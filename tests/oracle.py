@@ -2,10 +2,11 @@
 
 Every local operator is widened to the whole register with ``np.kron`` and
 applied by full matrix products, and single-qubit noise runs through its
-Kraus operators; these functions take raw matrices plus a label tuple. Count
-statistics are evaluated per outcome and per Monte Carlo trial, with one
-scalar Poisson draw per histogram cell, and witnesses from counts one term
-at a time. Histograms are drawn one setting at a time through the generic
+Kraus operators, contracted into the qubit's row and column axes by the
+tensordot ``apply_local``; these functions take raw matrices plus a label
+tuple. Count statistics are evaluated per outcome and per Monte Carlo
+trial, with one scalar Poisson draw per histogram cell, and witnesses from
+counts one term at a time. Histograms are drawn one setting at a time through the generic
 per-axis transform, Pauli words are read off a Pauli vector one at a time,
 and an exact witness is summed term by term from its spec, where the
 package batches all settings, indexes all words at once and reads a cached
@@ -19,8 +20,8 @@ pure states are compared up to a global phase. The kernel's contraction is
 kept as it was first written, ``tensordot`` then ``moveaxis``
 (``apply_local``), where the package calls tensordot's own ``dot`` under a
 cached axis plan; the two must agree bit for bit. The encoding and loss-recovery
-pipeline is also kept step by step through the checked public kernel
-functions, so every intermediate state is validated; the package builds the
+pipeline is also kept step by step through the public kernel functions,
+which check every input they are given; the package builds the
 encoded states as Pauli vectors and runs loss recovery as a transfer matrix
 on them, read off the recipe's branch algebra; the recipe's Kraus stack,
 each operator widened with ``np.kron``, is kept here (``recovery_kraus``) as
@@ -171,11 +172,15 @@ def outcome_probabilities(rho, labels, bases) -> dict[str, float]:
 
 
 def apply_kraus(rho, labels, kraus, qubit) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for k in kraus:
-        full = embed_operator(k, (qubit,), labels)
-        out += full @ rho @ full.conj().T
-    return out
+    """sum_k K rho K^dagger: each K acts on the qubit's row axis and its
+    conjugate on the column axis, so the channel is the 4x4 matrix
+    sum_k K (x) conj(K), contracted into those two axes by one
+    :func:`apply_local`."""
+    n, i = len(labels), list(labels).index(qubit)
+    k = np.asarray(kraus)
+    channel = np.einsum("kac,kbd->abcd", k, k.conj()).reshape(4, 4)
+    t = apply_local(np.asarray(rho).reshape([2] * (2 * n)), channel, [i, n + i])
+    return t.reshape(2 ** n, 2 ** n)
 
 
 def apply_noise(rho, labels, model) -> np.ndarray:

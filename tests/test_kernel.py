@@ -273,6 +273,15 @@ class TestStateChecks:
         with pytest.raises(ValueError, match=message):
             Observable((3, bad), np.eye(4))
 
+    def test_maximally_mixed_reads_a_generator_of_labels_once(self):
+        rho = maximally_mixed(q for q in (1, 2))
+        assert rho.labels == (1, 2)
+        assert np.array_equal(rho.matrix, np.eye(4) / 4)
+
+    def test_maximally_mixed_refuses_a_label_that_is_not_an_integer(self):
+        with pytest.raises(ValueError, match=re.escape("qubit label 2.0 is not an integer")):
+            maximally_mixed([1, 2.0])
+
     @pytest.mark.parametrize("bad", (2.0, np.float64(2.0), True))
     def test_reorder_and_partial_trace_refuse_labels_equal_to_an_integer(self, bad):
         state = random_state((1, 2), np.random.default_rng(4))

@@ -55,7 +55,9 @@ The runner's one-pass JSON writer must give the oracle's sanitize-then-stdlib
 text on random nested documents of Python and numpy values, and refuse what
 it refuses; a config's field-built dict must equal ``dataclasses.asdict``,
 keep its digest and share no mutable map with the config. A logical 2 x 2
-matrix is flagged, or refused, as ``eigvalsh`` of it would have it.
+matrix is flagged, or refused, as ``eigvalsh`` of it would have it. Every
+public state the kernel and the code derive from checked inputs, built
+without a second check, must pass its checked constructor unchanged.
 
 States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
@@ -1129,6 +1131,48 @@ def test_lose_and_recover_match_checked_oracle(lost, data, seed):
     want_s, want = oracle.recover(reduced, recipe, forced, np.random.default_rng(seed))
     assert got_s == want_s and got.labels == want.labels
     assert np.array_equal(got.matrix, want.matrix)
+
+
+def assert_rewraps(out):
+    """``out``, built trusted, passes its checked constructor, which keeps its
+    int labels and its read-only complex array bit for bit."""
+    raw = kernel._raw(out)
+    checked = type(out)(out.labels, raw)
+    assert all(type(q) is int for q in out.labels) and checked.labels == out.labels
+    assert raw.dtype == complex and not raw.flags.writeable
+    assert kernel._raw(checked).shape == raw.shape and np.array_equal(kernel._raw(checked), raw)
+
+
+@PROPERTY
+@given(states(min_qubits=2), st.data(), seeds)
+def test_derived_outputs_pass_the_checked_constructors(state, data, seed):
+    """Every public output derived from checked inputs is built without a
+    second check; each must pass that check unchanged. Kernel outputs on a
+    random register, code outputs on a random state of the code qubits."""
+    rng = np.random.default_rng(seed)
+    targets = subset(data, state.labels, 3)
+    measured = data.draw(st.sampled_from(state.labels))
+    rho = state.density() if isinstance(state, PureState) else state
+    outs = [kernel.apply_unitary(state, random_unitary(2 ** len(targets), rng), targets),
+            kernel.projective_measure(state, measured, data.draw(st.sampled_from("XYZ")),
+                                      rng=rng)[2],
+            kernel.reorder(state, data.draw(st.permutations(state.labels))),
+            kernel.reorder(rho, data.draw(st.permutations(state.labels))),
+            kernel.partial_trace(rho, subset(data, state.labels)),
+            kernel.maximally_mixed(state.labels), rho]
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    code_state = data.draw(states(labels=CODE_QUBITS))
+    lost = data.draw(st.sampled_from(CODE_QUBITS))
+    error = PauliString.single(data.draw(st.sampled_from(CODE_QUBITS)),
+                               data.draw(st.sampled_from("XYZ")))
+    lost_rho = lose_qubit(code_state, lost)
+    outs += [encode(AncillaState(*(v / np.linalg.norm(v))), rng=rng)[1],
+             code.inject_pauli_error(code_state, error), lost_rho,
+             recover(lost_rho, recovery_recipe(lost), rng=rng)[1],
+             recover_average(lost_rho, recovery_recipe(lost)),
+             code.decode_no_loss(code_state, rng=rng)[1]]
+    for out in outs:
+        assert_rewraps(out)
 
 
 @pytest.mark.parametrize("lost", CODE_QUBITS)

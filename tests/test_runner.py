@@ -441,6 +441,23 @@ class TestCli:
         assert "--witness: pair2 is not covered by the settings in" in err
         assert str(counts) in err and "no setting covers term Y~1 Z2" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--witness", "resource5", "--trials", "50"],
+         "error: --trials: must be an integer in [100, 100000], got 50\n"),
+        (["--witness", "resource5", "--seed", "-3"],
+         "error: --seed: must be a non-negative integer, got -3\n"),
+        (["--witness", "pair2"], "error: --witness: pair2 is not covered by the settings in "),
+    ], ids=["trials", "seed", "witness"])
+    def test_analyze_counts_flag_error_is_a_usage_error(self, tmp_path, capsys, flags, message):
+        """analyze-counts reads no config file, so a bad flag is reported as a
+        usage error, not as a config error."""
+        assert cli_main(["witness", "--visibility", "0.8", "--trials", "100", "--seed", "4",
+                         "--out", str(tmp_path), "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert cli_main(["analyze-counts", "--in", str(tmp_path / "counts.csv"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "config" not in err
+
     @pytest.mark.parametrize("row, message", [
         ("Z1,0", "line 3: expected 3 fields"),
         ("Z1 Z2,00,abc", "line 3: count 'abc' is not an integer"),
