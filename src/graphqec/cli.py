@@ -193,7 +193,7 @@ def _cmd_build_resource(args) -> int:
                 g = Graph.from_dict(json.load(fh))
                 state = graph_state(g)
             except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError({"graph": f"bad graph literal: {exc}"}) from exc
+                raise ConfigError({"--graph": f"bad graph literal: {exc}"}) from exc
         report = {
             "graph": g.to_dict(),
             "stabilizer_expectations": _stabilizer_expectations(state, g),
@@ -262,7 +262,7 @@ def cli_main(argv=None) -> int:
         _emit(bundle, args, report)
         return 0
     except ConfigError as exc:
-        if args.command == "analyze-counts":  # its flags only; no config file is involved
+        if args.command in ("analyze-counts", "build-resource"):  # flags only; no config file
             print("error: " + "; ".join(f"{k}: {v}" for k, v in sorted(exc.fields.items())),
                   file=sys.stderr)
         else:

@@ -65,14 +65,16 @@ RESOURCE = Graph.from_edges(range(1, 6), BOX.edge_list() + [(1, 3), (2, 3), (4, 
 
 
 def graph_state(g: Graph) -> PureState:
-    """Prepare |+> on every vertex and apply one CZ per edge."""
+    """Prepare |+> on every vertex and apply one CZ per edge. The input is
+    checked once; the constant CZ is applied to the raw vector unchecked."""
     labels = tuple(sorted(g.vertices))
     if len(labels) > kernel.MAX_QUBITS:
         raise ValueError(f"graph has {len(labels)} vertices, max {kernel.MAX_QUBITS}")
     state = PureState(labels, reduce(np.kron, [kernel.PLUS] * len(labels)))
+    amps = state.amplitudes
     for a, b in g.edge_list():
-        state = kernel.apply_unitary(state, kernel.CZ, (a, b))
-    return state
+        amps = kernel._unitary(amps, state.labels, kernel.CZ, (a, b))
+    return kernel._trusted(PureState, state.labels, amps)
 
 
 def stabilizer_generators(g: Graph) -> list[PauliString]:

@@ -132,9 +132,11 @@ class PureState:
         amps = _as_complex(self.amplitudes).reshape(-1)
         if amps.shape[0] != 2 ** len(labels):
             raise ValueError(f"expected {2 ** len(labels)} amplitudes, got {amps.shape[0]}")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state not normalized: |psi| = {norm}")
+        # |psi|^2 summed as the trace of density(), which DensityOperator
+        # holds to the same tolerance
+        norm2 = (amps * amps.conj()).sum().real
+        if abs(norm2 - 1.0) > NORM_ATOL:
+            raise ValueError(f"state not normalized: |psi| = {math.sqrt(norm2)}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -377,12 +377,12 @@ def _exact_witness(vec, labels, spec):
     return _witness_result(spec, _read_words(vec, labels, _term_table(spec).words))
 
 
-def _witness_block(vec, labels, spec, records, trials, seed):
+def _witness_block(vec, labels, spec, records, trials, seed, mc=None):
     """Exact witness value, for the state with Pauli vector ``vec`` on
     ``labels``, plus the estimate with Monte Carlo bars from ``records``, the
-    histograms drawn of its settings."""
+    histograms drawn of its settings (``mc``: see ``_witness_estimate``)."""
     exact = _exact_witness(vec, labels, spec)
-    estimate, mc_mean, mc_std = _witness_estimate(records, spec, trials, seed)
+    estimate, mc_mean, mc_std = _witness_estimate(records, spec, trials, seed, mc)
     block = {
         "exact": exact.value,
         "estimate": estimate,
@@ -517,19 +517,19 @@ def _run_resource_witness(cfg: ExperimentConfig):
     # box witness on the remaining code qubits
     _, rho_box = _project_pauli_vector(rho, labels, ANCILLA, "Z", 0)
     spec, box_spec = resource_witness(), box_witness()
-    records, box_records = _sample_settings(
+    (records, box_records), mc = _sample_settings(
         [(rho, labels, _witness_settings(spec), 100),
          (rho_box, CODE_QUBITS, _witness_settings(box_spec), 200)],
         cfg.counts_per_setting, cfg.seed)
     gens = stabilizer_generators(RESOURCE)
-    block, exact = _witness_block(rho, labels, spec, records, cfg.trials, cfg.seed)
+    block, exact = _witness_block(rho, labels, spec, records, cfg.trials, cfg.seed, mc)
     summary = {
         "resource5": block,
         "state_fidelity": _vector_fidelity(rho, vec),
         "stabilizer_expectations": dict(zip(map(str, gens), _read_words(rho, labels, gens))),
     }
     box_block, box_exact = _witness_block(rho_box, CODE_QUBITS, box_spec, box_records,
-                                          cfg.trials, cfg.seed)
+                                          cfg.trials, cfg.seed, mc)
     summary["box4_after_ancilla_z"] = box_block
     tables = {
         "witness_terms": _witness_table([("resource5", exact), ("box4", box_exact)]),
@@ -577,7 +577,8 @@ def _run_encode_tomography(cfg: ExperimentConfig):
         jobs += [(framed, CODE_QUBITS, _witness_settings(spec), stream)
                  for _, framed, spec, stream in witnesses[probe]]
         jobs.append((vec, CODE_QUBITS, _logical_readout()[0], 700 + 10 * idx))
-    drawn = iter(_sample_settings(jobs, cfg.counts_per_setting, cfg.seed))
+    drawn, mc = _sample_settings(jobs, cfg.counts_per_setting, cfg.seed)
+    drawn = iter(drawn)
     for probe, vec in vectors.items():
         ldm = _logical_of_vector(vec, CODE_QUBITS)
         target_key = PROBE_TARGETS[probe]
@@ -590,7 +591,7 @@ def _run_encode_tomography(cfg: ExperimentConfig):
             "fidelity_state": _vector_fidelity(vec, target),
             "witnesses": {
                 name: _witness_block(framed, CODE_QUBITS, spec, next(drawn), cfg.trials,
-                                     cfg.seed)[0]
+                                     cfg.seed, mc)[0]
                 for name, framed, spec, _ in witnesses[probe]},
         }
         est = _sampled_logical_expectations(next(drawn))

@@ -12,6 +12,11 @@ concatenated Pauli vectors and transforms them with one staged butterfly
 per number of measured qubits, then draws each setting's histogram from
 its own stream. All sampling is reproducible: the same (seed, stream) pair
 always yields the same histogram, and distinct streams are independent.
+A stream's generator is ``np.random.default_rng((seed, stream))``, bit for
+bit, but built without it: :func:`_stream_states` derives the PCG64 seeds
+of all streams of a run, the Monte Carlo stream included, in one
+vectorized pass of numpy's SeedSequence mixing, and :func:`_generator`
+seeds a PCG64 from one of them. ``numpy.random`` is imported on first use.
 
 A histogram over k measured qubits is a :class:`CountRecord` holding a dense
 int64 count vector of length 2^k indexed by ``int(bits, 2)``, which is also
@@ -43,7 +48,9 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
+import operator
 import re
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,8 +80,100 @@ MAX_COUNT = 2 ** 53
 MAX_TRIALS = 100_000
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.default_rng((int(seed), int(stream)))
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+@functools.cache
+def _hash_constants(h: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The (xor, multiplier) pairs of SeedSequence's first ``count`` hashes
+    from ``h``: h_k and h_{k+1} = h_k * mult mod 2^32, for k < ``count``."""
+    hs = list(itertools.accumulate([h] + [mult] * count, lambda h, m: h * m & _MASK32))
+    return tuple(zip(hs, hs[1:]))
+
+
+def _stream_states(seed, streams) -> np.ndarray:
+    """(streams x 4) uint64: row j is
+    ``np.random.SeedSequence((seed, streams[j])).generate_state(4, np.uint64)``,
+    the PCG64 seed of ``np.random.default_rng((seed, streams[j]))``.
+
+    numpy's SeedSequence (after O'Neill's ``seed_seq_fe``; NEP 19) reads each
+    integer as its little-endian 32-bit words (0 as one word, a negative one
+    raises), hashes the entropy words, the seed's then the stream's, into a
+    4-word pool, cross-mixes the pool, mixes each word past the fourth into
+    every pool word and hashes the pool out to 8 words. The hash constants
+    do not depend on the data, so one pass runs every step over the
+    (words x streams) array of all streams at once. Each row of that array
+    is one Python integer with a 64-bit lane per stream, each lane below
+    2^32: a lane times a 32-bit constant stays inside its 64 bits, so one
+    integer product multiplies every stream, and masks keep each lane mod
+    2^32. (The pass is about 50 such operations; on a few dozen lanes one
+    costs a fraction of a numpy call.)"""
+    seed, *streams = values = [operator.index(v) for v in (seed, *streams)]
+    if min(values) < 0:
+        raise ValueError("expected non-negative integer")
+    k = seed.bit_length() + 31 >> 5 or 1  # the seed's words
+    lengths = [k + (s.bit_length() + 31 >> 5 or 1) for s in streams]
+
+    def lanes(column) -> int:  # one value per stream, each in its lane
+        return int.from_bytes(struct.pack(f"<{len(column)}Q", *column), "little")
+
+    ones = lanes([1] * len(streams))
+    mask, neg_r = ones * _MASK32, (1 << 32) - _MIX_R
+
+    def hashmix(value, x, m):  # (x, m): a pair of _hash_constants
+        value = (value ^ x * ones) * m & mask
+        return value ^ (value >> 16 & mask)
+
+    def mix(x, y):  # L x - R y mod 2^32, as L x + (2^32 - R) y
+        r = ((_MIX_L * x & mask) + (neg_r * y & mask)) & mask
+        return r ^ (r >> 16 & mask)
+
+    rows = [(seed >> 32 * i & _MASK32) * ones for i in range(k)] + \
+        [lanes([s >> 32 * i & _MASK32 for s in streams])  # 0 past a stream's words
+         for i in range(max(4, *lengths) - k)]  # and up to the pool's 4
+    a = iter(_hash_constants(_INIT_A, _MULT_A, 4 * len(rows)))
+    pool = [hashmix(v, *next(a)) for v in rows[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src], *next(a)))
+    for i in range(4, len(rows)):  # word i mixes into the lanes whose entropy reaches it
+        live = lanes([_MASK32 * (n > i) for n in lengths])
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(rows[i], *next(a))) & live | pool[dst] & ~live
+    b = _hash_constants(_INIT_B, _MULT_B, 8)
+    out = [hashmix(pool[i % 4], *h) for i, h in enumerate(b)]  # 8 uint32, read as 4 uint64
+    state = b"".join((lo | hi << 32).to_bytes(8 * len(streams), "little")
+                     for lo, hi in zip(out[::2], out[1::2]))
+    return np.ascontiguousarray(np.frombuffer(state, "<u8").reshape(4, -1).T, np.uint64)
+
+
+@functools.cache
+def _words_type():
+    """``_Words``, defined on first use so that importing this module does
+    not import ``numpy.random``: a seed sequence whose state is given, a
+    row of :func:`_stream_states`, from which PCG64 runs its own seeding."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return _Words
+
+
+def _generator(words: np.ndarray) -> "np.random.Generator":
+    """``np.random.default_rng((seed, stream))``, built from that stream's row
+    ``words`` of :func:`_stream_states`."""
+    return np.random.Generator(np.random.PCG64(_words_type()(words)))
+
+
+def _mc_state(seed) -> np.ndarray:
+    """The :func:`_stream_states` row of the Monte Carlo stream of ``seed``."""
+    return _stream_states(seed, (_MC_STREAM,))[0]
 
 
 def _probability(p, name: str) -> float:
@@ -354,22 +453,26 @@ def sample_setting_counts(state, bases: dict[int, str], expected_n: float,
         raise ValueError(f"expected_n must be positive and at most "
                          f"{MAX_EXPECTED_COUNTS:g}, got {expected_n}")
     job = (_setting_vector(state, bases), state.labels, (bases,), stream)
-    return _sample_settings([job], expected_n, seed)[0][0]
+    [[record]], _ = _sample_settings([job], expected_n, seed)
+    return record
 
 
-def _sample_settings(jobs, expected_n: float, seed: int) -> list[list[CountRecord]]:
+def _sample_settings(jobs, expected_n: float,
+                     seed: int) -> tuple[list[list[CountRecord]], np.ndarray]:
     """Raw :func:`sample_setting_counts` of every setting of every job. A job
     is ``(vec, labels, settings, stream_base)``: the Pauli vector of a state
     on ``labels`` and the settings (``{qubit: basis}`` maps, measured in
     register order) drawn from it, the i-th from stream ``stream_base + i``.
-    One list of records per job, in setting order.
+    Returns one list of records per job, in setting order, and the
+    :func:`_mc_state` of ``seed``.
 
     The settings of all jobs are gathered from the jobs' concatenated
     vectors, and their probabilities come from one :func:`_probabilities`
     pass per number of measured qubits. Each histogram is then a Poisson
     total and a multinomial split drawn from its own (seed, stream)
     generator, job after job, so it equals drawing the settings one at a
-    time."""
+    time. The generators' states, and the Monte Carlo stream's state
+    returned with the records, come from one :func:`_stream_states` pass."""
     groups, measured = _jobs_plan(tuple(
         (tuple(labels), tuple(tuple(map(s.get, labels)) for s in settings))
         for _, labels, settings, _ in jobs))
@@ -377,15 +480,18 @@ def _sample_settings(jobs, expected_n: float, seed: int) -> list[list[CountRecor
     probs = {}
     for gather, where in groups:
         probs.update(zip(where, _probabilities(vec, gather)))
+    streams = [base + i for (*_, base), settings in zip(jobs, measured)
+               for i in range(len(settings))]
+    states = iter(_stream_states(seed, [*streams, _MC_STREAM]))
     out = []
-    for j, ((*_, base), settings) in enumerate(zip(jobs, measured)):
+    for j, settings in enumerate(measured):
         records = []
         for i, setting in enumerate(settings):
-            rng = make_rng(seed, base + i)
+            rng = _generator(next(states))
             records.append(CountRecord._drawn(setting, rng.multinomial(
                 int(rng.poisson(expected_n)), probs[j, i])))
         out.append(records)
-    return out
+    return out, next(states)
 
 
 @functools.lru_cache(maxsize=128)
@@ -594,16 +700,17 @@ def witness_records(records, spec: WitnessSpec) -> list[CountRecord]:
     return [records[i] for i in sorted(set(_term_records([r.setting for r in records], spec)))]
 
 
-def _poisson_trials(counts: np.ndarray, trials: int, seed: int):
+def _poisson_trials(counts: np.ndarray, trials: int, mc: np.ndarray):
     """(draws, cells): Poisson resamples of the nonzero cells ``cells`` of the
-    count vector ``counts``, as one (trials x cells) draw from the
-    (seed, stream) generator of Monte Carlo resampling. numpy draws 0 for a
-    rate of 0 and consumes no draw, so these are the nonzero columns of the
-    draw over every cell, value for value, and every other cell is 0."""
+    count vector ``counts``, as one (trials x cells) draw from a fresh
+    generator of the Monte Carlo stream, whose state is ``mc``
+    (:func:`_mc_state`). numpy draws 0 for a rate of 0 and consumes no
+    draw, so these are the nonzero columns of the draw over every cell,
+    value for value, and every other cell is 0."""
     if not 100 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in [100, {MAX_TRIALS}], got {trials}")
     cells = np.flatnonzero(counts)
-    return make_rng(seed, _MC_STREAM).poisson(counts[cells], size=(trials, cells.size)), cells
+    return _generator(mc).poisson(counts[cells], size=(trials, cells.size)), cells
 
 
 def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple[float, float]:
@@ -628,7 +735,7 @@ def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple
     """
     records = list(records)
     counts = _concatenated(records)
-    draws, cells = _poisson_trials(counts, trials, seed)
+    draws, cells = _poisson_trials(counts, trials, _mc_state(seed))
     full = np.zeros((trials, counts.size), dtype=np.int64)
     full[:, cells] = draws
     ends = list(itertools.accumulate(r.dense.size for r in records))
@@ -638,18 +745,20 @@ def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple
     return float(vals.mean()), float(vals.std())
 
 
-def _witness_estimate(records, spec: WitnessSpec, trials: int,
-                      seed: int) -> tuple[float, float, float]:
+def _witness_estimate(records, spec: WitnessSpec, trials: int, seed: int,
+                      mc: np.ndarray | None = None) -> tuple[float, float, float]:
     """(estimate, mc_mean, mc_std) of the witness ``spec`` on ``records``:
     :func:`witness_value_from_counts`, and :func:`monte_carlo_uncertainty`
     of it with every record resampled, bit for bit. The plan is evaluated
     on the nonzero columns of the same draw, which become no
-    :class:`CountRecord`."""
+    :class:`CountRecord`. ``mc`` is :func:`_mc_state` of ``seed``, if the
+    caller has it from :func:`_sample_settings`."""
     records = list(records)
     plan = _witness_plan(spec, tuple(r.setting for r in records))
     counts = _concatenated(records)
     estimate = _plan_value(spec, plan, counts)
-    vals = _plan_value(spec, plan, *_poisson_trials(counts, trials, seed))
+    vals = _plan_value(spec, plan, *_poisson_trials(
+        counts, trials, _mc_state(seed) if mc is None else mc))
     return estimate, float(vals.mean()), float(vals.std())
 
 

@@ -203,7 +203,7 @@ def sample_counts(vec, labels, bases, expected_n, seed, stream) -> CountRecord:
     the (seed, stream) generator into a checked record."""
     t = vec.take(sampling._setting_gather(tuple(bases.get(q) for q in labels)))
     probs = np.clip(kernel._transform_each_axis(WALSH, t).reshape(-1) / t.size, 0.0, None)
-    rng = sampling.make_rng(seed, stream)
+    rng = np.random.default_rng((int(seed), int(stream)))
     draws = rng.multinomial(int(rng.poisson(expected_n)), probs / probs.sum())
     return CountRecord(tuple((q, bases[q]) for q in labels if q in bases), draws)
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -54,6 +55,23 @@ class TestGraphState:
         g = Graph.from_edges((1, 2), [(1, 2)])
         expected = PureState((1, 2), np.array([1, 1, 1, -1], dtype=complex) / 2)
         assert states_equal(graph_state(g), expected)
+
+    def test_cz_is_applied_unchecked(self, monkeypatch):
+        """The constant CZ goes to the raw vector without the unitary check
+        of ``apply_unitary`` (8 checks for the resource's 8 edges before), and
+        the state is the gate-by-gate public path's, bit for bit."""
+        calls = []
+        check = kernel._check_unitary
+        monkeypatch.setattr(kernel, "_check_unitary", lambda u: calls.append(u) or check(u))
+        state = graph_state(RESOURCE)
+        assert len(calls) == 0
+        want = PureState(state.labels, functools.reduce(np.kron, [kernel.PLUS] * 5))
+        for edge in RESOURCE.edge_list():
+            want = apply_unitary(want, kernel.CZ, edge)
+        assert len(calls) == len(RESOURCE.edge_list()) == 8
+        assert state.labels == want.labels and np.array_equal(state.amplitudes, want.amplitudes)
+        assert not state.amplitudes.flags.writeable
+        PureState(state.labels, state.amplitudes)  # passes the checked constructor
 
     def test_path5_matches_literal_expansion(self):
         assert overlap(graph_state(PATH5), build_linear_cluster5()) > 1 - 1e-9

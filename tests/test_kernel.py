@@ -256,6 +256,15 @@ class TestStateChecks:
         with pytest.raises(ValueError, match="normalized"):
             PureState((1,), np.array([1.0, 1.0]))
 
+    def test_norm_is_held_as_the_density_trace(self):
+        """|psi| = 1 + 0.9e-10 puts the density's trace 1.8e-10 off, which
+        DensityOperator refuses, so the state is refused too; a state that
+        is accepted re-wraps its density."""
+        with pytest.raises(ValueError, match=re.escape("state not normalized: |psi| = 1.0000")):
+            PureState((1,), [1 + 0.9e-10, 0])
+        state = PureState((1,), [1 + 0.4e-10, 0])
+        DensityOperator(state.labels, state.density().matrix)
+
     def test_reorder_requires_permutation(self):
         state = tensor_product(PureState.single(1, kernel.KET0),
                                PureState.single(2, kernel.PLUS))

@@ -57,12 +57,17 @@ it refuses; a config's field-built dict must equal ``dataclasses.asdict``,
 keep its digest and share no mutable map with the config. A logical 2 x 2
 matrix is flagged, or refused, as ``eigvalsh`` of it would have it. Every
 public state the kernel and the code derive from checked inputs, built
-without a second check, must pass its checked constructor unchanged.
+without a second check, must pass its checked constructor unchanged, and
+so must the density of every accepted pure state. The one-pass derivation
+of a run's generator states must give ``np.random.default_rng((seed,
+stream))`` bit for bit, on seeds of one to seven 32-bit words and every
+stream the runner draws from.
 
 States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
 targets such as (5, 2) are non-adjacent and out of register order.
 """
+import functools
 import hashlib
 import itertools
 import json
@@ -601,7 +606,8 @@ def test_sample_settings_match_per_setting_oracle(state, data, expected_n, seed,
     settings_ = [{q: data.draw(st.sampled_from("XYZ"))
                   for q in data.draw(st.permutations(labels))[:k]}
                  for _ in range(data.draw(st.integers(1, 3)))]
-    [got] = sampling._sample_settings([(vec, labels, settings_, stream_base)], expected_n, seed)
+    [got], _ = sampling._sample_settings([(vec, labels, settings_, stream_base)], expected_n,
+                                         seed)
     want = [oracle.sample_counts(vec, labels, s, expected_n, seed, stream_base + i)
             for i, s in enumerate(settings_)]
     assert [r.setting for r in got] == [r.setting for r in want]
@@ -629,7 +635,7 @@ def test_sample_settings_stack_matches_one_vector_at_a_time(states_, data, expec
                      for _ in range(data.draw(st.integers(1, 3)))]
         vec = kernel._pauli_vector(kernel._raw(state), state.num_qubits)
         jobs.append((vec, state.labels, settings_, data.draw(st.integers(0, 2 ** 32))))
-    got = sampling._sample_settings(jobs, expected_n, seed)
+    got, _ = sampling._sample_settings(jobs, expected_n, seed)
     assert [len(records) for records in got] == [len(settings_) for _, _, settings_, _ in jobs]
     for state, (_, _, settings_, base), records in zip(states_, jobs, got):
         for i, (bases, g) in enumerate(zip(settings_, records)):
@@ -909,7 +915,8 @@ def test_vector_sampler_matches_dense_path(state, data):
                                outcome_probabilities(reduced, bases), rtol=0, atol=ATOL)
     spec = data.draw(witness_specs(keep))
     seed = data.draw(seeds)
-    [records] = sampling._sample_settings([(vec, labels, witness_settings(spec), 0)], 500, seed)
+    [records], _ = sampling._sample_settings([(vec, labels, witness_settings(spec), 0)], 500,
+                                             seed)
     block, _ = runner._witness_block(vec, labels, spec, records, 100, seed)
     assert abs(block["exact"] - evaluate_witness(reduced, spec).value) < ATOL
     assert [r.qubits for r in records] == [tuple(q for q in labels if q in s)
@@ -1175,6 +1182,28 @@ def test_derived_outputs_pass_the_checked_constructors(state, data, seed):
         assert_rewraps(out)
 
 
+@PROPERTY
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True), seeds,
+       st.one_of(st.sampled_from((0.0, 0.9e-10, -0.9e-10, 1e-10, -1e-10, 1.8e-10)),
+                 st.floats(-3e-10, 3e-10)))
+def test_accepted_pure_state_rewraps_its_density(labels, seed, excess):
+    """A ``PureState`` holds |psi|^2, its density's trace, to the tolerance
+    ``DensityOperator`` holds that trace to: every accepted state's
+    ``density()`` passes the checked constructor, and a refused state's
+    density matrix is refused for its trace. The state's squared norm is
+    1 + ``excess`` up to rounding, across the boundary at 1e-10."""
+    g = np.random.default_rng(seed).normal(size=(2, 2 ** len(labels)))
+    amps = (g[0] + 1j * g[1]) / np.linalg.norm(g) * math.sqrt(1 + excess)
+    try:
+        state = PureState(labels, amps)
+    except ValueError as exc:
+        assert str(exc).startswith("state not normalized: |psi| = ")
+        with pytest.raises(ValueError, match="^density matrix trace "):
+            DensityOperator(labels, np.outer(amps, amps.conj()))
+    else:
+        assert_rewraps(state.density())
+
+
 @pytest.mark.parametrize("lost", CODE_QUBITS)
 @PIPELINE
 @given(seeds, st.sampled_from((0, 1)))
@@ -1379,3 +1408,63 @@ def test_logical_matrix_checks_match_eigvalsh(r):
         ldm = tomography.logical_density_from_expectations(*r)
         assert ldm.negative_eigenvalue == (eig < -kernel.EIG_ATOL)
         np.testing.assert_array_equal(ldm.matrix, mat)
+
+
+STREAM_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96 + 3, 2 ** 128 + 9,
+                2 ** 200 + 1)
+
+
+@functools.cache
+def runner_streams() -> tuple[int, ...]:
+    """Every stream a sampled run draws from, the Monte Carlo stream
+    included: recorded from one resource-witness run and one
+    encode-tomography run of every probe."""
+    seen = set()
+    derive = sampling._stream_states
+    with mock.patch.object(sampling, "_stream_states",
+                           lambda seed, streams: seen.update(streams) or derive(seed, streams)):
+        for kind in ("resource-witness", "encode-tomography"):
+            runner.run_experiment(ExperimentConfig(kind, probes=PROBE_NAMES, trials=100))
+    assert {100, 101, 200, 201, sampling._MC_STREAM} <= seen
+    assert any(300 <= s < 400 for s in seen) and any(700 <= s < 800 for s in seen)
+    return tuple(sorted(seen))
+
+
+def assert_streams_are_default_rng(seed, streams):
+    """Each stream's row of the one-pass derivation is the SeedSequence state
+    of (seed, stream), and the generator built on it is
+    ``np.random.default_rng((seed, stream))``: the same PCG64 state, the same
+    first Poisson and multinomial draws."""
+    states = sampling._stream_states(seed, streams)
+    assert states.dtype == np.uint64 and states.shape == (len(streams), 4)
+    for stream, words in zip(streams, states):
+        assert np.array_equal(words, np.random.SeedSequence((seed, stream))
+                              .generate_state(4, np.uint64)), (seed, stream)
+        got, want = sampling._generator(words), np.random.default_rng((seed, stream))
+        assert got.bit_generator.state == want.bit_generator.state, (seed, stream)
+        assert got.poisson(500.0) == want.poisson(500.0)
+        assert np.array_equal(got.multinomial(1000, (0.2, 0.3, 0.5)),
+                              want.multinomial(1000, (0.2, 0.3, 0.5)))
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_states_are_default_rng_at_word_boundaries(seed):
+    """Seeds of one to seven 32-bit words with streams of one and two words
+    in the same pass, so that entropy of 2 to 9 words, past the 4-word pool
+    or not, is mixed lane by lane. If numpy ever changes SeedSequence, this
+    test, and not only the golden bundles, fails."""
+    assert_streams_are_default_rng(seed, (0, 2 ** 32 - 1, 2 ** 32) + runner_streams())
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 63 - 1))
+def test_stream_states_are_default_rng_on_random_seeds(seed):
+    assert_streams_are_default_rng(seed, (0, 2 ** 32 - 1, 2 ** 32) + runner_streams())
+
+
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (-(2 ** 64), 100)])
+def test_negative_seed_or_stream_raises_as_default_rng_does(seed, stream):
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        np.random.default_rng((seed, stream))
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        sampling._stream_states(seed, (100, stream))

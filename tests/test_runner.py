@@ -603,6 +603,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "graph: " in err and message in err
 
+    def test_bad_graph_literal_is_a_usage_error(self, tmp_path, capsys):
+        """build-resource reads no config file, so a bad graph literal is a
+        usage error naming --graph, as analyze-counts reports its flags."""
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"vertices": [1, 2], "edges": [[1, 7]]}))
+        assert cli_main(["build-resource", "--graph", str(path)]) == 1
+        assert capsys.readouterr().err == ("error: --graph: bad graph literal: edge [1, 7] "
+                                           "references unknown vertices\n")
+
     def test_build_resource_help_says_graph_is_a_file(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["build-resource", "--help"])
@@ -733,3 +742,21 @@ def test_import_adds_no_third_party_module():
                          text=True, check=True).stdout.split()
     assert "graphqec" in out and "numpy" in out
     assert set(out) - set(sys.stdlib_module_names) <= {"numpy", "graphqec"}, out
+
+
+def test_numpy_random_is_imported_only_by_a_sampled_run():
+    """Importing the package and its CLI, and a loss-recovery run, which
+    draws nothing, leave ``numpy.random`` unimported; the generators of a
+    sampled run import it on first use."""
+    script = ("import sys, graphqec, graphqec.cli; "
+              "c = graphqec.ExperimentConfig; seen = ['numpy.random' in sys.modules]; "
+              "graphqec.run_experiment(c('loss-recovery', noise=graphqec.NoiseModel(0.05))); "
+              "seen.append('numpy.random' in sys.modules); "
+              "graphqec.run_experiment(c('resource-witness', trials=100)); "
+              "print(*seen, 'numpy.random' in sys.modules)")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["False", "False", "True"]
