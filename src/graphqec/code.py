@@ -20,8 +20,8 @@ import numpy as np
 
 from . import kernel, sampling
 from .kernel import DensityOperator, PureState
-from .pauli import (_LETTER_INDEX, PauliString, _read_words, pauli_commutes,
-                    pauli_multiply)
+from .pauli import (_LETTER_INDEX, PauliString, _read_words, _word_action,
+                    _word_expectations, pauli_commutes, pauli_multiply)
 
 CODE_QUBITS = (1, 2, 4, 5)
 ANCILLA = 3
@@ -60,7 +60,7 @@ class AncillaState:
 
     def __post_init__(self):
         norm = math.sqrt(abs(self.alpha) ** 2 + abs(self.beta) ** 2)
-        if abs(norm - 1.0) > kernel.NORM_ATOL:
+        if not abs(norm - 1.0) <= kernel.NORM_ATOL:
             raise ValueError(f"ancilla not normalized: {norm}")
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
@@ -178,6 +178,8 @@ def _encoded_vectors(blochs, noise, byproduct: str) -> np.ndarray:
     vec = (np.asarray(blochs, dtype=float) @ _input_map().T).reshape(-1, *[4] * 5)
     if noise.stage == "post-resource":
         vec = vec * sampling._noise_factors((1, 2, 3, 4, 5), noise)
+    else:  # post-encoding: the same factors on every branch
+        factors = sampling._noise_factors(CODE_QUBITS, noise)
     xbar = logical_ops().xbar
     branches = []
     for s3 in (0,) if byproduct == "condition0" else (0, 1):
@@ -185,7 +187,7 @@ def _encoded_vectors(blochs, noise, byproduct: str) -> np.ndarray:
         if s3 and byproduct == "correct":
             post = _conjugate_pauli_vector(post, xbar, CODE_QUBITS)
         if noise.stage == "post-encoding":
-            post = post * sampling._noise_factors(CODE_QUBITS, noise)
+            post = post * factors
         branches.append((p, post))
     return branches[0][1] if len(branches) == 1 else sum(p * b for p, b in branches)
 
@@ -231,8 +233,12 @@ def parse_error_spec(spec: str) -> PauliString:
 
 
 def inject_pauli_error(state, error: PauliString | str):
-    """Apply a weight <= 1 Pauli error on a code qubit. The error's dense
-    matrix is unitary by construction, so it is applied unchecked."""
+    """Apply a weight <= 1 Pauli error on a code qubit, as the signed
+    permutation of ``pauli._word_action``: phase * psi[perm] for a state
+    vector, phase_x rho[perm_x, perm_z] conj(phase_z) for a density matrix.
+    Every entry of a Pauli matrix is 0, +-1 or +-i, so the result equals the
+    dense contraction of the error's matrix bit for bit, up to the sign of a
+    zero. A Pauli is unitary by construction, so it is applied unchecked."""
     if isinstance(error, str):
         error = parse_error_spec(error)
     if error.weight > 1:
@@ -241,9 +247,13 @@ def inject_pauli_error(state, error: PauliString | str):
         return state
     if not set(error.support) <= set(CODE_QUBITS):
         raise ValueError(f"error must act on a code qubit, got {error.support}")
-    u = error.dense(error.support)
-    return kernel._trusted(type(state), state.labels,
-                           kernel._unitary(kernel._raw(state), state.labels, u, error.support))
+    (perm,), (phase,) = _word_action(state.labels, (error,))
+    raw = kernel._raw(state)
+    if raw.ndim == 1:
+        out = phase * raw[perm]
+    else:
+        out = phase[:, None] * raw[perm[:, None], perm] * phase.conj()
+    return kernel._trusted(type(state), state.labels, out)
 
 
 @dataclass(frozen=True)
@@ -255,7 +265,7 @@ class SyndromeRecord:
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         for v in vals:
-            if abs(v) > 1 + kernel.EIG_ATOL:
+            if not abs(v) <= 1 + kernel.EIG_ATOL:
                 raise ValueError(f"syndrome expectation out of range: {v}")
         object.__setattr__(self, "values", vals)
 
@@ -265,11 +275,12 @@ class SyndromeRecord:
 
 
 def measure_syndromes(state) -> SyndromeRecord:
-    """Exact syndrome expectations, all three read from one Pauli vector of
-    the state; the state is left untouched."""
+    """Exact syndrome expectations, each read through its word's signed
+    permutation (``pauli._word_expectations``), with no contraction and no
+    Pauli vector; the state is left untouched."""
     kernel._axes(state.labels, CODE_QUBITS)
-    vec = kernel._pauli_vector(kernel._raw(state), state.num_qubits)
-    return SyndromeRecord(_syndromes_of_vector(vec, state.labels))
+    return SyndromeRecord(_word_expectations(kernel._raw(state), state.labels,
+                                             syndrome_operators()))
 
 
 def _syndromes_of_vector(vec: np.ndarray, labels) -> tuple[float, float, float]:

@@ -15,9 +15,10 @@ axes to the front, one ``dot`` of the 2^k x 2^k matrix with the
 2^k-row view of the tensor does the arithmetic, with operands laid out as
 ``tensordot`` lays them out, so every bit is the same, and one transpose
 puts the axes back. No operator is ever widened to the full register. A
-projective measurement is one such unitary (``_measure``): a constant 2x2
-matrix whose row s is <v_s| rotates the measured qubit onto Z, so branch s
-is index s on that qubit's axis. The second primitive,
+projective measurement (``_measure``) builds only the branches it needs:
+it contracts the bra <v_s| of outcome s into the measured qubit's axis with
+one ``@`` (and, for a density matrix, the ket |v_s> into its column axis),
+so a forced outcome costs one branch. The second primitive,
 ``_pauli_vector``, serves every Pauli expectation: it interleaves each
 qubit's (row, col) axes of the density tensor into one axis of size 4 and
 applies one constant 4x4 matrix to each axis in turn, so n small
@@ -135,7 +136,7 @@ class PureState:
         # |psi|^2 summed as the trace of density(), which DensityOperator
         # holds to the same tolerance
         norm2 = (amps * amps.conj()).sum().real
-        if abs(norm2 - 1.0) > NORM_ATOL:
+        if not abs(norm2 - 1.0) <= NORM_ATOL:
             raise ValueError(f"state not normalized: |psi| = {math.sqrt(norm2)}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "amplitudes", amps)
@@ -166,13 +167,13 @@ class DensityOperator:
         dim = 2 ** len(labels)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > HERM_ATOL:
+        if not np.abs(mat - mat.conj().T).max() <= HERM_ATOL:
             raise ValueError("density matrix not Hermitian")
         tr = np.trace(mat).real
-        if abs(tr - 1.0) > NORM_ATOL:
+        if not abs(tr - 1.0) <= NORM_ATOL:
             raise ValueError(f"density matrix trace {tr} != 1")
         eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -EIG_ATOL:
+        if not eigs.min() >= -EIG_ATOL:
             raise ValueError(f"density matrix not PSD, min eigenvalue {eigs.min()}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", mat)
@@ -198,7 +199,7 @@ class Observable:
         dim = 2 ** len(labels)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > HERM_ATOL:
+        if not np.abs(mat - mat.conj().T).max() <= HERM_ATOL:
             raise ValueError("observable not Hermitian")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", mat)
@@ -335,7 +336,7 @@ def reorder(state: PureState | DensityOperator, new_labels) -> PureState | Densi
 
 def _check_unitary(u: np.ndarray):
     d = u.shape[0]
-    if np.abs(u @ u.conj().T - np.eye(d)).max() > NORM_ATOL:
+    if not np.abs(u @ u.conj().T - np.eye(d)).max() <= NORM_ATOL:
         raise ValueError("matrix is not unitary within 1e-10")
 
 
@@ -391,8 +392,8 @@ class ZeroProbabilityError(ValueError):
     """A forced measurement branch has probability below 1e-12."""
 
 
-# Row s is <v_s| for the basis's eigenvector v_s: the unitary that rotates a
-# measured qubit onto Z, so that outcome s is index s on its axis.
+# Row s is <v_s| for the basis's eigenvector v_s: contracted into a qubit's
+# axis, it gives outcome s's branch of a state vector.
 _ONTO_Z = {basis: np.stack([v.conj() for v in vs]) for basis, vs in BASIS_VECTORS.items()}
 
 
@@ -400,20 +401,24 @@ def _measure(raw: np.ndarray, labels, qubit: int, basis: str, forced_outcome: in
              rng: np.random.Generator | None):
     """Raw :func:`projective_measure`: ``(outcome, p, post, post_labels)``.
 
-    One ``_apply_local`` contraction rotates ``qubit`` onto Z; branch s is
-    then a tuple index, s on its axis of a state vector, <v_s|psi>, or on
-    its row and column axes of a density matrix, <v_s|rho|v_s>. A forced
-    outcome reads and weighs only its own branch; a drawn one weighs both.
+    Branch s is contracted directly: the state, viewed as (2^i, 2, rest)
+    around the measured qubit's axis i, takes row s of ``_ONTO_Z[basis]``,
+    <v_s|, into that axis with one ``@``, giving <v_s|psi>; a density
+    matrix then takes the row's conjugate, |v_s>, into its column axis the
+    same way, giving <v_s|rho|v_s>. A forced outcome builds and weighs only
+    its own branch; a drawn one builds both with the same arithmetic, so a
+    draw returns the forced branch of its outcome bit for bit.
     ``post`` is the branch taken, normalized, with ``qubit`` removed; a
     state vector stays a vector.
     ``ZeroProbabilityError`` if the branch taken has p below 1e-12."""
     n, i, d = len(labels), labels.index(qubit), raw.ndim
-    rotated = _unitary(raw, labels, _ONTO_Z[basis], (qubit,)).reshape([2] * (d * n))
     branches, probs = {}, {}
     for s in (0, 1) if forced_outcome is None else (forced_outcome,):
-        index = ((slice(None),) * i + (s,) + (slice(None),) * (n - 1 - i)) * d
-        b = branches[s] = rotated[index].reshape((2 ** (n - 1),) * d)
-        probs[s] = float((np.vdot(b, b) if d == 1 else np.trace(b)).real)
+        b = _ONTO_Z[basis][s] @ raw.reshape(2 ** i, 2, -1)
+        if d == 2:
+            b = BASIS_VECTORS[basis][s] @ b.reshape(-1, 2, 2 ** (n - 1 - i))
+        b = branches[s] = b.reshape((2 ** (n - 1),) * d)
+        probs[s] = float((np.vdot(b, b) if d == 1 else b.trace()).real)
     if forced_outcome is None:
         rng = rng if rng is not None else np.random.default_rng()
         outcome = 0 if rng.random() < probs[0] / (probs[0] + probs[1]) else 1

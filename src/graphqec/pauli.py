@@ -175,6 +175,34 @@ def _word_plan(labels: tuple[int, ...], words: tuple[PauliString, ...]):
     return index, phase
 
 
+@lru_cache(maxsize=256)
+def _word_action(labels: tuple[int, ...], words: tuple[PauliString, ...]):
+    """Read-only (perm, phase) arrays, shape (len(words), 2^n), of ``words`` as
+    signed permutations on ``labels``: a Pauli word sends each basis state to
+    one basis state times a phase, so P psi = phase * psi[perm] row by row.
+    Both are read off ``dense(labels)``: perm[x] is the column of row x's
+    nonzero entry and phase[x] that entry. A letter on a qubit outside
+    ``labels`` raises ``ValueError``."""
+    mats = np.stack([p.dense(labels) for p in words])
+    perm = np.abs(mats).argmax(axis=2)
+    phase = np.take_along_axis(mats, perm[..., None], axis=2)[..., 0]
+    perm.setflags(write=False)
+    phase.setflags(write=False)
+    return perm, phase
+
+
+def _word_expectations(raw: np.ndarray, labels: tuple[int, ...], words) -> np.ndarray:
+    """Real tr(rho P) of each Hermitian word P of a raw state vector or
+    density matrix on ``labels``, through the words' signed permutations
+    (:func:`_word_action`), with no contraction: Re sum_x conj(psi_x)
+    phase_x psi[perm_x] for a vector, Re sum_x phase_x rho[perm_x, x] for a
+    density matrix."""
+    perm, phase = _word_action(labels, tuple(words))
+    if raw.ndim == 1:
+        return ((phase * raw[perm]) @ raw.conj()).real
+    return (phase * raw[perm, np.arange(len(raw))]).sum(axis=1).real
+
+
 def pauli_expectations(state, words) -> tuple[float, ...]:
     """Exact tr(rho P) of each Hermitian word P, in order.
 

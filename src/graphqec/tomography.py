@@ -112,7 +112,7 @@ class ChiMatrix:
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (4, 4):
             raise ValueError(f"chi must be 4x4, got {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > 1e-8:
+        if not np.abs(mat - mat.conj().T).max() <= 1e-8:
             raise ValueError("chi matrix not Hermitian")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)

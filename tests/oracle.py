@@ -19,7 +19,10 @@ package does not need, is kept here with its local Clifford unitary, and
 pure states are compared up to a global phase. The kernel's contraction is
 kept as it was first written, ``tensordot`` then ``moveaxis``
 (``apply_local``), where the package calls tensordot's own ``dot`` under a
-cached axis plan; the two must agree bit for bit. The encoding and loss-recovery
+cached axis plan; the two must agree bit for bit. A projective
+measurement is kept as it was first written, a contraction that rotates
+the qubit onto Z and then a slice per branch (``measure``), where the
+package contracts only each branch's row. The encoding and loss-recovery
 pipeline is also kept step by step through the public kernel functions,
 which check every input they are given; the package builds the
 encoded states as Pauli vectors and runs loss recovery as a transfer matrix
@@ -159,6 +162,31 @@ def projective_measure(rho, labels, qubit, basis, outcome):
     p = np.trace(proj @ rho).real
     rest = tuple(q for q in labels if q != qubit)
     return p, partial_trace(proj @ rho @ proj, labels, rest) / p
+
+
+def measure(raw, labels, qubit, basis, forced_outcome, rng):
+    """``kernel._measure`` as it was first written, rotate then slice: one
+    contraction of ``kernel._ONTO_Z[basis]`` rotates ``qubit`` onto Z, and
+    branch s is index s on its axis of a state vector, or on its row and
+    column axes of a density matrix. Returns ``(outcome, p, post,
+    post_labels)`` and draws the outcome from ``rng`` as the package does."""
+    n, i, d = len(labels), labels.index(qubit), raw.ndim
+    rotated = kernel._unitary(raw, labels, kernel._ONTO_Z[basis], (qubit,))
+    rotated = rotated.reshape([2] * (d * n))
+    branches, probs = {}, {}
+    for s in (0, 1) if forced_outcome is None else (forced_outcome,):
+        index = ((slice(None),) * i + (s,) + (slice(None),) * (n - 1 - i)) * d
+        b = branches[s] = rotated[index].reshape((2 ** (n - 1),) * d)
+        probs[s] = float((np.vdot(b, b) if d == 1 else np.trace(b)).real)
+    if forced_outcome is None:
+        outcome = 0 if rng.random() < probs[0] / (probs[0] + probs[1]) else 1
+    else:
+        outcome = forced_outcome
+    p = probs[outcome]
+    if p < 1e-12:
+        raise kernel.ZeroProbabilityError(f"cannot take zero-probability branch {outcome}")
+    post = branches[outcome] / (np.sqrt(p) if d == 1 else p)
+    return outcome, p, post, tuple(q for q in labels if q != qubit)
 
 
 def outcome_probabilities(rho, labels, bases) -> dict[str, float]:

@@ -99,6 +99,12 @@ class TestAncillaState:
         with pytest.raises(ValueError, match="normalized"):
             AncillaState(1, 1)
 
+    @pytest.mark.parametrize("alpha, beta", ((math.nan, 0), (1, math.nan),
+                                             (complex(0, math.nan), 1), (math.inf, 0)))
+    def test_non_finite_amplitude_refused(self, alpha, beta):
+        with pytest.raises(ValueError, match="ancilla not normalized"):
+            AncillaState(alpha, beta)
+
     def test_probe_blochs_span_the_sphere_directions(self):
         blochs = np.array([PROBES[p].bloch for p in PROBES])
         # the four probes are informationally complete: {I, X, Y, Z}
@@ -153,6 +159,12 @@ class TestErrorsAndSyndromes:
     def test_weight_two_rejected(self):
         with pytest.raises(ValueError, match="weight"):
             inject_pauli_error(logical_basis_states()["+"], PauliString.parse("X1 X2"))
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_syndrome_value_refused(self, bad):
+        for values in ((bad, 1, 1), (1, 1, bad)):
+            with pytest.raises(ValueError, match="syndrome expectation out of range"):
+                code.SyndromeRecord(values)
 
     def test_error_spec_parsing(self):
         assert str(parse_error_spec("Z@1")) == "Z1"

@@ -48,6 +48,17 @@ def random_state(labels, rng) -> PureState:
     return PureState(labels, v / np.linalg.norm(v))
 
 
+def with_entry(base, value, where: str) -> np.ndarray:
+    """A copy of the 2x2 ``base`` with ``value`` at (0, 0), or at (0, 1) and
+    (1, 0) when ``where`` is "off-diagonal"."""
+    m = np.array(base, dtype=complex)
+    if where == "diagonal":
+        m[0, 0] = value
+    else:
+        m[0, 1] = m[1, 0] = value
+    return m
+
+
 def random_unitary(dim, rng) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(m)
@@ -264,6 +275,37 @@ class TestStateChecks:
             PureState((1,), [1 + 0.9e-10, 0])
         state = PureState((1,), [1 + 0.4e-10, 0])
         DensityOperator(state.labels, state.density().matrix)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("amps", ([math.nan, 0], [1, math.nan], [complex(1, math.nan), 0],
+                                      [math.inf, 0], [1, -math.inf]))
+    def test_non_finite_amplitude_refused(self, amps):
+        """NaN fails every tolerance comparison, so each check is written to
+        pass only a defect within tolerance, never to fail one above it."""
+        with pytest.raises(ValueError, match="state not normalized"):
+            PureState((1,), amps)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("where", ("diagonal", "off-diagonal"))
+    @pytest.mark.parametrize("value", (math.nan, math.inf, complex(0, math.nan)))
+    def test_non_finite_density_refused(self, value, where):
+        with pytest.raises(ValueError, match="density matrix not Hermitian"):
+            DensityOperator((1,), with_entry(np.eye(2) / 2, value, where))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("where", ("diagonal", "off-diagonal"))
+    @pytest.mark.parametrize("value", (math.nan, math.inf, complex(0, math.nan)))
+    def test_non_finite_observable_refused(self, value, where):
+        with pytest.raises(ValueError, match="observable not Hermitian"):
+            Observable((1,), with_entry(np.eye(2), value, where))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("where", ("diagonal", "off-diagonal"))
+    @pytest.mark.parametrize("value", (math.nan, math.inf, complex(0, math.nan)))
+    def test_non_finite_unitary_refused(self, value, where):
+        state = PureState((1,), [1, 0])
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_unitary(state, with_entry(np.eye(2), value, where), (1,))
 
     def test_reorder_requires_permutation(self):
         state = tensor_product(PureState.single(1, kernel.KET0),

@@ -20,11 +20,15 @@ inverse transform must rebuild the state from its Pauli vector. The kernel's
 contraction must equal the tensordot-then-moveaxis oracle bit for bit, on
 any axes of vectors and density tensors. A sampled measurement must return
 the forced branch of the outcome it drew, bit for bit, also at the raw
-``_measure`` on pure and density inputs in each basis; every witness's
+``_measure`` on pure and density inputs in each basis, and ``_measure``
+must equal the rotate-then-slice oracle, forced or drawn; every witness's
 fidelity bound must hold on arbitrary states, not only on white noise, and
 loss recovery must return Haar-random inputs on every branch and on
 average. A single-qubit Pauli error applied to the Pauli vector as a sign
-flip must equal dense conjugation, the 12 single-error syndrome patterns
+flip must equal dense conjugation; a Pauli word's signed permutation must
+act as its dense matrix, give tr(rho P), inject each of the 12 single
+errors bit for bit as the dense contraction does, and read the syndromes
+the Pauli vector gives; the 12 single-error syndrome patterns
 must hold on Haar-random encoded inputs under weak noise, and the syndrome
 table must equal its dense oracle row for row. The Pauli-domain encoder
 must give the Pauli vectors of the checked oracle's encoded states for
@@ -84,7 +88,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracle
-from graphqec import code, kernel, runner, sampling, tomography
+from graphqec import code, kernel, pauli, runner, sampling, tomography
 from graphqec.code import (CODE_QUBITS, PROBE_NAMES, PROBES, AncillaState, encode,
                            logical_basis_states, logical_ops, lose_qubit, recover,
                            recover_average, recovery_recipe)
@@ -199,6 +203,30 @@ def test_forced_measure_equals_the_draw_that_lands_on_it(basis, mixed, data, see
     forced = kernel._measure(raw, labels, qubit, basis, s, None)
     assert forced[0] == s and forced[1] == p and forced[3] == post_labels
     assert forced[2].shape == post.shape and np.array_equal(forced[2], post)
+
+
+@PROPERTY
+@pytest.mark.parametrize("basis", "XYZ")
+@pytest.mark.parametrize("forced", (None, 0, 1))
+@pytest.mark.parametrize("mixed", (False, True))
+@given(n=st.integers(2, 6), data=st.data(), seed=seeds)
+def test_measure_matches_rotate_then_slice_oracle(basis, forced, mixed, n, data, seed):
+    """``_measure``, which contracts only its branches' rows, equals the
+    rotate-then-slice oracle on any register order, forced or drawn from the
+    same generator: the same outcome, and p and post within 1e-12."""
+    labels = tuple(data.draw(st.permutations(range(1, 7)))[:n])
+    if mixed:
+        raw = kernel._density_matrix(kernel._raw(data.draw(states(labels=labels))))
+    else:
+        g = np.random.default_rng(seed).normal(size=(2, 2 ** n))
+        raw = (g[0] + 1j * g[1]) / np.linalg.norm(g)
+    qubit = data.draw(st.sampled_from(labels))
+    s, p, post, post_labels = kernel._measure(raw, labels, qubit, basis, forced,
+                                              np.random.default_rng(seed))
+    want = oracle.measure(raw, labels, qubit, basis, forced, np.random.default_rng(seed))
+    assert s == want[0] and post_labels == want[3] and post.shape == want[2].shape
+    assert abs(p - want[1]) < ATOL
+    np.testing.assert_allclose(post, want[2], rtol=0, atol=ATOL)
 
 
 @PROPERTY
@@ -957,6 +985,87 @@ def test_pauli_error_as_sign_flip_matches_dense_conjugation(state):
             got = code._inject_in_pauli_vector(vec, axis, letter)
             want = oracle.injected_pauli_vector(raw, state.labels, letter, q)
             np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
+
+
+@st.composite
+def phased_words(draw, labels):
+    """A Pauli word with any of the four phases on a random subset of
+    ``labels``."""
+    support = draw(st.lists(st.sampled_from(labels), max_size=len(labels), unique=True))
+    letters = {q: draw(st.sampled_from("IXYZ")) for q in support}
+    return PauliString.from_map(letters, draw(st.integers(0, 3)))
+
+
+def odd_y_words(labels, powers) -> tuple[PauliString, ...]:
+    """Two words with an odd number of Y letters, whose matrices hold
+    imaginary entries unless the phase is i or -i: one Y at phase
+    i^powers[0], and Y on an odd number of ``labels`` at i^powers[1]."""
+    ys = labels[:len(labels) - (len(labels) + 1) % 2]
+    return (PauliString.single(labels[0], "Y", powers[0]),
+            PauliString.from_map(dict.fromkeys(ys, "Y"), powers[1]))
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True), st.data(), seeds)
+def test_word_action_is_the_dense_matrix(labels, data, seed):
+    """P psi = phase * psi[perm] for phased words on any register order,
+    exactly: each row of a Pauli word's matrix holds one entry, 1, -1, i or
+    -i, so the dense product adds only exact zeros to it."""
+    labels = tuple(labels)
+    words = (*data.draw(st.lists(phased_words(labels), min_size=1, max_size=4)),
+             *odd_y_words(labels, (1, 3)))
+    g = np.random.default_rng(seed).normal(size=(2, 2 ** len(labels)))
+    psi = g[0] + 1j * g[1]
+    perm, phase = pauli._word_action(labels, words)
+    assert not perm.flags.writeable and not phase.flags.writeable
+    for word, row_perm, row_phase in zip(words, perm, phase):
+        assert np.array_equal(row_phase * psi[row_perm], word.dense(labels) @ psi)
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True), st.data())
+def test_word_expectations_are_the_trace(labels, data):
+    """tr(rho P) read through the signed permutations equals
+    ``np.trace(rho @ P)`` on pure and mixed states for Hermitian words,
+    among them words with imaginary entries, where reading rho[x, perm[x]]
+    in place of rho[perm[x], x] would conjugate the value."""
+    state = data.draw(states(labels=tuple(labels)))
+    words = (*data.draw(st.lists(hermitian_words(state.labels), min_size=1, max_size=4)),
+             *odd_y_words(state.labels, (0, 2)))
+    rho = dense(state)
+    got = pauli._word_expectations(kernel._raw(state), state.labels, words)
+    want = [np.trace(rho @ w.dense(state.labels)).real for w in words]
+    np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
+
+
+@PROPERTY
+@given(st.data())
+def test_inject_pauli_error_is_the_dense_contraction(data):
+    """Each of the 12 single-qubit errors, applied as a signed permutation,
+    equals ``kernel._unitary`` with the error's matrix bit for bit, on a pure
+    state and on its density, on any order of the code qubits."""
+    state = data.draw(states(labels=tuple(data.draw(st.permutations(CODE_QUBITS)))))
+    for s in (state, state.density()) if isinstance(state, PureState) else (state,):
+        for letter, q in itertools.product("XYZ", CODE_QUBITS):
+            got = code.inject_pauli_error(s, PauliString.single(q, letter))
+            want = kernel._unitary(kernel._raw(s), s.labels, kernel.PAULI[letter], (q,))
+            assert type(got) is type(s) and got.labels == s.labels
+            assert np.array_equal(kernel._raw(got), want)
+
+
+@PROPERTY
+@given(st.booleans(), st.data())
+def test_measure_syndromes_match_the_pauli_vector_read(with_ancilla, data):
+    """Syndromes read through the signed permutations equal those read off
+    the state's Pauli vector, on any order of the code qubits and on
+    five-qubit registers that hold the ancilla."""
+    labels = CODE_QUBITS + ((code.ANCILLA,) if with_ancilla else ())
+    state = data.draw(states(labels=tuple(data.draw(st.permutations(labels)))))
+    vec = kernel._pauli_vector(kernel._raw(state), state.num_qubits)
+    want = code._syndromes_of_vector(vec, state.labels)
+    got = code.measure_syndromes(state).values
+    assert type(got) is tuple and all(type(v) is float for v in got)
+    np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
 
 
 @st.composite

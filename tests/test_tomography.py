@@ -161,6 +161,16 @@ class TestProcessFidelity:
         with pytest.raises(ValueError, match="zero-trace"):
             process_fidelity(ChiMatrix(np.zeros((4, 4))), chi_identity())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("at", ((0, 0), (1, 2)))
+    @pytest.mark.parametrize("value", (np.nan, np.inf, complex(0, np.nan)))
+    def test_non_finite_chi_refused(self, value, at):
+        """On the diagonal, and off it at an entry and its mirror."""
+        mat = chi_identity().matrix.copy()
+        mat[at] = mat[at[::-1]] = value
+        with pytest.raises(ValueError, match="chi matrix not Hermitian"):
+            ChiMatrix(mat)
+
 
 class TestAverageFidelity:
     def test_published_lost4_values(self):
