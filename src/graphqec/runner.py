@@ -10,7 +10,12 @@ Tables and figures hold Python scalars only: a block of floats is rounded
 and converted once, at the array, with ``(np.round(a, 12) + 0.0).tolist()``,
 never cell by cell, so no numpy scalar reaches the CSV or SVG writers.
 Adding 0.0 after rounding turns ``-0.0`` into ``0.0``, so residue of either
-sign prints the same; the scalar cells are rounded the same way. The summary
+sign prints the same; the scalar cells are rounded the same way. A CSV
+table is then one ``%s`` template filled with its cells, the bytes
+``csv.writer`` writes for such cells; a table with a cell csv would quote or
+write otherwise goes through ``csv.writer`` itself
+(:meth:`ReportBundle.table_csv`). The dots of a Bloch figure are one
+``%``-template filled from coordinates computed at the array. The summary
 is written by :func:`_json_text` in one pass: it converts numpy values while
 it writes the text ``json.dumps(..., indent=2, sort_keys=True)`` gives for
 the converted document, so no converted copy of the summary is built. The
@@ -22,6 +27,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import numbers
@@ -45,7 +51,7 @@ from .sampling import (MAX_TRIALS, NoiseModel, _sample_settings, _witness_estima
 from .tomography import (ChannelSample, _fidelity, _logical_of_vector, _vector_fidelity,
                          average_probe_fidelity, bloch_image, chi_hadamard, chi_identity,
                          logical_density_from_expectations, process_fidelity,
-                         reconstruct_chi, sphere_average_fidelity)
+                         reconstruct_chi)
 from .witnesses import (_term_table, _witness_result, box_witness, fidelity_lower_bound,
                         ghz_witness, pair_witness, resource_witness)
 
@@ -284,13 +290,33 @@ class ReportBundle:
         return _json_text({"summary": self.summary, "provenance": self.provenance}) + "\n"
 
     def table_csv(self, name: str) -> str:
+        """The table as ``csv.writer(lineterminator="\\n")`` writes it. A
+        table whose rows all have one width of at least two is filled into
+        one ``%s`` template, each cell written by ``str`` as csv writes a
+        Python scalar. A table that is ragged or one column wide, or whose
+        text shows a cell csv would quote or write otherwise (a comma, quote,
+        CR or newline inside a cell, a ``None``), is written by
+        ``csv.writer``."""
+        rows = self.tables[name]
+        widths = set(map(len, rows))
+        if len(widths) == 1 and (width := widths.pop()) > 1:
+            text = ("\n".join([",".join(["%s"] * width)] * len(rows)) + "\n") \
+                % tuple(itertools.chain.from_iterable(rows))
+            if not ('"' in text or "\r" in text or "None" in text
+                    or text.count("\n") != len(rows)
+                    or text.count(",") != (width - 1) * len(rows)):
+                return text
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(self.tables[name])
+        csv.writer(buf, lineterminator="\n").writerows(rows)
         return buf.getvalue()
 
     def write(self, out_dir, formats=None) -> list[str]:
         """Write the bundle's files into ``out_dir`` and return their paths.
+
+        The directory is made by one ``os.makedirs``, and each path is the
+        string ``str(pathlib.Path(out_dir) / name)`` spells, built once by
+        string concatenation: pathlib drops a ``./`` prefix and doubled or
+        trailing slashes, so ``"."`` gives the bare file names.
 
         Each file's text is encoded once, as UTF-8, and written by
         :func:`_write_in_place`: one ``os.open`` without ``O_TRUNC`` (mode
@@ -310,11 +336,12 @@ class ReportBundle:
             files.update((f"{name}.csv", self.table_csv(name)) for name in sorted(self.tables))
         if "svg" in formats:
             files.update((f"{name}.svg", self.figures[name]) for name in sorted(self.figures))
-        out = pathlib.Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = str(pathlib.Path(out_dir))
+        os.makedirs(out, exist_ok=True)
+        prefix = "" if out == "." else os.path.join(out, "")
         for name, text in files.items():
-            _write_in_place(out / name, text.encode())
-        return [str(out / name) for name in files]
+            _write_in_place(prefix + name, text.encode())
+        return [prefix + name for name in files]
 
 
 def _write_in_place(path, data: bytes) -> None:
@@ -395,11 +422,14 @@ def _witness_block(vec, labels, spec, records, trials, seed, mc=None):
 
 
 def _chi_block(chi, chi_ref) -> dict:
+    """The summary block of ``chi``: the sphere average is taken from the
+    process fidelity, as ``sphere_average_fidelity`` takes it."""
+    fidelity = process_fidelity(chi, chi_ref)
     return {
         "matrix_re": chi.matrix.real.tolist(),
         "matrix_im": chi.matrix.imag.tolist(),
-        "process_fidelity": process_fidelity(chi, chi_ref),
-        "sphere_average_fidelity": sphere_average_fidelity(chi, chi_ref),
+        "process_fidelity": fidelity,
+        "sphere_average_fidelity": (2 * fidelity + 1) / 3,
         "min_eigenvalue": chi.min_eigenvalue,
         "trace_preservation_defect": chi.trace_preservation_defect(),
     }
@@ -474,22 +504,24 @@ def _svg_bloch(points_out, title: str) -> str:
     side by side."""
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="480" height="250">',
              f'<text x="10" y="14" font-size="12">{title} (x-z projection)</text>',
-             *_svg_grid_disc(), *_svg_disc(350, points_out, "indianred"), "</svg>"]
+             _svg_grid_disc(), _svg_disc(350, points_out, "indianred"), "</svg>"]
     return "\n".join(parts) + "\n"
 
 
-def _svg_disc(cx: int, points, color: str) -> list[str]:
-    out = [f'<circle cx="{cx}" cy="120" r="100" fill="none" stroke="gray"/>']
-    for x, _, z in points:
-        out.append(f'<circle cx="{cx + 100 * x:.1f}" cy="{120 - 100 * z:.1f}" '
-                   f'r="2.5" fill="{color}"/>')
-    return out
+def _svg_disc(cx: int, points: np.ndarray, color: str) -> str:
+    """The lines of the disc at ``cx`` with a dot at (cx + 100 x, 120 - 100 z)
+    for each (n, 3) Bloch point: one ``%``-template filled from the
+    coordinates computed at the array."""
+    xy = np.stack([cx + 100 * points[:, 0], 120 - 100 * points[:, 2]], axis=1)
+    lines = [f'<circle cx="{cx}" cy="120" r="100" fill="none" stroke="gray"/>']
+    lines += [f'<circle cx="%.1f" cy="%.1f" r="2.5" fill="{color}"/>'] * len(xy)
+    return "\n".join(lines) % tuple(xy.reshape(-1).tolist())
 
 
 @cache
-def _svg_grid_disc() -> tuple[str, ...]:
+def _svg_grid_disc() -> str:
     """The input half of every Bloch figure: the disc of :func:`_bloch_grid`."""
-    return tuple(_svg_disc(120, _bloch_grid().tolist(), "steelblue"))
+    return _svg_disc(120, _bloch_grid(), "steelblue")
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +652,7 @@ def _channel_report(outputs: dict, chi_ref, title: str):
     grid = _bloch_grid()
     mapped = bloch_image(chi, grid)
     tables = {"bloch_points": _bloch_table(grid, mapped), "chi": _chi_table(chi)}
-    figures = {"bloch": _svg_bloch(mapped.tolist(), title)}
+    figures = {"bloch": _svg_bloch(mapped, title)}
     return _chi_block(chi, chi_ref), tables, figures
 
 

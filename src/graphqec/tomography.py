@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -52,11 +52,11 @@ class LogicalDensityMatrix:
 
 def logical_density_from_expectations(ex: float, ey: float, ez: float) -> LogicalDensityMatrix:
     """(I + r.sigma) / 2 for r = (ex, ey, ez); its smaller eigenvalue is
-    (1 - |r|) / 2 in closed form."""
+    (1 - |r|) / 2 in closed form. A NaN component fails the check."""
     mat = 0.5 * (kernel.I + ex * kernel.X + ey * kernel.Y + ez * kernel.Z)
     eig_min = (1 - math.hypot(ex, ey, ez)) / 2
     flagged = eig_min < -kernel.EIG_ATOL
-    if eig_min < -NEGATIVITY_TOLERANCE:
+    if not eig_min >= -NEGATIVITY_TOLERANCE:
         raise ValueError(f"logical matrix unphysical: eigenvalue {eig_min}")
     return LogicalDensityMatrix(mat, (float(ex), float(ey), float(ez)), flagged)
 
@@ -126,10 +126,14 @@ class ChiMatrix:
         """Positive semidefinite and trace-preserving (both within 1e-8)."""
         return self.min_eigenvalue > -1e-8 and self.trace_preservation_defect() < 1e-8
 
-    @property
+    @cached_property
     def ptm(self) -> np.ndarray:
-        """Pauli transfer matrix R_ab = tr(P_a eps(P_b)) / 2, real 4x4."""
-        return (_CHI_TO_PTM @ self.matrix.reshape(-1)).real.reshape(4, 4)
+        """Pauli transfer matrix R_ab = tr(P_a eps(P_b)) / 2, real 4x4 and
+        read-only, computed once per instance: the Bloch action and the
+        trace-preservation defect both read it."""
+        ptm = (_CHI_TO_PTM @ self.matrix.reshape(-1)).real.reshape(4, 4)
+        ptm.setflags(write=False)
+        return ptm
 
     def trace_preservation_defect(self) -> float:
         """max |sum_ij chi_ij M_j+ M_i - I|, which is sum_b R_0b P_b - I."""
@@ -175,6 +179,9 @@ def reconstruct_chi(samples: ChannelSample) -> ChiMatrix:
     The Pauli images are eps(I) = rho_0 + rho_1, eps(Z) = rho_0 - rho_1,
     eps(X) = 2 rho_+ - eps(I) and eps(Y) = 2 rho_+y - eps(I); they give
     R_ab = tr(P_a eps(P_b)) / 2, and chi = _CHI_TO_PTM+ vec(R) / 4.
+    The result is built trusted, without ``ChiMatrix``'s copy and check:
+    (chi + chi+) / 2 is exactly Hermitian, entry by entry the conjugate of
+    its transpose, and the outputs were checked when they were built.
     """
     r0, r1, rp, ry = (samples.outputs[p].matrix for p in ("0", "1", "+", "+y"))
     e_id = r0 + r1
@@ -182,7 +189,10 @@ def reconstruct_chi(samples: ChannelSample) -> ChiMatrix:
     ptm = np.einsum("axy,byx->ab", _PAULI_STACK, images).real / 2
     chi = (_CHI_TO_PTM.conj().T @ ptm.reshape(-1)).reshape(4, 4) / 4
     chi = (chi + chi.conj().T) / 2  # remove numerical skew
-    return ChiMatrix(chi)
+    chi.setflags(write=False)
+    trusted = object.__new__(ChiMatrix)
+    object.__setattr__(trusted, "matrix", chi)
+    return trusted
 
 
 def process_fidelity(chi_exp: ChiMatrix, chi_ideal: ChiMatrix) -> float:

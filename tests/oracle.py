@@ -39,7 +39,9 @@ written as: the channel applied term by term, the Bloch action read from
 its images, and chi solved from the superoperator. The bundle's summary
 text is kept as the stdlib writes it: a sanitized copy of the document,
 then ``json.dumps`` with ``indent=2``, where the runner writes it in one
-pass. These are slow but transparent.
+pass. A Bloch figure's disc is kept as it was first written, one f-string
+per point (``svg_disc``), where the runner fills one ``%``-template from
+coordinates computed at the array. These are slow but transparent.
 """
 import itertools
 import json
@@ -675,3 +677,17 @@ def reconstruct_chi(outputs) -> np.ndarray:
         smat[:, 2 * m + n] = img.reshape(-1)
     chi = np.linalg.solve(CHI_BASIS, smat.reshape(-1)).reshape(4, 4)
     return (chi + chi.conj().T) / 2
+
+
+# ---------------------------------------------------------------------------
+# Bundle figures point by point
+# ---------------------------------------------------------------------------
+
+def svg_disc(cx: int, points, color: str) -> list[str]:
+    """The lines ``runner._svg_disc`` joins: the disc at ``cx``, then one
+    f-string per (x, y, z) point, each coordinate formatted on its own."""
+    out = [f'<circle cx="{cx}" cy="120" r="100" fill="none" stroke="gray"/>']
+    for x, _, z in points:
+        out.append(f'<circle cx="{cx + 100 * x:.1f}" cy="{120 - 100 * z:.1f}" '
+                   f'r="2.5" fill="{color}"/>')
+    return out

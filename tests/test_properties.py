@@ -57,7 +57,9 @@ dense product, and the runner's bundle tables, rounded at the array, must
 print every float as the numpy scalar ``round`` would, zeros unsigned.
 The runner's one-pass JSON writer must give the oracle's sanitize-then-stdlib
 text on random nested documents of Python and numpy values, and refuse what
-it refuses; a config's field-built dict must equal ``dataclasses.asdict``,
+it refuses; its table writer must give ``csv.writer``'s bytes on random
+tables, quoting included, and its Bloch disc template the per-point
+f-strings' text; a config's field-built dict must equal ``dataclasses.asdict``,
 keep its digest and share no mutable map with the config. A logical 2 x 2
 matrix is flagged, or refused, as ``eigvalsh`` of it would have it. Every
 public state the kernel and the code derive from checked inputs, built
@@ -71,11 +73,14 @@ States are random pure vectors or random mixed matrices of rank 1, 2 or
 full, on registers drawn as unordered subsets of the labels 1..6, so
 targets such as (5, 2) are non-adjacent and out of register order.
 """
+import csv
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
+import operator
 import warnings
 from unittest import mock
 from dataclasses import asdict, replace
@@ -84,7 +89,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracle
@@ -1444,6 +1449,75 @@ def test_json_writer_refuses_what_the_oracle_refuses(doc, bad, where):
         oracle.json_text(wrapped)
     with pytest.raises(TypeError):
         runner._json_text(wrapped)
+
+
+# Cells a bundle table may hold, and the ones csv quotes or writes otherwise:
+# strings with a comma, quote, CR or newline, empty strings and None.
+plain_csv_cells = st.one_of(
+    st.text(st.sampled_from("ab -.e_"), max_size=4), st.booleans(),
+    st.integers(-10 ** 20, 10 ** 20), st.sampled_from((math.nan, math.inf, -math.inf, -0.0)),
+    st.integers(-10 ** 13, 10 ** 13).map(lambda k: round(k * 1e-12, 12)))
+special_csv_cells = st.one_of(
+    st.sampled_from((",", '"', "\r", "\n", "a,b", 'a"b', "a\rb", "a\nb", "\r\n", "", None)),
+    st.text(st.sampled_from('a,"\r\n '), min_size=1, max_size=3))
+
+
+@st.composite
+def csv_tables(draw):
+    """A table of plain cells in tuple or list rows, with at most a few
+    special cells put in, and at times a row that is one empty field."""
+    rows = draw(st.lists(st.lists(plain_csv_cells, max_size=5), max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        cell, row = draw(special_csv_cells), draw(st.integers(0, len(rows)))
+        if row == len(rows):
+            rows.append([])
+        rows[row].insert(draw(st.integers(0, len(rows[row]))), cell)
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [""])
+    return [tuple(row) if draw(st.booleans()) else row for row in rows]
+
+
+@settings(deadline=None, max_examples=400)
+@given(csv_tables())
+@example([(1, "a,b")])
+@example([('a"b', 0.5)])
+@example([("a\rb",)])
+@example([["a\nb", True]])
+@example([("",)])
+@example([(None, 1)])
+@example([(1, 2), (3,), (4, 5, 6)])
+def test_table_csv_matches_stdlib_writer(rows):
+    """``table_csv`` writes a table as ``csv.writer(lineterminator="\\n")``
+    does, byte for byte: filled into one template, or by csv itself where
+    the rows are ragged or a cell needs its quoting or its handling of
+    empty and None fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    bundle = runner.ReportBundle({}, {"t": rows}, {}, {})
+    assert bundle.table_csv("t") == buf.getvalue()
+
+
+def svg_coordinates(cx):
+    """Bloch coordinates, and ones that put cx + 100 x within 1e-12 of a
+    rounding boundary of ``%.1f`` or just below zero, where it prints as
+    ``-0.0``; their negatives do the same for 120 - 100 z."""
+    return st.one_of(
+        st.floats(-1.0, 1.0), st.floats(-2.0, 5.0),
+        st.builds(lambda k, d: (k / 10 + 0.05 + d - cx) / 100,
+                  st.integers(-100, 5000), st.floats(-1e-12, 1e-12)),
+        st.builds(lambda d: (-d - cx) / 100, st.floats(0.0, 0.049)))
+
+
+@PROPERTY
+@given(st.sampled_from((120, 350)), st.data())
+def test_svg_disc_matches_per_point_oracle(cx, data):
+    """The disc's ``%``-template, filled from coordinates computed at the
+    array, prints every point as the per-point f-string did."""
+    coords = st.tuples(svg_coordinates(cx), st.floats(-1.0, 1.0),
+                       svg_coordinates(120).map(operator.neg))
+    points = np.array(data.draw(st.lists(coords, max_size=50)), dtype=float).reshape(-1, 3)
+    got = runner._svg_disc(cx, points, "red")
+    assert got == "\n".join(oracle.svg_disc(cx, points.tolist(), "red"))
 
 
 @st.composite

@@ -307,6 +307,20 @@ class TestExperiments:
         assert written == rewritten
         assert (tmp_path / "summary.json").read_text() == again.summary_json()
 
+    @pytest.mark.parametrize("out_dir", ["./x", "x/", "x//y", ".", "absolute", "path"])
+    def test_bundle_write_returns_pathlib_paths(self, tmp_path, monkeypatch, out_dir):
+        """The CLI prints each returned path as ``wrote <path>``; each is the
+        path pathlib spells, which drops a ``./`` prefix and doubled or
+        trailing slashes (so a plain ``os.path.join`` is wrong for ``"."``)."""
+        monkeypatch.chdir(tmp_path)
+        out_dir = {"absolute": str(tmp_path / "abs"),
+                   "path": pathlib.Path("p") / "q"}.get(out_dir, out_dir)
+        bundle = run_experiment(cfg("encode-channel", formats=["json", "csv", "svg"]))
+        written = bundle.write(out_dir)
+        names = ["summary.json", "bloch_points.csv", "chi.csv", "bloch.svg"]
+        assert written == [str(pathlib.Path(out_dir) / name) for name in names]
+        assert all(type(p) is str and os.path.isfile(p) for p in written)
+
     @pytest.mark.parametrize("stale", ["longer", "shorter", "none"])
     def test_bundle_rewrite_equals_fresh_write(self, tmp_path, stale):
         """Whatever a file held before, a rewrite leaves the bytes and mode

@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import oracle
-from graphqec import kernel
+from graphqec import kernel, tomography
 from graphqec.code import PROBES, PROBE_NAMES, encode, logical_basis_states
 from graphqec.kernel import DensityOperator, PureState, maximally_mixed
 from graphqec.sampling import NoiseModel, apply_noise
@@ -134,6 +136,48 @@ class TestReconstructChi:
         outputs["+"] = maximally_mixed((1, 2))
         with pytest.raises(ValueError, match="'\\+' is not a single qubit"):
             ChannelSample(outputs)
+
+
+class TestPtmCache:
+    """A chi's PTM is computed once, read-only, as the change of basis gives
+    it; a reconstructed chi, built without the constructor's check, is
+    exactly Hermitian."""
+
+    @staticmethod
+    def random_sample(rng) -> ChannelSample:
+        # reconstruct_chi reads only the matrices: any complex 2x2 will do
+        return ChannelSample({p: SimpleNamespace(matrix=rng.normal(size=(2, 2))
+                                                 + 1j * rng.normal(size=(2, 2)))
+                              for p in PROBE_NAMES})
+
+    @pytest.mark.parametrize("make", [chi_identity, chi_hadamard,
+                                      lambda: reconstruct_chi(ideal_logical_outputs()),
+                                      lambda: ChiMatrix(np.diag([0.7, 0.1, 0.1, 0.1]))])
+    def test_ptm_is_cached_read_only_and_exact(self, make):
+        chi = make()
+        ptm = chi.ptm
+        assert chi.ptm is ptm
+        assert not ptm.flags.writeable
+        with pytest.raises(ValueError):
+            ptm[0, 0] = 2.0
+        want = (tomography._CHI_TO_PTM @ chi.matrix.reshape(-1)).real.reshape(4, 4)
+        assert np.array_equal(ptm, want)
+        r, t = bloch_affine(chi)
+        assert np.array_equal(r, want[1:, 1:]) and np.array_equal(t, want[1:, 0])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reconstructed_chi_is_exactly_hermitian(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            chi = reconstruct_chi(self.random_sample(rng))
+            assert np.array_equal(chi.matrix, chi.matrix.conj().T)
+            assert not chi.matrix.flags.writeable
+
+    def test_nan_expectation_refused_before_chi(self):
+        """A reconstructed chi is not re-checked, so a NaN logical output is
+        refused where it is built."""
+        with pytest.raises(ValueError, match="unphysical: eigenvalue nan"):
+            logical_density_from_expectations(np.nan, 0.0, 0.0)
 
 
 class TestProcessFidelity:
