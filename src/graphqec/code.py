@@ -385,12 +385,23 @@ def lose_qubit(state, q: int) -> DensityOperator:
 
 
 def _lose(state, q: int):
-    """Raw :func:`lose_qubit`: the remaining labels and density matrix."""
+    """Raw :func:`lose_qubit`: the remaining labels and density matrix.
+
+    A state vector psi is viewed as the (kept, lost) matrix m, one reshape
+    around the lost axis and a transpose, and the reduced matrix is
+    sum_j m[a, j] conj(m[b, j]), with no 2^n x 2^n density in between. The
+    products are the element-wise ``np.multiply`` of ``np.outer``, and the
+    sum over j is the partial trace's, so the result equals that of the
+    density path bit for bit. A density matrix takes ``kernel._partial_trace``.
+    """
     if q not in state.labels:
         raise ValueError(f"qubit {q} not present")
     keep = tuple(l for l in state.labels if l != q)
-    return keep, kernel._partial_trace(kernel._density_matrix(kernel._raw(state)),
-                                       state.labels, keep)
+    raw = kernel._raw(state)
+    if raw.ndim == 2:
+        return keep, kernel._partial_trace(raw, state.labels, keep)
+    m = raw.reshape(2 ** state.labels.index(q), 2, -1).transpose(0, 2, 1).reshape(-1, 2)
+    return keep, np.einsum("abj->ab", m[:, None] * m.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +489,13 @@ def recover(rho, recipe: RecoveryRecipe, forced_outcomes=None,
 
 
 def _recover(labels, matrix: np.ndarray, recipe: RecoveryRecipe, forced_outcomes, rng):
-    """:func:`recover` of a raw density matrix on ``labels``."""
+    """:func:`recover` of a raw density matrix on ``labels``.
+
+    After the two helper measurements the output is one qubit, so the fix
+    F = frame @ correction acts as the 2x2 sandwich F rho F^dagger. For the
+    built-in recipes every entry of F is 0, +-1 or +-i, so each two-term
+    dot holds one exact zero and the result equals the contraction of
+    ``kernel._unitary`` up to the sign of a zero."""
     _check_recipe(labels, recipe)
     if forced_outcomes is not None:
         given = tuple(forced_outcomes) if np.iterable(forced_outcomes) else ()
@@ -493,8 +510,7 @@ def _recover(labels, matrix: np.ndarray, recipe: RecoveryRecipe, forced_outcomes
         outcomes.append(s)
     s_a, s_b = outcomes  # then the (s_a, s_b) correction and the frame on the output
     fix = recipe.frame @ recipe.correction(s_a, s_b)
-    return (s_a, s_b), kernel._trusted(DensityOperator, labels,
-                                       kernel._unitary(matrix, labels, fix, (recipe.output,)))
+    return (s_a, s_b), kernel._trusted(DensityOperator, labels, fix @ matrix @ fix.conj().T)
 
 
 def recover_average(rho, recipe: RecoveryRecipe) -> DensityOperator:

@@ -7,8 +7,11 @@ label in a register is the most significant (leftmost) tensor factor, with
 immutable after construction and every operation is a pure function, so
 states can be shared freely between threads.
 
-Every local operator is applied by one contraction helper, ``_apply_local``:
-it contracts a k-qubit matrix into chosen axes of the ``[2]*n`` amplitude
+Every local operator is applied by one contraction helper, ``_apply_local``,
+with two exceptions: a Pauli error acts as its signed permutation
+(``code.inject_pauli_error``), and the recovery's final fix on its one-qubit
+output is one 2x2 sandwich F rho F^dagger (``code._recover``). The helper
+contracts a k-qubit matrix into chosen axes of the ``[2]*n`` amplitude
 tensor (or of the ``[2]*2n`` density tensor) with the ``np.dot`` of
 ``tensordot``, under a cached axis plan: one transpose brings the target
 axes to the front, one ``dot`` of the 2^k x 2^k matrix with the

@@ -11,6 +11,7 @@ it by one constant change of basis.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -39,11 +40,21 @@ NEGATIVITY_TOLERANCE = 0.05
 
 @dataclass(frozen=True, eq=False)
 class LogicalDensityMatrix:
-    """2x2 logical state reconstructed from <X_L>, <Y_L>, <Z_L>."""
+    """2x2 logical state reconstructed from <X_L>, <Y_L>, <Z_L>. The
+    constructor refuses a matrix that is not a finite 2x2 array and
+    expectations that are not three finite reals, which it stores as floats."""
 
     matrix: np.ndarray = field(repr=False)
     expectations: tuple[float, float, float]
     negative_eigenvalue: bool = False
+
+    def __post_init__(self):
+        if np.shape(self.matrix) != (2, 2) or not np.isfinite(self.matrix).all():
+            raise ValueError(f"matrix must be a finite 2x2 array, got {self.matrix!r}")
+        ex = tuple(self.expectations)
+        if len(ex) != 3 or not all(isinstance(e, numbers.Real) and math.isfinite(e) for e in ex):
+            raise ValueError(f"expectations must be three finite floats, got {ex!r}")
+        object.__setattr__(self, "expectations", tuple(map(float, ex)))
 
     @property
     def bloch(self) -> tuple[float, float, float]:
@@ -52,13 +63,17 @@ class LogicalDensityMatrix:
 
 def logical_density_from_expectations(ex: float, ey: float, ez: float) -> LogicalDensityMatrix:
     """(I + r.sigma) / 2 for r = (ex, ey, ez); its smaller eigenvalue is
-    (1 - |r|) / 2 in closed form. A NaN component fails the check."""
+    (1 - |r|) / 2 in closed form. A NaN or infinite component fails the
+    check, so what passes is finite and is built trusted, without
+    ``LogicalDensityMatrix``'s second check."""
     mat = 0.5 * (kernel.I + ex * kernel.X + ey * kernel.Y + ez * kernel.Z)
     eig_min = (1 - math.hypot(ex, ey, ez)) / 2
-    flagged = eig_min < -kernel.EIG_ATOL
     if not eig_min >= -NEGATIVITY_TOLERANCE:
         raise ValueError(f"logical matrix unphysical: eigenvalue {eig_min}")
-    return LogicalDensityMatrix(mat, (float(ex), float(ey), float(ez)), flagged)
+    trusted = object.__new__(LogicalDensityMatrix)
+    vars(trusted).update(matrix=mat, expectations=(float(ex), float(ey), float(ez)),
+                         negative_eigenvalue=eig_min < -kernel.EIG_ATOL)
+    return trusted
 
 
 def logical_tomography(state) -> LogicalDensityMatrix:

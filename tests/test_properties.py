@@ -10,7 +10,9 @@ branch algebra, to 1e-12, also for recipes with non-Pauli frames and
 corrections; that matrix equals the oracle's Kraus stack's PTM to 1e-15 on
 every register order, its trace row is exactly the unit vector at I...I and
 each Bloch row holds one exact +-1, and the oracle's Kraus operators are
-complete), and process tomography through the Pauli transfer matrix
+complete; ``recover`` with random-unitary corrections and frame, to 1e-12;
+losing a qubit of a pure state, bit for bit as losing it from its density
+matrix), and process tomography through the Pauli transfer matrix
 against the chi-matrix sums and 16x16 solve it replaced. The encode and
 loss-recovery channels under random per-qubit noise must come out CPTP,
 and count records must survive the CSV round trip. Pauli expectations read from one Pauli vector must
@@ -64,7 +66,8 @@ keep its digest and share no mutable map with the config. A logical 2 x 2
 matrix is flagged, or refused, as ``eigvalsh`` of it would have it. Every
 public state the kernel and the code derive from checked inputs, built
 without a second check, must pass its checked constructor unchanged, and
-so must the density of every accepted pure state. The one-pass derivation
+so must the density of every accepted pure state and every logical matrix
+a run builds. The one-pass derivation
 of a run's generator states must give ``np.random.default_rng((seed,
 stream))`` bit for bit, on seeds of one to seven 32-bit words and every
 stream the runner draws from.
@@ -1254,6 +1257,47 @@ def test_lose_and_recover_match_checked_oracle(lost, data, seed):
     assert np.array_equal(got.matrix, want.matrix)
 
 
+@PROPERTY
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=6, unique=True), seeds)
+def test_pure_and_density_loss_agree_bit_for_bit(labels, seed):
+    """Losing any qubit of a pure state, through the (kept, lost) product,
+    gives the partial trace of its density matrix bit for bit, on registers
+    in random label order."""
+    g = np.random.default_rng(seed).normal(size=(2, 2 ** len(labels)))
+    psi = PureState(tuple(labels), (g[0] + 1j * g[1]) / np.linalg.norm(g))
+    for q in labels:
+        got, want = lose_qubit(psi, q), lose_qubit(psi.density(), q)
+        assert got.labels == want.labels and np.array_equal(got.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("lost", CODE_QUBITS)
+@PIPELINE
+@given(st.data(), seeds)
+def test_recover_matches_oracle_for_random_unitary_recipes(lost, data, seed):
+    """A recipe with four random-unitary corrections and a random-unitary
+    frame recovers what the checked oracle's contraction does, on every
+    forced outcome pair and on drawn outcomes, and its output passes the
+    checked constructor: the 2x2 fix needs no Pauli entries."""
+    rng = np.random.default_rng(seed)
+    base = recovery_recipe(lost)
+    recipe = code.RecoveryRecipe(lost, base.helpers, base.output,
+                                 tuple(random_unitary(2, rng) for _ in range(4)),
+                                 ("U0", "U1", "U2", "U3"), random_unitary(2, rng), "V")
+    state = data.draw(states(labels=tuple(data.draw(st.permutations(CODE_QUBITS)))))
+    rho = lose_qubit(state, lost)
+    for forced in (*itertools.product((0, 1), repeat=2), None):
+        try:
+            want_s, want = oracle.recover(rho, recipe, forced, np.random.default_rng(seed))
+        except kernel.ZeroProbabilityError:
+            with pytest.raises(kernel.ZeroProbabilityError):
+                recover(rho, recipe, forced, np.random.default_rng(seed))
+            continue
+        got_s, got = recover(rho, recipe, forced, np.random.default_rng(seed))
+        assert got_s == want_s and got.labels == want.labels == (recipe.output,)
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=ATOL)
+        assert_rewraps(got)
+
+
 def assert_rewraps(out):
     """``out``, built trusted, passes its checked constructor, which keeps its
     int labels and its read-only complex array bit for bit."""
@@ -1591,6 +1635,42 @@ def test_logical_matrix_checks_match_eigvalsh(r):
         ldm = tomography.logical_density_from_expectations(*r)
         assert ldm.negative_eigenvalue == (eig < -kernel.EIG_ATOL)
         np.testing.assert_array_equal(ldm.matrix, mat)
+        assert_logical_rewraps(ldm)
+
+
+def assert_logical_rewraps(ldm):
+    """``ldm``, built trusted, passes the checked ``LogicalDensityMatrix``
+    constructor with every field unchanged."""
+    checked = tomography.LogicalDensityMatrix(ldm.matrix, ldm.expectations,
+                                              ldm.negative_eigenvalue)
+    assert np.array_equal(checked.matrix, ldm.matrix) and checked.matrix.shape == (2, 2)
+    assert checked.expectations == ldm.expectations
+    assert all(type(e) is float for e in ldm.expectations)
+    assert type(ldm.negative_eigenvalue) is bool
+    assert checked.negative_eigenvalue is ldm.negative_eigenvalue
+
+
+@pytest.mark.parametrize("kind", ("encode-tomography", "encode-channel", "loss-recovery"))
+@settings(deadline=None, max_examples=5)
+@given(st.data())
+def test_runner_logical_matrices_pass_the_checked_constructor(kind, data):
+    """Every logical matrix a run builds, exact or sampled, under random
+    noise, passes the checked constructor unchanged."""
+    stage = data.draw(st.sampled_from(("post-resource", "post-encoding")))
+    noise = data.draw(noise_maps((1, 2, 3, 4, 5), stage))
+    built, build = [], tomography.logical_density_from_expectations
+
+    def recording(*expectations):
+        built.append(build(*expectations))
+        return built[-1]
+
+    with mock.patch.object(tomography, "logical_density_from_expectations", recording), \
+            mock.patch.object(runner, "logical_density_from_expectations", recording):
+        run_experiment(ExperimentConfig(kind, noise, lost=data.draw(st.sampled_from(CODE_QUBITS)),
+                                        trials=100))
+    assert len(built) >= len(PROBE_NAMES)
+    for ldm in built:
+        assert_logical_rewraps(ldm)
 
 
 STREAM_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96 + 3, 2 ** 128 + 9,

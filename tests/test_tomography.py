@@ -8,11 +8,12 @@ from graphqec import kernel, tomography
 from graphqec.code import PROBES, PROBE_NAMES, encode, logical_basis_states
 from graphqec.kernel import DensityOperator, PureState, maximally_mixed
 from graphqec.sampling import NoiseModel, apply_noise
-from graphqec.tomography import (ChannelSample, ChiMatrix, average_probe_fidelity,
-                                 bloch_affine, bloch_image, chi_hadamard, chi_identity,
-                                 chi_of_unitary, logical_density_from_expectations,
-                                 logical_tomography, process_fidelity, reconstruct_chi,
-                                 sphere_average_fidelity, state_fidelity)
+from graphqec.tomography import (ChannelSample, ChiMatrix, LogicalDensityMatrix,
+                                 average_probe_fidelity, bloch_affine, bloch_image,
+                                 chi_hadamard, chi_identity, chi_of_unitary,
+                                 logical_density_from_expectations, logical_tomography,
+                                 process_fidelity, reconstruct_chi, sphere_average_fidelity,
+                                 state_fidelity)
 
 
 def ideal_logical_outputs() -> ChannelSample:
@@ -178,6 +179,43 @@ class TestPtmCache:
         refused where it is built."""
         with pytest.raises(ValueError, match="unphysical: eigenvalue nan"):
             logical_density_from_expectations(np.nan, 0.0, 0.0)
+
+
+class TestLogicalDensityMatrixCheck:
+    def test_nan_matrix_and_expectations_refused(self):
+        """A directly built NaN logical state is refused at its constructor,
+        so it never reaches ``reconstruct_chi``, which does not re-check."""
+        nan = float("nan")
+        with pytest.raises(ValueError, match="matrix must be a finite 2x2"):
+            LogicalDensityMatrix(np.full((2, 2), np.nan), (nan,) * 3)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_entries_refused_by_field(self, bad):
+        mat = np.eye(2, dtype=complex) / 2
+        for entry in (bad, complex(0.0, bad)):
+            for index in ((0, 0), (0, 1)):
+                m = mat.copy()
+                m[index] = entry
+                with pytest.raises(ValueError, match="matrix must be a finite 2x2"):
+                    LogicalDensityMatrix(m, (0.0, 0.0, 0.0))
+        for i in range(3):
+            ex = [0.0, 0.0, 0.0]
+            ex[i] = bad
+            with pytest.raises(ValueError, match="expectations must be three finite floats"):
+                LogicalDensityMatrix(mat, tuple(ex))
+
+    def test_shape_and_count_refused(self):
+        with pytest.raises(ValueError, match="matrix must be a finite 2x2"):
+            LogicalDensityMatrix(np.eye(4) / 4, (0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="expectations must be three finite floats"):
+            LogicalDensityMatrix(np.eye(2) / 2, (0.0, 0.0))
+        with pytest.raises(ValueError, match="expectations must be three finite floats"):
+            LogicalDensityMatrix(np.eye(2) / 2, (0.0, "0", 0.0))
+
+    def test_expectations_stored_as_floats(self):
+        ldm = LogicalDensityMatrix(np.eye(2) / 2, (0, np.float64(0.5), np.int64(0)))
+        assert ldm.expectations == (0.0, 0.5, 0.0)
+        assert all(type(e) is float for e in ldm.expectations)
 
 
 class TestProcessFidelity:
