@@ -373,29 +373,22 @@ _LOGICAL_NAMES = ("xbar", "ybar", "zbar")
 
 
 @cache
-def _logical_readout() -> tuple[tuple[dict[int, str], ...], np.ndarray]:
-    """(settings, masks) of the sampled logical read-out: each logical
+def _logical_readout() -> tuple[tuple[dict[int, str], ...], tuple]:
+    """(settings, parities) of the sampled logical read-out: each logical
     operator measured with its own letters and Z on the other code qubits,
-    and its +/-1 parity mask over that setting's 16 outcomes, stacked."""
+    and read as the parity of its support in its own setting (see
+    ``sampling._parity_plan``)."""
     ops = [getattr(logical_ops(), name) for name in _LOGICAL_NAMES]
     settings = tuple({q: "Z" for q in CODE_QUBITS} | dict(op.letters) for op in ops)
-    masks = np.stack([sampling._parity_mask(len(CODE_QUBITS),
-                                            tuple(map(CODE_QUBITS.index, op.support)))
-                      for op in ops])
-    masks.setflags(write=False)
-    return settings, masks
+    return settings, tuple(enumerate(op.support for op in ops))
 
 
 def _sampled_logical_expectations(records) -> dict:
     """Sampled estimate of each logical operator from its record of the
-    :func:`_logical_readout` settings: one masked product over the stacked
-    histograms, the same parity estimate as ``sampling.estimate_expectation``
-    (every partial sum is an exact integer), with its "empty histogram"."""
-    counts = np.stack([r.dense for r in records])
-    totals = counts.sum(-1)
-    if (totals == 0).any():
-        raise ValueError("empty histogram")
-    return dict(zip(_LOGICAL_NAMES, ((counts * _logical_readout()[1]).sum(-1) / totals).tolist()))
+    :func:`_logical_readout` settings: one three-read parity plan."""
+    plan = sampling._parity_plan(tuple(r.setting for r in records), _logical_readout()[1])
+    return dict(zip(_LOGICAL_NAMES,
+                    sampling._parities(plan, sampling._concatenated(records)).tolist()))
 
 
 def _exact_witness(vec, labels, spec):

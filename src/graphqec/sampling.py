@@ -24,13 +24,15 @@ the sorted-key order, or a (trials x 2^k) matrix of Monte Carlo resamples.
 Outcome bitstrings appear only at the edges: :meth:`CountRecord.from_counts`
 parses them, :attr:`CountRecord.counts` lists the nonzero cells by them, and
 the CSV interchange reads and writes them, indexing one cached tuple of the
-2^k bitstrings. Parity estimates are ``(counts @ mask) / counts.sum(-1)``
-with a cached float64 +/-1 parity mask, so the same estimator serves one
-histogram and a batch. A witness is read through a cached parity plan
-(:func:`_witness_plan`): one float64 matrix over the cells of all its
-records, whose columns are each term's parity mask and its record's 0/1
-indicator, so one ``counts @ matrix`` gives every term's signed sum and
-total, on a histogram or a batch. The product runs in float64 and is exact:
+2^k bitstrings. Every parity estimate, a witness term, a sampled logical
+operator or :func:`estimate_expectation`, is read through one cached parity
+plan (:func:`_parity_plan`) and evaluated by one function
+(:func:`_parities`): a float64 matrix over the cells of all the records,
+whose columns are each read's +/-1 parity in its record's rows and that
+record's 0/1 indicator, so one ``counts @ matrix`` gives every read's
+signed sum and total, on a histogram or a batch. A witness is its terms
+read through such a plan (:func:`_witness_plan`), weighted and subtracted
+from its constant. The product runs in float64 and is exact:
 a histogram's total is at most 2^53, so every count and every partial sum
 of signed counts is an integer that float64 holds exactly.
 
@@ -184,16 +186,18 @@ def _probability(p, name: str) -> float:
 
 
 def _per_qubit(value, name: str) -> dict[int, float] | float:
-    """One probability for every qubit, or a map from qubit (an int or its
-    decimal string, as JSON keys are) to probability."""
+    """One probability for every qubit, or a map from qubit to probability.
+    A qubit is an integral non-bool (the kernel's label rule) or a string of
+    decimal digits, as JSON keys are; two keys may not name one qubit."""
     if not isinstance(value, dict):
         return _probability(value, name)
     items = {}
     for q, p in value.items():
-        try:
-            q = int(q)
-        except (TypeError, ValueError):
-            raise ValueError(f"{name} qubit {q!r} is not an integer") from None
+        if type(q) is not int:
+            q = int(q) if isinstance(q, str) and q.isascii() and q.isdecimal() \
+                else kernel._integral(q, f"{name} qubit")
+        if q in items:
+            raise ValueError(f"{name} qubit {q} is given twice")
         items[q] = _probability(p, f"{name} of qubit {q}")
     return items
 
@@ -520,17 +524,77 @@ def _jobs_plan(shapes: tuple[tuple[tuple[int, ...], tuple[tuple[str | None, ...]
     return tuple(groups), tuple(settings)
 
 
+class _Plan(NamedTuple):
+    """The parity plan of R parity reads on a list of records (see
+    :func:`_parity_plan`), over the records' cells concatenated in record
+    order. ``matrix`` is the read-only float64 (cells x 2R) matrix: column
+    j < R holds read j's +/-1 parity in the rows of the record it reads,
+    column R + j that record's 0/1 indicator, so ``counts @ matrix`` gives
+    every read's signed parity sum and its record's total in one BLAS
+    product. Per record read, in record order, ``reads`` holds its first
+    cell, its end and its setting's label, and ``firsts`` the first parity
+    read of it. A witness's plan (:func:`_witness_plan`) also holds
+    ``weights``, each term's ``float(coefficient) * sign``."""
+
+    matrix: np.ndarray
+    reads: tuple[tuple[int, int, str], ...]
+    firsts: tuple[int, ...]
+    weights: np.ndarray | None = None
+
+
 @functools.lru_cache(maxsize=128)
-def _parity_mask(k: int, positions: tuple[int, ...]) -> np.ndarray:
-    """Read-only float64 vector over the 2^k outcomes: +1 where the bits at
-    ``positions`` (0 = leftmost) have even parity, -1 where odd."""
-    index = np.arange(2 ** k)
-    parity = np.zeros(2 ** k, dtype=np.int64)
-    for i in positions:
-        parity ^= (index >> (k - 1 - i)) & 1
-    mask = 1.0 - 2 * parity
-    mask.setflags(write=False)
-    return mask
+def _parity_plan(settings: tuple, parities: tuple) -> _Plan:
+    """The :class:`_Plan` of ``parities`` on records with these ``settings``.
+    Each parity is a (record index, support) pair: the parity of the
+    outcomes of the support's qubits in that record, +1 where the bits
+    (0 = the +1 eigenvalue) have even parity, -1 where odd."""
+    starts = [0, *itertools.accumulate(2 ** len(s) for s in settings)]
+    n = len(parities)
+    matrix = np.zeros((starts[-1], 2 * n))
+    for j, (i, support) in enumerate(parities):
+        qubits = [q for q, _ in settings[i]]
+        cells = np.arange(2 ** len(qubits))
+        # each shift puts one qubit's bit lowest; the low bit of the sum is their xor
+        odd = sum(cells >> (len(qubits) - 1 - qubits.index(q)) for q in support) & 1
+        matrix[starts[i]:starts[i + 1], j] = 1 - 2 * odd
+        matrix[starts[i]:starts[i + 1], n + j] = 1
+    matrix.setflags(write=False)
+    chosen = [i for i, _ in parities]
+    read = sorted(set(chosen))
+    return _Plan(matrix,
+                 tuple((starts[i], starts[i + 1], _setting_label(settings[i])) for i in read),
+                 tuple(map(chosen.index, read)))
+
+
+def _parities(plan: _Plan, counts, cells=None) -> np.ndarray:
+    """Every parity read of ``plan``, signed sum over total, on a trailing
+    axis. ``counts`` holds the records' count vectors concatenated in record
+    order (one histogram, or a batch with leading axes), or, given the
+    sorted indices ``cells`` into them, only those cells (every other cell
+    is 0).
+
+    One float64 product with the plan's matrix gives every signed sum and
+    every total. A float total is exact if the true total is at most 2^53,
+    and at least 2^53 if it is above, since every partial sum of
+    non-negative integers below 2^53 is exact and rounding is monotone; so
+    only a record whose float total reaches 2^53 is summed again in int64
+    to refuse a total above 2^53. With every total at most 2^53, every
+    partial signed sum is an exact integer too, and the quotient is that of
+    Python's int/int division. A record read that is empty, or above 2^53,
+    raises; the first such record in record order names the error."""
+    sums = counts.astype(float) @ (plan.matrix if cells is None else plan.matrix[cells])
+    n = sums.shape[-1] // 2
+    signed, totals = sums[..., :n], sums[..., n:]
+    if totals.size and not 0 < totals.min() <= totals.max() < MAX_COUNT:
+        reads = totals[..., plan.firsts].reshape(-1, len(plan.firsts))
+        for (start, end, label), read in zip(plan.reads, reads.T):
+            if (read == 0).any():
+                raise ValueError("empty histogram")
+            part = slice(start, end) if cells is None \
+                else slice(*np.searchsorted(cells, (start, end)))
+            if (read >= MAX_COUNT).any() and (counts[..., part].sum(-1) > MAX_COUNT).any():
+                raise ValueError(f"histogram total above 2^53 in setting {label!r}")
+    return signed / totals
 
 
 def estimate_expectation(record, support):
@@ -538,21 +602,15 @@ def estimate_expectation(record, support):
     support, over the total.
 
     ``record.dense`` is one count vector (returns a float) or a Monte Carlo
-    batch of them (returns one estimate per trial). The dot product with the
-    float64 mask is exact, since a record's total is at most 2^53 and so is
-    every partial sum, and the final division rounds as Python's int/int
-    division does, so both agree bit for bit with a per-outcome loop.
+    batch of them (returns one estimate per trial). It is a one-read
+    :func:`_parity_plan`, evaluated by :func:`_parities`, so it agrees bit
+    for bit with a per-outcome loop.
     """
-    counts = record.dense
-    totals = counts.sum(-1)
-    if (totals == 0).any():
-        raise ValueError("empty histogram")
-    qubits = record.qubits
+    support, qubits = tuple(support), record.qubits
     missing = [q for q in support if q not in qubits]
     if missing:
         raise ValueError(f"qubits {missing} not measured in setting {record.setting_label!r}")
-    mask = _parity_mask(len(qubits), tuple(qubits.index(q) for q in support))
-    est = (counts @ mask) / totals
+    est = _parities(_parity_plan((record.setting,), ((0, support),)), record.dense)[..., 0]
     return est if est.ndim else float(est)
 
 
@@ -597,76 +655,25 @@ def _term_records(settings, spec: WitnessSpec) -> list[int]:
     return indices
 
 
-class _Plan(NamedTuple):
-    """The parity plan of a witness with T terms on a list of records (see
-    :func:`_witness_plan`), over the records' cells concatenated in record
-    order. ``matrix`` is the read-only float64 (cells x 2T) matrix: column
-    j < T holds term j's :func:`_parity_mask` in the rows of the record it
-    reads, column T + j that record's 0/1 indicator, so ``counts @ matrix``
-    gives every term's signed parity sum and its record's total in one BLAS
-    product. ``weights`` holds each term's ``float(coefficient) * sign``.
-    Per record read, in record order, ``reads`` holds its first cell, its
-    end and its setting's label, and ``firsts`` the first term it serves."""
-
-    matrix: np.ndarray
-    weights: np.ndarray
-    reads: tuple[tuple[int, int, str], ...]
-    firsts: tuple[int, ...]
-
-
 @functools.lru_cache(maxsize=128)
 def _witness_plan(spec: WitnessSpec, settings: tuple) -> _Plan:
-    """The :class:`_Plan` of ``spec`` on records with these ``settings``."""
-    chosen = _term_records(settings, spec)
-    starts = [0, *itertools.accumulate(2 ** len(s) for s in settings)]
-    n = len(spec.terms)
-    matrix = np.zeros((starts[-1], 2 * n))
-    for j, (t, i) in enumerate(zip(spec.terms, chosen)):
-        qubits = [q for q, _ in settings[i]]
-        rows = slice(starts[i], starts[i + 1])
-        matrix[rows, j] = _parity_mask(len(qubits), tuple(map(qubits.index, t.word.support)))
-        matrix[rows, n + j] = 1.0
-    matrix.setflags(write=False)
+    """The :func:`_parity_plan` of the terms of ``spec`` on records with
+    these ``settings``, each term read from its :func:`_term_records`
+    record, with the terms' weights."""
+    parities = tuple(zip(_term_records(settings, spec), (t.word.support for t in spec.terms)))
     weights = np.array([float(t.coefficient) * t.sign for t in spec.terms])
     weights.setflags(write=False)
-    read = sorted(set(chosen))
-    return _Plan(matrix, weights,
-                 tuple((starts[i], starts[i + 1], _setting_label(settings[i])) for i in read),
-                 tuple(map(chosen.index, read)))
+    return _parity_plan(settings, parities)._replace(weights=weights)
 
 
 def _plan_value(spec: WitnessSpec, plan: _Plan, counts, cells=None):
-    """The witness on ``counts``: the records' count vectors concatenated in
-    record order (one histogram, or a batch with leading axes), or, given
-    the sorted indices ``cells`` into them, only those cells (every other
-    cell is 0).
-
-    One float64 product with the plan's matrix gives every signed sum and
-    every total. A float total is exact if the true total is at most 2^53,
-    and at least 2^53 if it is above, since every partial sum of
-    non-negative integers below 2^53 is exact and rounding is monotone; so
-    only a record whose float total reaches 2^53 is summed again in int64
-    to refuse a total above 2^53. With every total at most 2^53, every
-    partial signed sum is an exact integer too. The terms
-    are then subtracted from the constant in term order, so the float
-    operations are those of a per-term loop over
-    :func:`estimate_expectation`. A record read that is empty, or above
-    2^53, raises; the first such record in record order names the error."""
+    """The witness on ``counts`` (see :func:`_parities`): each term's parity
+    times its weight, subtracted from the constant in term order, so the
+    float operations are those of a per-term loop over
+    :func:`estimate_expectation`."""
     if not spec.terms:
         return float(spec.constant)
-    n = len(spec.terms)
-    sums = counts.astype(float) @ (plan.matrix if cells is None else plan.matrix[cells])
-    signed, totals = sums[..., :n], sums[..., n:]
-    if not 0 < totals.min() <= totals.max() < MAX_COUNT:
-        reads = totals[..., plan.firsts].reshape(-1, len(plan.firsts))
-        for (start, end, label), read in zip(plan.reads, reads.T):
-            if (read == 0).any():
-                raise ValueError("empty histogram")
-            part = slice(start, end) if cells is None \
-                else slice(*np.searchsorted(cells, (start, end)))
-            if (read >= MAX_COUNT).any() and (counts[..., part].sum(-1) > MAX_COUNT).any():
-                raise ValueError(f"histogram total above 2^53 in setting {label!r}")
-    value = np.subtract.reduce(signed / totals * plan.weights, axis=-1,
+    value = np.subtract.reduce(_parities(plan, counts, cells) * plan.weights, axis=-1,
                                initial=float(spec.constant))
     return value if value.ndim else float(value)
 

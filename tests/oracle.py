@@ -34,6 +34,10 @@ density matrix these oracles take. The
 syndrome table is kept as it was first written: each error injected into
 the state by a dense conjugation and a fresh Pauli vector read from the
 result, where the package flips signs on one vector per probe.
+The ideal states' Pauli vectors, and the encoding's input map, are built
+in closed form from the stabilizer groups of their generators
+(``stabilizer_vector``), with ``pauli_multiply`` and no linear algebra,
+where the package reads them off amplitudes.
 Single-qubit process tomography is kept as the chi-matrix sums it was first
 written as: the channel applied term by term, the Bloch action read from
 its images, and chi solved from the superoperator. The bundle's summary
@@ -54,9 +58,9 @@ from graphqec import kernel, sampling
 from graphqec.code import (ANCILLA, CODE_QUBITS, PROBES, inject_pauli_error,
                            logical_basis_states, logical_ops, measure_syndromes,
                            parse_error_spec, predicted_syndrome_signs, syndrome_operators)
-from graphqec.graphs import Graph, stabilizer_generators
+from graphqec.graphs import RESOURCE, Graph, stabilizer_generators
 from graphqec.kernel import DensityOperator, PureState
-from graphqec.pauli import CliffordGate, PauliString
+from graphqec.pauli import CliffordGate, PauliString, pauli_multiply
 from graphqec.sampling import _MC_STREAM, CountRecord
 
 
@@ -274,10 +278,29 @@ def estimate_expectation(record, support) -> float:
     return acc / record.total
 
 
+def parity_signs(qubits, support) -> list[int]:
+    """+1 or -1 per outcome of a setting on ``qubits``, in index order: the
+    parity of the outcome's bits on the qubits of ``support``, one outcome
+    at a time."""
+    positions = [qubits.index(q) for q in support]
+    return [-1 if sum(int(bits[i]) for i in positions) % 2 else 1
+            for bits in itertools.product("01", repeat=len(qubits))]
+
+
+def estimate_rows(record, support):
+    """:func:`estimate_expectation` of one histogram, or, for a trial batch,
+    of each trial row in turn, as an array shaped like the batch axes."""
+    if record.dense.ndim == 1:
+        return estimate_expectation(record, support)
+    rows = record.dense.reshape(-1, record.dense.shape[-1])
+    return np.array([estimate_expectation(CountRecord(record.setting, row), support)
+                     for row in rows]).reshape(record.dense.shape[:-1])
+
+
 def witness_value_from_counts(records, spec):
     """A witness from recorded counts, one term at a time: each term is
-    ``sampling.estimate_expectation`` on the first record that measures all
-    of its letters and no qubit outside the witness, else on the first that
+    :func:`estimate_rows` on the first record that measures all of its
+    letters and no qubit outside the witness, else on the first that
     measures all of its letters."""
     records = list(records)
     value = float(spec.constant)
@@ -287,7 +310,7 @@ def witness_value_from_counts(records, spec):
         if not covering:
             raise ValueError(f"no setting covers term {t.label()}")
         inside = [r for r in covering if set(r.qubits) <= set(spec.qubits)]
-        value -= float(t.coefficient) * t.sign * sampling.estimate_expectation(
+        value -= float(t.coefficient) * t.sign * estimate_rows(
             (inside or covering)[0], t.word.support)
     return value
 
@@ -388,22 +411,61 @@ def derive_recipe(lost, helpers, output):
                           np.linalg.inv(maps[(0, 0)]))
 
 
-def _stabilizer_group():
-    group = []
-    for bits in itertools.product((0, 1), repeat=3):
-        g = PauliString.identity()
-        for b, s in zip(bits, syndrome_operators()):
-            if b:
-                g = g * s
-        group.append(g)
+def stabilizer_group(generators) -> list[PauliString]:
+    """Every product of a subset of ``generators``, by ``pauli_multiply``."""
+    group = [PauliString.identity()]
+    for g in generators:
+        group += [pauli_multiply(h, g) for h in group]
     return group
+
+
+def stabilizer_vector(words, labels) -> np.ndarray:
+    """The ``[4]*n`` array that holds each Hermitian word's sign at its
+    letters' index and 0 elsewhere, filled one word at a time: the Pauli
+    vector of a stabilizer state from its group (Gottesman 1997), or of a
+    code projector's image."""
+    out = np.zeros([4] * len(labels))
+    for w in words:
+        index = [0] * len(labels)
+        for q, letter in w.letters:
+            index[labels.index(q)] = "IXYZ".index(letter)
+        out[tuple(index)] = w.phase.real
+    return out
+
+
+def ideal_vector(key) -> np.ndarray:
+    """``runner._ideal_vector`` in closed form: the resource's group from its
+    graph's generators, a logical state's from <S1, S2, S3, +/-L> with L its
+    logical operator (|0>, |1>: Zbar; |+>, |->: Xbar; |+y>, |-y>: Ybar)."""
+    if key == "resource":
+        return stabilizer_vector(stabilizer_group(stabilizer_generators(RESOURCE)),
+                                 (1, 2, 3, 4, 5))
+    name, flip = {"0": ("zbar", 0), "1": ("zbar", 2), "+": ("xbar", 0), "-": ("xbar", 2),
+                  "+y": ("ybar", 0), "-y": ("ybar", 2)}[key]
+    op = getattr(logical_ops(), name)
+    return stabilizer_vector(stabilizer_group(
+        [*syndrome_operators(), PauliString(op.letters, op.phase_power + flip)]), CODE_QUBITS)
+
+
+def input_map() -> np.ndarray:
+    """``code._input_map`` in closed form: column k holds +/-1 on the words
+    g L_k for g in <S1, S2, S3, Z3 Xbar>, the stabilizer of the encoding's
+    image, with L = I, X3 Zbar, i (X3 Zbar) Z3 and Z3, the images of the
+    input's I, X, Y and Z."""
+    x3z = pauli_multiply(PauliString.single(3, "X"), logical_ops().zbar)
+    z3 = PauliString.single(3, "Z")
+    y3z = pauli_multiply(x3z, z3)
+    images = (PauliString.identity(), x3z, PauliString(y3z.letters, y3z.phase_power + 1), z3)
+    group = stabilizer_group([*syndrome_operators(), pauli_multiply(z3, logical_ops().xbar)])
+    return np.stack([stabilizer_vector([pauli_multiply(g, image) for g in group],
+                                       (1, 2, 3, 4, 5)).reshape(-1) for image in images], axis=1)
 
 
 def candidate_assignments(lost):
     """Helper/output assignments allowed by logical representatives with no
     support on the lost qubit, most regular bases first."""
     ops = logical_ops()
-    group = _stabilizer_group()
+    group = stabilizer_group(syndrome_operators())
     x_reps = [r for g in group if lost not in (r := ops.xbar * g).support]
     z_reps = [r for g in group if lost not in (r := ops.zbar * g).support]
     survivors = [q for q in CODE_QUBITS if q != lost]

@@ -600,3 +600,11 @@ class TestCheckedOnce:
         run_experiment(ExperimentConfig("noise-sweep", NoiseModel(depolarizing=0.05,
                                                                    visibility=0.8)))
         assert len(constructions) == 0
+
+
+def test_input_map_matches_stabilizer_closed_form():
+    """Each column of the encoding's input map is +/-1 on the 16 words of
+    its image's stabilizer group and 0 elsewhere, to 2e-15."""
+    want = oracle.input_map()
+    assert (np.count_nonzero(want, axis=0) == 16).all()
+    np.testing.assert_allclose(code._input_map(), want, rtol=0, atol=2e-15)

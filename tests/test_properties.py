@@ -740,7 +740,7 @@ def test_float_plans_exact_at_2_53(spec, data, seed):
             records[i], spec.terms[j].word.support) == acc / 2 ** 53
     for t, i in zip(spec.terms, chosen):
         qubits = records[i].qubits
-        mask = sampling._parity_mask(len(qubits), tuple(map(qubits.index, t.word.support)))
+        mask = np.array(oracle.parity_signs(qubits, t.word.support))
         want -= float(t.coefficient) * t.sign * (int(mask.astype(np.int64) @ dense[i])
                                                  / 2 ** 53)
     assert sampling.witness_value_from_counts(records, spec) == want

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from graphqec import code, kernel, runner, sampling
 from graphqec.cli import _KIND_BY_COMMAND, cli_main
 from graphqec.code import PROBES
@@ -741,6 +742,85 @@ def test_wrong_config_value_exits_0_or_names_the_field(command, path, value, fla
     assert code in (0, 1), err.getvalue()
     if code == 1:
         assert all(key in err.getvalue() for key in path), err.getvalue()
+
+
+# Random argv values of each experiment flag, valid and not: numbers in and
+# out of range, NaN and infinities, words of the flag's own vocabulary, and
+# short junk strings (which may start with "-" and so read as a flag).
+JUNK = st.text(alphabet="ab0@+-Z.e ", max_size=4)
+FLAG_VALUES = {
+    "--visibility": st.one_of(st.floats(-0.5, 1.5).map(repr), st.sampled_from(
+        ["nan", "inf", "-inf", "1e-300", "0", "1"]), JUNK),
+    "--trials": st.one_of(st.integers(-10, 400).map(str), st.just("100001"), JUNK),
+    "--seed": st.one_of(st.integers(-5, 2 ** 70).map(str), JUNK),
+    "--lost": st.one_of(st.integers(-1, 7).map(str), JUNK),
+    "--error": st.one_of(st.sampled_from(["none", "Z@1", "X@4", "Y@5", "Z@3", "Q@1", "Z@9",
+                                          "Z@1,X@2", ""]), JUNK),
+    "--probe": st.one_of(st.sampled_from(list(PROBES)), JUNK),
+    "--format": st.one_of(st.sampled_from(runner.FORMATS), JUNK),
+}
+FLAG_COMMANDS = {"--lost": ["loss"], "--error": ["syndrome"], "--probe": ["encode", "syndrome"]}
+
+
+@settings(deadline=None, max_examples=120)
+@given(data=st.data(), flag=st.sampled_from(sorted(FLAG_VALUES)))
+def test_random_flag_value_exits_0_or_names_the_flag(data, flag):
+    """Any value of one experiment flag, on a command that takes it, runs
+    (exit 0) or exits 1 with the flag named on stderr; it never reaches a
+    runtime error (exit 2). ``--counts`` is left out: a tiny count can
+    empty a histogram, which is still a runtime error (see the xfail
+    below)."""
+    command = data.draw(st.sampled_from(FLAG_COMMANDS.get(flag, sorted(_KIND_BY_COMMAND))))
+    value = data.draw(FLAG_VALUES[flag])
+    argv = [command, flag, value, "--trials", "100"] if flag != "--trials" \
+        else [command, flag, value]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert flag in err.getvalue(), err.getvalue()
+
+
+@pytest.mark.xfail(strict=True, reason="an empty histogram is a runtime error (exit 2), "
+                                       "not data in the summary")
+@pytest.mark.parametrize("argv, config", [
+    (["encode", "--counts", "5", "--visibility", "0"], None),
+    (["witness"], {"counts_per_setting": 0.001}),
+], ids=["encode-counts-5-visibility-0", "witness-counts-0.001"])
+def test_empty_histogram_config_exits_0(tmp_path, argv, config):
+    """A valid config whose counts leave a histogram empty runs and exits 0."""
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code == 0, err.getvalue()
+
+
+def test_noise_keys_follow_the_label_rule():
+    """A per-qubit noise key that is not an integral label is a config error
+    naming ``noise``; equal maps keyed by ints, numpy ints or decimal strings
+    give one config digest."""
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict({"kind": "resource-witness",
+                                    "noise": {"depolarizing": {4.7: 0.3}}})
+    assert set(err.value.fields) == {"noise"} and "4.7" in err.value.fields["noise"]
+    digests = {ExperimentConfig("resource-witness", NoiseModel(depolarizing=keys)).digest()
+               for keys in ({"1": 0.03, "5": 0.04}, {1: 0.03, 5: 0.04},
+                            {np.int64(1): 0.03, np.int64(5): 0.04})}
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("key", ["resource", "0", "1", "+", "-", "+y", "-y"])
+def test_ideal_vector_matches_stabilizer_closed_form(key):
+    """Each ideal Pauli vector is +/-1 on its stabilizer group (32 words for
+    the five-qubit resource, 16 for a logical state) and 0 elsewhere, to
+    2e-15: the amplitudes' 1/sqrt(2) factors leave rounding residue."""
+    want = oracle.ideal_vector(key)
+    assert np.count_nonzero(want) == (32 if key == "resource" else 16)
+    np.testing.assert_allclose(runner._ideal_vector(key), want, rtol=0, atol=2e-15)
 
 
 def test_import_adds_no_third_party_module():

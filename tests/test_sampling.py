@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,33 @@ class TestNoiseModel:
             NoiseModel(visibility=-0.1)
         with pytest.raises(ValueError, match="stage"):
             NoiseModel(stage="mid-circuit")
+
+    @pytest.mark.parametrize("keys, message", [
+        ({1.5: 0.1}, "depolarizing qubit 1.5 is not an integer"),
+        ({True: 0.2}, "depolarizing qubit True is not an integer"),
+        ({1.5: 0.1, True: 0.2}, "depolarizing qubit 1.5 is not an integer"),
+        ({"1": 0.1, 1: 0.2}, "depolarizing qubit 1 is given twice"),
+        ({1: 0.1, "01": 0.2}, "depolarizing qubit 1 is given twice"),
+        ({"q1": 0.1}, "depolarizing qubit 'q1' is not an integer"),
+        ({" 1": 0.1}, "depolarizing qubit ' 1' is not an integer"),
+        ({"-1": 0.1}, "depolarizing qubit '-1' is not an integer"),
+        ({None: 0.1}, "depolarizing qubit None is not an integer"),
+    ])
+    def test_per_qubit_keys_follow_the_label_rule(self, keys, message):
+        """A per-qubit key is read as the kernel reads a qubit label, or as
+        a string of decimal digits; two keys that name one qubit are refused
+        rather than merged."""
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            NoiseModel(depolarizing=keys)
+        with pytest.raises(ValueError, match=re.escape(message.replace("depolarizing", "dephasing"))):
+            NoiseModel(dephasing=keys)
+
+    def test_per_qubit_keys_accepted(self):
+        model = NoiseModel(depolarizing={"1": 0.1, 5: 0.2, np.int64(4): 0.3},
+                           dephasing={"02": 0.05})
+        assert model.depolarizing == {1: 0.1, 5: 0.2, 4: 0.3}
+        assert all(type(q) is int for q in model.depolarizing)
+        assert model.dephasing == {2: 0.05}
 
     def test_ideal_model_is_identity(self):
         state = logical_basis_states()["+"]
@@ -136,6 +165,19 @@ class TestEstimator:
         bases = {1: "Y", 2: "Z", 4: "Z", 5: "Y"}
         rec = sample_setting_counts(state, bases, 10_000, seed=11)
         assert abs(estimate_expectation(rec, (1, 2, 4, 5)) - 1.0) < 0.05
+
+    def test_support_is_read_once(self):
+        """A support given as an iterator reads like the same tuple, on one
+        histogram and on a trial batch."""
+        rec = CountRecord.from_counts(((1, "Z"), (2, "Z")), {"00": 1, "10": 9})
+        batch = CountRecord(rec.setting, np.stack([rec.dense, rec.dense[::-1]]))
+        for make in (tuple, list, iter, lambda s: (q for q in s)):
+            assert estimate_expectation(rec, make([1])) == -0.8
+            assert estimate_expectation(batch, make([2])).tolist() == [1.0, -1.0]
+
+    def test_batch_of_no_trials_gives_no_estimates(self):
+        rec = CountRecord(((1, "Z"),), np.zeros((0, 2), dtype=np.int64))
+        assert estimate_expectation(rec, (1,)).shape == (0,)
 
     def test_empty_histogram_rejected(self):
         rec = CountRecord.from_counts(((1, "Z"),), {})
