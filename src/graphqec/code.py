@@ -8,7 +8,11 @@ the Hadamard basis up to a byproduct fixed by the measurement outcome s3.
 The noisy encoding of a batch of inputs is also built directly as Pauli
 vectors (:func:`_encoded_vectors`): it is linear in the input's Bloch
 4-vector, and noise, the ancilla projection and the byproduct correction
-are each an element-wise step on the vector.
+are each an element-wise step on the vector. Its first step, the input map
+(:func:`_input_map`), is read off the stabilizer algebra of the encoding's
+image, so every entry is exactly 0 or +-1, and so is every ideal Pauli
+vector built from it. :func:`encode` and :func:`logical_basis_states`
+keep their amplitudes for the state-vector API.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import numpy as np
 from . import kernel, sampling
 from .kernel import DensityOperator, PureState
 from .pauli import (_LETTER_INDEX, PauliString, _read_words, _word_action,
-                    _word_expectations, pauli_commutes, pauli_multiply)
+                    _word_expectations, _word_plan, pauli_commutes, pauli_multiply)
 
 CODE_QUBITS = (1, 2, 4, 5)
 ANCILLA = 3
@@ -91,17 +95,14 @@ PROBES = {
 }
 PROBE_NAMES = ("0", "1", "+", "+y")
 
-# Ideal logical image of each probe after the Hadamard-basis encoding.
+# Exact Bloch vectors (x, y, z) of the six cardinal states: the probes'
+# inputs and, in the logical basis, their ideal images.
+CARDINAL_BLOCH = {"0": (0.0, 0.0, 1.0), "1": (0.0, 0.0, -1.0), "+": (1.0, 0.0, 0.0),
+                  "-": (-1.0, 0.0, 0.0), "+y": (0.0, 1.0, 0.0), "-y": (0.0, -1.0, 0.0)}
+
+# Ideal logical image of each probe: its ideal encoding. The encoding stores
+# the input in the Hadamard basis, which sends (x, y, z) to (z, -y, x).
 PROBE_TARGETS = {"0": "+", "1": "-", "+": "0", "+y": "-y"}
-
-
-def _bell_pairs():
-    k0, k1 = kernel.KET0, kernel.KET1
-    phi_p = (np.kron(k0, k0) + np.kron(k1, k1)) / math.sqrt(2)
-    phi_m = (np.kron(k0, k0) - np.kron(k1, k1)) / math.sqrt(2)
-    psi_p = (np.kron(k0, k1) + np.kron(k1, k0)) / math.sqrt(2)
-    psi_m = (np.kron(k0, k1) - np.kron(k1, k0)) / math.sqrt(2)
-    return phi_p, phi_m, psi_p, psi_m
 
 
 @cache
@@ -111,21 +112,16 @@ def logical_basis_states() -> dict[str, PureState]:
     |0_L> and |1_L> are sums of Bell-pair products on the pairs (1,5) and
     (4,2); the remaining four are the usual superpositions.
     """
-    phi_p, phi_m, psi_p, psi_m = _bell_pairs()
-    zero = (np.kron(phi_m, phi_m) - np.kron(psi_m, psi_m)) / math.sqrt(2)
-    one = (np.kron(psi_p, phi_p) + np.kron(phi_p, psi_p)) / math.sqrt(2)
-    zero_L = kernel.reorder(PureState((1, 5, 4, 2), zero), CODE_QUBITS)
-    one_L = kernel.reorder(PureState((1, 5, 4, 2), one), CODE_QUBITS)
-    z, o = zero_L.amplitudes, one_L.amplitudes
-    mk = lambda amps: PureState(CODE_QUBITS, amps)
-    return {
-        "0": zero_L,
-        "1": one_L,
-        "+": mk((z + o) / math.sqrt(2)),
-        "-": mk((z - o) / math.sqrt(2)),
-        "+y": mk((z + 1j * o) / math.sqrt(2)),
-        "-y": mk((z - 1j * o) / math.sqrt(2)),
-    }
+    k0, k1, r2 = kernel.KET0, kernel.KET1, math.sqrt(2)
+    k00, k01, k10, k11 = (np.kron(a, b) for a in (k0, k1) for b in (k0, k1))
+    phi_p, phi_m = (k00 + k11) / r2, (k00 - k11) / r2
+    psi_p, psi_m = (k01 + k10) / r2, (k01 - k10) / r2
+    zero = (np.kron(phi_m, phi_m) - np.kron(psi_m, psi_m)) / r2
+    one = (np.kron(psi_p, phi_p) + np.kron(phi_p, psi_p)) / r2
+    z, o = (kernel.reorder(PureState((1, 5, 4, 2), v), CODE_QUBITS).amplitudes for v in (zero, one))
+    return {name: PureState(CODE_QUBITS, amps) for name, amps in (
+        ("0", z), ("1", o), ("+", (z + o) / r2), ("-", (z - o) / r2),
+        ("+y", (z + 1j * o) / r2), ("-y", (z - 1j * o) / r2))}
 
 
 @cache
@@ -152,11 +148,21 @@ def _input_map() -> np.ndarray:
 
     Column k is the Pauli vector of V sigma_k V^dagger / 2 for the isometry
     V: |0> -> |0>_3 |+_L>, |1> -> |1>_3 |-_L>, so the map sends the input
-    rho = (I + x X + y Y + z Z) / 2 to the vector of V rho V^dagger. It
-    depends on no noise model."""
-    v = np.stack(_encoding_branches(), axis=1)
-    out = np.stack([kernel._pauli_vector(v @ s @ v.conj().T / 2, 5).reshape(-1)
-                    for s in (kernel.I, kernel.X, kernel.Y, kernel.Z)], axis=1)
+    rho = (I + x X + y Y + z Z) / 2 to the vector of V rho V^dagger. It is
+    read off the stabilizer algebra, not off amplitudes: V's image is the
+    code space of the group G of <S1, S2, S3, Z3 Xbar> (Xbar = Z1 Z2 X4), and
+    V sigma_k = L_k V for L = I, X3 Zbar, Y3 Zbar (= i X3 Zbar Z3) and Z3
+    (Zbar = Z1 Z2 Z4 Z5). So column k is +-1 on the 16 words g L_k (g in G),
+    each at its ``pauli._word_plan`` index with its sign, and exactly 0
+    elsewhere. It depends on no noise model."""
+    group = [PauliString()]
+    for g in (*syndrome_operators(), PauliString.parse("Z1 Z2 Z3 X4")):
+        group += [pauli_multiply(h, g) for h in group]
+    images = [PauliString.parse(w) for w in ("I", "Z1 Z2 X3 Z4 Z5", "Z1 Z2 Y3 Z4 Z5", "Z3")]
+    index, sign = _word_plan((1, 2, 3, 4, 5),
+                             tuple(pauli_multiply(g, image) for image in images for g in group))
+    out = np.zeros((4 ** 5, 4))
+    out[index, np.repeat(np.arange(4), len(group))] = sign
     out.setflags(write=False)
     return out
 

@@ -6,6 +6,15 @@ figures, together with a provenance block (config hash, seed, version).
 Re-running with an identical config and seed reproduces the bundle
 byte for byte.
 
+Every kind reads its states as Pauli vectors and builds no amplitudes. The
+probes enter as the exact cardinal Bloch vectors ``code.CARDINAL_BLOCH``,
+and every ideal reference comes from the encoding's exact input map
+(``code._input_map``): the resource is the encoding input of |+>, and each
+probe's logical target is its ideal encoding (:func:`_ideal_vector`). Each
+holds only 0 and +-1, so an ideal bundle holds 0, +-0.5 and +-1 exactly
+where the closed form does, and a logical fidelity is (1 + t.r) / 2 on the
+target's exact Bloch vector t.
+
 Tables and figures hold Python scalars only: a block of floats is rounded
 and converted once, at the array, with ``(np.round(a, 12) + 0.0).tolist()``,
 never cell by cell, so no numpy scalar reaches the CSV or SVG writers.
@@ -39,16 +48,16 @@ from functools import cache
 import numpy as np
 
 from . import __version__, kernel, sampling
-from .code import (ANCILLA, CODE_QUBITS, PROBE_NAMES, PROBE_TARGETS, PROBES,
-                   _conjugate_pauli_vector, _encoded_vectors, _error_signs,
-                   _project_pauli_vector, _recovery_ptm, _syndromes_of_vector,
-                   logical_basis_states, logical_ops, parse_error_spec,
-                   predicted_syndrome_signs, recovery_recipe, syndrome_operators)
-from .graphs import RESOURCE, build_resource, stabilizer_generators
+from .code import (ANCILLA, CARDINAL_BLOCH, CODE_QUBITS, PROBE_NAMES, PROBE_TARGETS,
+                   _conjugate_pauli_vector, _encoded_vectors, _error_signs, _input_map,
+                   _project_pauli_vector, _recovery_ptm, _syndromes_of_vector, logical_ops,
+                   parse_error_spec, predicted_syndrome_signs, recovery_recipe,
+                   syndrome_operators)
+from .graphs import RESOURCE, stabilizer_generators
 from .pauli import PauliString, _read_words
 from .sampling import (MAX_TRIALS, NoiseModel, _sample_settings, _witness_estimate,
                        _witness_settings, counts_to_csv_rows)
-from .tomography import (ChannelSample, _fidelity, _logical_of_vector, _vector_fidelity,
+from .tomography import (ChannelSample, _logical_of_vector, _vector_fidelity,
                          average_probe_fidelity, bloch_image, chi_hadamard, chi_identity,
                          logical_density_from_expectations, process_fidelity,
                          reconstruct_chi)
@@ -363,9 +372,9 @@ def _write_in_place(path, data: bytes) -> None:
 
 def _probe_vectors(probes, noise: NoiseModel, byproduct: str) -> dict[str, np.ndarray]:
     """Pauli vector of each probe's encoded state on ``CODE_QUBITS``, all
-    built in one batch by ``code._encoded_vectors`` from the probes' Bloch
-    4-vectors."""
-    blochs = [(1.0, *PROBES[p].bloch) for p in probes]
+    built in one batch by ``code._encoded_vectors`` from the probes' exact
+    Bloch 4-vectors (``code.CARDINAL_BLOCH``)."""
+    blochs = [(1.0, *CARDINAL_BLOCH[p]) for p in probes]
     return dict(zip(probes, _encoded_vectors(blochs, noise, byproduct)))
 
 
@@ -523,11 +532,15 @@ def _svg_grid_disc() -> str:
 
 @cache
 def _ideal_vector(key: str) -> np.ndarray:
-    """Read-only Pauli vector of an ideal state the kinds read as a target:
-    the resource on qubits 1-5 (``"resource"``), or the logical basis state
-    ``key`` on ``CODE_QUBITS``."""
-    state = build_resource() if key == "resource" else logical_basis_states()[key]
-    out = kernel._pauli_vector(state.amplitudes, state.num_qubits)
+    """Read-only Pauli vector of an ideal state the kinds read as a target,
+    from the encoding's exact input map (``code._input_map``): the resource
+    on qubits 1-5 (``"resource"``), which is the encoding input of |+>; or
+    the ideal encoding of the probe ``key`` on ``CODE_QUBITS``, its logical
+    target ``PROBE_TARGETS[key]``. Every entry is exactly 0 or +-1."""
+    if key == "resource":
+        out = (_input_map() @ (1.0, *CARDINAL_BLOCH["+"])).reshape([4] * 5)
+    else:
+        out = _encoded_vectors([(1.0, *CARDINAL_BLOCH[key])], NoiseModel(), "condition0")[0]
     out.setflags(write=False)
     return out
 
@@ -535,7 +548,7 @@ def _ideal_vector(key: str) -> np.ndarray:
 def _run_resource_witness(cfg: ExperimentConfig):
     """Every value is read off the resource's Pauli vector times the noise
     diagonal, the box witness after the ancilla's Z projection of it."""
-    labels = build_resource().labels
+    labels = (1, 2, 3, 4, 5)
     vec = _ideal_vector("resource")
     rho = vec * sampling._noise_factors(labels, cfg.noise)
     # persistency check: remove the ancilla with a Z measurement, then the
@@ -607,13 +620,12 @@ def _run_encode_tomography(cfg: ExperimentConfig):
     for probe, vec in vectors.items():
         ldm = _logical_of_vector(vec, CODE_QUBITS)
         target_key = PROBE_TARGETS[probe]
-        target = _ideal_vector(target_key)
-        ideal_logical = kernel.H @ PROBES[probe].vector  # the input, in the Hadamard basis
+        target_bloch = CARDINAL_BLOCH[target_key]  # F = (1 + t.r) / 2 for Bloch r
         entry = {
             "target": target_key,
             "logical_bloch": list(ldm.bloch),
-            "fidelity_logical": _fidelity(ldm.matrix, ideal_logical),
-            "fidelity_state": _vector_fidelity(vec, target),
+            "fidelity_logical": (1 + float(np.dot(target_bloch, ldm.bloch))) / 2,
+            "fidelity_state": _vector_fidelity(vec, _ideal_vector(probe)),
             "witnesses": {
                 name: _witness_block(framed, CODE_QUBITS, spec, next(drawn), cfg.trials,
                                      cfg.seed, mc)[0]
@@ -624,7 +636,7 @@ def _run_encode_tomography(cfg: ExperimentConfig):
             ldm_s = logical_density_from_expectations(est["xbar"], est["ybar"], est["zbar"])
             entry["sampled"] = {
                 "logical_bloch": list(ldm_s.bloch),
-                "fidelity_logical": _fidelity(ldm_s.matrix, ideal_logical),
+                "fidelity_logical": (1 + float(np.dot(target_bloch, ldm_s.bloch))) / 2,
                 "negative_eigenvalue_flag": ldm_s.negative_eigenvalue,
             }
         except ValueError as exc:
@@ -665,7 +677,7 @@ def _run_loss_recovery(cfg: ExperimentConfig):
     ``DensityOperator``, and its fidelity (b0 + r.s) / 2 to the probe's Bloch s."""
     recipe = recovery_recipe(cfg.lost)
     keep = tuple(q for q in CODE_QUBITS if q != cfg.lost)
-    blochs = np.array([(1.0, *PROBES[p].bloch) for p in PROBE_NAMES])
+    blochs = np.array([(1.0, *CARDINAL_BLOCH[p]) for p in PROBE_NAMES])
     traced = _encoded_vectors(blochs, cfg.noise, cfg.byproduct).take(
         0, axis=1 + CODE_QUBITS.index(cfg.lost))
     recovered = traced.reshape(len(PROBE_NAMES), -1) @ _recovery_ptm(recipe, keep).T
@@ -785,10 +797,10 @@ def _run_noise_sweep(cfg: ExperimentConfig):
     and v*, is its Pauli vector times the noise diagonal, and the encoded
     probes are Pauli vectors: every fidelity and witness is read off them.
     """
-    labels5 = build_resource().labels
+    labels5 = (1, 2, 3, 4, 5)
     vec5 = _ideal_vector("resource")
     spec = resource_witness()
-    plus = _ideal_vector("+")
+    plus = _ideal_vector("0")  # |+_L>, the ideal encoding of |0>
     ends = []  # (encoded |0> fidelity, resource witness, resource fidelity)
     for noise in (replace(cfg.noise, visibility=v) for v in (0.0, 1.0)):
         rho5 = vec5 * sampling._noise_factors(labels5, noise)

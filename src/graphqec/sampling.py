@@ -282,7 +282,9 @@ class CountRecord:
     such row per trial.
 
     The constructor checks every record that enters from outside: the
-    setting, the cell count, non-negative counts and totals of at most 2^53.
+    setting, the cell count, integral counts (no bool, no 2.5: int64
+    storage would read them as 1 and 2), non-negative counts and totals of
+    at most 2^53.
     :meth:`from_counts`, the CSV reader and :func:`monte_carlo_uncertainty`
     batches all pass through it. Only the histograms the sampler draws skip
     it (:meth:`_drawn`): they are non-negative int64 vectors of 2^k cells
@@ -295,6 +297,12 @@ class CountRecord:
 
     def __post_init__(self):
         self.setting = _check_setting(self.setting)
+        if not (isinstance(self.dense, np.ndarray) and self.dense.dtype.kind in "iu"):
+            # a list or object array keeps each count's type; a numeric array, its dtype
+            for c in np.asarray(self.dense, dtype=object).reshape(-1).tolist():
+                if isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Real) or c % 1:
+                    raise ValueError(f"count {c!r} in setting {self.setting_label!r} "
+                                     f"is not an integer")
         self.dense = np.asarray(self.dense, dtype=np.int64)
         if self.dense.shape[-1:] != (2 ** len(self.setting),):
             raise ValueError(f"expected {2 ** len(self.setting)} cells for setting "
@@ -314,7 +322,7 @@ class CountRecord:
         """Record from a ``{bits: count}`` histogram; absent outcomes count 0."""
         setting = _check_setting(setting)  # before 2^k cells are allocated
         k = len(setting)
-        dense = np.zeros(2 ** k, dtype=np.int64)
+        dense = np.zeros(2 ** k, dtype=object)  # so that the constructor sees each count's type
         for bits, c in counts.items():
             if len(bits) != k or set(bits) - {"0", "1"}:
                 raise ValueError(f"bad outcome key {bits!r}")

@@ -101,13 +101,8 @@ def state_fidelity(rho, target: PureState) -> float:
         raise ValueError(f"registers differ: {rho.labels} vs {target.labels}")
     if rho.labels != target.labels:
         target = kernel.reorder(target, rho.labels)
-    return _fidelity(kernel._density_matrix(kernel._raw(rho)), target.amplitudes)
-
-
-def _fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
-    """Raw :func:`state_fidelity`: <psi| rho |psi> of a density matrix and a
-    state vector on the same register."""
-    return float(np.vdot(psi, rho @ psi).real)
+    psi = target.amplitudes
+    return float(np.vdot(psi, kernel._density_matrix(kernel._raw(rho)) @ psi).real)
 
 
 def _vector_fidelity(vec: np.ndarray, target: np.ndarray) -> float:

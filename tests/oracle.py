@@ -37,7 +37,11 @@ result, where the package flips signs on one vector per probe.
 The ideal states' Pauli vectors, and the encoding's input map, are built
 in closed form from the stabilizer groups of their generators
 (``stabilizer_vector``), with ``pauli_multiply`` and no linear algebra,
-where the package reads them off amplitudes.
+one word at a time, where the package fills the map through its word plan
+and reads every ideal vector off it. They are also kept as the package
+first built them, off amplitudes (``amplitude_ideal_vector``,
+``amplitude_input_map``): the rotated resource state and the Bell-pair
+logical basis turned into Pauli vectors, to rounding residue.
 Single-qubit process tomography is kept as the chi-matrix sums it was first
 written as: the channel applied term by term, the Bloch action read from
 its images, and chi solved from the superoperator. The bundle's summary
@@ -55,10 +59,11 @@ from typing import NamedTuple
 import numpy as np
 
 from graphqec import kernel, sampling
-from graphqec.code import (ANCILLA, CODE_QUBITS, PROBES, inject_pauli_error,
-                           logical_basis_states, logical_ops, measure_syndromes,
-                           parse_error_spec, predicted_syndrome_signs, syndrome_operators)
-from graphqec.graphs import RESOURCE, Graph, stabilizer_generators
+from graphqec.code import (ANCILLA, CODE_QUBITS, PROBES, _encoding_branches,
+                           inject_pauli_error, logical_basis_states, logical_ops,
+                           measure_syndromes, parse_error_spec, predicted_syndrome_signs,
+                           syndrome_operators)
+from graphqec.graphs import RESOURCE, Graph, build_resource, stabilizer_generators
 from graphqec.kernel import DensityOperator, PureState
 from graphqec.pauli import CliffordGate, PauliString, pauli_multiply
 from graphqec.sampling import _MC_STREAM, CountRecord
@@ -434,9 +439,10 @@ def stabilizer_vector(words, labels) -> np.ndarray:
 
 
 def ideal_vector(key) -> np.ndarray:
-    """``runner._ideal_vector`` in closed form: the resource's group from its
-    graph's generators, a logical state's from <S1, S2, S3, +/-L> with L its
-    logical operator (|0>, |1>: Zbar; |+>, |->: Xbar; |+y>, |-y>: Ybar)."""
+    """The ideal Pauli vector of ``key`` in closed form: the resource's group
+    from its graph's generators, a logical state's from <S1, S2, S3, +/-L>
+    with L its logical operator (|0>, |1>: Zbar; |+>, |->: Xbar; |+y>, |-y>:
+    Ybar)."""
     if key == "resource":
         return stabilizer_vector(stabilizer_group(stabilizer_generators(RESOURCE)),
                                  (1, 2, 3, 4, 5))
@@ -459,6 +465,22 @@ def input_map() -> np.ndarray:
     group = stabilizer_group([*syndrome_operators(), pauli_multiply(z3, logical_ops().xbar)])
     return np.stack([stabilizer_vector([pauli_multiply(g, image) for g in group],
                                        (1, 2, 3, 4, 5)).reshape(-1) for image in images], axis=1)
+
+
+def amplitude_ideal_vector(key) -> np.ndarray:
+    """:func:`ideal_vector` off amplitudes: the Pauli vector of the rotated
+    resource state, or of the logical basis state ``key``."""
+    state = build_resource() if key == "resource" else logical_basis_states()[key]
+    return kernel._pauli_vector(state.amplitudes, state.num_qubits)
+
+
+def amplitude_input_map() -> np.ndarray:
+    """:func:`input_map` off amplitudes: column k is the Pauli vector of
+    V sigma_k V^dagger / 2, V the isometry whose columns are the encoding
+    branches |0>_3 |+_L> and |1>_3 |-_L>."""
+    v = np.stack(_encoding_branches(), axis=1)
+    return np.stack([kernel._pauli_vector(v @ s @ v.conj().T / 2, 5).reshape(-1)
+                     for s in (kernel.I, kernel.X, kernel.Y, kernel.Z)], axis=1)
 
 
 def candidate_assignments(lost):

@@ -604,7 +604,28 @@ class TestCheckedOnce:
 
 def test_input_map_matches_stabilizer_closed_form():
     """Each column of the encoding's input map is +/-1 on the 16 words of
-    its image's stabilizer group and 0 elsewhere, to 2e-15."""
+    its image's stabilizer group and 0 elsewhere, exactly: the package
+    fills it through its word plan, the oracle one word at a time."""
     want = oracle.input_map()
     assert (np.count_nonzero(want, axis=0) == 16).all()
-    np.testing.assert_allclose(code._input_map(), want, rtol=0, atol=2e-15)
+    got = code._input_map()
+    assert np.array_equal(got, want)
+    assert set(np.unique(got).tolist()) == {-1.0, 0.0, 1.0}
+
+
+def test_input_map_matches_amplitudes():
+    """The closed-form map equals the map read off the encoding branches'
+    1/sqrt(2) amplitudes to their rounding residue."""
+    np.testing.assert_allclose(code._input_map(), oracle.amplitude_input_map(),
+                               rtol=0, atol=2e-15)
+
+
+@pytest.mark.parametrize("probe", code.PROBE_NAMES)
+def test_cardinal_table_gives_probes_and_targets(probe):
+    """The exact cardinal Bloch vectors are the probes' Bloch vectors to
+    rounding, and each probe's target is the Hadamard image (z, -y, x) of
+    its input."""
+    np.testing.assert_allclose(PROBES[probe].bloch, code.CARDINAL_BLOCH[probe],
+                               rtol=0, atol=1e-15)
+    x, y, z = code.CARDINAL_BLOCH[probe]
+    assert code.CARDINAL_BLOCH[PROBE_TARGETS[probe]] == (z, -y, x)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphqec
 import oracle
 from graphqec import code, kernel, runner, sampling
 from graphqec.cli import _KIND_BY_COMMAND, cli_main
@@ -155,9 +156,7 @@ class TestExperiments:
 
     @staticmethod
     def count_kernel_calls(monkeypatch, names) -> dict:
-        """Count calls to the named kernel functions from here on, once the
-        encoder's input map is cached."""
-        code._input_map()
+        """Count calls to the named kernel functions from here on."""
         calls = dict.fromkeys(names, 0)
         for name in names:
             def counted(*args, _real=getattr(kernel, name), _name=name):
@@ -190,22 +189,25 @@ class TestExperiments:
     @pytest.mark.parametrize("kind, vectors", [("resource-witness", 1),
                                                ("encode-tomography", 4), ("noise-sweep", 2)])
     def test_sampled_kinds_read_pauli_vectors(self, monkeypatch, kind, vectors):
-        """The resource-reading and sampled kinds turn only their pure
-        references into Pauli vectors: the ideal resource, or each probe's
-        logical target, and the |+_L> of the sweep, each once per process.
-        The noisy states, the ancilla projection and the Zbar frame stay in
-        the Pauli domain."""
+        """The resource-reading and sampled kinds build ``vectors`` pure
+        references: the ideal resource, or each probe's logical target, and
+        the |+_L> of the sweep, each once per process and each from the
+        encoding's input map, so no state is turned into a Pauli vector. The
+        noisy states, the ancilla projection and the Zbar frame stay in the
+        Pauli domain."""
         runner._ideal_vector.cache_clear()
         calls = self.count_kernel_calls(monkeypatch, ("_pauli_vector", "_unitary"))
         noise = NoiseModel(depolarizing=0.05, visibility=0.8)
-        run_experiment(ExperimentConfig(kind, noise, trials=100))
-        assert calls == {"_pauli_vector": vectors, "_unitary": 0}
-        run_experiment(ExperimentConfig(kind, noise, trials=100))
-        assert calls == {"_pauli_vector": vectors, "_unitary": 0}
+        for _ in range(2):
+            run_experiment(ExperimentConfig(kind, noise, trials=100))
+            assert calls == {"_pauli_vector": 0, "_unitary": 0}
+            assert runner._ideal_vector.cache_info().misses == vectors
 
     def test_noise_sweep_encodes_only_witnessed_probes(self, monkeypatch):
         # Pauli-domain encodings of |0> at v = 0 and at v = 1, then one batch
-        # of |0>, |+> and |+y> at v*
+        # of |0>, |+> and |+y> at v*, from their exact Bloch vectors; the
+        # |+_L> reference, the ideal encoding of |0>, is built once first
+        runner._ideal_vector("0")
         calls = []
         encode = runner._encoded_vectors
 
@@ -215,7 +217,7 @@ class TestExperiments:
 
         monkeypatch.setattr(runner, "_encoded_vectors", counted)
         run_experiment(ExperimentConfig.from_dict({"kind": "noise-sweep"}))
-        bloch = {p: (1.0, *PROBES[p].bloch) for p in ("0", "+", "+y")}
+        bloch = {"0": (1.0, 0.0, 0.0, 1.0), "+": (1.0, 1.0, 0.0, 0.0), "+y": (1.0, 0.0, 1.0, 0.0)}
         assert calls == [[bloch["0"]], [bloch["0"]], [bloch["0"], bloch["+"], bloch["+y"]]]
 
     def test_loss_recovery_ideal_is_identity_channel(self):
@@ -813,14 +815,85 @@ def test_noise_keys_follow_the_label_rule():
     assert len(digests) == 1
 
 
-@pytest.mark.parametrize("key", ["resource", "0", "1", "+", "-", "+y", "-y"])
+IDEAL_KEYS = ["resource", "0", "1", "+", "-", "+y", "-y"]
+
+
+def closed_form_ideal_vector(key) -> np.ndarray:
+    """The package's ideal Pauli vector of ``key``: the resource, or the
+    ideal encoding of the logical state's Hadamard preimage (z, -y, x)."""
+    if key == "resource":
+        return runner._ideal_vector("resource")
+    x, y, z = code.CARDINAL_BLOCH[key]
+    return code._encoded_vectors([(1.0, z, -y, x)], NoiseModel(), "condition0")[0]
+
+
+@pytest.mark.parametrize("key", IDEAL_KEYS)
 def test_ideal_vector_matches_stabilizer_closed_form(key):
     """Each ideal Pauli vector is +/-1 on its stabilizer group (32 words for
-    the five-qubit resource, 16 for a logical state) and 0 elsewhere, to
-    2e-15: the amplitudes' 1/sqrt(2) factors leave rounding residue."""
+    the five-qubit resource, 16 for a logical state) and 0 elsewhere,
+    exactly, and so is each probe's target the runner reads."""
     want = oracle.ideal_vector(key)
     assert np.count_nonzero(want) == (32 if key == "resource" else 16)
-    np.testing.assert_allclose(runner._ideal_vector(key), want, rtol=0, atol=2e-15)
+    assert np.array_equal(closed_form_ideal_vector(key), want)
+    for probe in [p for p, target in code.PROBE_TARGETS.items() if target == key]:
+        assert np.array_equal(runner._ideal_vector(probe), want)
+
+
+@pytest.mark.parametrize("key", IDEAL_KEYS)
+def test_ideal_vector_matches_amplitudes(key):
+    """The closed-form vectors equal the ones read off the rotated resource
+    state and the Bell-pair logical basis to their rounding residue."""
+    np.testing.assert_allclose(closed_form_ideal_vector(key), oracle.amplitude_ideal_vector(key),
+                               rtol=0, atol=2e-15)
+
+
+AMPLITUDE_ROUTE = (("kernel", "_pauli_vector"), ("kernel", "_unitary"),
+                   ("graphs", "build_resource"), ("code", "logical_basis_states"),
+                   ("code", "_encoding_branches"))
+
+
+def test_no_kind_reads_amplitudes(monkeypatch):
+    """Every kind, noisy and ideal, with its first-use builds of the input
+    map and the ideal references, runs without a state vector: none of the
+    functions that build amplitudes is called, wherever the package imported it from."""
+    modules = [m for name, m in vars(graphqec).items()
+               if type(m) is type(graphqec) and m.__name__.startswith("graphqec.")]
+    for home, name in AMPLITUDE_ROUTE:
+        real = getattr(getattr(graphqec, home), name)
+
+        def refused(*args, _name=name):
+            raise AssertionError(f"{_name} was called")
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, refused)
+    runner._ideal_vector.cache_clear()
+    code._input_map.cache_clear()
+    for kind in runner.KINDS:
+        for visibility in (1.0, 0.8):
+            run_experiment(cfg(kind, noise={"visibility": visibility}))
+
+
+def summary_floats(obj):
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from summary_floats(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from summary_floats(value)
+    elif isinstance(obj, float):
+        yield obj
+
+
+@pytest.mark.parametrize("kind", runner.KINDS)
+def test_ideal_summary_holds_no_residue(kind):
+    """At visibility 1 (the CLI's ``--ideal``) no summary float lies within
+    1e-9 of 0, +-0.5 or +-1 without being exactly that value: every ideal
+    reference is exact, so what is exact in closed form is written exact."""
+    summary = run_experiment(ExperimentConfig.from_dict(
+        {"kind": kind, "noise": {"visibility": 1.0}})).summary
+    residue = [x for x in summary_floats(summary)
+               if any(0 < abs(x - v) <= 1e-9 for v in (0.0, 0.5, -0.5, 1.0, -1.0))]
+    assert residue == []
 
 
 def test_import_adds_no_third_party_module():

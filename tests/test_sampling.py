@@ -458,6 +458,36 @@ class TestCsvInterchange:
         with pytest.raises(ValueError, match="bad basis"):
             CountRecord.from_counts(((1, "Q"),), {"0": 1})
 
+    @pytest.mark.parametrize("counts, bad", [
+        ({"0": 2.5, "1": 1}, r"2\.5"), ({"0": 2, "1": True}, "True"),
+        ({"1": np.True_}, ".*True.*"), ({"0": 2.0000001}, r"2\.0000001")],
+        ids=["float", "bool", "numpy-bool", "near-integer"])
+    def test_from_counts_refuses_non_integral_counts(self, counts, bad):
+        """int64 storage would truncate 2.5 to 2 and read True as 1."""
+        with pytest.raises(ValueError, match=f"^count {bad} in setting 'Z1' is not an integer$"):
+            CountRecord.from_counts(((1, "Z"),), counts)
+
+    @pytest.mark.parametrize("dense, bad", [
+        ([2.7, 1], r"2\.7"), ([2, True], "True"), (np.array([True, False]), "True"),
+        (np.array([[3.0, 4.0], [2.5, 1.0]]), r"2\.5"),
+        ([[3, 4], [1, np.float64(0.5)]], r".*0\.5.*")],
+        ids=["float-list", "bool-in-list", "bool-array", "float-batch", "numpy-float-in-batch"])
+    def test_constructor_refuses_non_integral_counts(self, dense, bad):
+        with pytest.raises(ValueError, match=f"^count {bad} in setting 'X2' is not an integer$"):
+            CountRecord(((2, "X"),), dense)
+
+    def test_integral_counts_kept(self):
+        """Whole floats and numpy integers are counts; an int64 trial batch
+        is stored as it is, and the CSV reader's records are unchanged."""
+        setting = ((1, "Z"),)
+        assert CountRecord.from_counts(setting, {"0": 2.0, "1": np.int64(3)}).dense.tolist() \
+            == [2, 3]
+        assert CountRecord(setting, [np.float32(4), np.uint8(1)]).dense.tolist() == [4, 1]
+        batch = np.array([[3, 4], [0, 9]], dtype=np.int64)
+        assert CountRecord(setting, batch).dense is batch
+        [record] = counts_from_csv_rows([COUNTS_CSV_HEADER, ("Z1", "0", "7"), ("Z1", "1", "2")])
+        assert record.setting == setting and record.dense.tolist() == [7, 2]
+
     def test_setting_size_checked_before_allocating(self, monkeypatch):
         # a 22-qubit setting would ask for 2^22 cells (33 MB), one more
         # qubit for twice that
