@@ -55,7 +55,7 @@ from .code import (ANCILLA, CARDINAL_BLOCH, CODE_QUBITS, PROBE_NAMES, PROBE_TARG
                    syndrome_operators)
 from .graphs import RESOURCE, stabilizer_generators
 from .pauli import PauliString, _read_words
-from .sampling import (MAX_TRIALS, NoiseModel, _sample_settings, _witness_estimate,
+from .sampling import (MAX_TRIALS, NoiseModel, _sample_settings, _witness_estimates,
                        _witness_settings, counts_to_csv_rows)
 from .tomography import (ChannelSample, _logical_of_vector, _vector_fidelity,
                          average_probe_fidelity, bloch_image, chi_hadamard, chi_identity,
@@ -406,12 +406,12 @@ def _exact_witness(vec, labels, spec):
     return _witness_result(spec, _read_words(vec, labels, _term_table(spec).words))
 
 
-def _witness_block(vec, labels, spec, records, trials, seed, mc=None):
+def _witness_block(vec, labels, spec, estimates):
     """Exact witness value, for the state with Pauli vector ``vec`` on
-    ``labels``, plus the estimate with Monte Carlo bars from ``records``, the
-    histograms drawn of its settings (``mc``: see ``_witness_estimate``)."""
+    ``labels``, plus ``estimates``: the estimate and Monte Carlo bars from
+    the histograms drawn of its settings (see ``_witness_estimates``)."""
     exact = _exact_witness(vec, labels, spec)
-    estimate, mc_mean, mc_std = _witness_estimate(records, spec, trials, seed, mc)
+    estimate, mc_mean, mc_std = estimates
     block = {
         "exact": exact.value,
         "estimate": estimate,
@@ -559,15 +559,15 @@ def _run_resource_witness(cfg: ExperimentConfig):
         [(rho, labels, _witness_settings(spec), 100),
          (rho_box, CODE_QUBITS, _witness_settings(box_spec), 200)],
         cfg.counts_per_setting, cfg.seed)
+    estimates = _witness_estimates([(records, spec), (box_records, box_spec)], cfg.trials, mc)
     gens = stabilizer_generators(RESOURCE)
-    block, exact = _witness_block(rho, labels, spec, records, cfg.trials, cfg.seed, mc)
+    block, exact = _witness_block(rho, labels, spec, estimates[0])
     summary = {
         "resource5": block,
         "state_fidelity": _vector_fidelity(rho, vec),
         "stabilizer_expectations": dict(zip(map(str, gens), _read_words(rho, labels, gens))),
     }
-    box_block, box_exact = _witness_block(rho_box, CODE_QUBITS, box_spec, box_records,
-                                          cfg.trials, cfg.seed, mc)
+    box_block, box_exact = _witness_block(rho_box, CODE_QUBITS, box_spec, estimates[1])
     summary["box4_after_ancilla_z"] = box_block
     tables = {
         "witness_terms": _witness_table([("resource5", exact), ("box4", box_exact)]),
@@ -603,7 +603,9 @@ def _in_frame(vec: np.ndarray, frame) -> np.ndarray:
 def _run_encode_tomography(cfg: ExperimentConfig):
     """Logical tomography, fidelity and witnesses of each encoded probe, exact
     and sampled, all read off the probes' Pauli vectors from one batch. Every
-    histogram of the run is drawn in one :func:`_sample_settings` call."""
+    histogram of the run is drawn in one :func:`_sample_settings` call, and
+    every witness's Monte Carlo bars come from one :func:`_witness_estimates`
+    call."""
     summary = {"probes": {}}
     matrix_rows = [("probe", "entry", "re", "im")]
     vectors = _probe_vectors(cfg.probes, cfg.noise, cfg.byproduct)
@@ -616,7 +618,11 @@ def _run_encode_tomography(cfg: ExperimentConfig):
                  for _, framed, spec, stream in witnesses[probe]]
         jobs.append((vec, CODE_QUBITS, _logical_readout()[0], 700 + 10 * idx))
     drawn, mc = _sample_settings(jobs, cfg.counts_per_setting, cfg.seed)
-    drawn = iter(drawn)
+    drawn, items, readouts = iter(drawn), [], {}
+    for probe in vectors:
+        items += [(next(drawn), spec) for _, _, spec, _ in witnesses[probe]]
+        readouts[probe] = next(drawn)
+    estimates = iter(_witness_estimates(items, cfg.trials, mc))
     for probe, vec in vectors.items():
         ldm = _logical_of_vector(vec, CODE_QUBITS)
         target_key = PROBE_TARGETS[probe]
@@ -627,11 +633,10 @@ def _run_encode_tomography(cfg: ExperimentConfig):
             "fidelity_logical": (1 + float(np.dot(target_bloch, ldm.bloch))) / 2,
             "fidelity_state": _vector_fidelity(vec, _ideal_vector(probe)),
             "witnesses": {
-                name: _witness_block(framed, CODE_QUBITS, spec, next(drawn), cfg.trials,
-                                     cfg.seed, mc)[0]
+                name: _witness_block(framed, CODE_QUBITS, spec, next(estimates))[0]
                 for name, framed, spec, _ in witnesses[probe]},
         }
-        est = _sampled_logical_expectations(next(drawn))
+        est = _sampled_logical_expectations(readouts[probe])
         try:
             ldm_s = logical_density_from_expectations(est["xbar"], est["ybar"], est["zbar"])
             entry["sampled"] = {

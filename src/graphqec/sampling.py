@@ -42,8 +42,14 @@ zero cell always resamples to 0 and consumes no draw, so this is the draw
 over every cell, value for value. :func:`monte_carlo_uncertainty` hands an
 arbitrary statistic the trial-batched records, zero cells filled back in;
 the runner and the CLI take a witness's estimate and error bar from
-:func:`_witness_estimate`, which evaluates the plan's rows of the nonzero
+:func:`_witness_estimates`, which evaluates the plan's rows of the nonzero
 cells on the draw itself, so no trial batch becomes a :class:`CountRecord`.
+A run's witnesses, two or five, are estimated in one call. numpy releases
+the interpreter lock inside its Poisson sampler, so their draws, largest
+first, are shared between the calling thread and one helper thread per
+process, started on first use (:func:`_run_draws`). Each draw has its own
+generator, so no value depends on the thread that drew it, and a lone draw,
+as in the CLI's :func:`_witness_estimate`, runs on the calling thread.
 """
 from __future__ import annotations
 
@@ -51,6 +57,7 @@ import functools
 import itertools
 import numbers
 import operator
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -284,7 +291,8 @@ class CountRecord:
     The constructor checks every record that enters from outside: the
     setting, the cell count, integral counts (no bool, no 2.5: int64
     storage would read them as 1 and 2), non-negative counts and totals of
-    at most 2^53.
+    at most 2^53. A count that is not already an integer array's is held
+    to [0, 2^53] before the int64 cast, which would wrap 1e300 or overflow.
     :meth:`from_counts`, the CSV reader and :func:`monte_carlo_uncertainty`
     batches all pass through it. Only the histograms the sampler draws skip
     it (:meth:`_drawn`): they are non-negative int64 vectors of 2^k cells
@@ -303,6 +311,9 @@ class CountRecord:
                 if isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Real) or c % 1:
                     raise ValueError(f"count {c!r} in setting {self.setting_label!r} "
                                      f"is not an integer")
+                if not 0 <= c <= MAX_COUNT:  # before int64 storage wraps or overflows
+                    raise ValueError(f"count {c!r} in setting {self.setting_label!r} "
+                                     f"is negative or above 2^53")
         self.dense = np.asarray(self.dense, dtype=np.int64)
         if self.dense.shape[-1:] != (2 ** len(self.setting),):
             raise ValueError(f"expected {2 ** len(self.setting)} cells for setting "
@@ -716,16 +727,16 @@ def witness_records(records, spec: WitnessSpec) -> list[CountRecord]:
 
 
 def _poisson_trials(counts: np.ndarray, trials: int, mc: np.ndarray):
-    """(draws, cells): Poisson resamples of the nonzero cells ``cells`` of the
-    count vector ``counts``, as one (trials x cells) draw from a fresh
-    generator of the Monte Carlo stream, whose state is ``mc``
-    (:func:`_mc_state`). numpy draws 0 for a rate of 0 and consumes no
-    draw, so these are the nonzero columns of the draw over every cell,
-    value for value, and every other cell is 0."""
+    """(draw, cells): the nonzero cells ``cells`` of the count vector
+    ``counts`` and the call ``draw()`` that resamples them, one
+    (trials x cells) Poisson draw from a fresh generator of the Monte Carlo
+    stream, whose state is ``mc`` (:func:`_mc_state`). numpy draws 0 for a
+    rate of 0 and consumes no draw, so these are the nonzero columns of the
+    draw over every cell, value for value, and every other cell is 0."""
     if not 100 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in [100, {MAX_TRIALS}], got {trials}")
     cells = np.flatnonzero(counts)
-    return _generator(mc).poisson(counts[cells], size=(trials, cells.size)), cells
+    return functools.partial(_generator(mc).poisson, counts[cells], (trials, cells.size)), cells
 
 
 def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple[float, float]:
@@ -750,9 +761,9 @@ def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple
     """
     records = list(records)
     counts = _concatenated(records)
-    draws, cells = _poisson_trials(counts, trials, _mc_state(seed))
+    draw, cells = _poisson_trials(counts, trials, _mc_state(seed))
     full = np.zeros((trials, counts.size), dtype=np.int64)
-    full[:, cells] = draws
+    full[:, cells] = draw()
     ends = list(itertools.accumulate(r.dense.size for r in records))
     vals = np.empty(trials)
     vals[:] = statistic([CountRecord(r.setting, full[:, start:end])
@@ -760,21 +771,138 @@ def monte_carlo_uncertainty(statistic, records, trials: int, seed: int) -> tuple
     return float(vals.mean()), float(vals.std())
 
 
-def _witness_estimate(records, spec: WitnessSpec, trials: int, seed: int,
-                      mc: np.ndarray | None = None) -> tuple[float, float, float]:
+def _witness_estimate(records, spec: WitnessSpec, trials: int,
+                      seed: int) -> tuple[float, float, float]:
     """(estimate, mc_mean, mc_std) of the witness ``spec`` on ``records``:
     :func:`witness_value_from_counts`, and :func:`monte_carlo_uncertainty`
-    of it with every record resampled, bit for bit. The plan is evaluated
-    on the nonzero columns of the same draw, which become no
-    :class:`CountRecord`. ``mc`` is :func:`_mc_state` of ``seed``, if the
-    caller has it from :func:`_sample_settings`."""
-    records = list(records)
-    plan = _witness_plan(spec, tuple(r.setting for r in records))
-    counts = _concatenated(records)
-    estimate = _plan_value(spec, plan, counts)
-    vals = _plan_value(spec, plan, *_poisson_trials(
-        counts, trials, _mc_state(seed) if mc is None else mc))
-    return estimate, float(vals.mean()), float(vals.std())
+    of it with every record resampled, bit for bit. It is the one-item
+    :func:`_witness_estimates`, whose one draw runs on the calling thread."""
+    return _witness_estimates([(records, spec)], trials, _mc_state(seed))[0]
+
+
+def _witness_estimates(items, trials: int, mc: np.ndarray) -> list[tuple[float, float, float]]:
+    """:func:`_witness_estimate` of each ``(records, spec)`` of ``items``,
+    in item order, where ``mc`` is :func:`_mc_state` of the seed, as
+    :func:`_sample_settings` returns it. Each witness resamples from a
+    fresh generator of the Monte Carlo stream, as if it were alone.
+
+    The calling thread prepares every witness in item order: its plan, its
+    estimate and its draw (:func:`_poisson_trials`). The draws then run
+    from one list (:func:`_run_draws`), on this thread and, for two or
+    more, on the process's helper thread too. Last, each witness's plan is
+    evaluated on the nonzero columns of its draw, which become no
+    :class:`CountRecord`, in item order. An error is the one that the items
+    evaluated one after the other would raise: the first item's to fail, at
+    the first step where it fails."""
+    prepared, failure = [], None
+    for records, spec in items:
+        try:
+            records = list(records)
+            plan = _witness_plan(spec, tuple(r.setting for r in records))
+            counts = _concatenated(records)
+            estimate = _plan_value(spec, plan, counts)
+            prepared.append((spec, plan, estimate, *_poisson_trials(counts, trials, mc)))
+        except Exception as exc:  # raised once the items before it are evaluated
+            failure = exc
+            break
+    out = []
+    for (spec, plan, estimate, _, cells), drawn in zip(
+            prepared, _run_draws([draw for *_, draw, _ in prepared])):
+        if isinstance(drawn, BaseException):
+            raise drawn
+        vals = _plan_value(spec, plan, drawn, cells)
+        out.append((estimate, float(vals.mean()), float(vals.std())))
+    if failure is not None:
+        raise failure
+    return out
+
+
+# The job queue of this process's helper thread, by process id: a forked
+# child, whose copy of the parent's helper does not run, starts its own.
+_HELPERS: dict = {}
+
+
+def _run_draws(draws) -> list:
+    """Each of ``draws``, :func:`_poisson_trials` draws, called once: its
+    result or the exception it raised, in the order of ``draws``.
+
+    numpy releases the interpreter lock inside ``Generator.poisson``, so two
+    draws run at once on two cores. The draws wait in one list, the most
+    rates first, and two threads take them one at a time until it is empty:
+    the calling thread and, for two or more draws, the process's helper
+    thread (:func:`_helper`), which sends its results back in one message
+    on this call's own channel. The caller waits for that message only if
+    the helper took a draw. A call that raises or is interrupted empties
+    the list, so the helper stops after its current draw, whose result
+    goes to the abandoned channel and never reaches a later call. A draw's
+    value does not depend on the thread that runs it: each has its own
+    generator."""
+    out = [None] * len(draws)
+    tasks = sorted(enumerate(draws), key=lambda task: task[1].args[0].size)  # by rates
+    pending = len(tasks)  # less the caller's own draws: the helper's
+    if pending > 1:
+        from _queue import SimpleQueue  # queue.SimpleQueue; see _helper
+        results = SimpleQueue()
+        _helper().put((tasks, results))
+    try:
+        for index, draw in _taken(tasks):
+            try:
+                out[index] = draw()
+            except Exception as exc:  # raised by the caller in item order
+                out[index] = exc
+            pending -= 1
+        if pending:
+            for index, value in results.get():
+                out[index] = value
+    finally:
+        tasks.clear()
+    return out
+
+
+def _helper():
+    """The job queue of this process's one helper thread, started on first
+    use. A job is ``(tasks, results)``: the helper takes ``(index, draw)``
+    tasks off the end of the list ``tasks`` until it is empty, then puts
+    the list of its ``(index, result or exception)`` on ``results``, if it
+    took any."""
+    pid = os.getpid()
+    if pid not in _HELPERS:
+        import threading
+        # queue.SimpleQueue is this class; importing queue would also load
+        # heapq and cost 1 ms and 0.14 MB of memory at first use
+        from _queue import SimpleQueue
+        jobs = SimpleQueue()
+        # setdefault is atomic: of two threads that get here, one starts the helper
+        if _HELPERS.setdefault(pid, jobs) is jobs:
+            threading.Thread(target=_serve, args=(jobs,), name="graphqec-poisson",
+                             daemon=True).start()
+    return _HELPERS[pid]
+
+
+def _serve(jobs):
+    """The helper thread's loop over the jobs of :func:`_helper`. Whatever a
+    draw raises goes back to its caller, so the helper outlives it and the
+    caller gets a result for every draw the helper took."""
+    while True:
+        tasks, results = jobs.get()
+        done = []
+        for index, draw in _taken(tasks):
+            try:
+                done.append((index, draw()))
+            except BaseException as exc:  # re-raised by the caller, who would hang without it
+                done.append((index, exc))
+        if done:
+            results.put(done)
+
+
+def _taken(tasks):
+    """The tasks of a :func:`_run_draws` list, each popped off its end by
+    the thread that runs it, until it is empty."""
+    while True:
+        try:
+            yield tasks.pop()
+        except IndexError:
+            return
 
 
 # -- CSV interchange ---------------------------------------------------------

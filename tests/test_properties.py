@@ -608,6 +608,44 @@ def test_witness_plan_matches_per_term_oracle(table, seed):
                                                                          seed)))
 
 
+@st.composite
+def estimate_items(draw):
+    """One to six ``(records, spec)`` items, each a built-in witness and one
+    histogram per setting: sparse (mostly zero cells, some small), dense or
+    a single nonzero cell. An all-zero sparse histogram is empty, and small
+    counts leave some resampled trials empty."""
+    items = []
+    for _ in range(draw(st.integers(1, 6))):
+        spec = draw(st.sampled_from(BUILTIN_SPECS))
+        records = []
+        for setting in witness_settings(spec):
+            size = 2 ** len(setting)
+            shape = draw(st.sampled_from(("sparse", "dense", "single")))
+            if shape == "single":
+                counts = [0] * size
+                counts[draw(st.integers(0, size - 1))] = draw(st.integers(1, 600))
+            else:
+                cell = st.sampled_from((0, 0, 0, 1, 2, 40)) if shape == "sparse" \
+                    else st.integers(0, 600)
+                counts = draw(st.lists(cell, min_size=size, max_size=size))
+            records.append(CountRecord(tuple(sorted(setting.items())), counts))
+        items.append((records, spec))
+    return items
+
+
+@PROPERTY
+@given(estimate_items(), seeds, st.integers(100, 300))
+def test_witness_estimates_equal_the_items_one_at_a_time(items, seed, trials):
+    """A run's witness estimates, whose draws share the calling thread and
+    the helper thread, equal each item's ``_witness_estimate`` on its own,
+    every value of every (estimate, mc_mean, mc_std) bit for bit; an error
+    is the one the items one at a time raise first."""
+    got = outcome(lambda: sampling._witness_estimates(items, trials, sampling._mc_state(seed)))
+    want = outcome(lambda: [sampling._witness_estimate(records, spec, trials, seed)
+                            for records, spec in items])
+    assert repr(got) == repr(want)
+
+
 @PROPERTY
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True), st.data(), seeds)
 def test_setting_gather_equals_ix_selection(labels, data, seed):
@@ -953,7 +991,8 @@ def test_vector_sampler_matches_dense_path(state, data):
     seed = data.draw(seeds)
     [records], _ = sampling._sample_settings([(vec, labels, witness_settings(spec), 0)], 500,
                                              seed)
-    block, _ = runner._witness_block(vec, labels, spec, records, 100, seed)
+    block, _ = runner._witness_block(vec, labels, spec,
+                                     sampling._witness_estimate(records, spec, 100, seed))
     assert abs(block["exact"] - evaluate_witness(reduced, spec).value) < ATOL
     assert [r.qubits for r in records] == [tuple(q for q in labels if q in s)
                                            for s in witness_settings(spec)]

@@ -7,9 +7,12 @@ import math
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -927,3 +930,65 @@ def test_numpy_random_is_imported_only_by_a_sampled_run():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
     assert out == ["False", "False", "True"]
+
+
+def test_helper_thread_only_for_runs_with_two_or_more_witness_draws():
+    """Importing the package starts no thread and imports no ``queue``, and
+    the one draw of ``analyze-counts``'s estimate starts none. Sampled runs
+    share their witness draws with one helper thread: after 30 of them the
+    process holds one thread more than at the start, not more."""
+    script = (
+        "import sys, threading, numpy\n"
+        "before, count = set(sys.modules), threading.active_count()\n"
+        "import graphqec, graphqec.cli\n"
+        "from graphqec import sampling, witnesses\n"
+        "seen = [threading.active_count() - count, 'queue' in set(sys.modules) - before]\n"
+        "spec = witnesses.pair_witness((1, 2))\n"
+        "records = [sampling.CountRecord(tuple(sorted(s.items())), [5, 1, 2, 7])\n"
+        "           for s in sampling.witness_settings(spec)]\n"
+        "sampling._witness_estimate(records, spec, 100, 1)\n"
+        "seen.append(threading.active_count() - count)\n"
+        "for i in range(30):\n"
+        "    kind = ('resource-witness', 'encode-tomography')[i % 2]\n"
+        "    graphqec.run_experiment(graphqec.ExperimentConfig(kind, trials=100, seed=i))\n"
+        "seen.append(threading.active_count() - count)\n"
+        "print(*seen)\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.split()
+    assert out == ["0", "False", "0", "1"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="os.fork is tested on Linux")
+def test_forked_child_starts_its_own_helper_and_writes_the_same_bundle(tmp_path):
+    """A child forked after a sampled run started the parent's helper thread
+    starts a helper of its own and writes the parent's encode-tomography
+    bundle byte for byte."""
+    config = cfg("encode-tomography", noise={"visibility": 0.8})
+    run_experiment(config).write(tmp_path / "parent")
+    assert os.getpid() in sampling._HELPERS
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # 3.12+: fork with a live thread
+        pid = os.fork()
+    if pid == 0:  # the child: exit at once, whatever happens
+        status = 1
+        try:
+            run_experiment(config).write(tmp_path / "child")
+            status = 0 if os.getpid() in sampling._HELPERS else 2
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 120
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish in 120 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    names = sorted(p.name for p in (tmp_path / "parent").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "child").iterdir())
+    for name in names:
+        assert (tmp_path / "child" / name).read_bytes() \
+            == (tmp_path / "parent" / name).read_bytes(), name

@@ -1,10 +1,15 @@
+import os
 import re
+import sys
+import threading
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracle
-from graphqec import kernel
+from graphqec import kernel, sampling
 from graphqec.code import PROBES, encode, logical_basis_states
 from graphqec.graphs import build_resource
 from graphqec.kernel import PureState
@@ -12,7 +17,8 @@ from graphqec.sampling import (COUNTS_CSV_HEADER, MAX_TRIALS, CountRecord, Noise
                                apply_noise, counts_from_csv_rows, counts_to_csv_rows,
                                estimate_expectation, monte_carlo_uncertainty,
                                outcome_probabilities, sample_setting_counts,
-                               _witness_estimate, witness_records, witness_settings,
+                               _mc_state, _witness_estimate, _witness_estimates,
+                               witness_records, witness_settings,
                                witness_value_from_counts)
 from graphqec.tomography import state_fidelity
 from graphqec.witnesses import (box_witness, evaluate_witness, fidelity_lower_bound,
@@ -352,6 +358,149 @@ class TestMonteCarlo:
         assert [b.dense.shape for b in seen[0]] == [(100, 4), (100, 2)]
 
 
+def _estimate_items():
+    """Two resource-witness items of different sizes: a dense five-qubit pair
+    of settings (64 cells) and a sparse box pair (8 nonzero cells)."""
+    rng = np.random.default_rng(7)
+    resource, box = resource_witness(), box_witness()
+    dense = [CountRecord(tuple(sorted(s.items())), rng.integers(1, 60, 32))
+             for s in witness_settings(resource)]
+    sparse = [CountRecord(tuple(sorted(s.items())), rng.integers(0, 60, 16) * (np.arange(16) < 4))
+              for s in witness_settings(box)]
+    return [(dense, resource), (sparse, box)]
+
+
+class TestWitnessEstimates:
+    """The batch of a run's witness estimates, whose draws run on the
+    calling thread and one helper thread, equals the items one at a time."""
+
+    def test_batch_equals_items_one_by_one(self):
+        items = _estimate_items()
+        want = [_witness_estimate(records, spec, 150, 9) for records, spec in items]
+        assert _witness_estimates(items, 150, _mc_state(9)) == want
+        assert _witness_estimates(items[::-1], 150, _mc_state(9)) == want[::-1]
+
+    @pytest.mark.parametrize("failing", ["helper", "caller", "both"])
+    def test_draw_errors_surface_in_the_caller_lowest_index_first(self, monkeypatch, failing):
+        """Both draws wait at a barrier, so one runs on the caller and one on
+        the helper; the error of the lowest failing index is raised."""
+        caller, barrier, ran = threading.current_thread(), threading.Barrier(2, timeout=10), {}
+        made = iter(range(2))
+
+        def generator(words):
+            index = next(made)  # generators are made in item order
+
+            def poisson(rates, size):
+                role = "caller" if threading.current_thread() is caller else "helper"
+                ran[role] = index
+                barrier.wait()
+                if failing in (role, "both"):
+                    raise ValueError(f"draw {index}")
+                return np.zeros(size, dtype=np.int64) + rates
+
+            return SimpleNamespace(poisson=poisson)
+
+        monkeypatch.setattr(sampling, "_generator", generator)
+        with pytest.raises(ValueError) as err:
+            _witness_estimates(_estimate_items(), 100, _mc_state(1))
+        assert sorted(ran) == ["caller", "helper"]
+        want = 0 if failing == "both" else ran[failing]
+        assert str(err.value) == f"draw {want}"
+
+    def test_stalled_helper_leaks_no_result_into_later_calls(self, monkeypatch):
+        """A call interrupted while the helper holds its other draw returns
+        nothing; the next call runs every draw on the caller, and once the
+        helper's stale draw ends, a wrong value, it reaches no later call."""
+        items = _estimate_items()
+        want = [_witness_estimate(records, spec, 100, 5) for records, spec in items]
+        real, caller = sampling._generator, threading.current_thread()
+        stalled, release = threading.Event(), threading.Event()
+
+        class Interrupt(BaseException):
+            pass
+
+        def generator(words):
+            rng = real(words)
+
+            def poisson(rates, size):
+                if threading.current_thread() is caller:
+                    stalled.wait(10)
+                    raise Interrupt
+                stalled.set()
+                release.wait(10)
+                return rng.poisson(rates, size) + 1000
+
+            return SimpleNamespace(poisson=poisson)
+
+        monkeypatch.setattr(sampling, "_generator", generator)
+        with pytest.raises(Interrupt):
+            _witness_estimates(items, 100, _mc_state(5))
+        assert stalled.is_set()
+        monkeypatch.setattr(sampling, "_generator", real)
+        try:
+            assert _witness_estimates(items, 100, _mc_state(5)) == want
+        finally:
+            release.set()
+        for _ in range(20):
+            assert _witness_estimates(items, 100, _mc_state(5)) == want
+
+    def test_empty_histogram_precedence_is_the_items_in_order(self):
+        """An item's error comes where the items one at a time raise it:
+        after every earlier item succeeds, before any later item's."""
+        (dense, resource), (sparse, box) = _estimate_items()
+        empty = [CountRecord(r.setting, np.zeros(16, dtype=np.int64)) for r in sparse]
+        big = [CountRecord(r.setting, [0] * 15 + [2 ** 53]) for r in sparse]  # resamples above
+        with pytest.raises(ValueError, match="^empty histogram$"):
+            _witness_estimates([(dense, resource), (empty, box)], 100, _mc_state(3))
+        with pytest.raises(ValueError, match="^empty histogram$"):
+            _witness_estimates([(empty, box), (big, box)], 100, _mc_state(3))
+        with pytest.raises(ValueError, match="^histogram total above 2\\^53 in setting "):
+            _witness_estimates([(big, box), (empty, box)], 100, _mc_state(3))
+        with pytest.raises(ValueError, match="^empty histogram$"):
+            _witness_estimates([(empty, box), (dense, resource)], 10, _mc_state(3))
+        with pytest.raises(ValueError, match="^trials must be in"):
+            _witness_estimates([(dense, resource), (empty, box)], 10, _mc_state(3))
+
+    def test_callers_on_many_threads_share_one_helper(self):
+        """Six threads on two cores, each calling the batch again and again
+        with a short switch interval, all get the values of one-at-a-time
+        calls."""
+        items = _estimate_items()
+        want = {seed: [_witness_estimate(records, spec, 100, seed) for records, spec in items]
+                for seed in range(6)}
+        got = {seed: [] for seed in want}
+
+        def work(seed):
+            for _ in range(10):
+                got[seed].append(_witness_estimates(items, 100, _mc_state(seed)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in want]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {seed: [values] * 10 for seed, values in want.items()}
+
+    def test_one_draw_never_touches_the_helper(self, monkeypatch):
+        records, spec = _estimate_items()[0]
+        want = _witness_estimate(records, spec, 100, 2)
+
+        def no_helper():
+            raise AssertionError("a single draw asked for the helper thread")
+
+        monkeypatch.setattr(sampling, "_helper", no_helper)
+        assert _witness_estimate(records, spec, 100, 2) == want
+        assert _witness_estimates([(records, spec)], 100, _mc_state(2)) == [want]
+        with pytest.raises(AssertionError, match="single draw"):
+            _witness_estimates(_estimate_items(), 100, _mc_state(2))
+
+
 class TestConvergence:
     def test_witness_error_shrinks_with_n(self):
         state = apply_noise(build_resource(), NoiseModel(visibility=0.75))
@@ -487,6 +636,38 @@ class TestCsvInterchange:
         assert CountRecord(setting, batch).dense is batch
         [record] = counts_from_csv_rows([COUNTS_CSV_HEADER, ("Z1", "0", "7"), ("Z1", "1", "2")])
         assert record.setting == setting and record.dense.tolist() == [7, 2]
+
+    @pytest.mark.parametrize("dense, bad", [
+        (np.array([1e300, 1.0]), "1e+300"), ([1e300, 1], "1e+300"),
+        ([-1e300, 1], "-1e+300"),
+        (np.array([[1.0, 2.0], [2.0 ** 64, 0.0]]), "1.8446744073709552e+19"),
+        ([2 ** 63, 0], str(2 ** 63)), ([1, 2.0 ** 53 + 2], "9007199254740994.0"), ([-1, 2], "-1")],
+        ids=["float-array", "float-list", "negative-float", "float-batch", "int-past-int64",
+             "float-past-2^53", "negative-int"])
+    def test_counts_out_of_range_refused_before_the_int64_cast(self, dense, bad):
+        """The int64 cast would wrap 1e300 into a negative count with a
+        RuntimeWarning, or overflow on a list; each count is held to
+        [0, 2^53] first and named with its setting."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^count {re.escape(bad)} in setting 'Z1' "
+                                                 f"is negative or above 2\\^53$"):
+                CountRecord(((1, "Z"),), dense)
+
+    def test_range_check_keeps_counts_at_the_cap_and_integer_arrays(self):
+        """A float count of exactly 2^53 is kept; integer arrays keep their
+        own checks, and the CSV reader its messages."""
+        setting = ((1, "Z"),)
+        assert CountRecord(setting, np.array([2.0 ** 53, 0.0])).total == 2 ** 53
+        with pytest.raises(ValueError, match="^negative count in setting 'Z1'$"):
+            CountRecord(setting, np.array([-1, 2]))
+        with pytest.raises(ValueError, match="^histogram total above 2\\^53 in setting 'Z1'$"):
+            CountRecord(setting, np.array([[3, 4], [2 ** 62, 2 ** 62]]))
+        message = f"^count {2 ** 60} of outcome '0' in setting 'Z1' is negative or above 2\\^53$"
+        with pytest.raises(ValueError, match=message):
+            CountRecord.from_counts(setting, {"0": 2 ** 60})
+        with pytest.raises(ValueError, match=message):
+            counts_from_csv_rows([COUNTS_CSV_HEADER, ("Z1", "0", str(2 ** 60))])
 
     def test_setting_size_checked_before_allocating(self, monkeypatch):
         # a 22-qubit setting would ask for 2^22 cells (33 MB), one more
