@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import pathlib
 import sys
 
 from . import kernel
@@ -16,10 +15,11 @@ from .code import PROBE_NAMES, parse_error_spec
 from .graphs import (Graph, RESOURCE, build_resource, graph_state, resource_state_expansion,
                      stabilizer_generators)
 from .pauli import pauli_expectations
-from .runner import ConfigError, ExperimentConfig, ReportBundle, run_experiment, _json_text
+from .runner import (BYPRODUCT_MODES, FORMATS, ConfigError, ExperimentConfig, ReportBundle,
+                     run_experiment, _json_text)
 from .sampling import (MAX_TRIALS, _probability, _witness_estimate, counts_from_csv_rows,
                        witness_records)
-from .witnesses import builtin_witnesses, fidelity_lower_bound
+from .witnesses import BUILTIN_NAMES, builtin_witnesses, fidelity_lower_bound
 
 
 class _UsageError(Exception):
@@ -31,13 +31,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_KIND_BY_COMMAND = {
-    "witness": "resource-witness",
-    "encode": "encode-tomography",
-    "channel": "encode-channel",
-    "loss": "loss-recovery",
-    "syndrome": "syndrome-table",
-    "sweep": "noise-sweep",
+# Experiment command -> (the config kind it runs, its help text).
+_COMMANDS = {
+    "witness": ("resource-witness", "resource witness with Monte Carlo error bars"),
+    "encode": ("encode-tomography", "logical tomography of the encoded probe states"),
+    "channel": ("encode-channel", "process tomography of the encoding channel"),
+    "loss": ("loss-recovery", "loss of one qubit and recovery as a channel"),
+    "syndrome": ("syndrome-table", "stabilizer sign table under injected errors"),
+    "sweep": ("noise-sweep", "white-noise sweep and visibility calibration"),
 }
 
 
@@ -46,13 +47,13 @@ def _add_common(p: _Parser):
     p.add_argument("--seed", type=int, help="sampling seed")
     p.add_argument("--out", help="directory for the report bundle")
     p.add_argument("--format", action="append",
-                   choices=["json", "csv", "svg"], help="output formats (repeatable)")
+                   choices=FORMATS, help="output formats (repeatable)")
     p.add_argument("--counts", type=float, help="expected counts per setting")
     p.add_argument("--trials", type=int, help="Monte Carlo trials")
     p.add_argument("--visibility", type=float, help="white-noise visibility v")
     p.add_argument("--ideal", action="store_true",
                    help="no noise (v = 1, no depolarizing, dephasing or white noise)")
-    p.add_argument("--byproduct", choices=["condition0", "correct", "raw"])
+    p.add_argument("--byproduct", choices=BYPRODUCT_MODES)
 
 
 def _build_parser() -> _Parser:
@@ -65,18 +66,11 @@ def _build_parser() -> _Parser:
                    help="path of a JSON file holding a graph literal {vertices, edges}: "
                         "report its graph state's stabilizer expectations instead")
 
-    for cmd, help_text in [
-        ("witness", "resource witness with Monte Carlo error bars"),
-        ("encode", "logical tomography of the encoded probe states"),
-        ("channel", "process tomography of the encoding channel"),
-        ("loss", "loss of one qubit and recovery as a channel"),
-        ("syndrome", "stabilizer sign table under injected errors"),
-        ("sweep", "white-noise sweep and visibility calibration"),
-    ]:
+    for cmd, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(cmd, help=help_text)
         _add_common(p)
         if cmd in ("encode", "syndrome"):
-            p.add_argument("--probe", choices=list(PROBE_NAMES),
+            p.add_argument("--probe", choices=PROBE_NAMES,
                            help="restrict to a single probe state")
         if cmd == "loss":
             p.add_argument("--lost", type=int, help="code qubit to lose: 1, 2, 4 or 5")
@@ -85,8 +79,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze-counts", help="evaluate a witness on recorded counts")
     p.add_argument("--in", dest="infile", required=True, help="counts CSV (setting,outcome,count)")
-    p.add_argument("--witness", required=True,
-                   choices=["resource5", "box4", "ghz4", "pair2"])
+    p.add_argument("--witness", required=True, choices=BUILTIN_NAMES)
     p.add_argument("--as-printed", action="store_true",
                    help="use the literally printed resource witness coefficients")
     p.add_argument("--trials", type=int, default=200, help="Monte Carlo trials (100 to 100000)")
@@ -118,7 +111,7 @@ def _config_from_args(args) -> ExperimentConfig:
                 raise ConfigError({"--config": f"not valid JSON: {exc}"}) from None
         if not isinstance(data, dict):
             raise ConfigError({"--config": f"must hold a JSON object, got {data!r}"})
-    data["kind"] = _KIND_BY_COMMAND[args.command]
+    data["kind"] = _COMMANDS[args.command][0]
     flagged = {}  # config field -> the flag that set it
     for flag, name in _FLAG_FIELDS.items():
         if getattr(args, flag, None) is not None:
@@ -160,17 +153,12 @@ def _emit(bundle: ReportBundle, args, report: str | None = None) -> None:
     out = args.out or bundle.provenance["config"].get("out_dir")
     written = []
     if out:
-        flag = "--out" if args.out else "out_dir"
-        try:
-            pathlib.Path(out).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError({flag: f"cannot create directory {out!r}: {exc.strerror}"}) \
-                from None
         try:
             written = bundle.write(out)
         except OSError as exc:
-            raise ConfigError({flag: f"cannot write {exc.filename or out!r}: "
-                                     f"{exc.strerror or exc}"}) from None
+            raise ConfigError({"--out" if args.out else "out_dir":
+                               f"cannot write {exc.filename or out!r}: {exc.strerror or exc}"}) \
+                from None
     if report is not None:
         print(report)
     elif out:

@@ -80,11 +80,6 @@ class AncillaState:
     def vector(self) -> np.ndarray:
         return np.array([self.alpha, self.beta], dtype=complex)
 
-    @staticmethod
-    def from_angles(theta: float, phi: float) -> "AncillaState":
-        return AncillaState(math.cos(theta / 2),
-                            complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2))
-
 
 # The informationally complete probe set used to characterize the encoding.
 PROBES = {
@@ -301,7 +296,7 @@ def _pauli_transfer(u: np.ndarray) -> np.ndarray:
     column c is the Pauli vector of U P_c U^dagger, so R sends one qubit's
     Pauli vector to that of its conjugate. Error injection, syndrome flips
     and loss recovery all read it."""
-    paulis = np.stack([kernel.PAULI[c] for c in "IXYZ"])
+    paulis = kernel.PAULI_STACK
     return np.einsum("aij,cji->ac", paulis, u @ paulis @ u.conj().T).real / 2
 
 

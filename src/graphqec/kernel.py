@@ -76,6 +76,8 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 S = np.array([[1, 0], [0, 1j]], dtype=complex)
 PAULI = {"I": I, "X": X, "Y": Y, "Z": Z}
+PAULI_STACK = np.stack(list(PAULI.values()))  # read-only (4, 2, 2): I, X, Y, Z in order
+PAULI_STACK.setflags(write=False)
 
 # Principal square roots of -iZ, +iZ and -iX: the experiment's rotations
 # and the inverse of sqrt(-iZ).
@@ -185,9 +187,6 @@ class DensityOperator:
     def num_qubits(self) -> int:
         return len(self.labels)
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 @dataclass(frozen=True, eq=False)
 class Observable:
@@ -262,8 +261,8 @@ def _axis_plan(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple
 # Row P sends one qubit's density entries rho[a, b], flattened as 2a + b, to
 # sum_ab rho[a, b] P[b, a] = tr(rho P); rows in I, X, Y, Z order. Its inverse
 # sends tr(rho P) back: column P holds the entries P[a, b] / 2.
-_PAULI_TRANSFORM = np.stack([m.T.reshape(-1) for m in (I, X, Y, Z)])
-_PAULI_INVERSE = np.stack([m.reshape(-1) for m in (I, X, Y, Z)], axis=1) / 2
+_PAULI_TRANSFORM = PAULI_STACK.transpose(0, 2, 1).reshape(4, 4)
+_PAULI_INVERSE = np.ascontiguousarray(PAULI_STACK.reshape(4, 4).T) / 2
 
 
 def _pauli_vector(raw: np.ndarray, n: int) -> np.ndarray:

@@ -148,7 +148,7 @@ def _check_hermitian(p: PauliString):
         raise ValueError(f"{p} has imaginary phase and is not an observable")
 
 
-_LETTER_INDEX = {"X": 1, "Y": 2, "Z": 3}
+_LETTER_INDEX = {letter: i for i, letter in enumerate(kernel.PAULI)}  # I 0, X 1, Y 2, Z 3
 
 
 def _read_words(vec: np.ndarray, labels, words) -> tuple[float, ...]:

@@ -27,9 +27,9 @@ write otherwise goes through ``csv.writer`` itself
 ``%``-template filled from coordinates computed at the array. The summary
 is written by :func:`_json_text` in one pass: it converts numpy values while
 it writes the text ``json.dumps(..., indent=2, sort_keys=True)`` gives for
-the converted document, so no converted copy of the summary is built. The
-config digest converts them the same way, through ``json.dumps``'s
-``default`` hook (:func:`_json_default`).
+the converted document, so no converted copy of the summary is built. A
+config holds Python values only (its constructor stores every number as
+an ``int`` or ``float``), so its digest is the stdlib ``json.dumps`` of it.
 """
 from __future__ import annotations
 
@@ -54,9 +54,9 @@ from .code import (ANCILLA, CARDINAL_BLOCH, CODE_QUBITS, PROBE_NAMES, PROBE_TARG
                    parse_error_spec, predicted_syndrome_signs, recovery_recipe,
                    syndrome_operators)
 from .graphs import RESOURCE, stabilizer_generators
-from .pauli import PauliString, _read_words
-from .sampling import (MAX_TRIALS, NoiseModel, _sample_settings, _witness_estimates,
-                       _witness_settings, counts_to_csv_rows)
+from .pauli import _LETTER_INDEX, PauliString, _read_words
+from .sampling import (MAX_TRIALS, NoiseModel, _builtin_number, _is_number, _sample_settings,
+                       _witness_estimates, _witness_settings, counts_to_csv_rows)
 from .tomography import (ChannelSample, _logical_of_vector, _vector_fidelity,
                          average_probe_fidelity, bloch_image, chi_hadamard, chi_identity,
                          logical_density_from_expectations, process_fidelity,
@@ -97,6 +97,11 @@ class ExperimentConfig:
     formats: tuple[str, ...] = ("json", "csv")
 
     def __post_init__(self):
+        for key in ("probes", "formats"):
+            try:
+                object.__setattr__(self, key, tuple(getattr(self, key)))
+            except TypeError:
+                raise ConfigError({key: f"must be a list, got {getattr(self, key)!r}"}) from None
         problems = {}
         if self.kind not in KINDS:
             problems["kind"] = f"must be one of {KINDS}, got {self.kind!r}"
@@ -111,7 +116,7 @@ class ExperimentConfig:
             if keyed - RESOURCE.vertices:
                 problems["noise"] = (f"qubits {sorted(keyed - RESOURCE.vertices)} are not in "
                                      f"the register {sorted(RESOURCE.vertices)}")
-        if isinstance(self.lost, bool) or self.lost not in CODE_QUBITS:
+        if not _is_number(self.lost, numbers.Real) or self.lost not in CODE_QUBITS:
             problems["lost"] = f"must be a code qubit {CODE_QUBITS}, got {self.lost!r}"
         if not _is_number(self.seed, numbers.Integral) or self.seed < 0:
             problems["seed"] = f"must be a non-negative integer, got {self.seed!r}"
@@ -148,8 +153,8 @@ class ExperimentConfig:
             problems["out_dir"] = f"must be a directory path or null, got {self.out_dir!r}"
         if problems:
             raise ConfigError(problems)
-        object.__setattr__(self, "probes", tuple(self.probes))
-        object.__setattr__(self, "formats", tuple(self.formats))
+        for name in _NUMBER_FIELDS:
+            object.__setattr__(self, name, _builtin_number(getattr(self, name)))
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -163,12 +168,6 @@ class ExperimentConfig:
                 kwargs["noise"] = NoiseModel(**kwargs["noise"])
             except (TypeError, ValueError) as exc:
                 raise ConfigError({"noise": str(exc)}) from exc
-        for key in ("probes", "formats"):
-            if key in kwargs:
-                try:
-                    kwargs[key] = tuple(kwargs[key])
-                except TypeError:
-                    raise ConfigError({key: f"must be a list, got {kwargs[key]!r}"}) from None
         try:
             return ExperimentConfig(**kwargs)
         except TypeError as exc:
@@ -189,33 +188,16 @@ class ExperimentConfig:
 
 _CONFIG_FIELDS = tuple(f.name for f in dc_fields(ExperimentConfig))
 _NOISE_FIELDS = tuple(f.name for f in dc_fields(NoiseModel))
+_NUMBER_FIELDS = ("lost", "counts_per_setting", "trials", "seed", "sweep_points",
+                  "target_fidelity")
 
 
 def _digest(config_dict: dict) -> str:
     """SHA-256 of the canonical JSON of a config's :meth:`~ExperimentConfig.to_dict`:
-    ``json.dumps`` with sorted keys, numpy values converted by
-    :func:`_json_default`. A config's per-qubit maps are keyed by qubit
-    numbers 1 to 6, which sort as their strings do."""
-    blob = json.dumps(config_dict, sort_keys=True, default=_json_default)
+    ``json.dumps`` with sorted keys. A config's per-qubit maps are keyed by
+    qubit numbers 1 to 6, which sort as their strings do."""
+    blob = json.dumps(config_dict, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _is_number(value, kind) -> bool:
-    """``value`` is an instance of the numbers ABC ``kind`` and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _json_default(obj):
-    """A value ``json.dumps`` cannot write, as one it can: a numpy scalar by
-    ``.item()``, an array by ``.tolist()``, a complex number as ``{"re", "im"}``.
-    Anything else raises ``TypeError``, as ``json.dumps`` does."""
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -720,7 +702,7 @@ def _syndrome_case(letter: str, loc: int) -> tuple[tuple[int, int, int], tuple[f
     ``code._error_signs(letter)`` puts on each syndrome, at that syndrome's
     letter on ``loc``."""
     predicted = predicted_syndrome_signs(PauliString.single(loc, letter))
-    flips = tuple(float(_error_signs(letter)["IXYZ".index(s.letter(loc))])
+    flips = tuple(float(_error_signs(letter)[_LETTER_INDEX[s.letter(loc)]])
                   for s in syndrome_operators())
     return predicted, flips
 

@@ -67,7 +67,7 @@ import numpy as np
 
 from . import kernel, pauli
 from .kernel import DensityOperator
-from .witnesses import WitnessSpec
+from .witnesses import WitnessSpec, _term_table
 
 _MC_STREAM = 0x4D43  # reserved stream id for Monte Carlo resampling
 
@@ -185,9 +185,23 @@ def _mc_state(seed) -> np.ndarray:
     return _stream_states(seed, (_MC_STREAM,))[0]
 
 
+def _is_number(value, kind) -> bool:
+    """``value`` is an instance of the numbers ABC ``kind`` and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _builtin_number(x):
+    """The real number ``x`` as a Python number: an ``int`` or ``float`` as
+    given, any other integral value (numpy's) as ``int``, any other real
+    (a ``Fraction``, a numpy float) as ``float``."""
+    if type(x) is int or type(x) is float:
+        return x
+    return int(x) if isinstance(x, numbers.Integral) else float(x)
+
+
 def _probability(p, name: str) -> float:
     """``p`` as a float, if it is a real number (not a bool) in [0, 1]."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
+    if not _is_number(p, numbers.Real) or not 0 <= p <= 1:
         raise ValueError(f"{name} must be a probability in [0,1], got {p!r}")
     return float(p)
 
@@ -240,6 +254,7 @@ class NoiseModel:
         object.__setattr__(self, "depolarizing", _per_qubit(self.depolarizing, "depolarizing"))
         object.__setattr__(self, "dephasing", _per_qubit(self.dephasing, "dephasing"))
         _probability(self.visibility, "visibility")
+        object.__setattr__(self, "visibility", _builtin_number(self.visibility))
         if self.stage not in ("post-resource", "post-encoding"):
             raise ValueError(f"unknown noise stage {self.stage!r}")
 
@@ -337,7 +352,8 @@ class CountRecord:
         for bits, c in counts.items():
             if len(bits) != k or set(bits) - {"0", "1"}:
                 raise ValueError(f"bad outcome key {bits!r}")
-            if not 0 <= c <= MAX_COUNT:
+            # a count that is no real number is refused by the constructor
+            if isinstance(c, numbers.Real) and not 0 <= c <= MAX_COUNT:
                 raise ValueError(f"count {c} of outcome {bits!r} in setting "
                                  f"{_setting_label(setting)!r} is negative or above 2^53")
             dense[int("0" + bits, 2)] = c  # "0" + : a zero-qubit setting's key is ""
@@ -680,7 +696,8 @@ def _witness_plan(spec: WitnessSpec, settings: tuple) -> _Plan:
     these ``settings``, each term read from its :func:`_term_records`
     record, with the terms' weights."""
     parities = tuple(zip(_term_records(settings, spec), (t.word.support for t in spec.terms)))
-    weights = np.array([float(t.coefficient) * t.sign for t in spec.terms])
+    table = _term_table(spec)
+    weights = np.array([c * sign for c, sign in zip(table.coefficients, table.signs)])
     weights.setflags(write=False)
     return _parity_plan(settings, parities)._replace(weights=weights)
 
@@ -690,10 +707,11 @@ def _plan_value(spec: WitnessSpec, plan: _Plan, counts, cells=None):
     times its weight, subtracted from the constant in term order, so the
     float operations are those of a per-term loop over
     :func:`estimate_expectation`."""
+    constant = _term_table(spec).constant
     if not spec.terms:
-        return float(spec.constant)
+        return constant
     value = np.subtract.reduce(_parities(plan, counts, cells) * plan.weights, axis=-1,
-                               initial=float(spec.constant))
+                               initial=constant)
     return value if value.ndim else float(value)
 
 
@@ -733,7 +751,7 @@ def _poisson_trials(counts: np.ndarray, trials: int, mc: np.ndarray):
     stream, whose state is ``mc`` (:func:`_mc_state`). numpy draws 0 for a
     rate of 0 and consumes no draw, so these are the nonzero columns of the
     draw over every cell, value for value, and every other cell is 0."""
-    if not 100 <= trials <= MAX_TRIALS:
+    if not _is_number(trials, numbers.Integral) or not 100 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in [100, {MAX_TRIALS}], got {trials}")
     cells = np.flatnonzero(counts)
     return functools.partial(_generator(mc).poisson, counts[cells], (trials, cells.size)), cells

@@ -23,14 +23,10 @@ from .code import CODE_QUBITS, PROBE_NAMES, logical_ops
 from .kernel import DensityOperator, PureState
 from .pauli import _read_words
 
-PAULI_BASIS = ("I", "X", "Y", "Z")
-PAULI_MATS = tuple(kernel.PAULI[p] for p in PAULI_BASIS)
-_PAULI_STACK = np.stack(PAULI_MATS)
-
 # vec(R) = _CHI_TO_PTM @ vec(chi) (row-major): entry [4a + b, 4i + j] is
 # tr(P_a P_i P_b P_j) / 2. Its columns are orthogonal with squared norm 4, so
 # vec(chi) = _CHI_TO_PTM+ vec(R) / 4.
-_CHI_TO_PTM = np.einsum("axy,iyz,bzw,jwx->abij", *[_PAULI_STACK] * 4).reshape(16, 16) / 2
+_CHI_TO_PTM = np.einsum("axy,iyz,bzw,jwx->abij", *[kernel.PAULI_STACK] * 4).reshape(16, 16) / 2
 _CHI_TO_PTM.setflags(write=False)
 
 # Sampled logical expectations may produce slightly negative eigenvalues;
@@ -147,7 +143,7 @@ class ChiMatrix:
 
     def trace_preservation_defect(self) -> float:
         """max |sum_ij chi_ij M_j+ M_i - I|, which is sum_b R_0b P_b - I."""
-        return float(np.abs(np.tensordot(self.ptm[0], _PAULI_STACK, 1) - kernel.I).max())
+        return float(np.abs(np.tensordot(self.ptm[0], kernel.PAULI_STACK, 1) - kernel.I).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +165,7 @@ class ChannelSample:
 
 def chi_of_unitary(u: np.ndarray) -> ChiMatrix:
     """Rank-1 chi of a unitary: chi = a a+ with a_i = tr(M_i+ u) / 2."""
-    a = np.array([np.trace(m.conj().T @ u) / 2 for m in PAULI_MATS])
+    a = np.array([np.trace(m.conj().T @ u) / 2 for m in kernel.PAULI_STACK])
     return ChiMatrix(np.outer(a, a.conj()))
 
 
@@ -196,7 +192,7 @@ def reconstruct_chi(samples: ChannelSample) -> ChiMatrix:
     r0, r1, rp, ry = (samples.outputs[p].matrix for p in ("0", "1", "+", "+y"))
     e_id = r0 + r1
     images = np.stack([e_id, 2 * rp - e_id, 2 * ry - e_id, r0 - r1])
-    ptm = np.einsum("axy,byx->ab", _PAULI_STACK, images).real / 2
+    ptm = np.einsum("axy,byx->ab", kernel.PAULI_STACK, images).real / 2
     chi = (_CHI_TO_PTM.conj().T @ ptm.reshape(-1)).reshape(4, 4) / 4
     chi = (chi + chi.conj().T) / 2  # remove numerical skew
     chi.setflags(write=False)

@@ -157,13 +157,13 @@ def pair_witness(qubits: tuple[int, int] = (1, 2)) -> WitnessSpec:
     return WitnessSpec(f"pair2_{a}{b}", Fraction(1), terms)
 
 
+BUILTIN_NAMES = ("resource5", "box4", "ghz4", "pair2")
+
+
 def builtin_witnesses(resource_as_printed: bool = False) -> dict[str, WitnessSpec]:
-    return {
-        "resource5": resource_witness(as_printed=resource_as_printed),
-        "box4": box_witness(),
-        "ghz4": ghz_witness(),
-        "pair2": pair_witness((1, 2)),
-    }
+    """The built-in witnesses by their ``BUILTIN_NAMES``."""
+    return dict(zip(BUILTIN_NAMES, (resource_witness(as_printed=resource_as_printed),
+                                    box_witness(), ghz_witness(), pair_witness((1, 2)))))
 
 
 def evaluate_witness(state, spec: WitnessSpec) -> WitnessResult:

@@ -49,17 +49,20 @@ text is kept as the stdlib writes it: a sanitized copy of the document,
 then ``json.dumps`` with ``indent=2``, where the runner writes it in one
 pass. A Bloch figure's disc is kept as it was first written, one f-string
 per point (``svg_disc``), where the runner fills one ``%``-template from
-coordinates computed at the array. These are slow but transparent.
+coordinates computed at the array. Two helpers that only tests call are
+kept here: an ancilla from its Bloch angles and the purity of a density
+operator. These are slow but transparent.
 """
 import itertools
 import json
+import math
 from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from graphqec import kernel, sampling
-from graphqec.code import (ANCILLA, CODE_QUBITS, PROBES, _encoding_branches,
+from graphqec.code import (ANCILLA, CODE_QUBITS, PROBES, AncillaState, _encoding_branches,
                            inject_pauli_error, logical_basis_states, logical_ops,
                            measure_syndromes, parse_error_spec, predicted_syndrome_signs,
                            syndrome_operators)
@@ -77,6 +80,18 @@ WALSH = np.array([[1.0, 1.0], [1.0, -1.0]])
 # the entries P[a, b] / 2 of one qubit's density block, flattened as 2a + b.
 _INVERSE_PAULI_TRANSFORM = np.stack([m.reshape(-1) for m in kernel.PAULI.values()],
                                     axis=1) / 2
+
+
+def ancilla_from_angles(theta: float, phi: float) -> AncillaState:
+    """cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, Bloch vector at polar
+    angle ``theta`` and azimuth ``phi``."""
+    return AncillaState(math.cos(theta / 2),
+                        complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2))
+
+
+def purity(rho: DensityOperator) -> float:
+    """tr(rho^2)."""
+    return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
 def from_pauli_vector(vec, n) -> np.ndarray:

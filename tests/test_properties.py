@@ -1642,18 +1642,33 @@ def test_config_dict_equals_asdict(config):
 
 
 @PROPERTY
-@given(configs(), st.booleans())
-def test_digest_equals_sanitized_stdlib_hash(config, numpy_values):
-    """The digest writes the config dict directly, numpy values through the
-    ``default`` hook, and equals the hash of the sanitized copy's
-    ``json.dumps``: with numpy integer seeds, trials and sweep points, numpy
-    float counts and targets, and uniform or per-qubit noise."""
-    if numpy_values:
+@given(configs(), st.sampled_from([None, "numpy", "fraction"]))
+def test_digest_equals_sanitized_stdlib_hash(config, numbers_as):
+    """The digest writes the config dict directly and equals the hash of the
+    sanitized copy's ``json.dumps``: with numpy integer seeds, trials and
+    sweep points, numpy float counts and targets, Fraction counts, targets
+    and visibilities, and uniform or per-qubit noise. The dict holds Python
+    values only."""
+    if numbers_as == "numpy":
         config = replace(config, seed=np.int64(config.seed), trials=np.int64(config.trials),
                          sweep_points=np.int32(config.sweep_points),
                          counts_per_setting=np.float64(config.counts_per_setting),
                          target_fidelity=np.float32(config.target_fidelity))
+    elif numbers_as == "fraction":  # each Fraction equals its float exactly
+        floats = config
+        config = replace(config, counts_per_setting=Fraction(config.counts_per_setting),
+                         target_fidelity=Fraction(config.target_fidelity),
+                         noise=replace(config.noise,
+                                       visibility=Fraction(config.noise.visibility)))
+        assert config.digest() == floats.digest()
     d = config.to_dict()
+
+    def plain(value):
+        if type(value) in (tuple, dict):
+            return all(map(plain, value.values() if type(value) is dict else value))
+        return type(value) in (int, float, str, bool, type(None))
+
+    assert plain(d), d
     blob = json.dumps(oracle.sanitize(d), sort_keys=True)
     assert runner._digest(d) == config.digest() == hashlib.sha256(blob.encode()).hexdigest()
 

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from hypothesis import given, settings, strategies as st
 import graphqec
 import oracle
 from graphqec import code, kernel, runner, sampling
-from graphqec.cli import _KIND_BY_COMMAND, cli_main
+from graphqec.cli import _COMMANDS, cli_main
 from graphqec.code import PROBES
-from graphqec.runner import ConfigError, ExperimentConfig, _probe_vectors, run_experiment
+from graphqec.runner import (FORMATS, ConfigError, ExperimentConfig, _probe_vectors,
+                             run_experiment)
 from graphqec.sampling import NoiseModel, counts_from_csv_rows, witness_records
 from graphqec.witnesses import builtin_witnesses
 
@@ -61,6 +63,26 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({"kind": "syndrome-table",
                                         "noise": {"visibility": 2.0}})
         assert "noise" in err.value.fields
+
+    def test_numbers_are_stored_as_python_numbers(self, tmp_path):
+        """A Fraction or numpy number is stored as the int or float it
+        equals, so the config runs and writes the bundle of that value, byte
+        for byte."""
+        mixed = ExperimentConfig("resource-witness", trials=np.int32(100), seed=np.int64(7),
+                                 counts_per_setting=Fraction(500),
+                                 noise=NoiseModel(visibility=Fraction(4, 5)))
+        plain = ExperimentConfig("resource-witness", trials=100, seed=7,
+                                 counts_per_setting=500.0, noise=NoiseModel(visibility=0.8))
+        assert mixed == plain and mixed.digest() == plain.digest()
+        assert type(mixed.seed) is type(mixed.trials) is int
+        assert type(mixed.counts_per_setting) is type(mixed.noise.visibility) is float
+        written = {}
+        for name, config in (("mixed", mixed), ("plain", plain)):
+            paths = run_experiment(config).write(tmp_path / name, FORMATS)
+            written[name] = {os.path.basename(p): pathlib.Path(p).read_bytes() for p in paths}
+        assert written["mixed"] == written["plain"]
+        assert sorted(written["mixed"]) == ["counts.csv", "summary.json", "witness_terms.csv",
+                                            "witness_terms.svg"]
 
     def test_roundtrip_digest_stable(self):
         a = cfg("syndrome-table", seed=3)
@@ -562,9 +584,10 @@ class TestCli:
         ({"formats": None}, "formats"),
     ])
     def test_non_list_config_field_exits_1(self, tmp_path, capsys, data, field):
-        with pytest.raises(ConfigError) as err:
-            ExperimentConfig.from_dict({"kind": "encode-tomography", **data})
-        assert set(err.value.fields) == {field}
+        for make in (ExperimentConfig.from_dict, lambda d: ExperimentConfig(**d)):
+            with pytest.raises(ConfigError) as err:
+                make({"kind": "encode-tomography", **data})
+            assert err.value.fields == {field: f"must be a list, got {data[field]!r}"}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert cli_main(["encode", "--config", str(path)]) == 1
@@ -721,7 +744,7 @@ NOISE_FIELDS = [f.name for f in dataclasses.fields(NoiseModel)]
 
 
 @settings(deadline=None, max_examples=150)
-@given(command=st.sampled_from(sorted(_KIND_BY_COMMAND)),
+@given(command=st.sampled_from(sorted(_COMMANDS)),
        path=st.one_of(st.tuples(st.sampled_from(CONFIG_FIELDS)),
                       st.tuples(st.just("noise"), st.sampled_from(NOISE_FIELDS))),
        value=WRONG_VALUES,
@@ -775,7 +798,7 @@ def test_random_flag_value_exits_0_or_names_the_flag(data, flag):
     runtime error (exit 2). ``--counts`` is left out: a tiny count can
     empty a histogram, which is still a runtime error (see the xfail
     below)."""
-    command = data.draw(st.sampled_from(FLAG_COMMANDS.get(flag, sorted(_KIND_BY_COMMAND))))
+    command = data.draw(st.sampled_from(FLAG_COMMANDS.get(flag, sorted(_COMMANDS))))
     value = data.draw(FLAG_VALUES[flag])
     argv = [command, flag, value, "--trials", "100"] if flag != "--trials" \
         else [command, flag, value]

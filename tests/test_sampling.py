@@ -274,6 +274,18 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=f"trials must be in \\[100, {MAX_TRIALS}\\]"):
             monte_carlo_uncertainty(lambda rs: 0.0, [rec], MAX_TRIALS + 1, seed=1)
 
+    @pytest.mark.parametrize("trials", [150.0, np.float64(150), True, "150"],
+                             ids=["float", "numpy-float", "bool", "string"])
+    def test_trials_must_be_an_integer(self, trials):
+        """The config's rule, a non-bool integer in range, before numpy sees
+        the draw's shape; a numpy integer is a count of trials."""
+        rec = CountRecord.from_counts(((1, "Z"),), {"0": 80})
+        with pytest.raises(ValueError, match=f"^trials must be in \\[100, {MAX_TRIALS}\\], "
+                                             f"got {re.escape(str(trials))}$"):
+            monte_carlo_uncertainty(lambda rs: 0.0, [rec], trials, seed=1)
+        assert monte_carlo_uncertainty(lambda rs: 0.0, [rec], np.int64(150), seed=1) \
+            == (0.0, 0.0)
+
     def test_resampled_total_above_cap_rejected(self):
         """A recorded total at 2^53 resamples above it in some trial: the
         witness helper refuses it as the trial-batched records do, naming
@@ -609,10 +621,12 @@ class TestCsvInterchange:
 
     @pytest.mark.parametrize("counts, bad", [
         ({"0": 2.5, "1": 1}, r"2\.5"), ({"0": 2, "1": True}, "True"),
-        ({"1": np.True_}, ".*True.*"), ({"0": 2.0000001}, r"2\.0000001")],
-        ids=["float", "bool", "numpy-bool", "near-integer"])
+        ({"1": np.True_}, ".*True.*"), ({"0": 2.0000001}, r"2\.0000001"),
+        ({"0": "5"}, "'5'"), ({"1": None}, "None")],
+        ids=["float", "bool", "numpy-bool", "near-integer", "string", "none"])
     def test_from_counts_refuses_non_integral_counts(self, counts, bad):
-        """int64 storage would truncate 2.5 to 2 and read True as 1."""
+        """int64 storage would truncate 2.5 to 2 and read True as 1; a count
+        that is no number is named before any range check compares it."""
         with pytest.raises(ValueError, match=f"^count {bad} in setting 'Z1' is not an integer$"):
             CountRecord.from_counts(((1, "Z"),), counts)
 
