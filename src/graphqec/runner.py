@@ -25,11 +25,13 @@ table is then one ``%s`` template filled with its cells, the bytes
 write otherwise goes through ``csv.writer`` itself
 (:meth:`ReportBundle.table_csv`). The dots of a Bloch figure are one
 ``%``-template filled from coordinates computed at the array. The summary
-is written by :func:`_json_text` in one pass: it converts numpy values while
-it writes the text ``json.dumps(..., indent=2, sort_keys=True)`` gives for
-the converted document, so no converted copy of the summary is built. A
-config holds Python values only (its constructor stores every number as
-an ``int`` or ``float``), so its digest is the stdlib ``json.dumps`` of it.
+is written by :func:`_json_text` in one pass, as the text
+``json.dumps(..., indent=2, sort_keys=True)`` gives. It converts nothing:
+every builder hands it Python values only, and a value ``json.dumps``
+refuses raises there too. A config holds Python values only (its
+constructor stores each number in its field's one type, ``int`` or
+``float``), so its digest is the stdlib ``json.dumps`` of it, and ``500``
+and ``500.0`` counts are one config.
 """
 from __future__ import annotations
 
@@ -55,8 +57,8 @@ from .code import (ANCILLA, CARDINAL_BLOCH, CODE_QUBITS, PROBE_NAMES, PROBE_TARG
                    syndrome_operators)
 from .graphs import RESOURCE, stabilizer_generators
 from .pauli import _LETTER_INDEX, PauliString, _read_words
-from .sampling import (MAX_TRIALS, NoiseModel, _builtin_number, _is_number, _sample_settings,
-                       _witness_estimates, _witness_settings, counts_to_csv_rows)
+from .sampling import (MAX_TRIALS, NoiseModel, _is_number, _sample_settings, _witness_estimates,
+                       _witness_settings, counts_to_csv_rows)
 from .tomography import (ChannelSample, _logical_of_vector, _vector_fidelity,
                          average_probe_fidelity, bloch_image, chi_hadamard, chi_identity,
                          logical_density_from_expectations, process_fidelity,
@@ -98,10 +100,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key in ("probes", "formats"):
+            value = getattr(self, key)
             try:
-                object.__setattr__(self, key, tuple(getattr(self, key)))
+                if isinstance(value, str):  # not read letter by letter
+                    raise TypeError
+                object.__setattr__(self, key, tuple(value))
             except TypeError:
-                raise ConfigError({key: f"must be a list, got {getattr(self, key)!r}"}) from None
+                raise ConfigError({key: f"must be a list, got {value!r}"}) from None
         problems = {}
         if self.kind not in KINDS:
             problems["kind"] = f"must be one of {KINDS}, got {self.kind!r}"
@@ -153,8 +158,8 @@ class ExperimentConfig:
             problems["out_dir"] = f"must be a directory path or null, got {self.out_dir!r}"
         if problems:
             raise ConfigError(problems)
-        for name in _NUMBER_FIELDS:
-            object.__setattr__(self, name, _builtin_number(getattr(self, name)))
+        for name, kind in _NUMBER_FIELDS.items():
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -188,8 +193,10 @@ class ExperimentConfig:
 
 _CONFIG_FIELDS = tuple(f.name for f in dc_fields(ExperimentConfig))
 _NOISE_FIELDS = tuple(f.name for f in dc_fields(NoiseModel))
-_NUMBER_FIELDS = ("lost", "counts_per_setting", "trials", "seed", "sweep_points",
-                  "target_fidelity")
+# Each number field's one type: a checked number is stored as it, so that
+# counts of 500 and 500.0, or a lost qubit 4.0 and 4, are one config.
+_NUMBER_FIELDS = {"lost": int, "trials": int, "seed": int, "sweep_points": int,
+                  "counts_per_setting": float, "target_fidelity": float}
 
 
 def _digest(config_dict: dict) -> str:
@@ -204,14 +211,13 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _json_text(obj, nl: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` in one pass, numpy values
-    converted.
+    """``json.dumps(obj, sort_keys=True, indent=2)`` in one pass, with every
+    key turned into ``str`` before the keys are sorted. It converts no value:
+    what ``json.dumps`` refuses, such as a numpy integer, an array or a
+    complex number, raises ``TypeError`` here too.
 
-    ``nl`` is a newline plus the indent of the line ``obj`` starts on. Keys
-    are converted by ``str`` before they are sorted, numpy scalars by
-    ``.item()``, arrays by ``.tolist()`` and complex numbers to
-    ``{"re", "im"}``, and values are written as the stdlib writes them; a
-    list of plain finite floats is written with one join."""
+    ``nl`` is a newline plus the indent of the line ``obj`` starts on. A list
+    of plain finite floats is written with one join."""
     kind = type(obj)
     if kind is float:
         return _json_float(obj)
@@ -233,19 +239,6 @@ def _json_text(obj, nl: str = "\n") -> str:
             if "n" not in text:  # no repr of a finite float holds an "n"; nan and inf do
                 return "[" + inner + text + nl + "]"
         return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in obj]) + nl + "]"
-    if isinstance(obj, (np.floating, np.integer)):
-        return _json_scalar(obj.item())
-    if isinstance(obj, np.ndarray):
-        return _json_text(obj.tolist(), nl)
-    if isinstance(obj, complex):
-        inner = nl + "  "
-        return (f'{{{inner}"im": {_json_scalar(obj.imag)},{inner}'
-                f'"re": {_json_scalar(obj.real)}{nl}}}')
-    return _json_scalar(obj)
-
-
-def _json_scalar(obj) -> str:
-    """A value that is not a container as the stdlib JSON writer writes it."""
     if isinstance(obj, str):
         return _encode_str(obj)
     if obj is None:

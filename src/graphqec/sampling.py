@@ -67,7 +67,7 @@ import numpy as np
 
 from . import kernel, pauli
 from .kernel import DensityOperator
-from .witnesses import WitnessSpec, _term_table
+from .witnesses import WitnessSpec
 
 _MC_STREAM = 0x4D43  # reserved stream id for Monte Carlo resampling
 
@@ -190,15 +190,6 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _builtin_number(x):
-    """The real number ``x`` as a Python number: an ``int`` or ``float`` as
-    given, any other integral value (numpy's) as ``int``, any other real
-    (a ``Fraction``, a numpy float) as ``float``."""
-    if type(x) is int or type(x) is float:
-        return x
-    return int(x) if isinstance(x, numbers.Integral) else float(x)
-
-
 def _probability(p, name: str) -> float:
     """``p`` as a float, if it is a real number (not a bool) in [0, 1]."""
     if not _is_number(p, numbers.Real) or not 0 <= p <= 1:
@@ -253,8 +244,7 @@ class NoiseModel:
     def __post_init__(self):
         object.__setattr__(self, "depolarizing", _per_qubit(self.depolarizing, "depolarizing"))
         object.__setattr__(self, "dephasing", _per_qubit(self.dephasing, "dephasing"))
-        _probability(self.visibility, "visibility")
-        object.__setattr__(self, "visibility", _builtin_number(self.visibility))
+        object.__setattr__(self, "visibility", _probability(self.visibility, "visibility"))
         if self.stage not in ("post-resource", "post-encoding"):
             raise ValueError(f"unknown noise stage {self.stage!r}")
 
@@ -569,7 +559,7 @@ class _Plan(NamedTuple):
     product. Per record read, in record order, ``reads`` holds its first
     cell, its end and its setting's label, and ``firsts`` the first parity
     read of it. A witness's plan (:func:`_witness_plan`) also holds
-    ``weights``, each term's ``float(coefficient) * sign``."""
+    ``weights``, each term's ``coefficient * sign``."""
 
     matrix: np.ndarray
     reads: tuple[tuple[int, int, str], ...]
@@ -696,8 +686,7 @@ def _witness_plan(spec: WitnessSpec, settings: tuple) -> _Plan:
     these ``settings``, each term read from its :func:`_term_records`
     record, with the terms' weights."""
     parities = tuple(zip(_term_records(settings, spec), (t.word.support for t in spec.terms)))
-    table = _term_table(spec)
-    weights = np.array([c * sign for c, sign in zip(table.coefficients, table.signs)])
+    weights = np.array([t.coefficient * t.sign for t in spec.terms])
     weights.setflags(write=False)
     return _parity_plan(settings, parities)._replace(weights=weights)
 
@@ -707,7 +696,7 @@ def _plan_value(spec: WitnessSpec, plan: _Plan, counts, cells=None):
     times its weight, subtracted from the constant in term order, so the
     float operations are those of a per-term loop over
     :func:`estimate_expectation`."""
-    constant = _term_table(spec).constant
+    constant = spec.constant
     if not spec.terms:
         return constant
     value = np.subtract.reduce(_parities(plan, counts, cells) * plan.weights, axis=-1,

@@ -7,12 +7,14 @@ eigenvalue swap, so a tilde contributes a factor -1 to the term. A witness
 value below zero certifies genuine multipartite entanglement, and the
 calibrated witnesses all reach exactly -1 on their ideal target states.
 The specs are frozen, so each built-in witness is built once and shared.
+A coefficient or constant is stored as a float, converted once when its
+term or spec is built; every built-in one is dyadic (1/8 to 9/4), so the
+float holds it exactly.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .pauli import PauliString, pauli_expectations
@@ -20,11 +22,12 @@ from .pauli import PauliString, pauli_expectations
 
 @dataclass(frozen=True)
 class WitnessTerm:
-    coefficient: Fraction
+    coefficient: float
     word: PauliString
     tilde: frozenset[int]
 
     def __post_init__(self):
+        object.__setattr__(self, "coefficient", float(self.coefficient))
         if self.word.weight == 0:
             raise ValueError("witness terms must be traceless (non-identity)")
         if self.word.phase_power != 0:
@@ -44,14 +47,17 @@ class WitnessTerm:
 @dataclass(frozen=True)
 class WitnessSpec:
     name: str
-    constant: Fraction
+    constant: float
     terms: tuple[WitnessTerm, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "constant", float(self.constant))
 
     def __hash__(self) -> int:
         # The field hash, computed once: cached plans are keyed on the spec,
-        # and rehashing every term's Fraction and PauliString on each lookup
-        # costs more than the lookup. It is left out of pickles, since a
-        # string's hash differs between processes.
+        # and rehashing every term's PauliString on each lookup costs more
+        # than the lookup. It is left out of pickles, since a string's hash
+        # differs between processes.
         try:
             return self.__dict__["_hash"]
         except KeyError:
@@ -75,7 +81,7 @@ class WitnessResult:
 
 
 def _term(coeff, text: str, tilde=()) -> WitnessTerm:
-    return WitnessTerm(Fraction(coeff), PauliString.parse(text), frozenset(tilde))
+    return WitnessTerm(coeff, PauliString.parse(text), frozenset(tilde))
 
 
 def _resource5_terms(x_coeff, zy_coeff) -> tuple[WitnessTerm, ...]:
@@ -111,10 +117,8 @@ def resource_witness(as_printed: bool = False) -> WitnessSpec:
     version is the default; pass ``as_printed=True`` for the literal one.
     """
     if as_printed:
-        return WitnessSpec("resource5-as-printed", Fraction(9, 4),
-                           _resource5_terms(Fraction(1, 8), Fraction(1, 4)))
-    return WitnessSpec("resource5", Fraction(9, 4),
-                       _resource5_terms(Fraction(1, 4), Fraction(1, 2)))
+        return WitnessSpec("resource5-as-printed", 2.25, _resource5_terms(0.125, 0.25))
+    return WitnessSpec("resource5", 2.25, _resource5_terms(0.25, 0.5))
 
 
 @functools.cache
@@ -122,27 +126,27 @@ def box_witness() -> WitnessSpec:
     """Two-setting GME witness for the box cluster state |+_L> on (1,2,4,5):
     settings Z1 Z2 X4 X5 and X1 X2 Z4 Z5, terms the box stabilizer products."""
     terms = (
-        _term(Fraction(1, 2), "Z1 Z2 X4", (2, 4)),
-        _term(Fraction(1, 2), "Z1 Z2 X5", (2, 5)),
-        _term(Fraction(1, 2), "X4 X5", (4, 5)),
-        _term(Fraction(1, 2), "X1 Z4 Z5", (1, 4)),
-        _term(Fraction(1, 2), "X2 Z4 Z5", (2, 4)),
-        _term(Fraction(1, 2), "X1 X2", (1, 2)),
+        _term(0.5, "Z1 Z2 X4", (2, 4)),
+        _term(0.5, "Z1 Z2 X5", (2, 5)),
+        _term(0.5, "X4 X5", (4, 5)),
+        _term(0.5, "X1 Z4 Z5", (1, 4)),
+        _term(0.5, "X2 Z4 Z5", (2, 4)),
+        _term(0.5, "X1 X2", (1, 2)),
     )
-    return WitnessSpec("box4", Fraction(2), terms)
+    return WitnessSpec("box4", 2.0, terms)
 
 
 @functools.cache
 def ghz_witness() -> WitnessSpec:
     """Witness for the rotated GHZ state encoding |0_L>: one full-weight
     Z term plus the seven even X pair products, tildes on qubits 4 and 5."""
-    terms = [_term(1, "Z1 Z2 Z4 Z5", (4, 5))]
+    terms = [_term(1.0, "Z1 Z2 Z4 Z5", (4, 5))]
     pair_words = ["X1 X2", "X1 X4", "X1 X5", "X2 X4", "X2 X5", "X4 X5", "X1 X2 X4 X5"]
     for w in pair_words:
         word = PauliString.parse(w)
         tilde = frozenset(q for q in word.support if q in (4, 5))
-        terms.append(WitnessTerm(Fraction(1, 4), word, tilde))
-    return WitnessSpec("ghz4", Fraction(7, 4), tuple(terms))
+        terms.append(WitnessTerm(0.25, word, tilde))
+    return WitnessSpec("ghz4", 1.75, tuple(terms))
 
 
 @functools.cache
@@ -151,10 +155,10 @@ def pair_witness(qubits: tuple[int, int] = (1, 2)) -> WitnessSpec:
     biseparable |-y_L> encoding."""
     a, b = qubits
     terms = (
-        _term(1, f"Y{a} Z{b}", (a,)),
-        _term(1, f"X{a} X{b}"),
+        _term(1.0, f"Y{a} Z{b}", (a,)),
+        _term(1.0, f"X{a} X{b}"),
     )
-    return WitnessSpec(f"pair2_{a}{b}", Fraction(1), terms)
+    return WitnessSpec(f"pair2_{a}{b}", 1.0, terms)
 
 
 BUILTIN_NAMES = ("resource5", "box4", "ghz4", "pair2")
@@ -182,26 +186,24 @@ def _witness_result(spec: WitnessSpec, values) -> WitnessResult:
     in term order, with the terms read from the spec's cached table."""
     table = _term_table(spec)
     signed = [s * raw for s, raw in zip(table.signs, values)]
-    value = table.constant - sum([c * e for c, e in zip(table.coefficients, signed)])
+    value = spec.constant - sum([c * e for c, e in zip(table.coefficients, signed)])
     return WitnessResult(value, tuple(zip(table.labels, table.coefficients, signed, values)))
 
 
 class _TermTable(NamedTuple):
-    """A witness's terms as plain values, in term order, and its constant."""
+    """A witness's terms as plain values, in term order."""
 
     labels: tuple[str, ...]
     words: tuple[PauliString, ...]
     coefficients: tuple[float, ...]
     signs: tuple[int, ...]
-    constant: float
 
 
 @functools.lru_cache(maxsize=128)
 def _term_table(spec: WitnessSpec) -> _TermTable:
     terms = spec.terms
     return _TermTable(tuple(t.label() for t in terms), tuple(t.word for t in terms),
-                      tuple(float(t.coefficient) for t in terms),
-                      tuple(t.sign for t in terms), float(spec.constant))
+                      tuple(t.coefficient for t in terms), tuple(t.sign for t in terms))
 
 
 def fidelity_lower_bound(value: float) -> float:

@@ -45,13 +45,14 @@ logical basis turned into Pauli vectors, to rounding residue.
 Single-qubit process tomography is kept as the chi-matrix sums it was first
 written as: the channel applied term by term, the Bloch action read from
 its images, and chi solved from the superoperator. The bundle's summary
-text is kept as the stdlib writes it: a sanitized copy of the document,
-then ``json.dumps`` with ``indent=2``, where the runner writes it in one
-pass. A Bloch figure's disc is kept as it was first written, one f-string
-per point (``svg_disc``), where the runner fills one ``%``-template from
-coordinates computed at the array. Two helpers that only tests call are
-kept here: an ancilla from its Bloch angles and the purity of a density
-operator. These are slow but transparent.
+text is kept as the stdlib writes it: a copy of the document with its keys
+turned into strings, then ``json.dumps`` with ``indent=2``, where the
+runner writes it in one pass. A Bloch figure's disc is kept as it was
+first written, one f-string per point (``svg_disc``), where the runner
+fills one ``%``-template from coordinates computed at the array. Two
+helpers that only tests call are kept here: an ancilla from its Bloch
+angles and the purity of a density operator. These are slow but
+transparent.
 """
 import itertools
 import json
@@ -103,25 +104,19 @@ def from_pauli_vector(vec, n) -> np.ndarray:
 
 
 def sanitize(obj):
-    """Recursively convert numpy scalars/arrays and complex numbers so that
-    ``json.dumps`` can write them: the rules the runner's one-pass writer and
-    its config digest follow."""
+    """``obj`` with every dict key turned into ``str``, recursively: the one
+    rule the runner's one-pass writer adds to ``json.dumps``. Values are
+    left as they are, so what ``json.dumps`` refuses stays refused."""
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return sanitize(obj.tolist())
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     return obj
 
 
 def json_text(obj) -> str:
     """The indent-2 JSON of ``obj`` that ``runner._json_text`` writes in one
-    pass: numpy values converted by ``sanitize``, then the stdlib writer."""
+    pass: keys turned into strings by ``sanitize``, then the stdlib writer."""
     return json.dumps(sanitize(obj), sort_keys=True, indent=2)
 
 

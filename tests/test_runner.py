@@ -84,6 +84,20 @@ class TestConfigValidation:
         assert sorted(written["mixed"]) == ["counts.csv", "summary.json", "witness_terms.csv",
                                             "witness_terms.svg"]
 
+    def test_each_number_field_has_one_type(self):
+        """A number is stored in its field's one type, so counts of 500 and
+        500.0, a lost qubit 4.0 and 4, or a visibility 1 and 1.0 are one
+        config with one digest."""
+        a = ExperimentConfig.from_dict({"kind": "loss-recovery", "counts_per_setting": 500,
+                                        "lost": 4.0, "noise": {"visibility": 1}})
+        b = ExperimentConfig.from_dict({"kind": "loss-recovery", "counts_per_setting": 500.0,
+                                        "lost": 4, "noise": {"visibility": 1.0}})
+        assert a == b and a.digest() == b.digest()
+        assert {name: type(getattr(a, name)) for name in runner._NUMBER_FIELDS} == {
+            "lost": int, "trials": int, "seed": int, "sweep_points": int,
+            "counts_per_setting": float, "target_fidelity": float}
+        assert a.lost == 4 and type(a.noise.visibility) is float
+
     def test_roundtrip_digest_stable(self):
         a = cfg("syndrome-table", seed=3)
         b = ExperimentConfig.from_dict(a.to_dict())
@@ -335,6 +349,16 @@ class TestExperiments:
         assert written == rewritten
         assert (tmp_path / "summary.json").read_text() == again.summary_json()
 
+    @pytest.mark.parametrize("value", [np.int64(1), 1j, np.arange(2)])
+    def test_summary_json_refuses_what_json_dumps_refuses(self, value):
+        """The writer converts no value: a numpy integer, a complex number or
+        an array in a summary raises ``TypeError``, as ``json.dumps`` does."""
+        bundle = runner.ReportBundle({"x": [value]}, {}, {}, {})
+        with pytest.raises(TypeError):
+            json.dumps(bundle.summary)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            bundle.summary_json()
+
     @pytest.mark.parametrize("out_dir", ["./x", "x/", "x//y", ".", "absolute", "path"])
     def test_bundle_write_returns_pathlib_paths(self, tmp_path, monkeypatch, out_dir):
         """The CLI prints each returned path as ``wrote <path>``; each is the
@@ -582,6 +606,8 @@ class TestCli:
         ({"probes": 5}, "probes"),
         ({"formats": 5}, "formats"),
         ({"formats": None}, "formats"),
+        ({"probes": "01"}, "probes"),  # a string is not read letter by letter
+        ({"formats": "csv"}, "formats"),
     ])
     def test_non_list_config_field_exits_1(self, tmp_path, capsys, data, field):
         for make in (ExperimentConfig.from_dict, lambda d: ExperimentConfig(**d)):
@@ -925,7 +951,8 @@ def test_ideal_summary_holds_no_residue(kind):
 def test_import_adds_no_third_party_module():
     """Importing the package and its CLI loads nothing outside the standard
     library, numpy and graphqec itself: numpy stays the only runtime
-    dependency, and nothing else joins the import time of a one-shot call."""
+    dependency, and nothing else joins the import time of a one-shot call.
+    Witness coefficients are floats, so ``fractions`` is not imported."""
     script = ("import sys; before = set(sys.modules); import graphqec, graphqec.cli; "
               "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -935,6 +962,7 @@ def test_import_adds_no_third_party_module():
                          text=True, check=True).stdout.split()
     assert "graphqec" in out and "numpy" in out
     assert set(out) - set(sys.stdlib_module_names) <= {"numpy", "graphqec"}, out
+    assert "fractions" not in out
 
 
 def test_numpy_random_is_imported_only_by_a_sampled_run():
