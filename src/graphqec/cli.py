@@ -16,9 +16,8 @@ from .graphs import (Graph, RESOURCE, build_resource, graph_state, resource_stat
                      stabilizer_generators)
 from .pauli import pauli_expectations
 from .runner import (BYPRODUCT_MODES, FORMATS, ConfigError, ExperimentConfig, ReportBundle,
-                     run_experiment, _json_text)
-from .sampling import (MAX_TRIALS, _probability, _witness_estimate, counts_from_csv_rows,
-                       witness_records)
+                     run_experiment, _json_text, _problems)
+from .sampling import _probability, _witness_estimate, counts_from_csv_rows, witness_records
 from .witnesses import BUILTIN_NAMES, builtin_witnesses, fidelity_lower_bound
 
 
@@ -82,8 +81,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--witness", required=True, choices=BUILTIN_NAMES)
     p.add_argument("--as-printed", action="store_true",
                    help="use the literally printed resource witness coefficients")
-    p.add_argument("--trials", type=int, default=200, help="Monte Carlo trials (100 to 100000)")
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--trials", type=int, default=ExperimentConfig.trials,
+                   help="Monte Carlo trials (100 to 100000)")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     return parser
 
 
@@ -198,13 +198,9 @@ def _cmd_build_resource(args) -> int:
 
 
 def _cmd_analyze_counts(args) -> int:
-    problems = {}
-    if not 100 <= args.trials <= MAX_TRIALS:
-        problems["--trials"] = f"must be an integer in [100, {MAX_TRIALS}], got {args.trials}"
-    if args.seed < 0:
-        problems["--seed"] = f"must be a non-negative integer, got {args.seed}"
+    problems = _problems({"trials": args.trials, "seed": args.seed})  # the config's rules
     if problems:
-        raise ConfigError(problems)
+        raise ConfigError({f"--{name}": problem for name, problem in problems.items()})
     with _open(args.infile, "--in", newline="") as fh:
         rows = list(csv.reader(fh))
     spec = builtin_witnesses(resource_as_printed=args.as_printed)[args.witness]

@@ -34,7 +34,9 @@ density matrix these oracles take. The
 syndrome table is kept as it was first written: each error injected into
 the state by a dense conjugation and a fresh Pauli vector read from the
 result, where the package flips signs on one vector per probe.
-The ideal states' Pauli vectors, and the encoding's input map, are built
+An ideal witness value is kept in exact arithmetic (``exact_witness``):
+each term's expectation on a stabilizer state is +-1 or 0, read off its
+group. The ideal states' Pauli vectors, and the encoding's input map, are built
 in closed form from the stabilizer groups of their generators
 (``stabilizer_vector``), with ``pauli_multiply`` and no linear algebra,
 one word at a time, where the package fills the map through its word plan
@@ -57,6 +59,7 @@ transparent.
 import itertools
 import json
 import math
+from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple
 
@@ -432,6 +435,15 @@ def stabilizer_group(generators) -> list[PauliString]:
     for g in generators:
         group += [pauli_multiply(h, g) for h in group]
     return group
+
+
+def exact_witness(spec, generators) -> Fraction:
+    """The witness ``spec`` on the stabilizer state of ``generators``, in
+    exact arithmetic: c - sum_t a_t s_t <w_t>, where <w> is +-1 if +-w is in
+    the state's group (``stabilizer_group``) and 0 otherwise."""
+    signs = {g.letters: int(g.phase.real) for g in stabilizer_group(generators)}
+    return Fraction(spec.constant) - sum(Fraction(t.coefficient) * t.sign
+                                         * signs.get(t.word.letters, 0) for t in spec.terms)
 
 
 def stabilizer_vector(words, labels) -> np.ndarray:

@@ -1258,6 +1258,89 @@ def test_loss_recovery_outputs_match_dense_recovery(stage, byproduct, lost, data
         assert not out.negative_eigenvalue
 
 
+@pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))
+@pytest.mark.parametrize("byproduct", BYPRODUCT_MODES)
+@pytest.mark.parametrize("lost", CODE_QUBITS)
+@settings(deadline=None, max_examples=10)
+@given(st.data())
+def test_recovered_outputs_are_states_without_a_check(stage, byproduct, lost, data):
+    """Under random noise each recovered output's Pauli 4-vector (b0, r) has
+    b0 == 1 exactly and minimum eigenvalue (b0 - |r|) / 2 >= -EIG_ATOL, so the
+    loss-recovery kind builds its outputs unchecked: every encoded vector's
+    identity entry is exactly 1, the transfer matrix's trace row is exactly
+    e_0, and the recovery is a channel. The kind's outputs are the Bloch
+    parts r of these vectors."""
+    noise = data.draw(noise_maps((1, 2, 3, 4, 5), stage))
+    blochs = np.array([(1.0, *code.CARDINAL_BLOCH[p]) for p in PROBE_NAMES])
+    traced = code._encoded_vectors(blochs, noise, byproduct).take(
+        0, axis=1 + CODE_QUBITS.index(lost))
+    recovered = traced.reshape(len(PROBE_NAMES), -1) \
+        @ code._recovery_ptm(recovery_recipe(lost), survivors(lost)).T
+    assert np.all(recovered[:, 0] == 1)
+    eig_min = (recovered[:, 0] - np.linalg.norm(recovered[:, 1:], axis=1)).min() / 2
+    assert eig_min >= -kernel.EIG_ATOL
+    built, build = [], runner.logical_density_from_expectations
+
+    def recording(*bloch):
+        built.append(bloch)
+        return build(*bloch)
+
+    with mock.patch.object(runner, "logical_density_from_expectations", recording):
+        run_experiment(ExperimentConfig("loss-recovery", noise, lost=lost, byproduct=byproduct))
+    assert built == [tuple(b[1:]) for b in recovered]
+
+
+@pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))
+@pytest.mark.parametrize("byproduct", BYPRODUCT_MODES)
+@settings(deadline=None, max_examples=20)
+@given(st.data())
+def test_syndrome_values_lie_in_range_without_a_check(stage, byproduct, data):
+    """Under random noise every syndrome the syndrome-table kind reads, and
+    every value of its table, lies within 1 + EIG_ATOL of 0: each is a Pauli
+    expectation of a state, and an error's flip keeps its magnitude."""
+    noise = data.draw(noise_maps((1, 2, 3, 4, 5), stage))
+    read, real = [], runner._syndromes_of_vector
+
+    def recording(vec, labels):
+        read.append(real(vec, labels))
+        return read[-1]
+
+    with mock.patch.object(runner, "_syndromes_of_vector", recording):
+        bundle = run_experiment(ExperimentConfig("syndrome-table", noise, byproduct=byproduct))
+    rows = bundle.tables["syndrome_table"][1:]
+    assert len(read) == len(PROBE_NAMES) and len(rows) == 48
+    values = [v for syndromes in read for v in syndromes] + [v for r in rows for v in r[3:6]]
+    assert max(map(abs, values)) <= 1 + kernel.EIG_ATOL
+
+
+@pytest.mark.parametrize("stage", ("post-resource", "post-encoding"))
+@pytest.mark.parametrize("byproduct", BYPRODUCT_MODES)
+@settings(deadline=None, max_examples=20)
+@given(hnp.arrays(float, (3, 3), elements=st.floats(-1.0, 1.0)), st.data())
+def test_ancilla_outcomes_have_probability_one_half(stage, byproduct, points, data):
+    """Every ancilla projection of the encoder (X, on random inputs) and of
+    the resource witness (Z, on the noisy resource) takes a branch of
+    probability exactly 1/2 under random noise: <X3> = 0 on every encoding
+    input and <Z3> = 0 on every noisy resource, so no branch can have zero
+    probability."""
+    noise = data.draw(noise_maps((1, 2, 3, 4, 5), stage))
+    rs = points / np.maximum(1.0, np.linalg.norm(points, axis=1))[:, None]  # in the ball
+    blochs = [(1.0, *r) for r in rs] + [(1.0, *code.CARDINAL_BLOCH[p]) for p in PROBE_NAMES]
+    seen, real = [], code._project_pauli_vector
+
+    def recording(*args):
+        out = real(*args)
+        seen.append(out[0])
+        return out
+
+    with mock.patch.object(code, "_project_pauli_vector", recording), \
+            mock.patch.object(runner, "_project_pauli_vector", recording):
+        code._encoded_vectors(blochs, noise, byproduct)
+        run_experiment(ExperimentConfig("resource-witness", noise, trials=100))
+    assert len(seen) == (1 if byproduct == "condition0" else 2) + 1
+    assert all(np.all(p == 0.5) for p in seen)
+
+
 def test_channel_report_constants_are_cached_read_only():
     """The reference chi matrices and the Bloch grid are built once per
     process and cannot be written to."""

@@ -6,7 +6,6 @@ import json
 import math
 import os
 import pathlib
-import re
 import signal
 import subprocess
 import sys
@@ -22,12 +21,15 @@ from hypothesis import given, settings, strategies as st
 import graphqec
 import oracle
 from graphqec import code, kernel, runner, sampling
-from graphqec.cli import _COMMANDS, cli_main
+from graphqec.cli import _COMMANDS, _build_parser, cli_main
 from graphqec.code import PROBES
+from graphqec.graphs import RESOURCE, stabilizer_generators
+from graphqec.pauli import PauliString
 from graphqec.runner import (FORMATS, ConfigError, ExperimentConfig, _probe_vectors,
                              run_experiment)
 from graphqec.sampling import NoiseModel, counts_from_csv_rows, witness_records
-from graphqec.witnesses import builtin_witnesses
+from graphqec.witnesses import (box_witness, builtin_witnesses, ghz_witness, pair_witness,
+                                resource_witness)
 
 
 def cfg(kind, **kw):
@@ -98,6 +100,28 @@ class TestConfigValidation:
             "counts_per_setting": float, "target_fidelity": float}
         assert a.lost == 4 and type(a.noise.visibility) is float
 
+    def test_each_rule_names_what_its_field_must_be(self):
+        """Every plain field breaking its rule is named, as "must be <what>,
+        got <value!r>"."""
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig("x", probes=["2"], lost=3, seed=-1, counts_per_setting=0,
+                             trials=99, byproduct="y", sweep_points=2, target_fidelity=1,
+                             out_dir=5)
+        assert err.value.fields == {
+            "kind": "must be one of ('resource-witness', 'encode-tomography', "
+                    "'encode-channel', 'loss-recovery', 'syndrome-table', 'noise-sweep'), "
+                    "got 'x'",
+            "probes": "must be a non-empty subset of ('0', '1', '+', '+y'), got ('2',)",
+            "lost": "must be a code qubit (1, 2, 4, 5), got 3",
+            "seed": "must be a non-negative integer, got -1",
+            "counts_per_setting": "must be a number in (0, 1e+12], got 0",
+            "trials": "must be an integer in [100, 100000], got 99",
+            "byproduct": "must be one of ('condition0', 'correct', 'raw'), got 'y'",
+            "sweep_points": "must be an integer in [3, 100000], got 2",
+            "target_fidelity": "must be a number in (0,1), got 1",
+            "out_dir": "must be a directory path or null, got 5",
+        }
+
     def test_roundtrip_digest_stable(self):
         a = cfg("syndrome-table", seed=3)
         b = ExperimentConfig.from_dict(a.to_dict())
@@ -167,26 +191,6 @@ class TestExperiments:
         rows = bundle.tables["syndrome_table"][1:]
         assert len(rows) == 4  # one probe each
         assert all(r[0] == "Z@1" and r[6:9] == (-1, -1, 1) for r in rows)
-
-    @pytest.mark.parametrize("error, case", [("none", ("X", 1)), ("Y@2", ("Y", 2))])
-    def test_syndrome_values_out_of_range_refused_as_records_refuse_them(
-            self, monkeypatch, error, case):
-        """The table's values are held to the bound a checked
-        ``SyndromeRecord`` holds them to, once per run: the first value out of
-        range in row order (the first error, then probe order) names the
-        error, with the sign that error gives it; 1 + 5e-10 is in range."""
-        real = runner._syndromes_of_vector
-        wrong = {"0": (0.25, 1 + 5e-10, -0.5), "1": (0.5, -1.25, 2.0)}
-        vectors = iter(PROBES)
-        monkeypatch.setattr(runner, "_syndromes_of_vector",
-                            lambda vec, labels: wrong.get(next(vectors)) or real(vec, labels))
-        letter, loc = case
-        flips = [code._error_signs(letter)["IXYZ".index(s.letter(loc))]
-                 for s in code.syndrome_operators()]
-        with pytest.raises(ValueError) as want:
-            code.SyndromeRecord(tuple(v * f for v, f in zip(wrong["1"], flips)))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-            run_experiment(cfg("syndrome-table", error=error))
 
     def test_identity_error_spec_gives_full_table(self):
         bundle = run_experiment(cfg("syndrome-table", error="I", probes=["+"]))
@@ -268,26 +272,6 @@ class TestExperiments:
             expected[0, 0] = 1
             np.testing.assert_allclose(chi_re, expected, atol=1e-8)
             assert bundle.summary["chi"]["process_fidelity"] == pytest.approx(1.0, abs=1e-8)
-
-    @pytest.mark.filterwarnings("ignore:chi expands the Bloch sphere")
-    @pytest.mark.parametrize("trace, radius, message", [
-        (1 + 5e-11, 1, None), (1 - 5e-11, 1, None), (1 - 2e-10, 1, "traces"),
-        (1 + 2e-10, 1, "traces"), (1, 1 + 1.5e-9, None), (1, 1 + 2.5e-9, "not PSD")])
-    def test_loss_recovery_checks_outputs(self, monkeypatch, trace, radius, message):
-        """An output whose trace is off 1 by more than NORM_ATOL, or whose
-        minimum eigenvalue (b0 - |r|) / 2 is below -EIG_ATOL, raises, as a
-        checked DensityOperator would; the ideal outputs are pure, so the
-        transfer matrix's identity row sets b0 and its Bloch rows |r|. A
-        channel that expands the sphere within the tolerance only warns."""
-        ptm = code._recovery_ptm
-        scale = np.array([trace, radius, radius, radius])[:, None]
-        monkeypatch.setattr(runner, "_recovery_ptm", lambda *args: ptm(*args) * scale)
-        config = cfg("loss-recovery", lost=2)
-        if message is None:
-            run_experiment(config)
-        else:
-            with pytest.raises(ValueError, match=message):
-                run_experiment(config)
 
     def test_encode_channel_ideal_is_hadamard(self):
         bundle = run_experiment(cfg("encode-channel"))
@@ -494,6 +478,19 @@ class TestCli:
                          "--seed", "-1"]) == 1
         assert "--seed: must be a non-negative integer, got -1" in capsys.readouterr().err
 
+    def test_analyze_counts_takes_the_config_rules_and_defaults(self, tmp_path, capsys):
+        """--trials and --seed default to the config's fields, and a value is
+        refused by the config's rule for its field, with its message."""
+        args = _build_parser().parse_args(["analyze-counts", "--in", "x", "--witness", "pair2"])
+        assert (args.trials, args.seed) == (ExperimentConfig.trials, ExperimentConfig.seed)
+        path = tmp_path / "counts.csv"
+        path.write_text("setting,outcome,count\nZ1 Z2,00,5\nZ1 Z2,11,7\n")
+        assert cli_main(["analyze-counts", "--in", str(path), "--witness", "pair2",
+                         "--trials", "99", "--seed", "-2"]) == 1
+        assert capsys.readouterr().err == ("error: --seed: must be a non-negative integer, "
+                                           "got -2; --trials: must be an integer in "
+                                           "[100, 100000], got 99\n")
+
     def test_analyze_counts_witness_not_covered_exits_1(self, tmp_path, capsys):
         """A valid counts file and a valid witness that it does not cover are a
         usage error naming --witness and the uncovered term, not a runtime
@@ -587,6 +584,7 @@ class TestCli:
         (["loss", "--lost", "3"], "--lost", "lost"),
         (["loss", "--lost", "0"], "--lost", "lost"),
         (["syndrome", "--error", "Z@3"], "--error", "error"),
+        (["witness", "--format", "csv", "--format", "csv"], "--format", "formats"),
     ])
     def test_bad_flag_value_names_flag_and_field(self, capsys, argv, flag, field):
         """A value a flag wrote into the config is reported under the flag,
@@ -618,6 +616,27 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert cli_main(["encode", "--config", str(path)]) == 1
         assert f"{field}: must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, field, message", [
+        ({"probes": ["+", "+"]}, "probes",
+         "must be a non-empty subset of ('0', '1', '+', '+y'), got ('+', '+')"),
+        ({"probes": ["0", "1", "0"]}, "probes",
+         "must be a non-empty subset of ('0', '1', '+', '+y'), got ('0', '1', '0')"),
+        ({"formats": ["csv", "json", "csv"]}, "formats",
+         "must not repeat a format, got ('csv', 'json', 'csv')"),
+    ])
+    def test_repeated_config_entry_exits_1(self, tmp_path, capsys, data, field, message):
+        """A probe or format given twice is refused, naming the field: a
+        repeated probe would be run twice, and a repeated format would give
+        one bundle a second digest."""
+        for make in (ExperimentConfig.from_dict, lambda d: ExperimentConfig(**d)):
+            with pytest.raises(ConfigError) as err:
+                make({"kind": "syndrome-table", **data})
+            assert err.value.fields == {field: message}
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["syndrome", "--config", str(path)]) == 1
+        assert f"{field}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
         (["witness", "--config", "{dir}"], "--config"),
@@ -889,6 +908,35 @@ def test_ideal_vector_matches_stabilizer_closed_form(key):
     assert np.array_equal(closed_form_ideal_vector(key), want)
     for probe in [p for p, target in code.PROBE_TARGETS.items() if target == key]:
         assert np.array_equal(runner._ideal_vector(probe), want)
+
+
+_YBAR = code.logical_ops().ybar
+# The runner's key of each ideal state a witness is read on -> its generators:
+# the resource, and the targets |+_L>, |0_L> and |-y_L> of the probes 0, + and +y.
+IDEAL_GENERATORS = {
+    "resource": stabilizer_generators(RESOURCE),
+    "0": [*code.syndrome_operators(), code.logical_ops().xbar],
+    "+": [*code.syndrome_operators(), code.logical_ops().zbar],
+    "+y": [*code.syndrome_operators(), PauliString(_YBAR.letters, _YBAR.phase_power + 2)],
+}
+
+
+@pytest.mark.parametrize("spec, key, want", [
+    (resource_witness(), "resource", -1),
+    (resource_witness(as_printed=True), "resource", Fraction(5, 8)),
+    (box_witness(), "0", -1),
+    (ghz_witness(), "+", -1),
+    (pair_witness((1, 2)), "+y", -1),
+    (pair_witness((4, 5)), "+y", -1),
+], ids=["resource5", "resource5-as-printed", "box4", "ghz4", "pair2_12", "pair2_45"])
+def test_exact_witness_on_ideal_states(spec, key, want):
+    """Each witness on its ideal stabilizer state, in exact arithmetic, is -1
+    (5/8 for the as-printed resource witness), and the runner's exact value
+    read off its ideal Pauli vector equals it."""
+    value = oracle.exact_witness(spec, IDEAL_GENERATORS[key])
+    assert type(value) is Fraction and value == want
+    labels = (1, 2, 3, 4, 5) if key == "resource" else code.CODE_QUBITS
+    assert runner._exact_witness(runner._ideal_vector(key), labels, spec).value == value
 
 
 @pytest.mark.parametrize("key", IDEAL_KEYS)
