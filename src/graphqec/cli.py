@@ -16,7 +16,7 @@ from .graphs import (Graph, RESOURCE, build_resource, graph_state, resource_stat
                      stabilizer_generators)
 from .pauli import pauli_expectations
 from .runner import (BYPRODUCT_MODES, FORMATS, ConfigError, ExperimentConfig, ReportBundle,
-                     run_experiment, _json_text, _problems)
+                     run_experiment, _json_text, _problems, _RULES)
 from .sampling import _probability, _witness_estimate, counts_from_csv_rows, witness_records
 from .witnesses import BUILTIN_NAMES, builtin_witnesses, fidelity_lower_bound
 
@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--as-printed", action="store_true",
                    help="use the literally printed resource witness coefficients")
     p.add_argument("--trials", type=int, default=ExperimentConfig.trials,
-                   help="Monte Carlo trials (100 to 100000)")
+                   help=f"Monte Carlo trials, {_RULES['trials'][1]}")
     p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     return parser
 

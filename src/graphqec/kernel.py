@@ -439,7 +439,8 @@ def _check_basis(basis: str):
 
 
 def _check_outcome(outcome) -> int:
-    if not isinstance(outcome, numbers.Integral) or outcome not in (0, 1):
+    """``outcome`` as an int, if it is 0 or 1 and integral, but not a bool."""
+    if type(outcome) is bool or not isinstance(outcome, numbers.Integral) or outcome not in (0, 1):
         raise ValueError(f"forced_outcome must be 0 or 1, got {outcome!r}")
     return int(outcome)
 

@@ -69,21 +69,22 @@ class PauliString:
     @staticmethod
     def parse(text: str) -> "PauliString":
         """Parse strings like ``"Y1 Z2 Z4 Y5"`` with optional leading phase
-        ``+1``, ``-1``, ``+i`` or ``-i``."""
+        ``+1``, ``-1``, ``+i`` or ``-i``. A qubit may appear once, as in the
+        constructor: ``"X1 Z1"`` is refused, not read as ``Z1``."""
         tokens = text.replace("*", " ").split()
         phase = 0
         if tokens and tokens[0] in ("+1", "-1", "+i", "-i", "i"):
             phase = {"+1": 0, "i": 1, "+i": 1, "-1": 2, "-i": 3}[tokens[0]]
             tokens = tokens[1:]
-        letters = {}
+        letters = []
         for tok in tokens:
             if tok == "I":
                 continue
             m = _TOKEN.match(tok)
             if not m:
                 raise ValueError(f"cannot parse Pauli token {tok!r}")
-            letters[int(m.group(2))] = m.group(1)
-        return PauliString.from_map(letters, phase)
+            letters.append((int(m.group(2)), m.group(1)))
+        return PauliString(tuple(letters), phase)
 
     # -- views ---------------------------------------------------------
     @property

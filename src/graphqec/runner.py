@@ -58,13 +58,13 @@ from .code import (ANCILLA, CARDINAL_BLOCH, CODE_QUBITS, PROBE_NAMES, PROBE_TARG
 from .graphs import RESOURCE, stabilizer_generators
 from .pauli import _LETTER_INDEX, PauliString, _read_words
 from .sampling import (MAX_TRIALS, NoiseModel, _is_number, _sample_settings, _witness_estimates,
-                       _witness_settings, counts_to_csv_rows)
+                       counts_to_csv_rows)
 from .tomography import (ChannelSample, _logical_of_vector, _vector_fidelity,
                          average_probe_fidelity, bloch_image, chi_hadamard, chi_identity,
                          logical_density_from_expectations, process_fidelity,
                          reconstruct_chi)
-from .witnesses import (_term_table, _witness_result, box_witness, fidelity_lower_bound,
-                        ghz_witness, pair_witness, resource_witness)
+from .witnesses import (_witness_result, box_witness, fidelity_lower_bound, ghz_witness,
+                        pair_witness, resource_witness)
 
 KINDS = ("resource-witness", "encode-tomography", "encode-channel",
          "loss-recovery", "syndrome-table", "noise-sweep")
@@ -76,7 +76,8 @@ MAX_SWEEP_POINTS = 100_000  # each point is one row of sweep.csv
 # a value that fails is refused as "must be <what>, got <value!r>".
 _RULES = {
     "kind": (lambda v: v in KINDS, f"one of {KINDS}"),
-    "probes": (lambda v: all(p in PROBE_NAMES for p in v) and 0 < len(set(v)) == len(v),
+    "probes": (lambda v: all(isinstance(p, str) and p in PROBE_NAMES for p in v)
+               and 0 < len(set(v)) == len(v),
                f"a non-empty subset of {PROBE_NAMES}"),
     "lost": (lambda v: _is_number(v, numbers.Real) and v in CODE_QUBITS,
              f"a code qubit {CODE_QUBITS}"),
@@ -381,7 +382,7 @@ def _sampled_logical_expectations(records) -> dict:
 def _exact_witness(vec, labels, spec):
     """The witness ``spec`` read off the Pauli vector ``vec`` of a state on
     ``labels``; a qubit outside the witness reads index 0, its partial trace."""
-    return _witness_result(spec, _read_words(vec, labels, _term_table(spec).words))
+    return _witness_result(spec, _read_words(vec, labels, spec.words))
 
 
 def _witness_block(vec, labels, spec, estimates):
@@ -534,8 +535,8 @@ def _run_resource_witness(cfg: ExperimentConfig):
     _, rho_box = _project_pauli_vector(rho, labels, ANCILLA, "Z", 0)
     spec, box_spec = resource_witness(), box_witness()
     (records, box_records), mc = _sample_settings(
-        [(rho, labels, _witness_settings(spec), 100),
-         (rho_box, CODE_QUBITS, _witness_settings(box_spec), 200)],
+        [(rho, labels, spec.settings, 100),
+         (rho_box, CODE_QUBITS, box_spec.settings, 200)],
         cfg.counts_per_setting, cfg.seed)
     estimates = _witness_estimates([(records, spec), (box_records, box_spec)], cfg.trials, mc)
     gens = stabilizer_generators(RESOURCE)
@@ -592,7 +593,7 @@ def _run_encode_tomography(cfg: ExperimentConfig):
                  for idx, (probe, vec) in enumerate(vectors.items())}
     jobs = []
     for idx, (probe, vec) in enumerate(vectors.items()):
-        jobs += [(framed, CODE_QUBITS, _witness_settings(spec), stream)
+        jobs += [(framed, CODE_QUBITS, spec.settings, stream)
                  for _, framed, spec, stream in witnesses[probe]]
         jobs.append((vec, CODE_QUBITS, _logical_readout()[0], 700 + 10 * idx))
     drawn, mc = _sample_settings(jobs, cfg.counts_per_setting, cfg.seed)

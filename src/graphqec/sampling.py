@@ -31,19 +31,23 @@ plan (:func:`_parity_plan`) and evaluated by one function
 whose columns are each read's +/-1 parity in its record's rows and that
 record's 0/1 indicator, so one ``counts @ matrix`` gives every read's
 signed sum and total, on a histogram or a batch. A witness is its terms
-read through such a plan (:func:`_witness_plan`), weighted and subtracted
-from its constant. The product runs in float64 and is exact:
-a histogram's total is at most 2^53, so every count and every partial sum
-of signed counts is an integer that float64 holds exactly.
+read through such a plan (:func:`_witness_plan`), each from the record its
+spec picks (:meth:`.WitnessSpec.term_records`), weighted by the spec's
+``weights`` and subtracted from its constant. The product runs in float64
+and is exact: a histogram's total is at most 2^53, so every count and
+every partial sum of signed counts is an integer that float64 holds
+exactly.
 
 Monte Carlo resampling draws every trial's Poisson vector over the nonzero
 cells of all histograms in one draw per call (:func:`_poisson_trials`): a
 zero cell always resamples to 0 and consumes no draw, so this is the draw
 over every cell, value for value. :func:`monte_carlo_uncertainty` hands an
 arbitrary statistic the trial-batched records, zero cells filled back in;
-the runner and the CLI take a witness's estimate and error bar from
-:func:`_witness_estimates`, which evaluates the plan's rows of the nonzero
-cells on the draw itself, so no trial batch becomes a :class:`CountRecord`.
+the runner draws a witness's histograms in the settings its spec holds
+(``WitnessSpec.settings``), and it and the CLI take the estimate and error
+bar from :func:`_witness_estimates`, which evaluates the plan's rows of the
+nonzero cells on the draw itself, so no trial batch becomes a
+:class:`CountRecord`.
 A run's witnesses, two or five, are estimated in one call. numpy releases
 the interpreter lock inside its Poisson sampler, so their draws, largest
 first, are shared between the calling thread and one helper thread per
@@ -558,13 +562,11 @@ class _Plan(NamedTuple):
     every read's signed parity sum and its record's total in one BLAS
     product. Per record read, in record order, ``reads`` holds its first
     cell, its end and its setting's label, and ``firsts`` the first parity
-    read of it. A witness's plan (:func:`_witness_plan`) also holds
-    ``weights``, each term's ``coefficient * sign``."""
+    read of it."""
 
     matrix: np.ndarray
     reads: tuple[tuple[int, int, str], ...]
     firsts: tuple[int, ...]
-    weights: np.ndarray | None = None
 
 
 @functools.lru_cache(maxsize=128)
@@ -640,55 +642,19 @@ def estimate_expectation(record, support):
 
 
 def witness_settings(spec: WitnessSpec) -> list[dict[int, str]]:
-    """Greedy packing of witness terms into joint measurement settings;
-    for the built-in witnesses this recovers the published two settings."""
-    return [dict(s) for s in _witness_settings(spec)]
-
-
-@functools.lru_cache(maxsize=128)
-def _witness_settings(spec: WitnessSpec) -> tuple[dict[int, str], ...]:
-    """:func:`witness_settings`, cached per spec; the maps are shared, and
-    read only."""
-    settings: list[dict[int, str]] = []
-    for t in spec.terms:
-        for s in settings:
-            if all(s.get(q, l) == l for q, l in t.word.letters):
-                s.update(dict(t.word.letters))
-                break
-        else:
-            settings.append(dict(t.word.letters))
-    for s in settings:
-        for q in spec.qubits:
-            s.setdefault(q, "Z")
-    return tuple(settings)
-
-
-def _term_records(settings, spec: WitnessSpec) -> list[int]:
-    """Index into ``settings`` of the setting each witness term is estimated
-    from: the first that measures all of the term's letters and no qubit
-    outside ``spec.qubits``, else the first that measures all its letters."""
-    inside = set(spec.qubits)
-    settings = [dict(s) for s in settings]
-    indices = []
-    for t in spec.terms:
-        covering = [i for i, s in enumerate(settings)
-                    if all(s.get(q) == l for q, l in t.word.letters)]
-        if not covering:
-            raise ValueError(f"no setting covers term {t.label()}")
-        indices.append(next((i for i in covering if settings[i].keys() <= inside),
-                            covering[0]))
-    return indices
+    """Copies of ``spec.settings``: its terms packed greedily into joint
+    measurement settings (:class:`.WitnessSpec`); for the built-in
+    witnesses this recovers the published two settings."""
+    return [dict(s) for s in spec.settings]
 
 
 @functools.lru_cache(maxsize=128)
 def _witness_plan(spec: WitnessSpec, settings: tuple) -> _Plan:
     """The :func:`_parity_plan` of the terms of ``spec`` on records with
-    these ``settings``, each term read from its :func:`_term_records`
-    record, with the terms' weights."""
-    parities = tuple(zip(_term_records(settings, spec), (t.word.support for t in spec.terms)))
-    weights = np.array([t.coefficient * t.sign for t in spec.terms])
-    weights.setflags(write=False)
-    return _parity_plan(settings, parities)._replace(weights=weights)
+    these ``settings``, each term read from the record that
+    :meth:`.WitnessSpec.term_records` picks."""
+    return _parity_plan(settings, tuple(zip(spec.term_records(settings),
+                                            (w.support for w in spec.words))))
 
 
 def _plan_value(spec: WitnessSpec, plan: _Plan, counts, cells=None):
@@ -699,7 +665,7 @@ def _plan_value(spec: WitnessSpec, plan: _Plan, counts, cells=None):
     constant = spec.constant
     if not spec.terms:
         return constant
-    value = np.subtract.reduce(_parities(plan, counts, cells) * plan.weights, axis=-1,
+    value = np.subtract.reduce(_parities(plan, counts, cells) * spec.weights, axis=-1,
                                initial=constant)
     return value if value.ndim else float(value)
 
@@ -730,7 +696,7 @@ def witness_records(records, spec: WitnessSpec) -> list[CountRecord]:
     """The records :func:`witness_value_from_counts` reads, in their given
     order; the value is the same on them as on all of ``records``."""
     records = list(records)
-    return [records[i] for i in sorted(set(_term_records([r.setting for r in records], spec)))]
+    return [records[i] for i in sorted(set(spec.term_records([r.setting for r in records])))]
 
 
 def _poisson_trials(counts: np.ndarray, trials: int, mc: np.ndarray):

@@ -7,6 +7,10 @@ eigenvalue swap, so a tilde contributes a factor -1 to the term. A witness
 value below zero certifies genuine multipartite entanglement, and the
 calibrated witnesses all reach exactly -1 on their ideal target states.
 The specs are frozen, so each built-in witness is built once and shared.
+A spec also builds its reading rule once, with itself: its measurement
+settings, its term table (labels, words, coefficients, signs and weights)
+and the choice of the record each term is read from (:class:`WitnessSpec`).
+Sampling, the runner, the CLI and :func:`evaluate_witness` read them there.
 A coefficient or constant is stored as a float, converted once when its
 term or spec is built; every built-in one is dyadic (1/8 to 9/4), so the
 float holds it exactly.
@@ -15,7 +19,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+
+import numpy as np
 
 from .pauli import PauliString, pauli_expectations
 
@@ -46,12 +51,45 @@ class WitnessTerm:
 
 @dataclass(frozen=True)
 class WitnessSpec:
+    """A witness: ``constant`` minus the weighted sum of its ``terms``.
+
+    Its reading rule is built once, with the spec, as plain attributes that
+    are not fields, so equality, ``repr`` and ``dataclasses.replace`` (which
+    rebuilds them) see the fields only. ``qubits`` are the qubits its terms
+    act on, and ``settings`` its measurement settings: the terms packed
+    greedily, in term order, into joint ``{qubit: basis}`` maps, each then
+    measuring Z on the other witness qubits; for the built-in witnesses
+    this recovers the published two settings. The maps are shared and read
+    only. The term table holds, in term order, each term's ``labels``,
+    ``words``, ``coefficients`` and ``signs``, and ``weights`` the read-only
+    float array of coefficient times sign. :meth:`term_records` says which
+    record each term is read from.
+    """
+
     name: str
     constant: float
     terms: tuple[WitnessTerm, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "constant", float(self.constant))
+        terms = self.terms
+        qubits = tuple(sorted({q for t in terms for q in t.word.support}))
+        words = tuple(t.word for t in terms)
+        coefficients, signs = tuple(t.coefficient for t in terms), tuple(t.sign for t in terms)
+        weights = np.array([c * s for c, s in zip(coefficients, signs)])
+        weights.setflags(write=False)
+        settings: list[dict[int, str]] = []
+        for w in words:  # into the first setting that agrees on its qubits, else a new one
+            s = next((s for s in settings if all(s.get(q, l) == l for q, l in w.letters)), None)
+            if s is None:
+                settings.append(s := {})
+            s.update(w.letters)
+        for s in settings:
+            s.update((q, "Z") for q in qubits if q not in s)
+        # set past the frozen __setattr__; none but the constant is a field
+        self.__dict__.update(constant=float(self.constant), qubits=qubits,
+                             labels=tuple(t.label() for t in terms), words=words,
+                             coefficients=coefficients, signs=signs, weights=weights,
+                             settings=tuple(settings))
 
     def __hash__(self) -> int:
         # The field hash, computed once: cached plans are keyed on the spec,
@@ -66,11 +104,29 @@ class WitnessSpec:
             return h
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        # the fields only: the hash and the reading rule are built again
+        return {name: self.__dict__[name] for name in ("name", "constant", "terms")}
 
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return tuple(sorted({q for t in self.terms for q in t.word.support}))
+    def __setstate__(self, state: dict):
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    def term_records(self, settings) -> list[int]:
+        """Index into ``settings``, the (qubit, basis) pairs or ``{qubit:
+        basis}`` maps of some records, of the record each term is read from:
+        the first that measures all of the term's letters and no qubit
+        outside ``qubits``, else the first that measures all its letters."""
+        inside = set(self.qubits)
+        settings = [dict(s) for s in settings]
+        indices = []
+        for label, word in zip(self.labels, self.words):
+            covering = [i for i, s in enumerate(settings)
+                        if all(s.get(q) == l for q, l in word.letters)]
+            if not covering:
+                raise ValueError(f"no setting covers term {label}")
+            indices.append(next((i for i in covering if settings[i].keys() <= inside),
+                                covering[0]))
+        return indices
 
 
 @dataclass(frozen=True)
@@ -177,33 +233,16 @@ def evaluate_witness(state, spec: WitnessSpec) -> WitnessResult:
     (:func:`.pauli.pauli_expectations`). Also returns the per-term breakdown
     (signed and raw expectations) for bar-chart style reporting.
     """
-    return _witness_result(spec, pauli_expectations(state, _term_table(spec).words))
+    return _witness_result(spec, pauli_expectations(state, spec.words))
 
 
 def _witness_result(spec: WitnessSpec, values) -> WitnessResult:
     """Raw :func:`evaluate_witness` from the sequence ``values`` of the terms'
     exact expectations: constant - sum_k coeff_k (sign_k <word_k>), summed
-    in term order, with the terms read from the spec's cached table."""
-    table = _term_table(spec)
-    signed = [s * raw for s, raw in zip(table.signs, values)]
-    value = spec.constant - sum([c * e for c, e in zip(table.coefficients, signed)])
-    return WitnessResult(value, tuple(zip(table.labels, table.coefficients, signed, values)))
-
-
-class _TermTable(NamedTuple):
-    """A witness's terms as plain values, in term order."""
-
-    labels: tuple[str, ...]
-    words: tuple[PauliString, ...]
-    coefficients: tuple[float, ...]
-    signs: tuple[int, ...]
-
-
-@functools.lru_cache(maxsize=128)
-def _term_table(spec: WitnessSpec) -> _TermTable:
-    terms = spec.terms
-    return _TermTable(tuple(t.label() for t in terms), tuple(t.word for t in terms),
-                      tuple(t.coefficient for t in terms), tuple(t.sign for t in terms))
+    in term order, with the terms read from the spec's term table."""
+    signed = [s * raw for s, raw in zip(spec.signs, values)]
+    value = spec.constant - sum([c * e for c, e in zip(spec.coefficients, signed)])
+    return WitnessResult(value, tuple(zip(spec.labels, spec.coefficients, signed, values)))
 
 
 def fidelity_lower_bound(value: float) -> float:

@@ -347,6 +347,20 @@ class TestRecovery:
                 assert got == outcomes
                 assert abs(state_fidelity(out, target) - 1) < 1e-9
 
+    @pytest.mark.parametrize("call", ["projective_measure", "encode", "recover"])
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_bool_outcome_refused(self, call, forced):
+        """A forced outcome is 0 or 1, not a bool, as labels, seeds, trials
+        and counts are not; a numpy integer is taken."""
+        state = encode(PROBES["0"], forced_s3=np.int64(0))[1]
+        run = {"projective_measure": lambda s: kernel.projective_measure(state, 1, "Z", s),
+               "encode": lambda s: encode(PROBES["0"], forced_s3=s),
+               "recover": lambda s: recover(lose_qubit(state, 4), recovery_recipe(4),
+                                            forced_outcomes=(s, 0))}[call]
+        with pytest.raises(ValueError, match="forced_outcome must be 0 or 1"):
+            run(forced)
+        run(np.int64(int(forced)))
+
     def test_recover_rejects_wrong_register(self):
         recipe = recovery_recipe(4)  # expects qubits {1, 2, 5}
         rho = lose_qubit(encoded((1, 0)), 1)

@@ -199,6 +199,14 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="parse"):
             PauliString.parse("Q7")
 
+    @pytest.mark.parametrize("text", ["X1 Z1", "X1 X1", "X1 I1", "Z2 Y3 Z2", "-1 I4 Z4"])
+    def test_parse_rejects_a_repeated_qubit(self, text):
+        """As the constructor does: the last letter is not kept, nor the
+        product taken."""
+        q = text.split()[-1][1:]
+        with pytest.raises(ValueError, match=f"duplicate qubit {q} "):
+            PauliString.parse(text)
+
 
 class TestPauliExpectations:
     def test_resource_stabilizers_and_phases(self):

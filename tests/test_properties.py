@@ -771,7 +771,7 @@ def test_float_plans_exact_at_2_53(spec, data, seed):
     assert all(r.total == 2 ** 53 for r in records)
     want = float(spec.constant)
     plan = sampling._witness_plan(spec, tuple(settings_))
-    chosen = sampling._term_records(settings_, spec)
+    chosen = spec.term_records(settings_)
     n = len(spec.terms)
     ints = (plan.matrix.astype(np.int64).T @ np.concatenate(dense)).tolist()
     assert ints[n:] == [2 ** 53] * n  # each term's record total

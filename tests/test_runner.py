@@ -55,6 +55,18 @@ class TestConfigValidation:
                                         "probes": ["2"]})
         assert set(err.value.fields) == {"lost", "probes"}
 
+    def test_probe_must_be_a_string(self):
+        """A 0-d numpy string equals its text but does not hash; it is
+        refused as a probe, while a numpy string scalar is taken."""
+        for build in (lambda p: ExperimentConfig("syndrome-table", probes=p),
+                      lambda p: ExperimentConfig.from_dict({"kind": "syndrome-table",
+                                                            "probes": p})):
+            with pytest.raises(ConfigError) as err:
+                build([np.array("0")])
+            assert set(err.value.fields) == {"probes"}
+            assert "probes" in str(err.value)
+            assert build([np.str_("0"), "1"]).probes == ("0", "1")
+
     def test_bad_error_spec(self):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict({"kind": "syndrome-table", "error": "W@9"})
@@ -705,6 +717,12 @@ class TestCli:
             cli_main(["build-resource", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert "--graph FILE path of a JSON file holding a graph literal {vertices, edges}" in text
+
+    def test_analyze_counts_help_gives_the_trials_range(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["analyze-counts", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"[100, {sampling.MAX_TRIALS}]" in text
 
     def test_build_resource_selfcheck(self, capsys):
         assert cli_main(["build-resource"]) == 0

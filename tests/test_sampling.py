@@ -196,6 +196,26 @@ class TestWitnessFromCounts:
         for spec in (resource_witness(), box_witness(), ghz_witness()):
             assert len(witness_settings(spec)) == 2
 
+    def test_settings_pinned_in_order(self):
+        """Each setting lists the letters of the terms packed into it, in
+        term order, then Z on the other witness qubits. Streams follow the
+        setting order, so the sampled bytes depend on it."""
+        xs, zy = [(1, "X"), (3, "X"), (5, "X"), (4, "X"), (2, "X")], \
+            [(1, "Z"), (2, "Y"), (4, "Y"), (5, "Z"), (3, "Y")]
+        want = {
+            "resource5": [xs, zy],
+            "resource5-as-printed": [xs, zy],
+            "box4": [[(1, "Z"), (2, "Z"), (4, "X"), (5, "X")],
+                     [(1, "X"), (4, "Z"), (5, "Z"), (2, "X")]],
+            "ghz4": [[(1, "Z"), (2, "Z"), (4, "Z"), (5, "Z")],
+                     [(1, "X"), (2, "X"), (4, "X"), (5, "X")]],
+            "pair2_12": [[(1, "Y"), (2, "Z")], [(1, "X"), (2, "X")]],
+            "pair2_45": [[(4, "Y"), (5, "Z")], [(4, "X"), (5, "X")]],
+        }
+        specs = (resource_witness(), resource_witness(as_printed=True), box_witness(),
+                 ghz_witness(), pair_witness((1, 2)), pair_witness((4, 5)))
+        assert {s.name: [list(d.items()) for d in witness_settings(s)] for s in specs} == want
+
     def test_resource_settings_match_published_bases(self):
         settings = witness_settings(resource_witness())
         assert {q: "X" for q in range(1, 6)} in settings

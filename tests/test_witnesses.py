@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import pickle
@@ -13,7 +14,7 @@ from graphqec.kernel import PureState, maximally_mixed, partial_trace
 from graphqec.pauli import PauliString
 from graphqec.sampling import NoiseModel, apply_noise
 from graphqec.tomography import state_fidelity
-from graphqec.witnesses import (WitnessTerm, box_witness,
+from graphqec.witnesses import (WitnessSpec, WitnessTerm, box_witness,
                                 builtin_witnesses, evaluate_witness,
                                 fidelity_lower_bound, ghz_witness, pair_witness,
                                 resource_witness)
@@ -84,6 +85,36 @@ class TestBuiltinStructure:
         copy = pickle.loads(pickle.dumps(spec))
         assert "_hash" not in copy.__dict__
         assert copy == spec and hash(copy) == hash(spec)
+
+    @pytest.mark.parametrize("name", ["resource5", "box4", "ghz4", "pair2"])
+    def test_separately_built_specs_are_equal(self, name):
+        spec = builtin_witnesses()[name]
+        twin = WitnessSpec(spec.name, spec.constant, tuple(
+            WitnessTerm(t.coefficient, PauliString.parse(str(t.word)), frozenset(t.tilde))
+            for t in spec.terms))
+        assert twin is not spec and twin == spec and hash(twin) == hash(spec)
+        assert repr(twin) == repr(spec)
+
+    @pytest.mark.parametrize("name", ["resource5", "box4", "ghz4", "pair2"])
+    def test_reading_rule_survives_copies(self, name):
+        """The settings, the term table and the read-only weights are built
+        with the spec, and again by pickle, deepcopy and replace."""
+        spec = builtin_witnesses()[name]
+
+        def rule(s):
+            return (s.qubits, [list(d.items()) for d in s.settings], s.labels, s.words,
+                    s.coefficients, s.signs, s.weights.tolist())
+
+        assert spec.weights.tolist() == [t.coefficient * t.sign for t in spec.terms]
+        assert spec.labels == tuple(t.label() for t in spec.terms)
+        copies = (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec),
+                  dataclasses.replace(spec))
+        for twin in copies:
+            assert twin == spec and rule(twin) == rule(spec)
+            assert not twin.weights.flags.writeable
+        shorter = dataclasses.replace(spec, terms=spec.terms[:1])
+        assert shorter.labels == spec.labels[:1] and shorter.weights.size == 1
+        assert [f.name for f in dataclasses.fields(spec)] == ["name", "constant", "terms"]
 
 
 class TestIdealValues:
