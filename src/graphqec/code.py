@@ -24,8 +24,8 @@ import numpy as np
 
 from . import kernel, sampling
 from .kernel import DensityOperator, PureState
-from .pauli import (_LETTER_INDEX, PauliString, _read_words, _word_action,
-                    _word_expectations, _word_plan, pauli_commutes, pauli_multiply)
+from .pauli import (_LETTER_INDEX, PauliString, _read_words, _word_action, _word_plan,
+                    pauli_commutes, pauli_expectations, pauli_multiply)
 
 CODE_QUBITS = (1, 2, 4, 5)
 ANCILLA = 3
@@ -275,12 +275,11 @@ class SyndromeRecord:
 
 
 def measure_syndromes(state) -> SyndromeRecord:
-    """Exact syndrome expectations, each read through its word's signed
-    permutation (``pauli._word_expectations``), with no contraction and no
-    Pauli vector; the state is left untouched."""
-    kernel._axes(state.labels, CODE_QUBITS)
-    return SyndromeRecord(_word_expectations(kernel._raw(state), state.labels,
-                                             syndrome_operators()))
+    """Exact syndrome expectations, read by :func:`.pauli.pauli_expectations`
+    through each word's signed permutation, with no Pauli vector; the state
+    is left untouched. S1 acts on every code qubit, so a register that lacks
+    any of them is refused."""
+    return SyndromeRecord(pauli_expectations(state, syndrome_operators()))
 
 
 def _syndromes_of_vector(vec: np.ndarray, labels) -> tuple[float, float, float]:

@@ -22,11 +22,15 @@ projective measurement (``_measure``) builds only the branches it needs:
 it contracts the bra <v_s| of outcome s into the measured qubit's axis with
 one ``@`` (and, for a density matrix, the ket |v_s> into its column axis),
 so a forced outcome costs one branch. The second primitive,
-``_pauli_vector``, serves every Pauli expectation: it interleaves each
+``_pauli_vector``, builds a state's whole Pauli vector: it interleaves each
 qubit's (row, col) axes of the density tensor into one axis of size 4 and
 applies one constant 4x4 matrix to each axis in turn, so n small
-contractions give tr(rho P) for all 4^n Pauli words P at once, and a
-caller reads as many words as it needs from that vector.
+contractions give tr(rho P) for all 4^n Pauli words P at once. The library
+builds it only where it needs every component: the noise diagonal
+(``sampling.apply_noise``), ``code.recover_average`` and the count sampler
+(``sampling._setting_vector``). A read of a few words from a state builds
+none: ``pauli.pauli_expectations``, under witnesses, syndromes and logical
+tomography, sums each word's signed permutation of the state element-wise.
 Every experiment kind reads its states as Pauli vectors: the resource times
 the noise diagonal, and the encoded states, built as vectors in the first
 place (``code._encoded_vectors``). Witnesses, syndromes, logical tomography

@@ -197,27 +197,28 @@ def _word_expectations(raw: np.ndarray, labels: tuple[int, ...], words) -> np.nd
     density matrix on ``labels``, through the words' signed permutations
     (:func:`_word_action`), with no contraction: Re sum_x conj(psi_x)
     phase_x psi[perm_x] for a vector, Re sum_x phase_x rho[perm_x, x] for a
-    density matrix."""
+    density matrix, each an element-wise product and ``.sum``."""
     perm, phase = _word_action(labels, tuple(words))
     if raw.ndim == 1:
-        return ((phase * raw[perm]) @ raw.conj()).real
+        return (phase * raw[perm] * raw.conj()).sum(axis=1).real
     return (phase * raw[perm, np.arange(len(raw))]).sum(axis=1).real
 
 
 def pauli_expectations(state, words) -> tuple[float, ...]:
     """Exact tr(rho P) of each Hermitian word P, in order.
 
-    All words are read from one Pauli vector of the state (see
-    ``kernel._pauli_vector``), so k words cost one contraction pass, not k.
-    Words with an imaginary phase or support outside the register are
-    refused with ``ValueError``.
+    Each word is read through its signed permutation of the state
+    (:func:`_word_expectations`), so k words cost k element-wise sums over
+    the state and no Pauli vector is built. Words with an imaginary phase
+    or support outside the register are refused with ``ValueError``.
     """
     words = tuple(words)
     for p in words:
         _check_hermitian(p)
         kernel._axes(state.labels, p.support)
-    return _read_words(kernel._pauli_vector(kernel._raw(state), state.num_qubits),
-                       state.labels, words)
+    # no word, no permutation to stack: the empty read is ()
+    return tuple(_word_expectations(kernel._raw(state), state.labels, words).tolist()
+                 if words else ())
 
 
 def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:

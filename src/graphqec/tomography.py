@@ -21,7 +21,7 @@ import numpy as np
 from . import kernel
 from .code import CODE_QUBITS, PROBE_NAMES, logical_ops
 from .kernel import DensityOperator, PureState
-from .pauli import _read_words
+from .pauli import _read_words, pauli_expectations
 
 # vec(R) = _CHI_TO_PTM @ vec(chi) (row-major): entry [4a + b, 4i + j] is
 # tr(P_a P_i P_b P_j) / 2. Its columns are orthogonal with squared norm 4, so
@@ -75,10 +75,12 @@ def logical_density_from_expectations(ex: float, ey: float, ez: float) -> Logica
 def logical_tomography(state) -> LogicalDensityMatrix:
     """rho_L = (I + <X_L> X + <Y_L> Y + <Z_L> Z) / 2 from the collective
     logical bases of a four-qubit code state; the three logical expectations
-    are read from one Pauli vector of the state."""
+    are read by :func:`.pauli.pauli_expectations`, through the words'
+    signed permutations of the state."""
     kernel._axes(state.labels, CODE_QUBITS)
-    return _logical_of_vector(kernel._pauli_vector(kernel._raw(state), state.num_qubits),
-                              state.labels)
+    ops = logical_ops()
+    return logical_density_from_expectations(
+        *pauli_expectations(state, (ops.xbar, ops.ybar, ops.zbar)))
 
 
 def _logical_of_vector(vec: np.ndarray, labels) -> LogicalDensityMatrix:

@@ -18,6 +18,7 @@ float holds it exactly.
 from __future__ import annotations
 
 import functools
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +60,12 @@ class WitnessSpec:
     act on, and ``settings`` its measurement settings: the terms packed
     greedily, in term order, into joint ``{qubit: basis}`` maps, each then
     measuring Z on the other witness qubits; for the built-in witnesses
-    this recovers the published two settings. The maps are shared and read
-    only. The term table holds, in term order, each term's ``labels``,
-    ``words``, ``coefficients`` and ``signs``, and ``weights`` the read-only
-    float array of coefficient times sign. :meth:`term_records` says which
-    record each term is read from.
+    this recovers the published two settings. The maps are shared, so they
+    are read-only (``types.MappingProxyType``). The term table holds, in
+    term order, each term's ``labels``, ``words``, ``coefficients`` and
+    ``signs``, and ``weights`` the read-only float array of coefficient
+    times sign. :meth:`term_records` says which record each term is read
+    from.
     """
 
     name: str
@@ -71,7 +73,7 @@ class WitnessSpec:
     terms: tuple[WitnessTerm, ...]
 
     def __post_init__(self):
-        terms = self.terms
+        terms = tuple(self.terms)
         qubits = tuple(sorted({q for t in terms for q in t.word.support}))
         words = tuple(t.word for t in terms)
         coefficients, signs = tuple(t.coefficient for t in terms), tuple(t.sign for t in terms)
@@ -85,11 +87,12 @@ class WitnessSpec:
             s.update(w.letters)
         for s in settings:
             s.update((q, "Z") for q in qubits if q not in s)
-        # set past the frozen __setattr__; none but the constant is a field
-        self.__dict__.update(constant=float(self.constant), qubits=qubits,
+        # set past the frozen __setattr__; of the fields, only the constant
+        # and the terms are rewritten, as a float and a tuple
+        self.__dict__.update(constant=float(self.constant), terms=terms, qubits=qubits,
                              labels=tuple(t.label() for t in terms), words=words,
                              coefficients=coefficients, signs=signs, weights=weights,
-                             settings=tuple(settings))
+                             settings=tuple(map(types.MappingProxyType, settings)))
 
     def __hash__(self) -> int:
         # The field hash, computed once: cached plans are keyed on the spec,
@@ -229,7 +232,7 @@ def builtin_witnesses(resource_as_printed: bool = False) -> dict[str, WitnessSpe
 def evaluate_witness(state, spec: WitnessSpec) -> WitnessResult:
     """constant - sum_k coeff_k <term_k>, tilde flags flipping term signs.
 
-    Every term is read from one Pauli vector of the state
+    Every term is read through its word's signed permutation of the state
     (:func:`.pauli.pauli_expectations`). Also returns the per-term breakdown
     (signed and raw expectations) for bar-chart style reporting.
     """

@@ -5,10 +5,13 @@ import pytest
 
 import oracle
 from graphqec import kernel
+from graphqec.code import PROBES, encode, measure_syndromes
 from graphqec.graphs import build_resource
 from graphqec.pauli import (CliffordGate, PauliString, conjugate_pauli,
                             conjugate_sequence, cz, expand_logical, pauli_commutes,
                             pauli_expectations, pauli_multiply)
+from graphqec.tomography import logical_tomography
+from graphqec.witnesses import WitnessSpec, evaluate_witness, resource_witness
 
 S1 = PauliString.parse("Y1 Z2 Z4 Y5")
 S2 = PauliString.parse("Y1 Z2 Y4 Z5")
@@ -227,3 +230,33 @@ class TestPauliExpectations:
         raw = np.diag([1, 0]).astype(complex) + np.array([[0, 1e-6], [0, 0]])
         with pytest.raises(ValueError, match="imaginary part"):
             kernel._pauli_vector(raw, 1)
+
+    def test_no_words_read_nothing(self):
+        """An empty word list reads no word, and a witness with no terms is
+        its constant."""
+        for state in (RESOURCE_STATE, RESOURCE_STATE.density()):
+            assert pauli_expectations(state, []) == ()
+            assert pauli_expectations(state, iter(())) == ()
+            result = evaluate_witness(state, WitnessSpec("empty", 1.5, ()))
+            assert result.value == 1.5 and result.terms == ()
+
+    def test_library_reads_build_no_pauli_vector(self, monkeypatch):
+        """The four library reads of Pauli words go through the words'
+        signed permutations: with the 4^n Pauli transform refused, each
+        still gives its exact value on pure and mixed states."""
+        _, encoded = encode(PROBES["+"], forced_s3=0)  # |0_L>: <Z_L> = 1
+
+        def refuse(*args):
+            raise AssertionError("a Pauli vector was built")
+
+        monkeypatch.setattr(kernel, "_pauli_vector", refuse)
+        monkeypatch.setattr(kernel, "_transform_each_axis", refuse)
+        for resource in (RESOURCE_STATE, RESOURCE_STATE.density()):
+            np.testing.assert_allclose(pauli_expectations(resource, (S1, XBAR)), (1.0, 0.0),
+                                       rtol=0, atol=1e-12)
+            value = evaluate_witness(resource, resource_witness()).value
+            assert value == pytest.approx(-1.0, abs=1e-12)
+        for state in (encoded, encoded.density()):
+            assert measure_syndromes(state).signs == (1, 1, 1)
+            np.testing.assert_allclose(logical_tomography(state).bloch, (0.0, 0.0, 1.0),
+                                       rtol=0, atol=1e-12)

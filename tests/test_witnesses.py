@@ -12,7 +12,9 @@ from graphqec.code import logical_basis_states
 from graphqec.graphs import build_resource
 from graphqec.kernel import PureState, maximally_mixed, partial_trace
 from graphqec.pauli import PauliString
-from graphqec.sampling import NoiseModel, apply_noise
+from graphqec.runner import ExperimentConfig, run_experiment
+from graphqec.sampling import (NoiseModel, apply_noise, sample_setting_counts,
+                               witness_value_from_counts)
 from graphqec.tomography import state_fidelity
 from graphqec.witnesses import (WitnessSpec, WitnessTerm, box_witness,
                                 builtin_witnesses, evaluate_witness,
@@ -97,8 +99,9 @@ class TestBuiltinStructure:
 
     @pytest.mark.parametrize("name", ["resource5", "box4", "ghz4", "pair2"])
     def test_reading_rule_survives_copies(self, name):
-        """The settings, the term table and the read-only weights are built
-        with the spec, and again by pickle, deepcopy and replace."""
+        """The read-only settings, the term table and the read-only weights
+        are built with the spec, and again, as the copy's own, by pickle,
+        deepcopy and replace."""
         spec = builtin_witnesses()[name]
 
         def rule(s):
@@ -111,10 +114,39 @@ class TestBuiltinStructure:
                   dataclasses.replace(spec))
         for twin in copies:
             assert twin == spec and rule(twin) == rule(spec)
-            assert not twin.weights.flags.writeable
+            assert twin.weights is not spec.weights and not twin.weights.flags.writeable
+            with pytest.raises(TypeError):
+                twin.settings[0][spec.qubits[0]] = "Y"
         shorter = dataclasses.replace(spec, terms=spec.terms[:1])
         assert shorter.labels == spec.labels[:1] and shorter.weights.size == 1
         assert [f.name for f in dataclasses.fields(spec)] == ["name", "constant", "terms"]
+
+    def test_settings_are_read_only(self):
+        """A caller cannot rewrite the shared settings of a built-in witness,
+        so a later run reads the published settings and gives the same
+        bundle."""
+        config = ExperimentConfig("resource-witness", trials=100, seed=3)
+        before = run_experiment(config)
+        spec = resource_witness()
+        with pytest.raises(TypeError):
+            spec.settings[0][1] = "Y"
+        with pytest.raises(TypeError):
+            del spec.settings[0][1]
+        assert spec.settings[0][1] == "X"
+        after = run_experiment(config)
+        assert after.summary_json() == before.summary_json()
+        assert after.tables == before.tables
+
+    def test_terms_given_as_a_list(self):
+        """A list of terms is stored as a tuple, so the spec hashes and is
+        read from counts as the spec built from the tuple is."""
+        spec = resource_witness()
+        listed = WitnessSpec("x", 2.25, list(spec.terms))
+        assert type(listed.terms) is tuple and listed.terms == spec.terms
+        records = [sample_setting_counts(build_resource(), dict(s), 500, seed=1, stream=i)
+                   for i, s in enumerate(spec.settings)]
+        assert witness_value_from_counts(records, listed) == \
+            witness_value_from_counts(records, spec)
 
 
 class TestIdealValues:
